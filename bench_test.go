@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/experiments"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/nltemplate"
 	"repro/internal/runtime"
+	"repro/internal/serve"
 	"repro/internal/synthesis"
 	"repro/internal/thingpedia"
 	"repro/internal/thingtalk"
@@ -567,6 +569,88 @@ func BenchmarkParseThroughput(b *testing.B) {
 			wg.Wait()
 		})
 	}
+}
+
+// BenchmarkBatcherServe measures serve.Batcher's dispatch on both sides of its
+// load curve, over one trained parser and default Options. lone: one caller,
+// so every request finds a free worker and is pulled at once — ns/op must
+// sit within two goroutine handoffs (tens of µs) of the same sentences
+// through a bare Parse, reported beside it as parse-ns/op; a gather timer
+// would add its whole wait here. saturated: 4×MaxBatch callers, so requests
+// queue behind the busy pool and are pulled as windows — reports the realized
+// mean batch size (must exceed 1) and sentences/s.
+func BenchmarkBatcherServe(b *testing.B) {
+	pairs := benchBatchPairs()
+	cfg := benchTrainCfg
+	cfg.Epochs = 3
+	p := model.Train(pairs, nil, nil, cfg)
+	sentences := make([][]string, len(pairs))
+	for i := range pairs {
+		sentences[i] = pairs[i].Src
+	}
+	for _, s := range sentences {
+		p.Parse(s) // warm the graph pool and scratch buffers
+	}
+	ctx := context.Background()
+
+	b.Run("lone", func(b *testing.B) {
+		bt := serve.NewBatcher(p, serve.Options{})
+		defer bt.Close()
+		// The reference runs in blocks between the timed blocks, so a slow
+		// stretch of the machine lands on both sides of the comparison.
+		const block = 100
+		var parseTime time.Duration
+		b.ReportAllocs()
+		b.ResetTimer()
+		for base := 0; base < b.N; base += block {
+			end := min(base+block, b.N)
+			b.StopTimer()
+			start := time.Now()
+			for i := base; i < end; i++ {
+				p.Parse(sentences[i%len(sentences)])
+			}
+			parseTime += time.Since(start)
+			b.StartTimer()
+			for i := base; i < end; i++ {
+				if _, err := bt.ParseCtx(ctx, sentences[i%len(sentences)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StopTimer()
+		parseNs := float64(parseTime.Nanoseconds()) / float64(b.N)
+		b.ReportMetric(parseNs, "parse-ns/op")
+	})
+	b.Run("saturated", func(b *testing.B) {
+		bt := serve.NewBatcher(p, serve.Options{})
+		defer bt.Close()
+		const callers = 4 * 8 // 4×MaxBatch, under the default MaxQueue of 64
+		b.ReportAllocs()
+		b.ResetTimer()
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= b.N {
+						return
+					}
+					if _, err := bt.ParseCtx(ctx, sentences[i%len(sentences)]); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		b.StopTimer()
+		st := bt.Stats()
+		b.ReportMetric(float64(st.Requests)/float64(max(st.Batches, 1)), "batch-mean")
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sentences/s")
+	})
 }
 
 func BenchmarkParameterExpansion(b *testing.B) {

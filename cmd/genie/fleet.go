@@ -15,7 +15,7 @@ import (
 )
 
 // cmdFleet runs the multi-skill parser fleet: one trained parser per
-// <skill>.tt library in -libdir, each serving behind its own micro-batching
+// <skill>.tt library in -libdir, each serving behind its own batching
 // shard with bounded-queue admission control, hot-swapped when the watcher
 // sees the library's checksum change.
 func cmdFleet(args []string) {
@@ -37,8 +37,7 @@ func cmdFleet(args []string) {
 	sessionCap := fs.Int("sessions", 0, "per-skill dialogue session-store capacity (0 = default)")
 	trainWorkers := fs.Int("train-workers", 1, "concurrent background training runs")
 	addr := fs.String("addr", ":8080", "listen address")
-	batch := fs.Int("batch", 8, "per-skill micro-batch size")
-	wait := fs.Duration("wait", 2*time.Millisecond, "micro-batch gather window")
+	batch := fs.Int("batch", 8, "most queued requests one decode worker takes into a batch (per skill)")
 	workers := fs.Int("serve-workers", 0, "decode workers per skill (0 = all CPUs)")
 	beam := fs.Int("beam", 1, "beam width (1 = greedy)")
 	adaptive := fs.Bool("adaptive", false, "confidence-routed decode: greedy first, escalate to -beam below each skill's calibrated threshold")
@@ -73,7 +72,6 @@ func cmdFleet(args []string) {
 		Watch:  *watch,
 		Serve: serve.Options{
 			MaxBatch: *batch,
-			MaxWait:  *wait,
 			Workers:  *workers,
 			Beam:     *beam,
 			MaxQueue: *maxQueue,
@@ -110,8 +108,8 @@ func cmdFleet(args []string) {
 	}
 	srv := fleet.NewServer(reg)
 	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "genie: fleet serving %s on %s (watch=%s batch=%d wait=%s beam=%d adaptive=%t maxqueue=%d)\n",
-		*libdir, *addr, *watch, *batch, *wait, *beam, *adaptive, *maxQueue)
+	fmt.Fprintf(os.Stderr, "genie: fleet serving %s on %s (watch=%s batch=%d beam=%d adaptive=%t maxqueue=%d)\n",
+		*libdir, *addr, *watch, *batch, *beam, *adaptive, *maxQueue)
 	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
 		fmt.Fprintf(os.Stderr, "genie: %v\n", err)
 		os.Exit(1)

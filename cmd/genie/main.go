@@ -11,7 +11,7 @@
 //	genie train [-scale ...] [-seed N] [-strategy genie] [-maxsteps N] [-lmsteps N] [-batchsize B] [-bucket]
 //	    [-calibrate 4] -out parser.snap
 //	genie serve (-snapshot parser.snap | -train) [-cache DIR] [-addr :8080]
-//	    [-batch 8] [-wait 2ms] [-serve-workers N] [-beam 1] [-adaptive]
+//	    [-batch 8] [-serve-workers N] [-beam 1] [-adaptive]
 //	genie fleet -libdir DIR [-watch 2s] [-maxqueue 64] [-cache DIR] [-addr :8080]
 //	    [-scale unit] [-maxsteps N] [-batch 8] [-beam 1] [-adaptive] [-train-workers 1]
 //	genie gateway (-backends URL,URL,... | -static-config cfg.json) [-addr :8090]
@@ -27,11 +27,11 @@
 // grammar spec (constrained decoding) and a fitted confidence threshold
 // (-calibrate), and writes a versioned binary snapshot; serve loads a
 // snapshot (or trains, optionally through the checksum-keyed snapshot cache)
-// and answers POST /parse with micro-batched decoding — with -adaptive it
+// and answers POST /parse with work-conserving batched decoding — with -adaptive it
 // decodes greedily and escalates to the beam only below the snapshot's
 // calibrated confidence threshold. fleet is the multi-skill control plane: one parser per <skill>.tt
 // library in -libdir, trained in the background (through the checksum-keyed
-// cache when -cache is set), served behind per-skill micro-batching shards
+// cache when -cache is set), served behind per-skill batching shards
 // with bounded-queue admission control (429 + Retry-After when full),
 // hot-swapped when the watcher sees a library's checksum change, routed by
 // the request's "skill" field (or by best length-normalized score when
@@ -92,7 +92,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "  genie experiment fig7|fig8|table3|fig9|stats|errors|limitation|ifttt|all -scale unit -seed 1 \\")
 	fmt.Fprintln(os.Stderr, "       [-workers 0] [-cpuprofile cpu.out] [-memprofile mem.out]")
 	fmt.Fprintln(os.Stderr, "  genie train -scale unit -seed 1 -out parser.snap [-strategy genie] [-maxsteps N] [-lmsteps N] [-batchsize B] [-calibrate 4]")
-	fmt.Fprintln(os.Stderr, "  genie serve -snapshot parser.snap -addr :8080 [-batch 8] [-wait 2ms] [-serve-workers 0] [-beam 4] [-adaptive]")
+	fmt.Fprintln(os.Stderr, "  genie serve -snapshot parser.snap -addr :8080 [-batch 8] [-serve-workers 0] [-beam 4] [-adaptive]")
 	fmt.Fprintln(os.Stderr, "  genie serve -train -cache /var/cache/genie -scale unit   (train once per library checksum)")
 	fmt.Fprintln(os.Stderr, "  genie fleet -libdir examples/fleet/skills -watch 2s -maxqueue 64   (one hot-swappable parser per skill)")
 	fmt.Fprintln(os.Stderr, "  genie gateway -backends http://:8080,http://:8081 -replication 2 -retries 2   (fault-tolerant routing tier)")

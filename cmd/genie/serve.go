@@ -112,7 +112,7 @@ func cmdTrain(args []string) {
 	if *doEval {
 		// Score through the full batched serving path: EvaluateParallel's
 		// concurrent requests keep every core busy while the Batcher decodes
-		// each gathered window as one lockstep batched forward.
+		// each pulled window as one lockstep batched forward.
 		bt := serve.NewBatcher(parser, serve.Options{MaxBatch: 16})
 		rep := eval.EvaluateParallel(bt, d.Validation, d.Lib, 0)
 		bt.Close()
@@ -144,8 +144,7 @@ func cmdServe(args []string) {
 	batchSize := fs.Int("batchsize", 0, "training minibatch size (with -train; 0 = scale preset)")
 	bucket := fs.Bool("bucket", false, "length-bucket training minibatches (with -train)")
 	addr := fs.String("addr", ":8080", "listen address")
-	batch := fs.Int("batch", 8, "micro-batch size (gather up to this many requests)")
-	wait := fs.Duration("wait", 2*time.Millisecond, "micro-batch gather window")
+	batch := fs.Int("batch", 8, "most queued requests one decode worker takes into a batch")
 	workers := fs.Int("serve-workers", 0, "decode workers (0 = all CPUs)")
 	beam := fs.Int("beam", 1, "beam width (1 = greedy)")
 	adaptive := fs.Bool("adaptive", false, "confidence-routed decode: greedy first, escalate to -beam below the snapshot's calibrated threshold")
@@ -208,7 +207,6 @@ func cmdServe(args []string) {
 	}
 	srv := serve.NewServer(parser, serve.Options{
 		MaxBatch: *batch,
-		MaxWait:  *wait,
 		Workers:  *workers,
 		Beam:     *beam,
 		Adaptive: *adaptive,
@@ -216,8 +214,8 @@ func cmdServe(args []string) {
 	defer srv.Close()
 	e, h := parser.Dims()
 	sv, tv := parser.VocabSizes()
-	fmt.Fprintf(os.Stderr, "genie: serving on %s (embed=%d hidden=%d src-vocab=%d tgt-vocab=%d batch=%d wait=%s beam=%d adaptive=%t)\n",
-		*addr, e, h, sv, tv, *batch, *wait, *beam, *adaptive)
+	fmt.Fprintf(os.Stderr, "genie: serving on %s (embed=%d hidden=%d src-vocab=%d tgt-vocab=%d batch=%d beam=%d adaptive=%t)\n",
+		*addr, e, h, sv, tv, *batch, *beam, *adaptive)
 	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
 		fmt.Fprintf(os.Stderr, "genie: %v\n", err)
 		os.Exit(1)

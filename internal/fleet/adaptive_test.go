@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/model"
 	"repro/internal/serve"
@@ -39,8 +38,7 @@ func TestFleetAdaptiveEscalationMetrics(t *testing.T) {
 	r, err := New(Config{
 		LibDir: dir,
 		Serve: serve.Options{
-			MaxBatch: 4, MaxWait: time.Millisecond, Workers: 2,
-			MaxQueue: -1, Beam: 3, Adaptive: true,
+			MaxBatch: 4, Workers: 2, MaxQueue: -1, Beam: 3, Adaptive: true,
 		},
 		Train: train,
 	})

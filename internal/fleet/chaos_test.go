@@ -101,7 +101,7 @@ func TestChaosHelperProcess(t *testing.T) {
 	})
 	r, err := New(Config{
 		LibDir: libDir,
-		Serve:  serve.Options{MaxBatch: 4, MaxWait: time.Millisecond, Workers: 2, MaxQueue: -1},
+		Serve:  serve.Options{MaxBatch: 4, Workers: 2, MaxQueue: -1},
 		Train:  chaosTrainFunc(ckpts),
 		Cache:  cache,
 		Logf:   log.Printf,

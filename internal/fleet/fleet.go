@@ -742,6 +742,9 @@ func (r *Registry) Metrics() []serve.SkillMetrics {
 			m.Generation = sh.generation
 			m.Shed = st.Shed
 			m.QueueDepth = st.QueueDepth
+			if st.Requests > 0 {
+				m.QueueWaitMS = st.QueueWait.Seconds() * 1000 / float64(st.Requests)
+			}
 			m.Batches = st.Batches
 			m.BatchSizes = st.BatchSizes
 			m.Adaptive = st.Adaptive

@@ -106,7 +106,7 @@ func countingTrain(counts *sync.Map) TrainFunc {
 func testConfig(dir string, counts *sync.Map) Config {
 	return Config{
 		LibDir: dir,
-		Serve:  serve.Options{MaxBatch: 4, MaxWait: time.Millisecond, Workers: 2, MaxQueue: -1},
+		Serve:  serve.Options{MaxBatch: 4, Workers: 2, MaxQueue: -1},
 		Train:  countingTrain(counts),
 	}
 }

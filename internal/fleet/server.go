@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strings"
@@ -43,18 +42,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Close() { s.reg.Close() }
 
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	var req serve.ParseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	words := req.RequestWords()
-	if len(words) == 0 {
-		http.Error(w, "empty sentence", http.StatusBadRequest)
+	words, ok := serve.ReadParseRequest(w, r, &req)
+	if !ok {
 		return
 	}
 	ctx, cancel := serve.DeadlineContext(r)

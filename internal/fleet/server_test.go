@@ -96,6 +96,11 @@ func TestFleetHTTPEndToEnd(t *testing.T) {
 	if len(alpha.BatchSizes) == 0 {
 		t.Errorf("missing batch-size histogram: %+v", alpha)
 	}
+	// Sequential requests on an idle shard are pulled at once: the mean queue
+	// wait is measured (non-zero) and far below a millisecond-scale window.
+	if alpha.QueueWaitMS <= 0 || alpha.QueueWaitMS > 50 {
+		t.Errorf("queue_wait_ms = %v on an idle shard, want a small positive mean", alpha.QueueWaitMS)
+	}
 
 	// /healthz counts ready skills.
 	h, err := c.Health(ctx)
@@ -114,5 +119,16 @@ func TestFleetHTTPEndToEnd(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /parse status = %d, want 405", getResp.StatusCode)
+	}
+
+	// A body past serve.MaxRequestBytes is rejected before it is buffered.
+	huge := `{"skill":"alpha","sentence":"` + strings.Repeat("a", serve.MaxRequestBytes) + `"}`
+	bigResp, err := ts.Client().Post(ts.URL+"/parse", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigResp.Body.Close()
+	if bigResp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized POST /parse status = %d, want 413", bigResp.StatusCode)
 	}
 }

@@ -79,7 +79,7 @@ func TestFleetSessionFollowupsAcrossHotSwap(t *testing.T) {
 	cfg := Config{
 		LibDir: dir,
 		Watch:  20 * time.Millisecond,
-		Serve:  serve.Options{MaxBatch: 4, MaxWait: time.Millisecond, Workers: 2, MaxQueue: -1},
+		Serve:  serve.Options{MaxBatch: 4, Workers: 2, MaxQueue: -1},
 		Train:  ctxTrain(),
 	}
 	r, err := New(cfg)
@@ -188,7 +188,7 @@ func TestFleetServeOverrides(t *testing.T) {
 	var counts sync.Map
 	cfg := testConfig(dir, &counts)
 	cfg.ServeOverrides = map[string]serve.Options{
-		"alpha": {MaxBatch: 2, MaxWait: time.Millisecond, Workers: 1, MaxQueue: -1},
+		"alpha": {MaxBatch: 2, Workers: 1, MaxQueue: -1},
 	}
 	r, err := New(cfg)
 	if err != nil {
@@ -219,7 +219,7 @@ func TestFleetServerSessionHeader(t *testing.T) {
 	writeLib(t, dir, "alpha", libV1("test.alpha"))
 	r, err := New(Config{
 		LibDir: dir,
-		Serve:  serve.Options{MaxBatch: 4, MaxWait: time.Millisecond, Workers: 2, MaxQueue: -1},
+		Serve:  serve.Options{MaxBatch: 4, Workers: 2, MaxQueue: -1},
 		Train:  ctxTrain(),
 	})
 	if err != nil {

@@ -77,7 +77,8 @@ type Options struct {
 	// Seed seeds the retry-jitter RNG (0 uses 1), so tests can fix the
 	// backoff schedule.
 	Seed int64
-	// Transport overrides the backend HTTP transport (nil uses the default).
+	// Transport overrides the backend HTTP transport (nil uses a
+	// serve.NewTransport of the gateway's own).
 	Transport http.RoundTripper
 	// Logf receives control-plane events (nil discards them).
 	Logf func(format string, args ...any)
@@ -115,6 +116,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
+	}
+	if o.Transport == nil {
+		o.Transport = serve.NewTransport()
 	}
 	return o
 }
@@ -197,13 +201,15 @@ func New(backendAddrs []string, opt Options) *Gateway {
 // Handler returns the HTTP handler (for http.Server or httptest).
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
-// Close stops the probe loop and cancels in-flight probes.
+// Close stops the probe loop, cancels in-flight probes and drops the idle
+// backend connections.
 func (g *Gateway) Close() {
 	g.stopOnce.Do(func() {
 		close(g.stop)
 		g.lifeCancel()
 	})
 	g.wg.Wait()
+	g.hc.CloseIdleConnections()
 }
 
 // AddBackend joins a backend to the membership and probes it synchronously,

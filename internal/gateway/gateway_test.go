@@ -3,8 +3,10 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,6 +32,7 @@ type fakeBackend struct {
 	p99   map[string]float64
 
 	parses       atomic.Int64
+	conns        atomic.Int64 // connections the backend accepted
 	sawDeadline  atomic.Bool  // a /parse carried the deadline-budget header
 	lastDeadline atomic.Value // string
 	lastSession  atomic.Value // string: last X-Genie-Session a /parse carried
@@ -92,7 +95,13 @@ func newFakeBackend(t *testing.T, name string, skills ...string) *fakeBackend {
 			Skill: req.Skill, Tokens: []string{"now", "=>", b.name}, Program: "now => " + b.name,
 		})
 	})
-	b.ts = httptest.NewServer(mux)
+	b.ts = httptest.NewUnstartedServer(mux)
+	b.ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			b.conns.Add(1)
+		}
+	}
+	b.ts.Start()
 	t.Cleanup(b.ts.Close)
 	return b
 }
@@ -457,5 +466,64 @@ func TestGatewayUnknownSkillTerminal(t *testing.T) {
 	}
 	if m := g.MetricsSnapshot(); m.Degraded < 1 {
 		t.Errorf("Metrics.Degraded = %d, want >= 1", m.Degraded)
+	}
+}
+
+// TestGatewayReusesBackendConnections drives 16 concurrent clients for 20
+// rounds at one backend and bounds the connections the backend accepted: the
+// gateway's own transport keeps an idle pool as wide as the concurrency, where
+// http.DefaultTransport's 2 idle connections per host re-dialed the other 14
+// every round (~280 connections).
+func TestGatewayReusesBackendConnections(t *testing.T) {
+	b := newFakeBackend(t, "one", "alpha")
+	_, ts := newTestGateway(t, testOptions(), b)
+	const clients, rounds = 16, 20
+	body, _ := json.Marshal(serve.ParseRequest{Skill: "alpha", Sentence: "x y"})
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/parse", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("POST /parse: %v", err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("POST /parse status = %d, want 200", resp.StatusCode)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if got := b.parses.Load(); got != clients*rounds {
+		t.Fatalf("backend saw %d parses, want %d", got, clients*rounds)
+	}
+	// One connection per concurrent client, plus slack for a connection still
+	// on its way back to the idle pool when the next round starts.
+	if got := b.conns.Load(); got > 3*clients {
+		t.Errorf("backend accepted %d connections for %d requests at concurrency %d, want <= %d (idle pool too small)",
+			got, clients*rounds, clients, 3*clients)
+	}
+}
+
+// TestGatewayRejectsOversizedBody: a /parse body past serve.MaxRequestBytes
+// answers 413 and never reaches a backend.
+func TestGatewayRejectsOversizedBody(t *testing.T) {
+	b := newFakeBackend(t, "one", "alpha")
+	_, ts := newTestGateway(t, testOptions(), b)
+	body := `{"skill":"alpha","sentence":"` + strings.Repeat("a", serve.MaxRequestBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/parse", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized POST /parse status = %d, want 413", resp.StatusCode)
+	}
+	if got := b.parses.Load(); got != 0 {
+		t.Errorf("backend saw %d parses of an oversized request, want 0", got)
 	}
 }

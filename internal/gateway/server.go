@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"sort"
@@ -47,17 +46,8 @@ type Metrics struct {
 // pass the winning backend's reply through (naming the backend and attempt
 // count in response headers).
 func (g *Gateway) handleParse(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	var req serve.ParseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(req.RequestWords()) == 0 {
-		http.Error(w, "empty sentence", http.StatusBadRequest)
+	if _, ok := serve.ReadParseRequest(w, r, &req); !ok {
 		return
 	}
 	ctx, cancel := serve.DeadlineContext(r)

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/model"
 )
@@ -92,7 +91,7 @@ func (f *adaptiveFake) ConfidenceThreshold() (float64, bool) { return f.threshol
 func TestAdaptiveBatcherEscalationCounters(t *testing.T) {
 	f := &adaptiveFake{threshold: -1, fitted: true}
 	b := NewBatcher(f, Options{
-		Adaptive: true, Beam: 3, MaxBatch: 4, MaxWait: time.Millisecond,
+		Adaptive: true, Beam: 3, MaxBatch: 4,
 		Workers: 4, MaxQueue: 600,
 	})
 	const n = 240
@@ -143,7 +142,7 @@ func TestAdaptiveBatcherEscalationCounters(t *testing.T) {
 // calibration, nothing escalates and the beam is never touched.
 func TestAdaptiveBatcherUnfittedStaysGreedy(t *testing.T) {
 	f := &adaptiveFake{threshold: -1, fitted: false}
-	b := NewBatcher(f, Options{Adaptive: true, Beam: 3, MaxBatch: 4, MaxWait: time.Millisecond, MaxQueue: 300})
+	b := NewBatcher(f, Options{Adaptive: true, Beam: 3, MaxBatch: 4, MaxQueue: 300})
 	var wg sync.WaitGroup
 	for i := 0; i < 60; i++ {
 		wg.Add(1)
@@ -189,7 +188,7 @@ func TestAdaptiveBatcherRealParser(t *testing.T) {
 		{"none-escalate", math.Inf(-1), false},
 	} {
 		p.SetCalibration(model.Calibration{Fitted: true, Threshold: tc.threshold})
-		b := NewBatcher(p, Options{Adaptive: true, Beam: 3, MaxBatch: 4, MaxWait: time.Millisecond, MaxQueue: 300})
+		b := NewBatcher(p, Options{Adaptive: true, Beam: 3, MaxBatch: 4, MaxQueue: 300})
 		want := make([]string, len(sentences))
 		for i, s := range sentences {
 			if tc.escalated {

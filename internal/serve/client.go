@@ -120,8 +120,20 @@ type Client struct {
 func NewClient(base string) *Client {
 	return &Client{
 		base: strings.TrimRight(base, "/"),
-		hc:   &http.Client{Timeout: 30 * time.Second},
+		hc:   &http.Client{Timeout: 30 * time.Second, Transport: NewTransport()},
 	}
+}
+
+// NewTransport clones http.DefaultTransport with a per-host idle pool sized
+// for a hop that sends many concurrent requests to a few servers (Client, the
+// gateway's proxy). The default keeps 2 idle connections per host, so the
+// third concurrent request to one backend dials a new connection on every
+// round.
+func NewTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = 64
+	t.MaxIdleConns = 256
+	return t
 }
 
 // WithRetry arms the client's retry loop and returns the client (chainable

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // ctxFakeParser is a contextual decode surface with fully observable
@@ -73,7 +72,7 @@ func (p *ctxFakeParser) Contextual() bool { return true }
 // and every request gets the answer its own context implies.
 func TestBatcherPartitionsContextWindows(t *testing.T) {
 	p := &ctxFakeParser{}
-	b := NewBatcher(p, Options{MaxBatch: 8, MaxWait: 20 * time.Millisecond, Workers: 2, MaxQueue: -1})
+	b := NewBatcher(p, Options{MaxBatch: 8, Workers: 2, MaxQueue: -1})
 	defer b.Close()
 
 	const n = 64
@@ -123,7 +122,7 @@ func (plainOnlyParser) Parse(words []string) []string            { return plainO
 func (plainOnlyParser) ParseBeam(words []string, _ int) []string { return plainOut(words) }
 
 func TestParseContextCtxWithoutSurface(t *testing.T) {
-	b := NewBatcher(plainOnlyParser{}, Options{MaxBatch: 4, MaxWait: time.Millisecond, Workers: 1, MaxQueue: -1})
+	b := NewBatcher(plainOnlyParser{}, Options{MaxBatch: 4, Workers: 1, MaxQueue: -1})
 	defer b.Close()
 	words := []string{"hello", "world"}
 	plain, err := b.ParseCtx(context.Background(), words)
@@ -146,7 +145,7 @@ func TestParseContextCtxWithoutSurface(t *testing.T) {
 // contextual scored surface.
 func TestParseContextScoredCtx(t *testing.T) {
 	p := &ctxFakeParser{}
-	b := NewBatcher(p, Options{MaxBatch: 4, MaxWait: time.Millisecond, Workers: 1, MaxQueue: -1})
+	b := NewBatcher(p, Options{MaxBatch: 4, Workers: 1, MaxQueue: -1})
 	defer b.Close()
 	toks, score, err := b.ParseContextScoredCtx(context.Background(), []string{"w"}, []string{"prev"})
 	if err != nil {

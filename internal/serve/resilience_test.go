@@ -29,7 +29,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // must not cost a decode.
 func TestBatcherDeadlineExpiresInQueueNoDecode(t *testing.T) {
 	sp := &slowParser{release: make(chan struct{}, 4)}
-	b := NewBatcher(sp, Options{MaxBatch: 1, MaxWait: time.Millisecond, Workers: 1, MaxQueue: 8})
+	b := NewBatcher(sp, Options{MaxBatch: 1, Workers: 1, MaxQueue: 8})
 	defer b.Close()
 
 	// Occupy the worker.
@@ -62,7 +62,7 @@ func TestBatcherDeadlineExpiresInQueueNoDecode(t *testing.T) {
 // wait answers 408 without a decode being spent on it.
 func TestServerDeadlineHeader408(t *testing.T) {
 	sp := &slowParser{release: make(chan struct{}, 4)}
-	srv := NewServer(sp, Options{MaxBatch: 1, MaxWait: time.Millisecond, Workers: 1, MaxQueue: 8})
+	srv := NewServer(sp, Options{MaxBatch: 1, Workers: 1, MaxQueue: 8})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -100,11 +100,17 @@ func TestServerDeadlineHeader408(t *testing.T) {
 
 // panickyParser panics on the sentinel word, on both the per-request and the
 // batched surfaces — the poison-pill request that must not take the worker
-// or its window down.
-type panickyParser struct{ decodes atomic.Int64 }
+// or its window down. A decode of the sentinel word "hold" blocks on gate.
+type panickyParser struct {
+	decodes atomic.Int64
+	gate    chan struct{}
+}
 
 func (p *panickyParser) decodeOne(words []string) []string {
 	p.decodes.Add(1)
+	if len(words) > 0 && words[0] == "hold" {
+		<-p.gate
+	}
 	if len(words) > 0 && words[0] == "poison" {
 		panic("poisoned input")
 	}
@@ -126,14 +132,23 @@ func (p *panickyParser) ParseBeamBatch(sentences [][]string, width int) [][]stri
 	return p.ParseBatch(sentences)
 }
 
-// TestBatcherPanicIsolation gathers a window with one poison-pill request:
-// the batched decode panics, the window re-decodes per request, the healthy
-// requests answer normally, only the poisoned one errors with
-// ErrDecodeFailed, and the worker survives to serve the next request.
+// TestBatcherPanicIsolation queues a window with one poison-pill request
+// behind a held worker: the batched decode panics, the window re-decodes per
+// request, the healthy requests answer normally, only the poisoned one
+// errors with ErrDecodeFailed, and the worker survives to serve the next
+// request.
 func TestBatcherPanicIsolation(t *testing.T) {
-	pp := &panickyParser{}
-	b := NewBatcher(pp, Options{MaxBatch: 4, MaxWait: 25 * time.Millisecond, Workers: 1})
+	pp := &panickyParser{gate: make(chan struct{})}
+	b := NewBatcher(pp, Options{MaxBatch: 4, Workers: 1})
 	defer b.Close()
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		b.ParseCtx(context.Background(), []string{"hold"})
+	}()
+	waitFor(t, "the worker to be held", func() bool { return pp.decodes.Load() == 1 })
 
 	words := [][]string{
 		{"tweet", "alpha", "now"},
@@ -141,7 +156,6 @@ func TestBatcherPanicIsolation(t *testing.T) {
 		{"tweet", "charlie", "now"},
 	}
 	errs := make([]error, len(words))
-	var wg sync.WaitGroup
 	for i := range words {
 		wg.Add(1)
 		go func(i int) {
@@ -149,7 +163,12 @@ func TestBatcherPanicIsolation(t *testing.T) {
 			_, errs[i] = b.ParseCtx(context.Background(), words[i])
 		}(i)
 	}
+	waitFor(t, "the window to queue", func() bool { return b.Stats().QueueDepth == int64(len(words))+1 })
+	close(pp.gate)
 	wg.Wait()
+	if st := b.Stats(); st.Batches != 2 || st.BatchSizes[len(words)-1] != 1 {
+		t.Fatalf("the queued requests were not pulled as one window: %+v", st)
+	}
 
 	for i, err := range errs {
 		poisoned := words[i][0] == "poison"
@@ -173,7 +192,7 @@ func TestBatcherPanicIsolation(t *testing.T) {
 // TestServerPanicAnswers500 checks the HTTP mapping of a recovered decode
 // panic.
 func TestServerPanicAnswers500(t *testing.T) {
-	srv := NewServer(&panickyParser{}, Options{MaxBatch: 1, MaxWait: time.Millisecond})
+	srv := NewServer(&panickyParser{}, Options{MaxBatch: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()

@@ -1,8 +1,8 @@
 // Package serve is the parser-serving layer: it turns a trained
 // model.Parser — a pure function after training — into a long-lived service.
-// It provides request micro-batching over a decode worker pool (Batcher)
-// with bounded-queue admission control and graceful drain, where a gathered
-// window decodes as one batched forward per decode step
+// It provides a work-conserving decode worker pool (Batcher) with
+// bounded-queue admission control and graceful drain, where the requests
+// that queued behind a busy pool decode as one batched forward per decode step
 // (model.Parser.ParseBatch/ParseBeamBatch: all requests' hypotheses advance
 // in lockstep as rows of B×n tensors), an HTTP JSON front end (Server) with
 // a matching Client, and a trained-snapshot cache keyed by the Thingpedia
@@ -37,11 +37,10 @@ type Parser interface {
 }
 
 // BatchParser is the batched decoding surface; *model.Parser implements it.
-// When the Batcher's parser does, each gathered window decodes as one
-// batched forward per decode step — the window's sentences (or beams)
-// advance in lockstep as rows of stacked tensors — instead of fanning each
-// request to its own worker, so micro-batching buys matmul width on top of
-// queueing.
+// When the Batcher's parser does, each pulled window decodes as one batched
+// forward per decode step — the window's sentences (or beams) advance in
+// lockstep as rows of stacked tensors — so a backlog buys matmul width
+// instead of queueing request by request.
 type BatchParser interface {
 	ParseBatch(sentences [][]string) [][]string
 	ParseBeamBatch(sentences [][]string, width int) [][]string
@@ -93,7 +92,7 @@ type AdaptiveContextParser interface {
 
 // BatchContextParser is the batched contextual decode; *model.Parser
 // implements it. Every row must carry a non-empty context (the model layer
-// panics otherwise), so the batcher partitions each gathered window into its
+// panics otherwise), so the batcher partitions each pulled window into its
 // contextual and plain halves and decodes them as separate lockstep batches.
 type BatchContextParser interface {
 	ParseBatchContext(sentences, contexts [][]string) [][]string
@@ -102,12 +101,9 @@ type BatchContextParser interface {
 
 // Options tune the serving layer.
 type Options struct {
-	// MaxBatch is the most requests gathered into one decode batch
-	// (default 8).
+	// MaxBatch is the most queued requests a free worker takes into one
+	// decode batch (default 8).
 	MaxBatch int
-	// MaxWait bounds how long the first request of a batch waits for
-	// company before the batch is dispatched anyway (default 2ms).
-	MaxWait time.Duration
 	// Workers is the decode worker-pool size (0 = GOMAXPROCS).
 	Workers int
 	// Beam is the beam width (<= 1 decodes greedily).
@@ -129,9 +125,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
 	}
 	if o.Workers <= 0 {
 		o.Workers = goruntime.GOMAXPROCS(0)
@@ -162,27 +155,32 @@ type parseResult struct {
 }
 
 type request struct {
-	ctx     context.Context // caller's deadline budget; checked before decode
-	words   []string
-	context []string // previous-turn program tokens (contextual decode)
-	scored  bool     // decode through ScoredParser and report the hypothesis score
-	reply   chan parseResult
+	ctx      context.Context // caller's deadline budget; checked before decode
+	words    []string
+	context  []string  // previous-turn program tokens (contextual decode)
+	scored   bool      // decode through ScoredParser and report the hypothesis score
+	admitted time.Time // when submit admitted it; the pull measures queue wait from here
+	reply    chan parseResult
 }
 
-// Batcher gathers incoming parse requests into micro-batches — up to
-// MaxBatch requests or MaxWait, whichever comes first — and decodes each
-// batch on a fixed worker pool. When the parser supports batched decoding
-// (BatchParser, which *model.Parser does), a worker decodes its whole batch
-// in one lockstep batched call; otherwise it falls back to per-request
-// decoding. Because decoding is concurrency-safe, all workers share the one
-// trained parser, and distinct batches still decode concurrently.
+// Batcher decodes incoming parse requests on a fixed worker pool that pulls
+// straight from the admission queue: a free worker takes the next request
+// the moment it arrives, plus — without waiting — whatever else is already
+// queued, up to MaxBatch. Requests only accumulate while every worker is
+// busy, so batch size tracks load by itself: an idle batcher decodes at B=1
+// with no added wait, a saturated one forms full MaxBatch windows at pull
+// time. When the parser supports batched decoding (BatchParser, which
+// *model.Parser does), a worker decodes its whole window in one lockstep
+// batched call; otherwise workers pull one request at a time. Because
+// decoding is concurrency-safe, all workers share the one trained parser,
+// and distinct windows decode concurrently.
 //
 // Admission is bounded: at most Options.MaxQueue requests may be in flight
 // (queued or decoding); beyond that ParseCtx sheds immediately with
-// ErrOverloaded so the gather loop never blocks behind a slow consumer.
-// Close drains: requests admitted before Close are decoded and answered on
-// the old parser before the workers exit, which is what lets the fleet
-// control plane hot-swap a shard without dropping in-flight requests.
+// ErrOverloaded instead of queueing behind a slow consumer. Close drains:
+// requests admitted before Close are decoded and answered on the old parser
+// before the workers exit, which is what lets the fleet control plane
+// hot-swap a shard without dropping in-flight requests.
 type Batcher struct {
 	opt    Options
 	parser Parser
@@ -196,7 +194,6 @@ type Batcher struct {
 	bcp    BatchContextParser
 
 	in   chan request
-	jobs chan []request
 	done chan struct{}
 
 	closeMu   sync.RWMutex // guards closed vs. in-flight submissions
@@ -208,6 +205,7 @@ type Batcher struct {
 	batches   atomic.Int64
 	shed      atomic.Int64
 	depth     atomic.Int64
+	queueWait atomic.Int64   // cumulative admission→pull wait, nanoseconds
 	expired   atomic.Int64   // requests whose deadline passed before decode
 	failed    atomic.Int64   // requests whose decode panicked (ErrDecodeFailed)
 	adaptive  atomic.Int64   // requests decoded under the adaptive policy
@@ -215,18 +213,17 @@ type Batcher struct {
 	hist      []atomic.Int64 // batch-size histogram, index = size-1
 }
 
-// NewBatcher starts the gather loop and the worker pool.
+// NewBatcher starts the worker pool.
 func NewBatcher(p Parser, opt Options) *Batcher {
 	opt = opt.withDefaults()
 	inCap := opt.MaxQueue
 	if inCap < 0 {
-		inCap = 0 // unbounded admission keeps the old unbuffered handoff
+		inCap = 0 // unbounded admission: submitters block on the handoff instead
 	}
 	b := &Batcher{
 		opt:    opt,
 		parser: p,
 		in:     make(chan request, inCap),
-		jobs:   make(chan []request, max(opt.Workers, opt.MaxBatch)),
 		done:   make(chan struct{}),
 		hist:   make([]atomic.Int64, opt.MaxBatch),
 	}
@@ -238,8 +235,6 @@ func NewBatcher(p Parser, opt Options) *Batcher {
 	b.ctxp, _ = p.(ContextParser)
 	b.acp, _ = p.(AdaptiveContextParser)
 	b.bcp, _ = p.(BatchContextParser)
-	b.wg.Add(1)
-	go b.gather()
 	for w := 0; w < opt.Workers; w++ {
 		b.wg.Add(1)
 		go b.worker()
@@ -247,132 +242,95 @@ func NewBatcher(p Parser, opt Options) *Batcher {
 	return b
 }
 
-// gather is the micro-batching loop: the first request opens a batch and
-// starts the MaxWait timer; the batch is dispatched when full or when the
-// timer fires. When done closes, everything already admitted to the queue is
-// still dispatched (drained) before jobs closes, so no admitted request goes
-// unanswered.
-func (b *Batcher) gather() {
+// window is one worker's reusable scratch: the pulled requests, their
+// partition, and the sentence/context rows handed to the batched decode.
+type window struct {
+	batch, scored, ctxed []request
+	sentences, contexts  [][]string
+}
+
+// worker is the work-conserving pull loop: block for one request, take
+// whatever else is already queued (never waiting for company), decode,
+// repeat. After Close nothing new can be admitted (Close flips closed under
+// the write lock before closing done), so a worker that finds the queue
+// empty once done is closed may exit: every admitted request has been pulled.
+func (b *Batcher) worker() {
 	defer b.wg.Done()
-	defer close(b.jobs)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
+	limit := b.opt.MaxBatch
+	if b.bp == nil {
+		limit = 1 // no batched decode surface: one request per worker at a time
 	}
+	w := &window{batch: make([]request, 0, limit)}
 	for {
 		var first request
 		select {
 		case first = <-b.in:
 		case <-b.done:
-			b.drain()
-			return
+			select {
+			case first = <-b.in:
+			default:
+				return
+			}
 		}
-		batch := make([]request, 1, b.opt.MaxBatch)
-		batch[0] = first
-		timer.Reset(b.opt.MaxWait)
+		w.batch = append(w.batch[:0], first)
 	fill:
-		for len(batch) < b.opt.MaxBatch {
+		for len(w.batch) < limit {
 			select {
 			case r := <-b.in:
-				batch = append(batch, r)
-			case <-timer.C:
-				break fill
-			case <-b.done:
+				w.batch = append(w.batch, r)
+			default:
 				break fill
 			}
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		b.dispatch(batch)
-		select {
-		case <-b.done:
-			b.drain()
-			return
-		default:
-		}
-	}
-}
-
-// drain dispatches whatever is still queued after Close; no new requests
-// can arrive (Close flips closed under the write lock before closing done).
-func (b *Batcher) drain() {
-	for {
-		batch := make([]request, 0, b.opt.MaxBatch)
-		for len(batch) < b.opt.MaxBatch {
-			select {
-			case r := <-b.in:
-				batch = append(batch, r)
-				continue
-			default:
-			}
-			break
-		}
-		if len(batch) == 0 {
-			return
-		}
-		b.dispatch(batch)
-	}
-}
-
-func (b *Batcher) dispatch(batch []request) {
-	b.batches.Add(1)
-	b.requests.Add(int64(len(batch)))
-	if n := len(batch); n >= 1 && n <= len(b.hist) {
+		n := len(w.batch)
+		b.batches.Add(1)
+		b.requests.Add(int64(n))
 		b.hist[n-1].Add(1)
-	}
-	if b.bp != nil {
-		b.jobs <- batch
-		return
-	}
-	// No batched decode surface: fan the window's requests across the
-	// worker pool as before, instead of serializing them on one worker.
-	for _, r := range batch {
-		b.jobs <- []request{r}
-	}
-}
-
-func (b *Batcher) worker() {
-	defer b.wg.Done()
-	for batch := range b.jobs {
-		b.serveBatch(batch)
+		pulled := time.Now()
+		var waited time.Duration
+		for _, r := range w.batch {
+			waited += pulled.Sub(r.admitted)
+		}
+		b.queueWait.Add(int64(waited))
+		b.serveBatch(w)
+		// Drop the served requests so an idle worker pins no caller memory.
+		clear(w.batch)
+		clear(w.scored)
+		clear(w.ctxed)
 	}
 }
 
-// serveBatch answers one dispatched window. Requests whose deadline budget
-// ran out while they sat in the queue are answered with their context error
+// serveBatch answers one pulled window. Requests whose deadline budget ran
+// out while they sat in the queue are answered with their context error
 // before any decode is spent on them (the HTTP layer maps that to 408);
 // scored requests decode per-request through ScoredParser; the plain
 // remainder decodes as one lockstep batched call when the parser supports
 // it. A decode panic anywhere is recovered into a per-request
 // ErrDecodeFailed instead of killing the worker.
-func (b *Batcher) serveBatch(batch []request) {
+func (b *Batcher) serveBatch(w *window) {
 	// The expired/scored/contextual partition appends lag the iteration, so
 	// reusing the batch's backing array for the plain prefix is safe.
-	plain := batch[:0]
-	var scored, ctxed []request
-	for _, r := range batch {
+	plain := w.batch[:0]
+	w.scored, w.ctxed = w.scored[:0], w.ctxed[:0]
+	for _, r := range w.batch {
 		switch {
 		case r.ctx != nil && r.ctx.Err() != nil:
 			b.expired.Add(1)
 			b.reply(r, parseResult{err: r.ctx.Err()})
 		case r.scored && (b.sp != nil || (len(r.context) > 0 && b.ctxp != nil)):
-			scored = append(scored, r)
+			w.scored = append(w.scored, r)
 		case len(r.context) > 0 && b.ctxp != nil:
-			ctxed = append(ctxed, r)
+			w.ctxed = append(w.ctxed, r)
 		default:
 			plain = append(plain, r)
 		}
 	}
 	if b.bp != nil && len(plain) > 1 {
-		sentences := make([][]string, len(plain))
-		for i, r := range plain {
-			sentences[i] = r.words
+		w.sentences = w.sentences[:0]
+		for _, r := range plain {
+			w.sentences = append(w.sentences, r.words)
 		}
-		outs, err := b.decodeWindow(sentences)
+		outs, err := b.decodeWindow(w.sentences)
 		if err == nil {
 			for i, r := range plain {
 				b.reply(r, parseResult{toks: outs[i]})
@@ -392,29 +350,29 @@ func (b *Batcher) serveBatch(batch []request) {
 			b.reply(r, parseResult{toks: toks, err: err})
 		}
 	}
-	b.serveContextWindow(ctxed)
-	for _, r := range scored {
+	b.serveContextWindow(w)
+	for _, r := range w.scored {
 		b.reply(r, b.safeScored(r))
 	}
 }
 
-// serveContextWindow answers the contextual half of a gathered window. It
+// serveContextWindow answers the contextual part of a pulled window. It
 // decodes as one lockstep contextual batch when the parser has the batched
 // surface and the policy allows it (greedy, or adaptive — there is no
 // batched contextual beam, so fixed beam widths decode per request), with
 // the same panic-isolation fallback as the plain window.
-func (b *Batcher) serveContextWindow(ctxed []request) {
+func (b *Batcher) serveContextWindow(w *window) {
+	ctxed := w.ctxed
 	if len(ctxed) == 0 {
 		return
 	}
 	if b.bcp != nil && len(ctxed) > 1 && (b.opt.Beam <= 1 || b.adaptiveOn()) {
-		sentences := make([][]string, len(ctxed))
-		contexts := make([][]string, len(ctxed))
-		for i, r := range ctxed {
-			sentences[i] = r.words
-			contexts[i] = r.context
+		w.sentences, w.contexts = w.sentences[:0], w.contexts[:0]
+		for _, r := range ctxed {
+			w.sentences = append(w.sentences, r.words)
+			w.contexts = append(w.contexts, r.context)
 		}
-		outs, err := b.decodeContextWindow(sentences, contexts)
+		outs, err := b.decodeContextWindow(w.sentences, w.contexts)
 		if err == nil {
 			for i, r := range ctxed {
 				b.reply(r, parseResult{toks: outs[i]})
@@ -497,7 +455,7 @@ func (b *Batcher) decodeContext(words, ctx []string) []string {
 	return b.ctxp.ParseContext(words, ctx)
 }
 
-// decodeWindow decodes one gathered window through the batched surface,
+// decodeWindow decodes one pulled window through the batched surface,
 // recovering a panic into an error instead of killing the worker.
 func (b *Batcher) decodeWindow(sentences [][]string) (outs [][]string, err error) {
 	defer func() {
@@ -614,6 +572,7 @@ func (b *Batcher) submit(ctx context.Context, r request) error {
 	if b.closed {
 		return ErrClosed
 	}
+	r.admitted = time.Now()
 	if b.opt.MaxQueue > 0 {
 		if b.depth.Add(1) > int64(b.opt.MaxQueue) {
 			b.depth.Add(-1)
@@ -726,13 +685,17 @@ type Stats struct {
 	Failed int64
 	// QueueDepth is the current number of admitted, unanswered requests.
 	QueueDepth int64
+	// QueueWait is the cumulative time requests spent between admission and
+	// a worker pulling them (mean = QueueWait/Requests): ≈ 0 while a worker
+	// is free, the backlog's age once the pool is busy.
+	QueueWait time.Duration
 	// Adaptive counts requests decoded under the greedy-first adaptive
 	// policy; Escalated counts the subset re-decoded with the beam because
 	// their greedy confidence fell below the fitted threshold.
 	Adaptive  int64
 	Escalated int64
-	// BatchSizes is the dispatch histogram: BatchSizes[i] batches carried
-	// i+1 requests.
+	// BatchSizes is the pull histogram: BatchSizes[i] windows carried i+1
+	// requests.
 	BatchSizes []int64
 }
 
@@ -749,6 +712,7 @@ func (b *Batcher) Stats() Stats {
 		Expired:    b.expired.Load(),
 		Failed:     b.failed.Load(),
 		QueueDepth: b.depth.Load(),
+		QueueWait:  time.Duration(b.queueWait.Load()),
 		Adaptive:   b.adaptive.Load(),
 		Escalated:  b.escalated.Load(),
 		BatchSizes: hist,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -68,7 +69,7 @@ func TestBatcherMatchesDirectDecode(t *testing.T) {
 	p := toyParser()
 	// 5 waves × 20 sentences fire concurrently; raise the admission bound
 	// above that so this test exercises decode parity, not load shedding.
-	b := NewBatcher(p, Options{MaxBatch: 4, MaxWait: time.Millisecond, MaxQueue: 200})
+	b := NewBatcher(p, Options{MaxBatch: 4, MaxQueue: 200})
 	defer b.Close()
 
 	sentences := testSentences()
@@ -105,72 +106,126 @@ func TestBatcherMatchesDirectDecode(t *testing.T) {
 	}
 }
 
-// TestBatcherFormsBatches drives many concurrent requests through a batcher
-// with a generous gather window and checks that batching actually happened
-// (fewer batches than requests).
-func TestBatcherFormsBatches(t *testing.T) {
-	p := toyParser()
-	b := NewBatcher(p, Options{MaxBatch: 8, MaxWait: 25 * time.Millisecond, Workers: 2})
-	defer b.Close()
-	const n = 24
+// recordingBatchParser delegates to the real parser, recording the size of
+// every batched-decode call. With a gate, every decode — single or batched —
+// blocks until the test closes it, so a test can park the workers, let a
+// backlog queue behind them, and observe the windows that form on release.
+type recordingBatchParser struct {
+	p       *model.Parser
+	gate    chan struct{} // non-nil: decodes block until it is closed
+	entered atomic.Int64  // decode calls that reached the gate
+	mu      sync.Mutex
+	windows []int // batched-decode call sizes, in call order
+}
+
+func (r *recordingBatchParser) hold(window int) {
+	if window > 0 {
+		r.mu.Lock()
+		r.windows = append(r.windows, window)
+		r.mu.Unlock()
+	}
+	r.entered.Add(1)
+	if r.gate != nil {
+		<-r.gate
+	}
+}
+
+func (r *recordingBatchParser) Parse(words []string) []string {
+	r.hold(0)
+	return r.p.Parse(words)
+}
+func (r *recordingBatchParser) ParseBeam(words []string, width int) []string {
+	r.hold(0)
+	return r.p.ParseBeam(words, width)
+}
+func (r *recordingBatchParser) ParseBatch(sentences [][]string) [][]string {
+	r.hold(len(sentences))
+	return r.p.ParseBatch(sentences)
+}
+func (r *recordingBatchParser) ParseBeamBatch(sentences [][]string, width int) [][]string {
+	r.hold(len(sentences))
+	return r.p.ParseBeamBatch(sentences, width)
+}
+
+// parkWorkers occupies each of the batcher's n workers with one request held
+// at rec's gate. Requests go in one at a time: two already queued would be
+// pulled as one window by one worker. The returned WaitGroup covers them.
+func parkWorkers(t *testing.T, b *Batcher, rec *recordingBatchParser, n int) *sync.WaitGroup {
+	t.Helper()
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := 1; i <= n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			b.Parse([]string{"tweet", "alpha", "now"})
 		}()
+		waitFor(t, "a worker to reach the gate", func() bool { return rec.entered.Load() == int64(i) })
 	}
+	return &wg
+}
+
+// TestBatcherFormsBatches parks the single worker on a gated decode, queues
+// 20 requests behind it, and releases: the backlog must come out as full
+// MaxBatch windows plus the remainder (8, 8, 4) with every output equal to
+// the per-request decode, and the wait must show up in Stats.QueueWait.
+func TestBatcherFormsBatches(t *testing.T) {
+	rec := &recordingBatchParser{p: toyParser(), gate: make(chan struct{})}
+	b := NewBatcher(rec, Options{MaxBatch: 8, Workers: 1})
+	defer b.Close()
+	parked := parkWorkers(t, b, rec, 1)
+	if st := b.Stats(); st.Batches != 1 || st.BatchSizes[0] != 1 {
+		t.Fatalf("idle worker did not pull the lone request at once: %+v", st)
+	}
+
+	sentences := testSentences()
+	const n = 20
+	got := make([]string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = strings.Join(b.Parse(sentences[i]), " ")
+		}(i)
+	}
+	waitFor(t, "the backlog to queue", func() bool { return b.Stats().QueueDepth == n+1 })
+	close(rec.gate)
 	wg.Wait()
+	parked.Wait()
+
+	for i := 0; i < n; i++ {
+		if want := strings.Join(rec.p.Parse(sentences[i]), " "); got[i] != want {
+			t.Errorf("windowed decode of %v = %q, per-request = %q", sentences[i], got[i], want)
+		}
+	}
 	st := b.Stats()
-	if st.Requests != n {
-		t.Fatalf("Requests = %d, want %d", st.Requests, n)
+	if st.Requests != n+1 || st.Batches != 4 {
+		t.Errorf("Requests/Batches = %d/%d, want %d/4", st.Requests, st.Batches, n+1)
 	}
-	if st.Batches >= st.Requests {
-		t.Errorf("no batching happened: %d batches for %d requests", st.Batches, st.Requests)
+	if st.BatchSizes[0] != 1 || st.BatchSizes[3] != 1 || st.BatchSizes[7] != 2 {
+		t.Errorf("BatchSizes = %v, want one lone pull, then windows of 8, 8 and 4", st.BatchSizes)
+	}
+	rec.mu.Lock()
+	windows := append([]int(nil), rec.windows...)
+	rec.mu.Unlock()
+	if len(windows) != 3 || windows[0] != 8 || windows[1] != 8 || windows[2] != 4 {
+		t.Errorf("batched decode windows = %v, want [8 8 4]", windows)
+	}
+	if st.QueueWait <= 0 {
+		t.Errorf("Stats.QueueWait = %s behind a parked worker, want > 0", st.QueueWait)
 	}
 }
 
-// recordingBatchParser counts batched-decode calls and the widest window it
-// saw, delegating to the real parser.
-type recordingBatchParser struct {
-	p          *model.Parser
-	mu         sync.Mutex
-	batchCalls int
-	maxWindow  int
-}
-
-func (r *recordingBatchParser) Parse(words []string) []string { return r.p.Parse(words) }
-func (r *recordingBatchParser) ParseBeam(words []string, width int) []string {
-	return r.p.ParseBeam(words, width)
-}
-func (r *recordingBatchParser) ParseBatch(sentences [][]string) [][]string {
-	r.mu.Lock()
-	r.batchCalls++
-	if len(sentences) > r.maxWindow {
-		r.maxWindow = len(sentences)
-	}
-	r.mu.Unlock()
-	return r.p.ParseBatch(sentences)
-}
-func (r *recordingBatchParser) ParseBeamBatch(sentences [][]string, width int) [][]string {
-	r.mu.Lock()
-	r.batchCalls++
-	if len(sentences) > r.maxWindow {
-		r.maxWindow = len(sentences)
-	}
-	r.mu.Unlock()
-	return r.p.ParseBeamBatch(sentences, width)
-}
-
-// TestBatcherBatchedDecodeParity drives concurrent traffic through a
-// batcher whose gather window is wide enough to form real batches, checks
-// every reply against the sequential decode, and asserts the batched decode
-// path actually carried multi-request windows. Runs under -race in CI.
+// TestBatcherBatchedDecodeParity queues a backlog behind two parked workers,
+// releases it, checks every reply against the sequential decode, and asserts
+// the batched decode path carried full MaxBatch windows (a backlog of at
+// least Workers×MaxBatch fills each worker's first pull). Runs under -race
+// in CI.
 func TestBatcherBatchedDecodeParity(t *testing.T) {
 	for _, beam := range []int{1, 3} {
-		rec := &recordingBatchParser{p: toyParser()}
-		b := NewBatcher(rec, Options{MaxBatch: 8, MaxWait: 25 * time.Millisecond, Workers: 2, Beam: beam})
+		rec := &recordingBatchParser{p: toyParser(), gate: make(chan struct{})}
+		b := NewBatcher(rec, Options{MaxBatch: 8, Workers: 2, Beam: beam})
+		parked := parkWorkers(t, b, rec, 2)
 
 		sentences := testSentences()
 		want := make([]string, len(sentences))
@@ -182,8 +237,9 @@ func TestBatcherBatchedDecodeParity(t *testing.T) {
 			}
 		}
 
+		const reps = 2
 		var wg sync.WaitGroup
-		for rep := 0; rep < 3; rep++ {
+		for rep := 0; rep < reps; rep++ {
 			for i := range sentences {
 				wg.Add(1)
 				go func(i int) {
@@ -200,15 +256,58 @@ func TestBatcherBatchedDecodeParity(t *testing.T) {
 				}(i)
 			}
 		}
+		backlog := int64(reps * len(sentences))
+		waitFor(t, "the backlog to queue", func() bool { return b.Stats().QueueDepth == backlog+2 })
+		close(rec.gate)
 		wg.Wait()
+		parked.Wait()
 		b.Close()
 
 		rec.mu.Lock()
-		calls, widest := rec.batchCalls, rec.maxWindow
+		windows := append([]int(nil), rec.windows...)
 		rec.mu.Unlock()
-		if calls == 0 || widest < 2 {
-			t.Errorf("beam=%d: batched decode path unused (calls=%d, widest window=%d)", beam, calls, widest)
+		widest, rows := 0, 0
+		for _, w := range windows {
+			widest = max(widest, w)
+			rows += w
 		}
+		if widest != 8 {
+			t.Errorf("beam=%d: widest batched window = %d, want MaxBatch 8 (windows %v)", beam, widest, windows)
+		}
+		// A window of one decodes per request, so at most one row per worker
+		// (its last, partial pull) may bypass the batched surface.
+		if rows < int(backlog)-2 {
+			t.Errorf("beam=%d: batched surface decoded %d of %d backlog rows (windows %v)", beam, rows, backlog, windows)
+		}
+	}
+}
+
+// TestBatcherIdleDispatchesImmediately sends sequential requests to an idle
+// batcher over an instant parser: every request is pulled alone the moment
+// it arrives, so nothing waits for company — no batch forms, queue wait is a
+// sliver of the elapsed time, and the run takes far less than the 0.5 ms a
+// request that any gather timer would cost.
+func TestBatcherIdleDispatchesImmediately(t *testing.T) {
+	b := NewBatcher(&ctxFakeParser{}, Options{})
+	defer b.Close()
+	const n = 200
+	words := []string{"tweet", "alpha", "now"}
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if _, err := b.ParseCtx(context.Background(), words); err != nil {
+			t.Fatalf("ParseCtx: %v", err)
+		}
+	}
+	elapsed := time.Since(start)
+	st := b.Stats()
+	if st.Requests != n || st.Batches != n || st.BatchSizes[0] != n {
+		t.Errorf("idle batcher batched sequential requests: %+v", st)
+	}
+	if limit := n * 500 * time.Microsecond; elapsed >= limit {
+		t.Errorf("%d sequential requests took %s, want well under %s (no per-request wait)", n, elapsed, limit)
+	}
+	if st.QueueWait > elapsed {
+		t.Errorf("Stats.QueueWait = %s exceeds the %s the run took", st.QueueWait, elapsed)
 	}
 }
 
@@ -221,12 +320,12 @@ func (pp plainParser) ParseBeam(words []string, width int) []string {
 	return pp.p.ParseBeam(words, width)
 }
 
-// TestBatcherFallbackWithoutBatchParser drives a window through a parser
-// that lacks ParseBatch: requests must still fan across the worker pool and
-// answer correctly.
+// TestBatcherFallbackWithoutBatchParser drives concurrent traffic through a
+// parser that lacks ParseBatch: workers pull one request at a time, so the
+// requests fan across the pool and answer correctly.
 func TestBatcherFallbackWithoutBatchParser(t *testing.T) {
 	pp := plainParser{p: toyParser()}
-	b := NewBatcher(pp, Options{MaxBatch: 8, MaxWait: 20 * time.Millisecond, Workers: 4})
+	b := NewBatcher(pp, Options{MaxBatch: 8, Workers: 4})
 	defer b.Close()
 	sentences := testSentences()
 	var wg sync.WaitGroup
@@ -247,8 +346,8 @@ func TestBatcherFallbackWithoutBatchParser(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if st := b.Stats(); st.Requests != int64(2*len(sentences)) {
-		t.Errorf("Stats.Requests = %d, want %d", st.Requests, 2*len(sentences))
+	if st := b.Stats(); st.Requests != int64(2*len(sentences)) || st.Batches != st.Requests {
+		t.Errorf("Stats = %+v, want %d requests pulled one at a time", st, 2*len(sentences))
 	}
 }
 
@@ -272,11 +371,11 @@ func (s *slowParser) ParseBeam(words []string, width int) []string {
 
 // TestBatcherBackpressureSheds fills the admission queue against a blocked
 // decoder and checks the overflow request is shed immediately with
-// ErrOverloaded — the gather loop must never block behind a full queue —
-// and that draining the queue restores admission.
+// ErrOverloaded — admission must never block behind a full queue — and that
+// draining the queue restores admission.
 func TestBatcherBackpressureSheds(t *testing.T) {
 	sp := &slowParser{release: make(chan struct{})}
-	b := NewBatcher(sp, Options{MaxBatch: 1, MaxWait: time.Millisecond, Workers: 1, MaxQueue: 2})
+	b := NewBatcher(sp, Options{MaxBatch: 1, Workers: 1, MaxQueue: 2})
 	defer b.Close()
 	defer close(sp.release) // unblock any decode still waiting at teardown
 
@@ -337,7 +436,7 @@ func TestBatcherBackpressureSheds(t *testing.T) {
 // on the old parser) — the drain semantics hot reload relies on.
 func TestBatcherCloseDrainsAdmitted(t *testing.T) {
 	sp := &slowParser{release: make(chan struct{}, 16)}
-	b := NewBatcher(sp, Options{MaxBatch: 2, MaxWait: time.Millisecond, Workers: 1, MaxQueue: 16})
+	b := NewBatcher(sp, Options{MaxBatch: 2, Workers: 1, MaxQueue: 16})
 	const n = 6
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -374,7 +473,7 @@ func TestBatcherCloseDrainsAdmitted(t *testing.T) {
 // scored decode through the batching path.
 func TestBatcherScoredPath(t *testing.T) {
 	p := toyParser()
-	b := NewBatcher(p, Options{MaxBatch: 4, MaxWait: time.Millisecond})
+	b := NewBatcher(p, Options{MaxBatch: 4})
 	defer b.Close()
 	words := []string{"tweet", "alpha", "now"}
 	wantToks, wantScore := p.ParseScored(words, 1)
@@ -391,7 +490,7 @@ func TestBatcherScoredPath(t *testing.T) {
 // TestBatcherBatchSizeHistogram drives traffic and checks the dispatch
 // histogram accounts for every batch.
 func TestBatcherBatchSizeHistogram(t *testing.T) {
-	b := NewBatcher(toyParser(), Options{MaxBatch: 8, MaxWait: 20 * time.Millisecond, Workers: 2})
+	b := NewBatcher(toyParser(), Options{MaxBatch: 8, Workers: 2})
 	defer b.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {
@@ -435,7 +534,7 @@ func TestBatcherContextCancel(t *testing.T) {
 
 func TestServerAndClientEndToEnd(t *testing.T) {
 	p := toyParser()
-	srv := NewServer(p, Options{MaxBatch: 4, MaxWait: time.Millisecond})
+	srv := NewServer(p, Options{MaxBatch: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -485,7 +584,7 @@ func TestServerAndClientEndToEnd(t *testing.T) {
 // ErrOverloaded mapping.
 func TestServerSheds429(t *testing.T) {
 	sp := &slowParser{release: make(chan struct{}, 4)}
-	srv := NewServer(sp, Options{MaxBatch: 1, MaxWait: time.Millisecond, Workers: 1, MaxQueue: 1})
+	srv := NewServer(sp, Options{MaxBatch: 1, Workers: 1, MaxQueue: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -545,5 +644,55 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 405 {
 		t.Errorf("GET /parse status = %d, want 405", resp.StatusCode)
+	}
+	// A body past MaxRequestBytes is rejected before it is buffered.
+	huge := `{"sentence":"` + strings.Repeat("a", MaxRequestBytes) + `"}`
+	resp, err = ts.Client().Post(ts.URL+"/parse", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized POST /parse status = %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestClientReusesConnections drives 16 concurrent callers for 20 rounds
+// through one Client and bounds the connections the server accepted: the
+// Client's transport keeps an idle pool as wide as the concurrency, where
+// http.DefaultTransport's 2 idle connections per host re-dialed the other 14
+// every round.
+func TestClientReusesConnections(t *testing.T) {
+	srv := NewServer(&ctxFakeParser{}, Options{})
+	defer srv.Close()
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	const callers, rounds = 16, 20
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := c.ParseWords(context.Background(), []string{"tweet", "alpha", "now"}); err != nil {
+					t.Errorf("ParseWords: %v", err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	// One connection per concurrent caller, plus slack for a connection still
+	// on its way back to the idle pool when the next round starts.
+	if got := conns.Load(); got > 3*callers {
+		t.Errorf("server accepted %d connections for %d requests at concurrency %d, want <= %d",
+			got, callers*rounds, callers, 3*callers)
 	}
 }

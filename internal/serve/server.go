@@ -77,10 +77,14 @@ type SkillMetrics struct {
 	// error other than an admission-control shed (not-ready routing, expired
 	// deadline budgets, decode failures); the gateway's ejection logic reads
 	// it alongside Shed and QueueDepth.
-	Errors     int64   `json:"errors"`
-	QueueDepth int64   `json:"queue_depth"`
-	Batches    int64   `json:"batches"`
-	BatchSizes []int64 `json:"batch_sizes,omitempty"`
+	Errors     int64 `json:"errors"`
+	QueueDepth int64 `json:"queue_depth"`
+	// QueueWaitMS is the mean time a request of the serving generation spent
+	// admitted but not yet pulled by a decode worker (Stats.QueueWait over
+	// the batcher's requests): ≈ 0 until every worker is busy.
+	QueueWaitMS float64 `json:"queue_wait_ms"`
+	Batches     int64   `json:"batches"`
+	BatchSizes  []int64 `json:"batch_sizes,omitempty"`
 	// Adaptive decode: how many requests went through the confidence-routed
 	// path and how many of those escalated to the beam.
 	Adaptive       int64   `json:"adaptive"`
@@ -247,19 +251,41 @@ func WriteParseError(w http.ResponseWriter, r *http.Request, err error) {
 	http.Error(w, err.Error(), status)
 }
 
-func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
+// MaxRequestBytes caps the POST /parse body a server reads; a longer body
+// answers 413.
+const MaxRequestBytes = 1 << 20
+
+// ReadParseRequest decodes and validates an inbound POST /parse into req and
+// returns its tokenized sentence. On a wrong method (405), a body over
+// MaxRequestBytes (413), malformed JSON or an empty sentence (400) it writes
+// the error reply itself and reports false. Shared by the single-parser,
+// fleet and gateway handlers.
+func ReadParseRequest(w http.ResponseWriter, r *http.Request, req *ParseRequest) (words []string, ok bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
+		return nil, false
 	}
-	var req ParseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request: "+err.Error(), status)
+		return nil, false
 	}
-	words := req.RequestWords()
+	words = req.RequestWords()
 	if len(words) == 0 {
 		http.Error(w, "empty sentence", http.StatusBadRequest)
+		return nil, false
+	}
+	return words, true
+}
+
+func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
+	var req ParseRequest
+	words, ok := ReadParseRequest(w, r, &req)
+	if !ok {
 		return
 	}
 	ctx, cancel := DeadlineContext(r)
