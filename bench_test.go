@@ -278,7 +278,7 @@ func BenchmarkTrainStepBatched(b *testing.B) {
 
 // BenchmarkBatchedDecode measures the serving-side win of lockstep batched
 // decoding: a 16-sentence window decoded sequentially (16 Parse/ParseBeam
-// calls) vs as one ParseBatch/ParseBeamBatch call, greedy and at beam 4.
+// calls) vs as one Decode call over the window, greedy and at beam 4.
 // Outputs are token-identical (TestParseBatchParallelMatchesSequential);
 // only the per-sentence cost changes.
 func BenchmarkBatchedDecode(b *testing.B) {
@@ -290,8 +290,12 @@ func BenchmarkBatchedDecode(b *testing.B) {
 	for i := range window {
 		window[i] = pairs[i%len(pairs)].Src
 	}
-	p.ParseBatch(window) // warm graph pools and scratch buffers
-	p.ParseBeamBatch(window, 4)
+	rows := make([]model.Row, len(window))
+	for i, s := range window {
+		rows[i].Words = s
+	}
+	p.Decode(rows, model.Policy{}) // warm graph pools and scratch buffers
+	p.Decode(rows, model.Policy{Beam: 4})
 
 	perSentence := func(b *testing.B) func() {
 		b.ReportAllocs()
@@ -326,7 +330,7 @@ func BenchmarkBatchedDecode(b *testing.B) {
 	b.Run("beam4/batched", func(b *testing.B) {
 		defer perSentence(b)()
 		for i := 0; i < b.N; i++ {
-			p.ParseBeamBatch(window, 4)
+			p.Decode(rows, model.Policy{Beam: 4})
 		}
 	})
 }
@@ -371,8 +375,12 @@ func BenchmarkContextDecode(b *testing.B) {
 		window[i] = follow[i%len(follow)].Src
 		ctxs[i] = follow[i%len(follow)].Ctx
 	}
+	rows := make([]model.Row, len(window))
+	for i, s := range window {
+		rows[i] = model.Row{Words: s, Context: ctxs[i]}
+	}
 	p.ParseBatch(window) // warm graph pools and scratch buffers
-	p.ParseBatchContext(window, ctxs)
+	p.Decode(rows, model.Policy{})
 
 	perSentence := func(b *testing.B) func() {
 		b.ReportAllocs()
@@ -407,7 +415,7 @@ func BenchmarkContextDecode(b *testing.B) {
 	b.Run("context/batched", func(b *testing.B) {
 		defer perSentence(b)()
 		for i := 0; i < b.N; i++ {
-			p.ParseBatchContext(window, ctxs)
+			p.Decode(rows, model.Policy{})
 		}
 	})
 }

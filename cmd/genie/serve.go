@@ -199,8 +199,8 @@ func cmdServe(args []string) {
 	}
 
 	if *adaptive {
-		if thr, fitted := parser.ConfidenceThreshold(); fitted {
-			fmt.Fprintf(os.Stderr, "genie: adaptive decode on (threshold %.4f, beam %d)\n", thr, *beam)
+		if calib := parser.Calibration(); calib.Fitted {
+			fmt.Fprintf(os.Stderr, "genie: adaptive decode on (threshold %.4f, beam %d)\n", calib.Threshold, *beam)
 		} else {
 			fmt.Fprintln(os.Stderr, "genie: adaptive decode requested but the parser has no fitted calibration; serving greedy")
 		}

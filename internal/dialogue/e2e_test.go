@@ -77,17 +77,23 @@ func TestMultiTurnAccuracyGap(t *testing.T) {
 }
 
 // TestEmptyContextBitParity: the trained contextual parser decodes every
-// held-out first turn (empty context) bit-identically through the contextual
-// and the single-turn entry points — the serving tier's plain partition and
-// the model's nil-context path agree exactly.
+// held-out first turn (empty context) bit-identically on its own and inside
+// a window shared with a follow-up turn — Decode's split sends the
+// empty-context row down the single-turn path either way.
 func TestEmptyContextBitParity(t *testing.T) {
 	p, holdout := e2eTrainedParser(t)
 	for _, sess := range holdout {
-		words := sess.Turns[0].Words
-		a, as := p.ParseScored(words, 1)
-		b, bs := p.ParseContextScored(words, nil, 1)
-		if strings.Join(a, " ") != strings.Join(b, " ") || as != bs {
-			t.Fatalf("empty-context decode drifted on %v: %v (%v) != %v (%v)", words, a, as, b, bs)
+		first, follow := sess.Turns[0], sess.Turns[1]
+		a, as := p.ParseScored(first.Words, 1)
+		b := p.Decode([]model.Row{
+			{Words: follow.Words, Context: follow.Context},
+			{Words: first.Words},
+		}, model.Policy{})[1]
+		if strings.Join(a, " ") != strings.Join(b.Tokens, " ") || as != b.Score {
+			t.Fatalf("empty-context decode drifted on %v: %v (%v) != %v (%v)", first.Words, a, as, b.Tokens, b.Score)
+		}
+		if c := p.ParseContext(first.Words, nil); strings.Join(a, " ") != strings.Join(c, " ") {
+			t.Fatalf("ParseContext(nil) drifted on %v: %v != %v", first.Words, a, c)
 		}
 	}
 }

@@ -131,4 +131,20 @@ func TestFleetHTTPEndToEnd(t *testing.T) {
 	if bigResp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized POST /parse status = %d, want 413", bigResp.StatusCode)
 	}
+
+	// So is a sentence (or context) with more tokens than any command.
+	long := strings.Repeat("a ", serve.MaxSentenceWords+1)
+	for _, body := range []string{
+		`{"skill":"alpha","sentence":"` + long + `"}`,
+		`{"skill":"alpha","sentence":"tweet x","context":["` + strings.Join(strings.Fields(long), `","`) + `"]}`,
+	} {
+		longResp, err := ts.Client().Post(ts.URL+"/parse", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		longResp.Body.Close()
+		if longResp.StatusCode != http.StatusBadRequest {
+			t.Errorf("over-long POST /parse status = %d, want 400", longResp.StatusCode)
+		}
+	}
 }

@@ -523,6 +523,21 @@ func TestGatewayRejectsOversizedBody(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized POST /parse status = %d, want 413", resp.StatusCode)
 	}
+	// Under the byte cap but over the token caps: 400 at the gateway, no hop.
+	long := strings.Repeat("a ", serve.MaxSentenceWords+1)
+	for _, body := range []string{
+		`{"skill":"alpha","sentence":"` + long + `"}`,
+		`{"skill":"alpha","sentence":"tweet x","context":["` + strings.Join(strings.Fields(long), `","`) + `"]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/parse", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("over-long POST /parse status = %d, want 400", resp.StatusCode)
+		}
+	}
 	if got := b.parses.Load(); got != 0 {
 		t.Errorf("backend saw %d parses of an oversized request, want 0", got)
 	}

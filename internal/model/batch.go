@@ -100,6 +100,29 @@ func (p *Parser) encodeBatch(g *nn.Graph, bb *batchBufs, B, S int) (H, final *nn
 	return H, final
 }
 
+// encodeCtxBatch runs the previous-program encoder over a prepared batch
+// (prepareSrc with the target vocabulary), returning the packed padded
+// context memory ((B*M)×h, one M-row block per request).
+//
+//genielint:returns-arena
+func (p *Parser) encodeCtxBatch(g *nn.Graph, bb *batchBufs, B, M int) *nn.Tensor {
+	hid := p.cfg.HiddenDim
+	embs := grow(&bb.embs, M)
+	for i := 0; i < M; i++ {
+		embs[i] = g.Dropout(g.LookupRows(p.decEmb.Table, bb.srcIds[i*B:(i+1)*B]), p.cfg.Dropout, p.rng)
+	}
+	h := g.NewTensor(B, hid)
+	c := g.NewTensor(B, hid)
+	hs := grow(&bb.fhs, M)
+	for i := 0; i < M; i++ {
+		h, c = p.ctxCell.StepBatch(g, embs[i], h, c, bb.active[i*B:(i+1)*B])
+		hs[i] = h
+	}
+	rows := grow(&bb.rows, M)
+	copy(rows, hs[:M])
+	return g.PackMemoryBatch(rows, bb.lens)
+}
+
 // batchScratch holds the decoder-side per-step buffers of lossBatch and
 // lmLossBatch, reused across training steps. Slices handed to tape records
 // (prev ids, copy masks, vocab indices, gradient scales) are positioned out

@@ -162,8 +162,29 @@ func batchTestSentences() [][]string {
 // TestParseBatchParallelMatchesSequential is the serving-side parity
 // property: batched greedy and beam decode emit token-identical outputs to
 // the per-sentence Parse/ParseBeam paths, for mixed-length windows, under
-// concurrency (run with -race in CI).
+// concurrency (run with -race in CI). The batched contextual beam is held to
+// the row contextual beam the same way, tokens and scores.
 func TestParseBatchParallelMatchesSequential(t *testing.T) {
+	cp := trainedCtxToyParser()
+	var ctxRows []Row
+	dtrain, dval := toyDialoguePairs()
+	for _, pr := range append(dtrain[:12:12], dval...) {
+		if len(pr.Ctx) > 0 {
+			ctxRows = append(ctxRows, Row{Words: pr.Src, Context: pr.Ctx})
+		}
+	}
+	ctxRows[1].Words = append(append([]string(nil), ctxRows[1].Words...), "please", "please")
+	ctxRows[2].Context = append(append([]string(nil), ctxRows[2].Context...), "on", "monday")
+	for lo := 0; lo+5 <= len(ctxRows); lo += 4 {
+		window := ctxRows[lo : lo+5]
+		for i, got := range cp.Decode(window, Policy{Beam: 3}) {
+			want := decodeOne(cp, window[i].Words, window[i].Context, Policy{Beam: 3})
+			if joinTokens(got.Tokens) != joinTokens(want.Tokens) || got.Score != want.Score {
+				t.Errorf("contextual beam window [%d..] row %d: batch (%v, %v) != row (%v, %v)", lo, i, got.Tokens, got.Score, want.Tokens, want.Score)
+			}
+		}
+	}
+
 	p := trainedToyParser()
 	sentences := batchTestSentences()
 
@@ -187,10 +208,9 @@ func TestParseBatchParallelMatchesSequential(t *testing.T) {
 				t.Errorf("ParseBatch[%d..%d] row %d = %q, Parse = %q", lo, hi, i, joinTokens(toks), wantGreedy[lo+i])
 			}
 		}
-		gotBeam := p.ParseBeamBatch(window, 3)
-		for i, toks := range gotBeam {
-			if joinTokens(toks) != wantBeam[lo+i] {
-				t.Errorf("ParseBeamBatch[%d..%d] row %d = %q, ParseBeam = %q", lo, hi, i, joinTokens(toks), wantBeam[lo+i])
+		for i, d := range p.Decode(toRows(window, nil), Policy{Beam: 3}) {
+			if joinTokens(d.Tokens) != wantBeam[lo+i] {
+				t.Errorf("beam Decode[%d..%d] row %d = %q, ParseBeam = %q", lo, hi, i, joinTokens(d.Tokens), wantBeam[lo+i])
 			}
 		}
 	}
@@ -222,9 +242,9 @@ func TestParseBeamBatchWidthOneIsGreedy(t *testing.T) {
 	p := trainedToyParser()
 	sentences := batchTestSentences()[:4]
 	greedy := p.ParseBatch(sentences)
-	beam1 := p.ParseBeamBatch(sentences, 1)
+	beam1 := p.Decode(toRows(sentences, nil), Policy{Beam: 1})
 	for i := range sentences {
-		if joinTokens(greedy[i]) != joinTokens(beam1[i]) {
+		if joinTokens(greedy[i]) != joinTokens(beam1[i].Tokens) {
 			t.Errorf("width-1 beam batch differs from greedy batch on %v", sentences[i])
 		}
 	}

@@ -246,7 +246,7 @@ func copySlices(ss [][]float64) [][]float64 {
 func trainFingerprint(cfg Config, train, val []Pair, lmPrograms [][]string) [sha256.Size]byte {
 	h := sha256.New()
 	bw := &binWriter{w: bufio.NewWriter(h)}
-	writeConfig(bw, cfg, snapshotVersion)
+	writeConfig(bw, cfg)
 	bw.i64(int64(cfg.BatchSize))
 	writeSeqs := func(seqs [][]string) {
 		bw.u64(uint64(len(seqs)))

@@ -15,17 +15,20 @@ import (
 // produce it.
 func toyDialoguePairs() ([]Pair, []Pair) {
 	train, val := toyPairs()
-	followVerbs := map[string]string{
-		"tweet": "@twitter.post",
-		"email": "@gmail.send",
-		"note":  "@notes.create",
+	// A slice, not a map: the pair order decides the trained weights, and the
+	// decode golden needs the same parser in every process.
+	followVerbs := [][2]string{
+		{"tweet", "@twitter.post"},
+		{"email", "@gmail.send"},
+		{"note", "@notes.create"},
 	}
 	withFollowups := func(pairs []Pair) []Pair {
 		out := make([]Pair, 0, 2*len(pairs))
 		for _, pr := range pairs {
 			out = append(out, pr)
 			value := pr.Src[1]
-			for nl, fn := range followVerbs {
+			for _, fv := range followVerbs {
+				nl, fn := fv[0], fv[1]
 				if nl == pr.Src[0] {
 					continue
 				}
@@ -79,16 +82,17 @@ func TestContextualInitKeepsSingleTurnBitIdentical(t *testing.T) {
 		if strings.Join(a, " ") != strings.Join(b, " ") || as != bs {
 			t.Fatalf("single-turn decode drifted with Contextual on: %v (%v) != %v (%v)", a, as, b, bs)
 		}
-		c, cs := ctx.ParseContextScored(pr.Src, nil, 1)
-		if strings.Join(b, " ") != strings.Join(c, " ") || bs != cs {
-			t.Fatalf("ParseContextScored(nil ctx) != ParseScored: %v (%v) != %v (%v)", b, bs, c, cs)
+		// A lone row and the same row inside a window take the same path.
+		c := ctx.Decode([]Row{{Words: pr.Src}, {Words: pr.Src}}, Policy{})[1]
+		if strings.Join(b, " ") != strings.Join(c.Tokens, " ") || bs != c.Score {
+			t.Fatalf("windowed Decode(nil ctx) != ParseScored: %v (%v) != %v (%v)", b, bs, c.Tokens, c.Score)
 		}
 	}
 }
 
 // TestParseContextDelegatesOnNonContextualParser: a parser trained without
-// the context encoder routes ParseContext* straight to the single-turn path
-// even when a context is supplied.
+// the context encoder decodes the single-turn way even when a context is
+// supplied.
 func TestParseContextDelegatesOnNonContextualParser(t *testing.T) {
 	p := trainedToyParser()
 	if p.Contextual() {
@@ -97,9 +101,12 @@ func TestParseContextDelegatesOnNonContextualParser(t *testing.T) {
 	src := []string{"tweet", "alpha", "now"}
 	ctx := []string{"now", "=>", "@gmail.send"}
 	a, as := p.ParseScored(src, 1)
-	b, bs := p.ParseContextScored(src, ctx, 1)
-	if strings.Join(a, " ") != strings.Join(b, " ") || as != bs {
-		t.Errorf("non-contextual ParseContextScored diverged: %v (%v) != %v (%v)", a, as, b, bs)
+	b := decodeOne(p, src, ctx, Policy{})
+	if strings.Join(a, " ") != strings.Join(b.Tokens, " ") || as != b.Score {
+		t.Errorf("non-contextual decode with a context diverged: %v (%v) != %v (%v)", a, as, b.Tokens, b.Score)
+	}
+	if got := p.ParseContext(src, ctx); strings.Join(a, " ") != strings.Join(got, " ") {
+		t.Errorf("non-contextual ParseContext diverged: %v != %v", a, got)
 	}
 }
 
@@ -161,33 +168,38 @@ func TestBatchContextMatchesSequential(t *testing.T) {
 	sentences[1] = append(append([]string(nil), sentences[1]...), "please", "please")
 	contexts[2] = append(append([]string(nil), contexts[2]...), "on", "monday")
 
-	outs, scores := p.ParseBatchContextScored(sentences, contexts)
-	for i := range sentences {
-		want, ws := p.ParseContextScored(sentences[i], contexts[i], 1)
-		if strings.Join(outs[i], " ") != strings.Join(want, " ") {
-			t.Errorf("row %d tokens differ: batch=%v sequential=%v", i, outs[i], want)
+	for i, got := range p.Decode(toRows(sentences, contexts), Policy{}) {
+		want := decodeOne(p, sentences[i], contexts[i], Policy{})
+		if strings.Join(got.Tokens, " ") != strings.Join(want.Tokens, " ") {
+			t.Errorf("row %d tokens differ: batch=%v sequential=%v", i, got.Tokens, want.Tokens)
 		}
-		if math.Abs(scores[i]-ws) > 1e-9 {
-			t.Errorf("row %d score differs: batch=%v sequential=%v", i, scores[i], ws)
+		if got.Score != want.Score {
+			t.Errorf("row %d score differs: batch=%v sequential=%v", i, got.Score, want.Score)
 		}
 	}
 
-	if !panics(func() { trainedToyParser().ParseBatchContext(sentences, contexts) }) {
-		t.Error("ParseBatchContext on a non-contextual parser did not panic")
+	// A mixed window — rows with and without a context interleaved: Decode
+	// splits it, and every row equals its per-request Parse / ParseContext,
+	// tokens and scores.
+	var mixed []Row
+	for i := range sentences[:6] {
+		mixed = append(mixed, Row{Words: sentences[i], Context: contexts[i]})
+		mixed = append(mixed, Row{Words: train[3*i].Src})
 	}
-	if !panics(func() { p.ParseBatchContext([][]string{{"also", "email", "it"}}, [][]string{nil}) }) {
-		t.Error("ParseBatchContext with an empty context row did not panic")
-	}
-}
-
-func panics(f func()) (didPanic bool) {
-	defer func() {
-		if recover() != nil {
-			didPanic = true
+	mixed = append(mixed, Row{Context: contexts[0]}) // empty sentence
+	for i, got := range p.Decode(mixed, Policy{}) {
+		want := decodeOne(p, mixed[i].Words, mixed[i].Context, Policy{})
+		if strings.Join(got.Tokens, " ") != strings.Join(want.Tokens, " ") || got.Score != want.Score {
+			t.Errorf("mixed row %d: window (%v, %v) != per-request (%v, %v)", i, got.Tokens, got.Score, want.Tokens, want.Score)
 		}
-	}()
-	f()
-	return false
+		wantToks := p.ParseContext(mixed[i].Words, mixed[i].Context)
+		if len(mixed[i].Context) == 0 {
+			wantToks = p.Parse(mixed[i].Words)
+		}
+		if strings.Join(got.Tokens, " ") != strings.Join(wantToks, " ") {
+			t.Errorf("mixed row %d: window %v != Parse/ParseContext %v", i, got.Tokens, wantToks)
+		}
+	}
 }
 
 // TestConcurrentContextDecodeMatchesSequential hammers the pooled contextual
@@ -222,9 +234,7 @@ func TestConcurrentContextDecodeMatchesSequential(t *testing.T) {
 }
 
 // TestSnapshotV4ContextualRoundTrip: a contextual parser round-trips through
-// the version-4 format bit-identically (context tensors included), refuses
-// to serialize at pre-context versions, and a non-contextual parser still
-// writes loadable version-1..3 streams.
+// the snapshot format bit-identically (context tensors included).
 func TestSnapshotV4ContextualRoundTrip(t *testing.T) {
 	p := trainedCtxToyParser()
 	var buf bytes.Buffer
@@ -257,32 +267,6 @@ func TestSnapshotV4ContextualRoundTrip(t *testing.T) {
 			t.Fatalf("ParseContext differs after round trip: %q != %q", a, b)
 		}
 	}
-
-	// Contextual parsers cannot be written at versions that predate the
-	// context block.
-	for v := uint64(1); v <= 3; v++ {
-		var old bytes.Buffer
-		if err := p.saveVersioned(&old, v); err == nil || !strings.Contains(err.Error(), "version 4") {
-			t.Errorf("saveVersioned(%d) on contextual parser: err = %v, want version-4 error", v, err)
-		}
-	}
-
-	// Non-contextual parsers keep emitting loadable old-version streams.
-	np := trainedToyParser()
-	for v := uint64(1); v <= 3; v++ {
-		var old bytes.Buffer
-		if err := np.saveVersioned(&old, v); err != nil {
-			t.Fatalf("saveVersioned(%d): %v", v, err)
-		}
-		nq, err := Load(bytes.NewReader(old.Bytes()))
-		if err != nil {
-			t.Fatalf("loading version-%d stream: %v", v, err)
-		}
-		src := []string{"tweet", "alpha", "now"}
-		if a, b := strings.Join(np.Parse(src), " "), strings.Join(nq.Parse(src), " "); a != b {
-			t.Errorf("version-%d load decodes differently: %q != %q", v, a, b)
-		}
-	}
 }
 
 // TestContextAdaptiveEscalates: with a forced calibration threshold the
@@ -299,17 +283,16 @@ func TestContextAdaptiveEscalates(t *testing.T) {
 		}
 	}
 	p.SetCalibration(Calibration{Fitted: true, Threshold: math.Inf(1)})
-	toks, _, escalated := p.ParseContextAdaptive(pr.Src, pr.Ctx, 3)
-	if !escalated {
+	got := decodeOne(p, pr.Src, pr.Ctx, Policy{Beam: 3, Adaptive: true})
+	if !got.Escalated {
 		t.Error("infinite threshold did not escalate the contextual decode")
 	}
-	want := p.beamDecodeCtx(pr.Src, pr.Ctx, 3)
-	if strings.Join(toks, " ") != strings.Join(want.tokens, " ") {
-		t.Errorf("escalated decode = %v, want beam %v", toks, want.tokens)
+	want := decodeOne(p, pr.Src, pr.Ctx, Policy{Beam: 3})
+	if strings.Join(got.Tokens, " ") != strings.Join(want.Tokens, " ") || got.Score != want.Score {
+		t.Errorf("escalated decode = %v (%v), want beam %v (%v)", got.Tokens, got.Score, want.Tokens, want.Score)
 	}
 	p.SetCalibration(Calibration{Fitted: true, Threshold: math.Inf(-1)})
-	_, _, escalated = p.ParseContextAdaptive(pr.Src, pr.Ctx, 3)
-	if escalated {
+	if decodeOne(p, pr.Src, pr.Ctx, Policy{Beam: 3, Adaptive: true}).Escalated {
 		t.Error("negative-infinity threshold escalated the contextual decode")
 	}
 }

@@ -9,27 +9,204 @@ import (
 	"repro/internal/nn"
 )
 
+// Row is one decode request: a tokenized sentence and, for a follow-up turn
+// of a dialogue, the previous turn's program tokens. An empty Context — or a
+// parser trained without Config.Contextual — decodes the single-turn way.
+type Row struct {
+	Words   []string
+	Context []string
+}
+
+// Policy selects how rows are decoded. Beam <= 1 is greedy; Beam > 1 runs a
+// fixed-width beam, unless Adaptive is set: then every row decodes greedily
+// first and only the rows whose greedy score falls below the parser's fitted
+// Calibration threshold are re-decoded with the beam. Without a fitted
+// calibration Adaptive never escalates.
+type Policy struct {
+	Beam     int
+	Adaptive bool
+}
+
+// Decoded is one row's answer: the program tokens, the hypothesis's
+// length-normalized log-probability (comparable across parsers, which is
+// what the fleet router's fallback ranks shards by), and whether the adaptive
+// policy re-decoded the row with the beam. An empty sentence decodes to nil
+// tokens with score -Inf.
+type Decoded struct {
+	Tokens    []string
+	Score     float64
+	Escalated bool
+}
+
+// Decode is the parser's one decode surface; Parse, ParseBeam, ParseScored,
+// ParseContext and ParseBatch are conveniences over it. It owns three
+// decisions. (1) Rows are split by whether they carry a context this parser
+// can use: the rest take the single-turn step, so a contextual parser
+// decodes a first turn bit-identically to a parser trained without the
+// context encoder. (2) Within each half a lone row decodes through the row
+// kernels and two or more rows advance in lockstep as one batched forward
+// per decode step (a free worker of the serving layer hands over whatever
+// queued behind a busy pool). Per row the two are the same computation,
+// tokens and scores. (3) The policy: greedy, beam, or greedy first with the
+// low-confidence rows escalated to the beam over the same encoded memory.
+//
+// Tokens may be copied verbatim from the input via the pointer mechanism, so
+// the output can contain words outside the target vocabulary. Decode is safe
+// for concurrent use: all decode state lives in a pooled per-call context.
+func (p *Parser) Decode(rows []Row, pol Policy) []Decoded {
+	out := make([]Decoded, len(rows))
+	for i := range out {
+		out[i].Score = math.Inf(-1)
+	}
+	var buf [16]int
+	for _, withCtx := range [2]bool{false, true} {
+		idx := buf[:0]
+		for i, r := range rows {
+			if len(r.Words) > 0 && (p.ctxCell != nil && len(r.Context) > 0) == withCtx {
+				idx = append(idx, i)
+			}
+		}
+		switch len(idx) {
+		case 0:
+		case 1:
+			out[idx[0]] = p.decodeRow(rows[idx[0]], withCtx, pol)
+		default:
+			p.decodeBatch(rows, idx, withCtx, pol, out)
+		}
+	}
+	return out
+}
+
+// escalates reports whether the adaptive policy re-decodes a greedy
+// hypothesis of this score with the beam.
+func (p *Parser) escalates(pol Policy, score float64) bool {
+	return pol.Adaptive && pol.Beam > 1 && p.calib.Fitted && score < p.calib.Threshold
+}
+
+// decodeRow decodes one row through the row kernels.
+func (p *Parser) decodeRow(r Row, withCtx bool, pol Policy) Decoded {
+	dc := acquireDecodeCtx()
+	defer dc.release()
+	e := p.encodeRow(dc, r, withCtx)
+	if pol.Beam > 1 && !pol.Adaptive {
+		return p.beam(dc, &e, pol.Beam)
+	}
+	d := p.greedy(dc, &e)
+	if p.escalates(pol, d.Score) {
+		d = p.beam(dc, &e, pol.Beam)
+		d.Escalated = true
+	}
+	return d
+}
+
+// decodeBatch decodes rows[idx...] in lockstep, writing out[idx[b]].
+func (p *Parser) decodeBatch(rows []Row, idx []int, withCtx bool, pol Policy, out []Decoded) {
+	dc := acquireDecodeCtx()
+	defer dc.release()
+	e := p.encodeRows(dc, rows, idx, withCtx)
+	live := dc.live[:0] // the rows the beam runs over
+	if pol.Beam > 1 && !pol.Adaptive {
+		for b := range idx {
+			live = append(live, b)
+		}
+	} else {
+		p.greedyBatch(dc, &e, idx, out)
+		for b, i := range idx {
+			if p.escalates(pol, out[i].Score) {
+				live = append(live, b)
+			}
+		}
+	}
+	dc.live = live
+	if len(live) > 0 {
+		p.beamBatch(dc, &e, live, pol.Beam, idx, out)
+		for _, b := range live {
+			out[idx[b]].Escalated = pol.Adaptive
+		}
+	}
+}
+
+// Parse greedily decodes the program token sequence for a sentence.
+func (p *Parser) Parse(words []string) []string { return p.ParseContext(words, nil) }
+
+// ParseContext greedily decodes a sentence against the previous turn's
+// program tokens; with an empty context it is exactly Parse.
+func (p *Parser) ParseContext(words, ctx []string) []string {
+	return p.Decode([]Row{{Words: words, Context: ctx}}, Policy{})[0].Tokens
+}
+
+// ParseBeam decodes with a fixed-width beam and returns the best complete
+// hypothesis (greedy at width <= 1).
+func (p *Parser) ParseBeam(words []string, width int) []string {
+	toks, _ := p.ParseScored(words, width)
+	return toks
+}
+
+// ParseScored is Parse (width <= 1) or ParseBeam with the winning
+// hypothesis's length-normalized log-probability alongside its tokens.
+func (p *Parser) ParseScored(words []string, width int) ([]string, float64) {
+	d := p.Decode([]Row{{Words: words}}, Policy{Beam: width})[0]
+	return d.Tokens, d.Score
+}
+
+// ParseBatch greedily decodes a window of sentences in one Decode call; the
+// outputs are token-identical to per-sentence Parse.
+func (p *Parser) ParseBatch(sentences [][]string) [][]string {
+	rows := make([]Row, len(sentences))
+	for i, s := range sentences {
+		rows[i].Words = s
+	}
+	outs := make([][]string, len(sentences))
+	for i, d := range p.Decode(rows, Policy{}) {
+		outs[i] = d.Tokens
+	}
+	return outs
+}
+
+// Contextual reports whether the parser carries the multi-turn context
+// encoder (Config.Contextual at training time).
+func (p *Parser) Contextual() bool { return p.ctxCell != nil }
+
 // inferGraphs pools arena-backed inference graphs across all parsers: arena
 // buckets are keyed by tensor size, so graphs recycle cleanly between models
 // of different dimensions.
 var inferGraphs = nn.NewGraphPool()
 
-// decodeCtx is the per-call state of one Parse/ParseBeam invocation: an
-// inference graph drawn from the shared pool plus every scratch buffer the
-// decode loop needs. Parse acquires one, decodes, and releases it, so a
-// single trained Parser serves any number of goroutines with near-zero
-// steady-state allocation. Nothing decode-time lives on the Parser itself.
+// decodeCtx is the per-call state of one row or batch decode: an inference
+// graph drawn from the shared pool plus every scratch buffer the decode loops
+// need. A decode acquires one, runs, and releases it, so a single trained
+// Parser serves any number of goroutines with near-zero steady-state
+// allocation. Nothing decode-time lives on the Parser itself.
 //
 //genielint:arena-scoped
 type decodeCtx struct {
-	g      *nn.Graph
+	g *nn.Graph
+	scoreScratch
+
+	// Row path: per-position encoder tensors and token ids.
 	enc    encBufs
-	cs     ctxScratch
+	cenc   ctxBufs
 	srcIds []int
-	scored []scoredToken
-	ms     mixScorer
-	ls     grammar.LegalSet
-	lc     grammar.LegalCache
+	ctxIds []int
+
+	// Batch path: the window's sentences and contexts, their padded source
+	// and previous-program memories, and the per-row step bookkeeping.
+	words, ctxs [][]string
+	bufs, cbufs batchBufs
+	prev        []int // per-row previous target token ids
+	blocks      []int // per-row memory block (request) indices
+	srcIdx      []int // per-row parent rows in the previous step's tensors
+	live        []int // requests the beam runs over
+}
+
+// scoreScratch holds the buffers of the mixture scorers.
+type scoreScratch struct {
+	ms        mixScorer
+	ls        grammar.LegalSet
+	lc        grammar.LegalCache
+	scored    []scoredToken
+	copyWords []string
+	copyAlpha []float64
 }
 
 var decodeCtxs = sync.Pool{New: func() any { return new(decodeCtx) }}
@@ -48,52 +225,109 @@ func acquireDecodeCtx() *decodeCtx {
 // alias) another request's live tensors through stale pointers.
 func (dc *decodeCtx) release() {
 	dc.enc.releaseTensors()
-	dc.cs.cenc.releaseTensors()
+	dc.cenc.releaseTensors()
+	dc.bufs.releaseTensors()
+	dc.cbufs.releaseTensors()
+	clear(dc.words[:cap(dc.words)]) // nor any caller's request memory
+	clear(dc.ctxs[:cap(dc.ctxs)])
 	inferGraphs.Put(dc.g)
 	dc.g = nil
 	decodeCtxs.Put(dc)
 }
 
-// Parse greedily decodes the program token sequence for a sentence. Tokens
-// may be copied verbatim from the input via the pointer mechanism, so the
-// output can contain words outside the target vocabulary (unquoted free-form
-// parameters). Parse is safe for concurrent use: all decode state lives in a
-// pooled per-call context, and the only steady-state allocation is the
+// encodedRow is one request after its encoder passes: the source memory H,
+// the previous-program memory C (nil on the single-turn path, along with
+// ctx) and the decoder's initial state. The greedy and the beam loop both
+// start from it, so an escalated row encodes once.
+//
+//genielint:arena-scoped
+type encodedRow struct {
+	words, ctx []string
+	H, C       *nn.Tensor
+	init       decodeState
+}
+
+//genielint:returns-arena
+func (p *Parser) encodeRow(dc *decodeCtx, r Row, withCtx bool) encodedRow {
+	e := encodedRow{words: r.Words}
+	dc.srcIds = p.src.EncodeInto(dc.srcIds[:0], r.Words)
+	H, final := p.encode(dc.g, &dc.enc, dc.srcIds)
+	e.H = H
+	if withCtx {
+		e.ctx = r.Context
+		dc.ctxIds = p.tgt.EncodeInto(dc.ctxIds[:0], r.Context)
+		e.C = p.encodeCtx(dc.g, &dc.cenc, dc.ctxIds)
+	}
+	e.init = p.initDecode(dc.g, final)
+	return e
+}
+
+// mixRow is one hypothesis's view of a decoder step: its vocabulary
+// distribution and pointer gate, and the copy distribution alpha over the
+// words it may copy.
+type mixRow struct {
+	pv, alpha []float64
+	gate      float64
+	words     []string
+}
+
+// copyDist returns row r of a step's outputs as the mixture scorers consume
+// it. Without a context memory the copy distribution is the source attention
+// over words, returned as is (no copy, no allocation). With one, the context
+// tokens become extra copyable positions: the copy distribution over
+// words++ctx is [(1−cgate)·alpha, cgate·beta], so every mixture scorer —
+// fused argmax, top-k, and the grammar-masked variants — applies unchanged.
+func (sc *scoreScratch) copyDist(o *stepOut, r int, words, ctx []string) mixRow {
+	V, S := o.pv.Cols, o.alpha.Cols
+	m := mixRow{pv: o.pv.W[r*V : (r+1)*V], alpha: o.alpha.W[r*S : r*S+len(words)], gate: o.gate.W[r], words: words}
+	if o.beta == nil {
+		return m
+	}
+	M, cgate := o.beta.Cols, o.cgate.W[r]
+	sc.copyWords = append(append(sc.copyWords[:0], words...), ctx...)
+	ea := sc.copyAlpha[:0]
+	for _, a := range m.alpha {
+		ea = append(ea, (1-cgate)*a)
+	}
+	for _, b := range o.beta.W[r*M : r*M+len(ctx)] {
+		ea = append(ea, cgate*b)
+	}
+	sc.copyAlpha = ea
+	m.words, m.alpha = sc.copyWords, ea
+	return m
+}
+
+// best picks a hypothesis's greedy next token and its mixed probability:
+// the masked argmax while the hypothesis has a grammar state, the unmasked
+// one otherwise. masked is false when no mask applied — gs was nil, or the
+// mask admitted nothing (cannot happen for a well-formed automaton; kept as
+// a defensive fallback), in which case the caller decodes the rest unmasked.
+func (p *Parser) best(sc *scoreScratch, gs *grammar.State, rem int, m mixRow) (tok string, prob float64, masked bool) {
+	if gs != nil {
+		if tok, prob, ok := p.maskedBest(&sc.ms, &sc.ls, &sc.lc, gs, rem, m.pv, m.alpha, m.gate, m.words); ok {
+			return tok, prob, true
+		}
+	}
+	tok, prob = p.bestTokenScored(&sc.ms, m.pv, m.alpha, m.gate, m.words)
+	return tok, prob, false
+}
+
+// top is best's beam form: the k most probable next tokens, masked like best.
+func (p *Parser) top(sc *scoreScratch, gs *grammar.State, rem int, m mixRow, k int) (cands []scoredToken, masked bool) {
+	if gs != nil {
+		if cands, ok := p.maskedTop(&sc.ms, &sc.ls, &sc.lc, gs, rem, &sc.scored, m.pv, m.alpha, m.gate, m.words, k); ok {
+			return cands, true
+		}
+	}
+	return p.topTokens(&sc.ms, &sc.scored, m.pv, m.alpha, m.gate, m.words, k), false
+}
+
+// greedy is the row greedy loop, accumulating each emitted token's mixed
+// probability into the hypothesis log-probability (the same per-token
+// factors the beam scores with). The only steady-state allocation is the
 // returned token slice.
-func (p *Parser) Parse(words []string) []string {
-	if len(words) == 0 {
-		return nil
-	}
-	out, _ := p.parseGreedyScored(words)
-	return out
-}
-
-// ParseScored is Parse (width <= 1) or ParseBeam with the winning
-// hypothesis's length-normalized log-probability alongside its tokens. The
-// score is comparable across parsers trained on different libraries, which
-// is what the fleet router's fallback uses to pick a shard for a request
-// that does not name a skill. Like Parse, it is safe for concurrent use.
-func (p *Parser) ParseScored(words []string, width int) ([]string, float64) {
-	if len(words) == 0 {
-		return nil, math.Inf(-1)
-	}
-	if width <= 1 {
-		return p.parseGreedyScored(words)
-	}
-	best := p.beamDecode(words, width)
-	return best.tokens, best.score()
-}
-
-// parseGreedyScored is the greedy decode loop of Parse, accumulating each
-// emitted token's mixed probability into the hypothesis log-probability
-// (same per-token factors the beam scores with).
-func (p *Parser) parseGreedyScored(words []string) ([]string, float64) {
-	dc := acquireDecodeCtx()
-	defer dc.release()
-	g := dc.g
-	dc.srcIds = p.src.EncodeInto(dc.srcIds[:0], words)
-	H, final := p.encode(g, &dc.enc, dc.srcIds)
-	st := p.initDecode(g, final)
+func (p *Parser) greedy(dc *decodeCtx, e *encodedRow) Decoded {
+	st := e.init
 	prev := BosID
 	out := make([]string, 0, 16)
 	logProb := 0.0
@@ -101,33 +335,22 @@ func (p *Parser) parseGreedyScored(words []string) ([]string, float64) {
 	maxLen := p.cfg.maxDecodeLen()
 	gs := p.grammarStart()
 	for t := 0; t < maxLen; t++ {
-		pv, alpha, gate, next := p.step(g, st, prev, H)
-		var tok string
-		var prob float64
-		picked := false
-		if gs != nil {
-			if mt, mp, ok := p.maskedBest(&dc.ms, &dc.ls, &dc.lc, gs, maskedBudget(maxLen, t), pv.W, alpha.W, gate.W[0], words); ok {
-				tok, prob, picked = mt, mp, true
-			} else {
-				// Empty mask (cannot happen for a well-formed automaton,
-				// kept as a defensive fallback): decode the rest unmasked.
-				gs = nil
-			}
-		}
-		if !picked {
-			tok, prob = p.bestTokenScored(&dc.ms, pv.W, alpha.W, gate.W[0], words)
-		}
+		o := p.step(dc.g, st, prev, e.H, e.C)
+		tok, prob, masked := p.best(&dc.scoreScratch, gs, maskedBudget(maxLen, t), dc.copyDist(&o, 0, e.words, e.ctx))
 		logProb += math.Log(prob + 1e-12)
 		if tok == EosToken {
 			done = true
 			break
 		}
 		out = append(out, tok)
-		st = next
+		st = o.next
 		prev = p.tgt.ID(tok)
+		if !masked {
+			gs = nil
+		}
 		gs = p.grammarStep(gs, tok)
 	}
-	return out, lengthNormScore(logProb, len(out), done)
+	return Decoded{Tokens: out, Score: lengthNormScore(logProb, len(out), done)}
 }
 
 // mixSlot is one distinct source word of the sentence being decoded: its
@@ -195,16 +418,11 @@ func (ms *mixScorer) release() {
 	}
 }
 
-// bestToken mixes the generation and copy distributions and returns the
-// argmax token. pv and alpha are one decoder step's vocabulary-distribution
-// and attention rows (raw slices, so the batched decoder can pass rows of
-// its stacked tensors); alpha covers at least len(words) positions.
-func (p *Parser) bestToken(ms *mixScorer, pv, alpha []float64, gate float64, words []string) string {
-	tok, _ := p.bestTokenScored(ms, pv, alpha, gate, words)
-	return tok
-}
-
-// bestTokenScored is bestToken plus the winner's mixed probability.
+// bestTokenScored mixes the generation and copy distributions and returns
+// the argmax token with its mixed probability. pv and alpha are one decoder
+// step's vocabulary-distribution and attention rows (raw slices, so the
+// batched decoder can pass rows of its stacked tensors); alpha covers at
+// least len(words) positions.
 func (p *Parser) bestTokenScored(ms *mixScorer, pv, alpha []float64, gate float64, words []string) (string, float64) {
 	g := gate
 	if !p.cfg.PointerGen {
@@ -248,25 +466,26 @@ func (p *Parser) bestTokenScored(ms *mixScorer, pv, alpha []float64, gate float6
 	return bestTok, bestP
 }
 
-// beamItem is one hypothesis during beam decoding. gs is the hypothesis's
-// grammar state (nil when decoding unmasked); grammar states are immutable
-// under Step, so forked hypotheses share their parent's state safely.
+// beamItem is one hypothesis during beam decoding. row locates its decoder
+// state: an index into the row beam's state list, or a row of the batched
+// beam's stacked step tensors. gs is the hypothesis's grammar state (nil
+// when decoding unmasked); grammar states are immutable under Step, so
+// forked hypotheses share their parent's state safely.
 type beamItem struct {
 	tokens  []string
 	logProb float64
-	st      decodeState
 	prev    int
 	done    bool
+	row     int
 	gs      *grammar.State
 }
 
 // lengthNormScore is the length-normalized log-probability used for both
-// pruning and final selection, shared by the sequential and batched beam.
-// logProb accumulates one factor per decoded token plus, for finished
-// hypotheses, the </s> factor; dividing by that count keeps long programs
-// competitive with short ones. Ranking by raw cumulative log-probability
-// systematically favored truncated programs — every extra token can only
-// lower the sum.
+// pruning and final selection, by every decode loop. logProb accumulates one
+// factor per decoded token plus, for finished hypotheses, the </s> factor;
+// dividing by that count keeps long programs competitive with short ones.
+// Ranking by raw cumulative log-probability systematically favored truncated
+// programs — every extra token can only lower the sum.
 func lengthNormScore(logProb float64, ntokens int, done bool) float64 {
 	if done {
 		ntokens++
@@ -280,9 +499,7 @@ func lengthNormScore(logProb float64, ntokens int, done bool) float64 {
 func (it *beamItem) score() float64 { return lengthNormScore(it.logProb, len(it.tokens), it.done) }
 
 // bestHypIndex returns the index of a beam's winner: complete hypotheses
-// beat incomplete ones, ties broken by length-normalized score. It is the
-// single selection rule shared by the sequential and batched beams, so the
-// ranking cannot drift between them.
+// beat incomplete ones, ties broken by length-normalized score.
 func bestHypIndex(n int, done func(int) bool, score func(int) float64) int {
 	best := 0
 	for i := 0; i < n; i++ {
@@ -297,80 +514,68 @@ func bestHypIndex(n int, done func(int) bool, score func(int) float64) int {
 	return best
 }
 
-// bestHypothesis returns the beam's winner.
-func bestHypothesis(beam []beamItem) beamItem {
-	return beam[bestHypIndex(len(beam),
+// bestHypothesis returns the beam's winner as a Decoded.
+func bestHypothesis(beam []beamItem) Decoded {
+	best := beam[bestHypIndex(len(beam),
 		func(i int) bool { return beam[i].done },
 		func(i int) float64 { return beam[i].score() })]
+	return Decoded{Tokens: best.tokens, Score: best.score()}
 }
 
-// ParseBeam decodes with a fixed-width beam and returns the best complete
-// hypothesis (falling back to greedy behavior at width 1). Hypotheses are
-// pruned and selected by length-normalized log-probability. Like Parse, it
-// is safe for concurrent use.
-func (p *Parser) ParseBeam(words []string, width int) []string {
-	if len(words) == 0 {
-		return nil
+// expand appends to cands the children of hypothesis h under its top next
+// tokens; row is where the children's decoder state lives.
+func (p *Parser) expand(cands []beamItem, h *beamItem, top []scoredToken, masked bool, row int) []beamItem {
+	for _, c := range top {
+		n := beamItem{
+			tokens:  append(append([]string(nil), h.tokens...), c.tok),
+			logProb: h.logProb + math.Log(c.p+1e-12),
+			prev:    p.tgt.ID(c.tok),
+			row:     row,
+		}
+		if c.tok == EosToken {
+			n.done = true
+			n.tokens = n.tokens[:len(n.tokens)-1]
+		} else if masked {
+			n.gs = p.grammarStep(h.gs, c.tok)
+		}
+		cands = append(cands, n)
 	}
-	if width <= 1 {
-		return p.Parse(words)
-	}
-	return p.beamDecode(words, width).tokens
+	return cands
 }
 
-// beamDecode runs the beam search and returns the winning hypothesis
-// (tokens plus accumulated log-probability), shared by ParseBeam and
-// ParseScored.
-func (p *Parser) beamDecode(words []string, width int) beamItem {
-	dc := acquireDecodeCtx()
-	defer dc.release()
-	g := dc.g
-	dc.srcIds = p.src.EncodeInto(dc.srcIds[:0], words)
-	H, final := p.encode(g, &dc.enc, dc.srcIds)
-	beam := []beamItem{{st: p.initDecode(g, final), prev: BosID, gs: p.grammarStart()}}
+// prune keeps the width best candidates by length-normalized score.
+func prune(cands []beamItem, width int) []beamItem {
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].score() > cands[j].score() })
+	if len(cands) > width {
+		cands = cands[:width]
+	}
+	return cands
+}
+
+// beam is the row beam search: every live hypothesis steps on its own, then
+// the candidates are pruned to width by length-normalized log-probability.
+func (p *Parser) beam(dc *decodeCtx, e *encodedRow, width int) Decoded {
+	states := []decodeState{e.init}
+	beam := []beamItem{{prev: BosID, gs: p.grammarStart()}}
 	maxLen := p.cfg.maxDecodeLen()
 	for t := 0; t < maxLen; t++ {
-		var candidates []beamItem
-		allDone := true
-		for _, item := range beam {
+		var cands []beamItem
+		next := make([]decodeState, 0, len(beam))
+		for i := range beam {
+			item := &beam[i]
 			if item.done {
-				candidates = append(candidates, item)
+				cands = append(cands, *item)
 				continue
 			}
-			allDone = false
-			pv, alpha, gate, next := p.step(g, item.st, item.prev, H)
-			var cands []scoredToken
-			masked := false
-			if item.gs != nil {
-				cands, masked = p.maskedTop(&dc.ms, &dc.ls, &dc.lc, item.gs, maskedBudget(maxLen, t), &dc.scored, pv.W, alpha.W, gate.W[0], words, width)
-			}
-			if !masked {
-				cands = p.topTokens(&dc.ms, &dc.scored, pv.W, alpha.W, gate.W[0], words, width)
-			}
-			for _, cand := range cands {
-				ni := beamItem{
-					tokens:  append(append([]string(nil), item.tokens...), cand.tok),
-					logProb: item.logProb + math.Log(cand.p+1e-12),
-					st:      next,
-					prev:    p.tgt.ID(cand.tok),
-				}
-				if cand.tok == EosToken {
-					ni.done = true
-					ni.tokens = ni.tokens[:len(ni.tokens)-1]
-				} else if masked {
-					ni.gs = p.grammarStep(item.gs, cand.tok)
-				}
-				candidates = append(candidates, ni)
-			}
+			o := p.step(dc.g, states[item.row], item.prev, e.H, e.C)
+			next = append(next, o.next)
+			top, masked := p.top(&dc.scoreScratch, item.gs, maskedBudget(maxLen, t), dc.copyDist(&o, 0, e.words, e.ctx), width)
+			cands = p.expand(cands, item, top, masked, len(next)-1)
 		}
-		if allDone {
+		if len(next) == 0 { // every hypothesis is complete
 			break
 		}
-		sort.SliceStable(candidates, func(i, j int) bool { return candidates[i].score() > candidates[j].score() })
-		if len(candidates) > width {
-			candidates = candidates[:width]
-		}
-		beam = candidates
+		beam, states = prune(cands, width), next
 	}
 	return bestHypothesis(beam)
 }
@@ -383,7 +588,7 @@ type scoredToken struct {
 // topTokens returns the k most probable next tokens under the mixed
 // pointer–generator distribution, through the same fused O(V+S) scan as
 // bestTokenScored. pv and alpha are one step's distribution rows as in
-// bestToken; the backing comes from *scored (a reusable decode-context
+// bestTokenScored; the backing comes from *scored (a reusable decode-context
 // buffer) and is valid until the next call over the same buffer.
 func (p *Parser) topTokens(ms *mixScorer, scored *[]scoredToken, pv, alpha []float64, gate float64, words []string, k int) []scoredToken {
 	g := gate

@@ -2,62 +2,17 @@ package model
 
 import (
 	"math"
-	"sort"
-	"sync"
 
 	"repro/internal/grammar"
 	"repro/internal/nn"
 )
 
-// This file is the batched decode path: the serving layer's gathered window
-// of requests advances through one batched forward per decode step (every
-// live hypothesis is one row of the stacked tensors), so micro-batching buys
-// matmul width instead of just queueing. Per row the batched kernels are
-// numerically identical to the single-row ones, so ParseBatch emits exactly
-// Parse's tokens and ParseBeamBatch exactly ParseBeam's.
-
-// batchDecodeCtx is the pooled per-call state of one ParseBatch /
-// ParseBeamBatch invocation: an inference graph from the shared pool plus
-// the padded-encode and per-step row buffers. Like decodeCtx, nothing
-// decode-time lives on the Parser, so batched decoding is concurrency-safe
-// alongside the per-sentence paths.
-//
-//genielint:arena-scoped
-type batchDecodeCtx struct {
-	g      *nn.Graph
-	bufs   batchBufs
-	cbufs  batchBufs  // padded previous-program memory (contextual decode)
-	cs     ctxScratch // effective mixture rows (contextual decode)
-	scored []scoredToken
-	ms     mixScorer
-	prev   []int // per-row previous target token ids
-	blocks []int // per-row memory block (request) indices
-	srcIdx []int // per-row parent rows in the previous step's tensors
-	reqOf  []int // greedy path: per-row request indices
-	ls     grammar.LegalSet
-	lc     grammar.LegalCache
-}
-
-var batchDecodeCtxs = sync.Pool{New: func() any { return new(batchDecodeCtx) }}
-
-func acquireBatchDecodeCtx() *batchDecodeCtx {
-	dc := batchDecodeCtxs.Get().(*batchDecodeCtx)
-	dc.g = inferGraphs.Get()
-	return dc
-}
-
-// release returns the graph (resetting its arena) and the scratch buffers to
-// their pools; tensors produced during the call are invalid afterwards. The
-// tensor-pointer buffers are zeroed first so the pooled context does not pin
-// recycled arena tensors across requests.
-func (dc *batchDecodeCtx) release() {
-	dc.bufs.releaseTensors()
-	dc.cbufs.releaseTensors()
-	dc.cs.cenc.releaseTensors()
-	inferGraphs.Put(dc.g)
-	dc.g = nil
-	batchDecodeCtxs.Put(dc)
-}
+// This file is the batched decode path: a window of requests advances
+// through one batched forward per decode step (every live hypothesis is one
+// row of the stacked tensors), so a backlog buys matmul width instead of
+// just queueing. Per row the batched kernels are numerically identical to
+// the single-row ones, so greedyBatch emits exactly greedy's tokens and
+// scores, and beamBatch exactly beam's.
 
 // gatherRows copies the selected rows of t into a fresh graph tensor. It is
 // decode-only (no gradient link): the batched decoders use it to carry the
@@ -72,298 +27,192 @@ func gatherRows(g *nn.Graph, t *nn.Tensor, idx []int) *nn.Tensor {
 	return out
 }
 
-// decodeStepBatch runs one batched decoder step over R rows: embedding
-// lookup, input feeding, LSTM, attention over each row's memory block, and
-// the output projections. It is the batched form of step.
+// gather is gatherRows over a stacked decoder state.
 //
 //genielint:returns-arena
-func (p *Parser) decodeStepBatch(g *nn.Graph, H *nn.Tensor, lens, prev, blocks []int, h, c, ctx *nn.Tensor) (pv, alpha, gate, hN, cN, ctxN *nn.Tensor) {
-	emb := g.LookupRows(p.decEmb.Table, prev)
-	x := g.ConcatCols(emb, ctx)
-	hN, cN = p.dec.StepBatch(g, x, h, c, nil)
-	q := g.BatchedAffine(hN, p.attnLin.W, p.attnLin.B)
-	alpha, ctxN = g.AttendSoftmaxContextBatch(q, H, blocks, lens)
-	htilde := g.Tanh(g.BatchedAffine(g.ConcatCols(hN, ctxN), p.combLin.W, p.combLin.B))
-	pv = g.SoftmaxRows(g.BatchedAffine(htilde, p.outLin.W, p.outLin.B))
-	gate = g.Sigmoid(g.BatchedAffine(htilde, p.gateLin.W, p.gateLin.B))
-	return pv, alpha, gate, hN, cN, ctxN
+func (st decodeState) gather(g *nn.Graph, idx []int) decodeState {
+	return decodeState{h: gatherRows(g, st.h, idx), c: gatherRows(g, st.c, idx), ctx: gatherRows(g, st.ctx, idx)}
 }
 
-// ParseBatch greedily decodes B sentences in lockstep: one batched forward
-// per decode step over the rows still running, instead of B independent
-// Parse calls. Rows that emit </s> drop out of the following steps' batch.
-// Outputs are token-identical to per-sentence Parse; like Parse, ParseBatch
-// is safe for concurrent use.
-func (p *Parser) ParseBatch(sentences [][]string) [][]string {
-	outs, _ := p.ParseBatchScored(sentences)
-	return outs
+// encodedBatch is encodedRow for a window of B requests: the packed padded
+// source memory H (one block per request, lens valid rows each), the packed
+// previous-program memory C (nil on the single-turn path, where ctxs holds B
+// nils) and the stacked initial decoder state.
+//
+//genielint:arena-scoped
+type encodedBatch struct {
+	words, ctxs [][]string
+	H, C        *nn.Tensor
+	lens, clens []int
+	init        decodeState
 }
 
-// ParseBatchScored is ParseBatch plus each request's length-normalized
-// hypothesis score (exactly what ParseScored at width 1 returns). The
-// adaptive serving path decodes a whole window greedily through it and
-// re-decodes only the low-confidence subset with the beam.
-func (p *Parser) ParseBatchScored(sentences [][]string) ([][]string, []float64) {
-	B := len(sentences)
-	outs := make([][]string, B)
-	scores := make([]float64, B)
-	for b := range scores {
-		scores[b] = math.Inf(-1)
+//genielint:returns-arena
+func (p *Parser) encodeRows(dc *decodeCtx, rows []Row, idx []int, withCtx bool) encodedBatch {
+	g, B := dc.g, len(idx)
+	dc.words, dc.ctxs = dc.words[:0], dc.ctxs[:0]
+	for _, i := range idx {
+		dc.words = append(dc.words, rows[i].Words)
+		if withCtx {
+			dc.ctxs = append(dc.ctxs, rows[i].Context)
+		} else {
+			dc.ctxs = append(dc.ctxs, nil)
+		}
 	}
-	if B == 0 {
-		return outs, scores
-	}
-	dc := acquireBatchDecodeCtx()
-	defer dc.release()
-	g := dc.g
-	S := dc.bufs.prepareSrc(p.src, sentences)
-	if S == 0 {
-		return outs, scores
-	}
+	e := encodedBatch{words: dc.words, ctxs: dc.ctxs}
+	S := dc.bufs.prepareSrc(p.src, e.words)
 	H, final := p.encodeBatch(g, &dc.bufs, B, S)
+	e.H, e.lens = H, dc.bufs.lens
+	if withCtx {
+		M := dc.cbufs.prepareSrc(p.tgt, e.ctxs)
+		e.C, e.clens = p.encodeCtxBatch(g, &dc.cbufs, B, M), dc.cbufs.lens
+	}
 	hid := p.cfg.HiddenDim
-	h := g.Tanh(g.BatchedAffine(final, p.initLin.W, p.initLin.B))
-	c := g.NewTensor(B, hid)
-	ctx := g.NewTensor(B, 2*hid)
+	e.init = decodeState{
+		h:   g.Tanh(g.BatchedAffine(final, p.initLin.W, p.initLin.B)),
+		c:   g.NewTensor(B, hid),
+		ctx: g.NewTensor(B, 2*hid),
+	}
+	return e
+}
 
-	reqOf := grow(&dc.reqOf, B)
+// decodeStepBatch is the batched form of step: one lockstep decoder step
+// over R rows — embedding lookup, input feeding, LSTM, attention over each
+// row's memory block (blocks[r] names it), the second attention when the
+// batch carries a context memory, and the output projections.
+//
+//genielint:returns-arena
+func (p *Parser) decodeStepBatch(g *nn.Graph, e *encodedBatch, prev, blocks []int, st decodeState) stepOut {
+	x := g.ConcatCols(g.LookupRows(p.decEmb.Table, prev), st.ctx)
+	h, c := p.dec.StepBatch(g, x, st.h, st.c, nil)
+	alpha, ctx := g.AttendSoftmaxContextBatch(g.BatchedAffine(h, p.attnLin.W, p.attnLin.B), e.H, blocks, e.lens)
+	o := stepOut{alpha: alpha, next: decodeState{h: h, c: c, ctx: ctx}}
+	htilde := g.Tanh(g.BatchedAffine(g.ConcatCols(h, ctx), p.combLin.W, p.combLin.B))
+	if e.C != nil {
+		var cctx *nn.Tensor
+		o.beta, cctx = g.AttendSoftmaxContextBatch(g.BatchedAffine(htilde, p.ctxAttnLin.W, p.ctxAttnLin.B), e.C, blocks, e.clens)
+		htilde = g.Tanh(g.BatchedAffine(g.ConcatCols(htilde, cctx), p.ctxCombLin.W, p.ctxCombLin.B))
+	}
+	o.pv = g.SoftmaxRows(g.BatchedAffine(htilde, p.outLin.W, p.outLin.B))
+	o.gate = g.Sigmoid(g.BatchedAffine(htilde, p.gateLin.W, p.gateLin.B))
+	if e.C != nil {
+		o.cgate = g.Sigmoid(g.BatchedAffine(htilde, p.ctxGateLin.W, p.ctxGateLin.B))
+	}
+	return o
+}
+
+// greedyBatch greedily decodes the window in lockstep, writing request b's
+// tokens and score to out[idx[b]]: one batched forward per decode step over
+// the rows still running; rows that emit </s> drop out of the following
+// steps' batch.
+func (p *Parser) greedyBatch(dc *decodeCtx, e *encodedBatch, idx []int, out []Decoded) {
+	g, B := dc.g, len(idx)
+	reqOf := grow(&dc.blocks, B) // per-row request: its memory block
 	prev := grow(&dc.prev, B)
-	blocks := grow(&dc.blocks, B)
 	keep := grow(&dc.srcIdx, B)
-	logProb := make([]float64, B)
-	done := make([]bool, B)
-	var gss []*grammar.State // per-row grammar states, compacted with reqOf
-	if p.auto != nil {
-		gss = make([]*grammar.State, B)
+	gss := make([]*grammar.State, B) // per-row grammar states (nil unmasked)
+	for b, i := range idx {
+		reqOf[b], prev[b], gss[b] = b, BosID, p.grammarStart()
+		out[i] = Decoded{Tokens: make([]string, 0, 16)} // Score accumulates the log-probability
 	}
-	R := 0
-	for b := 0; b < B; b++ {
-		if len(sentences[b]) == 0 {
-			continue // Parse returns nil for empty input; so does this row
-		}
-		reqOf[R] = b
-		prev[R] = BosID
-		blocks[R] = b
-		keep[R] = b
-		if gss != nil {
-			gss[R] = p.auto.Start()
-		}
-		R++
-		outs[b] = make([]string, 0, 16)
-	}
-	if R == 0 {
-		return outs, scores
-	}
-	if R < B {
-		h = gatherRows(g, h, keep[:R])
-		c = gatherRows(g, c, keep[:R])
-		ctx = gatherRows(g, ctx, keep[:R])
-	}
-	V := p.tgt.Size()
+	st := e.init
+	R := B
 	maxLen := p.cfg.maxDecodeLen()
 	for t := 0; t < maxLen && R > 0; t++ {
-		pv, alpha, gate, hN, cN, ctxN := p.decodeStepBatch(g, H, dc.bufs.lens, prev[:R], blocks[:R], h, c, ctx)
+		o := p.decodeStepBatch(g, e, prev[:R], reqOf[:R], st)
 		w := 0
 		for r := 0; r < R; r++ {
-			req := reqOf[r]
-			words := sentences[req]
-			var tok string
-			var prob float64
-			picked := false
-			if gss != nil && gss[r] != nil {
-				if mt, mp, ok := p.maskedBest(&dc.ms, &dc.ls, &dc.lc, gss[r], maskedBudget(maxLen, t), pv.W[r*V:(r+1)*V], alpha.W[r*S:r*S+len(words)], gate.W[r], words); ok {
-					tok, prob, picked = mt, mp, true
-				} else {
-					gss[r] = nil // defensive: decode this row's rest unmasked
-				}
-			}
-			if !picked {
-				tok, prob = p.bestTokenScored(&dc.ms, pv.W[r*V:(r+1)*V], alpha.W[r*S:r*S+len(words)], gate.W[r], words)
-			}
-			logProb[req] += math.Log(prob + 1e-12)
+			b := reqOf[r]
+			d := &out[idx[b]]
+			tok, prob, masked := p.best(&dc.scoreScratch, gss[r], maskedBudget(maxLen, t), dc.copyDist(&o, r, e.words[b], e.ctxs[b]))
+			d.Score += math.Log(prob + 1e-12)
 			if tok == EosToken {
-				done[req] = true
+				d.Score = lengthNormScore(d.Score, len(d.Tokens), true)
 				continue
 			}
-			outs[req] = append(outs[req], tok)
-			var ngs *grammar.State
-			if gss != nil {
-				ngs = p.grammarStep(gss[r], tok)
+			d.Tokens = append(d.Tokens, tok)
+			gs := gss[r]
+			if !masked {
+				gs = nil
 			}
-			reqOf[w] = req
-			prev[w] = p.tgt.ID(tok)
-			blocks[w] = req
-			keep[w] = r
-			if gss != nil {
-				gss[w] = ngs
-			}
+			reqOf[w], prev[w], keep[w], gss[w] = b, p.tgt.ID(tok), r, p.grammarStep(gs, tok)
 			w++
 		}
-		R = w
-		if R == 0 {
-			break
-		}
-		if R < hN.Rows {
-			h = gatherRows(g, hN, keep[:R])
-			c = gatherRows(g, cN, keep[:R])
-			ctx = gatherRows(g, ctxN, keep[:R])
-		} else { // no row finished this step: reuse the outputs as-is
-			h, c, ctx = hN, cN, ctxN
+		R, st = w, o.next
+		if 0 < R && R < o.pv.Rows { // some row finished: compact the survivors' states
+			st = st.gather(g, keep[:R])
 		}
 	}
-	for b := 0; b < B; b++ {
-		if len(sentences[b]) == 0 {
-			continue
-		}
-		scores[b] = lengthNormScore(logProb[b], len(outs[b]), done[b])
+	for _, b := range reqOf[:R] { // still running at the length bound
+		d := &out[idx[b]]
+		d.Score = lengthNormScore(d.Score, len(d.Tokens), false)
 	}
-	return outs, scores
 }
 
-// batchHyp is one hypothesis of the batched beam: beamItem with the decoder
-// state replaced by a row index into the current step's stacked tensors.
-type batchHyp struct {
-	tokens  []string
-	logProb float64
-	prev    int
-	done    bool
-	row     int            // row in the latest step's output tensors (-1 once done)
-	gs      *grammar.State // grammar state (nil when unmasked); shared on fork
-}
-
-func (bh *batchHyp) score() float64 { return lengthNormScore(bh.logProb, len(bh.tokens), bh.done) }
-
-// bestBatchHypothesis applies the shared winner-selection rule
-// (bestHypIndex) to a batched beam.
-func bestBatchHypothesis(beam []batchHyp) batchHyp {
-	return beam[bestHypIndex(len(beam),
-		func(i int) bool { return beam[i].done },
-		func(i int) float64 { return beam[i].score() })]
-}
-
-// ParseBeamBatch beam-decodes B sentences in lockstep: at every decode step
-// all live hypotheses across all requests stack into one batched forward (a
-// request's beams share its memory block via the attention block mapping),
-// then each request expands and prunes its beam exactly as sequential
-// ParseBeam does — so the outputs are token-identical to per-sentence
-// ParseBeam calls. Width <= 1 falls back to the batched greedy path. Safe
-// for concurrent use.
-func (p *Parser) ParseBeamBatch(sentences [][]string, width int) [][]string {
-	if width <= 1 {
-		return p.ParseBatch(sentences)
-	}
-	B := len(sentences)
-	outs := make([][]string, B)
-	if B == 0 {
-		return outs
-	}
-	dc := acquireBatchDecodeCtx()
-	defer dc.release()
+// beamBatch beam-decodes the requests live (indices into the window) in
+// lockstep: at every decode step all live hypotheses across all requests
+// stack into one batched forward (a request's beams share its memory block
+// via the attention block mapping), then each request expands and prunes its
+// beam exactly as the row beam does.
+func (p *Parser) beamBatch(dc *decodeCtx, e *encodedBatch, live []int, width int, idx []int, out []Decoded) {
 	g := dc.g
-	S := dc.bufs.prepareSrc(p.src, sentences)
-	if S == 0 {
-		return outs
+	beams := make([][]beamItem, len(live))
+	finished := make([]bool, len(live))
+	for k, b := range live {
+		beams[k] = []beamItem{{prev: BosID, row: b, gs: p.grammarStart()}}
 	}
-	H, final := p.encodeBatch(g, &dc.bufs, B, S)
-	hid := p.cfg.HiddenDim
-	hPrev := g.Tanh(g.BatchedAffine(final, p.initLin.W, p.initLin.B))
-	cPrev := g.NewTensor(B, hid)
-	ctxPrev := g.NewTensor(B, 2*hid)
-
-	beams := make([][]batchHyp, B)
-	finished := make([]bool, B)
-	for b := range beams {
-		beams[b] = []batchHyp{{prev: BosID, row: b, gs: p.grammarStart()}}
-		if len(sentences[b]) == 0 {
-			finished[b] = true // ParseBeam returns nil for empty input
-		}
-	}
-	V := p.tgt.Size()
+	st := e.init
 	maxLen := p.cfg.maxDecodeLen()
 	for t := 0; t < maxLen; t++ {
 		// Assign a batch row to every live hypothesis; srcIdx records where
 		// its state lives in the previous step's tensors.
-		prev := dc.prev[:0]
-		blocks := dc.blocks[:0]
-		srcIdx := dc.srcIdx[:0]
-		for b := range beams {
-			if finished[b] {
+		prev, blocks, srcIdx := dc.prev[:0], dc.blocks[:0], dc.srcIdx[:0]
+		for k := range beams {
+			if finished[k] {
 				continue
 			}
-			for hi := range beams[b] {
-				hyp := &beams[b][hi]
+			for hi := range beams[k] {
+				hyp := &beams[k][hi]
 				if hyp.done {
 					continue
 				}
 				srcIdx = append(srcIdx, hyp.row)
 				hyp.row = len(srcIdx) - 1
 				prev = append(prev, hyp.prev)
-				blocks = append(blocks, b)
+				blocks = append(blocks, live[k])
 			}
 		}
 		dc.prev, dc.blocks, dc.srcIdx = prev, blocks, srcIdx
 		if len(srcIdx) == 0 {
 			break
 		}
-		hIn := gatherRows(g, hPrev, srcIdx)
-		cIn := gatherRows(g, cPrev, srcIdx)
-		ctxIn := gatherRows(g, ctxPrev, srcIdx)
-		pv, alpha, gate, hN, cN, ctxN := p.decodeStepBatch(g, H, dc.bufs.lens, prev, blocks, hIn, cIn, ctxIn)
-		hPrev, cPrev, ctxPrev = hN, cN, ctxN
+		o := p.decodeStepBatch(g, e, prev, blocks, st.gather(g, srcIdx))
+		st = o.next
 
-		// Expand and prune each request exactly as sequential ParseBeam does.
-		for b := range beams {
-			if finished[b] {
+		for k, b := range live {
+			if finished[k] {
 				continue
 			}
-			words := sentences[b]
-			var candidates []batchHyp
+			var cands []beamItem
 			allDone := true
-			for _, item := range beams[b] {
+			for i := range beams[k] {
+				item := &beams[k][i]
 				if item.done {
-					candidates = append(candidates, item)
+					cands = append(cands, *item)
 					continue
 				}
 				allDone = false
-				r := item.row
-				var cands []scoredToken
-				masked := false
-				if item.gs != nil {
-					cands, masked = p.maskedTop(&dc.ms, &dc.ls, &dc.lc, item.gs, maskedBudget(maxLen, t), &dc.scored, pv.W[r*V:(r+1)*V], alpha.W[r*S:r*S+len(words)], gate.W[r], words, width)
-				}
-				if !masked {
-					cands = p.topTokens(&dc.ms, &dc.scored, pv.W[r*V:(r+1)*V], alpha.W[r*S:r*S+len(words)], gate.W[r], words, width)
-				}
-				for _, cand := range cands {
-					ni := batchHyp{
-						tokens:  append(append([]string(nil), item.tokens...), cand.tok),
-						logProb: item.logProb + math.Log(cand.p+1e-12),
-						prev:    p.tgt.ID(cand.tok),
-						row:     r,
-					}
-					if cand.tok == EosToken {
-						ni.done = true
-						ni.tokens = ni.tokens[:len(ni.tokens)-1]
-						ni.row = -1
-					} else if masked {
-						ni.gs = p.grammarStep(item.gs, cand.tok)
-					}
-					candidates = append(candidates, ni)
-				}
+				top, masked := p.top(&dc.scoreScratch, item.gs, maskedBudget(maxLen, t), dc.copyDist(&o, item.row, e.words[b], e.ctxs[b]), width)
+				cands = p.expand(cands, item, top, masked, item.row)
 			}
 			if allDone {
-				finished[b] = true
+				finished[k] = true
 				continue
 			}
-			sort.SliceStable(candidates, func(i, j int) bool { return candidates[i].score() > candidates[j].score() })
-			if len(candidates) > width {
-				candidates = candidates[:width]
-			}
-			beams[b] = candidates
+			beams[k] = prune(cands, width)
 		}
 	}
-	for b := range beams {
-		outs[b] = bestBatchHypothesis(beams[b]).tokens
+	for k, b := range live {
+		out[idx[b]] = bestHypothesis(beams[k])
 	}
-	return outs
 }

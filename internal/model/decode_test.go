@@ -26,6 +26,23 @@ func trainedToyParser() *Parser {
 
 func joinTokens(toks []string) string { return strings.Join(toks, " ") }
 
+// decodeOne is Decode over a single row.
+func decodeOne(p *Parser, words, ctx []string, pol Policy) Decoded {
+	return p.Decode([]Row{{Words: words, Context: ctx}}, pol)[0]
+}
+
+// toRows pairs sentences with contexts (nil contexts = single-turn rows).
+func toRows(sentences, contexts [][]string) []Row {
+	rows := make([]Row, len(sentences))
+	for i, s := range sentences {
+		rows[i].Words = s
+		if contexts != nil {
+			rows[i].Context = contexts[i]
+		}
+	}
+	return rows
+}
+
 // TestConcurrentDecodeMatchesSequential is the regression test for the old
 // Parser.scr decode race: one trained parser is decoded from many goroutines
 // (greedy and beam) and every output must match the sequential decode
@@ -129,8 +146,8 @@ func TestBeamLengthNormalization(t *testing.T) {
 
 	// The fixed ranking normalizes by length and picks the full program.
 	best := bestHypothesis(beam)
-	if joinTokens(best.tokens) != joinTokens(gold) {
-		t.Errorf("length-normalized selection picked %v, want the full greedy program %v", best.tokens, gold)
+	if joinTokens(best.Tokens) != joinTokens(gold) {
+		t.Errorf("length-normalized selection picked %v, want the full greedy program %v", best.Tokens, gold)
 	}
 
 	// End to end: the fixed beam must not fall below greedy on fitted

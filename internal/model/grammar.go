@@ -17,8 +17,8 @@ import (
 // scores fitted on held-out data (eval.FitCalibration), below which serving
 // escalates from greedy to beam decode.
 
-// Calibration is the fitted confidence threshold carried by snapshots
-// (format v3). Scores are length-normalized log-probabilities as returned by
+// Calibration is the fitted confidence threshold carried by snapshots.
+// Scores are length-normalized log-probabilities as returned by
 // ParseScored; Fitted distinguishes a real fit from the zero value.
 type Calibration struct {
 	Fitted    bool
@@ -61,35 +61,12 @@ func (p *Parser) GrammarChecksum() string {
 	return p.gspec.Checksum()
 }
 
-// SetCalibration stamps the confidence threshold used by ParseAdaptive and
-// persisted in snapshots.
+// SetCalibration stamps the confidence threshold the adaptive decode policy
+// escalates against (Decode) and snapshots persist.
 func (p *Parser) SetCalibration(c Calibration) { p.calib = c }
 
 // Calibration returns the parser's confidence calibration.
 func (p *Parser) Calibration() Calibration { return p.calib }
-
-// ConfidenceThreshold exposes the calibration in the form the serving
-// layer's CalibratedParser interface consumes.
-func (p *Parser) ConfidenceThreshold() (float64, bool) {
-	return p.calib.Threshold, p.calib.Fitted
-}
-
-// ParseAdaptive decodes greedily and escalates to a width-wide beam only
-// when the greedy hypothesis's length-normalized score falls below the
-// fitted confidence threshold. It returns the chosen tokens, their score,
-// and whether the beam was used. Without a fitted calibration (or width <=
-// 1) it is exactly greedy.
-func (p *Parser) ParseAdaptive(words []string, width int) ([]string, float64, bool) {
-	if len(words) == 0 {
-		return nil, math.Inf(-1), false
-	}
-	toks, score := p.parseGreedyScored(words)
-	if width <= 1 || !p.calib.Fitted || score >= p.calib.Threshold {
-		return toks, score, false
-	}
-	best := p.beamDecode(words, width)
-	return best.tokens, best.score(), true
-}
 
 // grammarStart returns a fresh decode-state for one hypothesis, or nil when
 // the parser decodes unmasked.

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -165,8 +163,8 @@ func TestMaskedDecodeAlwaysValid(t *testing.T) {
 			check(fmt.Sprintf("seed %d batch row %d", seed, i), out)
 		}
 		check(fmt.Sprintf("seed %d beam", seed), p.ParseBeam(batch[0], 3))
-		for i, out := range p.ParseBeamBatch(batch[:3], 2) {
-			check(fmt.Sprintf("seed %d beam batch row %d", seed, i), out)
+		for i, d := range p.Decode(toRows(batch[:3], nil), Policy{Beam: 2}) {
+			check(fmt.Sprintf("seed %d beam batch row %d", seed, i), d.Tokens)
 		}
 	}
 	if decodes != 1000 {
@@ -314,7 +312,7 @@ func TestMaskedUnmaskedParityDecode(t *testing.T) {
 	t.Logf("decode-level parity comparisons: %d/200", compared)
 }
 
-// TestSnapshotV3GrammarRoundTrip locks the version-3 snapshot block: the
+// TestSnapshotV3GrammarRoundTrip locks the snapshot's grammar block: the
 // calibration threshold, grammar spec, and automaton checksum survive a
 // save/load round trip; a tampered checksum is rejected; and the reloaded
 // parser's masked decode is identical.
@@ -363,91 +361,6 @@ func TestSnapshotV3GrammarRoundTrip(t *testing.T) {
 	}
 }
 
-// fixtureParser is the deterministic parser the committed back-compat
-// fixtures were generated from: fixed seed, fixed toy vocabularies, no
-// training (initialization is seeded, so the weights reproduce exactly).
-func fixtureParser() *Parser {
-	train, _ := toyPairs()
-	var src, tgt [][]string
-	for _, pr := range train {
-		src = append(src, pr.Src)
-		tgt = append(tgt, pr.Tgt)
-	}
-	cfg := Config{EmbedDim: 8, HiddenDim: 8, PointerGen: true, MaxDecodeLen: 16, Seed: 12345}
-	return newParser(cfg, BuildVocab(src, 1), BuildVocab(tgt, 1))
-}
-
-// TestSnapshotBackCompatFixtures loads the committed version-1 and
-// version-2 snapshot fixtures: old streams must keep loading as the format
-// moves forward, with zero values for blocks their version predates.
-// Regenerate with GENIE_REGEN_FIXTURES=1 after an intentional format change.
-func TestSnapshotBackCompatFixtures(t *testing.T) {
-	dir := filepath.Join("testdata", "snapshots")
-	v1Path := filepath.Join(dir, "toy_v1.snapshot")
-	v2Path := filepath.Join(dir, "toy_v2.snapshot")
-	v2Meta := SnapshotMeta{LibraryChecksum: "fixturelib", Generation: 2, Note: "v2 fixture"}
-	if os.Getenv("GENIE_REGEN_FIXTURES") != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		p := fixtureParser()
-		f1, err := os.Create(v1Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.saveVersioned(f1, 1); err != nil {
-			t.Fatal(err)
-		}
-		f1.Close()
-		p.SetMeta(v2Meta)
-		f2, err := os.Create(v2Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.saveVersioned(f2, 2); err != nil {
-			t.Fatal(err)
-		}
-		f2.Close()
-		t.Log("fixtures regenerated")
-	}
-
-	q1, err := LoadFile(v1Path)
-	if err != nil {
-		t.Fatalf("loading v1 fixture (regenerate with GENIE_REGEN_FIXTURES=1): %v", err)
-	}
-	if q1.Meta() != (SnapshotMeta{}) {
-		t.Errorf("v1 fixture carries meta: %+v", q1.Meta())
-	}
-	if q1.Calibration() != (Calibration{}) || q1.GrammarActive() || q1.GrammarChecksum() != "" {
-		t.Errorf("v1 fixture carries grammar state: calib=%+v active=%v", q1.Calibration(), q1.GrammarActive())
-	}
-
-	q2, err := LoadFile(v2Path)
-	if err != nil {
-		t.Fatalf("loading v2 fixture (regenerate with GENIE_REGEN_FIXTURES=1): %v", err)
-	}
-	if q2.Meta() != v2Meta {
-		t.Errorf("v2 fixture meta = %+v, want %+v", q2.Meta(), v2Meta)
-	}
-	if q2.Calibration() != (Calibration{}) || q2.GrammarActive() {
-		t.Errorf("v2 fixture carries grammar state: calib=%+v active=%v", q2.Calibration(), q2.GrammarActive())
-	}
-
-	// Both fixtures decode without panicking and within the decode budget,
-	// and agree with the deterministically re-created parser.
-	want := fixtureParser()
-	src := []string{"tweet", "alpha", "now"}
-	for name, q := range map[string]*Parser{"v1": q1, "v2": q2} {
-		out := q.Parse(src)
-		if len(out) > q.cfg.maxDecodeLen() {
-			t.Errorf("%s fixture decode exceeds budget: %d tokens", name, len(out))
-		}
-		if a, b := strings.Join(out, " "), strings.Join(want.Parse(src), " "); a != b {
-			t.Errorf("%s fixture decode drifted from seeded init: %q != %q", name, a, b)
-		}
-	}
-}
-
 // TestParseAdaptive exercises the greedy-first escalation rule directly:
 // with a threshold above the greedy score the beam runs, below it greedy
 // wins, and without a fitted calibration it never escalates.
@@ -456,34 +369,68 @@ func TestParseAdaptive(t *testing.T) {
 	words := []string{"show", "me", "news"}
 	_, greedyScore := p.ParseScored(words, 1)
 
+	adaptive := func(width int) Decoded {
+		return decodeOne(p, words, nil, Policy{Beam: width, Adaptive: true})
+	}
 	p.SetCalibration(Calibration{})
-	if _, _, esc := p.ParseAdaptive(words, 4); esc {
+	if adaptive(4).Escalated {
 		t.Error("escalated without a fitted calibration")
 	}
 	p.SetCalibration(Calibration{Fitted: true, Threshold: greedyScore - 1})
-	toks, score, esc := p.ParseAdaptive(words, 4)
-	if esc {
+	got := adaptive(4)
+	if got.Escalated {
 		t.Error("escalated although greedy score was above threshold")
 	}
-	if score != greedyScore {
-		t.Errorf("adaptive greedy score %v != ParseScored %v", score, greedyScore)
+	if got.Score != greedyScore {
+		t.Errorf("adaptive greedy score %v != ParseScored %v", got.Score, greedyScore)
 	}
-	if strings.Join(toks, " ") != strings.Join(p.Parse(words), " ") {
+	if strings.Join(got.Tokens, " ") != strings.Join(p.Parse(words), " ") {
 		t.Error("non-escalated adaptive output differs from greedy")
 	}
 	p.SetCalibration(Calibration{Fitted: true, Threshold: greedyScore + 1})
-	beamToks, beamScore, esc := p.ParseAdaptive(words, 4)
-	if !esc {
+	got = adaptive(4)
+	if !got.Escalated {
 		t.Error("did not escalate although greedy score was below threshold")
 	}
 	wantToks, wantScore := p.ParseScored(words, 4)
-	if strings.Join(beamToks, " ") != strings.Join(wantToks, " ") || beamScore != wantScore {
+	if strings.Join(got.Tokens, " ") != strings.Join(wantToks, " ") || got.Score != wantScore {
 		t.Errorf("escalated adaptive output differs from beam: (%v, %v) != (%v, %v)",
-			beamToks, beamScore, wantToks, wantScore)
+			got.Tokens, got.Score, wantToks, wantScore)
 	}
-	if _, _, esc := p.ParseAdaptive(words, 1); esc {
+	if adaptive(1).Escalated {
 		t.Error("width 1 must never escalate")
 	}
+
+	// The windowed form of the same rule: only the rows below the threshold
+	// escalate, and they decode exactly as the row beam does.
+	rng := rand.New(rand.NewSource(29))
+	var window []Row
+	var scores []float64
+	for i := 0; i < 6; i++ {
+		window = append(window, Row{Words: randomUtterance(rng)})
+		_, s := p.ParseScored(window[i].Words, 1)
+		scores = append(scores, s)
+	}
+	sort.Float64s(scores)
+	p.SetCalibration(Calibration{Fitted: true, Threshold: scores[3]})
+	escalated := 0
+	for i, got := range p.Decode(window, Policy{Beam: 4, Adaptive: true}) {
+		want := adaptive4(p, window[i].Words)
+		if strings.Join(got.Tokens, " ") != strings.Join(want.Tokens, " ") || got.Score != want.Score || got.Escalated != want.Escalated {
+			t.Errorf("window row %d: (%v, %v, %v) != per-request (%v, %v, %v)", i,
+				got.Tokens, got.Score, got.Escalated, want.Tokens, want.Score, want.Escalated)
+		}
+		if got.Escalated {
+			escalated++
+		}
+	}
+	if escalated != 3 {
+		t.Errorf("%d of 6 rows escalated, want the 3 below the median", escalated)
+	}
+}
+
+func adaptive4(p *Parser, words []string) Decoded {
+	return decodeOne(p, words, nil, Policy{Beam: 4, Adaptive: true})
 }
 
 // TestParseBatchScoredMatchesSequential: the batched greedy scores are the
@@ -496,14 +443,13 @@ func TestParseBatchScoredMatchesSequential(t *testing.T) {
 		batch = append(batch, randomUtterance(rng))
 	}
 	batch = append(batch, nil) // empty row: nil output, -Inf score
-	outs, scores := p.ParseBatchScored(batch)
-	for i, words := range batch {
-		wantToks, wantScore := p.ParseScored(words, 1)
-		if strings.Join(outs[i], " ") != strings.Join(wantToks, " ") {
-			t.Errorf("row %d tokens differ: %v != %v", i, outs[i], wantToks)
+	for i, got := range p.Decode(toRows(batch, nil), Policy{}) {
+		wantToks, wantScore := p.ParseScored(batch[i], 1)
+		if strings.Join(got.Tokens, " ") != strings.Join(wantToks, " ") {
+			t.Errorf("row %d tokens differ: %v != %v", i, got.Tokens, wantToks)
 		}
-		if scores[i] != wantScore {
-			t.Errorf("row %d score %v != %v", i, scores[i], wantScore)
+		if got.Score != wantScore {
+			t.Errorf("row %d score %v != %v", i, got.Score, wantScore)
 		}
 	}
 }

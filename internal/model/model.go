@@ -373,32 +373,50 @@ func (p *Parser) decCell(g *nn.Graph, st decodeState, prev int) (h, c *nn.Tensor
 	return p.dec.Step(g, x, st.h, st.c)
 }
 
-// vocabDist computes the attentional h-tilde and the vocabulary distribution
-// from a decoder state and context — the output half of the decoder step,
-// shared by the parser step and the LM pass. rate is the dropout applied to
-// h-tilde (the LM pass trains without it).
+// hTilde computes the attentional h-tilde from a decoder state and its
+// attention summary — shared by the parser step and the LM pass. rate is the
+// dropout applied to it (the LM pass trains without it).
 //
 //genielint:returns-arena
-func (p *Parser) vocabDist(g *nn.Graph, h, ctx *nn.Tensor, rate float64) (htilde, pv *nn.Tensor) {
-	htilde = g.Tanh(p.combLin.Apply(g, g.ConcatRow(h, ctx)))
-	htilde = g.Dropout(htilde, rate, p.rng)
-	pv = g.SoftmaxRow(p.outLin.Apply(g, htilde))
-	return htilde, pv
+func (p *Parser) hTilde(g *nn.Graph, h, ctx *nn.Tensor, rate float64) *nn.Tensor {
+	return g.Dropout(g.Tanh(p.combLin.Apply(g, g.ConcatRow(h, ctx))), rate, p.rng)
 }
 
-// step advances the decoder one token: prev is the previous target token id.
-// It returns the vocabulary distribution, the attention weights, the
-// pointer gate, and the next state.
+// stepOut is what one decoder step produces, for one row (step) or R stacked
+// rows (decodeStepBatch): the vocabulary distribution, the source attention,
+// the pointer gate and the next state. beta (the attention over the previous
+// turn's program) and cgate (the gate that splits copy mass between source
+// and context) are nil when the step ran without a context memory.
+//
+//genielint:arena-scoped
+type stepOut struct {
+	pv, alpha, gate *nn.Tensor
+	beta, cgate     *nn.Tensor
+	next            decodeState
+}
+
+// step advances the decoder one token: prev is the previous target token id,
+// H the source memory and C the optional previous-program memory. With C nil
+// this is the single-turn step; with C a second attention over C refines
+// h-tilde (after its dropout draw) before the output and gate projections.
 //
 //genielint:returns-arena
-func (p *Parser) step(g *nn.Graph, st decodeState, prev int, H *nn.Tensor) (pv, alpha, gate *nn.Tensor, next decodeState) {
+func (p *Parser) step(g *nn.Graph, st decodeState, prev int, H, C *nn.Tensor) stepOut {
 	h, c := p.decCell(g, st, prev)
-	q := p.attnLin.Apply(g, h)
-	var ctx *nn.Tensor
-	alpha, ctx = g.AttendSoftmaxContext(q, H)
-	htilde, pv := p.vocabDist(g, h, ctx, p.cfg.Dropout)
-	gate = g.Sigmoid(p.gateLin.Apply(g, htilde))
-	return pv, alpha, gate, decodeState{h: h, c: c, ctx: ctx}
+	alpha, ctx := g.AttendSoftmaxContext(p.attnLin.Apply(g, h), H)
+	o := stepOut{alpha: alpha, next: decodeState{h: h, c: c, ctx: ctx}}
+	htilde := p.hTilde(g, h, ctx, p.cfg.Dropout)
+	if C != nil {
+		var cctx *nn.Tensor
+		o.beta, cctx = g.AttendSoftmaxContext(p.ctxAttnLin.Apply(g, htilde), C)
+		htilde = g.Tanh(p.ctxCombLin.Apply(g, g.ConcatRow(htilde, cctx)))
+	}
+	o.pv = g.SoftmaxRow(p.outLin.Apply(g, htilde))
+	o.gate = g.Sigmoid(p.gateLin.Apply(g, htilde))
+	if C != nil {
+		o.cgate = g.Sigmoid(p.ctxGateLin.Apply(g, htilde))
+	}
+	return o
 }
 
 // encodeCtx runs the previous-program encoder: context tokens are embedded
@@ -423,84 +441,33 @@ func (p *Parser) encodeCtx(g *nn.Graph, bufs *ctxBufs, ctxIds []int) *nn.Tensor 
 	return g.RowsToMatrix(rows)
 }
 
-// stepCtx is the contextual decoder step: the single-turn step through the
-// attentional h-tilde (including its dropout draw), then a second attention
-// over the context memory C whose summary refines h-tilde before the output
-// and gate projections. beta is the context attention and cgate the
-// context-copy gate that splits copy mass between source and context.
-//
-//genielint:returns-arena
-func (p *Parser) stepCtx(g *nn.Graph, st decodeState, prev int, H, C *nn.Tensor) (pv, alpha, beta, gate, cgate *nn.Tensor, next decodeState) {
-	h, c := p.decCell(g, st, prev)
-	q := p.attnLin.Apply(g, h)
-	var ctx *nn.Tensor
-	alpha, ctx = g.AttendSoftmaxContext(q, H)
-	htilde := g.Tanh(p.combLin.Apply(g, g.ConcatRow(h, ctx)))
-	htilde = g.Dropout(htilde, p.cfg.Dropout, p.rng)
-	q2 := p.ctxAttnLin.Apply(g, htilde)
-	var cctx *nn.Tensor
-	beta, cctx = g.AttendSoftmaxContext(q2, C)
-	h2 := g.Tanh(p.ctxCombLin.Apply(g, g.ConcatRow(htilde, cctx)))
-	pv = g.SoftmaxRow(p.outLin.Apply(g, h2))
-	gate = g.Sigmoid(p.gateLin.Apply(g, h2))
-	cgate = g.Sigmoid(p.ctxGateLin.Apply(g, h2))
-	return pv, alpha, beta, gate, cgate, decodeState{h: h, c: c, ctx: ctx}
+// copyMask appends to mb one flag per token of toks — whether it is the
+// target tok, i.e. a position the pointer may copy from — and returns the
+// grown buffer and the appended sub-slice. The tape retains each sub-slice
+// until Backward, so a step's masks share one growing buffer instead of one
+// allocation per token.
+func copyMask(mb []bool, toks []string, tok string) (buf, mask []bool) {
+	start := len(mb)
+	for _, s := range toks {
+		mb = append(mb, s == tok)
+	}
+	return mb, mb[start:len(mb):len(mb)]
 }
 
-// loss computes the teacher-forced loss of one pair. All per-step slices
-// (source ids, target tokens, per-token copy masks) come from the parser's
-// scratch so a steady-state training step allocates nothing.
+// loss computes the teacher-forced loss of one pair. A pair with a context
+// (on a contextual parser) encodes the previous turn's program as a second
+// memory: each step attends both and the pointer mixture splits copy mass
+// between source and context tokens. All per-step slices (ids, target
+// tokens, per-token copy masks) come from the parser's scratch so a
+// steady-state training step allocates nothing.
 func (p *Parser) loss(g *nn.Graph, pair *Pair) float64 {
+	p.scr.srcIds = p.src.EncodeInto(p.scr.srcIds[:0], pair.Src)
+	H, final := p.encode(g, &p.scr.enc, p.scr.srcIds)
+	var C *nn.Tensor
 	if p.ctxCell != nil && len(pair.Ctx) > 0 {
-		return p.lossCtx(g, pair)
+		p.scr.ctxIds = p.tgt.EncodeInto(p.scr.ctxIds[:0], pair.Ctx)
+		C = p.encodeCtx(g, &p.scr.cenc, p.scr.ctxIds)
 	}
-	p.scr.srcIds = p.src.EncodeInto(p.scr.srcIds[:0], pair.Src)
-	H, final := p.encode(g, &p.scr.enc, p.scr.srcIds)
-	st := p.initDecode(g, final)
-	prev := BosID
-	total := 0.0
-	target := append(p.scr.target[:0], pair.Tgt...)
-	target = append(target, EosToken)
-	p.scr.target = target
-	// maskBuf backs one copy mask per target token; the tape retains each
-	// sub-slice until Backward, so they share one growing buffer rather than
-	// one allocation per token.
-	mb := p.scr.maskBuf[:0]
-	for _, tok := range target {
-		pv, alpha, gate, next := p.step(g, st, prev, H)
-		vocabIdx := -1
-		if p.tgt.Has(tok) {
-			vocabIdx = p.tgt.ID(tok)
-		}
-		if p.cfg.PointerGen {
-			start := len(mb)
-			for _, s := range pair.Src {
-				mb = append(mb, s == tok)
-			}
-			mask := mb[start:len(mb):len(mb)]
-			total += g.NLLPointerMix(pv, alpha, gate, mask, vocabIdx)
-		} else {
-			idx := vocabIdx
-			if idx < 0 {
-				idx = UnkID
-			}
-			total += g.NLLPointerMix(pv, alpha, onesGate(g), nil, idx)
-		}
-		st = next
-		prev = p.tgt.ID(tok)
-	}
-	p.scr.maskBuf = mb
-	return total / float64(len(target))
-}
-
-// lossCtx is the teacher-forced loss of a contextual pair: the previous
-// turn's program is encoded as a second memory, each step attends both, and
-// the pointer mixture splits copy mass between source and context tokens.
-func (p *Parser) lossCtx(g *nn.Graph, pair *Pair) float64 {
-	p.scr.srcIds = p.src.EncodeInto(p.scr.srcIds[:0], pair.Src)
-	p.scr.ctxIds = p.tgt.EncodeInto(p.scr.ctxIds[:0], pair.Ctx)
-	H, final := p.encode(g, &p.scr.enc, p.scr.srcIds)
-	C := p.encodeCtx(g, &p.scr.cenc, p.scr.ctxIds)
 	st := p.initDecode(g, final)
 	prev := BosID
 	total := 0.0
@@ -509,31 +476,27 @@ func (p *Parser) lossCtx(g *nn.Graph, pair *Pair) float64 {
 	p.scr.target = target
 	mb := p.scr.maskBuf[:0]
 	for _, tok := range target {
-		pv, alpha, beta, gate, cgate, next := p.stepCtx(g, st, prev, H, C)
+		o := p.step(g, st, prev, H, C)
 		vocabIdx := -1
 		if p.tgt.Has(tok) {
 			vocabIdx = p.tgt.ID(tok)
 		}
-		if p.cfg.PointerGen {
-			start := len(mb)
-			for _, s := range pair.Src {
-				mb = append(mb, s == tok)
+		var srcMask, ctxMask []bool
+		switch {
+		case !p.cfg.PointerGen:
+			if vocabIdx < 0 {
+				vocabIdx = UnkID
 			}
-			srcMask := mb[start:len(mb):len(mb)]
-			cstart := len(mb)
-			for _, c := range pair.Ctx {
-				mb = append(mb, c == tok)
-			}
-			ctxMask := mb[cstart:len(mb):len(mb)]
-			total += g.NLLPointerMixCtx(pv, alpha, beta, gate, cgate, srcMask, ctxMask, vocabIdx)
-		} else {
-			idx := vocabIdx
-			if idx < 0 {
-				idx = UnkID
-			}
-			total += g.NLLPointerMix(pv, nil, onesGate(g), nil, idx)
+			total += g.NLLPointerMix(o.pv, o.alpha, onesGate(g), nil, vocabIdx)
+		case C == nil:
+			mb, srcMask = copyMask(mb, pair.Src, tok)
+			total += g.NLLPointerMix(o.pv, o.alpha, o.gate, srcMask, vocabIdx)
+		default:
+			mb, srcMask = copyMask(mb, pair.Src, tok)
+			mb, ctxMask = copyMask(mb, pair.Ctx, tok)
+			total += g.NLLPointerMixCtx(o.pv, o.alpha, o.beta, o.gate, o.cgate, srcMask, ctxMask, vocabIdx)
 		}
-		st = next
+		st = o.next
 		prev = p.tgt.ID(tok)
 	}
 	p.scr.maskBuf = mb

@@ -49,8 +49,8 @@ func TestReleasedDecodeCtxRetainsNoTensors(t *testing.T) {
 }
 
 func TestReleasedBatchDecodeCtxRetainsNoTensors(t *testing.T) {
-	dc := acquireBatchDecodeCtx()
-	for _, buf := range []*[]*nn.Tensor{&dc.bufs.embs, &dc.bufs.fhs, &dc.bufs.bhs, &dc.bufs.rows} {
+	dc := acquireDecodeCtx()
+	for _, buf := range []*[]*nn.Tensor{&dc.bufs.embs, &dc.bufs.fhs, &dc.bufs.bhs, &dc.bufs.rows, &dc.cbufs.embs, &dc.cbufs.fhs, &dc.cbufs.rows, &dc.cenc.embs, &dc.cenc.hs, &dc.cenc.rows} {
 		s := grow(buf, 6)
 		for i := range s {
 			s[i] = dc.g.NewTensor(2, 2)
@@ -63,7 +63,13 @@ func TestReleasedBatchDecodeCtxRetainsNoTensors(t *testing.T) {
 	assertCleared(t, "bufs.fhs", dc.bufs.fhs)
 	assertCleared(t, "bufs.bhs", dc.bufs.bhs)
 	assertCleared(t, "bufs.rows", dc.bufs.rows)
+	assertCleared(t, "cbufs.embs", dc.cbufs.embs)
+	assertCleared(t, "cbufs.fhs", dc.cbufs.fhs)
+	assertCleared(t, "cbufs.rows", dc.cbufs.rows)
+	assertCleared(t, "cenc.embs", dc.cenc.embs)
+	assertCleared(t, "cenc.hs", dc.cenc.hs)
+	assertCleared(t, "cenc.rows", dc.cenc.rows)
 	if dc.g != nil {
-		t.Error("released batchDecodeCtx still holds its graph")
+		t.Error("released decodeCtx still holds its graph")
 	}
 }

@@ -20,17 +20,17 @@ import (
 // skill-library cache on top of these snapshots.
 //
 //	magic   "GENIEPSR" (8 bytes)
-//	version uint64 (currently 4; version 1, 2 and 3 streams still load)
-//	config  fixed field order (ints as int64, floats as bits, bools as u8);
-//	        version 2 appends BucketByLength, version 4 appends Contextual
-//	meta    (version 2) library checksum, generation, note
-//	grammar (version 3) calibration fitted flag + threshold, grammar spec
-//	        JSON (empty when the parser decodes unmasked), spec checksum
+//	version uint64 (4; Load reads no other — an older file is an error, and
+//	        the snapshot caches retrain on it like on any unreadable file)
+//	config  fixed field order (ints as int64, floats as bits, bools as u8)
+//	meta    library checksum, generation, note
+//	grammar calibration fitted flag + threshold, grammar spec JSON (empty
+//	        when the parser decodes unmasked), spec checksum
 //	vocabs  source then target: count, then length-prefixed tokens
 //	params  count, then per tensor: rows, cols, rows*cols float64 bits;
-//	        version 4 contextual parsers append the context-encoder tensors
-//	        after the base Params() order (newParser sizes them from the
-//	        Contextual config bit, so the count check covers them)
+//	        contextual parsers append the context-encoder tensors after the
+//	        base Params() order (newParser sizes them from the Contextual
+//	        config bit, so the count check covers them)
 const (
 	snapshotMagic   = "GENIEPSR"
 	snapshotVersion = 4
@@ -48,48 +48,33 @@ type SnapshotMeta struct {
 }
 
 // Meta returns the snapshot provenance metadata (zero for parsers trained
-// locally or loaded from version-1 snapshots).
+// locally).
 func (p *Parser) Meta() SnapshotMeta { return p.meta }
 
 // SetMeta stamps the provenance metadata carried by subsequent Save calls.
 func (p *Parser) SetMeta(m SnapshotMeta) { p.meta = m }
 
-// Save writes the parser snapshot to w in the current format.
-func (p *Parser) Save(w io.Writer) error { return p.saveVersioned(w, snapshotVersion) }
-
-// saveVersioned writes the snapshot in an older (or the current) format —
-// exactly the byte stream that version's Save produced. The back-compat
-// fixtures regenerate through it; real saves always use the current version.
-func (p *Parser) saveVersioned(w io.Writer, version uint64) error {
-	if version < 1 || version > snapshotVersion {
-		return fmt.Errorf("model: cannot write snapshot version %d", version)
-	}
-	if p.cfg.Contextual && version < 4 {
-		return fmt.Errorf("model: contextual parsers need snapshot version 4 (asked for %d)", version)
-	}
+// Save writes the parser snapshot to w.
+func (p *Parser) Save(w io.Writer) error {
 	bw := &binWriter{w: bufio.NewWriter(w)}
 	bw.bytes([]byte(snapshotMagic))
-	bw.u64(version)
-	writeConfig(bw, p.cfg, version)
-	if version >= 2 {
-		bw.str(p.meta.LibraryChecksum)
-		bw.u64(p.meta.Generation)
-		bw.str(p.meta.Note)
-	}
-	if version >= 3 {
-		bw.bool(p.calib.Fitted)
-		bw.f64(p.calib.Threshold)
-		specJSON, checksum := "", ""
-		if p.gspec != nil {
-			data, err := p.gspec.Marshal()
-			if err != nil {
-				return fmt.Errorf("model: marshaling grammar spec: %w", err)
-			}
-			specJSON, checksum = string(data), p.gspec.Checksum()
+	bw.u64(snapshotVersion)
+	writeConfig(bw, p.cfg)
+	bw.str(p.meta.LibraryChecksum)
+	bw.u64(p.meta.Generation)
+	bw.str(p.meta.Note)
+	bw.bool(p.calib.Fitted)
+	bw.f64(p.calib.Threshold)
+	specJSON, checksum := "", ""
+	if p.gspec != nil {
+		data, err := p.gspec.Marshal()
+		if err != nil {
+			return fmt.Errorf("model: marshaling grammar spec: %w", err)
 		}
-		bw.str(specJSON)
-		bw.str(checksum)
+		specJSON, checksum = string(data), p.gspec.Checksum()
 	}
+	bw.str(specJSON)
+	bw.str(checksum)
 	writeVocab(bw, p.src)
 	writeVocab(bw, p.tgt)
 	params := p.Params()
@@ -120,25 +105,13 @@ func Load(r io.Reader) (*Parser, error) {
 	if string(magic) != snapshotMagic {
 		return nil, fmt.Errorf("model: not a parser snapshot (magic %q)", magic)
 	}
-	version := br.u64()
-	if version < 1 || version > snapshotVersion {
-		return nil, fmt.Errorf("model: unsupported snapshot version %d (want 1..%d)", version, snapshotVersion)
+	if version := br.u64(); br.err == nil && version != snapshotVersion {
+		return nil, fmt.Errorf("model: unsupported snapshot version %d (want %d)", version, snapshotVersion)
 	}
-	cfg := readConfig(br, version)
-	var meta SnapshotMeta
-	if version >= 2 {
-		meta.LibraryChecksum = br.str()
-		meta.Generation = br.u64()
-		meta.Note = br.str()
-	}
-	var calib Calibration
-	var specJSON, specChecksum string
-	if version >= 3 {
-		calib.Fitted = br.bool()
-		calib.Threshold = br.f64()
-		specJSON = br.str()
-		specChecksum = br.str()
-	}
+	cfg := readConfig(br)
+	meta := SnapshotMeta{LibraryChecksum: br.str(), Generation: br.u64(), Note: br.str()}
+	calib := Calibration{Fitted: br.bool(), Threshold: br.f64()}
+	specJSON, specChecksum := br.str(), br.str()
 	src := readVocab(br)
 	tgt := readVocab(br)
 	if br.err != nil {
@@ -224,7 +197,7 @@ func LoadFile(path string) (*Parser, error) {
 	return Load(f)
 }
 
-func writeConfig(bw *binWriter, c Config, version uint64) {
+func writeConfig(bw *binWriter, c Config) {
 	bw.i64(int64(c.EmbedDim))
 	bw.i64(int64(c.HiddenDim))
 	bw.f64(c.LR)
@@ -239,15 +212,11 @@ func writeConfig(bw *binWriter, c Config, version uint64) {
 	bw.i64(int64(c.MaxDecodeLen))
 	bw.i64(int64(c.MinVocabCount))
 	bw.i64(c.Seed)
-	if version >= 2 {
-		bw.bool(c.BucketByLength)
-	}
-	if version >= 4 {
-		bw.bool(c.Contextual)
-	}
+	bw.bool(c.BucketByLength)
+	bw.bool(c.Contextual)
 }
 
-func readConfig(br *binReader, version uint64) Config {
+func readConfig(br *binReader) Config {
 	var c Config
 	c.EmbedDim = int(br.i64())
 	c.HiddenDim = int(br.i64())
@@ -263,12 +232,8 @@ func readConfig(br *binReader, version uint64) Config {
 	c.MaxDecodeLen = int(br.i64())
 	c.MinVocabCount = int(br.i64())
 	c.Seed = br.i64()
-	if version >= 2 {
-		c.BucketByLength = br.bool()
-	}
-	if version >= 4 {
-		c.Contextual = br.bool()
-	}
+	c.BucketByLength = br.bool()
+	c.Contextual = br.bool()
 	return c
 }
 
@@ -289,9 +254,11 @@ func readVocab(br *binReader) *Vocab {
 		br.err = fmt.Errorf("implausible vocabulary size %d", n)
 		return newVocabFromTokens(nil)
 	}
-	tokens := make([]string, n)
-	for i := range tokens {
-		tokens[i] = br.str()
+	// Grown as tokens arrive, not sized from the header: a truncated or
+	// corrupt stream costs what it actually holds.
+	var tokens []string
+	for i := uint64(0); i < n && br.err == nil; i++ {
+		tokens = append(tokens, br.str())
 	}
 	return newVocabFromTokens(tokens)
 }

@@ -2,7 +2,9 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -65,9 +67,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotMetaRoundTrip: the version-2 provenance block survives the
-// round trip, and a version-1 stream (no meta, no BucketByLength) still
-// loads with zero meta.
+// TestSnapshotMetaRoundTrip: the provenance block survives the round trip.
 func TestSnapshotMetaRoundTrip(t *testing.T) {
 	p := trainedToyParser()
 	defer p.SetMeta(SnapshotMeta{}) // shared parser: restore for other tests
@@ -84,24 +84,6 @@ func TestSnapshotMetaRoundTrip(t *testing.T) {
 	if q.Meta() != meta {
 		t.Errorf("meta round trip = %+v, want %+v", q.Meta(), meta)
 	}
-
-	// A version-1 stream (no meta, no BucketByLength, no grammar block)
-	// still loads, with zero meta.
-	var v1 bytes.Buffer
-	if err := p.saveVersioned(&v1, 1); err != nil {
-		t.Fatalf("saveVersioned(1): %v", err)
-	}
-	q1, err := Load(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatalf("loading version-1 stream: %v", err)
-	}
-	if q1.Meta() != (SnapshotMeta{}) {
-		t.Errorf("version-1 load carries meta: %+v", q1.Meta())
-	}
-	src := []string{"tweet", "alpha", "now"}
-	if a, b := strings.Join(p.Parse(src), " "), strings.Join(q1.Parse(src), " "); a != b {
-		t.Errorf("version-1 load decodes differently: %q != %q", a, b)
-	}
 }
 
 func TestSnapshotRejectsGarbage(t *testing.T) {
@@ -115,12 +97,19 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("Load of wrong version: err = %v, want version error", err)
 	}
-	// Truncated stream.
 	p := trainedToyParser()
 	var full bytes.Buffer
 	if err := p.Save(&full); err != nil {
 		t.Fatal(err)
 	}
+	// An older format version is rejected by name, whatever follows the
+	// header: the snapshot caches retrain on it.
+	v3 := append([]byte(nil), full.Bytes()...)
+	v3[len(snapshotMagic)] = 3
+	if _, err := Load(bytes.NewReader(v3)); err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Errorf("Load of a version-3 header: err = %v, want an error naming version 3", err)
+	}
+	// Truncated stream.
 	if _, err := Load(bytes.NewReader(full.Bytes()[:full.Len()/2])); err == nil {
 		t.Error("Load accepted a truncated snapshot")
 	}
@@ -131,5 +120,38 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	corrupt[cfgOff+3] = 0x40              // EmbedDim |= 1<<30
 	if _, err := Load(bytes.NewReader(corrupt)); err == nil || !strings.Contains(err.Error(), "implausible") {
 		t.Errorf("Load of corrupt dimensions: err = %v, want implausible-dimension error", err)
+	}
+}
+
+// TestSnapshotTruncatedVocabDoesNotPreallocate: a stream that ends right
+// after a vocabulary count of 2^24 - 1 must fail on the missing tokens
+// without first sizing a slice for all of them.
+func TestSnapshotTruncatedVocabDoesNotPreallocate(t *testing.T) {
+	var full bytes.Buffer
+	if err := trainedToyParser().Save(&full); err != nil {
+		t.Fatal(err)
+	}
+	// Find the source-vocabulary count: the first u64 equal to the vocab size.
+	srcSize, _ := trainedToyParser().VocabSizes()
+	var want [8]byte
+	binary.LittleEndian.PutUint64(want[:], uint64(srcSize))
+	off := bytes.Index(full.Bytes(), append(want[:], 5, 0, 0, 0, 0, 0, 0, 0, '<', 'u', 'n', 'k', '>'))
+	if off < 0 {
+		t.Fatal("source vocabulary header not found in the snapshot")
+	}
+	stream := append([]byte(nil), full.Bytes()[:off+8]...)
+	binary.LittleEndian.PutUint64(stream[off:], 1<<24-1)
+	stream = append(stream, full.Bytes()[off+8:off+8+13]...) // one token, then EOF
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "EOF") {
+		t.Fatalf("Load of a truncated vocabulary: err = %v, want an EOF error", err)
+	}
+	// make([]string, 1<<24) is 256 MiB; reading one token costs kilobytes.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("Load allocated %d MiB for a 13-byte vocabulary", grew>>20)
 	}
 }

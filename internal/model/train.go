@@ -148,7 +148,7 @@ func (p *Parser) pretrainLM(programs [][]string) {
 		p.scr.target = target
 		for _, tok := range target {
 			hh, cc := p.decCell(g, st, prev)
-			_, pv := p.vocabDist(g, hh, st.ctx, 0)
+			pv := g.SoftmaxRow(p.outLin.Apply(g, p.hTilde(g, hh, st.ctx, 0)))
 			idx := p.tgt.ID(tok)
 			g.NLLPointerMix(pv, nil, onesGate(g), nil, idx)
 			st = decodeState{h: hh, c: cc, ctx: st.ctx}

@@ -12,15 +12,14 @@ import (
 	"repro/internal/model"
 )
 
-// adaptiveFake implements every decode surface with deterministic outputs
-// and an instrumented beam: sentences starting with "low" score below the
-// threshold (must escalate), "high" ones above it (must stay greedy). The
+// adaptiveFake decodes with deterministic outputs and an instrumented beam:
+// sentences starting with "low" score below the threshold (must escalate
+// under the adaptive policy), "high" ones above it (must stay greedy). The
 // first output token records which path decoded the request.
 type adaptiveFake struct {
 	threshold float64
 	fitted    bool
-	beamCalls atomic.Int64 // single-sentence beam decodes (ParseBeam / escalated ParseAdaptive)
-	beamRows  atomic.Int64 // sentences decoded through ParseBeamBatch
+	beams     atomic.Int64 // rows decoded with the beam
 }
 
 func (f *adaptiveFake) scoreOf(words []string) float64 {
@@ -30,58 +29,20 @@ func (f *adaptiveFake) scoreOf(words []string) float64 {
 	return f.threshold + 1
 }
 
-func (f *adaptiveFake) greedy(words []string) []string  { return append([]string{"greedy"}, words...) }
-func (f *adaptiveFake) beamOut(words []string) []string { return append([]string{"beam"}, words...) }
-
-func (f *adaptiveFake) Parse(words []string) []string { return f.greedy(words) }
-
-func (f *adaptiveFake) ParseBeam(words []string, width int) []string {
-	f.beamCalls.Add(1)
-	return f.beamOut(words)
-}
-
-func (f *adaptiveFake) ParseScored(words []string, width int) ([]string, float64) {
-	if width > 1 {
-		f.beamCalls.Add(1)
-		return f.beamOut(words), f.scoreOf(words)
+func (f *adaptiveFake) Decode(rows []model.Row, pol model.Policy) []model.Decoded {
+	out := make([]model.Decoded, len(rows))
+	for i, r := range rows {
+		s := f.scoreOf(r.Words)
+		escalated := pol.Adaptive && f.fitted && s < f.threshold
+		if pol.Beam > 1 && (!pol.Adaptive || escalated) {
+			f.beams.Add(1)
+			out[i] = model.Decoded{Tokens: append([]string{"beam"}, r.Words...), Score: s, Escalated: escalated}
+		} else {
+			out[i] = model.Decoded{Tokens: append([]string{"greedy"}, r.Words...), Score: s}
+		}
 	}
-	return f.greedy(words), f.scoreOf(words)
+	return out
 }
-
-func (f *adaptiveFake) ParseAdaptive(words []string, width int) ([]string, float64, bool) {
-	s := f.scoreOf(words)
-	if width <= 1 || !f.fitted || s >= f.threshold {
-		return f.greedy(words), s, false
-	}
-	f.beamCalls.Add(1)
-	return f.beamOut(words), s, true
-}
-
-func (f *adaptiveFake) ParseBatch(sentences [][]string) [][]string {
-	outs, _ := f.ParseBatchScored(sentences)
-	return outs
-}
-
-func (f *adaptiveFake) ParseBatchScored(sentences [][]string) ([][]string, []float64) {
-	outs := make([][]string, len(sentences))
-	scores := make([]float64, len(sentences))
-	for i, s := range sentences {
-		outs[i] = f.greedy(s)
-		scores[i] = f.scoreOf(s)
-	}
-	return outs, scores
-}
-
-func (f *adaptiveFake) ParseBeamBatch(sentences [][]string, width int) [][]string {
-	f.beamRows.Add(int64(len(sentences)))
-	outs := make([][]string, len(sentences))
-	for i, s := range sentences {
-		outs[i] = f.beamOut(s)
-	}
-	return outs
-}
-
-func (f *adaptiveFake) ConfidenceThreshold() (float64, bool) { return f.threshold, f.fitted }
 
 // TestAdaptiveBatcherEscalationCounters floods an adaptive batcher with
 // concurrent requests straddling the confidence threshold (run under -race
@@ -130,7 +91,7 @@ func TestAdaptiveBatcherEscalationCounters(t *testing.T) {
 	if st.Escalated != lowCount.Load() {
 		t.Errorf("Stats.Escalated = %d, want %d low-confidence requests", st.Escalated, lowCount.Load())
 	}
-	if observed := f.beamCalls.Load() + f.beamRows.Load(); observed != st.Escalated {
+	if observed := f.beams.Load(); observed != st.Escalated {
 		t.Errorf("escalation counter %d does not match observed beam decodes %d", st.Escalated, observed)
 	}
 	if st.Requests != n {
@@ -161,9 +122,8 @@ func TestAdaptiveBatcherUnfittedStaysGreedy(t *testing.T) {
 	wg.Wait()
 	b.Close()
 	st := b.Stats()
-	if st.Escalated != 0 || f.beamCalls.Load()+f.beamRows.Load() != 0 {
-		t.Errorf("unfitted calibration escalated: %+v, beam decodes %d",
-			st, f.beamCalls.Load()+f.beamRows.Load())
+	if st.Escalated != 0 || f.beams.Load() != 0 {
+		t.Errorf("unfitted calibration escalated: %+v, beam decodes %d", st, f.beams.Load())
 	}
 	if st.Adaptive != 60 {
 		t.Errorf("Stats.Adaptive = %d, want 60", st.Adaptive)

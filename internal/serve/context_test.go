@@ -6,17 +6,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/model"
 )
 
-// ctxFakeParser is a contextual decode surface with fully observable
-// behavior: plain decodes echo the words, contextual decodes prepend the
-// context's first token, and — mirroring *model.Parser's contract — the
-// batched contextual calls panic on any row with an empty context, so a
-// mis-partitioned window fails loudly.
+// ctxFakeParser is a contextual parser with fully observable behavior: a
+// row without context echoes the words, a row with one prepends the
+// context's first token; every score is 0.5.
 type ctxFakeParser struct {
-	batchCalls    atomic.Int64 // ParseBatch windows
-	ctxBatchCalls atomic.Int64 // ParseBatchContext windows
-	ctxCalls      atomic.Int64 // per-request contextual decodes
+	ctxRows atomic.Int64 // rows decoded against a context
 }
 
 func plainOut(words []string) []string { return append([]string{"plain"}, words...) }
@@ -25,51 +23,23 @@ func ctxOut(words, ctx []string) []string {
 	return append([]string{"ctx", ctx[0]}, words...)
 }
 
-func (p *ctxFakeParser) Parse(words []string) []string            { return plainOut(words) }
-func (p *ctxFakeParser) ParseBeam(words []string, _ int) []string { return plainOut(words) }
-func (p *ctxFakeParser) ParseBatch(sentences [][]string) [][]string {
-	p.batchCalls.Add(1)
-	out := make([][]string, len(sentences))
-	for i, s := range sentences {
-		out[i] = plainOut(s)
-	}
-	return out
-}
-func (p *ctxFakeParser) ParseBeamBatch(sentences [][]string, _ int) [][]string {
-	return p.ParseBatch(sentences)
-}
-func (p *ctxFakeParser) ParseContext(words, ctx []string) []string {
-	if len(ctx) == 0 {
-		return plainOut(words)
-	}
-	p.ctxCalls.Add(1)
-	return ctxOut(words, ctx)
-}
-func (p *ctxFakeParser) ParseContextScored(words, ctx []string, _ int) ([]string, float64) {
-	return p.ParseContext(words, ctx), 0.5
-}
-func (p *ctxFakeParser) ParseBatchContext(sentences, contexts [][]string) [][]string {
-	p.ctxBatchCalls.Add(1)
-	out := make([][]string, len(sentences))
-	for i := range sentences {
-		if len(contexts[i]) == 0 {
-			panic("serve_test: empty context row reached ParseBatchContext")
+func (p *ctxFakeParser) Decode(rows []model.Row, _ model.Policy) []model.Decoded {
+	out := make([]model.Decoded, len(rows))
+	for i, r := range rows {
+		out[i] = model.Decoded{Tokens: plainOut(r.Words), Score: 0.5}
+		if len(r.Context) > 0 {
+			p.ctxRows.Add(1)
+			out[i].Tokens = ctxOut(r.Words, r.Context)
 		}
-		out[i] = ctxOut(sentences[i], contexts[i])
 	}
 	return out
-}
-func (p *ctxFakeParser) ParseBatchContextScored(sentences, contexts [][]string) ([][]string, []float64) {
-	outs := p.ParseBatchContext(sentences, contexts)
-	return outs, make([]float64, len(outs))
 }
 func (p *ctxFakeParser) Contextual() bool { return true }
 
-// TestBatcherPartitionsContextWindows gathers mixed single-turn and
-// contextual traffic into shared windows and checks the partition: plain
-// rows decode through the plain batched surface, contextual rows through the
-// contextual one (whose model-layer contract panics on empty-context rows),
-// and every request gets the answer its own context implies.
+// TestBatcherPartitionsContextWindows sends mixed single-turn and contextual
+// traffic through shared windows: each request's context travels with its
+// own row (the parser, not the batcher, splits a window by context), and
+// every request gets the answer its own context implies.
 func TestBatcherPartitionsContextWindows(t *testing.T) {
 	p := &ctxFakeParser{}
 	b := NewBatcher(p, Options{MaxBatch: 8, Workers: 2, MaxQueue: -1})
@@ -104,23 +74,29 @@ func TestBatcherPartitionsContextWindows(t *testing.T) {
 			t.Errorf("request %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if p.ctxBatchCalls.Load() == 0 && p.ctxCalls.Load() == 0 {
-		t.Error("no contextual decode ever ran")
+	if got := p.ctxRows.Load(); got != n/2 {
+		t.Errorf("%d rows decoded against a context, want %d", got, n/2)
 	}
 	if st := b.Stats(); st.Requests != n || st.Failed != 0 {
 		t.Errorf("stats = %+v, want %d requests and no failures", st, n)
 	}
 }
 
-// TestParseContextCtxWithoutSurface: on a parser without the contextual
-// surfaces, a context-carrying request decodes single-turn — the serving
-// layer never breaks on a pre-contextual snapshot.
-// plainOnlyParser has no contextual (or batched) surface at all.
+// plainOnlyParser ignores context and does not report Contextual, like a
+// parser trained without the context encoder.
 type plainOnlyParser struct{}
 
-func (plainOnlyParser) Parse(words []string) []string            { return plainOut(words) }
-func (plainOnlyParser) ParseBeam(words []string, _ int) []string { return plainOut(words) }
+func (plainOnlyParser) Decode(rows []model.Row, _ model.Policy) []model.Decoded {
+	out := make([]model.Decoded, len(rows))
+	for i, r := range rows {
+		out[i].Tokens = plainOut(r.Words)
+	}
+	return out
+}
 
+// TestParseContextCtxWithoutSurface: on a parser without a context encoder,
+// a context-carrying request decodes single-turn — the serving layer never
+// breaks on a pre-contextual snapshot.
 func TestParseContextCtxWithoutSurface(t *testing.T) {
 	b := NewBatcher(plainOnlyParser{}, Options{MaxBatch: 4, Workers: 1, MaxQueue: -1})
 	defer b.Close()
@@ -141,8 +117,8 @@ func TestParseContextCtxWithoutSurface(t *testing.T) {
 	}
 }
 
-// TestParseContextScoredCtx: scored contextual requests flow through the
-// contextual scored surface.
+// TestParseContextScoredCtx: a scored contextual request decodes against its
+// context and reports the parser's score.
 func TestParseContextScoredCtx(t *testing.T) {
 	p := &ctxFakeParser{}
 	b := NewBatcher(p, Options{MaxBatch: 4, Workers: 1, MaxQueue: -1})

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/model"
 )
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -98,9 +100,9 @@ func TestServerDeadlineHeader408(t *testing.T) {
 	}
 }
 
-// panickyParser panics on the sentinel word, on both the per-request and the
-// batched surfaces — the poison-pill request that must not take the worker
-// or its window down. A decode of the sentinel word "hold" blocks on gate.
+// panickyParser panics on the sentinel word, alone or inside a window — the
+// poison-pill request that must not take the worker or its window down. A
+// decode of the sentinel word "hold" blocks on gate.
 type panickyParser struct {
 	decodes atomic.Int64
 	gate    chan struct{}
@@ -117,23 +119,16 @@ func (p *panickyParser) decodeOne(words []string) []string {
 	return []string{"now", "=>", "notify"}
 }
 
-func (p *panickyParser) Parse(words []string) []string { return p.decodeOne(words) }
-func (p *panickyParser) ParseBeam(words []string, width int) []string {
-	return p.decodeOne(words)
-}
-func (p *panickyParser) ParseBatch(sentences [][]string) [][]string {
-	out := make([][]string, len(sentences))
-	for i, s := range sentences {
-		out[i] = p.decodeOne(s)
+func (p *panickyParser) Decode(rows []model.Row, _ model.Policy) []model.Decoded {
+	out := make([]model.Decoded, len(rows))
+	for i, r := range rows {
+		out[i].Tokens = p.decodeOne(r.Words)
 	}
 	return out
 }
-func (p *panickyParser) ParseBeamBatch(sentences [][]string, width int) [][]string {
-	return p.ParseBatch(sentences)
-}
 
 // TestBatcherPanicIsolation queues a window with one poison-pill request
-// behind a held worker: the batched decode panics, the window re-decodes per
+// behind a held worker: the window's decode panics, the window re-decodes per
 // request, the healthy requests answer normally, only the poisoned one
 // errors with ErrDecodeFailed, and the worker survives to serve the next
 // request.

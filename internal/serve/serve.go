@@ -2,9 +2,9 @@
 // model.Parser — a pure function after training — into a long-lived service.
 // It provides a work-conserving decode worker pool (Batcher) with
 // bounded-queue admission control and graceful drain, where the requests
-// that queued behind a busy pool decode as one batched forward per decode step
-// (model.Parser.ParseBatch/ParseBeamBatch: all requests' hypotheses advance
-// in lockstep as rows of B×n tensors), an HTTP JSON front end (Server) with
+// that queued behind a busy pool decode in one model.Parser.Decode call (two
+// or more rows advance in lockstep as rows of B×n tensors, one batched forward
+// per decode step), an HTTP JSON front end (Server) with
 // a matching Client, and a trained-snapshot cache keyed by the Thingpedia
 // skill-library checksum (Cache), so re-serving an unchanged library skips
 // training entirely. The multi-skill fleet control plane (internal/fleet)
@@ -27,76 +27,18 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/model"
 )
 
 // Parser is the decoding surface the serving layer needs; *model.Parser
-// implements it.
+// implements it. One call decodes a whole pulled window: the parser — not the
+// batcher — splits it by context, sends a lone row through the row kernels
+// and two or more through the lockstep batch, and applies the policy (greedy,
+// beam, or greedy-first escalation against its fitted threshold). It stays an
+// interface so tests can substitute gated, panicking and recording parsers.
 type Parser interface {
-	Parse(words []string) []string
-	ParseBeam(words []string, width int) []string
-}
-
-// BatchParser is the batched decoding surface; *model.Parser implements it.
-// When the Batcher's parser does, each pulled window decodes as one batched
-// forward per decode step — the window's sentences (or beams) advance in
-// lockstep as rows of stacked tensors — so a backlog buys matmul width
-// instead of queueing request by request.
-type BatchParser interface {
-	ParseBatch(sentences [][]string) [][]string
-	ParseBeamBatch(sentences [][]string, width int) [][]string
-}
-
-// ScoredParser decodes with a hypothesis score; *model.Parser implements it
-// (length-normalized log-probability). The fleet router's fallback path
-// submits scored requests to every shard and keeps the best-scoring answer.
-type ScoredParser interface {
-	ParseScored(words []string, width int) ([]string, float64)
-}
-
-// AdaptiveParser decodes greedily and escalates to the beam only below its
-// fitted confidence threshold; *model.Parser implements it.
-type AdaptiveParser interface {
-	ParseAdaptive(words []string, width int) (toks []string, score float64, escalated bool)
-}
-
-// ScoredBatchParser is the batched greedy decode with per-request scores;
-// *model.Parser implements it. The adaptive batched path decodes the whole
-// window greedily through it and re-decodes only the low-confidence subset
-// with the beam.
-type ScoredBatchParser interface {
-	ParseBatchScored(sentences [][]string) ([][]string, []float64)
-}
-
-// CalibratedParser exposes the fitted confidence threshold; *model.Parser
-// implements it.
-type CalibratedParser interface {
-	ConfidenceThreshold() (threshold float64, fitted bool)
-}
-
-// ContextParser is the contextual (multi-turn) decoding surface;
-// *model.Parser implements it. ctx is the previous turn's program token
-// sequence; both methods delegate to the single-turn decode — bit-identically
-// — when ctx is empty or the parser was trained without a context encoder,
-// so a batcher over a contextual parser serves single-turn traffic
-// unchanged.
-type ContextParser interface {
-	ParseContext(words, ctx []string) []string
-	ParseContextScored(words, ctx []string, width int) ([]string, float64)
-}
-
-// AdaptiveContextParser is the contextual form of the greedy-first
-// escalation policy; *model.Parser implements it.
-type AdaptiveContextParser interface {
-	ParseContextAdaptive(words, ctx []string, width int) (toks []string, score float64, escalated bool)
-}
-
-// BatchContextParser is the batched contextual decode; *model.Parser
-// implements it. Every row must carry a non-empty context (the model layer
-// panics otherwise), so the batcher partitions each pulled window into its
-// contextual and plain halves and decodes them as separate lockstep batches.
-type BatchContextParser interface {
-	ParseBatchContext(sentences, contexts [][]string) [][]string
-	ParseBatchContextScored(sentences, contexts [][]string) ([][]string, []float64)
+	Decode(rows []model.Row, pol model.Policy) []model.Decoded
 }
 
 // Options tune the serving layer.
@@ -116,7 +58,7 @@ type Options struct {
 	MaxQueue int
 	// Adaptive (with Beam > 1) decodes greedy-first and escalates a request
 	// to the beam only when its greedy confidence falls below the parser's
-	// fitted threshold (CalibratedParser). High-confidence traffic then
+	// fitted threshold (model.Calibration). High-confidence traffic then
 	// pays greedy latency; Stats.Escalated counts the beam re-decodes. With
 	// no fitted calibration every request stays greedy.
 	Adaptive bool
@@ -158,7 +100,7 @@ type request struct {
 	ctx      context.Context // caller's deadline budget; checked before decode
 	words    []string
 	context  []string  // previous-turn program tokens (contextual decode)
-	scored   bool      // decode through ScoredParser and report the hypothesis score
+	scored   bool      // fleet fallback: fixed-width decode, caller ranks shards by score
 	admitted time.Time // when submit admitted it; the pull measures queue wait from here
 	reply    chan parseResult
 }
@@ -169,9 +111,7 @@ type request struct {
 // queued, up to MaxBatch. Requests only accumulate while every worker is
 // busy, so batch size tracks load by itself: an idle batcher decodes at B=1
 // with no added wait, a saturated one forms full MaxBatch windows at pull
-// time. When the parser supports batched decoding (BatchParser, which
-// *model.Parser does), a worker decodes its whole window in one lockstep
-// batched call; otherwise workers pull one request at a time. Because
+// time. A worker decodes its whole window in one Parser.Decode call. Because
 // decoding is concurrency-safe, all workers share the one trained parser,
 // and distinct windows decode concurrently.
 //
@@ -184,14 +124,6 @@ type request struct {
 type Batcher struct {
 	opt    Options
 	parser Parser
-	bp     BatchParser       // non-nil when parser supports batched decode
-	sp     ScoredParser      // non-nil when parser supports scored decode
-	ap     AdaptiveParser    // non-nil when parser supports adaptive decode
-	sbp    ScoredBatchParser // non-nil when parser supports scored batched decode
-	cp     CalibratedParser  // non-nil when parser exposes its calibration
-	ctxp   ContextParser     // non-nil when parser supports contextual decode
-	acp    AdaptiveContextParser
-	bcp    BatchContextParser
 
 	in   chan request
 	done chan struct{}
@@ -227,14 +159,6 @@ func NewBatcher(p Parser, opt Options) *Batcher {
 		done:   make(chan struct{}),
 		hist:   make([]atomic.Int64, opt.MaxBatch),
 	}
-	b.bp, _ = p.(BatchParser)
-	b.sp, _ = p.(ScoredParser)
-	b.ap, _ = p.(AdaptiveParser)
-	b.sbp, _ = p.(ScoredBatchParser)
-	b.cp, _ = p.(CalibratedParser)
-	b.ctxp, _ = p.(ContextParser)
-	b.acp, _ = p.(AdaptiveContextParser)
-	b.bcp, _ = p.(BatchContextParser)
 	for w := 0; w < opt.Workers; w++ {
 		b.wg.Add(1)
 		go b.worker()
@@ -242,11 +166,12 @@ func NewBatcher(p Parser, opt Options) *Batcher {
 	return b
 }
 
-// window is one worker's reusable scratch: the pulled requests, their
-// partition, and the sentence/context rows handed to the batched decode.
+// window is one worker's reusable scratch: the pulled requests, the scored
+// ones among them (they decode under their own policy), and the rows handed
+// to Decode.
 type window struct {
-	batch, scored, ctxed []request
-	sentences, contexts  [][]string
+	batch, scored []request
+	rows          []model.Row
 }
 
 // worker is the work-conserving pull loop: block for one request, take
@@ -256,11 +181,7 @@ type window struct {
 // empty once done is closed may exit: every admitted request has been pulled.
 func (b *Batcher) worker() {
 	defer b.wg.Done()
-	limit := b.opt.MaxBatch
-	if b.bp == nil {
-		limit = 1 // no batched decode surface: one request per worker at a time
-	}
-	w := &window{batch: make([]request, 0, limit)}
+	w := &window{batch: make([]request, 0, b.opt.MaxBatch)}
 	for {
 		var first request
 		select {
@@ -274,7 +195,7 @@ func (b *Batcher) worker() {
 		}
 		w.batch = append(w.batch[:0], first)
 	fill:
-		for len(w.batch) < limit {
+		for len(w.batch) < b.opt.MaxBatch {
 			select {
 			case r := <-b.in:
 				w.batch = append(w.batch, r)
@@ -296,269 +217,84 @@ func (b *Batcher) worker() {
 		// Drop the served requests so an idle worker pins no caller memory.
 		clear(w.batch)
 		clear(w.scored)
-		clear(w.ctxed)
+		clear(w.rows[:cap(w.rows)]) // decode reslices it once per policy
 	}
 }
 
 // serveBatch answers one pulled window. Requests whose deadline budget ran
 // out while they sat in the queue are answered with their context error
-// before any decode is spent on them (the HTTP layer maps that to 408);
-// scored requests decode per-request through ScoredParser; the plain
-// remainder decodes as one lockstep batched call when the parser supports
-// it. A decode panic anywhere is recovered into a per-request
-// ErrDecodeFailed instead of killing the worker.
+// before any decode is spent on them (the HTTP layer maps that to 408). The
+// rest decode in one Decode call under the batcher's policy — except scored
+// requests (the fleet router's fallback), which keep a fixed-width,
+// non-adaptive policy so their scores rank shards like for like, and stay
+// out of the adaptive counters.
 func (b *Batcher) serveBatch(w *window) {
-	// The expired/scored/contextual partition appends lag the iteration, so
-	// reusing the batch's backing array for the plain prefix is safe.
+	// The partition appends lag the iteration, so reusing the batch's
+	// backing array for the unscored prefix is safe.
 	plain := w.batch[:0]
-	w.scored, w.ctxed = w.scored[:0], w.ctxed[:0]
+	w.scored = w.scored[:0]
 	for _, r := range w.batch {
 		switch {
 		case r.ctx != nil && r.ctx.Err() != nil:
 			b.expired.Add(1)
 			b.reply(r, parseResult{err: r.ctx.Err()})
-		case r.scored && (b.sp != nil || (len(r.context) > 0 && b.ctxp != nil)):
+		case r.scored:
 			w.scored = append(w.scored, r)
-		case len(r.context) > 0 && b.ctxp != nil:
-			w.ctxed = append(w.ctxed, r)
 		default:
 			plain = append(plain, r)
 		}
 	}
-	if b.bp != nil && len(plain) > 1 {
-		w.sentences = w.sentences[:0]
-		for _, r := range plain {
-			w.sentences = append(w.sentences, r.words)
-		}
-		outs, err := b.decodeWindow(w.sentences)
-		if err == nil {
-			for i, r := range plain {
-				b.reply(r, parseResult{toks: outs[i]})
-			}
-		} else {
-			// The batched call panicked: one poisoned request must not take
-			// the whole window down. Re-decode per request so only the
-			// poisoned one errors.
-			for _, r := range plain {
-				toks, derr := b.safeDecode(r.words)
-				b.reply(r, parseResult{toks: toks, err: derr})
-			}
-		}
-	} else {
-		for _, r := range plain {
-			toks, err := b.safeDecode(r.words)
-			b.reply(r, parseResult{toks: toks, err: err})
-		}
-	}
-	b.serveContextWindow(w)
-	for _, r := range w.scored {
-		b.reply(r, b.safeScored(r))
-	}
+	b.decode(w, plain, model.Policy{Beam: b.opt.Beam, Adaptive: b.opt.Adaptive})
+	b.decode(w, w.scored, model.Policy{Beam: b.opt.Beam})
 }
 
-// serveContextWindow answers the contextual part of a pulled window. It
-// decodes as one lockstep contextual batch when the parser has the batched
-// surface and the policy allows it (greedy, or adaptive — there is no
-// batched contextual beam, so fixed beam widths decode per request), with
-// the same panic-isolation fallback as the plain window.
-func (b *Batcher) serveContextWindow(w *window) {
-	ctxed := w.ctxed
-	if len(ctxed) == 0 {
+// decode answers reqs with one Decode call. A decode panic is recovered
+// instead of killing the worker: the window is re-decoded request by request,
+// so only the poisoned request gets ErrDecodeFailed.
+func (b *Batcher) decode(w *window, reqs []request, pol model.Policy) {
+	if len(reqs) == 0 {
 		return
 	}
-	if b.bcp != nil && len(ctxed) > 1 && (b.opt.Beam <= 1 || b.adaptiveOn()) {
-		w.sentences, w.contexts = w.sentences[:0], w.contexts[:0]
-		for _, r := range ctxed {
-			w.sentences = append(w.sentences, r.words)
-			w.contexts = append(w.contexts, r.context)
-		}
-		outs, err := b.decodeContextWindow(w.sentences, w.contexts)
-		if err == nil {
-			for i, r := range ctxed {
-				b.reply(r, parseResult{toks: outs[i]})
-			}
-			return
-		}
-		// Batched contextual decode panicked: re-decode per request so only
-		// the poisoned request errors.
+	w.rows = w.rows[:0]
+	for _, r := range reqs {
+		w.rows = append(w.rows, model.Row{Words: r.words, Context: r.context})
 	}
-	for _, r := range ctxed {
-		toks, err := b.safeDecodeContext(r.words, r.context)
-		b.reply(r, parseResult{toks: toks, err: err})
-	}
-}
-
-// decodeContextWindow is decodeWindow's contextual twin: greedy lockstep
-// batch, or — under the adaptive policy — a scored greedy batch with only
-// the low-confidence rows re-decoded through the contextual beam.
-func (b *Batcher) decodeContextWindow(sentences, contexts [][]string) (outs [][]string, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			outs, err = nil, fmt.Errorf("%w: batched context decode panicked: %v", ErrDecodeFailed, rec)
-		}
-	}()
-	if b.adaptiveOn() {
-		return b.decodeAdaptiveContextBatch(sentences, contexts), nil
-	}
-	return b.bcp.ParseBatchContext(sentences, contexts), nil
-}
-
-// decodeAdaptiveContextBatch mirrors decodeAdaptiveBatch for contextual
-// rows: the window decodes greedily in one scored contextual batch, then
-// requests below the fitted confidence threshold re-decode one by one
-// through the contextual beam (there is no batched contextual beam).
-func (b *Batcher) decodeAdaptiveContextBatch(sentences, contexts [][]string) [][]string {
-	outs, scores := b.bcp.ParseBatchContextScored(sentences, contexts)
-	b.adaptive.Add(int64(len(sentences)))
-	var thr float64
-	fitted := false
-	if b.cp != nil {
-		thr, fitted = b.cp.ConfidenceThreshold()
-	}
-	if !fitted {
-		return outs
-	}
-	for i, s := range scores {
-		if len(sentences[i]) > 0 && s < thr {
-			outs[i], _ = b.ctxp.ParseContextScored(sentences[i], contexts[i], b.opt.Beam)
-			b.escalated.Add(1)
-		}
-	}
-	return outs
-}
-
-// safeDecodeContext is the per-request contextual decode with panic
-// recovery.
-func (b *Batcher) safeDecodeContext(words, ctx []string) (toks []string, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			b.failed.Add(1)
-			toks, err = nil, fmt.Errorf("%w: context decode panicked: %v", ErrDecodeFailed, rec)
-		}
-	}()
-	return b.decodeContext(words, ctx), nil
-}
-
-func (b *Batcher) decodeContext(words, ctx []string) []string {
-	if b.adaptiveOn() && b.acp != nil {
-		toks, _, escalated := b.acp.ParseContextAdaptive(words, ctx, b.opt.Beam)
-		b.adaptive.Add(1)
-		if escalated {
-			b.escalated.Add(1)
-		}
-		return toks
-	}
-	if b.opt.Beam > 1 {
-		toks, _ := b.ctxp.ParseContextScored(words, ctx, b.opt.Beam)
-		return toks
-	}
-	return b.ctxp.ParseContext(words, ctx)
-}
-
-// decodeWindow decodes one pulled window through the batched surface,
-// recovering a panic into an error instead of killing the worker.
-func (b *Batcher) decodeWindow(sentences [][]string) (outs [][]string, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			outs, err = nil, fmt.Errorf("%w: batched decode panicked: %v", ErrDecodeFailed, rec)
-		}
-	}()
+	outs, err := b.safeDecode(w.rows, pol)
 	switch {
-	case b.adaptiveOn() && b.sbp != nil:
-		outs = b.decodeAdaptiveBatch(sentences)
-	case b.opt.Beam > 1:
-		outs = b.bp.ParseBeamBatch(sentences, b.opt.Beam)
-	default:
-		outs = b.bp.ParseBatch(sentences)
+	case err != nil && len(reqs) > 1:
+		for i := range reqs {
+			b.decode(w, reqs[i:i+1], pol)
+		}
+		return
+	case err != nil:
+		b.failed.Add(1)
+		b.reply(reqs[0], parseResult{err: err})
+		return
 	}
-	return outs, nil
+	for i, r := range reqs {
+		if pol.Adaptive && pol.Beam > 1 {
+			b.adaptive.Add(1)
+			if outs[i].Escalated {
+				b.escalated.Add(1)
+			}
+		}
+		b.reply(r, parseResult{toks: outs[i].Tokens, score: outs[i].Score})
+	}
 }
 
-// safeDecode is the per-request decode with panic recovery.
-func (b *Batcher) safeDecode(words []string) (toks []string, err error) {
+// safeDecode is Parser.Decode with a panic recovered into ErrDecodeFailed.
+func (b *Batcher) safeDecode(rows []model.Row, pol model.Policy) (outs []model.Decoded, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			b.failed.Add(1)
-			toks, err = nil, fmt.Errorf("%w: decode panicked: %v", ErrDecodeFailed, rec)
+			outs, err = nil, fmt.Errorf("%w: decode panicked: %v", ErrDecodeFailed, rec)
 		}
 	}()
-	return b.decode(words), nil
-}
-
-// safeScored is the per-request scored decode with panic recovery;
-// contextual requests score through the contextual surface.
-func (b *Batcher) safeScored(r request) (res parseResult) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			b.failed.Add(1)
-			res = parseResult{err: fmt.Errorf("%w: decode panicked: %v", ErrDecodeFailed, rec)}
-		}
-	}()
-	if len(r.context) > 0 && b.ctxp != nil {
-		toks, score := b.ctxp.ParseContextScored(r.words, r.context, max(1, b.opt.Beam))
-		return parseResult{toks: toks, score: score}
-	}
-	toks, score := b.sp.ParseScored(r.words, max(1, b.opt.Beam))
-	return parseResult{toks: toks, score: score}
+	return b.parser.Decode(rows, pol), nil
 }
 
 func (b *Batcher) reply(r request, res parseResult) {
 	r.reply <- res
 	b.depth.Add(-1)
-}
-
-func (b *Batcher) decode(words []string) []string {
-	if b.adaptiveOn() && b.ap != nil {
-		toks, _, escalated := b.ap.ParseAdaptive(words, b.opt.Beam)
-		b.adaptive.Add(1)
-		if escalated {
-			b.escalated.Add(1)
-		}
-		return toks
-	}
-	if b.opt.Beam > 1 {
-		return b.parser.ParseBeam(words, b.opt.Beam)
-	}
-	return b.parser.Parse(words)
-}
-
-// adaptiveOn reports whether the greedy-first escalation policy applies
-// (beam width 1 has nothing to escalate to).
-func (b *Batcher) adaptiveOn() bool { return b.opt.Adaptive && b.opt.Beam > 1 }
-
-// decodeAdaptiveBatch is the windowed form of the adaptive policy: the whole
-// window decodes greedily in lockstep, then only the requests whose greedy
-// confidence falls below the fitted threshold re-decode as one beam batch.
-func (b *Batcher) decodeAdaptiveBatch(sentences [][]string) [][]string {
-	outs, scores := b.sbp.ParseBatchScored(sentences)
-	b.adaptive.Add(int64(len(sentences)))
-	var thr float64
-	fitted := false
-	if b.cp != nil {
-		thr, fitted = b.cp.ConfidenceThreshold()
-	}
-	if !fitted {
-		return outs
-	}
-	var low []int
-	for i, s := range scores {
-		if len(sentences[i]) > 0 && s < thr {
-			low = append(low, i)
-		}
-	}
-	if len(low) == 0 {
-		return outs
-	}
-	sub := make([][]string, len(low))
-	for j, i := range low {
-		sub[j] = sentences[i]
-	}
-	reouts := b.bp.ParseBeamBatch(sub, b.opt.Beam)
-	for j, i := range low {
-		outs[i] = reouts[j]
-	}
-	b.escalated.Add(int64(len(low)))
-	return outs
 }
 
 // submit admits one request or reports why it cannot: ErrClosed after
@@ -605,8 +341,8 @@ func (b *Batcher) ParseCtx(ctx context.Context, words []string) ([]string, error
 }
 
 // ParseContextCtx is ParseCtx conditioned on the previous turn's program
-// tokens (multi-turn dialogue). With an empty prior — or a parser without
-// the ContextParser surface — it is exactly ParseCtx, so callers can thread
+// tokens (multi-turn dialogue). With an empty prior — or a parser trained
+// without a context encoder — it is exactly ParseCtx, so callers can thread
 // session context unconditionally.
 func (b *Batcher) ParseContextCtx(ctx context.Context, words, prior []string) ([]string, error) {
 	res, err := b.do(ctx, request{words: words, context: prior, reply: make(chan parseResult, 1)})
@@ -614,8 +350,8 @@ func (b *Batcher) ParseContextCtx(ctx context.Context, words, prior []string) ([
 }
 
 // ParseScoredCtx is ParseCtx plus the decoded hypothesis's
-// length-normalized score (see model.Parser.ParseScored); it requires a
-// parser with the ScoredParser surface, else the score is 0.
+// length-normalized score (model.Decoded.Score), decoded at the batcher's
+// beam width without the adaptive policy.
 func (b *Batcher) ParseScoredCtx(ctx context.Context, words []string) ([]string, float64, error) {
 	res, err := b.do(ctx, request{words: words, scored: true, reply: make(chan parseResult, 1)})
 	return res.toks, res.score, err

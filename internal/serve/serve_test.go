@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -107,9 +108,9 @@ func TestBatcherMatchesDirectDecode(t *testing.T) {
 }
 
 // recordingBatchParser delegates to the real parser, recording the size of
-// every batched-decode call. With a gate, every decode — single or batched —
-// blocks until the test closes it, so a test can park the workers, let a
-// backlog queue behind them, and observe the windows that form on release.
+// every Decode call over more than one row. With a gate, every decode blocks
+// until the test closes it, so a test can park the workers, let a backlog
+// queue behind them, and observe the windows that form on release.
 type recordingBatchParser struct {
 	p       *model.Parser
 	gate    chan struct{} // non-nil: decodes block until it is closed
@@ -118,33 +119,17 @@ type recordingBatchParser struct {
 	windows []int // batched-decode call sizes, in call order
 }
 
-func (r *recordingBatchParser) hold(window int) {
-	if window > 0 {
+func (r *recordingBatchParser) Decode(rows []model.Row, pol model.Policy) []model.Decoded {
+	if len(rows) > 1 {
 		r.mu.Lock()
-		r.windows = append(r.windows, window)
+		r.windows = append(r.windows, len(rows))
 		r.mu.Unlock()
 	}
 	r.entered.Add(1)
 	if r.gate != nil {
 		<-r.gate
 	}
-}
-
-func (r *recordingBatchParser) Parse(words []string) []string {
-	r.hold(0)
-	return r.p.Parse(words)
-}
-func (r *recordingBatchParser) ParseBeam(words []string, width int) []string {
-	r.hold(0)
-	return r.p.ParseBeam(words, width)
-}
-func (r *recordingBatchParser) ParseBatch(sentences [][]string) [][]string {
-	r.hold(len(sentences))
-	return r.p.ParseBatch(sentences)
-}
-func (r *recordingBatchParser) ParseBeamBatch(sentences [][]string, width int) [][]string {
-	r.hold(len(sentences))
-	return r.p.ParseBeamBatch(sentences, width)
+	return r.p.Decode(rows, pol)
 }
 
 // parkWorkers occupies each of the batcher's n workers with one request held
@@ -274,8 +259,8 @@ func TestBatcherBatchedDecodeParity(t *testing.T) {
 		if widest != 8 {
 			t.Errorf("beam=%d: widest batched window = %d, want MaxBatch 8 (windows %v)", beam, widest, windows)
 		}
-		// A window of one decodes per request, so at most one row per worker
-		// (its last, partial pull) may bypass the batched surface.
+		// A window of one is not recorded, so at most one row per worker (its
+		// last, partial pull) may be missing from the recorded windows.
 		if rows < int(backlog)-2 {
 			t.Errorf("beam=%d: batched surface decoded %d of %d backlog rows (windows %v)", beam, rows, backlog, windows)
 		}
@@ -311,46 +296,6 @@ func TestBatcherIdleDispatchesImmediately(t *testing.T) {
 	}
 }
 
-// plainParser is a Parser without the batched surface, covering the
-// Batcher's per-request fallback fan-out.
-type plainParser struct{ p *model.Parser }
-
-func (pp plainParser) Parse(words []string) []string { return pp.p.Parse(words) }
-func (pp plainParser) ParseBeam(words []string, width int) []string {
-	return pp.p.ParseBeam(words, width)
-}
-
-// TestBatcherFallbackWithoutBatchParser drives concurrent traffic through a
-// parser that lacks ParseBatch: workers pull one request at a time, so the
-// requests fan across the pool and answer correctly.
-func TestBatcherFallbackWithoutBatchParser(t *testing.T) {
-	pp := plainParser{p: toyParser()}
-	b := NewBatcher(pp, Options{MaxBatch: 8, Workers: 4})
-	defer b.Close()
-	sentences := testSentences()
-	var wg sync.WaitGroup
-	for rep := 0; rep < 2; rep++ {
-		for i := range sentences {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				got, err := b.ParseCtx(context.Background(), sentences[i])
-				if err != nil {
-					t.Errorf("ParseCtx: %v", err)
-					return
-				}
-				if want := strings.Join(pp.p.Parse(sentences[i]), " "); strings.Join(got, " ") != want {
-					t.Errorf("fallback decode of %v = %q, want %q", sentences[i], strings.Join(got, " "), want)
-				}
-			}(i)
-		}
-	}
-	wg.Wait()
-	if st := b.Stats(); st.Requests != int64(2*len(sentences)) || st.Batches != st.Requests {
-		t.Errorf("Stats = %+v, want %d requests pulled one at a time", st, 2*len(sentences))
-	}
-}
-
 // slowParser blocks each decode until released, so tests can hold requests
 // in flight deterministically.
 type slowParser struct {
@@ -358,15 +303,14 @@ type slowParser struct {
 	calls   atomic.Int64
 }
 
-func (s *slowParser) decodeOne() []string {
-	s.calls.Add(1)
-	<-s.release
-	return []string{"now", "=>", "notify"}
-}
-
-func (s *slowParser) Parse(words []string) []string { return s.decodeOne() }
-func (s *slowParser) ParseBeam(words []string, width int) []string {
-	return s.decodeOne()
+func (s *slowParser) Decode(rows []model.Row, _ model.Policy) []model.Decoded {
+	out := make([]model.Decoded, len(rows))
+	for i := range rows {
+		s.calls.Add(1)
+		<-s.release
+		out[i].Tokens = []string{"now", "=>", "notify"}
+	}
+	return out
 }
 
 // TestBatcherBackpressureSheds fills the admission queue against a blocked
@@ -654,6 +598,79 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized POST /parse status = %d, want 413", resp.StatusCode)
+	}
+	// A body under the byte cap can still carry far more tokens than any
+	// command: the sentence and the context are each capped before decode.
+	long := strings.Repeat("a ", MaxSentenceWords+1)
+	for name, body := range map[string]string{
+		"sentence": `{"sentence":"` + long + `"}`,
+		"words":    `{"words":["` + strings.Join(strings.Fields(long), `","`) + `"]}`,
+		"context":  `{"sentence":"tweet alpha now","context":["` + strings.Join(strings.Fields(long), `","`) + `"]}`,
+	} {
+		before := srv.Batcher().Stats().Requests
+		resp, err = ts.Client().Post(ts.URL+"/parse", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "limit 512") {
+			t.Errorf("over-long %s: status = %d (%q), want 400 naming the limit", name, resp.StatusCode, msg)
+		}
+		if after := srv.Batcher().Stats().Requests; after != before {
+			t.Errorf("over-long %s reached the decoder", name)
+		}
+	}
+	// At the cap is fine.
+	atCap := `{"sentence":"` + strings.Repeat("a ", MaxSentenceWords) + `"}`
+	resp, err = ts.Client().Post(ts.URL+"/parse", "application/json", strings.NewReader(atCap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("POST /parse of %d words status = %d, want 200", MaxSentenceWords, resp.StatusCode)
+	}
+}
+
+// TestDeadlineContextBudgets: the deadline header grants finite, non-negative
+// budgets (clamped to MaxDeadline) and is ignored otherwise. NaN, Inf and a
+// budget past ~9.2e12 ms must not turn into a negative timeout — an instant
+// 408 for the caller with the largest budget.
+func TestDeadlineContextBudgets(t *testing.T) {
+	for _, tc := range []struct {
+		header string
+		budget time.Duration // 0 = no deadline
+	}{
+		{"", 0},
+		{"soon", 0},
+		{"NaN", 0},
+		{"Inf", 0},
+		{"-Inf", 0},
+		{"-1", 0},
+		{"250", 250 * time.Millisecond},
+		{"1e300", MaxDeadline},
+		{"9.3e12", MaxDeadline},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/parse", nil)
+		if tc.header != "" {
+			r.Header.Set(DeadlineHeader, tc.header)
+		}
+		ctx, cancel := DeadlineContext(r)
+		deadline, ok := ctx.Deadline()
+		if err := ctx.Err(); err != nil {
+			t.Errorf("header %q: context already done: %v", tc.header, err)
+		}
+		cancel()
+		if tc.budget == 0 {
+			if ok {
+				t.Errorf("header %q set a deadline %s away, want none", tc.header, time.Until(deadline))
+			}
+			continue
+		}
+		if left := time.Until(deadline); !ok || left > tc.budget || left < tc.budget-time.Minute {
+			t.Errorf("header %q: deadline %s away (set=%v), want %s", tc.header, left, ok, tc.budget)
+		}
 	}
 }
 

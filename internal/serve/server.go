@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -203,19 +205,25 @@ const DeadlineHeader = "X-Genie-Deadline-Ms"
 // follow-ups land where the session state lives.
 const SessionHeader = "X-Genie-Session"
 
+// MaxDeadline is the largest budget DeadlineHeader can grant; a larger value
+// is clamped to it. Unclamped, a budget past ~9.2e12 ms overflows
+// time.Duration to a negative timeout.
+const MaxDeadline = 24 * time.Hour
+
 // DeadlineContext applies an inbound request's propagated deadline budget:
-// the returned context carries min(connection lifetime, header budget).
-// With no (or an unparsable) header it is just the request context.
+// the returned context carries min(connection lifetime, header budget,
+// MaxDeadline). With no header, or an unparsable, negative or non-finite
+// one, it is just the request context.
 func DeadlineContext(r *http.Request) (context.Context, context.CancelFunc) {
-	v := r.Header.Get(DeadlineHeader)
-	if v == "" {
+	ms, err := strconv.ParseFloat(r.Header.Get(DeadlineHeader), 64)
+	if err != nil || ms < 0 || math.IsNaN(ms) || math.IsInf(ms, 0) {
 		return r.Context(), func() {}
 	}
-	ms, err := strconv.ParseFloat(v, 64)
-	if err != nil || ms < 0 {
-		return r.Context(), func() {}
+	budget := MaxDeadline
+	if ms < float64(MaxDeadline/time.Millisecond) {
+		budget = time.Duration(ms * float64(time.Millisecond))
 	}
-	return context.WithTimeout(r.Context(), time.Duration(ms*float64(time.Millisecond)))
+	return context.WithTimeout(r.Context(), budget)
 }
 
 // SetDeadlineHeader stamps ctx's remaining deadline budget onto an outbound
@@ -255,11 +263,21 @@ func WriteParseError(w http.ResponseWriter, r *http.Request, err error) {
 // answers 413.
 const MaxRequestBytes = 1 << 20
 
+// MaxSentenceWords and MaxContextTokens cap what one request may ask the
+// decoder to encode (400 beyond them): the encoders and every decode step's
+// attention are linear in both, and a MaxRequestBytes body fits ~260k
+// one-letter words. The longest compound command in the benchmark traffic is
+// ~40 tokens, and a stored previous program is at most MaxDecodeLen long.
+const (
+	MaxSentenceWords = 512
+	MaxContextTokens = 512
+)
+
 // ReadParseRequest decodes and validates an inbound POST /parse into req and
 // returns its tokenized sentence. On a wrong method (405), a body over
-// MaxRequestBytes (413), malformed JSON or an empty sentence (400) it writes
-// the error reply itself and reports false. Shared by the single-parser,
-// fleet and gateway handlers.
+// MaxRequestBytes (413), malformed JSON, an empty sentence, or a sentence or
+// context over its token cap (400) it writes the error reply itself and
+// reports false. Shared by the single-parser, fleet and gateway handlers.
 func ReadParseRequest(w http.ResponseWriter, r *http.Request, req *ParseRequest) (words []string, ok bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -275,11 +293,17 @@ func ReadParseRequest(w http.ResponseWriter, r *http.Request, req *ParseRequest)
 		return nil, false
 	}
 	words = req.RequestWords()
-	if len(words) == 0 {
+	switch {
+	case len(words) == 0:
 		http.Error(w, "empty sentence", http.StatusBadRequest)
-		return nil, false
+	case len(words) > MaxSentenceWords:
+		http.Error(w, fmt.Sprintf("sentence has %d words, limit %d", len(words), MaxSentenceWords), http.StatusBadRequest)
+	case len(req.Context) > MaxContextTokens:
+		http.Error(w, fmt.Sprintf("context has %d tokens, limit %d", len(req.Context), MaxContextTokens), http.StatusBadRequest)
+	default:
+		return words, true
 	}
-	return words, true
+	return nil, false
 }
 
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
