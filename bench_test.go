@@ -240,9 +240,9 @@ func benchBatchPairs() []model.Pair {
 // padded-minibatch path at B=1 vs B=16: each iteration is one full
 // forward/backward/Adam step over a minibatch, and the ns/example metric
 // divides by the batch width. The B=16 leg amortizes weight-matrix streaming
-// and per-op tape overhead over 16 rows (and, on a multi-core runner, splits
-// each kernel across cores); the ratio of the two legs' ns/example is the
-// minibatching speedup.
+// (four weight rows, once loaded, serve all 16 rows), the Adam update and
+// per-op tape overhead over 16 examples, on one goroutine; the ratio of the
+// two legs' ns/example is the minibatching speedup.
 func BenchmarkTrainStepBatched(b *testing.B) {
 	pairs := benchBatchPairs()
 	// B=1 is the pre-existing per-example Step path (the "before"); B=16

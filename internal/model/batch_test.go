@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -83,20 +84,36 @@ func TestStepBatchMatchesStepAtB1(t *testing.T) {
 }
 
 // TestStepBatchSteadyStateAllocs: the minibatch step keeps the arena
-// property — once buffers are warm it stays within a small fixed budget.
+// property — once buffers are warm it stays within a small fixed budget — on
+// a multi-core host and at the width and dimensions training runs at (B=16,
+// the unit preset's 48/64), where the kernels once forked goroutines per
+// call and a step cost ~900 allocations. testing.AllocsPerRun cannot see
+// that — it pins GOMAXPROCS to 1 for the measurement — so the mallocs are
+// counted here.
 func TestStepBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	pairs := variedPairs()
-	cfg := Config{EmbedDim: 32, HiddenDim: 48, LR: 1e-3, Dropout: 0.1, Epochs: 1,
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var pairs []Pair
+	for len(pairs) < 16 {
+		pairs = append(pairs, variedPairs()...)
+	}
+	pairs = pairs[:16]
+	cfg := Config{EmbedDim: 48, HiddenDim: 64, LR: 1e-3, Dropout: 0.1, Epochs: 1,
 		EvalEvery: 1 << 30, PointerGen: true, MaxDecodeLen: 16, MinVocabCount: 1, Seed: 1}
 	tr := NewTrainer(pairs, nil, cfg)
 	for i := 0; i < 3; i++ {
 		tr.StepBatch(pairs)
 	}
-	const budget = 16
-	if n := testing.AllocsPerRun(50, func() { tr.StepBatch(pairs) }); n > budget {
+	const budget, runs = 16, 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		tr.StepBatch(pairs)
+	}
+	runtime.ReadMemStats(&after)
+	if n := float64(after.Mallocs-before.Mallocs) / runs; n > budget {
 		t.Errorf("steady-state StepBatch allocates %v, budget %d", n, budget)
 	}
 }

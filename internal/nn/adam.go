@@ -72,9 +72,7 @@ func (a *Adam) Step(params []*Tensor) {
 	if a.Clip > 0 {
 		var norm float64
 		for _, p := range params {
-			for _, d := range p.DW {
-				norm += d * d
-			}
+			norm = sumSquares(norm, p.DW)
 		}
 		norm = math.Sqrt(norm)
 		if norm > a.Clip {

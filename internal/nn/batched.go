@@ -1,158 +1,23 @@
 package nn
 
-import (
-	"math"
-	"runtime"
-	"sync"
-)
+import "math"
 
 // This file holds the batched (B×n) kernels: the per-row fused kernels of
 // fused.go lifted to operate on B stacked rows in one forward pass and one
 // tape record. Every kernel accumulates, per row, exactly the same
 // floating-point expressions in the same order as B independent single-row
 // calls — so a batched loss matches the mean of per-example losses to
-// rounding, and the parity tests in batched_test.go can pin it tightly.
+// rounding, and the parity tests in batched_test.go can pin it tightly. The
+// one exception is the input gradient of a batched matrix product, whose
+// j-sum runs over four lane accumulators (kernel.go) where the single-row
+// backward uses one; the kernel parity tests bound that within ~1 ulp.
 //
-// Large kernels split their work across GOMAXPROCS goroutines: rows for the
-// forward passes, weight-matrix rows (the k dimension) for the matmul
-// backward. The partitions are disjoint and every accumulator keeps its
-// sequential order, so results are bitwise deterministic for any core count.
-// Below the parallelWorkMin flop estimate a kernel runs inline through the
-// same named chunk function, allocating nothing; only the parallel branch
-// pays a closure and WaitGroup per call.
+// Everything runs on the calling goroutine: a training step forks nothing
+// and, on a warm arena, allocates nothing. Parallelism lives above the step
+// (experiment workers, serving workers), where the units are independent.
 
 // nllEps matches the epsilon inside NLLPointerMix.
 const nllEps = 1e-9
-
-// parallelWorkMin is the approximate per-kernel flop count below which
-// forking goroutines costs more than it saves and the kernel runs inline.
-const parallelWorkMin = 1 << 16
-
-// useParallel reports whether a kernel over n chunks of approximately work
-// total flops should fork.
-func useParallel(n, work int) bool {
-	return n >= 2 && work >= parallelWorkMin && runtime.GOMAXPROCS(0) > 1
-}
-
-// parallelChunks splits [0, n) into one contiguous chunk per processor and
-// runs f(lo, hi) on each concurrently. Callers guarantee chunks touch
-// disjoint memory.
-func parallelChunks(n int, f func(lo, hi int)) {
-	chunks := runtime.GOMAXPROCS(0)
-	if chunks > n {
-		chunks = n
-	}
-	size := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += size {
-		hi := min(lo+size, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// batchMatMulRows accumulates rows [lo, hi) of a·w into dst (a is row-major
-// rows×cols, flat), skipping rows where active is false (nil = all rows).
-// The blocked tile order matches rowMatMulInto's per-element accumulation
-// order (k ascending, zeros skipped), so each computed output row is bitwise
-// identical to a single-row call.
-func batchMatMulRows(a []float64, cols int, w *Tensor, dst []float64, active []bool, lo, hi int) {
-	p := w.Cols
-	for j0 := 0; j0 < p; j0 += matMulBlock {
-		j1 := min(j0+matMulBlock, p)
-		for k0 := 0; k0 < cols; k0 += matMulBlock {
-			k1 := min(k0+matMulBlock, cols)
-			for i := lo; i < hi; i++ {
-				if active != nil && !active[i] {
-					continue
-				}
-				arow := a[i*cols : (i+1)*cols]
-				orow := dst[i*p : (i+1)*p]
-				for k := k0; k < k1; k++ {
-					av := arow[k]
-					if av == 0 {
-						continue
-					}
-					wrow := w.W[k*p : (k+1)*p]
-					for j := j0; j < j1; j++ {
-						orow[j] += av * wrow[j]
-					}
-				}
-			}
-		}
-	}
-}
-
-// batchMatMulInto accumulates a·w into dst for a row-major rows×cols batch;
-// rows where active is false are skipped (their output stays zero — the
-// batched LSTM never reads them for carried-through rows).
-func batchMatMulInto(a []float64, rows, cols int, w *Tensor, dst []float64, active []bool) {
-	if rows == 1 && active == nil {
-		rowMatMulInto(a, w, dst)
-		return
-	}
-	if useParallel(rows, rows*cols*w.Cols) {
-		parallelChunks(rows, func(lo, hi int) { batchMatMulRows(a, cols, w, dst, active, lo, hi) })
-		return
-	}
-	batchMatMulRows(a, cols, w, dst, active, 0, rows)
-}
-
-// backBatchMatMulK accumulates the gradients of out = a·w for weight rows
-// [klo, khi): each k owns w.DW row k and a.DW column k. The input-gradient
-// dot product runs over four accumulators to break the floating-point add
-// dependency chain. Weight gradients accumulate in exactly the order of B
-// sequential single-row backward passes (batch rows ascending per element —
-// bitwise identical); the input-gradient j-sum is reassociated by the
-// accumulators within ~1 ulp, which the kernel parity tests bound. Rows
-// where active is false are skipped: their dOut rows are zero, so they
-// contribute nothing.
-func backBatchMatMulK(a, w *Tensor, dOut []float64, active []bool, klo, khi int) {
-	B, in, n := a.Rows, a.Cols, w.Cols
-	for k := klo; k < khi; k++ {
-		wrow := w.W[k*n : (k+1)*n]
-		wdrow := w.DW[k*n : (k+1)*n]
-		for i := 0; i < B; i++ {
-			if active != nil && !active[i] {
-				continue
-			}
-			av := a.W[i*in+k]
-			od := dOut[i*n : (i+1)*n]
-			var a0, a1, a2, a3 float64
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				d0, d1, d2, d3 := od[j], od[j+1], od[j+2], od[j+3]
-				a0 += d0 * wrow[j]
-				wdrow[j] += d0 * av
-				a1 += d1 * wrow[j+1]
-				wdrow[j+1] += d1 * av
-				a2 += d2 * wrow[j+2]
-				wdrow[j+2] += d2 * av
-				a3 += d3 * wrow[j+3]
-				wdrow[j+3] += d3 * av
-			}
-			for ; j < n; j++ {
-				d := od[j]
-				a0 += d * wrow[j]
-				wdrow[j] += d * av
-			}
-			a.DW[i*in+k] += (a0 + a1) + (a2 + a3)
-		}
-	}
-}
-
-func backBatchMatMul(a, w *Tensor, dOut []float64, active []bool) {
-	in := a.Cols
-	if useParallel(in, a.Rows*in*w.Cols) {
-		parallelChunks(in, func(klo, khi int) { backBatchMatMulK(a, w, dOut, active, klo, khi) })
-		return
-	}
-	backBatchMatMulK(a, w, dOut, active, 0, in)
-}
 
 // BatchedAffine computes x·W + b for a B×in batch in one pass: the batched
 // form of AffineRow, with the bias row broadcast over the batch.
@@ -161,7 +26,7 @@ func (g *Graph) BatchedAffine(x, w, b *Tensor) *Tensor {
 		panic("nn: BatchedAffine shape mismatch")
 	}
 	out := g.NewTensor(x.Rows, w.Cols)
-	batchMatMulInto(x.W, x.Rows, x.Cols, w, out.W, nil)
+	matMulRows(x.W, x.Rows, x.Cols, w.W, w.Cols, out.W, nil)
 	n := w.Cols
 	for i := 0; i < x.Rows; i++ {
 		orow := out.W[i*n : (i+1)*n]
@@ -182,16 +47,16 @@ func backAffineBatch(x, w, b, out *Tensor) {
 			b.DW[j] += d
 		}
 	}
-	backBatchMatMul(x, w, out.DW, nil)
+	backMatMulRows(x.W, x.DW, x.Rows, x.Cols, w.W, w.DW, n, out.DW, nil)
 }
 
 // lstmBatchRows runs the activation and state-update stage of the batched
-// LSTM step for rows [lo, hi), after pre has been filled with x·Wx (pre.W)
-// and h·Wh (pre.DW). Inactive rows copy their state through.
-func lstmBatchRows(cell *LSTMCell, h, c, pre, acts, tc, hNext, cNext *Tensor, active []bool, lo, hi int) {
+// LSTM step, after pre has been filled with x·Wx (pre.W) and h·Wh (pre.DW).
+// Inactive rows copy their state through.
+func lstmBatchRows(cell *LSTMCell, h, c, pre, acts, tc, hNext, cNext *Tensor, active []bool) {
 	H := cell.Hidden
 	n := 4 * H
-	for bi := lo; bi < hi; bi++ {
+	for bi := 0; bi < h.Rows; bi++ {
 		if active != nil && !active[bi] {
 			copy(hNext.W[bi*H:(bi+1)*H], h.W[bi*H:(bi+1)*H])
 			copy(cNext.W[bi*H:(bi+1)*H], c.W[bi*H:(bi+1)*H])
@@ -234,29 +99,23 @@ func (g *Graph) lstmStepBatch(cell *LSTMCell, x, h, c *Tensor, active []bool) (h
 	// pre.W accumulates x·Wx; pre.DW doubles as scratch for h·Wh during the
 	// forward pass (this op's backward never reads pre), as in lstmStep.
 	pre := g.NewTensor(B, n)
-	batchMatMulInto(x.W, B, x.Cols, cell.Wx, pre.W, active)
-	batchMatMulInto(h.W, B, h.Cols, cell.Wh, pre.DW, active)
+	matMulRows(x.W, B, x.Cols, cell.Wx.W, n, pre.W, active)
+	matMulRows(h.W, B, H, cell.Wh.W, n, pre.DW, active)
 	acts := g.NewTensor(B, n)
 	tc := g.NewTensor(B, H)
-	// Locals (not the named results) go into the closure: capturing a named
-	// result would box it at function entry even on the inline path.
-	hN := g.NewTensor(B, H)
-	cN := g.NewTensor(B, H)
-	if useParallel(B, B*n*8) {
-		parallelChunks(B, func(lo, hi int) { lstmBatchRows(cell, h, c, pre, acts, tc, hN, cN, active, lo, hi) })
-	} else {
-		lstmBatchRows(cell, h, c, pre, acts, tc, hN, cN, active, 0, B)
-	}
+	hNext = g.NewTensor(B, H)
+	cNext = g.NewTensor(B, H)
+	lstmBatchRows(cell, h, c, pre, acts, tc, hNext, cNext, active)
 	g.push(tapeOp{kind: opLSTMStepBatch, cell: cell, a: x, b: h, c: c,
-		out: hN, out2: cN, aux: acts, aux2: tc, mask: active})
-	return hN, cN
+		out: hNext, out2: cNext, aux: acts, aux2: tc, mask: active})
+	return hNext, cNext
 }
 
-// lstmBatchGateGrads computes the pre-activation gate gradients of rows
-// [lo, hi) into acts.DW; inactive rows pass their state gradients straight
-// through and leave a zero gradient row so the weight and bias passes see no
-// contribution from them.
-func lstmBatchGateGrads(o *tapeOp, lo, hi int) {
+// lstmBatchGateGrads computes the pre-activation gate gradients into
+// acts.DW; inactive rows pass their state gradients straight through and
+// leave a zero gradient row so the weight and bias passes see no contribution
+// from them.
+func lstmBatchGateGrads(o *tapeOp) {
 	cell := o.cell
 	h, cPrev := o.b, o.c
 	hNext, cNext := o.out, o.out2
@@ -265,7 +124,7 @@ func lstmBatchGateGrads(o *tapeOp, lo, hi int) {
 	H := cell.Hidden
 	n := 4 * H
 	dG := acts.DW
-	for bi := lo; bi < hi; bi++ {
+	for bi := 0; bi < h.Rows; bi++ {
 		o4 := bi * n
 		s := bi * H
 		if active != nil && !active[bi] {
@@ -307,63 +166,15 @@ func backLSTMStepBatch(o *tapeOp) {
 	B := x.Rows
 	n := 4 * cell.Hidden
 	dG := o.aux.DW
-	if useParallel(B, B*n*8) {
-		parallelChunks(B, func(lo, hi int) { lstmBatchGateGrads(o, lo, hi) })
-	} else {
-		lstmBatchGateGrads(o, 0, B)
-	}
+	lstmBatchGateGrads(o)
 	for bi := 0; bi < B; bi++ {
 		o4 := bi * n
 		for j := 0; j < n; j++ {
 			cell.B.DW[j] += dG[o4+j]
 		}
 	}
-	backBatchMatMul(h, cell.Wh, dG, o.mask)
-	backBatchMatMul(x, cell.Wx, dG, o.mask)
-}
-
-// attendDotSliceInto computes scores = q·hᵀ over a flat rows×cols memory
-// slice, matching attendDotInto's accumulation order.
-func attendDotSliceInto(q, h []float64, rows, cols int, dst []float64) {
-	for i := 0; i < rows; i++ {
-		var s float64
-		hrow := h[i*cols : (i+1)*cols]
-		for j, qv := range q {
-			s += qv * hrow[j]
-		}
-		dst[i] = s
-	}
-}
-
-// weightedSumSliceInto accumulates α·h over a flat rows×cols memory slice,
-// matching weightedSumInto's accumulation order.
-func weightedSumSliceInto(alpha, h []float64, rows, cols int, dst []float64) {
-	for i := 0; i < rows; i++ {
-		a := alpha[i]
-		if a == 0 {
-			continue
-		}
-		hrow := h[i*cols : (i+1)*cols]
-		for j := range dst {
-			dst[j] += a * hrow[j]
-		}
-	}
-}
-
-// attendBatchRows runs the masked attention forward for query rows [lo, hi).
-func attendBatchRows(q, H *Tensor, blocks, lens []int, S int, sc, alpha, ctx *Tensor, lo, hi int) {
-	d := q.Cols
-	for r := lo; r < hi; r++ {
-		m := r
-		if blocks != nil {
-			m = blocks[r]
-		}
-		L := lens[m]
-		mem := H.W[m*S*d : (m*S+L)*d]
-		attendDotSliceInto(q.W[r*d:(r+1)*d], mem, L, d, sc.W[r*S:r*S+L])
-		softmaxInto(sc.W[r*S:r*S+L], alpha.W[r*S:r*S+L])
-		weightedSumSliceInto(alpha.W[r*S:r*S+L], mem, L, d, ctx.W[r*d:(r+1)*d])
-	}
+	backMatMulRows(h.W, h.DW, B, h.Cols, cell.Wh.W, cell.Wh.DW, n, dG, o.mask)
+	backMatMulRows(x.W, x.DW, B, x.Cols, cell.Wx.W, cell.Wx.DW, n, dG, o.mask)
 }
 
 // AttendSoftmaxContextBatch is the batched attention kernel: queries q (R×d)
@@ -390,124 +201,62 @@ func (g *Graph) AttendSoftmaxContextBatch(q, H *Tensor, blocks, lens []int) (alp
 	}
 	S := H.Rows / M
 	// sc.W holds the raw scores; sc.DW is backward's score-gradient scratch.
-	// Locals (not the named results) go into the closure: capturing a named
-	// result would box it at function entry even on the inline path.
 	sc := g.NewTensor(R, S)
-	al := g.NewTensor(R, S)
-	cx := g.NewTensor(R, d)
-	if useParallel(R, R*S*d*2) {
-		parallelChunks(R, func(lo, hi int) { attendBatchRows(q, H, blocks, lens, S, sc, al, cx, lo, hi) })
-	} else {
-		attendBatchRows(q, H, blocks, lens, S, sc, al, cx, 0, R)
+	alpha = g.NewTensor(R, S)
+	ctx = g.NewTensor(R, d)
+	for r := 0; r < R; r++ {
+		m := r
+		if blocks != nil {
+			m = blocks[r]
+		}
+		L := lens[m]
+		mem := H.W[m*S*d : (m*S+L)*d]
+		attendDotInto(q.W[r*d:(r+1)*d], mem, L, sc.W[r*S:r*S+L])
+		softmaxInto(sc.W[r*S:r*S+L], alpha.W[r*S:r*S+L])
+		rowMatMulInto(alpha.W[r*S:r*S+L], mem, ctx.W[r*d:(r+1)*d])
 	}
-	g.push(tapeOp{kind: opAttendBatch, a: q, b: H, out: cx, aux: al, aux2: sc, ints: lens})
-	return al, cx
+	g.push(tapeOp{kind: opAttendBatch, a: q, b: H, out: ctx, aux: alpha, aux2: sc, ints: lens})
+	return alpha, ctx
 }
 
-// backAttendBatchRows runs the attention backward for rows [lo, hi). The
-// record-time identity block layout means row r owns memory rows
-// [r*S, r*S+lens[r]), so row chunks touch disjoint gradients.
-func backAttendBatchRows(o *tapeOp, lo, hi int) {
+// backAttendBatch runs the attention backward row by row. The record-time
+// identity block layout means row r owns memory rows [r*S, r*S+lens[r]).
+func backAttendBatch(o *tapeOp) {
 	q, H := o.a, o.b
 	ctx, alpha, sc := o.out, o.aux, o.aux2
-	lens := o.ints
 	d := q.Cols
 	S := alpha.Cols
-	for r := lo; r < hi; r++ {
-		L := lens[r]
+	for r, L := range o.ints {
 		aW := alpha.W[r*S : r*S+L]
 		aDW := alpha.DW[r*S : r*S+L]
 		scDW := sc.DW[r*S : r*S+L]
-		ctxDW := ctx.DW[r*d : (r+1)*d]
-		qW := q.W[r*d : (r+1)*d]
-		qDW := q.DW[r*d : (r+1)*d]
-		base := r * S * d
+		mem := H.W[r*S*d : (r*S+L)*d]
+		memDW := H.DW[r*S*d : (r*S+L)*d]
 		// WeightedSumRows backward (ctx = alpha·H) over the valid prefix.
-		for i := 0; i < L; i++ {
-			hrow := H.W[base+i*d : base+(i+1)*d]
-			hdrow := H.DW[base+i*d : base+(i+1)*d]
-			var acc float64
-			a := aW[i]
-			for j, od := range ctxDW {
-				acc += od * hrow[j]
-				hdrow[j] += od * a
-			}
-			aDW[i] += acc
-		}
+		backRowMatMul(aW, aDW, mem, memDW, ctx.DW[r*d:(r+1)*d])
 		// SoftmaxRow backward (alpha = softmax(scores)).
-		var dot float64
-		for i := range aW {
-			dot += aW[i] * aDW[i]
-		}
-		for i := range aW {
-			scDW[i] += aW[i] * (aDW[i] - dot)
-		}
+		backSoftmaxInto(aW, aDW, scDW)
 		// AttendDot backward (scores = q·Hᵀ).
-		for i := 0; i < L; i++ {
-			od := scDW[i]
-			if od == 0 {
-				continue
-			}
-			hrow := H.W[base+i*d : base+(i+1)*d]
-			hdrow := H.DW[base+i*d : base+(i+1)*d]
-			for j, qv := range qW {
-				qDW[j] += od * hrow[j]
-				hdrow[j] += od * qv
-			}
-		}
-	}
-}
-
-func backAttendBatch(o *tapeOp) {
-	R := o.a.Rows
-	if useParallel(R, R*o.aux.Cols*o.a.Cols*4) {
-		parallelChunks(R, func(lo, hi int) { backAttendBatchRows(o, lo, hi) })
-		return
-	}
-	backAttendBatchRows(o, 0, R)
-}
-
-func softmaxRowsRange(a, out *Tensor, lo, hi int) {
-	n := a.Cols
-	for r := lo; r < hi; r++ {
-		softmaxInto(a.W[r*n:(r+1)*n], out.W[r*n:(r+1)*n])
+		backAttendDot(q.W[r*d:(r+1)*d], q.DW[r*d:(r+1)*d], mem, memDW, scDW)
 	}
 }
 
 // SoftmaxRows applies SoftmaxRow to every row of a B×n tensor.
 func (g *Graph) SoftmaxRows(a *Tensor) *Tensor {
 	out := g.NewTensor(a.Rows, a.Cols)
-	if useParallel(a.Rows, a.Rows*a.Cols*4) {
-		parallelChunks(a.Rows, func(lo, hi int) { softmaxRowsRange(a, out, lo, hi) })
-	} else {
-		softmaxRowsRange(a, out, 0, a.Rows)
+	n := a.Cols
+	for r := 0; r < a.Rows; r++ {
+		softmaxInto(a.W[r*n:(r+1)*n], out.W[r*n:(r+1)*n])
 	}
 	g.push(tapeOp{kind: opSoftmaxRows, a: a, out: out})
 	return out
 }
 
-func backSoftmaxRowsRange(a, out *Tensor, lo, hi int) {
-	n := a.Cols
-	for r := lo; r < hi; r++ {
-		oW := out.W[r*n : (r+1)*n]
-		oDW := out.DW[r*n : (r+1)*n]
-		aDW := a.DW[r*n : (r+1)*n]
-		var dot float64
-		for i := range oW {
-			dot += oW[i] * oDW[i]
-		}
-		for i := range aDW {
-			aDW[i] += oW[i] * (oDW[i] - dot)
-		}
-	}
-}
-
 func backSoftmaxRows(a, out *Tensor) {
-	if useParallel(a.Rows, a.Rows*a.Cols*4) {
-		parallelChunks(a.Rows, func(lo, hi int) { backSoftmaxRowsRange(a, out, lo, hi) })
-		return
+	n := a.Cols
+	for r := 0; r < a.Rows; r++ {
+		backSoftmaxInto(out.W[r*n:(r+1)*n], out.DW[r*n:(r+1)*n], a.DW[r*n:(r+1)*n])
 	}
-	backSoftmaxRowsRange(a, out, 0, a.Rows)
 }
 
 // LookupRows stacks the embedding rows of ids into a len(ids)×dim batch; the

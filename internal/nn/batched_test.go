@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -372,12 +371,16 @@ func TestNLLPointerMixBatchFiniteDifferences(t *testing.T) {
 	}
 }
 
-// TestBatchedKernelsParallelMatchesInline pins the determinism claim of the
-// goroutine-split kernel paths: with GOMAXPROCS raised and dimensions above
-// parallelWorkMin, the chunked forward and backward passes must produce
-// bitwise-identical outputs and gradients to the inline (GOMAXPROCS=1)
-// execution of the same network.
-func TestBatchedKernelsParallelMatchesInline(t *testing.T) {
+// TestBatchedKernelsAssemblyMatchesPureGo pins the two bodies of the kernel
+// family against each other through the ops built on them: the same batched
+// network — LSTM steps with a row mask, masked attention, affine, softmax —
+// run forward and backward under the assembly body and under the pure-Go
+// reference must produce bitwise-identical outputs and gradients.
+func TestBatchedKernelsAssemblyMatchesPureGo(t *testing.T) {
+	asm, ok := asmKernels()
+	if !ok {
+		t.Skip("no assembly kernel body in this build or on this CPU")
+	}
 	const B, in, H, S = 32, 64, 128, 40
 	rng := rand.New(rand.NewSource(42))
 	cell := NewLSTMCell(in, H, rng)
@@ -418,18 +421,17 @@ func TestBatchedKernelsParallelMatchesInline(t *testing.T) {
 		return res
 	}
 
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-	inline := run()
-	runtime.GOMAXPROCS(4) // forces the parallelChunks branches even on a 1-core host
-	parallel := run()
-	if len(inline) != len(parallel) {
-		t.Fatalf("result length mismatch: %d vs %d", len(inline), len(parallel))
+	useKernels(t, goKernels)
+	pure := run()
+	useKernels(t, asm)
+	assembly := run()
+	if len(pure) != len(assembly) {
+		t.Fatalf("result length mismatch: %d vs %d", len(pure), len(assembly))
 	}
-	for i := range inline {
-		if inline[i] != parallel[i] {
-			t.Fatalf("parallel kernel path diverges from inline at element %d: %g vs %g",
-				i, parallel[i], inline[i])
+	for i := range pure {
+		if math.Float64bits(pure[i]) != math.Float64bits(assembly[i]) {
+			t.Fatalf("assembly kernels diverge from pure Go at element %d: %g vs %g",
+				i, assembly[i], pure[i])
 		}
 	}
 }

@@ -15,7 +15,7 @@ func (g *Graph) AffineRow(x, w, b *Tensor) *Tensor {
 		panic("nn: AffineRow shape mismatch")
 	}
 	out := g.NewTensor(1, w.Cols)
-	rowMatMulInto(x.W, w, out.W)
+	rowMatMulInto(x.W, w.W, out.W)
 	for j := range out.W {
 		out.W[j] += b.W[j]
 	}
@@ -36,8 +36,8 @@ func (g *Graph) lstmStep(cell *LSTMCell, x, h, c *Tensor) (hNext, cNext *Tensor)
 	// pre.W accumulates x·Wx; pre.DW doubles as scratch for h·Wh during the
 	// forward pass (this op's backward never reads pre).
 	pre := g.NewTensor(1, n)
-	rowMatMulInto(x.W, cell.Wx, pre.W)
-	rowMatMulInto(h.W, cell.Wh, pre.DW)
+	rowMatMulInto(x.W, cell.Wx.W, pre.W)
+	rowMatMulInto(h.W, cell.Wh.W, pre.DW)
 	// acts stashes the activated gates [i|f|o|cand] for backward; its DW is
 	// backward's pre-activation-gradient scratch.
 	acts := g.NewTensor(1, n)
@@ -80,9 +80,9 @@ func (g *Graph) AttendSoftmaxContext(q, H *Tensor) (alpha, ctx *Tensor) {
 	sc := g.NewTensor(1, m)
 	alpha = g.NewTensor(1, m)
 	ctx = g.NewTensor(1, H.Cols)
-	attendDotInto(q.W, H, sc.W)
+	attendDotInto(q.W, H.W, m, sc.W)
 	softmaxInto(sc.W, alpha.W)
-	weightedSumInto(alpha.W, H, ctx.W)
+	rowMatMulInto(alpha.W, H.W, ctx.W)
 	g.push(tapeOp{kind: opAttendSoftmaxContext, a: q, b: H, out: ctx, aux: alpha, aux2: sc})
 	return alpha, ctx
 }

@@ -188,18 +188,12 @@ func (g *Graph) backstep(o *tapeOp) {
 			}
 		}
 	case opSoftmaxRow:
-		a, out := o.a, o.out
-		var dot float64
-		for i := range out.W {
-			dot += out.W[i] * out.DW[i]
-		}
-		for i := range a.W {
-			a.DW[i] += out.W[i] * (out.DW[i] - dot)
-		}
+		backSoftmaxInto(o.out.W, o.out.DW, o.a.DW)
 	case opAttendDot:
-		backAttendDot(o.a, o.b, o.out.DW)
+		backAttendDot(o.a.W, o.a.DW, o.b.W, o.b.DW, o.out.DW)
 	case opWeightedSumRows:
-		backWeightedSumRows(o.a, o.b, o.out)
+		// ctx = alpha·H is a row product with alpha the left operand.
+		backRowMatMul(o.a.W, o.a.DW, o.b.W, o.b.DW, o.out.DW)
 	case opNLLPointerMix:
 		backNLLPointerMix(o)
 	case opSliceRow:
@@ -240,54 +234,11 @@ func (g *Graph) backstep(o *tapeOp) {
 	}
 }
 
+// backMatMul is the single-row backward once per row of a, rows ascending.
 func backMatMul(a, b, out *Tensor) {
-	n, m, p := a.Rows, a.Cols, b.Cols
-	for i := 0; i < n; i++ {
-		arow := a.W[i*m : (i+1)*m]
-		adrow := a.DW[i*m : (i+1)*m]
-		odrow := out.DW[i*p : (i+1)*p]
-		for k := 0; k < m; k++ {
-			brow := b.W[k*p : (k+1)*p]
-			bdrow := b.DW[k*p : (k+1)*p]
-			var acc float64
-			av := arow[k]
-			for j := 0; j < p; j++ {
-				od := odrow[j]
-				acc += od * brow[j]
-				bdrow[j] += od * av
-			}
-			adrow[k] += acc
-		}
-	}
-}
-
-func backAttendDot(q, H *Tensor, outDW []float64) {
-	for i := 0; i < H.Rows; i++ {
-		od := outDW[i]
-		if od == 0 {
-			continue
-		}
-		hrow := H.W[i*H.Cols : (i+1)*H.Cols]
-		hdrow := H.DW[i*H.Cols : (i+1)*H.Cols]
-		for j, qv := range q.W {
-			q.DW[j] += od * hrow[j]
-			hdrow[j] += od * qv
-		}
-	}
-}
-
-func backWeightedSumRows(alpha, H, out *Tensor) {
-	for i := 0; i < H.Rows; i++ {
-		hrow := H.W[i*H.Cols : (i+1)*H.Cols]
-		hdrow := H.DW[i*H.Cols : (i+1)*H.Cols]
-		var acc float64
-		a := alpha.W[i]
-		for j := range out.DW {
-			od := out.DW[j]
-			acc += od * hrow[j]
-			hdrow[j] += od * a
-		}
-		alpha.DW[i] += acc
+	m, p := a.Cols, b.Cols
+	for i := 0; i < a.Rows; i++ {
+		backRowMatMul(a.W[i*m:(i+1)*m], a.DW[i*m:(i+1)*m], b.W, b.DW, out.DW[i*p:(i+1)*p])
 	}
 }
 
@@ -357,24 +308,11 @@ func backNLLPointerMixCtx(o *tapeOp) {
 }
 
 func backAffineRow(x, w, b, out *Tensor) {
-	in, n := x.Cols, w.Cols
 	// Bias: the fused Add's backward.
-	for j := 0; j < n; j++ {
-		b.DW[j] += out.DW[j]
+	for j, d := range out.DW {
+		b.DW[j] += d
 	}
-	// MatMul backward for the 1×in row.
-	for k := 0; k < in; k++ {
-		wrow := w.W[k*n : (k+1)*n]
-		wdrow := w.DW[k*n : (k+1)*n]
-		var acc float64
-		av := x.W[k]
-		for j := 0; j < n; j++ {
-			od := out.DW[j]
-			acc += od * wrow[j]
-			wdrow[j] += od * av
-		}
-		x.DW[k] += acc
-	}
+	backRowMatMul(x.W, x.DW, w.W, w.DW, out.DW)
 }
 
 func backLSTMStep(o *tapeOp) {
@@ -408,41 +346,17 @@ func backLSTMStep(o *tapeOp) {
 	for j := 0; j < n; j++ {
 		cell.B.DW[j] += dG[j]
 	}
-	backRowMatMulInto(h, cell.Wh, dG)
-	backRowMatMulInto(x, cell.Wx, dG)
-}
-
-// backRowMatMulInto accumulates the gradients of out = x·W for a 1×in row x
-// given dOut, matching backMatMul's inner loop exactly.
-func backRowMatMulInto(x, w *Tensor, dOut []float64) {
-	in, n := x.Cols, w.Cols
-	for k := 0; k < in; k++ {
-		wrow := w.W[k*n : (k+1)*n]
-		wdrow := w.DW[k*n : (k+1)*n]
-		var acc float64
-		av := x.W[k]
-		for j := 0; j < n; j++ {
-			od := dOut[j]
-			acc += od * wrow[j]
-			wdrow[j] += od * av
-		}
-		x.DW[k] += acc
-	}
+	backRowMatMul(h.W, h.DW, cell.Wh.W, cell.Wh.DW, dG)
+	backRowMatMul(x.W, x.DW, cell.Wx.W, cell.Wx.DW, dG)
 }
 
 func backAttendSoftmaxContext(o *tapeOp) {
 	q, H := o.a, o.b
 	ctx, alpha, sc := o.out, o.aux, o.aux2
 	// WeightedSumRows backward (ctx = alpha·H).
-	backWeightedSumRows(alpha, H, ctx)
+	backRowMatMul(alpha.W, alpha.DW, H.W, H.DW, ctx.DW)
 	// SoftmaxRow backward (alpha = softmax(scores)) into the score scratch.
-	var dot float64
-	for i := range alpha.W {
-		dot += alpha.W[i] * alpha.DW[i]
-	}
-	for i := range alpha.W {
-		sc.DW[i] += alpha.W[i] * (alpha.DW[i] - dot)
-	}
+	backSoftmaxInto(alpha.W, alpha.DW, sc.DW)
 	// AttendDot backward (scores = q·Hᵀ).
-	backAttendDot(q, H, sc.DW)
+	backAttendDot(q.W, q.DW, H.W, H.DW, sc.DW)
 }

@@ -1,0 +1,290 @@
+package nn
+
+// This file is the only place in the package where a multiply-add loop lives,
+// and with that the definition of *the* summation order every matrix product,
+// attention sum and their gradients follow:
+//
+//   - a forward product accumulates each output element over k ascending, and
+//     skips a k whose left-operand element is zero (±0) — so a zero input
+//     never touches a NaN or infinite weight;
+//   - a weight gradient accumulates each element over batch rows ascending,
+//     without skipping zeros;
+//   - the input gradient of a batched product (dotAxpy) sums over j in four
+//     lane accumulators, lane l taking j ≡ l (mod 4) ascending and lane 0 the
+//     n mod 4 tail, combined as (a0+a1)+(a2+a3);
+//   - the input gradient of a single-row product, and the attention score
+//     (dot4, dot), is one serial accumulator over j ascending.
+//
+// Every product is rounded before it is added: no fused multiply-add, in
+// either body. The primitives below (axpy, axpy4, dotAxpy, dotAxpy2) have a
+// pure-Go reference body here and an AVX2 body in kernel_amd64.s that issues,
+// per output element, the identical sequence of IEEE multiplies and adds, so
+// the two agree bit for bit (NaN payloads aside: which operand's payload
+// survives an add of two NaNs is the compiler's choice of operand order). The
+// float64() conversions in the reference bodies are what forbids the compiler
+// from fusing on platforms where it otherwise would. The serial dot products
+// have one Go body: their speed comes from running four independent chains
+// side by side, which scalar code already does.
+//
+// Everything else in the file builds the package's matrix kernels out of
+// those primitives; the single-row and batched forms share one loop nest each
+// way, so "batched equals row by row" holds by construction.
+
+// kernelSet is one body of the primitive family.
+type kernelSet struct {
+	// axpy: dst[j] += a·x[j].
+	axpy func(dst, x []float64, a float64)
+	// axpy4: dst[j] = (((dst[j] + a0·x0[j]) + a1·x1[j]) + a2·x2[j]) + a3·x3[j].
+	axpy4 func(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64)
+	// dotAxpy: wd[j] += d[j]·a, and returns the lane-accumulated d·w.
+	dotAxpy func(d, w, wd []float64, a float64) float64
+	// dotAxpy2 is dotAxpy for two rows d0, d1 sharing w and wd:
+	// wd[j] = (wd[j] + d0[j]·a0) + d1[j]·a1, each row with its own lanes.
+	dotAxpy2 func(d0, d1, w, wd []float64, a0, a1 float64) (s0, s1 float64)
+}
+
+// goKernels is the reference body; kernels is the body in use, replaced once
+// at init where the CPU has an assembly body (kernel_amd64.go).
+var (
+	goKernels = kernelSet{axpy: axpyGo, axpy4: axpy4Go, dotAxpy: dotAxpyGo, dotAxpy2: dotAxpy2Go}
+	kernels   = goKernels
+)
+
+// The wrappers own the shape checks, so a body — the assembly in particular —
+// may index every operand up to len(dst) (len(d)) without looking, and is
+// never entered with nothing to do.
+
+func axpy(dst, x []float64, a float64) {
+	if len(x) < len(dst) {
+		panic("nn: axpy shape mismatch")
+	}
+	if len(dst) == 0 {
+		return
+	}
+	kernels.axpy(dst, x, a)
+}
+
+func axpy4(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
+	n := len(dst)
+	if len(x0) < n || len(x1) < n || len(x2) < n || len(x3) < n {
+		panic("nn: axpy4 shape mismatch")
+	}
+	if n == 0 {
+		return
+	}
+	kernels.axpy4(dst, x0, x1, x2, x3, a0, a1, a2, a3)
+}
+
+func dotAxpy(d, w, wd []float64, a float64) float64 {
+	if len(w) < len(d) || len(wd) < len(d) {
+		panic("nn: dotAxpy shape mismatch")
+	}
+	if len(d) == 0 {
+		return 0
+	}
+	return kernels.dotAxpy(d, w, wd, a)
+}
+
+func dotAxpy2(d0, d1, w, wd []float64, a0, a1 float64) (s0, s1 float64) {
+	n := len(d0)
+	if len(d1) < n || len(w) < n || len(wd) < n {
+		panic("nn: dotAxpy2 shape mismatch")
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	return kernels.dotAxpy2(d0, d1, w, wd, a0, a1)
+}
+
+func axpyGo(dst, x []float64, a float64) {
+	x = x[:len(dst)]
+	for j := range dst {
+		dst[j] += float64(a * x[j])
+	}
+}
+
+func axpy4Go(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
+	n := len(dst)
+	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
+	for j := range dst {
+		v := dst[j]
+		v += float64(a0 * x0[j])
+		v += float64(a1 * x1[j])
+		v += float64(a2 * x2[j])
+		v += float64(a3 * x3[j])
+		dst[j] = v
+	}
+}
+
+func dotAxpyGo(d, w, wd []float64, a float64) float64 {
+	n := len(d)
+	w, wd = w[:n], wd[:n]
+	var l0, l1, l2, l3 float64
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		d0, d1, d2, d3 := d[j], d[j+1], d[j+2], d[j+3]
+		l0 += float64(d0 * w[j])
+		wd[j] += float64(d0 * a)
+		l1 += float64(d1 * w[j+1])
+		wd[j+1] += float64(d1 * a)
+		l2 += float64(d2 * w[j+2])
+		wd[j+2] += float64(d2 * a)
+		l3 += float64(d3 * w[j+3])
+		wd[j+3] += float64(d3 * a)
+	}
+	for ; j < n; j++ {
+		l0 += float64(d[j] * w[j])
+		wd[j] += float64(d[j] * a)
+	}
+	return (l0 + l1) + (l2 + l3)
+}
+
+func dotAxpy2Go(d0, d1, w, wd []float64, a0, a1 float64) (s0, s1 float64) {
+	return dotAxpyGo(d0, w, wd, a0), dotAxpyGo(d1, w, wd, a1)
+}
+
+// dot returns x·r in one serial accumulator, j ascending.
+func dot(x, r []float64) float64 {
+	r = r[:len(x)]
+	var s float64
+	for j, v := range x {
+		s += float64(v * r[j])
+	}
+	return s
+}
+
+// sumSquares returns acc + Σ x[j]², continuing acc's serial chain, so a norm
+// taken over several tensors is one accumulator across all of them.
+func sumSquares(acc float64, x []float64) float64 {
+	for _, v := range x {
+		acc += float64(v * v)
+	}
+	return acc
+}
+
+// dot4 is dot against four rows at once: four independent serial chains, so
+// the adds of one hide behind the latency of the others.
+func dot4(x, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
+	n := len(x)
+	r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
+	for j, v := range x {
+		s0 += float64(v * r0[j])
+		s1 += float64(v * r1[j])
+		s2 += float64(v * r2[j])
+		s3 += float64(v * r3[j])
+	}
+	return
+}
+
+// matMulRows accumulates a·w into dst for a row-major rows×cols batch a and a
+// cols×p matrix w, skipping rows where active is false (nil = all rows). The
+// k-group is the outer loop and the batch rows the inner one, so four weight
+// rows, once loaded, serve every row of the batch. A group in which some
+// left-operand element is zero, and the cols mod 4 tail, take one axpy per
+// non-zero k — the same per-element sequence.
+func matMulRows(a []float64, rows, cols int, w []float64, p int, dst []float64, active []bool) {
+	for k := 0; k < cols; k += 4 {
+		g := min(4, cols-k)
+		wg := w[k*p : (k+g)*p]
+		for i := 0; i < rows; i++ {
+			if active != nil && !active[i] {
+				continue
+			}
+			av := a[i*cols+k : i*cols+k+g]
+			orow := dst[i*p : (i+1)*p]
+			if g == 4 && av[0] != 0 && av[1] != 0 && av[2] != 0 && av[3] != 0 {
+				axpy4(orow, wg[:p], wg[p:2*p], wg[2*p:3*p], wg[3*p:], av[0], av[1], av[2], av[3])
+				continue
+			}
+			for l, v := range av {
+				if v != 0 {
+					axpy(orow, wg[l*p:(l+1)*p], v)
+				}
+			}
+		}
+	}
+}
+
+// rowMatMulInto accumulates x·w into dst for a row vector x (len in) and a
+// flat in×len(dst) matrix w.
+func rowMatMulInto(x, w, dst []float64) {
+	matMulRows(x, 1, len(x), w, len(dst), dst, nil)
+}
+
+// backRowMatMul accumulates the gradients of out = x·w for one row x (len
+// in) and a flat in×len(dOut) matrix w: the input gradient of each k is one
+// serial chain over j, four k's side by side; the weight gradient of row k is
+// dOut scaled by x[k].
+func backRowMatMul(x, xd, w, wd, dOut []float64) {
+	in, n := len(x), len(dOut)
+	k := 0
+	for ; k+4 <= in; k += 4 {
+		s0, s1, s2, s3 := dot4(dOut, w[k*n:(k+1)*n], w[(k+1)*n:(k+2)*n], w[(k+2)*n:(k+3)*n], w[(k+3)*n:(k+4)*n])
+		xd[k] += s0
+		xd[k+1] += s1
+		xd[k+2] += s2
+		xd[k+3] += s3
+	}
+	for ; k < in; k++ {
+		xd[k] += dot(dOut, w[k*n:(k+1)*n])
+	}
+	for k, av := range x {
+		axpy(wd[k*n:(k+1)*n], dOut, av)
+	}
+}
+
+// backMatMulRows accumulates the gradients of out = a·w for a rows×in batch a
+// (gradient ad) and a flat in×n matrix w (gradient wd), given dOut (rows×n).
+// Each k owns weight-gradient row k and input-gradient column k; batch rows
+// are taken in ascending order, two at a time where two are active, so a
+// weight row and its gradient row are loaded once for both. Rows where
+// active is false are skipped: their dOut rows are zero, so they contribute
+// nothing.
+func backMatMulRows(a, ad []float64, rows, in int, w, wd []float64, n int, dOut []float64, active []bool) {
+	for k := 0; k < in; k++ {
+		wrow := w[k*n : (k+1)*n]
+		wdrow := wd[k*n : (k+1)*n]
+		pending := -1 // an active row waiting for a partner
+		for i := 0; i < rows; i++ {
+			if active != nil && !active[i] {
+				continue
+			}
+			if pending < 0 {
+				pending = i
+				continue
+			}
+			s0, s1 := dotAxpy2(dOut[pending*n:(pending+1)*n], dOut[i*n:(i+1)*n], wrow, wdrow, a[pending*in+k], a[i*in+k])
+			ad[pending*in+k] += s0
+			ad[i*in+k] += s1
+			pending = -1
+		}
+		if pending >= 0 {
+			ad[pending*in+k] += dotAxpy(dOut[pending*n:(pending+1)*n], wrow, wdrow, a[pending*in+k])
+		}
+	}
+}
+
+// attendDotInto computes dst[i] = q·h_i over a flat rows×len(q) memory h.
+func attendDotInto(q, h []float64, rows int, dst []float64) {
+	d := len(q)
+	i := 0
+	for ; i+4 <= rows; i += 4 {
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = dot4(q, h[i*d:(i+1)*d], h[(i+1)*d:(i+2)*d], h[(i+2)*d:(i+3)*d], h[(i+3)*d:(i+4)*d])
+	}
+	for ; i < rows; i++ {
+		dst[i] = dot(q, h[i*d:(i+1)*d])
+	}
+}
+
+// backAttendDot accumulates the gradients of scores = q·hᵀ over a flat
+// len(dOut)×len(q) memory h; rows whose score gradient is zero are skipped.
+func backAttendDot(q, qd, h, hd, dOut []float64) {
+	d := len(q)
+	for i, od := range dOut {
+		if od == 0 {
+			continue
+		}
+		axpy(qd, h[i*d:(i+1)*d], od)
+		axpy(hd[i*d:(i+1)*d], q, od)
+	}
+}

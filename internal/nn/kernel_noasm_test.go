@@ -1,0 +1,6 @@
+//go:build !amd64 || purego
+
+package nn
+
+// asmKernels reports that this build has no assembly body.
+func asmKernels() (kernelSet, bool) { return kernelSet{}, false }

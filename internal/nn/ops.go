@@ -5,61 +5,15 @@ import (
 	"math/rand"
 )
 
-// matMulBlock is the cache tile edge for the general (multi-row) MatMul
-// path: 64×64 float64 tiles of b fit comfortably in L1/L2 alongside the
-// corresponding rows of a and out.
-const matMulBlock = 64
-
-// MatMul returns a·b. The dominant model case — a a single row — runs a
-// tight fused accumulation over b's rows; the general matrix-matrix case is
-// blocked over (k, j) tiles for cache locality.
+// MatMul returns a·b.
 func (g *Graph) MatMul(a, b *Tensor) *Tensor {
 	if a.Cols != b.Rows {
 		panic("nn: matmul shape mismatch")
 	}
 	out := g.NewTensor(a.Rows, b.Cols)
-	n, m, p := a.Rows, a.Cols, b.Cols
-	if n == 1 {
-		rowMatMulInto(a.W, b, out.W)
-	} else {
-		for j0 := 0; j0 < p; j0 += matMulBlock {
-			j1 := min(j0+matMulBlock, p)
-			for k0 := 0; k0 < m; k0 += matMulBlock {
-				k1 := min(k0+matMulBlock, m)
-				for i := 0; i < n; i++ {
-					arow := a.W[i*m : (i+1)*m]
-					orow := out.W[i*p : (i+1)*p]
-					for k := k0; k < k1; k++ {
-						av := arow[k]
-						if av == 0 {
-							continue
-						}
-						brow := b.W[k*p : (k+1)*p]
-						for j := j0; j < j1; j++ {
-							orow[j] += av * brow[j]
-						}
-					}
-				}
-			}
-		}
-	}
+	matMulRows(a.W, a.Rows, a.Cols, b.W, b.Cols, out.W, nil)
 	g.push(tapeOp{kind: opMatMul, a: a, b: b, out: out})
 	return out
-}
-
-// rowMatMulInto accumulates x·W into dst for a row vector x (len in) and W
-// (in×len(dst)).
-func rowMatMulInto(x []float64, w *Tensor, dst []float64) {
-	p := w.Cols
-	for k, av := range x {
-		if av == 0 {
-			continue
-		}
-		wrow := w.W[k*p : (k+1)*p]
-		for j := range dst {
-			dst[j] += av * wrow[j]
-		}
-	}
 }
 
 // Add returns a+b (same shape).
@@ -199,6 +153,15 @@ func softmaxInto(src, dst []float64) {
 	}
 }
 
+// backSoftmaxInto accumulates into dx the gradient of y = softmax(x), given
+// y and its gradient dy.
+func backSoftmaxInto(y, dy, dx []float64) {
+	s := dot(y, dy)
+	for i := range dx {
+		dx[i] += y[i] * (dy[i] - s)
+	}
+}
+
 // AttendDot computes scores = q · Hᵀ for a query 1×h and memory m×h,
 // returning a 1×m row.
 func (g *Graph) AttendDot(q, H *Tensor) *Tensor {
@@ -206,20 +169,9 @@ func (g *Graph) AttendDot(q, H *Tensor) *Tensor {
 		panic("nn: AttendDot shape mismatch")
 	}
 	out := g.NewTensor(1, H.Rows)
-	attendDotInto(q.W, H, out.W)
+	attendDotInto(q.W, H.W, H.Rows, out.W)
 	g.push(tapeOp{kind: opAttendDot, a: q, b: H, out: out})
 	return out
-}
-
-func attendDotInto(q []float64, H *Tensor, dst []float64) {
-	for i := 0; i < H.Rows; i++ {
-		var s float64
-		hrow := H.W[i*H.Cols : (i+1)*H.Cols]
-		for j, qv := range q {
-			s += qv * hrow[j]
-		}
-		dst[i] = s
-	}
 }
 
 // WeightedSumRows computes α·H for weights 1×m and memory m×h, returning a
@@ -229,22 +181,9 @@ func (g *Graph) WeightedSumRows(alpha, H *Tensor) *Tensor {
 		panic("nn: WeightedSumRows shape mismatch")
 	}
 	out := g.NewTensor(1, H.Cols)
-	weightedSumInto(alpha.W, H, out.W)
+	rowMatMulInto(alpha.W, H.W, out.W)
 	g.push(tapeOp{kind: opWeightedSumRows, a: alpha, b: H, out: out})
 	return out
-}
-
-func weightedSumInto(alpha []float64, H *Tensor, dst []float64) {
-	for i := 0; i < H.Rows; i++ {
-		a := alpha[i]
-		if a == 0 {
-			continue
-		}
-		hrow := H.W[i*H.Cols : (i+1)*H.Cols]
-		for j := range dst {
-			dst[j] += a * hrow[j]
-		}
-	}
 }
 
 // NLLPointerMix computes the mixed pointer–generator loss of Section 4.1:
