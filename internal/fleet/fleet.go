@@ -577,6 +577,16 @@ func (r *Registry) ParseSession(ctx context.Context, name, session string, words
 	sk.requests.Add(1)
 	start := time.Now()
 	toks, err = sh.batcher.ParseContextCtx(ctx, words, prior)
+	for errors.Is(err, serve.ErrClosed) {
+		// A hot swap closed the shard between the load above and admission:
+		// the request never ran, so it goes to the shard that replaced it.
+		next := sk.shard.Load()
+		if next == nil || next == sh {
+			break
+		}
+		sh = next
+		toks, err = sh.batcher.ParseContextCtx(ctx, words, prior)
+	}
 	if err != nil {
 		// Sheds have their own counter (the batcher's); everything else —
 		// expired deadline budgets, decode failures, closed shards — is an

@@ -80,7 +80,11 @@ func TestFleetSessionFollowupsAcrossHotSwap(t *testing.T) {
 		LibDir: dir,
 		Watch:  20 * time.Millisecond,
 		Serve:  serve.Options{MaxBatch: 4, Workers: 2, MaxQueue: -1},
-		Train:  ctxTrain(),
+		// Far more sessions than the swap window can open at any decode
+		// speed: an LRU eviction of sess-pre would fail the post-swap check
+		// for a reason that has nothing to do with the swap.
+		SessionCapacity: 1 << 20,
+		Train:           ctxTrain(),
 	}
 	r, err := New(cfg)
 	if err != nil {
@@ -111,10 +115,9 @@ func TestFleetSessionFollowupsAcrossHotSwap(t *testing.T) {
 
 	// Concurrent multi-turn sessions across the whole swap window.
 	var (
-		stop     atomic.Bool
-		wg       sync.WaitGroup
-		failures atomic.Int64
-		turns    atomic.Int64
+		stop  atomic.Bool
+		wg    sync.WaitGroup
+		turns atomic.Int64
 	)
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -124,12 +127,12 @@ func TestFleetSessionFollowupsAcrossHotSwap(t *testing.T) {
 				session := fmt.Sprintf("sess-%d-%d", w, i)
 				toks, _, err := r.ParseSession(ctx, "alpha", session, open, nil)
 				if err != nil || strings.Join(toks, " ") != wantOpen {
-					failures.Add(1)
+					t.Errorf("%s opening turn across the hot swap: %v %v", session, toks, err)
 					return
 				}
 				toks, _, err = r.ParseSession(ctx, "alpha", session, follow, nil)
 				if err != nil || strings.Join(toks, " ") != wantFollow {
-					failures.Add(1)
+					t.Errorf("%s follow-up across the hot swap: %v %v", session, toks, err)
 					return
 				}
 				turns.Add(2)
@@ -152,11 +155,11 @@ func TestFleetSessionFollowupsAcrossHotSwap(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	if failures.Load() != 0 {
-		t.Errorf("%d session turns failed or mis-resolved across the hot swap", failures.Load())
-	}
 	if turns.Load() == 0 {
 		t.Error("no session traffic flowed during the swap window")
+	}
+	if m := sessionMetrics(t, r, "alpha"); m.SessionEvictions != 0 {
+		t.Fatalf("the store evicted %d of %d sessions: SessionCapacity no longer exceeds what the window opens", m.SessionEvictions, m.Sessions+m.SessionEvictions)
 	}
 
 	// The pre-swap session survived the swap: its follow-up resolves against

@@ -167,9 +167,9 @@ func (p *Parser) ParseBatch(sentences [][]string) [][]string {
 // encoder (Config.Contextual at training time).
 func (p *Parser) Contextual() bool { return p.ctxCell != nil }
 
-// inferGraphs pools arena-backed inference graphs across all parsers: arena
-// buckets are keyed by tensor size, so graphs recycle cleanly between models
-// of different dimensions.
+// inferGraphs pools arena-backed inference graphs across all parsers: an
+// arena hands out tensors of any shape from its slabs, so graphs recycle
+// cleanly between models of different dimensions.
 var inferGraphs = nn.NewGraphPool()
 
 // decodeCtx is the per-call state of one row or batch decode: an inference

@@ -232,12 +232,24 @@ func (p *Parser) fitRun(ctx context.Context, train, val []Pair, ck *checkpointer
 			copy(t.W, best[i])
 		}
 	}
+	// restoreIfBetter rolls back to the snapshot when the final weights score
+	// no better on validation. Without a snapshot there is nothing to roll
+	// back to, so the validation pass is skipped (valLoss draws no randomness,
+	// so skipping it moves no weight).
+	restoreIfBetter := func() {
+		if best == nil || len(val) == 0 {
+			return
+		}
+		if p.valLoss(val) >= bestLoss {
+			restore()
+		}
+	}
 	// afterStep does the per-optimizer-step bookkeeping (step cap, periodic
 	// eval, early stopping) and reports whether training should stop.
 	afterStep := func() bool {
 		step++
 		if p.cfg.MaxSteps > 0 && step >= p.cfg.MaxSteps {
-			restoreIfBetter(p, val, bestLoss, restore)
+			restoreIfBetter()
 			return true
 		}
 		if len(val) > 0 && step%evalEvery == 0 {
@@ -328,12 +340,7 @@ func (p *Parser) fitRun(ctx context.Context, train, val []Pair, ck *checkpointer
 			}
 		}
 	}
-	if len(val) > 0 {
-		vl := p.valLoss(val)
-		if vl >= bestLoss {
-			restore()
-		}
-	}
+	restoreIfBetter()
 	return nil
 }
 
@@ -383,15 +390,6 @@ func PaddingFraction(train []Pair, order []int, bs int) float64 {
 		return 0
 	}
 	return 1 - float64(real)/float64(padded)
-}
-
-func restoreIfBetter(p *Parser, val []Pair, bestLoss float64, restore func()) {
-	if len(val) == 0 {
-		return
-	}
-	if p.valLoss(val) >= bestLoss {
-		restore()
-	}
 }
 
 // valLoss measures teacher-forced loss on (a sample of) the validation set.

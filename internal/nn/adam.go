@@ -68,7 +68,13 @@ func (a *Adam) Restore(params []*Tensor, t int, m, v [][]float64) error {
 // Step applies one update to the parameters and clears their gradients.
 func (a *Adam) Step(params []*Tensor) {
 	a.t++
-	// Global-norm clipping.
+	c := adamCoef{
+		scale: 1, lr: a.LR, eps: a.Eps,
+		b1: a.Beta1, c1: 1 - a.Beta1, bc1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		b2: a.Beta2, c2: 1 - a.Beta2, bc2: 1 - math.Pow(a.Beta2, float64(a.t)),
+	}
+	// Global-norm clipping: the update scales every gradient by the clip
+	// ratio as it reads it (a scale of 1 leaves it as it is).
 	if a.Clip > 0 {
 		var norm float64
 		for _, p := range params {
@@ -76,30 +82,15 @@ func (a *Adam) Step(params []*Tensor) {
 		}
 		norm = math.Sqrt(norm)
 		if norm > a.Clip {
-			scale := a.Clip / norm
-			for _, p := range params {
-				for i := range p.DW {
-					p.DW[i] *= scale
-				}
-			}
+			c.scale = a.Clip / norm
 		}
 	}
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for _, p := range params {
 		mo := a.moments[p]
 		if mo == nil {
 			mo = &moment{m: make([]float64, p.Size()), v: make([]float64, p.Size())}
 			a.moments[p] = mo
 		}
-		for i := range p.W {
-			d := p.DW[i]
-			mo.m[i] = a.Beta1*mo.m[i] + (1-a.Beta1)*d
-			mo.v[i] = a.Beta2*mo.v[i] + (1-a.Beta2)*d*d
-			mHat := mo.m[i] / bc1
-			vHat := mo.v[i] / bc2
-			p.W[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-			p.DW[i] = 0
-		}
+		adamUpdate(p.W, p.DW, mo.m, mo.v, c)
 	}
 }

@@ -1,12 +1,22 @@
 package nn
 
-// Arena is a size-bucketed freelist of intermediate tensors. A graph built
-// with NewGraphArena draws every intermediate from its arena; Graph.Reset
-// (called between training steps) returns them all to the freelist, so after
-// the first step of a given shape the steady state performs no heap
-// allocation. Cold allocations carve float buffers out of large slabs and
-// tensor structs out of chunks, so even the first step allocates far less
-// than per-tensor `make` calls.
+// Arena is a bump allocator of intermediate tensors. A graph built with
+// NewGraphArena draws every intermediate from its arena; Graph.Reset (called
+// between training steps) rewinds the bump pointer, so the next step carves
+// its tensors out of the same memory and the steady state performs no heap
+// allocation. A tensor's W and DW are carved side by side from a float slab,
+// each starting on a 64-byte boundary (a slab is page-aligned), so the AVX2
+// kernels' loads of a row never straddle a cache line at its start; they are
+// cleared together, and the struct comes from a struct chunk.
+//
+// Slabs and chunks are retained across Reset and walked in order. A step
+// that runs past the last slab appends one holding at least a quarter of
+// what the arena has, so a fresh arena allocates little more than the
+// footprint of its first step. A Reset that finds the slabs holding more than
+// twice the largest step's footprint — slab ends skipped by requests that did
+// not fit — drops them, and the next step starts in one slab of that
+// footprint. So an arena retains about its largest step, not a freelist per
+// tensor shape.
 //
 // Lifetime rules:
 //   - Tensors obtained from an arena graph are valid only until the next
@@ -19,74 +29,87 @@ package nn
 //
 //genielint:arena-source
 type Arena struct {
-	free map[int][]*Tensor // recycled tensors by element count
-	live []*Tensor         // handed out since the last Reset
+	slabs [][]float64 // retained float slabs, in the order a step walks them
+	dirty []int       // slabs[k][:dirty[k]] may hold an earlier step's values
+	total int         // floats in all slabs
+	cur   int         // the slab the bump pointer is in
+	fi    int         // next free float in slabs[cur]
+	used  int         // floats handed out since Reset
+	peak  int         // the largest step's used
 
-	structs []Tensor  // current struct chunk
-	si      int       // next free struct in the chunk
-	floats  []float64 // current float slab
-	fi      int       // next free float in the slab
+	chunks [][]Tensor // retained struct chunks
+	ci, si int        // current chunk, next free struct in it
 }
 
 const (
-	arenaSlabFloats  = 1 << 15 // 256 KiB of float64 per slab
+	arenaSlabFloats  = 1 << 15 // smallest slab: 256 KiB of float64
 	arenaStructChunk = 256
 )
 
 // NewArena returns an empty arena.
-func NewArena() *Arena {
-	return &Arena{free: make(map[int][]*Tensor)}
-}
+func NewArena() *Arena { return &Arena{} }
 
-// Get returns a zeroed rows×cols tensor, recycling one of the same size if
-// available.
+// Get returns a zeroed rows×cols tensor.
 func (a *Arena) Get(rows, cols int) *Tensor {
 	n := rows * cols
-	if l := a.free[n]; len(l) > 0 {
-		t := l[len(l)-1]
-		a.free[n] = l[:len(l)-1]
-		t.Rows, t.Cols = rows, cols
-		clear(t.W)
-		clear(t.DW)
-		a.live = append(a.live, t)
-		return t
+	w := (n + 7) &^ 7 // W and DW each start on a cache line
+	buf := a.carve(2 * w)
+	if a.si == arenaStructChunk {
+		a.ci, a.si = a.ci+1, 0
 	}
-	if a.si == len(a.structs) {
-		a.structs = make([]Tensor, arenaStructChunk)
-		a.si = 0
+	if a.ci == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]Tensor, arenaStructChunk))
 	}
-	t := &a.structs[a.si]
+	t := &a.chunks[a.ci][a.si]
 	a.si++
-	t.W = a.allocFloats(n)
-	t.DW = a.allocFloats(n)
+	t.W, t.DW = buf[:n:n], buf[w:w+n:w+n]
 	t.Rows, t.Cols = rows, cols
-	a.live = append(a.live, t)
 	return t
 }
 
-func (a *Arena) allocFloats(n int) []float64 {
-	if a.fi+n > len(a.floats) {
-		size := arenaSlabFloats
-		if n > size {
-			size = n
-		}
-		a.floats = make([]float64, size)
-		a.fi = 0
+// carve bumps need zeroed floats off the current slab, moving on to the next
+// slab that holds them, and appending one when the retained slabs run out.
+func (a *Arena) carve(need int) []float64 {
+	for a.cur < len(a.slabs) && a.fi+need > len(a.slabs[a.cur]) {
+		a.dirty[a.cur] = max(a.dirty[a.cur], a.fi)
+		a.cur, a.fi = a.cur+1, 0
 	}
-	s := a.floats[a.fi : a.fi+n : a.fi+n]
-	a.fi += n
-	return s
+	if a.cur == len(a.slabs) {
+		size := max(need, arenaSlabFloats, a.total/4)
+		if a.total == 0 {
+			size = max(size, a.peak)
+		}
+		a.slabs = append(a.slabs, make([]float64, size))
+		a.dirty = append(a.dirty, 0)
+		a.total += size
+	}
+	end := a.fi + need
+	buf := a.slabs[a.cur][a.fi:end:end]
+	if d := a.dirty[a.cur]; a.fi < d {
+		clear(buf[:min(need, d-a.fi)])
+	}
+	a.fi = end
+	a.used += need
+	return buf
 }
 
-// Reset returns every live tensor to the freelist. All tensors handed out
-// since the previous Reset become invalid.
+// Reset rewinds the arena. All tensors handed out since the previous Reset
+// become invalid.
 func (a *Arena) Reset() {
-	for _, t := range a.live {
-		n := len(t.W)
-		a.free[n] = append(a.free[n], t)
+	a.peak = max(a.peak, a.used)
+	if a.total > 2*max(a.peak, arenaSlabFloats) {
+		// Stale structs still point into the dropped slabs; clearing them
+		// lets the collector have those.
+		a.slabs, a.dirty, a.total = nil, nil, 0
+		for _, c := range a.chunks {
+			clear(c)
+		}
+	} else if a.cur < len(a.slabs) {
+		a.dirty[a.cur] = max(a.dirty[a.cur], a.fi)
 	}
-	a.live = a.live[:0]
+	a.cur, a.fi, a.used = 0, 0, 0
+	a.ci, a.si = 0, 0
 }
 
 // Live reports how many tensors are currently handed out (diagnostics).
-func (a *Arena) Live() int { return len(a.live) }
+func (a *Arena) Live() int { return a.ci*arenaStructChunk + a.si }

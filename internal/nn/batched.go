@@ -51,35 +51,20 @@ func backAffineBatch(x, w, b, out *Tensor) {
 }
 
 // lstmBatchRows runs the activation and state-update stage of the batched
-// LSTM step, after pre has been filled with x·Wx (pre.W) and h·Wh (pre.DW).
-// Inactive rows copy their state through.
+// LSTM step, after pre has been filled with x·Wx (pre.W) and h·Wh (pre.DW):
+// lstmCellRow on every active row. Inactive rows copy their state through.
 func lstmBatchRows(cell *LSTMCell, h, c, pre, acts, tc, hNext, cNext *Tensor, active []bool) {
 	H := cell.Hidden
 	n := 4 * H
 	for bi := 0; bi < h.Rows; bi++ {
+		o, s := bi*n, bi*H
 		if active != nil && !active[bi] {
-			copy(hNext.W[bi*H:(bi+1)*H], h.W[bi*H:(bi+1)*H])
-			copy(cNext.W[bi*H:(bi+1)*H], c.W[bi*H:(bi+1)*H])
+			copy(hNext.W[s:s+H], h.W[s:s+H])
+			copy(cNext.W[s:s+H], c.W[s:s+H])
 			continue
 		}
-		o := bi * n
-		for j := 0; j < n; j++ {
-			v := (pre.W[o+j] + pre.DW[o+j]) + cell.B.W[j]
-			if j < 3*H {
-				acts.W[o+j] = 1 / (1 + math.Exp(-v))
-			} else {
-				acts.W[o+j] = math.Tanh(v)
-			}
-		}
-		s := bi * H
-		for j := 0; j < H; j++ {
-			// Two statements, matching Add(Mul(f,c), Mul(i,cand)) rounding.
-			fc := acts.W[o+H+j] * c.W[s+j]
-			ic := acts.W[o+j] * acts.W[o+3*H+j]
-			cNext.W[s+j] = fc + ic
-			tc.W[s+j] = math.Tanh(cNext.W[s+j])
-			hNext.W[s+j] = acts.W[o+2*H+j] * tc.W[s+j]
-		}
+		lstmCellRow(cell, pre.W[o:o+n], pre.DW[o:o+n], c.W[s:s+H],
+			acts.W[o:o+n], tc.W[s:s+H], hNext.W[s:s+H], cNext.W[s:s+H])
 	}
 }
 

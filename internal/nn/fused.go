@@ -1,7 +1,5 @@
 package nn
 
-import "math"
-
 // This file holds the fused kernels of the model's inner loop. Each fuses a
 // chain of primitive ops into one forward pass and one tape record, while
 // accumulating exactly the same floating-point expressions in the same
@@ -44,24 +42,32 @@ func (g *Graph) lstmStep(cell *LSTMCell, x, h, c *Tensor) (hNext, cNext *Tensor)
 	tc := g.NewTensor(1, H)
 	hNext = g.NewTensor(1, H)
 	cNext = g.NewTensor(1, H)
-	for j := 0; j < n; j++ {
-		v := (pre.W[j] + pre.DW[j]) + cell.B.W[j]
-		if j < 3*H {
-			acts.W[j] = 1 / (1 + math.Exp(-v))
-		} else {
-			acts.W[j] = math.Tanh(v)
-		}
-	}
-	for j := 0; j < H; j++ {
-		// Two statements, matching Add(Mul(f,c), Mul(i,cand)) rounding.
-		fc := acts.W[H+j] * c.W[j]
-		ic := acts.W[j] * acts.W[3*H+j]
-		cNext.W[j] = fc + ic
-		tc.W[j] = math.Tanh(cNext.W[j])
-		hNext.W[j] = acts.W[2*H+j] * tc.W[j]
-	}
+	lstmCellRow(cell, pre.W, pre.DW, c.W, acts.W, tc.W, hNext.W, cNext.W)
 	g.push(tapeOp{kind: opLSTMStep, cell: cell, a: x, b: h, c: c, out: hNext, out2: cNext, aux: acts, aux2: tc})
 	return hNext, cNext
+}
+
+// lstmCellRow is the activation and state-update stage of one LSTM row, given
+// x·Wx in pre and h·Wh in preH: it sums the gate pre-activations into pre,
+// activates them into acts, and writes the new cell state, tanh(cNext) and
+// hidden state.
+func lstmCellRow(cell *LSTMCell, pre, preH, c, acts, tc, hNext, cNext []float64) {
+	H := cell.Hidden
+	for j, b := range cell.B.W {
+		pre[j] = (pre[j] + preH[j]) + b
+	}
+	sigmoid(acts[:3*H], pre)
+	tanh(acts[3*H:], pre[3*H:])
+	for j := 0; j < H; j++ {
+		// Two statements, matching Add(Mul(f,c), Mul(i,cand)) rounding.
+		fc := acts[H+j] * c[j]
+		ic := acts[j] * acts[3*H+j]
+		cNext[j] = fc + ic
+	}
+	tanh(tc, cNext)
+	for j, t := range tc {
+		hNext[j] = acts[2*H+j] * t
+	}
 }
 
 // AttendSoftmaxContext fuses the decoder's attention chain

@@ -1,5 +1,7 @@
 package nn
 
+import "math"
+
 // This file is the only place in the package where a multiply-add loop lives,
 // and with that the definition of *the* summation order every matrix product,
 // attention sum and their gradients follow:
@@ -19,16 +21,45 @@ package nn
 // either body. The primitives below (axpy, axpy4, dotAxpy, dotAxpy2) have a
 // pure-Go reference body here and an AVX2 body in kernel_amd64.s that issues,
 // per output element, the identical sequence of IEEE multiplies and adds, so
-// the two agree bit for bit (NaN payloads aside: which operand's payload
-// survives an add of two NaNs is the compiler's choice of operand order). The
-// float64() conversions in the reference bodies are what forbids the compiler
-// from fusing on platforms where it otherwise would. The serial dot products
-// have one Go body: their speed comes from running four independent chains
-// side by side, which scalar code already does.
+// the two agree bit for bit. The float64() conversions in the reference
+// bodies are what forbids the compiler from fusing on platforms where it
+// otherwise would. The serial dot products have one Go body: their speed
+// comes from running four independent chains side by side, which scalar code
+// already does.
 //
 // Everything else in the file builds the package's matrix kernels out of
 // those primitives; the single-row and batched forms share one loop nest each
 // way, so "batched equals row by row" holds by construction.
+//
+// The elementwise primitives (sigmoid, tanh, expShift for softmax, adam) are
+// the only place in the package that calls math.Exp or math.Tanh or does
+// Adam's arithmetic. Their contract is their reference body, the scalar loop
+// each replaced: 1/(1+math.Exp(−x)), math.Tanh(x), math.Exp(x−m), and Adam's
+// update in the order Adam.Step has always used. The assembly bodies meet it
+// lane by lane:
+//
+//   - exp is math.Exp's FMA code path (math/exp_amd64.s) four lanes wide,
+//     with its constants, fusing exactly where it fuses. Lanes outside
+//     [−708, 709], where the scalar code takes its overflow, underflow and
+//     denormal branches, and NaN lanes are math.Exp's own: the body stops at
+//     their group of four and the reference body takes it;
+//   - tanh computes math.tanh's three branches for every lane and blends
+//     them, keeping ±0 as it came;
+//   - adam rounds every product and uses the correctly rounded divide and
+//     square root, in the reference's order.
+//
+// That exp agrees with math.Exp only while math.Exp takes its FMA path — on a
+// CPU with AVX and FMA, unless GODEBUG=cpu.fma=off — and only for the
+// math.Exp and math.tanh this copies. So the activation bodies run only
+// where CPUID reports AVX2 and FMA and an init-time probe (activationsAgree)
+// finds them equal to the reference bit for bit; everywhere else the
+// reference body runs. Trained weights are therefore bit-identical run to run
+// on a host, with or without the assembly; an FMA and a non-FMA host already
+// differed before, because math.Exp does.
+//
+// NaN payloads are outside the contract: which payload survives an operation
+// on two NaNs depends on operand order, which neither body fixes, so "bit for
+// bit" treats every NaN as one value, here and in the parity tests.
 
 // kernelSet is one body of the primitive family.
 type kernelSet struct {
@@ -41,13 +72,35 @@ type kernelSet struct {
 	// dotAxpy2 is dotAxpy for two rows d0, d1 sharing w and wd:
 	// wd[j] = (wd[j] + d0[j]·a0) + d1[j]·a1, each row with its own lanes.
 	dotAxpy2 func(d0, d1, w, wd []float64, a0, a1 float64) (s0, s1 float64)
+
+	// sigmoid: dst[j] = 1/(1+exp(−x[j])).
+	sigmoid func(dst, x []float64)
+	// tanh: dst[j] = tanh(x[j]).
+	tanh func(dst, x []float64)
+	// expShift: dst[j] = exp(x[j]−m).
+	expShift func(dst, x []float64, m float64)
+	// adam: one Adam update of the weights w from their gradient dw, which it
+	// clears, and their moments m, v.
+	adam func(w, dw, m, v []float64, c adamCoef)
+}
+
+// adamCoef holds the scalars of one Adam step: the clip scale every gradient
+// is multiplied by first (1 when the norm is within the clip), the moment
+// decays b1, b2 with their complements c1 = 1−b1, c2 = 1−b2, the bias
+// corrections bc1, bc2, the learning rate and epsilon. The assembly reads it
+// field by field, so the order is fixed.
+type adamCoef struct {
+	scale, b1, c1, b2, c2, bc1, bc2, lr, eps float64
 }
 
 // goKernels is the reference body; kernels is the body in use, replaced once
 // at init where the CPU has an assembly body (kernel_amd64.go).
 var (
-	goKernels = kernelSet{axpy: axpyGo, axpy4: axpy4Go, dotAxpy: dotAxpyGo, dotAxpy2: dotAxpy2Go}
-	kernels   = goKernels
+	goKernels = kernelSet{
+		axpy: axpyGo, axpy4: axpy4Go, dotAxpy: dotAxpyGo, dotAxpy2: dotAxpy2Go,
+		sigmoid: sigmoidGo, tanh: tanhGo, expShift: expShiftGo, adam: adamGo,
+	}
+	kernels = goKernels
 )
 
 // The wrappers own the shape checks, so a body — the assembly in particular —
@@ -94,6 +147,118 @@ func dotAxpy2(d0, d1, w, wd []float64, a0, a1 float64) (s0, s1 float64) {
 		return 0, 0
 	}
 	return kernels.dotAxpy2(d0, d1, w, wd, a0, a1)
+}
+
+func sigmoid(dst, x []float64) {
+	if len(x) < len(dst) {
+		panic("nn: sigmoid shape mismatch")
+	}
+	if len(dst) == 0 {
+		return
+	}
+	kernels.sigmoid(dst, x)
+}
+
+func tanh(dst, x []float64) {
+	if len(x) < len(dst) {
+		panic("nn: tanh shape mismatch")
+	}
+	if len(dst) == 0 {
+		return
+	}
+	kernels.tanh(dst, x)
+}
+
+func expShift(dst, x []float64, m float64) {
+	if len(x) < len(dst) {
+		panic("nn: expShift shape mismatch")
+	}
+	if len(dst) == 0 {
+		return
+	}
+	kernels.expShift(dst, x, m)
+}
+
+func adamUpdate(w, dw, m, v []float64, c adamCoef) {
+	n := len(w)
+	if len(dw) < n || len(m) < n || len(v) < n {
+		panic("nn: adam shape mismatch")
+	}
+	if n == 0 {
+		return
+	}
+	kernels.adam(w, dw, m, v, c)
+}
+
+func sigmoidGo(dst, x []float64) {
+	x = x[:len(dst)]
+	for j, v := range x {
+		dst[j] = 1 / (1 + math.Exp(-v))
+	}
+}
+
+func tanhGo(dst, x []float64) {
+	x = x[:len(dst)]
+	for j, v := range x {
+		dst[j] = math.Tanh(v)
+	}
+}
+
+func expShiftGo(dst, x []float64, m float64) {
+	x = x[:len(dst)]
+	for j, v := range x {
+		dst[j] = math.Exp(v - m)
+	}
+}
+
+// adamGo is Adam.Step's loop: the clip scale, the two moment updates, and
+// w −= lr·m̂/(√v̂+ε) with m̂ = m/bc1, v̂ = v/bc2.
+func adamGo(w, dw, m, v []float64, c adamCoef) {
+	n := len(w)
+	dw, m, v = dw[:n], m[:n], v[:n]
+	for i := range w {
+		d := float64(dw[i] * c.scale)
+		mi := float64(c.b1*m[i]) + float64(c.c1*d)
+		vi := float64(c.b2*v[i]) + float64(float64(c.c2*d)*d)
+		m[i], v[i] = mi, vi
+		w[i] -= float64(c.lr*(mi/c.bc1)) / (math.Sqrt(vi/c.bc2) + c.eps)
+		dw[i] = 0
+	}
+}
+
+// activationsAgree reports whether ks's activations give the reference
+// body's bits on a spread of arguments across every branch of math.Exp and
+// math.tanh. It is the init-time guard on the assembly activations: under
+// GODEBUG=cpu.fma=off, or against a math.Exp that is no longer the code the
+// assembly copies, a few hundred arguments find a difference.
+func activationsAgree(ks kernelSet) bool {
+	x := make([]float64, 600, 605)
+	for i := range x {
+		u := 2*math.Mod(float64(i)*0.6180339887498949, 1) - 1 // low-discrepancy in [−1, 1)
+		x[i] = u * [...]float64{2, 30, 720}[i%3]
+	}
+	x = append(x, 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN())
+	got, want := make([]float64, len(x)), make([]float64, len(x))
+	for _, run := range []func(k kernelSet, dst []float64){
+		func(k kernelSet, dst []float64) { k.sigmoid(dst, x) },
+		func(k kernelSet, dst []float64) { k.tanh(dst, x) },
+		func(k kernelSet, dst []float64) { k.expShift(dst, x, 0) },
+	} {
+		run(ks, got)
+		run(goKernels, want)
+		for i := range got {
+			if !sameBits(got[i], want[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sameBits is equality of math.Float64bits, with every NaN equal to every
+// other (see the NaN note above).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
 func axpyGo(dst, x []float64, a float64) {

@@ -2,8 +2,8 @@
 
 package nn
 
-// The AVX2 body of the primitive family (kernel_amd64.s). Each routine takes
-// its operands as slices and indexes all of them up to the first one's
+// The assembly body of the primitive family (kernel_amd64.s). Each routine
+// takes its operands as slices and indexes all of them up to the first one's
 // length; the wrappers in kernel.go have checked the lengths and never call
 // with an empty first operand.
 
@@ -19,34 +19,104 @@ func dotAxpyAVX2(d, w, wd []float64, a float64) float64
 //go:noescape
 func dotAxpy2AVX2(d0, d1, w, wd []float64, a0, a1 float64) (s0, s1 float64)
 
+// The elementwise routines take whole groups of four only; sigmoidAVX2 and
+// expShiftAVX2 also stop at a group holding a lane their exp does not take,
+// and return where they stopped.
+
+//go:noescape
+func sigmoidAVX2(dst, x []float64) int
+
+//go:noescape
+func tanhAVX2(dst, x []float64)
+
+//go:noescape
+func expShiftAVX2(dst, x []float64, m float64) int
+
+//go:noescape
+func adamAVX2(w, dw, m, v []float64, c adamCoef)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-var avx2Kernels = kernelSet{axpy: axpyAVX2, axpy4: axpy4AVX2, dotAxpy: dotAxpyAVX2, dotAxpy2: dotAxpy2AVX2}
+// The Go drivers of the elementwise routines: the reference body takes the
+// group a routine stopped at, and the len mod 4 tail.
 
-func init() {
-	if hasAVX2() {
-		kernels = avx2Kernels
+func sigmoidAsm(dst, x []float64) {
+	for len(dst) > 0 {
+		i := sigmoidAVX2(dst, x)
+		e := min(i+4, len(dst))
+		sigmoidGo(dst[i:e], x[i:e])
+		dst, x = dst[e:], x[e:]
 	}
 }
 
-// hasAVX2 reports whether the CPU implements AVX2 and the operating system
-// saves the YMM state across context switches.
-func hasAVX2() bool {
+func expShiftAsm(dst, x []float64, m float64) {
+	for len(dst) > 0 {
+		i := expShiftAVX2(dst, x, m)
+		e := min(i+4, len(dst))
+		expShiftGo(dst[i:e], x[i:e], m)
+		dst, x = dst[e:], x[e:]
+	}
+}
+
+func tanhAsm(dst, x []float64) {
+	tanhAVX2(dst, x)
+	i := len(dst) &^ 3
+	tanhGo(dst[i:], x[i:len(dst)])
+}
+
+func adamAsm(w, dw, m, v []float64, c adamCoef) {
+	adamAVX2(w, dw, m, v, c)
+	i := len(w) &^ 3
+	adamGo(w[i:], dw[i:], m[i:], v[i:], c)
+}
+
+func init() {
+	if ks, ok := asmBody(); ok {
+		kernels = ks
+	}
+}
+
+// asmBody returns the assembly body this CPU can run, and false where it
+// runs none: the multiply-add primitives and Adam need AVX2; the activations
+// also need FMA — the path math.Exp takes on such a CPU — and must pass the
+// probe against the reference body.
+func asmBody() (kernelSet, bool) {
+	avx2, fma := cpuFeatures()
+	if !avx2 {
+		return kernelSet{}, false
+	}
+	ks := goKernels
+	ks.axpy, ks.axpy4, ks.dotAxpy, ks.dotAxpy2 = axpyAVX2, axpy4AVX2, dotAxpyAVX2, dotAxpy2AVX2
+	ks.adam = adamAsm
+	if fma {
+		act := ks
+		act.sigmoid, act.tanh, act.expShift = sigmoidAsm, tanhAsm, expShiftAsm
+		if activationsAgree(act) {
+			ks = act
+		}
+	}
+	return ks, true
+}
+
+// cpuFeatures reports whether the CPU implements AVX2, and FMA, with the
+// operating system saving the YMM state across context switches.
+func cpuFeatures() (avx2, fma bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return false, false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
-		return false
+	const fmaBit, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	_, _, c, _ := cpuid(1, 0)
+	if c&osxsave == 0 || c&avx == 0 {
+		return false, false
 	}
 	const xmmYmmState = 0b110 // XCR0 bits 1 and 2
 	if lo, _ := xgetbv(); lo&xmmYmmState != xmmYmmState {
-		return false
+		return false, false
 	}
-	const avx2 = 1 << 5
+	const avx2Bit = 1 << 5
 	_, b, _, _ := cpuid(7, 0)
-	return b&avx2 != 0
+	return b&avx2Bit != 0, b&avx2Bit != 0 && c&fmaBit != 0
 }

@@ -5,11 +5,12 @@
 // The AVX2 body of the kernel family declared in kernel_amd64.go. Rules that
 // keep it bit-identical to the Go reference body in kernel.go:
 //
-//   - VMULPD/VADDPD (and their scalar forms for tails) only, never an FMA:
-//     every product is rounded before it is added;
-//   - a vector lane is one output element (axpy, axpy4) or one of the four
-//     j mod 4 accumulators (dotAxpy), so each element sees the scalar
-//     sequence of operations, in the scalar order;
+//   - a vector lane is one output element (axpy, axpy4, the elementwise
+//     routines) or one of the four j mod 4 accumulators (dotAxpy), so each
+//     element sees the scalar sequence of operations, in the scalar order;
+//   - an FMA only where the scalar code has one: never in the multiply-add
+//     routines, where every product is rounded before it is added, and
+//     exactly math.Exp's own in the exp of the activations;
 //   - unaligned loads and stores throughout: operands are arbitrary
 //     sub-slices of float64 buffers.
 //
@@ -261,6 +262,290 @@ dotaxpy2_done:
 	VADDSD X7, X14, X14
 	VADDSD X14, X9, X9
 	VMOVSD X9, s1+120(FP)
+	VZEROUPPER
+	RET
+
+// The elementwise bodies. Each takes whole groups of four from the start of
+// its first operand and leaves the len mod 4 tail to its Go driver in
+// kernel_amd64.go. Their constants are replicated four wide so that every
+// instruction can take one as a memory operand.
+
+#define CONST4(off, bits) DATA elemconst<>+(off)(SB)/8, $bits; DATA elemconst<>+(off+8)(SB)/8, $bits; DATA elemconst<>+(off+16)(SB)/8, $bits; DATA elemconst<>+(off+24)(SB)/8, $bits
+
+// math/exp_amd64.s: LOG2E, LN2U, LN2L, the 1/16 reduction and the Taylor
+// coefficients 1/8! .. 1/3!, 1/2, 1, and the 2 of the squaring steps.
+CONST4(0, 0x3ff71547652b82fe)
+CONST4(32, 0x3fe62e42fefa3000)
+CONST4(64, 0x3d53de6af278ece6)
+CONST4(96, 0x3fb0000000000000)
+CONST4(128, 0x3efa01a01a01a01a)
+CONST4(160, 0x3f2a01a01a01a01a)
+CONST4(192, 0x3f56c16c16c16c17)
+CONST4(224, 0x3f81111111111111)
+CONST4(256, 0x3fa5555555555555)
+CONST4(288, 0x3fc5555555555555)
+CONST4(320, 0x3fe0000000000000)
+CONST4(352, 0x3ff0000000000000)
+CONST4(384, 0x4000000000000000)
+// The lanes the vector exp takes: [-708, 709]; the exponent bias 1023.
+CONST4(416, 0xc086200000000000)
+CONST4(448, 0x4086280000000000)
+CONST4(480, 0x00000000000003ff)
+// Sign bit and its complement.
+CONST4(512, 0x8000000000000000)
+CONST4(544, 0x7fffffffffffffff)
+// math/tanh.go: the branch points 0.625 and MAXLOG/2, tanhP[0..2], tanhQ[0..2].
+CONST4(576, 0x3fe4000000000000)
+CONST4(608, 0x404601e678fc457b)
+CONST4(640, 0xbfeedc5baafd6f4b)
+CONST4(672, 0xc058d26a0e26682d)
+CONST4(704, 0xc0993ac030580563)
+CONST4(736, 0x405c33f28a581b86)
+CONST4(768, 0x40a176fa0e5535fa)
+CONST4(800, 0x40b2ec102442040c)
+GLOBL elemconst<>(SB), RODATA|NOPTR, $832
+
+#define LOG2E elemconst<>+0(SB)
+#define LN2U elemconst<>+32(SB)
+#define LN2L elemconst<>+64(SB)
+#define SIXTEENTH elemconst<>+96(SB)
+#define EXPC8 elemconst<>+128(SB)
+#define EXPC7 elemconst<>+160(SB)
+#define EXPC6 elemconst<>+192(SB)
+#define EXPC5 elemconst<>+224(SB)
+#define EXPC4 elemconst<>+256(SB)
+#define EXPC3 elemconst<>+288(SB)
+#define HALF elemconst<>+320(SB)
+#define ONE elemconst<>+352(SB)
+#define TWO elemconst<>+384(SB)
+#define EXPLO elemconst<>+416(SB)
+#define EXPHI elemconst<>+448(SB)
+#define EXPBIAS elemconst<>+480(SB)
+#define SIGN elemconst<>+512(SB)
+#define ABS elemconst<>+544(SB)
+#define TANHMID elemconst<>+576(SB)
+#define TANHBIG elemconst<>+608(SB)
+#define TANHP0 elemconst<>+640(SB)
+#define TANHP1 elemconst<>+672(SB)
+#define TANHP2 elemconst<>+704(SB)
+#define TANHQ0 elemconst<>+736(SB)
+#define TANHQ1 elemconst<>+768(SB)
+#define TANHQ2 elemconst<>+800(SB)
+
+// INRANGE sets BX to the 4-bit mask of x's lanes inside [-708, 709] (a NaN
+// lane is outside); clobbers t and u.
+#define INRANGE(x, t, u) VCMPPD $0x1D, EXPLO, x, t; VCMPPD $0x12, EXPHI, x, u; VANDPD u, t, t; VMOVMSKPD t, BX
+
+// EXP replaces each lane of x, which must lie in [-708, 709], by math.Exp of
+// it, step for step the avxfma path of math/exp_amd64.s:
+//   k = round(x*LOG2E); x = fma(-k, LN2U, x); x = fma(-k, LN2L, x); x /= 16
+//   p = Taylor polynomial in x by fmas; x *= p
+//   three times: x *= x+2; then x = fma(x+2, x, 1)
+//   x *= 2^k (k+1023 lies in [2, 2046] on these lanes)
+// kx and ky name one register as X and Y; t and p are scratch.
+#define EXP(x, t, kx, ky, p) \
+	VMULPD LOG2E, x, t; \
+	VCVTPD2DQY t, kx; \
+	VCVTDQ2PD kx, t; \
+	VFNMADD231PD LN2U, t, x; \
+	VFNMADD231PD LN2L, t, x; \
+	VMULPD SIXTEENTH, x, x; \
+	VMOVUPD EXPC8, p; \
+	VFMADD213PD EXPC7, x, p; \
+	VFMADD213PD EXPC6, x, p; \
+	VFMADD213PD EXPC5, x, p; \
+	VFMADD213PD EXPC4, x, p; \
+	VFMADD213PD EXPC3, x, p; \
+	VFMADD213PD HALF, x, p; \
+	VFMADD213PD ONE, x, p; \
+	VMULPD p, x, x; \
+	VADDPD TWO, x, p; \
+	VMULPD p, x, x; \
+	VADDPD TWO, x, p; \
+	VMULPD p, x, x; \
+	VADDPD TWO, x, p; \
+	VMULPD p, x, x; \
+	VADDPD TWO, x, p; \
+	VFMADD213PD ONE, p, x; \
+	VPMOVSXDQ kx, ky; \
+	VPADDQ EXPBIAS, ky, ky; \
+	VPSLLQ $52, ky, ky; \
+	VMULPD ky, x, x
+
+// func sigmoidAVX2(dst, x []float64) int
+// dst[j] = 1/(1+exp(-x[j])) over whole groups of four; stops at the first
+// group with a lane whose -x the vector exp does not take, and returns the
+// index it stopped at (len &^ 3 when it took them all).
+TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	ANDQ $~3, CX
+	XORQ AX, AX
+	VMOVUPD ONE, Y8
+
+sigmoid_loop:
+	CMPQ AX, CX
+	JGE  sigmoid_done
+	VMOVUPD (SI)(AX*8), Y0
+	VXORPD SIGN, Y0, Y0
+	INRANGE(Y0, Y1, Y2)
+	CMPQ BX, $15
+	JNE  sigmoid_done
+	EXP(Y0, Y1, X2, Y2, Y3)
+	VADDPD Y8, Y0, Y0
+	VDIVPD Y0, Y8, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  sigmoid_loop
+
+sigmoid_done:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func expShiftAVX2(dst, x []float64, m float64) int
+// dst[j] = exp(x[j]-m) over whole groups of four; stops like sigmoidAVX2.
+TEXT ·expShiftAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	VBROADCASTSD m+48(FP), Y8
+	ANDQ $~3, CX
+	XORQ AX, AX
+
+expshift_loop:
+	CMPQ AX, CX
+	JGE  expshift_done
+	VMOVUPD (SI)(AX*8), Y0
+	VSUBPD Y8, Y0, Y0
+	INRANGE(Y0, Y1, Y2)
+	CMPQ BX, $15
+	JNE  expshift_done
+	EXP(Y0, Y1, X2, Y2, Y3)
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  expshift_loop
+
+expshift_done:
+	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// func tanhAVX2(dst, x []float64)
+// dst[j] = tanh(x[j]) over whole groups of four. Each lane computes the three
+// branches of math.tanh (z = |x|):
+//   z > MAXLOG/2:  ±1
+//   z >= 0.625:    ±(1 - 2/(exp(2z)+1))
+//   otherwise:     x + x*s*((P0*s+P1)*s+P2)/(((s+Q0)*s+Q1)*s+Q2), s = x*x
+// and blends them in that priority, then puts x back where x == ±0. The exp of
+// a lane outside the middle branch is discarded, so it needs no range check.
+TEXT ·tanhAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	ANDQ $~3, CX
+	XORQ AX, AX
+	VMOVUPD ONE, Y8
+	VMOVUPD TWO, Y9
+	VXORPD Y10, Y10, Y10
+
+tanh_loop:
+	CMPQ AX, CX
+	JGE  tanh_done
+	VMOVUPD (SI)(AX*8), Y4
+	VANDPD ABS, Y4, Y5
+	VANDPD SIGN, Y4, Y6
+
+	// Middle branch into Y0, signed like x.
+	VADDPD Y5, Y5, Y0
+	EXP(Y0, Y1, X2, Y2, Y3)
+	VADDPD Y8, Y0, Y0
+	VDIVPD Y0, Y9, Y0
+	VSUBPD Y0, Y8, Y0
+	VORPD Y6, Y0, Y0
+
+	// Small branch into Y1: Y2 = P(s), Y3 = Q(s).
+	VMULPD Y4, Y4, Y1
+	VMULPD TANHP0, Y1, Y2
+	VADDPD TANHP1, Y2, Y2
+	VMULPD Y1, Y2, Y2
+	VADDPD TANHP2, Y2, Y2
+	VADDPD TANHQ0, Y1, Y3
+	VMULPD Y1, Y3, Y3
+	VADDPD TANHQ1, Y3, Y3
+	VMULPD Y1, Y3, Y3
+	VADDPD TANHQ2, Y3, Y3
+	VMULPD Y1, Y4, Y1
+	VMULPD Y2, Y1, Y1
+	VDIVPD Y3, Y1, Y1
+	VADDPD Y1, Y4, Y1
+
+	VCMPPD $0x1D, TANHMID, Y5, Y2
+	VBLENDVPD Y2, Y0, Y1, Y1
+	VCMPPD $0x1E, TANHBIG, Y5, Y2
+	VORPD Y8, Y6, Y3
+	VBLENDVPD Y2, Y3, Y1, Y1
+	VCMPPD $0x00, Y10, Y4, Y2
+	VBLENDVPD Y2, Y4, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  tanh_loop
+
+tanh_done:
+	VZEROUPPER
+	RET
+
+// func adamAVX2(w, dw, m, v []float64, c adamCoef)
+// Adam's update over whole groups of four, in adamGo's operation order:
+//   d = dw*scale; m = b1*m + c1*d; v = b2*v + (c2*d)*d
+//   w -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps); dw = 0
+TEXT ·adamAVX2(SB), NOSPLIT, $0-168
+	MOVQ w_base+0(FP), DI
+	MOVQ w_len+8(FP), CX
+	MOVQ dw_base+24(FP), SI
+	MOVQ m_base+48(FP), R8
+	MOVQ v_base+72(FP), R9
+	VBROADCASTSD c_scale+96(FP), Y7
+	VBROADCASTSD c_b1+104(FP), Y8
+	VBROADCASTSD c_c1+112(FP), Y9
+	VBROADCASTSD c_b2+120(FP), Y10
+	VBROADCASTSD c_c2+128(FP), Y11
+	VBROADCASTSD c_bc1+136(FP), Y12
+	VBROADCASTSD c_bc2+144(FP), Y13
+	VBROADCASTSD c_lr+152(FP), Y14
+	VBROADCASTSD c_eps+160(FP), Y15
+	VXORPD Y6, Y6, Y6
+	ANDQ $~3, CX
+	XORQ AX, AX
+
+adam_loop:
+	CMPQ AX, CX
+	JGE  adam_done
+	VMULPD (SI)(AX*8), Y7, Y0
+	VMULPD (R8)(AX*8), Y8, Y1
+	VMULPD Y0, Y9, Y2
+	VADDPD Y2, Y1, Y1
+	VMULPD Y0, Y11, Y3
+	VMULPD Y0, Y3, Y3
+	VMULPD (R9)(AX*8), Y10, Y4
+	VADDPD Y3, Y4, Y4
+	VMOVUPD Y1, (R8)(AX*8)
+	VMOVUPD Y4, (R9)(AX*8)
+	VDIVPD Y12, Y1, Y1
+	VDIVPD Y13, Y4, Y4
+	VSQRTPD Y4, Y4
+	VADDPD Y15, Y4, Y4
+	VMULPD Y1, Y14, Y1
+	VDIVPD Y4, Y1, Y1
+	VMOVUPD (DI)(AX*8), Y5
+	VSUBPD Y1, Y5, Y5
+	VMOVUPD Y5, (DI)(AX*8)
+	VMOVUPD Y6, (SI)(AX*8)
+	ADDQ $4, AX
+	JMP  adam_loop
+
+adam_done:
 	VZEROUPPER
 	RET
 

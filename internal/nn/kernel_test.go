@@ -23,13 +23,6 @@ func kernelBodies() map[string]kernelSet {
 	return bodies
 }
 
-// sameBits is equality of math.Float64bits, with every NaN equal to every
-// other: which payload an add of two NaNs keeps depends on operand order,
-// which neither the compiler nor the contract fixes.
-func sameBits(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
-}
-
 func assertSameBits(t testing.TB, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -199,6 +192,292 @@ func TestKernelBitParity(t *testing.T) {
 	}
 }
 
+// elementwiseSpecials are the inputs at which math.Exp and math.tanh change
+// branch, or that no body may get wrong: signed zeros, infinities, NaN,
+// denormals; the [−708, 709] edges of the vector exp (and the −x and x−m
+// they become); the band [709.44, 709.78] where math.Exp already returns
+// +Inf from its exponent check rather than its overflow test; the
+// denormal-result range below −708; and tanh's 0.625 and MAXLOG/2 branch
+// points, with their neighbours.
+var elementwiseSpecials = func() []float64 {
+	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	down := func(x float64) float64 { return math.Nextafter(x, math.Inf(-1)) }
+	const halfMaxLog = 0.5 * 8.8029691931113054295988e+01
+	s := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(),
+		5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-200, math.MaxFloat64, -math.MaxFloat64,
+		-708, down(-708), up(-708), 709, up(709), down(709), 708, -709,
+		-708.4, -708.39641853226408, -745.1332191019411, -745.2, -746, -1e4,
+		709.436, 709.44, 709.5, 709.78, 709.782712893384, up(709.782712893384), 710,
+		0.625, down(0.625), up(0.625), halfMaxLog, down(halfMaxLog), up(halfMaxLog), 22.0074, 88.03,
+	}
+	for _, v := range s[:len(s):len(s)] {
+		s = append(s, -v)
+	}
+	return s
+}()
+
+// drawElementwise draws n inputs at element offset off (so, for off > 0, not
+// 32-byte-aligned): special values, random bit patterns, values of random
+// sign and magnitude from 1e-300 to 800, the +Inf band, and the range where
+// activations live.
+func drawElementwise(rng *rand.Rand, n, off int) []float64 {
+	x := make([]float64, n+off)[off:]
+	for i := range x {
+		switch rng.Intn(6) {
+		case 0:
+			x[i] = elementwiseSpecials[rng.Intn(len(elementwiseSpecials))]
+		case 1:
+			x[i] = math.Float64frombits(rng.Uint64())
+		case 2:
+			x[i] = math.Pow(10, -300+rng.Float64()*(300+math.Log10(800)))
+			if rng.Intn(2) == 0 {
+				x[i] = -x[i]
+			}
+		case 3:
+			x[i] = 709.44 + rng.Float64()*0.34
+		default:
+			x[i] = rng.NormFloat64() * 8
+		}
+	}
+	return x
+}
+
+// The references of the elementwise primitives: the scalar loops they
+// replaced, verbatim.
+
+func naiveSigmoid(x []float64) []float64 {
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = 1 / (1 + math.Exp(-v))
+	}
+	return out
+}
+
+func naiveTanh(x []float64) []float64 {
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = math.Tanh(v)
+	}
+	return out
+}
+
+func naiveExpShift(x []float64, m float64) []float64 {
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = math.Exp(v - m)
+	}
+	return out
+}
+
+// checkElementwise runs the three activations on n drawn inputs under the
+// body in use, into a fresh buffer and in place, and holds them to the
+// references bit for bit.
+func checkElementwise(t testing.TB, seed int64, n, off int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	x := drawElementwise(rng, n, off)
+	m := 0.0
+	if rng.Intn(2) == 0 {
+		m = rng.NormFloat64() * 4
+	}
+	for _, c := range []struct {
+		name string
+		run  func(dst, x []float64)
+		want []float64
+	}{
+		{"sigmoid", sigmoid, naiveSigmoid(x)},
+		{"tanh", tanh, naiveTanh(x)},
+		{"expShift", func(dst, x []float64) { expShift(dst, x, m) }, naiveExpShift(x, m)},
+	} {
+		dst := make([]float64, n+off)[off:]
+		c.run(dst, x)
+		assertSameBits(t, c.name, dst, c.want)
+		inPlace := clone(x)
+		c.run(inPlace, inPlace)
+		assertSameBits(t, c.name+" in place", inPlace, c.want)
+	}
+}
+
+// TestElementwiseBitParity sweeps lengths 0..70 (every vector/tail split and
+// fallback group position) at offsets 0..3, and a long run of every special
+// value, under each body.
+func TestElementwiseBitParity(t *testing.T) {
+	for name, ks := range kernelBodies() {
+		t.Run(name, func(t *testing.T) {
+			useKernels(t, ks)
+			for n := 0; n <= 70; n++ {
+				for off := 0; off < 4; off++ {
+					checkElementwise(t, int64(100*n+off), n, off)
+				}
+			}
+			x := clone(elementwiseSpecials)
+			assertSameBits(t, "sigmoid specials", applied(sigmoid, x), naiveSigmoid(x))
+			assertSameBits(t, "tanh specials", applied(tanh, x), naiveTanh(x))
+			for _, m := range []float64{0, 1, -1, 709, -708, math.Inf(1), math.NaN()} {
+				got := applied(func(dst, x []float64) { expShift(dst, x, m) }, x)
+				assertSameBits(t, "expShift specials", got, naiveExpShift(x, m))
+			}
+		})
+	}
+}
+
+func applied(f func(dst, x []float64), x []float64) []float64 {
+	dst := make([]float64, len(x))
+	f(dst, x)
+	return dst
+}
+
+// naiveAdamStep is Adam.Step before the kernel family, verbatim: the clip
+// pass over every gradient, then the per-element update.
+func naiveAdamStep(a *Adam, params []*Tensor) {
+	a.t++
+	if a.Clip > 0 {
+		var norm float64
+		for _, p := range params {
+			for _, v := range p.DW {
+				norm += float64(v * v)
+			}
+		}
+		norm = math.Sqrt(norm)
+		if norm > a.Clip {
+			scale := a.Clip / norm
+			for _, p := range params {
+				for i := range p.DW {
+					p.DW[i] *= scale
+				}
+			}
+		}
+	}
+	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
+	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	for _, p := range params {
+		mo := a.moments[p]
+		if mo == nil {
+			mo = &moment{m: make([]float64, p.Size()), v: make([]float64, p.Size())}
+			a.moments[p] = mo
+		}
+		for i := range p.W {
+			d := p.DW[i]
+			mo.m[i] = a.Beta1*mo.m[i] + (1-a.Beta1)*d
+			mo.v[i] = a.Beta2*mo.v[i] + (1-a.Beta2)*d*d
+			mHat := mo.m[i] / bc1
+			vHat := mo.v[i] / bc2
+			p.W[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+			p.DW[i] = 0
+		}
+	}
+}
+
+// checkAdam runs steps Adam steps on parameters of sizes 0..9 and 67 under
+// the body in use, beside the verbatim old Step on a copy, with gradients
+// that are zero, tiny (denormal) or huge (1e150, so the norm overflows to
+// +Inf) in turn, and holds weights, moments and cleared gradients equal bit
+// for bit after every step.
+func checkAdam(t testing.TB, seed int64, steps int, clip float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var got, want []*Tensor
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 67} {
+		p := NewRandom(1, n, rng)
+		got = append(got, p)
+		want = append(want, &Tensor{W: clone(p.W), DW: make([]float64, n), Rows: 1, Cols: n})
+	}
+	opt, ref := NewAdam(1e-2), NewAdam(1e-2)
+	opt.Clip, ref.Clip = clip, clip
+	for s := 0; s < steps; s++ {
+		for i, p := range got {
+			for j := range p.DW {
+				var d float64
+				switch (s + j) % 5 {
+				case 0:
+					d = 0
+				case 1:
+					d = rng.NormFloat64() * 5e-320
+				case 2:
+					d = rng.NormFloat64() * 1e150
+				default:
+					d = rng.NormFloat64()
+				}
+				if s%7 == 3 && j == 0 {
+					d = math.Copysign(0, -1)
+				}
+				p.DW[j], want[i].DW[j] = d, d
+			}
+		}
+		opt.Step(got)
+		naiveAdamStep(ref, want)
+		for i := range got {
+			assertSameBits(t, "adam W", got[i].W, want[i].W)
+			assertSameBits(t, "adam DW", got[i].DW, want[i].DW)
+			assertSameBits(t, "adam m", opt.moments[got[i]].m, ref.moments[want[i]].m)
+			assertSameBits(t, "adam v", opt.moments[got[i]].v, ref.moments[want[i]].v)
+		}
+	}
+}
+
+// TestAdamBitParity: 200 steps, clipping on and off, under each body.
+func TestAdamBitParity(t *testing.T) {
+	for name, ks := range kernelBodies() {
+		t.Run(name, func(t *testing.T) {
+			useKernels(t, ks)
+			checkAdam(t, 1, 200, 5)
+			checkAdam(t, 2, 200, 0)
+		})
+	}
+}
+
+// BenchmarkElementwise times each elementwise primitive at the size it has in
+// the Unit parser (H = 48: three sigmoid gates, the candidate and cell tanh;
+// a 254-token vocabulary softmax; ~112k weights under Adam), per body:
+//
+//	go test ./internal/nn -run '^$' -bench Elementwise
+func BenchmarkElementwise(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	gates, cells, logits := drawGates(rng, 144), drawGates(rng, 96), drawGates(rng, 254)
+	w, dw := make([]float64, 112_000), make([]float64, 112_000)
+	m, v := make([]float64, len(w)), make([]float64, len(w))
+	c := adamCoef{scale: 1, b1: 0.9, c1: 0.1, b2: 0.999, c2: 0.001, bc1: 0.5, bc2: 0.3, lr: 1e-3, eps: 1e-8}
+	for name, ks := range kernelBodies() {
+		b.Run("sigmoid144/"+name, func(b *testing.B) {
+			useKernels(b, ks)
+			dst := make([]float64, len(gates))
+			for i := 0; i < b.N; i++ {
+				sigmoid(dst, gates)
+			}
+		})
+		b.Run("tanh96/"+name, func(b *testing.B) {
+			useKernels(b, ks)
+			dst := make([]float64, len(cells))
+			for i := 0; i < b.N; i++ {
+				tanh(dst, cells)
+			}
+		})
+		b.Run("softmax254/"+name, func(b *testing.B) {
+			useKernels(b, ks)
+			dst := make([]float64, len(logits))
+			for i := 0; i < b.N; i++ {
+				softmaxInto(logits, dst)
+			}
+		})
+		b.Run("adam112k/"+name, func(b *testing.B) {
+			useKernels(b, ks)
+			for i := 0; i < b.N; i++ {
+				adamUpdate(w, dw, m, v, c)
+			}
+		})
+	}
+}
+
+// drawGates draws n pre-activations of the spread an LSTM's gates have.
+func drawGates(rng *rand.Rand, n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64() * 2
+	}
+	return x
+}
+
 // TestKernelShapeChecks: a primitive refuses operands shorter than its first
 // one — before any body could index past them — and accepts an empty one.
 func TestKernelShapeChecks(t *testing.T) {
@@ -208,6 +487,10 @@ func TestKernelShapeChecks(t *testing.T) {
 		"axpy4":    func() { axpy4(long, long, long, short, long, 1, 1, 1, 1) },
 		"dotAxpy":  func() { dotAxpy(long, long, short, 1) },
 		"dotAxpy2": func() { dotAxpy2(long, short, long, long, 1, 1) },
+		"sigmoid":  func() { sigmoid(long, short) },
+		"tanh":     func() { tanh(long, short) },
+		"expShift": func() { expShift(long, short, 0) },
+		"adam":     func() { adamUpdate(long, long, short, long, adamCoef{}) },
 	} {
 		func() {
 			defer func() {
@@ -228,11 +511,16 @@ func TestKernelShapeChecks(t *testing.T) {
 		if s0, s1 := dotAxpy2(nil, nil, nil, nil, 1, 1); s0 != 0 || s1 != 0 {
 			t.Errorf("%s: empty dotAxpy2 = %g, %g", name, s0, s1)
 		}
+		sigmoid(nil, nil)
+		tanh(nil, nil)
+		expShift(nil, nil, 0)
+		adamUpdate(nil, nil, nil, nil, adamCoef{})
 	}
 }
 
 // FuzzKernels lets the fuzzer pick the shape, alignment and data seed of
-// TestKernelBitParity's check, under each body:
+// TestKernelBitParity's and TestElementwiseBitParity's checks, and a few
+// Adam steps, under each body:
 //
 //	go test ./internal/nn -run '^$' -fuzz FuzzKernels -fuzztime 10s
 func FuzzKernels(f *testing.F) {
@@ -244,6 +532,8 @@ func FuzzKernels(f *testing.F) {
 		for _, ks := range kernelBodies() {
 			useKernels(t, ks)
 			checkKernels(t, seed, 1+int(rows%16), int(in%14), int(n%71), int(off%4))
+			checkElementwise(t, seed, int(n%71), int(off%4))
+			checkAdam(t, seed, 3, float64(rows%3))
 		}
 	})
 }

@@ -41,9 +41,7 @@ func (g *Graph) Mul(a, b *Tensor) *Tensor {
 // Tanh applies tanh elementwise.
 func (g *Graph) Tanh(a *Tensor) *Tensor {
 	out := g.NewTensor(a.Rows, a.Cols)
-	for i := range out.W {
-		out.W[i] = math.Tanh(a.W[i])
-	}
+	tanh(out.W, a.W)
 	g.push(tapeOp{kind: opTanh, a: a, out: out})
 	return out
 }
@@ -51,9 +49,7 @@ func (g *Graph) Tanh(a *Tensor) *Tensor {
 // Sigmoid applies the logistic function elementwise.
 func (g *Graph) Sigmoid(a *Tensor) *Tensor {
 	out := g.NewTensor(a.Rows, a.Cols)
-	for i := range out.W {
-		out.W[i] = 1 / (1 + math.Exp(-a.W[i]))
-	}
+	sigmoid(out.W, a.W)
 	g.push(tapeOp{kind: opSigmoid, a: a, out: out})
 	return out
 }
@@ -142,10 +138,9 @@ func softmaxInto(src, dst []float64) {
 			maxV = v
 		}
 	}
+	expShift(dst, src, maxV)
 	var sum float64
-	for i, v := range src {
-		e := math.Exp(v - maxV)
-		dst[i] = e
+	for _, e := range dst {
 		sum += e
 	}
 	for i := range dst {
