@@ -245,8 +245,8 @@ func benchBatchPairs() []model.Pair {
 // two legs' ns/example is the minibatching speedup.
 func BenchmarkTrainStepBatched(b *testing.B) {
 	pairs := benchBatchPairs()
-	// B=1 is the pre-existing per-example Step path (the "before"); B=16
-	// pushes minibatches through StepBatch.
+	// B=1 steps one pair at a time (Step, a batch of one); B=16 pushes
+	// minibatches through StepBatch.
 	b.Run("B=1", func(b *testing.B) {
 		tr := model.NewTrainer(pairs, nil, benchTrainCfg)
 		tr.Step(&pairs[0]) // warm the arena, tape and scratch buffers

@@ -2,15 +2,15 @@ package model
 
 import "repro/internal/nn"
 
-// This file is the padded-minibatch training path: B examples stacked into
-// B×n tensors and pushed through the batched kernels of internal/nn in one
-// forward/backward per optimizer step. Padding scheme: each batch pads to
-// its longest source (and target) sequence; encoder steps past a sequence's
-// end carry state through unchanged (row-active masks), attention masks
-// scores to each sequence's valid prefix, and loss rows past a target's end
-// get a zero gradient scale, so padding never contributes probability mass
-// or gradient. Per example the arithmetic matches the single-example path
-// exactly: lossBatch over one pair follows the same compute order as loss.
+// This file is the training loss: B examples stacked into B×n tensors and
+// pushed through the fused kernels of internal/nn in one forward/backward per
+// optimizer step — a single example is a batch of one. Padding scheme: each
+// batch pads to its longest source, context and target sequence; encoder
+// steps past a sequence's end carry state through unchanged (row-active
+// masks), attention masks scores to each sequence's valid prefix, and loss
+// rows past a target's end get a zero gradient scale, so padding never
+// contributes probability mass or gradient. The loss steps the decoder with
+// decodeStepBatch, the step every decode loop takes.
 
 // batchBufs holds the padded source-side buffers of one batched encoder
 // pass, reused across steps (training owns one inside batchScratch; every
@@ -27,14 +27,20 @@ type batchBufs struct {
 	rows   []*nn.Tensor
 }
 
-// releaseTensors zeroes the retained tensor pointers (full capacity; see
-// encBufs.releaseTensors) when a pooled batch decode context's graph lease
-// ends. The id/length/mask buffers carry no arena memory and are reused.
+// releaseTensors zeroes the retained tensor pointers when a pooled decode
+// context's graph lease ends, so the context releases its arena tensors. The
+// id/length/mask buffers carry no arena memory and are reused.
 func (bb *batchBufs) releaseTensors() {
 	clearTensorBuf(bb.embs)
 	clearTensorBuf(bb.fhs)
 	clearTensorBuf(bb.bhs)
 	clearTensorBuf(bb.rows)
+}
+
+// clearTensorBuf zeroes a buffer's pointers up to its capacity, not just its
+// length, because grow reslices without clearing.
+func clearTensorBuf(ts []*nn.Tensor) {
+	clear(ts[:cap(ts)])
 }
 
 // prepareSrc encodes B source sentences into the padded position-major
@@ -68,7 +74,7 @@ func (bb *batchBufs) prepareSrc(v *Vocab, srcs [][]string) int {
 // prepareSrc), returning the packed padded memory ((B*S)×2h, one S-row block
 // per sequence) and the concatenated final states (B×2h). Rows past a
 // sequence's end carry LSTM state through unchanged, so each row's final
-// state and memory rows are identical to a single-example encode call.
+// state and memory rows are those of encoding its sentence alone.
 //
 //genielint:returns-arena
 func (p *Parser) encodeBatch(g *nn.Graph, bb *batchBufs, B, S int) (H, final *nn.Tensor) {
@@ -123,26 +129,68 @@ func (p *Parser) encodeCtxBatch(g *nn.Graph, bb *batchBufs, B, M int) *nn.Tensor
 	return g.PackMemoryBatch(rows, bb.lens)
 }
 
-// batchScratch holds the decoder-side per-step buffers of lossBatch and
-// lmLossBatch, reused across training steps. Slices handed to tape records
-// (prev ids, copy masks, vocab indices, gradient scales) are positioned out
-// of per-step backings so every record gets a distinct sub-slice.
+// encodedBatch is a window of B sentences after the encoder passes: the
+// packed padded source memory H (one block per sentence, lens valid rows
+// each), the packed previous-program memory C (nil without a context head)
+// and the stacked initial decoder state. The loss and the decode loops all
+// start from it, so an escalated decode encodes once.
+//
+//genielint:arena-scoped
+type encodedBatch struct {
+	words, ctxs [][]string
+	H, C        *nn.Tensor
+	lens, clens []int
+	init        decodeState
+}
+
+// encode runs the source encoder over a window of sentences and, withCtx,
+// the previous-program encoder over their contexts (whose ids, lengths and
+// masks go to src and ctx, retained by the tape), then sets up the decoder's
+// initial state.
+//
+//genielint:returns-arena
+func (p *Parser) encode(g *nn.Graph, src, ctx *batchBufs, words, ctxs [][]string, withCtx bool) encodedBatch {
+	B := len(words)
+	e := encodedBatch{words: words, ctxs: ctxs}
+	S := src.prepareSrc(p.src, words)
+	H, final := p.encodeBatch(g, src, B, S)
+	e.H, e.lens = H, src.lens
+	if withCtx {
+		M := ctx.prepareSrc(p.tgt, ctxs)
+		e.C, e.clens = p.encodeCtxBatch(g, ctx, B, M), ctx.lens
+	}
+	hid := p.cfg.HiddenDim
+	e.init = decodeState{
+		h:   g.Tanh(g.BatchedAffine(final, p.initLin.W, p.initLin.B)),
+		c:   g.NewTensor(B, hid),
+		ctx: g.NewTensor(B, 2*hid),
+	}
+	return e
+}
+
+// batchScratch holds the per-step buffers of lossBatch and lmLossBatch,
+// reused across training steps. Slices handed to tape records (ids, prev
+// ids, copy masks, vocab indices, gradient scales) are positioned out of
+// per-step backings so every record gets a distinct sub-slice.
 type batchScratch struct {
 	batchBufs
+	cbufs     batchBufs // the previous-program encoder's
 	srcView   [][]string
+	ctxView   [][]string
 	tgtLens   []int
 	prevIds   []int
 	decActive []bool // position-major decoder row-active masks (T*B)
 	vocabIdx  []int
 	gradW     []float64
-	copyMasks [][]bool
+	srcMasks  [][]bool
+	ctxMasks  [][]bool
 	maskBuf   []bool
 	nll       []float64
 	perEx     []float64
 }
 
-// onesGateBatch is onesGate for B rows: a constant gate of 1 per row (pure
-// generation, the -pointer ablation).
+// onesGateBatch is a constant gate of 1 per row: pure generation, with no
+// parameter behind it — the -pointer ablation, and the LM pass.
 //
 //genielint:returns-arena
 func onesGateBatch(g *nn.Graph, B int) *nn.Tensor {
@@ -155,23 +203,25 @@ func onesGateBatch(g *nn.Graph, B int) *nn.Tensor {
 
 // lossBatch computes the teacher-forced loss of a padded minibatch in one
 // batched forward, returning the mean of the per-example mean-per-token
-// losses (what averaging B loss calls would report). Gradients are scaled
-// 1/B per example — the mean of the per-example gradients the single path
-// produces — so at B=1 the update matches loss exactly.
+// losses. Gradients are scaled 1/B per example, the mean of the per-example
+// gradients. On a contextual parser a pair with a context attends its
+// previous-turn program through the second head and copies from it; a batch
+// that mixes such pairs with context-free ones runs the head for all of them,
+// the context-free rows over an empty memory (fit therefore trains
+// contextual parsers one pair per batch, where a context-free pair takes the
+// single-turn step).
 func (p *Parser) lossBatch(g *nn.Graph, pairs []Pair) float64 {
 	B := len(pairs)
 	sc := &p.bscr
-	sc.srcView = sc.srcView[:0]
+	sc.srcView, sc.ctxView = sc.srcView[:0], sc.ctxView[:0]
+	withCtx := false
 	for i := range pairs {
 		sc.srcView = append(sc.srcView, pairs[i].Src)
+		sc.ctxView = append(sc.ctxView, pairs[i].Ctx)
+		withCtx = withCtx || (p.ctxCell != nil && len(pairs[i].Ctx) > 0)
 	}
-	S := sc.prepareSrc(p.src, sc.srcView)
-	H, final := p.encodeBatch(g, &sc.batchBufs, B, S)
-
-	hid := p.cfg.HiddenDim
-	h := g.Tanh(g.BatchedAffine(final, p.initLin.W, p.initLin.B))
-	c := g.NewTensor(B, hid)
-	ctx := g.NewTensor(B, 2*hid)
+	e := p.encode(g, &sc.batchBufs, &sc.cbufs, sc.srcView, sc.ctxView, withCtx)
+	st := e.init
 
 	T := 0
 	sc.tgtLens = sc.tgtLens[:0]
@@ -184,7 +234,8 @@ func (p *Parser) lossBatch(g *nn.Graph, pairs []Pair) float64 {
 	decActive := grow(&sc.decActive, T*B)
 	vocabIdx := grow(&sc.vocabIdx, T*B)
 	gradW := grow(&sc.gradW, T*B)
-	copyMasks := grow(&sc.copyMasks, T*B)
+	srcMasks := grow(&sc.srcMasks, T*B)
+	ctxMasks := grow(&sc.ctxMasks, T*B)
 	nll := grow(&sc.nll, B)
 	perEx := grow(&sc.perEx, B)
 	for b := range perEx {
@@ -199,7 +250,8 @@ func (p *Parser) lossBatch(g *nn.Graph, pairs []Pair) float64 {
 		// through (no LSTM work) and get a zero gradient scale below, so a
 		// short example costs only its own steps.
 		activeT := decActive[t*B : (t+1)*B : (t+1)*B]
-		masksT := copyMasks[t*B : (t+1)*B : (t+1)*B]
+		srcT := srcMasks[t*B : (t+1)*B : (t+1)*B]
+		ctxT := ctxMasks[t*B : (t+1)*B : (t+1)*B]
 		idxT := vocabIdx[t*B : (t+1)*B : (t+1)*B]
 		wT := gradW[t*B : (t+1)*B : (t+1)*B]
 		for b := range pairs {
@@ -213,19 +265,12 @@ func (p *Parser) lossBatch(g *nn.Graph, pairs []Pair) float64 {
 				prev[b] = EosID // finished row; its output is never scored
 			}
 		}
-		emb := g.LookupRows(p.decEmb.Table, prev)
-		x := g.ConcatCols(emb, ctx)
-		h, c = p.dec.StepBatch(g, x, h, c, activeT)
-		q := g.BatchedAffine(h, p.attnLin.W, p.attnLin.B)
-		alpha, ctxN := g.AttendSoftmaxContextBatch(q, H, nil, sc.lens)
-		htilde := g.Tanh(g.BatchedAffine(g.ConcatCols(h, ctxN), p.combLin.W, p.combLin.B))
-		htilde = g.Dropout(htilde, p.cfg.Dropout, p.rng)
-		pv := g.SoftmaxRows(g.BatchedAffine(htilde, p.outLin.W, p.outLin.B))
-		gate := g.Sigmoid(g.BatchedAffine(htilde, p.gateLin.W, p.gateLin.B))
+		o := p.decodeStepBatch(g, &e, prev, nil, st, activeT)
 
 		for b := range pairs {
+			srcT[b], ctxT[b] = nil, nil
 			if t >= sc.tgtLens[b] {
-				wT[b], masksT[b], idxT[b] = 0, nil, 0
+				wT[b], idxT[b] = 0, 0
 				continue
 			}
 			tok := targetTok(&pairs[b], t)
@@ -234,29 +279,23 @@ func (p *Parser) lossBatch(g *nn.Graph, pairs []Pair) float64 {
 				vi = p.tgt.ID(tok)
 			}
 			if p.cfg.PointerGen {
-				start := len(mb)
-				for _, s := range pairs[b].Src {
-					mb = append(mb, s == tok)
-				}
-				masksT[b] = mb[start:len(mb):len(mb)]
-			} else {
-				masksT[b] = nil
-				if vi < 0 {
-					vi = UnkID
-				}
+				// The context masks are read only with a context head.
+				mb, srcT[b] = copyMask(mb, pairs[b].Src, tok)
+				mb, ctxT[b] = copyMask(mb, pairs[b].Ctx, tok)
+			} else if vi < 0 {
+				vi = UnkID
 			}
-			idxT[b] = vi
-			wT[b] = inv
+			idxT[b], wT[b] = vi, inv
 		}
-		nllGate := gate
-		if !p.cfg.PointerGen {
-			nllGate = onesGateBatch(g, B)
+		if p.cfg.PointerGen {
+			g.NLLPointerMixBatch(o.pv, o.alpha, o.gate, srcT, o.beta, o.cgate, ctxT, idxT, wT, nll)
+		} else {
+			g.NLLPointerMixBatch(o.pv, o.alpha, onesGateBatch(g, B), nil, nil, nil, nil, idxT, wT, nll)
 		}
-		g.NLLPointerMixBatch(pv, alpha, nllGate, masksT, idxT, wT, nll)
 		for b := range perEx {
 			perEx[b] += nll[b]
 		}
-		ctx = ctxN
+		st = o.next
 	}
 	sc.maskBuf = mb
 
@@ -278,8 +317,7 @@ func targetTok(pair *Pair, t int) string {
 
 // lmLossBatch is the batched decoder-only language-model loss: next-token
 // prediction over B programs with a zero attention context, gradients
-// averaged over the minibatch like lossBatch. It is the batched form of the
-// per-program pass in pretrainLM.
+// averaged over the minibatch like lossBatch.
 func (p *Parser) lmLossBatch(g *nn.Graph, programs [][]string) float64 {
 	B := len(programs)
 	sc := &p.bscr
@@ -333,7 +371,7 @@ func (p *Parser) lmLossBatch(g *nn.Graph, programs [][]string) float64 {
 		h, c = p.dec.StepBatch(g, x, h, c, activeT)
 		htilde := g.Tanh(g.BatchedAffine(g.ConcatCols(h, ctx), p.combLin.W, p.combLin.B))
 		pv := g.SoftmaxRows(g.BatchedAffine(htilde, p.outLin.W, p.outLin.B))
-		g.NLLPointerMixBatch(pv, nil, onesGateBatch(g, B), nil, idxT, wT, nll)
+		g.NLLPointerMixBatch(pv, nil, onesGateBatch(g, B), nil, nil, nil, nil, idxT, wT, nll)
 		for b := range perEx {
 			perEx[b] += nll[b]
 		}

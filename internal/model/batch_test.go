@@ -1,8 +1,12 @@
 package model
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -27,58 +31,71 @@ func variedPairs() []Pair {
 
 // TestLossBatchMatchesMeanOfSingles is the headline parity property of the
 // padded-minibatch path: the batched teacher-forced loss over B mixed-length
-// pairs equals the mean of the B single-example losses within 1e-9.
+// pairs equals the mean of the B one-pair losses within 1e-9, with and
+// without the pointer mechanism.
 func TestLossBatchMatchesMeanOfSingles(t *testing.T) {
 	pairs := variedPairs()
-	cfg := testConfig(11)
-	p := buildParser(pairs, nil, cfg)
-
-	gs := nn.NewGraphArena(false, nn.NewArena())
-	mean := 0.0
-	for i := range pairs {
-		gs.Reset()
-		mean += p.loss(gs, &pairs[i])
-	}
-	mean /= float64(len(pairs))
-
-	gb := nn.NewGraphArena(false, nn.NewArena())
-	got := p.lossBatch(gb, pairs)
-	if math.Abs(got-mean) > 1e-9 {
-		t.Errorf("lossBatch = %.15g, mean of single losses = %.15g (diff %g)", got, mean, got-mean)
-	}
-
-	// Without the pointer mechanism too (the onesGate path).
-	cfg2 := testConfig(12)
-	cfg2.PointerGen = false
-	p2 := buildParser(pairs, nil, cfg2)
-	mean = 0
-	for i := range pairs {
-		gs.Reset()
-		mean += p2.loss(gs, &pairs[i])
-	}
-	mean /= float64(len(pairs))
-	gb.Reset()
-	if got := p2.lossBatch(gb, pairs); math.Abs(got-mean) > 1e-9 {
-		t.Errorf("-pointer lossBatch = %.15g, mean of singles = %.15g", got, mean)
+	for _, pointer := range []bool{true, false} {
+		cfg := testConfig(11)
+		cfg.PointerGen = pointer
+		p := buildParser(pairs, nil, cfg)
+		g := nn.NewGraphArena(false, nn.NewArena())
+		mean := 0.0
+		for i := range pairs {
+			g.Reset()
+			mean += p.lossBatch(g, pairs[i:i+1])
+		}
+		mean /= float64(len(pairs))
+		g.Reset()
+		if got := p.lossBatch(g, pairs); math.Abs(got-mean) > 1e-9 {
+			t.Errorf("pointer=%v: lossBatch = %.15g, mean of one-pair losses = %.15g (diff %g)", pointer, got, mean, got-mean)
+		}
 	}
 }
 
-// TestStepBatchMatchesStepAtB1 pins that a one-pair StepBatch follows Step's
-// exact trajectory — same losses step after step through the shared Adam
-// state, including dropout (the batched path consumes the RNG in the same
-// order at B=1).
-func TestStepBatchMatchesStepAtB1(t *testing.T) {
-	pairs := variedPairs()
-	cfg := testConfig(13)
-	cfg.Dropout = 0.1
-	a := NewTrainer(pairs, nil, cfg)
-	b := NewTrainer(pairs, nil, cfg)
-	for s := 0; s < 12; s++ {
-		pr := pairs[s%len(pairs)]
-		la := a.Step(&pr)
-		lb := b.StepBatch([]Pair{pr})
-		if math.Abs(la-lb) > 1e-12*(1+math.Abs(la)) {
-			t.Fatalf("step %d: Step loss %.15g, StepBatch(1) loss %.15g", s, la, lb)
+// weightDigest is the sha256 of every weight's bits, little-endian, in
+// Params() order.
+func weightDigest(p *Parser) string {
+	h := sha256.New()
+	var word [8]byte
+	for _, t := range p.Params() {
+		for _, v := range t.W {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+			h.Write(word[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestStepBatchAtB1ReproducesRowStep pins a batch of one to the per-example
+// step it replaced: 45 one-pair StepBatch calls on a contextual toy parser,
+// with dropout, over first turns and follow-ups, land on the weight digest
+// and summed loss bits that 45 calls of that per-example step recorded, with
+// the pointer-generator and without.
+func TestStepBatchAtB1ReproducesRowStep(t *testing.T) {
+	train, _ := toyDialoguePairs()
+	for _, tc := range []struct {
+		pointer      bool
+		digest, loss string
+	}{
+		{true, "c3b24c364b644f6808c6d2028d3363a8742abe5cf3cd433aa403ef613ac87963", "4055b011018baf97"},
+		{false, "40adc9eea3f431868742ebdc18deaf01347653844697856c5bde8016eeaeb9eb", "40563290ca226d7b"},
+	} {
+		cfg := testConfig(13)
+		cfg.Dropout = 0.1
+		cfg.Contextual = true
+		cfg.PointerGen = tc.pointer
+		tr := NewTrainer(train, nil, cfg)
+		var loss float64
+		for s := 0; s < 45; s++ {
+			i := (7 * s) % len(train)
+			loss += tr.StepBatch(train[i : i+1])
+		}
+		if got := weightDigest(tr.Parser()); got != tc.digest {
+			t.Errorf("pointer=%v: weight digest %s, per-example step %s", tc.pointer, got, tc.digest)
+		}
+		if got := strconv.FormatUint(math.Float64bits(loss), 16); got != tc.loss {
+			t.Errorf("pointer=%v: summed loss bits %s, per-example step %s", tc.pointer, got, tc.loss)
 		}
 	}
 }

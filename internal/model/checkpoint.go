@@ -338,46 +338,19 @@ func readCheckpoint(r io.Reader) (*trainCheckpoint, error) {
 	c.bestLoss = br.f64()
 	c.badEvals = int(br.i64())
 	c.haveBest = br.bool()
-	const maxSlices = 1 << 16
-	const maxElems = 1 << 27
+	// Every slice grows as its elements arrive, never sized from a header
+	// count: a truncated or corrupt stream costs what it actually holds.
 	readF64Slices := func() [][]float64 {
-		n := br.u64()
-		if br.err != nil {
-			return nil
-		}
-		if n > maxSlices {
-			br.err = fmt.Errorf("implausible slice count %d", n)
-			return nil
-		}
-		out := make([][]float64, n)
-		for i := range out {
-			m := br.u64()
-			if br.err != nil {
-				return nil
-			}
-			if m > maxElems {
-				br.err = fmt.Errorf("implausible slice length %d", m)
-				return nil
-			}
-			out[i] = make([]float64, m)
-			for j := range out[i] {
-				out[i][j] = math.Float64frombits(br.u64())
-			}
+		var out [][]float64
+		for n := br.u64(); n > 0 && br.err == nil; n-- {
+			out = append(out, br.f64s(br.u64()))
 		}
 		return out
 	}
 	readIntSlice := func() []int {
-		n := br.u64()
-		if br.err != nil {
-			return nil
-		}
-		if n > maxElems {
-			br.err = fmt.Errorf("implausible slice length %d", n)
-			return nil
-		}
-		out := make([]int, n)
-		for i := range out {
-			out[i] = int(br.i64())
+		var out []int
+		for n := br.u64(); n > 0 && br.err == nil; n-- {
+			out = append(out, int(br.i64()))
 		}
 		return out
 	}

@@ -3,10 +3,12 @@ package model
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -260,4 +262,41 @@ func TestNilCheckpointStoreMatchesTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	paramsEqual(t, Train(train, val, lm, cfg), got)
+}
+
+// TestCheckpointTruncatedSlicesDoNotPreallocate: a checkpoint stream that
+// ends right after a slice length of 2^24 — of a weight tensor, or of the
+// example order — must fail on the missing elements without first sizing a
+// slice for all of them.
+func TestCheckpointTruncatedSlicesDoNotPreallocate(t *testing.T) {
+	var empty bytes.Buffer
+	if err := writeCheckpoint(&empty, &trainCheckpoint{}); err != nil {
+		t.Fatal(err)
+	}
+	// An empty checkpoint ends in eight u64s: the weights count, adamT, the
+	// two moment counts, the order and starts lengths, the two draw counts.
+	weightsOff := empty.Len() - 8*8
+	orderOff := weightsOff + 4*8
+	u64s := func(b []byte, vs ...uint64) []byte {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
+	}
+	for name, stream := range map[string][]byte{
+		"weights": u64s(append([]byte(nil), empty.Bytes()[:weightsOff]...), 1, 1<<24, 7),
+		"order":   u64s(append([]byte(nil), empty.Bytes()[:orderOff]...), 1<<24, 7),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readCheckpoint(bytes.NewReader(stream))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "EOF") {
+			t.Fatalf("%s: readCheckpoint of a truncated slice: err = %v, want an EOF error", name, err)
+		}
+		// make([]float64, 1<<24) is 128 MiB; reading one element costs bytes.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+			t.Errorf("%s: readCheckpoint allocated %d MiB for a %d-byte stream", name, grew>>20, len(stream))
+		}
+	}
 }

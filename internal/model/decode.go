@@ -39,16 +39,16 @@ type Decoded struct {
 }
 
 // Decode is the parser's one decode surface; Parse, ParseBeam, ParseScored,
-// ParseContext and ParseBatch are conveniences over it. It owns three
+// ParseContext and ParseBatch are conveniences over it. It owns two
 // decisions. (1) Rows are split by whether they carry a context this parser
 // can use: the rest take the single-turn step, so a contextual parser
 // decodes a first turn bit-identically to a parser trained without the
-// context encoder. (2) Within each half a lone row decodes through the row
-// kernels and two or more rows advance in lockstep as one batched forward
-// per decode step (a free worker of the serving layer hands over whatever
-// queued behind a busy pool). Per row the two are the same computation,
-// tokens and scores. (3) The policy: greedy, beam, or greedy first with the
-// low-confidence rows escalated to the beam over the same encoded memory.
+// context encoder. Each half advances in lockstep, one batched forward per
+// decode step (a free worker of the serving layer hands over whatever queued
+// behind a busy pool; a lone row is a batch of one), and a row decodes to the
+// same tokens and scores whatever else shares its batch. (2) The policy:
+// greedy, beam, or greedy first with the low-confidence rows escalated to
+// the beam over the same encoded memory.
 //
 // Tokens may be copied verbatim from the input via the pointer mechanism, so
 // the output can contain words outside the target vocabulary. Decode is safe
@@ -66,11 +66,7 @@ func (p *Parser) Decode(rows []Row, pol Policy) []Decoded {
 				idx = append(idx, i)
 			}
 		}
-		switch len(idx) {
-		case 0:
-		case 1:
-			out[idx[0]] = p.decodeRow(rows[idx[0]], withCtx, pol)
-		default:
+		if len(idx) > 0 {
 			p.decodeBatch(rows, idx, withCtx, pol, out)
 		}
 	}
@@ -81,22 +77,6 @@ func (p *Parser) Decode(rows []Row, pol Policy) []Decoded {
 // hypothesis of this score with the beam.
 func (p *Parser) escalates(pol Policy, score float64) bool {
 	return pol.Adaptive && pol.Beam > 1 && p.calib.Fitted && score < p.calib.Threshold
-}
-
-// decodeRow decodes one row through the row kernels.
-func (p *Parser) decodeRow(r Row, withCtx bool, pol Policy) Decoded {
-	dc := acquireDecodeCtx()
-	defer dc.release()
-	e := p.encodeRow(dc, r, withCtx)
-	if pol.Beam > 1 && !pol.Adaptive {
-		return p.beam(dc, &e, pol.Beam)
-	}
-	d := p.greedy(dc, &e)
-	if p.escalates(pol, d.Score) {
-		d = p.beam(dc, &e, pol.Beam)
-		d.Escalated = true
-	}
-	return d
 }
 
 // decodeBatch decodes rows[idx...] in lockstep, writing out[idx[b]].
@@ -172,31 +152,26 @@ func (p *Parser) Contextual() bool { return p.ctxCell != nil }
 // cleanly between models of different dimensions.
 var inferGraphs = nn.NewGraphPool()
 
-// decodeCtx is the per-call state of one row or batch decode: an inference
-// graph drawn from the shared pool plus every scratch buffer the decode loops
-// need. A decode acquires one, runs, and releases it, so a single trained
-// Parser serves any number of goroutines with near-zero steady-state
-// allocation. Nothing decode-time lives on the Parser itself.
+// decodeCtx is the per-call state of one decode: an inference graph drawn
+// from the shared pool plus every scratch buffer the decode loops need — the
+// window's sentences and contexts, their padded source and previous-program
+// memories, and the per-row step bookkeeping. A decode acquires one, runs,
+// and releases it, so a single trained Parser serves any number of
+// goroutines with near-zero steady-state allocation. Nothing decode-time
+// lives on the Parser itself.
 //
 //genielint:arena-scoped
 type decodeCtx struct {
 	g *nn.Graph
 	scoreScratch
 
-	// Row path: per-position encoder tensors and token ids.
-	enc    encBufs
-	cenc   ctxBufs
-	srcIds []int
-	ctxIds []int
-
-	// Batch path: the window's sentences and contexts, their padded source
-	// and previous-program memories, and the per-row step bookkeeping.
 	words, ctxs [][]string
 	bufs, cbufs batchBufs
-	prev        []int // per-row previous target token ids
-	blocks      []int // per-row memory block (request) indices
-	srcIdx      []int // per-row parent rows in the previous step's tensors
-	live        []int // requests the beam runs over
+	prev        []int            // per-row previous target token ids
+	blocks      []int            // per-row memory block (request) indices
+	srcIdx      []int            // per-row parent rows in the previous step's tensors
+	gss         []*grammar.State // per-row grammar states of the greedy loop
+	live        []int            // requests the beam runs over
 }
 
 // scoreScratch holds the buffers of the mixture scorers.
@@ -224,42 +199,14 @@ func acquireDecodeCtx() *decodeCtx {
 // for the next lease, and a pooled context must not pin (or accidentally
 // alias) another request's live tensors through stale pointers.
 func (dc *decodeCtx) release() {
-	dc.enc.releaseTensors()
-	dc.cenc.releaseTensors()
 	dc.bufs.releaseTensors()
 	dc.cbufs.releaseTensors()
 	clear(dc.words[:cap(dc.words)]) // nor any caller's request memory
 	clear(dc.ctxs[:cap(dc.ctxs)])
+	clear(dc.gss[:cap(dc.gss)])
 	inferGraphs.Put(dc.g)
 	dc.g = nil
 	decodeCtxs.Put(dc)
-}
-
-// encodedRow is one request after its encoder passes: the source memory H,
-// the previous-program memory C (nil on the single-turn path, along with
-// ctx) and the decoder's initial state. The greedy and the beam loop both
-// start from it, so an escalated row encodes once.
-//
-//genielint:arena-scoped
-type encodedRow struct {
-	words, ctx []string
-	H, C       *nn.Tensor
-	init       decodeState
-}
-
-//genielint:returns-arena
-func (p *Parser) encodeRow(dc *decodeCtx, r Row, withCtx bool) encodedRow {
-	e := encodedRow{words: r.Words}
-	dc.srcIds = p.src.EncodeInto(dc.srcIds[:0], r.Words)
-	H, final := p.encode(dc.g, &dc.enc, dc.srcIds)
-	e.H = H
-	if withCtx {
-		e.ctx = r.Context
-		dc.ctxIds = p.tgt.EncodeInto(dc.ctxIds[:0], r.Context)
-		e.C = p.encodeCtx(dc.g, &dc.cenc, dc.ctxIds)
-	}
-	e.init = p.initDecode(dc.g, final)
-	return e
 }
 
 // mixRow is one hypothesis's view of a decoder step: its vocabulary
@@ -320,37 +267,6 @@ func (p *Parser) top(sc *scoreScratch, gs *grammar.State, rem int, m mixRow, k i
 		}
 	}
 	return p.topTokens(&sc.ms, &sc.scored, m.pv, m.alpha, m.gate, m.words, k), false
-}
-
-// greedy is the row greedy loop, accumulating each emitted token's mixed
-// probability into the hypothesis log-probability (the same per-token
-// factors the beam scores with). The only steady-state allocation is the
-// returned token slice.
-func (p *Parser) greedy(dc *decodeCtx, e *encodedRow) Decoded {
-	st := e.init
-	prev := BosID
-	out := make([]string, 0, 16)
-	logProb := 0.0
-	done := false
-	maxLen := p.cfg.maxDecodeLen()
-	gs := p.grammarStart()
-	for t := 0; t < maxLen; t++ {
-		o := p.step(dc.g, st, prev, e.H, e.C)
-		tok, prob, masked := p.best(&dc.scoreScratch, gs, maskedBudget(maxLen, t), dc.copyDist(&o, 0, e.words, e.ctx))
-		logProb += math.Log(prob + 1e-12)
-		if tok == EosToken {
-			done = true
-			break
-		}
-		out = append(out, tok)
-		st = o.next
-		prev = p.tgt.ID(tok)
-		if !masked {
-			gs = nil
-		}
-		gs = p.grammarStep(gs, tok)
-	}
-	return Decoded{Tokens: out, Score: lengthNormScore(logProb, len(out), done)}
 }
 
 // mixSlot is one distinct source word of the sentence being decoded: its
@@ -467,10 +383,9 @@ func (p *Parser) bestTokenScored(ms *mixScorer, pv, alpha []float64, gate float6
 }
 
 // beamItem is one hypothesis during beam decoding. row locates its decoder
-// state: an index into the row beam's state list, or a row of the batched
-// beam's stacked step tensors. gs is the hypothesis's grammar state (nil
-// when decoding unmasked); grammar states are immutable under Step, so
-// forked hypotheses share their parent's state safely.
+// state: a row of the beam's stacked step tensors. gs is the hypothesis's
+// grammar state (nil when decoding unmasked); grammar states are immutable
+// under Step, so forked hypotheses share their parent's state safely.
 type beamItem struct {
 	tokens  []string
 	logProb float64
@@ -550,34 +465,6 @@ func prune(cands []beamItem, width int) []beamItem {
 		cands = cands[:width]
 	}
 	return cands
-}
-
-// beam is the row beam search: every live hypothesis steps on its own, then
-// the candidates are pruned to width by length-normalized log-probability.
-func (p *Parser) beam(dc *decodeCtx, e *encodedRow, width int) Decoded {
-	states := []decodeState{e.init}
-	beam := []beamItem{{prev: BosID, gs: p.grammarStart()}}
-	maxLen := p.cfg.maxDecodeLen()
-	for t := 0; t < maxLen; t++ {
-		var cands []beamItem
-		next := make([]decodeState, 0, len(beam))
-		for i := range beam {
-			item := &beam[i]
-			if item.done {
-				cands = append(cands, *item)
-				continue
-			}
-			o := p.step(dc.g, states[item.row], item.prev, e.H, e.C)
-			next = append(next, o.next)
-			top, masked := p.top(&dc.scoreScratch, item.gs, maskedBudget(maxLen, t), dc.copyDist(&o, 0, e.words, e.ctx), width)
-			cands = p.expand(cands, item, top, masked, len(next)-1)
-		}
-		if len(next) == 0 { // every hypothesis is complete
-			break
-		}
-		beam, states = prune(cands, width), next
-	}
-	return bestHypothesis(beam)
 }
 
 type scoredToken struct {

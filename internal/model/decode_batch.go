@@ -3,16 +3,15 @@ package model
 import (
 	"math"
 
-	"repro/internal/grammar"
 	"repro/internal/nn"
 )
 
-// This file is the batched decode path: a window of requests advances
-// through one batched forward per decode step (every live hypothesis is one
-// row of the stacked tensors), so a backlog buys matmul width instead of
-// just queueing. Per row the batched kernels are numerically identical to
-// the single-row ones, so greedyBatch emits exactly greedy's tokens and
-// scores, and beamBatch exactly beam's.
+// This file holds the decode loops: a window of requests advances through
+// one batched forward per decode step (every live hypothesis is one row of
+// the stacked tensors), so a backlog buys matmul width instead of just
+// queueing, and a lone request is a window of one. Per row the batched
+// kernels compute what a window of one does, so a request decodes to the
+// same tokens and scores whatever window it arrives in.
 
 // gatherRows copies the selected rows of t into a fresh graph tensor. It is
 // decode-only (no gradient link): the batched decoders use it to carry the
@@ -34,60 +33,35 @@ func (st decodeState) gather(g *nn.Graph, idx []int) decodeState {
 	return decodeState{h: gatherRows(g, st.h, idx), c: gatherRows(g, st.c, idx), ctx: gatherRows(g, st.ctx, idx)}
 }
 
-// encodedBatch is encodedRow for a window of B requests: the packed padded
-// source memory H (one block per request, lens valid rows each), the packed
-// previous-program memory C (nil on the single-turn path, where ctxs holds B
-// nils) and the stacked initial decoder state.
+// encodeRows encodes the requests rows[idx...] as one window; withCtx runs
+// the previous-program encoder over their contexts.
 //
-//genielint:arena-scoped
-type encodedBatch struct {
-	words, ctxs [][]string
-	H, C        *nn.Tensor
-	lens, clens []int
-	init        decodeState
-}
-
 //genielint:returns-arena
 func (p *Parser) encodeRows(dc *decodeCtx, rows []Row, idx []int, withCtx bool) encodedBatch {
-	g, B := dc.g, len(idx)
 	dc.words, dc.ctxs = dc.words[:0], dc.ctxs[:0]
 	for _, i := range idx {
 		dc.words = append(dc.words, rows[i].Words)
-		if withCtx {
-			dc.ctxs = append(dc.ctxs, rows[i].Context)
-		} else {
-			dc.ctxs = append(dc.ctxs, nil)
-		}
+		dc.ctxs = append(dc.ctxs, rows[i].Context)
 	}
-	e := encodedBatch{words: dc.words, ctxs: dc.ctxs}
-	S := dc.bufs.prepareSrc(p.src, e.words)
-	H, final := p.encodeBatch(g, &dc.bufs, B, S)
-	e.H, e.lens = H, dc.bufs.lens
-	if withCtx {
-		M := dc.cbufs.prepareSrc(p.tgt, e.ctxs)
-		e.C, e.clens = p.encodeCtxBatch(g, &dc.cbufs, B, M), dc.cbufs.lens
-	}
-	hid := p.cfg.HiddenDim
-	e.init = decodeState{
-		h:   g.Tanh(g.BatchedAffine(final, p.initLin.W, p.initLin.B)),
-		c:   g.NewTensor(B, hid),
-		ctx: g.NewTensor(B, 2*hid),
-	}
-	return e
+	return p.encode(dc.g, &dc.bufs, &dc.cbufs, dc.words, dc.ctxs, withCtx)
 }
 
-// decodeStepBatch is the batched form of step: one lockstep decoder step
-// over R rows — embedding lookup, input feeding, LSTM, attention over each
-// row's memory block (blocks[r] names it), the second attention when the
-// batch carries a context memory, and the output projections.
+// decodeStepBatch is the decoder step, for the loss and every decode loop:
+// one lockstep step over R rows — embedding lookup of the previous tokens
+// prev, input feeding, LSTM, attention over each row's memory block
+// (blocks[r] names it; nil = block r), h-tilde and its dropout (training
+// graphs only), the second attention when the window carries a context
+// memory, and the output projections. Rows where active is false carry their
+// LSTM state through (nil = all rows step).
 //
 //genielint:returns-arena
-func (p *Parser) decodeStepBatch(g *nn.Graph, e *encodedBatch, prev, blocks []int, st decodeState) stepOut {
+func (p *Parser) decodeStepBatch(g *nn.Graph, e *encodedBatch, prev, blocks []int, st decodeState, active []bool) stepOut {
 	x := g.ConcatCols(g.LookupRows(p.decEmb.Table, prev), st.ctx)
-	h, c := p.dec.StepBatch(g, x, st.h, st.c, nil)
+	h, c := p.dec.StepBatch(g, x, st.h, st.c, active)
 	alpha, ctx := g.AttendSoftmaxContextBatch(g.BatchedAffine(h, p.attnLin.W, p.attnLin.B), e.H, blocks, e.lens)
 	o := stepOut{alpha: alpha, next: decodeState{h: h, c: c, ctx: ctx}}
 	htilde := g.Tanh(g.BatchedAffine(g.ConcatCols(h, ctx), p.combLin.W, p.combLin.B))
+	htilde = g.Dropout(htilde, p.cfg.Dropout, p.rng)
 	if e.C != nil {
 		var cctx *nn.Tensor
 		o.beta, cctx = g.AttendSoftmaxContextBatch(g.BatchedAffine(htilde, p.ctxAttnLin.W, p.ctxAttnLin.B), e.C, blocks, e.clens)
@@ -110,7 +84,7 @@ func (p *Parser) greedyBatch(dc *decodeCtx, e *encodedBatch, idx []int, out []De
 	reqOf := grow(&dc.blocks, B) // per-row request: its memory block
 	prev := grow(&dc.prev, B)
 	keep := grow(&dc.srcIdx, B)
-	gss := make([]*grammar.State, B) // per-row grammar states (nil unmasked)
+	gss := grow(&dc.gss, B) // per-row grammar states (nil unmasked)
 	for b, i := range idx {
 		reqOf[b], prev[b], gss[b] = b, BosID, p.grammarStart()
 		out[i] = Decoded{Tokens: make([]string, 0, 16)} // Score accumulates the log-probability
@@ -119,7 +93,7 @@ func (p *Parser) greedyBatch(dc *decodeCtx, e *encodedBatch, idx []int, out []De
 	R := B
 	maxLen := p.cfg.maxDecodeLen()
 	for t := 0; t < maxLen && R > 0; t++ {
-		o := p.decodeStepBatch(g, e, prev[:R], reqOf[:R], st)
+		o := p.decodeStepBatch(g, e, prev[:R], reqOf[:R], st, nil)
 		w := 0
 		for r := 0; r < R; r++ {
 			b := reqOf[r]
@@ -153,7 +127,7 @@ func (p *Parser) greedyBatch(dc *decodeCtx, e *encodedBatch, idx []int, out []De
 // lockstep: at every decode step all live hypotheses across all requests
 // stack into one batched forward (a request's beams share its memory block
 // via the attention block mapping), then each request expands and prunes its
-// beam exactly as the row beam does.
+// own beam.
 func (p *Parser) beamBatch(dc *decodeCtx, e *encodedBatch, live []int, width int, idx []int, out []Decoded) {
 	g := dc.g
 	beams := make([][]beamItem, len(live))
@@ -186,7 +160,7 @@ func (p *Parser) beamBatch(dc *decodeCtx, e *encodedBatch, live []int, width int
 		if len(srcIdx) == 0 {
 			break
 		}
-		o := p.decodeStepBatch(g, e, prev, blocks, st.gather(g, srcIdx))
+		o := p.decodeStepBatch(g, e, prev, blocks, st.gather(g, srcIdx), nil)
 		st = o.next
 
 		for k, b := range live {

@@ -402,7 +402,7 @@ func TestParseAdaptive(t *testing.T) {
 	}
 
 	// The windowed form of the same rule: only the rows below the threshold
-	// escalate, and they decode exactly as the row beam does.
+	// escalate, and they decode exactly as a lone row's beam does.
 	rng := rand.New(rand.NewSource(29))
 	var window []Row
 	var scores []float64

@@ -33,9 +33,10 @@ type Config struct {
 	PretrainLM bool
 	LMSteps    int
 	// BatchSize is the training minibatch width: fit and pretrainLM process
-	// shuffled minibatches of this many examples per optimizer step through
-	// the batched B×n kernels, padding each batch to its longest sequence.
-	// 0 or 1 keeps the original per-example path (identical trajectories).
+	// shuffled minibatches of this many examples per optimizer step, padding
+	// each batch to its longest sequence. 0 or 1 steps one example at a time
+	// (pretrainLM then samples its programs with replacement). Contextual
+	// parsers train one example at a time whatever the setting.
 	BatchSize int
 	// BucketByLength sorts each epoch's shuffled examples by length before
 	// cutting minibatches (batch order reshuffled afterwards), so a batch
@@ -125,10 +126,9 @@ type Parser struct {
 
 	rng    *rand.Rand
 	rngSrc *countingSource // rng's source; draw position checkpointed by TrainResumable
-	scr    scratch
-	bscr   batchScratch // batched-loss buffers (batch.go); training goroutine only
-	valG   *nn.Graph    // lazily built inference graph reused across valLoss calls
-	meta   SnapshotMeta // provenance stamped into snapshots (snapshot.go)
+	bscr   batchScratch    // loss buffers (batch.go); training goroutine only
+	valG   *nn.Graph       // lazily built inference graph reused across valLoss calls
+	meta   SnapshotMeta    // provenance stamped into snapshots (snapshot.go)
 
 	// Constrained decoding and adaptive serving (grammar.go): the grammar
 	// spec the parser was trained against, its automaton compiled for this
@@ -138,64 +138,6 @@ type Parser struct {
 	gspec *grammar.Spec
 	auto  *grammar.Automaton
 	calib Calibration
-}
-
-// scratch holds per-step buffers reused across training steps so that a
-// steady-state step performs no slice allocation. It is owned by the single
-// training goroutine: a Parser is not safe for concurrent *training*, but
-// decoding never touches it — Parse/ParseBeam draw their state from pooled
-// per-call decode contexts (decode.go), so one trained Parser serves any
-// number of goroutines.
-type scratch struct {
-	enc     encBufs
-	cenc    ctxBufs
-	srcIds  []int
-	ctxIds  []int
-	target  []string
-	maskBuf []bool
-}
-
-// encBufs holds the per-position tensor slices of one encoder pass. Training
-// reuses the parser's copy (inside scratch); every decode call has its own
-// (inside its decodeCtx), which is what makes inference concurrency-safe.
-//
-//genielint:arena-scoped
-type encBufs struct {
-	embs []*nn.Tensor
-	fhs  []*nn.Tensor
-	bhs  []*nn.Tensor
-	rows []*nn.Tensor
-}
-
-// releaseTensors zeroes the retained tensor pointers — full capacity, not
-// just the last call's length, because grow reslices without clearing — so a
-// pooled decode context releases its arena tensors when its graph lease
-// ends.
-func (e *encBufs) releaseTensors() {
-	clearTensorBuf(e.embs)
-	clearTensorBuf(e.fhs)
-	clearTensorBuf(e.bhs)
-	clearTensorBuf(e.rows)
-}
-
-func clearTensorBuf(ts []*nn.Tensor) {
-	clear(ts[:cap(ts)])
-}
-
-// ctxBufs holds the per-position tensor slices of one context-encoder pass,
-// mirroring encBufs for the (unidirectional) previous-program encoder.
-//
-//genielint:arena-scoped
-type ctxBufs struct {
-	embs []*nn.Tensor
-	hs   []*nn.Tensor
-	rows []*nn.Tensor
-}
-
-func (c *ctxBufs) releaseTensors() {
-	clearTensorBuf(c.embs)
-	clearTensorBuf(c.hs)
-	clearTensorBuf(c.rows)
 }
 
 // grow returns a length-n slice backed by *buf, growing it as needed; the
@@ -312,40 +254,6 @@ func (p *Parser) decParams() []*nn.Tensor {
 	return out
 }
 
-// encode runs the bidirectional encoder, returning the memory matrix
-// (len×2h) and the concatenated final states (1×2h). The per-position
-// tensor slices come from the caller's encBufs and are valid until the next
-// encode call over the same bufs (the graph's tape only retains the rows
-// slice until Backward/Reset, which always precedes the next step).
-//
-//genielint:returns-arena
-func (p *Parser) encode(g *nn.Graph, enc *encBufs, srcIds []int) (H *nn.Tensor, final *nn.Tensor) {
-	n := len(srcIds)
-	embs := grow(&enc.embs, n)
-	for i, id := range srcIds {
-		embs[i] = g.Dropout(p.encEmb.Lookup(g, id), p.cfg.Dropout, p.rng)
-	}
-	fh, fc := p.fwd.ZeroState(g)
-	fhs := grow(&enc.fhs, n)
-	for i := 0; i < n; i++ {
-		fh, fc = p.fwd.Step(g, embs[i], fh, fc)
-		fhs[i] = fh
-	}
-	bh, bc := p.bwd.ZeroState(g)
-	bhs := grow(&enc.bhs, n)
-	for i := n - 1; i >= 0; i-- {
-		bh, bc = p.bwd.Step(g, embs[i], bh, bc)
-		bhs[i] = bh
-	}
-	rows := grow(&enc.rows, n)
-	for i := 0; i < n; i++ {
-		rows[i] = g.ConcatRow(fhs[i], bhs[i])
-	}
-	H = g.RowsToMatrix(rows)
-	final = g.ConcatRow(fh, bh)
-	return H, final
-}
-
 // decodeState carries the decoder recurrence.
 //
 //genielint:arena-scoped
@@ -354,37 +262,9 @@ type decodeState struct {
 	ctx  *nn.Tensor
 }
 
-//genielint:returns-arena
-func (p *Parser) initDecode(g *nn.Graph, final *nn.Tensor) decodeState {
-	h := g.Tanh(p.initLin.Apply(g, final))
-	_, c := p.dec.ZeroState(g)
-	ctx := g.NewTensor(1, 2*p.cfg.HiddenDim)
-	return decodeState{h: h, c: c, ctx: ctx}
-}
-
-// decCell advances the decoder LSTM over the previous target token with
-// input feeding: the recurrence shared by the parser step (which then
-// attends for a fresh context) and the LM pass (which keeps a zero context).
-//
-//genielint:returns-arena
-func (p *Parser) decCell(g *nn.Graph, st decodeState, prev int) (h, c *nn.Tensor) {
-	emb := p.decEmb.Lookup(g, prev)
-	x := g.ConcatRow(emb, st.ctx)
-	return p.dec.Step(g, x, st.h, st.c)
-}
-
-// hTilde computes the attentional h-tilde from a decoder state and its
-// attention summary — shared by the parser step and the LM pass. rate is the
-// dropout applied to it (the LM pass trains without it).
-//
-//genielint:returns-arena
-func (p *Parser) hTilde(g *nn.Graph, h, ctx *nn.Tensor, rate float64) *nn.Tensor {
-	return g.Dropout(g.Tanh(p.combLin.Apply(g, g.ConcatRow(h, ctx))), rate, p.rng)
-}
-
-// stepOut is what one decoder step produces, for one row (step) or R stacked
-// rows (decodeStepBatch): the vocabulary distribution, the source attention,
-// the pointer gate and the next state. beta (the attention over the previous
+// stepOut is what one decoder step produces for R stacked rows
+// (decodeStepBatch): the vocabulary distribution, the source attention, the
+// pointer gate and the next state. beta (the attention over the previous
 // turn's program) and cgate (the gate that splits copy mass between source
 // and context) are nil when the step ran without a context memory.
 //
@@ -393,52 +273,6 @@ type stepOut struct {
 	pv, alpha, gate *nn.Tensor
 	beta, cgate     *nn.Tensor
 	next            decodeState
-}
-
-// step advances the decoder one token: prev is the previous target token id,
-// H the source memory and C the optional previous-program memory. With C nil
-// this is the single-turn step; with C a second attention over C refines
-// h-tilde (after its dropout draw) before the output and gate projections.
-//
-//genielint:returns-arena
-func (p *Parser) step(g *nn.Graph, st decodeState, prev int, H, C *nn.Tensor) stepOut {
-	h, c := p.decCell(g, st, prev)
-	alpha, ctx := g.AttendSoftmaxContext(p.attnLin.Apply(g, h), H)
-	o := stepOut{alpha: alpha, next: decodeState{h: h, c: c, ctx: ctx}}
-	htilde := p.hTilde(g, h, ctx, p.cfg.Dropout)
-	if C != nil {
-		var cctx *nn.Tensor
-		o.beta, cctx = g.AttendSoftmaxContext(p.ctxAttnLin.Apply(g, htilde), C)
-		htilde = g.Tanh(p.ctxCombLin.Apply(g, g.ConcatRow(htilde, cctx)))
-	}
-	o.pv = g.SoftmaxRow(p.outLin.Apply(g, htilde))
-	o.gate = g.Sigmoid(p.gateLin.Apply(g, htilde))
-	if C != nil {
-		o.cgate = g.Sigmoid(p.ctxGateLin.Apply(g, htilde))
-	}
-	return o
-}
-
-// encodeCtx runs the previous-program encoder: context tokens are embedded
-// through the decoder embedding (they are target-language tokens) and folded
-// by ctxCell into an m×h memory for the second attention head.
-//
-//genielint:returns-arena
-func (p *Parser) encodeCtx(g *nn.Graph, bufs *ctxBufs, ctxIds []int) *nn.Tensor {
-	n := len(ctxIds)
-	embs := grow(&bufs.embs, n)
-	for i, id := range ctxIds {
-		embs[i] = g.Dropout(p.decEmb.Lookup(g, id), p.cfg.Dropout, p.rng)
-	}
-	h, c := p.ctxCell.ZeroState(g)
-	hs := grow(&bufs.hs, n)
-	for i := 0; i < n; i++ {
-		h, c = p.ctxCell.Step(g, embs[i], h, c)
-		hs[i] = h
-	}
-	rows := grow(&bufs.rows, n)
-	copy(rows, hs)
-	return g.RowsToMatrix(rows)
 }
 
 // copyMask appends to mb one flag per token of toks — whether it is the
@@ -452,63 +286,4 @@ func copyMask(mb []bool, toks []string, tok string) (buf, mask []bool) {
 		mb = append(mb, s == tok)
 	}
 	return mb, mb[start:len(mb):len(mb)]
-}
-
-// loss computes the teacher-forced loss of one pair. A pair with a context
-// (on a contextual parser) encodes the previous turn's program as a second
-// memory: each step attends both and the pointer mixture splits copy mass
-// between source and context tokens. All per-step slices (ids, target
-// tokens, per-token copy masks) come from the parser's scratch so a
-// steady-state training step allocates nothing.
-func (p *Parser) loss(g *nn.Graph, pair *Pair) float64 {
-	p.scr.srcIds = p.src.EncodeInto(p.scr.srcIds[:0], pair.Src)
-	H, final := p.encode(g, &p.scr.enc, p.scr.srcIds)
-	var C *nn.Tensor
-	if p.ctxCell != nil && len(pair.Ctx) > 0 {
-		p.scr.ctxIds = p.tgt.EncodeInto(p.scr.ctxIds[:0], pair.Ctx)
-		C = p.encodeCtx(g, &p.scr.cenc, p.scr.ctxIds)
-	}
-	st := p.initDecode(g, final)
-	prev := BosID
-	total := 0.0
-	target := append(p.scr.target[:0], pair.Tgt...)
-	target = append(target, EosToken)
-	p.scr.target = target
-	mb := p.scr.maskBuf[:0]
-	for _, tok := range target {
-		o := p.step(g, st, prev, H, C)
-		vocabIdx := -1
-		if p.tgt.Has(tok) {
-			vocabIdx = p.tgt.ID(tok)
-		}
-		var srcMask, ctxMask []bool
-		switch {
-		case !p.cfg.PointerGen:
-			if vocabIdx < 0 {
-				vocabIdx = UnkID
-			}
-			total += g.NLLPointerMix(o.pv, o.alpha, onesGate(g), nil, vocabIdx)
-		case C == nil:
-			mb, srcMask = copyMask(mb, pair.Src, tok)
-			total += g.NLLPointerMix(o.pv, o.alpha, o.gate, srcMask, vocabIdx)
-		default:
-			mb, srcMask = copyMask(mb, pair.Src, tok)
-			mb, ctxMask = copyMask(mb, pair.Ctx, tok)
-			total += g.NLLPointerMixCtx(o.pv, o.alpha, o.beta, o.gate, o.cgate, srcMask, ctxMask, vocabIdx)
-		}
-		st = o.next
-		prev = p.tgt.ID(tok)
-	}
-	p.scr.maskBuf = mb
-	return total / float64(len(target))
-}
-
-// onesGate returns a constant gate of 1 (pure generation); it has no
-// parameter behind it, which is exactly the -pointer ablation.
-//
-//genielint:returns-arena
-func onesGate(g *nn.Graph) *nn.Tensor {
-	t := g.NewTensor(1, 1)
-	t.W[0] = 1
-	return t
 }

@@ -3,30 +3,39 @@ package model
 import (
 	"testing"
 
+	"repro/internal/grammar"
 	"repro/internal/nn"
 )
 
 // fillBufs simulates an encode pass leaving arena tensors in every buffer,
 // then shrinks the visible lengths the way grow does on a shorter follow-up
 // call, so the test also covers pointers hiding between len and cap.
-func fillEncBufs(g *nn.Graph, e *encBufs, n int) {
-	for _, buf := range []*[]*nn.Tensor{&e.embs, &e.fhs, &e.bhs, &e.rows} {
+func fillBufs(g *nn.Graph, bb *batchBufs, n int) {
+	for _, buf := range []*[]*nn.Tensor{&bb.embs, &bb.fhs, &bb.bhs, &bb.rows} {
 		s := grow(buf, n)
 		for i := range s {
-			s[i] = g.NewTensor(1, 2)
+			s[i] = g.NewTensor(2, 2)
 		}
 		*buf = (*buf)[:n/2]
 	}
 }
 
-func assertCleared(t *testing.T, name string, ts []*nn.Tensor) {
+func assertCleared[T comparable](t *testing.T, name string, s []T) {
 	t.Helper()
-	full := ts[:cap(ts)]
-	for i, p := range full {
-		if p != nil {
-			t.Errorf("%s[%d] still pins a tensor after release", name, i)
+	var zero T
+	for i, p := range s[:cap(s)] {
+		if p != zero {
+			t.Errorf("%s[%d] still pins a value after release", name, i)
 		}
 	}
+}
+
+func assertBufsCleared(t *testing.T, name string, bb *batchBufs) {
+	t.Helper()
+	assertCleared(t, name+".embs", bb.embs)
+	assertCleared(t, name+".fhs", bb.fhs)
+	assertCleared(t, name+".bhs", bb.bhs)
+	assertCleared(t, name+".rows", bb.rows)
 }
 
 // TestReleasedDecodeCtxRetainsNoTensors pins the pool-retention audit fix: a
@@ -36,39 +45,37 @@ func assertCleared(t *testing.T, name string, ts []*nn.Tensor) {
 // risks aliasing another request's live tensors.
 func TestReleasedDecodeCtxRetainsNoTensors(t *testing.T) {
 	dc := acquireDecodeCtx()
-	fillEncBufs(dc.g, &dc.enc, 6)
+	fillBufs(dc.g, &dc.bufs, 6)
 	dc.release()
 
-	assertCleared(t, "enc.embs", dc.enc.embs)
-	assertCleared(t, "enc.fhs", dc.enc.fhs)
-	assertCleared(t, "enc.bhs", dc.enc.bhs)
-	assertCleared(t, "enc.rows", dc.enc.rows)
+	assertBufsCleared(t, "bufs", &dc.bufs)
 	if dc.g != nil {
 		t.Error("released decodeCtx still holds its graph")
 	}
 }
 
+// TestReleasedBatchDecodeCtxRetainsNoTensors covers the previous-program
+// encoder's buffers, and the request memory a context holds: the window's
+// sentences and contexts, and its rows' grammar states.
 func TestReleasedBatchDecodeCtxRetainsNoTensors(t *testing.T) {
 	dc := acquireDecodeCtx()
-	for _, buf := range []*[]*nn.Tensor{&dc.bufs.embs, &dc.bufs.fhs, &dc.bufs.bhs, &dc.bufs.rows, &dc.cbufs.embs, &dc.cbufs.fhs, &dc.cbufs.rows, &dc.cenc.embs, &dc.cenc.hs, &dc.cenc.rows} {
-		s := grow(buf, 6)
-		for i := range s {
-			s[i] = dc.g.NewTensor(2, 2)
-		}
-		*buf = (*buf)[:3]
+	fillBufs(dc.g, &dc.cbufs, 6)
+	words := grow(&dc.words, 4)
+	ctxs := grow(&dc.ctxs, 4)
+	gss := grow(&dc.gss, 4)
+	for i := range words {
+		words[i], ctxs[i], gss[i] = []string{"a"}, []string{"b"}, new(grammar.State)
 	}
+	dc.words, dc.ctxs, dc.gss = words[:1], ctxs[:1], gss[:1]
 	dc.release()
 
-	assertCleared(t, "bufs.embs", dc.bufs.embs)
-	assertCleared(t, "bufs.fhs", dc.bufs.fhs)
-	assertCleared(t, "bufs.bhs", dc.bufs.bhs)
-	assertCleared(t, "bufs.rows", dc.bufs.rows)
-	assertCleared(t, "cbufs.embs", dc.cbufs.embs)
-	assertCleared(t, "cbufs.fhs", dc.cbufs.fhs)
-	assertCleared(t, "cbufs.rows", dc.cbufs.rows)
-	assertCleared(t, "cenc.embs", dc.cenc.embs)
-	assertCleared(t, "cenc.hs", dc.cenc.hs)
-	assertCleared(t, "cenc.rows", dc.cenc.rows)
+	assertBufsCleared(t, "cbufs", &dc.cbufs)
+	for i, w := range dc.words[:cap(dc.words)] {
+		if w != nil || dc.ctxs[:cap(dc.ctxs)][i] != nil {
+			t.Errorf("words/ctxs[%d] still pins a request's tokens after release", i)
+		}
+	}
+	assertCleared(t, "gss", dc.gss)
 	if dc.g != nil {
 		t.Error("released decodeCtx still holds its graph")
 	}

@@ -29,8 +29,8 @@ import (
 //	vocabs  source then target: count, then length-prefixed tokens
 //	params  count, then per tensor: rows, cols, rows*cols float64 bits;
 //	        contextual parsers append the context-encoder tensors after the
-//	        base Params() order (newParser sizes them from the Contextual
-//	        config bit, so the count check covers them)
+//	        base Params() order (paramShapes derives them from the
+//	        Contextual config bit, so the count check covers them)
 const (
 	snapshotMagic   = "GENIEPSR"
 	snapshotVersion = 4
@@ -117,9 +117,8 @@ func Load(r io.Reader) (*Parser, error) {
 	if br.err != nil {
 		return nil, fmt.Errorf("model: reading snapshot: %w", br.err)
 	}
-	// Bound the dimensions before newParser sizes tensors off them: a
-	// corrupt stream with a valid header must fail cleanly, not allocate
-	// gigabytes or panic on a negative make.
+	// Bound the dimensions before any shape is computed from them: a corrupt
+	// stream with a valid header must fail cleanly, not overflow a size.
 	const maxDim = 1 << 16
 	if cfg.EmbedDim <= 0 || cfg.EmbedDim > maxDim || cfg.HiddenDim <= 0 || cfg.HiddenDim > maxDim {
 		return nil, fmt.Errorf("model: implausible snapshot dimensions embed=%d hidden=%d", cfg.EmbedDim, cfg.HiddenDim)
@@ -127,12 +126,10 @@ func Load(r io.Reader) (*Parser, error) {
 	if src.Size() < 3 || tgt.Size() < 3 { // <unk>, <s>, </s> at minimum
 		return nil, fmt.Errorf("model: snapshot vocabularies too small (%d src, %d tgt)", src.Size(), tgt.Size())
 	}
-	p := newParser(cfg, src, tgt)
-	p.meta = meta
-	p.calib = calib
+	var spec *grammar.Spec
 	if specJSON != "" {
-		spec, err := grammar.UnmarshalSpec([]byte(specJSON))
-		if err != nil {
+		var err error
+		if spec, err = grammar.UnmarshalSpec([]byte(specJSON)); err != nil {
 			return nil, fmt.Errorf("model: reading snapshot grammar spec: %w", err)
 		}
 		// The checksum pins the automaton the parser was calibrated with; a
@@ -140,31 +137,69 @@ func Load(r io.Reader) (*Parser, error) {
 		if got := spec.Checksum(); got != specChecksum {
 			return nil, fmt.Errorf("model: snapshot grammar checksum mismatch (stored %s, computed %s)", specChecksum, got)
 		}
+	}
+	// The weights are read before the parser is built, each tensor grown as
+	// its data arrives (readVocab's rule): a truncated or corrupt stream costs
+	// what it holds, not the parser its header describes.
+	shapes := paramShapes(cfg, src.Size(), tgt.Size())
+	if n := br.u64(); br.err == nil && n != uint64(len(shapes)) {
+		return nil, fmt.Errorf("model: snapshot holds %d tensors, parser has %d", n, len(shapes))
+	}
+	weights := make([][]float64, len(shapes))
+	for i, sh := range shapes {
+		rows, cols := br.u64(), br.u64()
+		if br.err != nil {
+			return nil, fmt.Errorf("model: reading tensor %d: %w", i, br.err)
+		}
+		if rows != uint64(sh[0]) || cols != uint64(sh[1]) {
+			return nil, fmt.Errorf("model: tensor %d is %dx%d in snapshot, %dx%d in parser", i, rows, cols, sh[0], sh[1])
+		}
+		weights[i] = br.f64s(rows * cols)
+	}
+	if br.err != nil {
+		return nil, fmt.Errorf("model: reading snapshot weights: %w", br.err)
+	}
+	p := newParser(cfg, src, tgt)
+	for i, t := range p.Params() {
+		copy(t.W, weights[i])
+	}
+	p.meta = meta
+	p.calib = calib
+	if spec != nil {
 		// A compile failure is non-fatal: the spec is kept for provenance and
 		// the parser decodes unmasked (the automaton is a constraint, not a
 		// requirement, and older vocabularies may not cover the library).
 		_ = p.SetGrammar(spec)
 	}
-	params := p.Params()
-	if n := br.u64(); int(n) != len(params) {
-		return nil, fmt.Errorf("model: snapshot holds %d tensors, parser has %d", n, len(params))
-	}
-	for i, t := range params {
-		rows, cols := int(br.u64()), int(br.u64())
-		if br.err != nil {
-			return nil, fmt.Errorf("model: reading tensor %d: %w", i, br.err)
-		}
-		if rows != t.Rows || cols != t.Cols {
-			return nil, fmt.Errorf("model: tensor %d is %dx%d in snapshot, %dx%d in parser", i, rows, cols, t.Rows, t.Cols)
-		}
-		for j := range t.W {
-			t.W[j] = math.Float64frombits(br.u64())
-		}
-	}
-	if br.err != nil {
-		return nil, fmt.Errorf("model: reading snapshot weights: %w", br.err)
-	}
 	return p, nil
+}
+
+// paramShapes lists the rows×cols of every Params() tensor of a parser with
+// this config and these vocabulary sizes, in order: what newParser allocates,
+// known before it does.
+func paramShapes(cfg Config, srcSize, tgtSize int) [][2]int {
+	e, h := cfg.EmbedDim, cfg.HiddenDim
+	var s [][2]int
+	emb := func(rows int) { s = append(s, [2]int{rows, e}) }
+	lstm := func(in int) { s = append(s, [2]int{in, 4 * h}, [2]int{h, 4 * h}, [2]int{1, 4 * h}) }
+	lin := func(in, out int) { s = append(s, [2]int{in, out}, [2]int{1, out}) }
+	emb(srcSize) // encEmb
+	lstm(e)      // fwd
+	lstm(e)      // bwd
+	emb(tgtSize) // decEmb
+	lstm(e + 2*h)
+	lin(2*h, h)     // initLin
+	lin(h, 2*h)     // attnLin
+	lin(3*h, h)     // combLin
+	lin(h, tgtSize) // outLin
+	lin(h, 1)       // gateLin
+	if cfg.Contextual {
+		lstm(e)     // ctxCell
+		lin(h, h)   // ctxAttnLin
+		lin(2*h, h) // ctxCombLin
+		lin(h, 1)   // ctxGateLin
+	}
+	return s
 }
 
 // SaveFile writes the snapshot atomically: to a temp file in the target
@@ -321,6 +356,16 @@ func (b *binReader) u64() uint64 {
 
 func (b *binReader) i64() int64   { return int64(b.u64()) }
 func (b *binReader) f64() float64 { return math.Float64frombits(b.u64()) }
+
+// f64s reads n float64s into a slice grown as they arrive, not sized from n:
+// a truncated or corrupt stream costs what it actually holds.
+func (b *binReader) f64s(n uint64) []float64 {
+	var out []float64
+	for ; n > 0 && b.err == nil; n-- {
+		out = append(out, b.f64())
+	}
+	return out
+}
 
 func (b *binReader) bool() bool {
 	var one [1]byte

@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -154,4 +155,90 @@ func TestSnapshotTruncatedVocabDoesNotPreallocate(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
 		t.Errorf("Load allocated %d MiB for a 13-byte vocabulary", grew>>20)
 	}
+}
+
+// TestSnapshotTruncatedWeightsDoNotPreallocate: a stream whose header names a
+// 512-wide parser but which ends three floats into its first tensor must fail
+// on the missing data without first building the parser its header
+// describes (about 160 MiB of weights and gradients at that width).
+func TestSnapshotTruncatedWeightsDoNotPreallocate(t *testing.T) {
+	p := trainedToyParser()
+	var full bytes.Buffer
+	if err := p.Save(&full); err != nil {
+		t.Fatal(err)
+	}
+	// The weights section is the tensor count, then rows, cols and data per
+	// tensor; everything before it is kept.
+	weights := 8
+	for _, w := range p.Params() {
+		weights += 16 + 8*w.Size()
+	}
+	stream := append([]byte(nil), full.Bytes()[:full.Len()-weights]...)
+	const dim = 512
+	const cfgOff = len(snapshotMagic) + 8 // EmbedDim, then HiddenDim
+	binary.LittleEndian.PutUint64(stream[cfgOff:], dim)
+	binary.LittleEndian.PutUint64(stream[cfgOff+8:], dim)
+	srcSize, _ := p.VocabSizes()
+	for _, v := range []uint64{uint64(len(p.Params())), uint64(srcSize), dim} {
+		stream = binary.LittleEndian.AppendUint64(stream, v)
+	}
+	stream = append(stream, make([]byte, 3*8)...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "EOF") {
+		t.Fatalf("Load of truncated weights: err = %v, want an EOF error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("Load allocated %d MiB for a %d-byte snapshot", grew>>20, len(stream))
+	}
+}
+
+// FuzzSnapshotLoad: Load returns a parser or an error on any byte stream, and
+// never panics. The seeds are small plain and contextual snapshots (one with
+// a grammar spec), their truncations, and mutations of their header fields:
+//
+//	go test ./internal/model -run '^$' -fuzz FuzzSnapshotLoad -fuzztime 10s
+func FuzzSnapshotLoad(f *testing.F) {
+	vocab := func(words ...string) *Vocab { return BuildVocab([][]string{words}, 1) }
+	src := vocab("tweet", "alpha", "now", "email")
+	tgt := vocab("now", "=>", "@twitter.post", "@gmail.send", "param:text", "=", `"`)
+	for _, contextual := range []bool{false, true} {
+		p := newParser(Config{EmbedDim: 4, HiddenDim: 3, MaxDecodeLen: 8, PointerGen: true, Contextual: contextual, Seed: 1}, src, tgt)
+		if contextual {
+			_ = p.SetGrammar(toyGrammarSpec())
+		}
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		full := buf.Bytes()
+		f.Add(full)
+		for _, n := range []int{8, 17, 40, len(full) / 3, len(full) / 2, len(full) - 9, len(full) - 1} {
+			f.Add(full[:n])
+		}
+		const cfgOff = len(snapshotMagic) + 8
+		for _, m := range []struct {
+			off int
+			v   uint64
+		}{
+			{len(snapshotMagic), 3},         // an older version
+			{cfgOff, 2048},                  // EmbedDim
+			{cfgOff + 8, 0},                 // HiddenDim
+			{cfgOff + 8, 1 << 40},           // HiddenDim
+			{len(full) - 8, math.MaxUint64}, // the last weight's bits
+		} {
+			mut := append([]byte(nil), full...)
+			binary.LittleEndian.PutUint64(mut[m.off:], m.v)
+			f.Add(mut)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Load(bytes.NewReader(data))
+		if (p == nil) == (err == nil) {
+			t.Fatalf("Load returned parser %v and error %v", p != nil, err)
+		}
+	})
 }

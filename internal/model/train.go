@@ -75,19 +75,13 @@ func NewTrainer(train []Pair, lmPrograms [][]string, cfg Config) *Trainer {
 	}
 }
 
-// Step runs one forward/backward/update on the pair and returns its loss.
+// Step is StepBatch over the one pair.
 func (t *Trainer) Step(pair *Pair) float64 {
-	t.g.Reset()
-	l := t.p.loss(t.g, pair)
-	t.g.Backward()
-	t.opt.Step(t.params)
-	return l
+	return t.StepBatch([]Pair{*pair})
 }
 
-// StepBatch runs one forward/backward/update over a padded minibatch through
-// the batched B×n kernels and returns the mean per-example loss. Gradients
-// average over the batch, so a one-pair StepBatch performs the same update
-// as Step on that pair.
+// StepBatch runs one forward/backward/update over a padded minibatch and
+// returns the mean per-example loss; gradients average over the batch.
 func (t *Trainer) StepBatch(pairs []Pair) float64 {
 	t.g.Reset()
 	l := t.p.lossBatch(t.g, pairs)
@@ -102,58 +96,35 @@ func (t *Trainer) Parser() *Parser { return t.p }
 // pretrainLM trains the decoder as a ThingTalk language model: next-token
 // prediction over synthesized programs, with zeroed attention context. The
 // decoder embedding, LSTM and output projection carry over to parsing
-// (Section 4.2). With BatchSize > 1 each of the LMSteps optimizer steps
-// processes one shuffled minibatch through lmLossBatch; otherwise one
-// sampled program per step, through the decoder-step helpers shared with
-// the parser loss.
+// (Section 4.2). Each of the LMSteps optimizer steps runs lmLossBatch over
+// one sampled program, or with BatchSize > 1 over one shuffled minibatch.
 func (p *Parser) pretrainLM(programs [][]string) {
 	opt := nn.NewAdam(p.cfg.LR)
 	params := p.decParams()
 	rng := rand.New(rand.NewSource(p.cfg.Seed + 101))
 	g := nn.NewGraphArena(true, nn.NewArena())
-	steps := p.cfg.LMSteps
-
-	if bs := p.cfg.BatchSize; bs > 1 {
-		batch := make([][]string, 0, bs)
-		order := rng.Perm(len(programs))
-		pos := 0
-		for s := 0; s < steps; s++ {
-			batch = batch[:0]
-			for len(batch) < bs {
-				if pos == len(order) {
-					rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-					pos = 0
-				}
-				batch = append(batch, programs[order[pos]])
-				pos++
-			}
-			g.Reset()
-			p.lmLossBatch(g, batch)
-			g.Backward()
-			opt.Step(params)
-		}
-		return
+	bs := max(1, p.cfg.BatchSize)
+	batch := make([][]string, 0, bs)
+	var order []int
+	if bs > 1 {
+		order = rng.Perm(len(programs))
 	}
-
-	for s := 0; s < steps; s++ {
-		prog := programs[rng.Intn(len(programs))]
-		g.Reset()
-		_, c := p.dec.ZeroState(g)
-		h := g.NewTensor(1, p.cfg.HiddenDim)
-		ctx := g.NewTensor(1, 2*p.cfg.HiddenDim)
-		st := decodeState{h: h, c: c, ctx: ctx}
-		prev := BosID
-		target := append(p.scr.target[:0], prog...)
-		target = append(target, EosToken)
-		p.scr.target = target
-		for _, tok := range target {
-			hh, cc := p.decCell(g, st, prev)
-			pv := g.SoftmaxRow(p.outLin.Apply(g, p.hTilde(g, hh, st.ctx, 0)))
-			idx := p.tgt.ID(tok)
-			g.NLLPointerMix(pv, nil, onesGate(g), nil, idx)
-			st = decodeState{h: hh, c: cc, ctx: st.ctx}
-			prev = idx
+	pos := 0
+	for s := 0; s < p.cfg.LMSteps; s++ {
+		batch = batch[:0]
+		if bs == 1 {
+			batch = append(batch, programs[rng.Intn(len(programs))])
 		}
+		for len(batch) < bs {
+			if pos == len(order) {
+				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+				pos = 0
+			}
+			batch = append(batch, programs[order[pos]])
+			pos++
+		}
+		g.Reset()
+		p.lmLossBatch(g, batch)
 		g.Backward()
 		opt.Step(params)
 	}
@@ -161,8 +132,8 @@ func (p *Parser) pretrainLM(programs [][]string) {
 
 // fit runs teacher-forced training with early stopping. All intermediate
 // tensors of a step live in one arena recycled by Reset, so the steady-state
-// step is allocation-free. With BatchSize > 1 each optimizer step (and so
-// each unit of MaxSteps/EvalEvery) covers one shuffled minibatch.
+// step is allocation-free. Each optimizer step (and so each unit of
+// MaxSteps/EvalEvery) covers one shuffled minibatch of BatchSize pairs.
 func (p *Parser) fit(train, val []Pair) {
 	// Without a checkpointer or context fitRun cannot fail.
 	_ = p.fitRun(nil, train, val, nil, nil)
@@ -277,19 +248,17 @@ func (p *Parser) fitRun(ctx context.Context, train, val []Pair, ck *checkpointer
 
 	bs := max(1, p.cfg.BatchSize)
 	if p.ctxCell != nil {
-		// Contextual training runs per-example: the batched loss kernels
-		// have no context head, and the padded ctx memory layout is decode-
-		// only (blocks require an inference graph). B=1 keeps the gradient
-		// exact; the batched kernels still serve contextual decoding.
+		// Contextual training runs one pair per batch. A batch mixing first
+		// turns with follow-ups would run the context head for all of them,
+		// the first turns over an empty memory, where a lone first turn takes
+		// the single-turn step: batching them is a numerics change of its
+		// own.
 		bs = 1
 	}
 	// BucketByLength only applies to real minibatches; with bs 1 batchStarts
 	// degenerates to 0,1,2,... and draws nothing from rng.
 	bucket := p.cfg.BucketByLength && bs > 1
-	var batch []Pair
-	if bs > 1 {
-		batch = make([]Pair, 0, bs)
-	}
+	batch := make([]Pair, 0, bs)
 	if ck != nil && resume == nil {
 		// The initial checkpoint pins the post-LM weights so a resumed run
 		// never repeats LM pre-training.
@@ -319,17 +288,12 @@ func (p *Parser) fitRun(ctx context.Context, train, val []Pair, ck *checkpointer
 				return fmt.Errorf("%w before epoch %d batch %d: %v", ErrInterrupted, epoch, bi, ctx.Err())
 			}
 			start := starts[bi]
-			g.Reset()
-			if bs <= 1 {
-				p.loss(g, &train[order[start]])
-			} else {
-				end := min(start+bs, len(order))
-				batch = batch[:0]
-				for _, idx := range order[start:end] {
-					batch = append(batch, train[idx])
-				}
-				p.lossBatch(g, batch)
+			batch = batch[:0]
+			for _, idx := range order[start:min(start+bs, len(order))] {
+				batch = append(batch, train[idx])
 			}
+			g.Reset()
+			p.lossBatch(g, batch)
 			g.Backward()
 			opt.Step(params)
 			if afterStep() {
@@ -401,7 +365,7 @@ func (p *Parser) valLoss(val []Pair) float64 {
 	}
 	for i := 0; i < n; i++ {
 		p.valG.Reset()
-		total += p.loss(p.valG, &val[i])
+		total += p.lossBatch(p.valG, val[i:i+1])
 	}
 	return total / float64(n)
 }

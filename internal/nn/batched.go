@@ -2,25 +2,26 @@ package nn
 
 import "math"
 
-// This file holds the batched (B×n) kernels: the per-row fused kernels of
-// fused.go lifted to operate on B stacked rows in one forward pass and one
-// tape record. Every kernel accumulates, per row, exactly the same
-// floating-point expressions in the same order as B independent single-row
-// calls — so a batched loss matches the mean of per-example losses to
-// rounding, and the parity tests in batched_test.go can pin it tightly. The
-// one exception is the input gradient of a batched matrix product, whose
-// j-sum runs over four lane accumulators (kernel.go) where the single-row
-// backward uses one; the kernel parity tests bound that within ~1 ulp.
+// This file holds the fused kernels of the model's inner loop, one form per
+// op: each fuses a chain of primitive ops (ops.go) into one forward pass and
+// one tape record over B stacked rows, accumulating per row exactly the same
+// floating-point expressions in the same order as the chain it replaces. A
+// single row is a batch of one — AffineRow, LSTMCell.Step and
+// AttendSoftmaxContext are one-call wrappers — and a one-row product's
+// backward is the single-row serial chain (kernel.go). Across rows, the input
+// gradient of a batched matrix product sums over four lane accumulators where
+// the single-row backward uses one; the kernel parity tests bound that within
+// ~1 ulp.
 //
 // Everything runs on the calling goroutine: a training step forks nothing
 // and, on a warm arena, allocates nothing. Parallelism lives above the step
 // (experiment workers, serving workers), where the units are independent.
 
-// nllEps matches the epsilon inside NLLPointerMix.
+// nllEps keeps the pointer-mixture log finite when p is 0.
 const nllEps = 1e-9
 
-// BatchedAffine computes x·W + b for a B×in batch in one pass: the batched
-// form of AffineRow, with the bias row broadcast over the batch.
+// BatchedAffine computes x·W + b for a B×in batch in one pass: it fuses
+// Add(MatMul(x, w), b), the bias row broadcast over the batch.
 func (g *Graph) BatchedAffine(x, w, b *Tensor) *Tensor {
 	if x.Cols != w.Rows || b.Cols != w.Cols || b.Rows != 1 {
 		panic("nn: BatchedAffine shape mismatch")
@@ -38,6 +39,9 @@ func (g *Graph) BatchedAffine(x, w, b *Tensor) *Tensor {
 	return out
 }
 
+// AffineRow is BatchedAffine for one row x (1×in).
+func (g *Graph) AffineRow(x, w, b *Tensor) *Tensor { return g.BatchedAffine(x, w, b) }
+
 func backAffineBatch(x, w, b, out *Tensor) {
 	n := w.Cols
 	// Bias: broadcast backward, batch rows in ascending order.
@@ -48,6 +52,29 @@ func backAffineBatch(x, w, b, out *Tensor) {
 		}
 	}
 	backMatMulRows(x.W, x.DW, x.Rows, x.Cols, w.W, w.DW, n, out.DW, nil)
+}
+
+// lstmCellRow is the activation and state-update stage of one LSTM row, given
+// x·Wx in pre and h·Wh in preH: it sums the gate pre-activations into pre,
+// activates them into acts, and writes the new cell state, tanh(cNext) and
+// hidden state.
+func lstmCellRow(cell *LSTMCell, pre, preH, c, acts, tc, hNext, cNext []float64) {
+	H := cell.Hidden
+	for j, b := range cell.B.W {
+		pre[j] = (pre[j] + preH[j]) + b
+	}
+	sigmoid(acts[:3*H], pre)
+	tanh(acts[3*H:], pre[3*H:])
+	for j := 0; j < H; j++ {
+		// Two statements, matching Add(Mul(f,c), Mul(i,cand)) rounding.
+		fc := acts[H+j] * c[j]
+		ic := acts[j] * acts[3*H+j]
+		cNext[j] = fc + ic
+	}
+	tanh(tc, cNext)
+	for j, t := range tc {
+		hNext[j] = acts[2*H+j] * t
+	}
 }
 
 // lstmBatchRows runs the activation and state-update stage of the batched
@@ -69,11 +96,18 @@ func lstmBatchRows(cell *LSTMCell, h, c, pre, acts, tc, hNext, cNext *Tensor, ac
 }
 
 // lstmStepBatch advances an LSTM cell one timestep for B stacked rows in one
-// fused pass: the batched form of lstmStep. Rows where active is false carry
-// their (h, c) state through unchanged — the padding scheme of the batched
-// encoder, where sequences shorter than the batch maximum stop stepping —
-// and contribute nothing to any gradient. A nil active means all rows step.
-// The active slice is retained until Backward/Reset.
+// fused pass — both gate matmuls, the bias add, the four activations and the
+// state update — with a single tape record. Per row it fuses the chain
+//
+//	gates = Add(Add(MatMul(x, Wx), MatMul(h, Wh)), B)
+//	i,f,o = Sigmoid(slice(gates, k)); cand = Tanh(slice(gates, 3))
+//	cNext = Add(Mul(f, c), Mul(i, cand)); hNext = Mul(o, Tanh(cNext))
+//
+// Rows where active is false carry their (h, c) state through unchanged —
+// the padding scheme of the batched encoder, where sequences shorter than the
+// batch maximum stop stepping — and contribute nothing to any gradient. A nil
+// active means all rows step. The active slice is retained until
+// Backward/Reset.
 func (g *Graph) lstmStepBatch(cell *LSTMCell, x, h, c *Tensor, active []bool) (hNext, cNext *Tensor) {
 	B := x.Rows
 	H := cell.Hidden
@@ -82,10 +116,12 @@ func (g *Graph) lstmStepBatch(cell *LSTMCell, x, h, c *Tensor, active []bool) (h
 		panic("nn: StepBatch shape mismatch")
 	}
 	// pre.W accumulates x·Wx; pre.DW doubles as scratch for h·Wh during the
-	// forward pass (this op's backward never reads pre), as in lstmStep.
+	// forward pass (this op's backward never reads pre).
 	pre := g.NewTensor(B, n)
 	matMulRows(x.W, B, x.Cols, cell.Wx.W, n, pre.W, active)
 	matMulRows(h.W, B, H, cell.Wh.W, n, pre.DW, active)
+	// acts stashes the activated gates [i|f|o|cand] for backward; its DW is
+	// backward's pre-activation-gradient scratch.
 	acts := g.NewTensor(B, n)
 	tc := g.NewTensor(B, H)
 	hNext = g.NewTensor(B, H)
@@ -162,16 +198,20 @@ func backLSTMStepBatch(o *tapeOp) {
 	backMatMulRows(x.W, x.DW, B, x.Cols, cell.Wx.W, cell.Wx.DW, n, dG, o.mask)
 }
 
-// AttendSoftmaxContextBatch is the batched attention kernel: queries q (R×d)
-// attend over a padded memory H ((M*S)×d, M blocks of S rows each), with
-// lens[m] giving block m's valid row count — scores, softmax and the context
-// sum all restrict to the valid prefix, so padding rows never receive
-// probability mass. blocks[r] names the memory block row r attends (beam
-// rows of one request share its block); nil means row r attends block r
-// (R == M), the training layout, and the only one supported on
+// AttendSoftmaxContextBatch is the batched attention kernel: it fuses
+//
+//	scores = AttendDot(q, H); alpha = SoftmaxRow(scores)
+//	ctx    = WeightedSumRows(alpha, H)
+//
+// for queries q (R×d) over a padded memory H ((M*S)×d, M blocks of S rows
+// each), with lens[m] giving block m's valid row count — scores, softmax and
+// the context sum all restrict to the valid prefix, so padding rows never
+// receive probability mass. blocks[r] names the memory block row r attends
+// (beam rows of one request share its block); nil means row r attends block
+// r (R == M), the training layout, and the only one supported on
 // gradient-recording graphs. Returns the attention weights alpha (R×S, zero
-// beyond the block's length) and the context ctx (R×d). The lens slice is
-// retained until Backward/Reset.
+// beyond the block's length; the pointer loss reads them) and the context
+// ctx (R×d). The lens slice is retained until Backward/Reset.
 func (g *Graph) AttendSoftmaxContextBatch(q, H *Tensor, blocks, lens []int) (alpha, ctx *Tensor) {
 	R, d := q.Rows, q.Cols
 	M := len(lens)
@@ -202,6 +242,12 @@ func (g *Graph) AttendSoftmaxContextBatch(q, H *Tensor, blocks, lens []int) (alp
 	}
 	g.push(tapeOp{kind: opAttendBatch, a: q, b: H, out: ctx, aux: alpha, aux2: sc, ints: lens})
 	return alpha, ctx
+}
+
+// AttendSoftmaxContext is AttendSoftmaxContextBatch for one query row q (1×d)
+// over an unpadded memory H.
+func (g *Graph) AttendSoftmaxContext(q, H *Tensor) (alpha, ctx *Tensor) {
+	return g.AttendSoftmaxContextBatch(q, H, nil, []int{H.Rows})
 }
 
 // backAttendBatch runs the attention backward row by row. The record-time
@@ -244,8 +290,8 @@ func backSoftmaxRows(a, out *Tensor) {
 	}
 }
 
-// LookupRows stacks the embedding rows of ids into a len(ids)×dim batch; the
-// batched form of LookupRow. The ids slice is retained until Backward/Reset.
+// LookupRows stacks the embedding rows of ids into a len(ids)×dim batch. The
+// ids slice is retained until Backward/Reset.
 func (g *Graph) LookupRows(emb *Tensor, ids []int) *Tensor {
 	d := emb.Cols
 	out := g.NewTensor(len(ids), d)
@@ -256,8 +302,7 @@ func (g *Graph) LookupRows(emb *Tensor, ids []int) *Tensor {
 	return out
 }
 
-// ConcatCols concatenates two equal-height matrices along columns: the
-// batched form of the two-part ConcatRow.
+// ConcatCols concatenates two equal-height matrices along columns.
 func (g *Graph) ConcatCols(a, b *Tensor) *Tensor {
 	if a.Rows != b.Rows {
 		panic("nn: ConcatCols row mismatch")
@@ -292,7 +337,8 @@ func backConcatCols2(a, b, out *Tensor) {
 // the result is a (B*S)×d tensor (S = len(rows)) whose block b holds
 // sequence b's memory — row b*S+i copies rows[i]'s row b for i < lens[b],
 // and padding rows beyond a sequence's length stay zero. The rows and lens
-// slices are retained until Backward/Reset (the RowsToMatrix caveat).
+// slices are retained until Backward/Reset, so a caller reusing a scratch
+// slice must not overwrite it before then.
 func (g *Graph) PackMemoryBatch(rows []*Tensor, lens []int) *Tensor {
 	S := len(rows)
 	if S == 0 {
@@ -329,18 +375,28 @@ func backPackMemory(o *tapeOp) {
 	}
 }
 
-// NLLPointerMixBatch is the batched pointer–generator loss: row b mixes the
-// vocabulary distribution pvocab (B×V), the attention weights alpha (B×S)
-// and the gate pgen (B×1) exactly as NLLPointerMix does for one row, with
-// copyMasks[b] and vocabIdx[b] giving row b's copy positions and target
-// vocabulary index. gradScale[b] scales row b's gradient — pass 1/B to
+// NLLPointerMixBatch is the mixed pointer–generator loss of Section 4.1 over
+// B rows. Row b mixes the vocabulary distribution pvocab (B×V), the source
+// attention alpha (B×S) and the gate pgen (B×1):
+//
+//	p = gate·pvocab[idx] + (1−gate)·Σ_{i: srcMask_i} alpha_i
+//
+// With a context memory (beta non-nil) the copy half is itself a mixture of
+// copying from the source and from the previous turn's program — attention
+// beta (B×M) over ctxMasks — weighted by the context gate cgate (B×1):
+//
+//	p = gate·pvocab[idx] + (1−gate)·((1−cgate)·Σ srcMask·alpha + cgate·Σ ctxMask·beta)
+//
+// copyMasks[b] and ctxMasks[b] flag the positions holding row b's target
+// token, and vocabIdx[b] is its vocabulary index (−1 when out of vocabulary,
+// forcing a pure copy). ctxMasks is read only with beta. gradScale[b] scales row b's gradient — pass 1/B to
 // average the minibatch gradient over examples, and 0 to mark a padded row
 // (sequences shorter than the batch maximum), which is skipped entirely.
-// nll[b] receives row b's raw −log p (0 for skipped rows); the caller
-// weights those into the per-example means it reports. alpha and copyMasks
-// may be nil for pure generation. All slice arguments are retained until
+// nll[b] receives row b's raw −log p (0 for skipped rows); the caller weights
+// those into the per-example means it reports. alpha and copyMasks may be nil
+// for pure generation. All slice arguments are retained until
 // Backward/Reset, so per-step calls need distinct backings.
-func (g *Graph) NLLPointerMixBatch(pvocab, alpha, pgen *Tensor, copyMasks [][]bool, vocabIdx []int, gradScale []float64, nll []float64) {
+func (g *Graph) NLLPointerMixBatch(pvocab, alpha, pgen *Tensor, copyMasks [][]bool, beta, cgate *Tensor, ctxMasks [][]bool, vocabIdx []int, gradScale []float64, nll []float64) {
 	B := pvocab.Rows
 	// pt stashes the mixed probability of each row for backward.
 	pt := g.NewTensor(B, 1)
@@ -349,57 +405,85 @@ func (g *Graph) NLLPointerMixBatch(pvocab, alpha, pgen *Tensor, copyMasks [][]bo
 		if gradScale[b] == 0 {
 			continue
 		}
+		pv, ps, pc := mixTerms(pvocab, alpha, beta, copyMasks, ctxMasks, vocabIdx[b], b)
 		gate := pgen.W[b]
-		var pv, pc float64
-		if vocabIdx[b] >= 0 {
-			pv = pvocab.W[b*pvocab.Cols+vocabIdx[b]]
+		var p float64
+		if beta == nil {
+			p = gate*pv + (1-gate)*ps
+		} else {
+			cg := cgate.W[b]
+			p = gate*pv + (1-gate)*((1-cg)*ps+cg*pc)
 		}
-		if copyMasks != nil && copyMasks[b] != nil {
-			arow := alpha.W[b*alpha.Cols:]
-			for i, m := range copyMasks[b] {
-				if m {
-					pc += arow[i]
-				}
-			}
-		}
-		p := gate*pv + (1-gate)*pc
 		pt.W[b] = p
 		nll[b] = -math.Log(p + nllEps)
 	}
-	g.push(tapeOp{kind: opNLLPointerMixBatch, a: pvocab, b: alpha, c: pgen,
-		masks: copyMasks, ints: vocabIdx, fvals: gradScale, aux: pt})
+	g.push(tapeOp{kind: opNLLPointerMixBatch, a: pvocab, b: alpha, c: pgen, out: pt,
+		aux: beta, aux2: cgate, masks: copyMasks, ctxMasks: ctxMasks, ints: vocabIdx, fvals: gradScale})
+}
+
+// mixTerms returns row b's three terms of the pointer mixture: the target's
+// vocabulary probability, and the attention mass on the source and context
+// positions that hold it.
+func mixTerms(pvocab, alpha, beta *Tensor, srcMasks, ctxMasks [][]bool, idx, b int) (pv, ps, pc float64) {
+	if idx >= 0 {
+		pv = pvocab.W[b*pvocab.Cols+idx]
+	}
+	if srcMasks != nil {
+		ps = maskedSum(alpha.Row(b), srcMasks[b])
+	}
+	if beta != nil && ctxMasks != nil {
+		pc = maskedSum(beta.Row(b), ctxMasks[b])
+	}
+	return pv, ps, pc
+}
+
+func maskedSum(w []float64, mask []bool) float64 {
+	var s float64
+	for i, m := range mask {
+		if m {
+			s += w[i]
+		}
+	}
+	return s
+}
+
+func addMasked(dw []float64, mask []bool, v float64) {
+	for i, m := range mask {
+		if m {
+			dw[i] += v
+		}
+	}
 }
 
 func backNLLPointerMixBatch(o *tapeOp) {
-	pvocab, alpha, pgen, pt := o.a, o.b, o.c, o.aux
+	pvocab, alpha, pgen, pt := o.a, o.b, o.c, o.out
+	beta, cgate := o.aux, o.aux2
 	for b, w := range o.fvals {
 		if w == 0 {
 			continue
 		}
-		gate := pgen.W[b]
 		idx := o.ints[b]
-		var mask []bool
-		if o.masks != nil {
-			mask = o.masks[b]
-		}
-		var pv, pc float64
-		if idx >= 0 {
-			pv = pvocab.W[b*pvocab.Cols+idx]
-		}
-		for i, m := range mask {
-			if m {
-				pc += alpha.W[b*alpha.Cols+i]
-			}
-		}
+		pv, ps, pc := mixTerms(pvocab, alpha, beta, o.masks, o.ctxMasks, idx, b)
+		gate := pgen.W[b]
 		dp := -w / (pt.W[b] + nllEps)
 		if idx >= 0 {
 			pvocab.DW[b*pvocab.Cols+idx] += dp * gate
 		}
-		for i, m := range mask {
-			if m {
-				alpha.DW[b*alpha.Cols+i] += dp * (1 - gate)
+		if beta == nil {
+			if o.masks != nil {
+				addMasked(alpha.DW[b*alpha.Cols:], o.masks[b], dp*(1-gate))
 			}
+			pgen.DW[b] += dp * (pv - ps)
+			continue
 		}
-		pgen.DW[b] += dp * (pv - pc)
+		cg := cgate.W[b]
+		if o.masks != nil {
+			addMasked(alpha.DW[b*alpha.Cols:], o.masks[b], dp*(1-gate)*(1-cg))
+		}
+		if o.ctxMasks != nil {
+			addMasked(beta.DW[b*beta.Cols:], o.ctxMasks[b], dp*(1-gate)*cg)
+		}
+		pgen.DW[b] += dp * (pv - ((1-cg)*ps + cg*pc))
+		cgate.DW[b] += dp * (1 - gate) * (pc - ps)
 	}
 }

@@ -30,7 +30,8 @@ func seedBatchGrad(batch *Tensor, singles []*Tensor) {
 }
 
 // TestBatchedAffineMatchesRows checks forward values and all gradients of
-// the batched kernel against B independent AffineRow calls.
+// the batched kernel against B independent unfused Add(MatMul) chains
+// (TestAffineRowMatchesUnfused holds the one-row call to the same chain).
 func TestBatchedAffineMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const B, in, n = 3, 5, 7
@@ -49,7 +50,7 @@ func TestBatchedAffineMatchesRows(t *testing.T) {
 	gs := NewGraph(true)
 	singles := make([]*Tensor, B)
 	for i := range xs {
-		singles[i] = gs.AffineRow(xs[i], w2[0], w2[1])
+		singles[i] = unfusedAffineRow(gs, xs[i], w2[0], w2[1])
 	}
 	seedBatchGrad(out, singles)
 	gb.Backward()
@@ -72,9 +73,10 @@ func TestBatchedAffineGradients(t *testing.T) {
 }
 
 // TestLSTMStepBatchMatchesRows runs two batched timesteps (with one row
-// going inactive on the second) against per-row Step chains: active rows
-// must match the single-row kernel exactly, and the inactive row must carry
-// its state through with pass-through gradients and no weight contribution.
+// going inactive on the second) against per-row unfused chains: active rows
+// must match the chain, and the inactive row must carry its state through
+// with pass-through gradients and no weight contribution
+// (TestLSTMStepMatchesUnfused holds the one-row call to the same chain).
 func TestLSTMStepBatchMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const B, in, H = 3, 4, 5
@@ -100,9 +102,9 @@ func TestLSTMStepBatchMatchesRows(t *testing.T) {
 	x2 := cloneParams(xs)
 	for i := range xs {
 		h, c := cell2.InitState()
-		h, c = cell2.Step(gs, x2[i], h, c)
+		h, c = unfusedLSTMStep(gs, cell2, x2[i], h, c)
 		if active[i] {
-			h, c = cell2.Step(gs, x2[i], h, c)
+			h, c = unfusedLSTMStep(gs, cell2, x2[i], h, c)
 		}
 		singleH[i], singleC[i] = h, c
 	}
@@ -137,7 +139,9 @@ func TestLSTMStepBatchFiniteDifferences(t *testing.T) {
 }
 
 // TestAttendBatchMatchesRows checks the batched masked attention against
-// per-sequence AttendSoftmaxContext calls over unpadded memories.
+// per-sequence unfused AttendDot/SoftmaxRow/WeightedSumRows chains over
+// unpadded memories (TestAttendSoftmaxContextMatchesUnfused holds the one-row
+// call to the same chain).
 func TestAttendBatchMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	const B, S, d = 3, 4, 5
@@ -163,7 +167,7 @@ func TestAttendBatchMatchesRows(t *testing.T) {
 	singleC := make([]*Tensor, B)
 	mems2 := cloneParams(mems)
 	for i := range qs {
-		singleA[i], singleC[i] = gs.AttendSoftmaxContext(q2[i], mems2[i])
+		singleA[i], singleC[i] = unfusedAttention(gs, q2[i], mems2[i])
 	}
 	seedBatchGrad(ctx, singleC)
 	for i := range qs {
@@ -261,71 +265,104 @@ func TestLookupRowsConcatColsPackMemoryGradients(t *testing.T) {
 	})
 }
 
-// TestNLLPointerMixBatchMatchesRows checks per-row losses and gradients
-// against independent single-row NLLPointerMix calls at gradScale 1, and
-// that a zero gradScale skips a row entirely.
+// naivePointerMix is one row's −log p written out from the mixture's
+// definition; cgate 0 without a context memory is the single-memory form.
+func naivePointerMix(pv, alpha, beta []float64, gate, cgate float64, srcMask, ctxMask []bool, idx int) float64 {
+	var pvIdx, ps, pc float64
+	if idx >= 0 {
+		pvIdx = pv[idx]
+	}
+	for i, m := range srcMask {
+		if m {
+			ps += alpha[i]
+		}
+	}
+	for i, m := range ctxMask {
+		if m {
+			pc += beta[i]
+		}
+	}
+	return -math.Log(gate*pvIdx + (1-gate)*((1-cgate)*ps+cgate*pc) + nllEps)
+}
+
+// TestNLLPointerMixBatchMatchesRows checks, with and without the context
+// half, every row of a B-row call against a one-row call over that row —
+// losses and gradients bit for bit — and the losses against the mixture's
+// definition; a zero gradScale skips a row entirely.
 func TestNLLPointerMixBatchMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
-	const B, V, S = 3, 5, 3
-	scoresV := make([]*Tensor, B)
-	scoresA := make([]*Tensor, B)
-	gateRaw := make([]*Tensor, B)
-	masks := [][]bool{{true, false, true}, {false, true, false}, nil}
+	const B, V, S, M = 3, 5, 3, 2
+	srcMasks := [][]bool{{true, false, true}, {false, true, false}, nil}
+	ctxMasks := [][]bool{{false, true}, {true, true}, {true, false}}
 	idxs := []int{2, -1, 4}
-	for i := 0; i < B; i++ {
-		scoresV[i] = NewRandom(1, V, rng)
-		scoresA[i] = NewRandom(1, S, rng)
-		gateRaw[i] = NewRandom(1, 1, rng)
-	}
-	sv := stackRows(scoresV)
-	sa := stackRows(scoresA)
-	gr := stackRows(gateRaw)
-
-	gb := NewGraph(true)
-	pv := gb.SoftmaxRows(sv)
-	al := gb.SoftmaxRows(sa)
-	gate := gb.Sigmoid(gr)
-	scale := []float64{1, 1, 1}
-	nll := make([]float64, B)
-	gb.NLLPointerMixBatch(pv, al, gate, masks, idxs, scale, nll)
-	gb.Backward()
-
-	sv2, sa2, gr2 := cloneParams(scoresV), cloneParams(scoresA), cloneParams(gateRaw)
-	for i := 0; i < B; i++ {
-		gs := NewGraph(true)
-		pvi := gs.SoftmaxRow(sv2[i])
-		ali := gs.SoftmaxRow(sa2[i])
-		gi := gs.Sigmoid(gr2[i])
-		want := gs.NLLPointerMix(pvi, ali, gi, masks[i], idxs[i])
-		gs.Backward()
-		if math.Abs(nll[i]-want) > 1e-12*(1+math.Abs(want)) {
-			t.Fatalf("row %d: batched nll %g, single %g", i, nll[i], want)
+	// The raw scores behind the vocabulary distribution, the source and
+	// context attentions, the gate and the context gate.
+	raw := []*Tensor{NewRandom(B, V, rng), NewRandom(B, S, rng), NewRandom(B, M, rng), NewRandom(B, 1, rng), NewRandom(B, 1, rng)}
+	// run records the mixture over the given rows of raw, checks each loss
+	// against the definition, runs backward, and returns the losses and the
+	// gradients of its copy of the raw scores.
+	run := func(ctx bool, rows []int, scale []float64) ([]float64, []*Tensor) {
+		n := len(rows)
+		in := make([]*Tensor, len(raw))
+		for k, r := range raw {
+			in[k] = NewTensor(n, r.Cols)
+			for i, b := range rows {
+				copy(in[k].Row(i), r.Row(b))
+			}
 		}
-		assertClose(t, "dscoresV", sv.DW[i*V:(i+1)*V], sv2[i].DW)
-		assertClose(t, "dscoresA", sa.DW[i*S:(i+1)*S], sa2[i].DW)
-		assertClose(t, "dgate", gr.DW[i:i+1], gr2[i].DW)
-	}
-
-	// A padded row (scale 0) reports zero loss and receives zero gradient.
-	sv.ZeroGrad()
-	sa.ZeroGrad()
-	gr.ZeroGrad()
-	g0 := NewGraph(true)
-	pv0 := g0.SoftmaxRows(sv)
-	al0 := g0.SoftmaxRows(sa)
-	gate0 := g0.Sigmoid(gr)
-	g0.NLLPointerMixBatch(pv0, al0, gate0, masks, idxs, []float64{1, 0, 1}, nll)
-	if nll[1] != 0 {
-		t.Fatalf("padded row reported loss %g", nll[1])
-	}
-	g0.Backward()
-	for j := 0; j < S; j++ {
-		if sa.DW[S+j] != 0 {
-			t.Fatal("padded row received attention gradient")
+		src, cm, idx := make([][]bool, n), make([][]bool, n), make([]int, n)
+		for i, b := range rows {
+			src[i], cm[i], idx[i] = srcMasks[b], ctxMasks[b], idxs[b]
 		}
+		g := NewGraph(true)
+		pv, al, gate := g.SoftmaxRows(in[0]), g.SoftmaxRows(in[1]), g.Sigmoid(in[3])
+		var be, cg *Tensor
+		if ctx {
+			be, cg = g.SoftmaxRows(in[2]), g.Sigmoid(in[4])
+		} else {
+			cm = nil
+		}
+		nll := make([]float64, n)
+		g.NLLPointerMixBatch(pv, al, gate, src, be, cg, cm, idx, scale, nll)
+		for i := range rows {
+			want := 0.0
+			switch {
+			case scale[i] == 0:
+			case ctx:
+				want = naivePointerMix(pv.Row(i), al.Row(i), be.Row(i), gate.W[i], cg.W[i], src[i], cm[i], idx[i])
+			default:
+				want = naivePointerMix(pv.Row(i), al.Row(i), nil, gate.W[i], 0, src[i], nil, idx[i])
+			}
+			if math.Abs(nll[i]-want) > 1e-12*(1+math.Abs(want)) {
+				t.Fatalf("ctx=%v rows %v: nll[%d] = %g, definition %g", ctx, rows, i, nll[i], want)
+			}
+		}
+		g.Backward()
+		return nll, in
 	}
-	if gr.DW[1] != 0 {
-		t.Fatal("padded row received gate gradient")
+	for _, ctx := range []bool{false, true} {
+		all, allGrads := run(ctx, []int{0, 1, 2}, []float64{1, 1, 1})
+		for b := 0; b < B; b++ {
+			one, oneGrads := run(ctx, []int{b}, []float64{1})
+			if !sameBits(one[0], all[b]) {
+				t.Fatalf("ctx=%v row %d: one-row nll %g, B-row nll %g", ctx, b, one[0], all[b])
+			}
+			for k, r := range raw {
+				assertSameBits(t, "gradient", oneGrads[k].DW, allGrads[k].DW[b*r.Cols:(b+1)*r.Cols])
+			}
+		}
+		// A padded row (scale 0) reports zero loss and receives zero gradient.
+		nll, grads := run(ctx, []int{0, 1, 2}, []float64{1, 0, 1})
+		if nll[1] != 0 {
+			t.Fatalf("ctx=%v: padded row reported loss %g", ctx, nll[1])
+		}
+		for k, r := range raw {
+			for _, d := range grads[k].DW[r.Cols : 2*r.Cols] {
+				if d != 0 {
+					t.Fatalf("ctx=%v: padded row received gradient in input %d", ctx, k)
+				}
+			}
+		}
 	}
 }
 
@@ -347,7 +384,7 @@ func TestNLLPointerMixBatchFiniteDifferences(t *testing.T) {
 		pv := g.SoftmaxRows(scoresV)
 		al := g.SoftmaxRows(scoresA)
 		gate := g.Sigmoid(gateRaw)
-		g.NLLPointerMixBatch(pv, al, gate, masks, idxs, scale, nll)
+		g.NLLPointerMixBatch(pv, al, gate, masks, nil, nil, nil, idxs, scale, nll)
 		var s float64
 		for b, v := range nll {
 			s += scale[b] * v
@@ -358,7 +395,7 @@ func TestNLLPointerMixBatchFiniteDifferences(t *testing.T) {
 	pv := g.SoftmaxRows(scoresV)
 	al := g.SoftmaxRows(scoresA)
 	gate := g.Sigmoid(gateRaw)
-	g.NLLPointerMixBatch(pv, al, gate, masks, idxs, scale, nll)
+	g.NLLPointerMixBatch(pv, al, gate, masks, nil, nil, nil, idxs, scale, nll)
 	g.Backward()
 	for _, p := range []*Tensor{scoresV, scoresA, gateRaw} {
 		for i := range p.W {
@@ -437,7 +474,7 @@ func TestBatchedKernelsAssemblyMatchesPureGo(t *testing.T) {
 }
 
 // TestBatchedKernelsArenaSteadyState asserts a warm batched
-// forward/backward/reset cycle allocates nothing, like the single-row path.
+// forward/backward/reset cycle allocates nothing, at B rows as at one.
 func TestBatchedKernelsArenaSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")

@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// unfusedAffineRow is the op chain AffineRow replaces.
+// unfusedAffineRow is the op chain one row of BatchedAffine replaces.
 func unfusedAffineRow(g *Graph, x, w, b *Tensor) *Tensor {
 	return g.Add(g.MatMul(x, w), b)
 }
 
-// unfusedLSTMStep is the op chain lstmStep replaces (the pre-fusion
-// LSTMCell.Step body).
+// unfusedLSTMStep is the op chain one row of lstmStepBatch replaces.
 func unfusedLSTMStep(g *Graph, l *LSTMCell, x, h, c *Tensor) (hNext, cNext *Tensor) {
 	gates := g.Add(g.Add(g.MatMul(x, l.Wx), g.MatMul(h, l.Wh)), l.B)
 	H := l.Hidden
@@ -26,7 +25,8 @@ func unfusedLSTMStep(g *Graph, l *LSTMCell, x, h, c *Tensor) (hNext, cNext *Tens
 	return hNext, cNext
 }
 
-// unfusedAttention is the op chain AttendSoftmaxContext replaces.
+// unfusedAttention is the op chain one row of AttendSoftmaxContextBatch
+// replaces.
 func unfusedAttention(g *Graph, q, H *Tensor) (alpha, ctx *Tensor) {
 	scores := g.AttendDot(q, H)
 	alpha = g.SoftmaxRow(scores)
@@ -137,9 +137,9 @@ func TestLSTMStepMatchesUnfused(t *testing.T) {
 	assertClose(t, "dB", cell.B.DW, cell2.B.DW)
 }
 
-// TestLSTMStepFiniteDifferences checks the fused LSTM step against central
-// differences (the pre-existing TestLSTMCellGradients covers the same path
-// via LSTMCell.Step; this one pins the fused kernel explicitly).
+// TestLSTMStepFiniteDifferences checks the fused LSTM step's one-row call
+// with an explicit row mask against central differences (TestLSTMCellGradients
+// covers the same call through LSTMCell.Step).
 func TestLSTMStepFiniteDifferences(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	cell := NewLSTMCell(3, 4, rng)
@@ -147,8 +147,8 @@ func TestLSTMStepFiniteDifferences(t *testing.T) {
 	params := append([]*Tensor{x}, cell.Params()...)
 	checkGradients(t, params, func(g *Graph) *Tensor {
 		h, c := cell.InitState()
-		h1, c1 := g.lstmStep(cell, x, h, c)
-		h2, _ := g.lstmStep(cell, x, h1, c1)
+		h1, c1 := g.lstmStepBatch(cell, x, h, c, []bool{true})
+		h2, _ := g.lstmStepBatch(cell, x, h1, c1, []bool{true})
 		return h2
 	})
 }
@@ -211,9 +211,8 @@ func TestArenaGraphMatchesHeapGraph(t *testing.T) {
 	x := NewRandom(1, 3, rng)
 
 	run := func(g *Graph) []float64 {
-		h, c := cell.ZeroState(g)
-		h, _ = cell.Step(g, x, h, c)
-		out := lin.Apply(g, h)
+		h, _ := cell.Step(g, x, g.NewTensor(1, 4), g.NewTensor(1, 4))
+		out := g.AffineRow(h, lin.W, lin.B)
 		for i := range out.DW {
 			out.DW[i] = 1
 		}
@@ -251,11 +250,11 @@ func TestArenaSteadyStateAllocationFree(t *testing.T) {
 
 	step := func() {
 		g.Reset()
-		h, c := cell.ZeroState(g)
+		h, c := g.NewTensor(1, 16), g.NewTensor(1, 16)
 		for i := 0; i < 4; i++ {
 			h, c = cell.Step(g, x, h, c)
 		}
-		out := lin.Apply(g, h)
+		out := g.AffineRow(h, lin.W, lin.B)
 		for i := range out.DW {
 			out.DW[i] = 1
 		}

@@ -9,19 +9,11 @@ const (
 	opMul
 	opTanh
 	opSigmoid
-	opConcatRow2
-	opConcatRowN
-	opLookupRow
 	opDropout
-	opRowsToMatrix
 	opSoftmaxRow
 	opAttendDot
 	opWeightedSumRows
-	opNLLPointerMix
 	opSliceRow
-	opAffineRow
-	opLSTMStep
-	opAttendSoftmaxContext
 	opAffineBatch
 	opLSTMStepBatch
 	opAttendBatch
@@ -30,7 +22,6 @@ const (
 	opLookupRows
 	opConcatCols2
 	opPackMemory
-	opNLLPointerMixCtx
 )
 
 // tapeOp is one record of the typed tape: the operands, outputs and stashed
@@ -41,25 +32,23 @@ type tapeOp struct {
 	kind opKind
 
 	a, b, c *Tensor // inputs (meaning is per-kind)
-	out     *Tensor // primary output
+	out     *Tensor // primary output (the pointer mixture's per-row p)
 	out2    *Tensor // secondary output (LSTM cell state)
-	aux     *Tensor // stashed activations (LSTM gates, attention weights, dropout mask)
-	aux2    *Tensor // scratch (LSTM tanh(c), attention score gradients)
+	aux     *Tensor // stashed activations (LSTM gates, attention weights, dropout mask) / context attention
+	aux2    *Tensor // scratch (LSTM tanh(c), attention score gradients) / context gate
 
-	cell *LSTMCell // opLSTMStep / opLSTMStepBatch
-	list []*Tensor // opConcatRowN parts / opRowsToMatrix rows / opPackMemory rows
-	mask []bool    // opNLLPointerMix copy mask / opLSTMStepBatch row-active mask
-
-	idx  int     // lookup row / slice from / target vocab index
-	idx2 int     // slice to
-	fval float64 // opNLLPointerMix mixed probability p
+	cell *LSTMCell // opLSTMStepBatch
+	list []*Tensor // opPackMemory rows
+	mask []bool    // opLSTMStepBatch row-active mask
+	idx  int       // opSliceRow start
 
 	// Batched-kernel operands. Slices are retained until Backward/Reset, so
 	// callers must give every record a distinct backing (the model's batch
 	// scratch slices positions out of one growing buffer per step).
-	ints  []int     // opLookupRows ids / opAttendBatch+opPackMemory lens / opNLLPointerMixBatch vocab indices
-	fvals []float64 // opNLLPointerMixBatch per-row gradient scales
-	masks [][]bool  // opNLLPointerMixBatch per-row copy masks
+	ints     []int     // opLookupRows ids / opAttendBatch+opPackMemory lens / opNLLPointerMixBatch vocab indices
+	fvals    []float64 // opNLLPointerMixBatch per-row gradient scales
+	masks    [][]bool  // opNLLPointerMixBatch per-row source copy masks
+	ctxMasks [][]bool  // opNLLPointerMixBatch per-row context copy masks
 }
 
 // Graph is the autograd tape. Operations append typed records; Backward
@@ -153,39 +142,10 @@ func (g *Graph) backstep(o *tapeOp) {
 		for i := range out.DW {
 			a.DW[i] += out.DW[i] * out.W[i] * (1 - out.W[i])
 		}
-	case opConcatRow2:
-		a, b, out := o.a, o.b, o.out
-		for i := range a.W {
-			a.DW[i] += out.DW[i]
-		}
-		off := a.Cols
-		for i := range b.W {
-			b.DW[i] += out.DW[off+i]
-		}
-	case opConcatRowN:
-		off := 0
-		for _, p := range o.list {
-			for i := range p.W {
-				p.DW[i] += o.out.DW[off+i]
-			}
-			off += p.Cols
-		}
-	case opLookupRow:
-		base := o.idx * o.a.Cols
-		for i := range o.out.DW {
-			o.a.DW[base+i] += o.out.DW[i]
-		}
 	case opDropout:
 		mask := o.aux.W
 		for i := range o.out.DW {
 			o.a.DW[i] += o.out.DW[i] * mask[i]
-		}
-	case opRowsToMatrix:
-		n := o.list[0].Cols
-		for i, r := range o.list {
-			for j := 0; j < n; j++ {
-				r.DW[j] += o.out.DW[i*n+j]
-			}
 		}
 	case opSoftmaxRow:
 		backSoftmaxInto(o.out.W, o.out.DW, o.a.DW)
@@ -194,19 +154,11 @@ func (g *Graph) backstep(o *tapeOp) {
 	case opWeightedSumRows:
 		// ctx = alpha·H is a row product with alpha the left operand.
 		backRowMatMul(o.a.W, o.a.DW, o.b.W, o.b.DW, o.out.DW)
-	case opNLLPointerMix:
-		backNLLPointerMix(o)
 	case opSliceRow:
 		a, out := o.a, o.out
 		for i := range out.DW {
 			a.DW[o.idx+i] += out.DW[i]
 		}
-	case opAffineRow:
-		backAffineRow(o.a, o.b, o.c, o.out)
-	case opLSTMStep:
-		backLSTMStep(o)
-	case opAttendSoftmaxContext:
-		backAttendSoftmaxContext(o)
 	case opAffineBatch:
 		backAffineBatch(o.a, o.b, o.c, o.out)
 	case opLSTMStepBatch:
@@ -229,8 +181,6 @@ func (g *Graph) backstep(o *tapeOp) {
 		backConcatCols2(o.a, o.b, o.out)
 	case opPackMemory:
 		backPackMemory(o)
-	case opNLLPointerMixCtx:
-		backNLLPointerMixCtx(o)
 	}
 }
 
@@ -240,123 +190,4 @@ func backMatMul(a, b, out *Tensor) {
 	for i := 0; i < a.Rows; i++ {
 		backRowMatMul(a.W[i*m:(i+1)*m], a.DW[i*m:(i+1)*m], b.W, b.DW, out.DW[i*p:(i+1)*p])
 	}
-}
-
-func backNLLPointerMix(o *tapeOp) {
-	pvocab, alpha, pgen := o.a, o.b, o.c
-	gate := pgen.W[0]
-	var pv, pc float64
-	if o.idx >= 0 {
-		pv = pvocab.W[o.idx]
-	}
-	for i, m := range o.mask {
-		if m {
-			pc += alpha.W[i]
-		}
-	}
-	const eps = 1e-9
-	dp := -1 / (o.fval + eps)
-	if o.idx >= 0 {
-		pvocab.DW[o.idx] += dp * gate
-	}
-	for i, m := range o.mask {
-		if m {
-			alpha.DW[i] += dp * (1 - gate)
-		}
-	}
-	pgen.DW[0] += dp * (pv - pc)
-}
-
-// backNLLPointerMixCtx is the two-memory pointer mixture: the copy mass
-// splits between the source attention (alpha, masks[0]) and the context
-// attention (beta, masks[1]) by the context gate. Operands: a=pvocab,
-// b=alpha, c=pgen, aux=beta, aux2=cgate.
-func backNLLPointerMixCtx(o *tapeOp) {
-	pvocab, alpha, pgen, beta, cgate := o.a, o.b, o.c, o.aux, o.aux2
-	g, g2 := pgen.W[0], cgate.W[0]
-	var pv, ps, pc float64
-	if o.idx >= 0 {
-		pv = pvocab.W[o.idx]
-	}
-	for i, m := range o.masks[0] {
-		if m {
-			ps += alpha.W[i]
-		}
-	}
-	for i, m := range o.masks[1] {
-		if m {
-			pc += beta.W[i]
-		}
-	}
-	const eps = 1e-9
-	dp := -1 / (o.fval + eps)
-	if o.idx >= 0 {
-		pvocab.DW[o.idx] += dp * g
-	}
-	for i, m := range o.masks[0] {
-		if m {
-			alpha.DW[i] += dp * (1 - g) * (1 - g2)
-		}
-	}
-	for i, m := range o.masks[1] {
-		if m {
-			beta.DW[i] += dp * (1 - g) * g2
-		}
-	}
-	pgen.DW[0] += dp * (pv - ((1-g2)*ps + g2*pc))
-	cgate.DW[0] += dp * (1 - g) * (pc - ps)
-}
-
-func backAffineRow(x, w, b, out *Tensor) {
-	// Bias: the fused Add's backward.
-	for j, d := range out.DW {
-		b.DW[j] += d
-	}
-	backRowMatMul(x.W, x.DW, w.W, w.DW, out.DW)
-}
-
-func backLSTMStep(o *tapeOp) {
-	cell := o.cell
-	x, h, cPrev := o.a, o.b, o.c
-	hNext, cNext := o.out, o.out2
-	acts, tc := o.aux, o.aux2
-	H := cell.Hidden
-	dG := acts.DW // scratch for pre-activation gradients
-	for j := 0; j < H; j++ {
-		iv := acts.W[j]
-		fv := acts.W[H+j]
-		ov := acts.W[2*H+j]
-		cv := acts.W[3*H+j]
-		tcj := tc.W[j]
-		dh := hNext.DW[j]
-		dO := dh * tcj
-		dtc := dh * ov
-		cNext.DW[j] += dtc * (1 - tcj*tcj)
-		dc := cNext.DW[j]
-		dF := dc * cPrev.W[j]
-		cPrev.DW[j] += dc * fv
-		dI := dc * cv
-		dCand := dc * iv
-		dG[j] = dI * iv * (1 - iv)
-		dG[H+j] = dF * fv * (1 - fv)
-		dG[2*H+j] = dO * ov * (1 - ov)
-		dG[3*H+j] = dCand * (1 - cv*cv)
-	}
-	n := 4 * H
-	for j := 0; j < n; j++ {
-		cell.B.DW[j] += dG[j]
-	}
-	backRowMatMul(h.W, h.DW, cell.Wh.W, cell.Wh.DW, dG)
-	backRowMatMul(x.W, x.DW, cell.Wx.W, cell.Wx.DW, dG)
-}
-
-func backAttendSoftmaxContext(o *tapeOp) {
-	q, H := o.a, o.b
-	ctx, alpha, sc := o.out, o.aux, o.aux2
-	// WeightedSumRows backward (ctx = alpha·H).
-	backRowMatMul(alpha.W, alpha.DW, H.W, H.DW, ctx.DW)
-	// SoftmaxRow backward (alpha = softmax(scores)) into the score scratch.
-	backSoftmaxInto(alpha.W, alpha.DW, sc.DW)
-	// AttendDot backward (scores = q·Hᵀ).
-	backAttendDot(q.W, q.DW, H.W, H.DW, sc.DW)
 }

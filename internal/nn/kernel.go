@@ -14,8 +14,9 @@ import "math"
 //   - the input gradient of a batched product (dotAxpy) sums over j in four
 //     lane accumulators, lane l taking j ≡ l (mod 4) ascending and lane 0 the
 //     n mod 4 tail, combined as (a0+a1)+(a2+a3);
-//   - the input gradient of a single-row product, and the attention score
-//     (dot4, dot), is one serial accumulator over j ascending.
+//   - the input gradient of a single-row product — a one-row batch is one —
+//     and the attention score (dot4, dot), is one serial accumulator over j
+//     ascending.
 //
 // Every product is rounded before it is added: no fused multiply-add, in
 // either body. The primitives below (axpy, axpy4, dotAxpy, dotAxpy2) have a
@@ -404,8 +405,14 @@ func backRowMatMul(x, xd, w, wd, dOut []float64) {
 // are taken in ascending order, two at a time where two are active, so a
 // weight row and its gradient row are loaded once for both. Rows where
 // active is false are skipped: their dOut rows are zero, so they contribute
-// nothing.
+// nothing. A one-row batch is a single-row product and takes backRowMatMul.
 func backMatMulRows(a, ad []float64, rows, in int, w, wd []float64, n int, dOut []float64, active []bool) {
+	if rows == 1 {
+		if active == nil || active[0] {
+			backRowMatMul(a[:in], ad[:in], w, wd, dOut[:n])
+		}
+		return
+	}
 	for k := 0; k < in; k++ {
 		wrow := w[k*n : (k+1)*n]
 		wdrow := wd[k*n : (k+1)*n]

@@ -103,6 +103,9 @@ func (c kernelCase) naiveMatMul() []float64 {
 }
 
 func (c kernelCase) naiveBackBatch() (wd, ad []float64) {
+	if c.rows == 1 && c.on(0) { // a one-row batch is a single-row product
+		return c.naiveBackRows()
+	}
 	wd, ad = clone(c.wd), clone(c.ad)
 	for k := 0; k < c.in; k++ {
 		for i := 0; i < c.rows; i++ {

@@ -2,7 +2,8 @@ package nn
 
 import "math/rand"
 
-// Linear is a fully connected layer y = x·W + b.
+// Linear is a fully connected layer y = x·W + b, applied with
+// Graph.BatchedAffine.
 type Linear struct {
 	W *Tensor // in×out
 	B *Tensor // 1×out
@@ -13,19 +14,11 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	return &Linear{W: NewRandom(in, out, rng), B: NewTensor(1, out)}
 }
 
-// Apply computes the layer output for a 1×in input with the fused
-// AffineRow kernel (numerically identical to Add(MatMul(x, W), B)).
-//
-//genielint:returns-arena
-func (l *Linear) Apply(g *Graph, x *Tensor) *Tensor {
-	return g.AffineRow(x, l.W, l.B)
-}
-
 // Params returns the trainable tensors.
 func (l *Linear) Params() []*Tensor { return []*Tensor{l.W, l.B} }
 
-// LSTMCell is a standard LSTM with combined gate weights: for input x (1×in)
-// and state (h, c) (1×hidden each), gates = x·Wx + h·Wh + b laid out as
+// LSTMCell is a standard LSTM with combined gate weights: for input x (B×in)
+// and state (h, c) (B×hidden each), gates = x·Wx + h·Wh + b laid out as
 // [input | forget | output | candidate].
 type LSTMCell struct {
 	Wx     *Tensor // in×4h
@@ -49,21 +42,19 @@ func NewLSTMCell(in, hidden int, rng *rand.Rand) *LSTMCell {
 	return c
 }
 
-// Step advances the cell one timestep with the fused kernel: both gate
-// matmuls, bias, activations and state update in one pass and one tape
-// record (numerically identical to the chained MatMul/Add/Sigmoid/Tanh/Mul
-// composition).
+// Step is StepBatch for one row with every row active.
 //
 //genielint:returns-arena
 func (l *LSTMCell) Step(g *Graph, x, h, c *Tensor) (hNext, cNext *Tensor) {
-	return g.lstmStep(l, x, h, c)
+	return g.lstmStepBatch(l, x, h, c, nil)
 }
 
-// StepBatch advances the cell one timestep for B stacked rows with the
-// batched fused kernel; per row it is numerically identical to Step. Rows
-// where active is false carry their state through unchanged and contribute
-// nothing to gradients (nil = all rows active); the active slice is retained
-// until Backward/Reset.
+// StepBatch advances the cell one timestep for B stacked rows with the fused
+// kernel: both gate matmuls, bias, activations and state update in one pass
+// and one tape record (per row, the chained MatMul/Add/Sigmoid/Tanh/Mul
+// composition's expressions). Rows where active is false carry their state
+// through unchanged and contribute nothing to gradients (nil = all rows
+// active); the active slice is retained until Backward/Reset.
 //
 //genielint:returns-arena
 func (l *LSTMCell) StepBatch(g *Graph, x, h, c *Tensor, active []bool) (hNext, cNext *Tensor) {
@@ -75,28 +66,10 @@ func (l *LSTMCell) InitState() (h, c *Tensor) {
 	return NewTensor(1, l.Hidden), NewTensor(1, l.Hidden)
 }
 
-// ZeroState returns zero state tensors owned by the graph (arena-recycled
-// when the graph has one); preferred inside training loops.
-//
-//genielint:returns-arena
-func (l *LSTMCell) ZeroState(g *Graph) (h, c *Tensor) {
-	return g.NewTensor(1, l.Hidden), g.NewTensor(1, l.Hidden)
-}
-
 // Params returns the trainable tensors.
 func (l *LSTMCell) Params() []*Tensor { return []*Tensor{l.Wx, l.Wh, l.B} }
 
-// sliceRow views columns [from, to) of a row vector as a new tensor sharing
-// gradients (kept as the unfused building block the LSTM kernel is verified
-// against).
-func (g *Graph) sliceRow(a *Tensor, from, to int) *Tensor {
-	out := g.NewTensor(1, to-from)
-	copy(out.W, a.W[from:to])
-	g.push(tapeOp{kind: opSliceRow, a: a, idx: from, idx2: to, out: out})
-	return out
-}
-
-// Embedding is a trainable token-embedding table.
+// Embedding is a trainable token-embedding table, read with Graph.LookupRows.
 type Embedding struct {
 	Table *Tensor // vocab×dim
 }
@@ -105,11 +78,6 @@ type Embedding struct {
 func NewEmbedding(vocab, dim int, rng *rand.Rand) *Embedding {
 	return &Embedding{Table: NewRandom(vocab, dim, rng)}
 }
-
-// Lookup returns the embedding row of a token.
-//
-//genielint:returns-arena
-func (e *Embedding) Lookup(g *Graph, idx int) *Tensor { return g.LookupRow(e.Table, idx) }
 
 // Params returns the trainable tensors.
 func (e *Embedding) Params() []*Tensor { return []*Tensor{e.Table} }

@@ -68,13 +68,15 @@ func TestElementwiseGradients(t *testing.T) {
 	checkGradients(t, []*Tensor{a}, func(g *Graph) *Tensor { return g.Sigmoid(a) })
 }
 
+// TestConcatLookupSliceGradients checks the one-row calls the model makes of
+// ConcatCols and LookupRows, and the unfused sliceRow.
 func TestConcatLookupSliceGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := NewRandom(1, 3, rng)
 	b := NewRandom(1, 2, rng)
-	checkGradients(t, []*Tensor{a, b}, func(g *Graph) *Tensor { return g.ConcatRow(a, b) })
+	checkGradients(t, []*Tensor{a, b}, func(g *Graph) *Tensor { return g.ConcatCols(a, b) })
 	emb := NewRandom(5, 4, rng)
-	checkGradients(t, []*Tensor{emb}, func(g *Graph) *Tensor { return g.LookupRow(emb, 2) })
+	checkGradients(t, []*Tensor{emb}, func(g *Graph) *Tensor { return g.LookupRows(emb, []int{2}) })
 	c := NewRandom(1, 6, rng)
 	checkGradients(t, []*Tensor{c}, func(g *Graph) *Tensor { return g.sliceRow(c, 1, 4) })
 }
@@ -103,45 +105,62 @@ func TestLSTMCellGradients(t *testing.T) {
 	})
 }
 
+// TestPointerMixGradients drives the context half of the batched pointer
+// mixture through central differences on raw scores: a row with an
+// in-vocabulary target copyable from both memories, a row with an OOV target
+// (pure copy), and a padded row (gradScale 0) that must report no loss and
+// receive no gradient.
 func TestPointerMixGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	// Build softmaxed distributions from raw scores so gradients are
-	// meaningful.
-	scoresV := NewRandom(1, 4, rng)
-	scoresA := NewRandom(1, 3, rng)
-	gateRaw := NewRandom(1, 1, rng)
-	mask := []bool{true, false, true}
-
-	loss := func() float64 {
-		g := NewGraph(false)
-		pv := g.SoftmaxRow(scoresV)
-		al := g.SoftmaxRow(scoresA)
+	const B, V, S, M = 3, 4, 3, 4
+	scoresV := NewRandom(B, V, rng)
+	scoresA := NewRandom(B, S, rng)
+	scoresB := NewRandom(B, M, rng)
+	gateRaw := NewRandom(B, 1, rng)
+	ctxRaw := NewRandom(B, 1, rng)
+	srcMasks := [][]bool{{true, false, true}, {false, true, false}, {true, true, true}}
+	ctxMasks := [][]bool{{false, true, false, true}, {true, false, false, false}, {true, true, true, true}}
+	idxs := []int{2, -1, 1}
+	scale := []float64{0.5, 1, 0}
+	nll := make([]float64, B)
+	forward := func(g *Graph) {
+		pv := g.SoftmaxRows(scoresV)
+		al := g.SoftmaxRows(scoresA)
+		be := g.SoftmaxRows(scoresB)
 		gate := g.Sigmoid(gateRaw)
-		return g.NLLPointerMix(pv, al, gate, mask, 2)
+		cg := g.Sigmoid(ctxRaw)
+		g.NLLPointerMixBatch(pv, al, gate, srcMasks, be, cg, ctxMasks, idxs, scale, nll)
+	}
+	loss := func() float64 {
+		forward(NewGraph(false))
+		var s float64
+		for b, v := range nll {
+			s += scale[b] * v
+		}
+		return s
 	}
 	g := NewGraph(true)
-	pv := g.SoftmaxRow(scoresV)
-	al := g.SoftmaxRow(scoresA)
-	gate := g.Sigmoid(gateRaw)
-	g.NLLPointerMix(pv, al, gate, mask, 2)
+	forward(g)
+	if nll[2] != 0 {
+		t.Fatalf("padded row reported loss %g", nll[2])
+	}
+	for b := 0; b < 2; b++ {
+		if math.IsNaN(nll[b]) || math.IsInf(nll[b], 0) || nll[b] <= 0 {
+			t.Fatalf("row %d: loss %g not finite and positive", b, nll[b])
+		}
+	}
 	g.Backward()
-	for _, p := range []*Tensor{scoresV, scoresA, gateRaw} {
+	for pi, p := range []*Tensor{scoresV, scoresA, scoresB, gateRaw, ctxRaw} {
 		for i := range p.W {
 			want := numericalGrad(p, i, loss)
 			got := p.DW[i]
 			if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
-				t.Fatalf("pointer mix grad mismatch: analytic %g numeric %g", got, want)
+				t.Fatalf("context pointer mix grad mismatch: param %d elem %d analytic %g numeric %g", pi, i, got, want)
+			}
+			if i/p.Cols == 2 && got != 0 {
+				t.Fatalf("padded row received gradient: param %d elem %d = %g", pi, i, got)
 			}
 		}
-	}
-	// OOV target: only the copy path contributes.
-	g2 := NewGraph(true)
-	pv2 := g2.SoftmaxRow(scoresV)
-	al2 := g2.SoftmaxRow(scoresA)
-	gate2 := g2.Sigmoid(gateRaw)
-	l := g2.NLLPointerMix(pv2, al2, gate2, mask, -1)
-	if math.IsNaN(l) || math.IsInf(l, 0) {
-		t.Fatal("OOV pointer loss not finite")
 	}
 }
 
@@ -178,7 +197,7 @@ func TestAdamConvergesOnToyProblem(t *testing.T) {
 		g := NewGraph(true)
 		in := NewTensor(1, 1)
 		in.W[0] = x
-		out := lin.Apply(g, in)
+		out := g.AffineRow(in, lin.W, lin.B)
 		diff := out.W[0] - target
 		lastLoss = diff * diff
 		out.DW[0] = 2 * diff

@@ -5,6 +5,11 @@ import (
 	"math/rand"
 )
 
+// This file holds the primitive ops. The model calls Tanh, Sigmoid and
+// Dropout; MatMul, Add, Mul, SoftmaxRow, AttendDot, WeightedSumRows and
+// sliceRow are the unfused chains the fused kernels of batched.go are
+// verified against.
+
 // MatMul returns a·b.
 func (g *Graph) MatMul(a, b *Tensor) *Tensor {
 	if a.Cols != b.Rows {
@@ -54,39 +59,6 @@ func (g *Graph) Sigmoid(a *Tensor) *Tensor {
 	return out
 }
 
-// ConcatRow concatenates row vectors (all 1×n_i) into one row vector. The
-// two-part case (every model call site) is recorded without retaining the
-// argument slice, so the variadic slice stays on the caller's stack.
-func (g *Graph) ConcatRow(parts ...*Tensor) *Tensor {
-	total := 0
-	for _, p := range parts {
-		if p.Rows != 1 {
-			panic("nn: ConcatRow requires row vectors")
-		}
-		total += p.Cols
-	}
-	out := g.NewTensor(1, total)
-	off := 0
-	for _, p := range parts {
-		copy(out.W[off:], p.W)
-		off += p.Cols
-	}
-	if len(parts) == 2 {
-		g.push(tapeOp{kind: opConcatRow2, a: parts[0], b: parts[1], out: out})
-	} else {
-		g.push(tapeOp{kind: opConcatRowN, list: append([]*Tensor(nil), parts...), out: out})
-	}
-	return out
-}
-
-// LookupRow selects row idx of an embedding matrix as a 1×Cols tensor.
-func (g *Graph) LookupRow(emb *Tensor, idx int) *Tensor {
-	out := g.NewTensor(1, emb.Cols)
-	copy(out.W, emb.W[idx*emb.Cols:(idx+1)*emb.Cols])
-	g.push(tapeOp{kind: opLookupRow, a: emb, idx: idx, out: out})
-	return out
-}
-
 // Dropout zeroes elements with probability rate (training only), scaling
 // the survivors by 1/(1-rate).
 func (g *Graph) Dropout(a *Tensor, rate float64, rng *rand.Rand) *Tensor {
@@ -104,22 +76,6 @@ func (g *Graph) Dropout(a *Tensor, rate float64, rng *rand.Rand) *Tensor {
 		out.W[i] = a.W[i] * mask[i]
 	}
 	g.push(tapeOp{kind: opDropout, a: a, aux: maskT, out: out})
-	return out
-}
-
-// RowsToMatrix stacks 1×n rows into an m×n matrix that shares gradients with
-// the rows. The rows slice is retained until Backward/Reset; callers reusing
-// a scratch slice must not overwrite it before then.
-func (g *Graph) RowsToMatrix(rows []*Tensor) *Tensor {
-	if len(rows) == 0 {
-		panic("nn: empty row stack")
-	}
-	n := rows[0].Cols
-	out := g.NewTensor(len(rows), n)
-	for i, r := range rows {
-		copy(out.W[i*n:], r.W)
-	}
-	g.push(tapeOp{kind: opRowsToMatrix, list: rows, out: out})
 	return out
 }
 
@@ -181,70 +137,13 @@ func (g *Graph) WeightedSumRows(alpha, H *Tensor) *Tensor {
 	return out
 }
 
-// NLLPointerMix computes the mixed pointer–generator loss of Section 4.1:
-//
-//	p(tok) = g·P_vocab(tok) + (1−g)·Σ_{i: src_i = tok} α_i
-//
-// pvocab is the 1×V vocabulary distribution, alpha the 1×S attention over
-// the source, pgen a 1×1 gate, copyMask[i] true where source position i
-// holds the target token, and vocabIdx the target's vocabulary index (−1
-// when out of vocabulary, forcing a pure copy). It returns −log p and wires
-// gradients into pvocab, alpha and pgen. The copyMask slice is retained
-// until Backward/Reset; per-token masks must be distinct buffers within one
-// step.
-func (g *Graph) NLLPointerMix(pvocab, alpha, pgen *Tensor, copyMask []bool, vocabIdx int) float64 {
-	gate := pgen.W[0]
-	var pv, pc float64
-	if vocabIdx >= 0 {
-		pv = pvocab.W[vocabIdx]
-	}
-	for i, m := range copyMask {
-		if m {
-			pc += alpha.W[i]
-		}
-	}
-	p := gate*pv + (1-gate)*pc
-	const eps = 1e-9
-	loss := -math.Log(p + eps)
-	g.push(tapeOp{kind: opNLLPointerMix, a: pvocab, b: alpha, c: pgen, mask: copyMask, idx: vocabIdx, fval: p})
-	return loss
-}
-
-// NLLPointerMixCtx is the contextual twin of NLLPointerMix: the copy half of
-// the mixture is itself a mixture of copying from the source attention
-// (alpha over srcMask) and from the previous-turn program attention (beta
-// over ctxMask), weighted by the context gate pctx:
-//
-//	p = gate·pvocab[idx] + (1−gate)·((1−pctx)·Σ srcMask·alpha + pctx·Σ ctxMask·beta)
-//
-// The masks slice header pair is retained on the tape until Backward/Reset,
-// so callers must give each call distinct backings (the model slices them out
-// of one growing buffer per step, as with NLLPointerMix).
-func (g *Graph) NLLPointerMixCtx(pvocab, alpha, beta, pgen, pctx *Tensor, srcMask, ctxMask []bool, vocabIdx int) float64 {
-	gate, cg := pgen.W[0], pctx.W[0]
-	var pv, ps, pc float64
-	if vocabIdx >= 0 {
-		pv = pvocab.W[vocabIdx]
-	}
-	for i, m := range srcMask {
-		if m {
-			ps += alpha.W[i]
-		}
-	}
-	for i, m := range ctxMask {
-		if m {
-			pc += beta.W[i]
-		}
-	}
-	p := gate*pv + (1-gate)*((1-cg)*ps+cg*pc)
-	const eps = 1e-9
-	loss := -math.Log(p + eps)
-	g.push(tapeOp{
-		kind: opNLLPointerMixCtx, a: pvocab, b: alpha, c: pgen,
-		aux: beta, aux2: pctx, masks: [][]bool{srcMask, ctxMask},
-		idx: vocabIdx, fval: p,
-	})
-	return loss
+// sliceRow views columns [from, to) of a row vector as a new tensor sharing
+// gradients.
+func (g *Graph) sliceRow(a *Tensor, from, to int) *Tensor {
+	out := g.NewTensor(1, to-from)
+	copy(out.W, a.W[from:to])
+	g.push(tapeOp{kind: opSliceRow, a: a, idx: from, out: out})
+	return out
 }
 
 func sameShape(a, b *Tensor) {

@@ -33,10 +33,10 @@ import (
 
 // Parser is the decoding surface the serving layer needs; *model.Parser
 // implements it. One call decodes a whole pulled window: the parser — not the
-// batcher — splits it by context, sends a lone row through the row kernels
-// and two or more through the lockstep batch, and applies the policy (greedy,
-// beam, or greedy-first escalation against its fitted threshold). It stays an
-// interface so tests can substitute gated, panicking and recording parsers.
+// batcher — splits it by context, advances each half in lockstep (a lone row
+// as a batch of one), and applies the policy (greedy, beam, or greedy-first
+// escalation against its fitted threshold). It stays an interface so tests
+// can substitute gated, panicking and recording parsers.
 type Parser interface {
 	Decode(rows []model.Row, pol model.Policy) []model.Decoded
 }
