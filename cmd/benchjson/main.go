@@ -5,6 +5,18 @@
 // (BENCH_PR4.json); it reads stdin or -in and writes stdout or -out.
 //
 //	go test -bench 'TrainStepBatched|BatchedDecode' -benchtime 20x . | benchjson -out BENCH_PR4.json
+//
+// With -runs it reads the repository benchmark's runs instead — one file per
+// 'go run ./bench' run, named <workload>.<side>.seed<n>.json
+// (<workload>.<side>.seed<n>.traced.json for --trace 1) — and writes one
+// BenchmarkRepo/<e2e|traced>/<workload>/<side>/seed=<n> record per run.
+// -compare then prints the parent and change sides side by side against the
+// metrics and bounds of BENCHMARK.json (read from the working directory, so
+// run it from the repository root), and exits 1 when an end-to-end metric is
+// worse than its bound:
+//
+//	benchjson -runs runs/ -note "..." -out BENCH_PR27.json
+//	benchjson -runs runs/ -compare
 package main
 
 import (
@@ -121,8 +133,13 @@ func main() {
 	in := flag.String("in", "", "benchmark output file (default stdin)")
 	out := flag.String("out", "", "JSON output file (default stdout)")
 	note := flag.String("note", "", "free-form note recorded in the document")
+	runsDir := flag.String("runs", "", "directory of 'go run ./bench' run files, <workload>.<side>.seed<n>[.traced].json, to record instead of -in")
+	cmp := flag.Bool("compare", false, "with -runs: print the parent and change sides per workload and metric against ./BENCHMARK.json instead of the JSON (still written to -out if set); exit 1 on a bound breach")
 	flag.Parse()
 
+	if *runsDir != "" {
+		os.Exit(recordRuns(*runsDir, *note, *out, *cmp))
+	}
 	src := os.Stdin
 	if *in != "" {
 		f, err := os.Open(*in)
@@ -143,19 +160,61 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines found")
 		os.Exit(1)
 	}
-	doc := File{Note: *note, Benchmarks: results, Speedups: speedups(results)}
-	enc, err := json.MarshalIndent(doc, "", "  ")
+	if err := write(File{Note: *note, Benchmarks: results, Speedups: speedups(results)}, *out); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// recordRuns is the -runs mode; it returns the exit status. -compare reads
+// the metrics and bounds from BENCHMARK.json in the working directory, the
+// repository root, as the benchmark's own A/A check does.
+func recordRuns(dir, note, out string, cmp bool) int {
+	runs, err := readRuns(dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+		return 1
+	}
+	doc := File{Note: note}
+	for _, r := range runs {
+		doc.Benchmarks = append(doc.Benchmarks, Result{Name: r.name(), Iterations: 1, Metrics: r.metrics})
+	}
+	if !cmp || out != "" {
+		if err := write(doc, out); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			return 1
+		}
+	}
+	if !cmp {
+		return 0
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		return 1
+	}
+	var bf benchmarkFile
+	if err := json.Unmarshal(raw, &bf); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: BENCHMARK.json: %v\n", err)
+		return 1
+	}
+	if n := compare(os.Stdout, runs, bf); n > 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: %d end-to-end metric(s) worse than their bound\n", n)
+		return 1
+	}
+	return 0
+}
+
+// write encodes doc, indented, to the file out, or to stdout when out is "".
+func write(doc File, out string) error {
+	enc, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
 	}
 	enc = append(enc, '\n')
-	if *out == "" {
-		os.Stdout.Write(enc)
-		return
+	if out == "" {
+		_, err = os.Stdout.Write(enc)
+		return err
 	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
+	return os.WriteFile(out, enc, 0o644)
 }

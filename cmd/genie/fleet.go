@@ -41,11 +41,13 @@ func cmdFleet(args []string) {
 	workers := fs.Int("serve-workers", 0, "decode workers per skill (0 = all CPUs)")
 	beam := fs.Int("beam", 1, "beam width (1 = greedy)")
 	adaptive := fs.Bool("adaptive", false, "confidence-routed decode: greedy first, escalate to -beam below each skill's calibrated threshold")
+	pprofAddr := pprofFlag(fs)
 	fs.Parse(args)
 	if *libdir == "" {
 		fmt.Fprintln(os.Stderr, "genie: fleet needs -libdir")
 		os.Exit(2)
 	}
+	startPprof(*pprofAddr)
 	scale := resolveScale(*scaleName)
 	strategy, ok := strategyByName(*strategyName)
 	if !ok {

@@ -43,6 +43,7 @@ func cmdGateway(args []string) {
 	hedgeAfter := fs.Duration("hedge-after", 0, "fixed hedge delay (0 derives 2x probed p99)")
 	fallback := fs.Bool("fallback", false, "route degraded skills to any healthy backend's scored fallback")
 	seed := fs.Int64("seed", 1, "retry-jitter seed")
+	pprofAddr := pprofFlag(fs)
 	fs.Parse(args)
 
 	var addrs []string
@@ -92,6 +93,7 @@ func cmdGateway(args []string) {
 		fmt.Fprintln(os.Stderr, "genie: gateway needs -backends or -static-config")
 		os.Exit(2)
 	}
+	startPprof(*pprofAddr)
 
 	g := gateway.New(addrs, gateway.Options{
 		Replication:        *replication,

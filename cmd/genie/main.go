@@ -11,12 +11,13 @@
 //	genie train [-scale ...] [-seed N] [-strategy genie] [-maxsteps N] [-lmsteps N] [-batchsize B] [-bucket]
 //	    [-calibrate 4] -out parser.snap
 //	genie serve (-snapshot parser.snap | -train) [-cache DIR] [-addr :8080]
-//	    [-batch 8] [-serve-workers N] [-beam 1] [-adaptive]
+//	    [-batch 8] [-serve-workers N] [-beam 1] [-adaptive] [-pprof ADDR]
 //	genie fleet -libdir DIR [-watch 2s] [-maxqueue 64] [-cache DIR] [-addr :8080]
 //	    [-scale unit] [-maxsteps N] [-batch 8] [-beam 1] [-adaptive] [-train-workers 1]
+//	    [-pprof ADDR]
 //	genie gateway (-backends URL,URL,... | -static-config cfg.json) [-addr :8090]
 //	    [-replication 2] [-probe 500ms] [-fail-threshold 3] [-retries 2]
-//	    [-hedge] [-hedge-after 0] [-fallback] [-seed 1]
+//	    [-hedge] [-hedge-after 0] [-fallback] [-seed 1] [-pprof ADDR]
 //	genie chaos -target URL [-addr :8091] [-ctl :8092]
 //
 // synthesize materializes the synthesized set and prints samples; pipeline
@@ -39,9 +40,10 @@
 // fault-tolerant routing tier in front of N fleet processes:
 // consistent-hash routing by skill with R-way replication, least-loaded
 // replica pick, health-checked membership with circuit-breaker readmission,
-// deadline budgets, shed-aware retry and optional hedging. chaos is the
-// fault-injection proxy the CI smoke uses to kill and restore a backend
-// under load.
+// deadline budgets, shed-aware retry and optional hedging. serve, fleet and
+// gateway serve net/http/pprof on a listener of its own with -pprof ADDR.
+// chaos is the fault-injection proxy the CI smoke uses to kill and restore a
+// backend under load.
 package main
 
 import (

@@ -148,7 +148,9 @@ func cmdServe(args []string) {
 	workers := fs.Int("serve-workers", 0, "decode workers (0 = all CPUs)")
 	beam := fs.Int("beam", 1, "beam width (1 = greedy)")
 	adaptive := fs.Bool("adaptive", false, "confidence-routed decode: greedy first, escalate to -beam below the snapshot's calibrated threshold")
+	pprofAddr := pprofFlag(fs)
 	fs.Parse(args)
+	startPprof(*pprofAddr)
 
 	var parser *model.Parser
 	switch {

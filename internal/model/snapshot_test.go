@@ -3,11 +3,16 @@ package model
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/durable"
 )
 
 func TestSnapshotRoundTripBitIdentical(t *testing.T) {
@@ -202,19 +207,7 @@ func TestSnapshotTruncatedWeightsDoNotPreallocate(t *testing.T) {
 //
 //	go test ./internal/model -run '^$' -fuzz FuzzSnapshotLoad -fuzztime 10s
 func FuzzSnapshotLoad(f *testing.F) {
-	vocab := func(words ...string) *Vocab { return BuildVocab([][]string{words}, 1) }
-	src := vocab("tweet", "alpha", "now", "email")
-	tgt := vocab("now", "=>", "@twitter.post", "@gmail.send", "param:text", "=", `"`)
-	for _, contextual := range []bool{false, true} {
-		p := newParser(Config{EmbedDim: 4, HiddenDim: 3, MaxDecodeLen: 8, PointerGen: true, Contextual: contextual, Seed: 1}, src, tgt)
-		if contextual {
-			_ = p.SetGrammar(toyGrammarSpec())
-		}
-		var buf bytes.Buffer
-		if err := p.Save(&buf); err != nil {
-			f.Fatal(err)
-		}
-		full := buf.Bytes()
+	for _, full := range fuzzSnapshots(f) {
 		f.Add(full)
 		for _, n := range []int{8, 17, 40, len(full) / 3, len(full) / 2, len(full) - 9, len(full) - 1} {
 			f.Add(full[:n])
@@ -239,6 +232,111 @@ func FuzzSnapshotLoad(f *testing.F) {
 		p, err := Load(bytes.NewReader(data))
 		if (p == nil) == (err == nil) {
 			t.Fatalf("Load returned parser %v and error %v", p != nil, err)
+		}
+	})
+}
+
+// fuzzSnapshots returns the fuzzers' seed snapshots: a small plain parser and
+// a small contextual one with a grammar spec.
+func fuzzSnapshots(f *testing.F) [][]byte {
+	vocab := func(words ...string) *Vocab { return BuildVocab([][]string{words}, 1) }
+	src := vocab("tweet", "alpha", "now", "email")
+	tgt := vocab("now", "=>", "@twitter.post", "@gmail.send", "param:text", "=", `"`)
+	var out [][]byte
+	for _, contextual := range []bool{false, true} {
+		p := newParser(Config{EmbedDim: 4, HiddenDim: 3, MaxDecodeLen: 8, PointerGen: true, Contextual: contextual, Seed: 1}, src, tgt)
+		if contextual {
+			_ = p.SetGrammar(toyGrammarSpec())
+		}
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	return out
+}
+
+// FuzzDurableLoad loads a snapshot the way serve.Cache does — model.Load as
+// the read callback of a durable.Store — from a store whose only generation
+// of key "k" is the fuzzed bytes: written as the file k.g1 as they are, or,
+// when sealed, as the payload of an envelope the store writes itself, so the
+// checksum passes and model.Load sees them. The load returns a parser or an
+// error and never panics; a generation that fails is quarantined to
+// k.g1.corrupt, and the next Load reports ErrNotFound. The seeds are a valid
+// envelope, its truncations, mutations of its header and trailer, and sealed
+// snapshots with their truncations:
+//
+//	go test ./internal/model -run '^$' -fuzz FuzzDurableLoad -fuzztime 10s
+func FuzzDurableLoad(f *testing.F) {
+	for _, snap := range fuzzSnapshots(f) {
+		f.Add(snap, true)
+		f.Add(snap[:len(snap)/2], true)
+		dir := f.TempDir()
+		if err := durable.Open(dir, durable.Options{}).Save("k", func(w io.Writer) error {
+			_, err := w.Write(snap)
+			return err
+		}); err != nil {
+			f.Fatal(err)
+		}
+		env, err := os.ReadFile(filepath.Join(dir, "k.g1"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(env, false)
+		for _, n := range []int{0, 8, 12, 51, 52, len(env) / 2, len(env) - 41, len(env) - 40, len(env) - 1} {
+			f.Add(env[:n], false)
+		}
+		payloadLen := uint64(len(env) - 52) // 12-byte header, 40-byte trailer
+		for _, m := range []struct {
+			off int
+			v   uint64
+		}{
+			{0, 0},                             // magic
+			{8, 2},                             // envelope version
+			{len(env) - 40, payloadLen - 1},    // trailer length, one short
+			{len(env) - 40, payloadLen + 1},    // trailer length, one long
+			{len(env) - 40, math.MaxUint64},    // trailer length
+			{len(env) - 8, 0x0123456789abcdef}, // checksum
+			{len(env) / 2, 0xdeadbeefdeadbeef}, // payload
+		} {
+			mut := append([]byte(nil), env...)
+			binary.LittleEndian.PutUint64(mut[m.off:], m.v)
+			f.Add(mut, false)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, sealed bool) {
+		dir := t.TempDir()
+		s := durable.Open(dir, durable.Options{})
+		if sealed {
+			if err := s.Save("k", func(w io.Writer) error {
+				_, err := w.Write(data)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := os.WriteFile(filepath.Join(dir, "k.g1"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		load := func() (p *Parser, err error) {
+			err = s.Load("k", func(r io.Reader) error {
+				p, err = Load(r)
+				return err
+			})
+			return p, err
+		}
+		p, err := load()
+		if (p == nil) == (err == nil) {
+			t.Fatalf("Load returned parser %v and error %v", p != nil, err)
+		}
+		if err == nil {
+			return
+		}
+		if _, serr := os.Stat(filepath.Join(dir, "k.g1.corrupt")); serr != nil {
+			t.Fatalf("failed generation (%v) not quarantined: %v", err, serr)
+		}
+		if _, err := load(); !errors.Is(err, durable.ErrNotFound) {
+			t.Fatalf("Load after quarantine = %v, want ErrNotFound", err)
 		}
 	})
 }

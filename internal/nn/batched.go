@@ -238,7 +238,7 @@ func (g *Graph) AttendSoftmaxContextBatch(q, H *Tensor, blocks, lens []int) (alp
 		mem := H.W[m*S*d : (m*S+L)*d]
 		attendDotInto(q.W[r*d:(r+1)*d], mem, L, sc.W[r*S:r*S+L])
 		softmaxInto(sc.W[r*S:r*S+L], alpha.W[r*S:r*S+L])
-		rowMatMulInto(alpha.W[r*S:r*S+L], mem, ctx.W[r*d:(r+1)*d])
+		matvec(ctx.W[r*d:(r+1)*d], alpha.W[r*S:r*S+L], mem)
 	}
 	g.push(tapeOp{kind: opAttendBatch, a: q, b: H, out: ctx, aux: alpha, aux2: sc, ints: lens})
 	return alpha, ctx

@@ -408,14 +408,14 @@ func TestNLLPointerMixBatchFiniteDifferences(t *testing.T) {
 	}
 }
 
-// TestBatchedKernelsAssemblyMatchesPureGo pins the two bodies of the kernel
+// TestBatchedKernelsAssemblyMatchesPureGo pins the bodies of the kernel
 // family against each other through the ops built on them: the same batched
 // network — LSTM steps with a row mask, masked attention, affine, softmax —
-// run forward and backward under the assembly body and under the pure-Go
+// run forward and backward under each assembly body and under the pure-Go
 // reference must produce bitwise-identical outputs and gradients.
 func TestBatchedKernelsAssemblyMatchesPureGo(t *testing.T) {
-	asm, ok := asmKernels()
-	if !ok {
+	bodies := asmKernels()
+	if len(bodies) == 0 {
 		t.Skip("no assembly kernel body in this build or on this CPU")
 	}
 	const B, in, H, S = 32, 64, 128, 40
@@ -460,15 +460,17 @@ func TestBatchedKernelsAssemblyMatchesPureGo(t *testing.T) {
 
 	useKernels(t, goKernels)
 	pure := run()
-	useKernels(t, asm)
-	assembly := run()
-	if len(pure) != len(assembly) {
-		t.Fatalf("result length mismatch: %d vs %d", len(pure), len(assembly))
-	}
-	for i := range pure {
-		if math.Float64bits(pure[i]) != math.Float64bits(assembly[i]) {
-			t.Fatalf("assembly kernels diverge from pure Go at element %d: %g vs %g",
-				i, assembly[i], pure[i])
+	for name, asm := range bodies {
+		useKernels(t, asm)
+		assembly := run()
+		if len(pure) != len(assembly) {
+			t.Fatalf("%s: result length mismatch: %d vs %d", name, len(pure), len(assembly))
+		}
+		for i := range pure {
+			if math.Float64bits(pure[i]) != math.Float64bits(assembly[i]) {
+				t.Fatalf("%s kernels diverge from pure Go at element %d: %g vs %g",
+					name, i, assembly[i], pure[i])
+			}
 		}
 	}
 }

@@ -18,15 +18,21 @@ import "math"
 //     and the attention score (dot4, dot), is one serial accumulator over j
 //     ascending.
 //
-// Every product is rounded before it is added: no fused multiply-add, in
-// either body. The primitives below (axpy, axpy4, dotAxpy, dotAxpy2) have a
-// pure-Go reference body here and an AVX2 body in kernel_amd64.s that issues,
-// per output element, the identical sequence of IEEE multiplies and adds, so
-// the two agree bit for bit. The float64() conversions in the reference
-// bodies are what forbids the compiler from fusing on platforms where it
-// otherwise would. The serial dot products have one Go body: their speed
-// comes from running four independent chains side by side, which scalar code
-// already does.
+// Every product is rounded before it is added: no fused multiply-add, in any
+// body. The primitives below (axpy, matvec, dotAxpy, dotAxpy2) have a pure-Go
+// reference body here and an AVX2 body in kernel_amd64.s that issues, per
+// output element, the identical sequence of IEEE multiplies and adds, so the
+// bodies agree bit for bit. matvec — dst[j] += Σ_k x[k]·w[k·len(dst)+j], k
+// ascending, ±0 x[k] skipped — is the whole forward product: the reference
+// body runs k outer and j inner; the assembly bodies hold a 32-wide strip of
+// dst in registers for the whole k loop and store it once, then take an
+// 8-wide strip and a scalar tail. matvec alone also has an AVX-512 body, which
+// runs where CPUID reports AVX512F and the OS saves the ZMM state; elsewhere on
+// amd64 the AVX2 bodies run, and the reference body under purego or on another
+// architecture. The float64() conversions in the reference bodies are what
+// forbids the compiler from fusing on platforms where it otherwise would. The
+// serial dot products have one Go body: their speed comes from running four
+// independent chains side by side, which scalar code already does.
 //
 // Everything else in the file builds the package's matrix kernels out of
 // those primitives; the single-row and batched forms share one loop nest each
@@ -66,8 +72,9 @@ import "math"
 type kernelSet struct {
 	// axpy: dst[j] += a·x[j].
 	axpy func(dst, x []float64, a float64)
-	// axpy4: dst[j] = (((dst[j] + a0·x0[j]) + a1·x1[j]) + a2·x2[j]) + a3·x3[j].
-	axpy4 func(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64)
+	// matvec: dst[j] += Σ_k x[k]·w[k·len(dst)+j], k ascending, skipping ±0
+	// x[k]; dst must not overlap x or w.
+	matvec func(dst, x, w []float64)
 	// dotAxpy: wd[j] += d[j]·a, and returns the lane-accumulated d·w.
 	dotAxpy func(d, w, wd []float64, a float64) float64
 	// dotAxpy2 is dotAxpy for two rows d0, d1 sharing w and wd:
@@ -98,7 +105,7 @@ type adamCoef struct {
 // at init where the CPU has an assembly body (kernel_amd64.go).
 var (
 	goKernels = kernelSet{
-		axpy: axpyGo, axpy4: axpy4Go, dotAxpy: dotAxpyGo, dotAxpy2: dotAxpy2Go,
+		axpy: axpyGo, matvec: matvecGo, dotAxpy: dotAxpyGo, dotAxpy2: dotAxpy2Go,
 		sigmoid: sigmoidGo, tanh: tanhGo, expShift: expShiftGo, adam: adamGo,
 	}
 	kernels = goKernels
@@ -118,15 +125,14 @@ func axpy(dst, x []float64, a float64) {
 	kernels.axpy(dst, x, a)
 }
 
-func axpy4(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
-	n := len(dst)
-	if len(x0) < n || len(x1) < n || len(x2) < n || len(x3) < n {
-		panic("nn: axpy4 shape mismatch")
+func matvec(dst, x, w []float64) {
+	if len(w) < len(x)*len(dst) {
+		panic("nn: matvec shape mismatch")
 	}
-	if n == 0 {
+	if len(dst) == 0 || len(x) == 0 {
 		return
 	}
-	kernels.axpy4(dst, x0, x1, x2, x3, a0, a1, a2, a3)
+	kernels.matvec(dst, x, w)
 }
 
 func dotAxpy(d, w, wd []float64, a float64) float64 {
@@ -269,16 +275,12 @@ func axpyGo(dst, x []float64, a float64) {
 	}
 }
 
-func axpy4Go(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
+func matvecGo(dst, x, w []float64) {
 	n := len(dst)
-	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
-	for j := range dst {
-		v := dst[j]
-		v += float64(a0 * x0[j])
-		v += float64(a1 * x1[j])
-		v += float64(a2 * x2[j])
-		v += float64(a3 * x3[j])
-		dst[j] = v
+	for k, a := range x {
+		if a != 0 {
+			axpyGo(dst, w[k*n:(k+1)*n], a)
+		}
 	}
 }
 
@@ -343,38 +345,14 @@ func dot4(x, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
 }
 
 // matMulRows accumulates a·w into dst for a row-major rows×cols batch a and a
-// cols×p matrix w, skipping rows where active is false (nil = all rows). The
-// k-group is the outer loop and the batch rows the inner one, so four weight
-// rows, once loaded, serve every row of the batch. A group in which some
-// left-operand element is zero, and the cols mod 4 tail, take one axpy per
-// non-zero k — the same per-element sequence.
+// cols×p matrix w: one matvec per row, skipping rows where active is false
+// (nil = all rows).
 func matMulRows(a []float64, rows, cols int, w []float64, p int, dst []float64, active []bool) {
-	for k := 0; k < cols; k += 4 {
-		g := min(4, cols-k)
-		wg := w[k*p : (k+g)*p]
-		for i := 0; i < rows; i++ {
-			if active != nil && !active[i] {
-				continue
-			}
-			av := a[i*cols+k : i*cols+k+g]
-			orow := dst[i*p : (i+1)*p]
-			if g == 4 && av[0] != 0 && av[1] != 0 && av[2] != 0 && av[3] != 0 {
-				axpy4(orow, wg[:p], wg[p:2*p], wg[2*p:3*p], wg[3*p:], av[0], av[1], av[2], av[3])
-				continue
-			}
-			for l, v := range av {
-				if v != 0 {
-					axpy(orow, wg[l*p:(l+1)*p], v)
-				}
-			}
+	for i := 0; i < rows; i++ {
+		if active == nil || active[i] {
+			matvec(dst[i*p:(i+1)*p], a[i*cols:(i+1)*cols], w)
 		}
 	}
-}
-
-// rowMatMulInto accumulates x·w into dst for a row vector x (len in) and a
-// flat in×len(dst) matrix w.
-func rowMatMulInto(x, w, dst []float64) {
-	matMulRows(x, 1, len(x), w, len(dst), dst, nil)
 }
 
 // backRowMatMul accumulates the gradients of out = x·w for one row x (len

@@ -11,7 +11,10 @@ package nn
 func axpyAVX2(dst, x []float64, a float64)
 
 //go:noescape
-func axpy4AVX2(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64)
+func matvecAVX2(dst, x, w []float64)
+
+//go:noescape
+func matvecAVX512(dst, x, w []float64)
 
 //go:noescape
 func dotAxpyAVX2(d, w, wd []float64, a float64) float64
@@ -79,16 +82,20 @@ func init() {
 }
 
 // asmBody returns the assembly body this CPU can run, and false where it
-// runs none: the multiply-add primitives and Adam need AVX2; the activations
-// also need FMA — the path math.Exp takes on such a CPU — and must pass the
-// probe against the reference body.
+// runs none: the multiply-add primitives and Adam need AVX2, and matvec takes
+// its AVX-512 body where there is AVX-512 too; the activations also need FMA —
+// the path math.Exp takes on such a CPU — and must pass the probe against the
+// reference body.
 func asmBody() (kernelSet, bool) {
-	avx2, fma := cpuFeatures()
+	avx2, fma, avx512 := cpuFeatures()
 	if !avx2 {
 		return kernelSet{}, false
 	}
 	ks := goKernels
-	ks.axpy, ks.axpy4, ks.dotAxpy, ks.dotAxpy2 = axpyAVX2, axpy4AVX2, dotAxpyAVX2, dotAxpy2AVX2
+	ks.axpy, ks.matvec, ks.dotAxpy, ks.dotAxpy2 = axpyAVX2, matvecAVX2, dotAxpyAVX2, dotAxpy2AVX2
+	if avx512 {
+		ks.matvec = matvecAVX512
+	}
 	ks.adam = adamAsm
 	if fma {
 		act := ks
@@ -100,23 +107,28 @@ func asmBody() (kernelSet, bool) {
 	return ks, true
 }
 
-// cpuFeatures reports whether the CPU implements AVX2, and FMA, with the
-// operating system saving the YMM state across context switches.
-func cpuFeatures() (avx2, fma bool) {
+// cpuFeatures reports whether the CPU implements AVX2, AVX2 and FMA, and
+// AVX2 and AVX512F, with the operating system saving the YMM state — and for
+// AVX512F the opmask and ZMM state too — across context switches.
+func cpuFeatures() (avx2, fma, avx512 bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false, false
+		return false, false, false
 	}
 	const fmaBit, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
 	_, _, c, _ := cpuid(1, 0)
 	if c&osxsave == 0 || c&avx == 0 {
-		return false, false
+		return false, false, false
 	}
-	const xmmYmmState = 0b110 // XCR0 bits 1 and 2
-	if lo, _ := xgetbv(); lo&xmmYmmState != xmmYmmState {
-		return false, false
+	// XCR0 bits 1–2 (XMM, YMM); for AVX-512 also 5–7 (opmask, ZMM 0–15 upper
+	// halves, ZMM 16–31).
+	const xmmYmmState, zmmState = 0b110, 0xE6
+	xcr0, _ := xgetbv()
+	if xcr0&xmmYmmState != xmmYmmState {
+		return false, false, false
 	}
-	const avx2Bit = 1 << 5
+	const avx2Bit, avx512fBit = 1 << 5, 1 << 16
 	_, b, _, _ := cpuid(7, 0)
-	return b&avx2Bit != 0, b&avx2Bit != 0 && c&fmaBit != 0
+	avx2 = b&avx2Bit != 0
+	return avx2, avx2 && c&fmaBit != 0, avx2 && b&avx512fBit != 0 && xcr0&zmmState == zmmState
 }

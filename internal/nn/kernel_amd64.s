@@ -2,10 +2,11 @@
 
 #include "textflag.h"
 
-// The AVX2 body of the kernel family declared in kernel_amd64.go. Rules that
-// keep it bit-identical to the Go reference body in kernel.go:
+// The AVX2 body of the kernel family declared in kernel_amd64.go, and the
+// AVX-512 body of matvec. Rules that keep them bit-identical to the Go
+// reference body in kernel.go:
 //
-//   - a vector lane is one output element (axpy, axpy4, the elementwise
+//   - a vector lane is one output element (axpy, matvec, the elementwise
 //     routines) or one of the four j mod 4 accumulators (dotAxpy), so each
 //     element sees the scalar sequence of operations, in the scalar order;
 //   - an FMA only where the scalar code has one: never in the multiply-add
@@ -15,7 +16,8 @@
 //     sub-slices of float64 buffers.
 //
 // Every routine ends in VZEROUPPER. The Go wrappers guarantee a non-empty
-// first operand and that every other slice is at least as long.
+// first operand and that every other slice is at least as long (matvec: a
+// non-empty x, and len(x)*len(dst) weights).
 
 // func axpyAVX2(dst, x []float64, a float64)
 // dst[j] += a*x[j]
@@ -62,84 +64,224 @@ axpy_done:
 	VZEROUPPER
 	RET
 
-// func axpy4AVX2(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64)
-// dst[j] = (((dst[j] + a0*x0[j]) + a1*x1[j]) + a2*x2[j]) + a3*x3[j]
-TEXT ·axpy4AVX2(SB), NOSPLIT, $0-152
+// The two matvec bodies: dst[j] += sum over k ascending of x[k]*w[k*n+j],
+// n = len(dst), skipping k where x[k] is ±0. A strip of dst stays in
+// registers for the whole k loop and is stored once: 32 elements wide while
+// 32 remain, then 8 wide, then one element at a time. Per element that is the
+// reference body's sequence: dst[j], plus each rounded product, k ascending.
+// Register use, both bodies: DI dst, CX n, SI x, R8 len(x), R9 w, R11 the
+// byte stride n*8 of a weight row, AX the strip's first j, DX its end, BX k,
+// R10 &w[k*n+AX], R12 the zero test.
+
+// MATVEC_KSTART starts a strip's k loop: R10 = &w[AX], BX = 0.
+#define MATVEC_KSTART \
+	LEAQ (R9)(AX*8), R10; \
+	XORQ BX, BX
+
+// MATVEC_SKIPZERO jumps to skip when x[k] is ±0: every bit but the sign clear.
+#define MATVEC_SKIPZERO(skip) \
+	MOVQ (SI)(BX*8), R12; \
+	SHLQ $1, R12; \
+	JEQ  skip
+
+// MATVEC_NEXTK advances to the next weight row.
+#define MATVEC_NEXTK \
+	ADDQ R11, R10; \
+	INCQ BX
+
+// MATVEC_TAIL is both bodies' scalar tail, AX to n, one element and a whole
+// k loop at a time.
+#define MATVEC_TAIL \
+matvec_tail1: \
+	CMPQ AX, CX; \
+	JGE  matvec_done; \
+	VMOVSD (DI)(AX*8), X0; \
+	MATVEC_KSTART; \
+matvec_k1: \
+	CMPQ BX, R8; \
+	JGE  matvec_store1; \
+	MATVEC_SKIPZERO(matvec_skip1); \
+	VMOVSD (SI)(BX*8), X15; \
+	VMULSD (R10), X15, X8; \
+	VADDSD X8, X0, X0; \
+matvec_skip1: \
+	MATVEC_NEXTK; \
+	JMP  matvec_k1; \
+matvec_store1: \
+	VMOVSD X0, (DI)(AX*8); \
+	INCQ AX; \
+	JMP  matvec_tail1; \
+matvec_done: \
+	VZEROUPPER; \
+	RET
+
+// func matvecAVX2(dst, x, w []float64)
+// The 32-wide strip is Y0..Y7, the 8-wide one Y0, Y1; Y15 is x[k].
+TEXT ·matvecAVX2(SB), NOSPLIT, $0-72
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
-	MOVQ x0_base+24(FP), R8
-	MOVQ x1_base+48(FP), R9
-	MOVQ x2_base+72(FP), R10
-	MOVQ x3_base+96(FP), R11
-	VBROADCASTSD a0+120(FP), Y0
-	VBROADCASTSD a1+128(FP), Y1
-	VBROADCASTSD a2+136(FP), Y2
-	VBROADCASTSD a3+144(FP), Y3
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), R8
+	MOVQ w_base+48(FP), R9
+	MOVQ CX, R11
+	SHLQ $3, R11
 	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $~7, DX
 
-axpy4_loop8:
-	CMPQ AX, DX
-	JGE  axpy4_tail4
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
-	VMULPD (R8)(AX*8), Y0, Y6
-	VMULPD 32(R8)(AX*8), Y0, Y7
-	VMULPD (R9)(AX*8), Y1, Y8
-	VMULPD 32(R9)(AX*8), Y1, Y9
-	VMULPD (R10)(AX*8), Y2, Y10
-	VMULPD 32(R10)(AX*8), Y2, Y11
-	VMULPD (R11)(AX*8), Y3, Y12
-	VMULPD 32(R11)(AX*8), Y3, Y13
-	VADDPD Y6, Y4, Y4
-	VADDPD Y7, Y5, Y5
+matvec_strip32:
+	LEAQ 32(AX), DX
+	CMPQ DX, CX
+	JGT  matvec_strip8
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD 32(DI)(AX*8), Y1
+	VMOVUPD 64(DI)(AX*8), Y2
+	VMOVUPD 96(DI)(AX*8), Y3
+	VMOVUPD 128(DI)(AX*8), Y4
+	VMOVUPD 160(DI)(AX*8), Y5
+	VMOVUPD 192(DI)(AX*8), Y6
+	VMOVUPD 224(DI)(AX*8), Y7
+	MATVEC_KSTART
+
+matvec_k32:
+	CMPQ BX, R8
+	JGE  matvec_store32
+	MATVEC_SKIPZERO(matvec_skip32)
+	VBROADCASTSD (SI)(BX*8), Y15
+	VMULPD (R10), Y15, Y8
+	VMULPD 32(R10), Y15, Y9
+	VMULPD 64(R10), Y15, Y10
+	VMULPD 96(R10), Y15, Y11
+	VADDPD Y8, Y0, Y0
+	VADDPD Y9, Y1, Y1
+	VADDPD Y10, Y2, Y2
+	VADDPD Y11, Y3, Y3
+	VMULPD 128(R10), Y15, Y8
+	VMULPD 160(R10), Y15, Y9
+	VMULPD 192(R10), Y15, Y10
+	VMULPD 224(R10), Y15, Y11
 	VADDPD Y8, Y4, Y4
 	VADDPD Y9, Y5, Y5
-	VADDPD Y10, Y4, Y4
-	VADDPD Y11, Y5, Y5
-	VADDPD Y12, Y4, Y4
-	VADDPD Y13, Y5, Y5
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	ADDQ $8, AX
-	JMP  axpy4_loop8
+	VADDPD Y10, Y6, Y6
+	VADDPD Y11, Y7, Y7
 
-axpy4_tail4:
-	LEAQ 4(AX), DX
-	CMPQ DX, CX
-	JGT  axpy4_tail1
-	VMOVUPD (DI)(AX*8), Y4
-	VMULPD (R8)(AX*8), Y0, Y6
-	VMULPD (R9)(AX*8), Y1, Y8
-	VMULPD (R10)(AX*8), Y2, Y10
-	VMULPD (R11)(AX*8), Y3, Y12
-	VADDPD Y6, Y4, Y4
-	VADDPD Y8, Y4, Y4
-	VADDPD Y10, Y4, Y4
-	VADDPD Y12, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
+matvec_skip32:
+	MATVEC_NEXTK
+	JMP matvec_k32
+
+matvec_store32:
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, 64(DI)(AX*8)
+	VMOVUPD Y3, 96(DI)(AX*8)
+	VMOVUPD Y4, 128(DI)(AX*8)
+	VMOVUPD Y5, 160(DI)(AX*8)
+	VMOVUPD Y6, 192(DI)(AX*8)
+	VMOVUPD Y7, 224(DI)(AX*8)
 	MOVQ DX, AX
+	JMP  matvec_strip32
 
-axpy4_tail1:
-	CMPQ AX, CX
-	JGE  axpy4_done
-	VMOVSD (DI)(AX*8), X4
-	VMULSD (R8)(AX*8), X0, X6
-	VMULSD (R9)(AX*8), X1, X8
-	VMULSD (R10)(AX*8), X2, X10
-	VMULSD (R11)(AX*8), X3, X12
-	VADDSD X6, X4, X4
-	VADDSD X8, X4, X4
-	VADDSD X10, X4, X4
-	VADDSD X12, X4, X4
-	VMOVSD X4, (DI)(AX*8)
-	INCQ AX
-	JMP  axpy4_tail1
+matvec_strip8:
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JGT  matvec_tail1
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD 32(DI)(AX*8), Y1
+	MATVEC_KSTART
 
-axpy4_done:
-	VZEROUPPER
-	RET
+matvec_k8:
+	CMPQ BX, R8
+	JGE  matvec_store8
+	MATVEC_SKIPZERO(matvec_skip8)
+	VBROADCASTSD (SI)(BX*8), Y15
+	VMULPD (R10), Y15, Y8
+	VMULPD 32(R10), Y15, Y9
+	VADDPD Y8, Y0, Y0
+	VADDPD Y9, Y1, Y1
+
+matvec_skip8:
+	MATVEC_NEXTK
+	JMP matvec_k8
+
+matvec_store8:
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	MOVQ DX, AX
+	JMP  matvec_strip8
+
+	MATVEC_TAIL
+
+// func matvecAVX512(dst, x, w []float64)
+// The 32-wide strip is Z0..Z3, the 8-wide one Z0; Z15 is x[k].
+TEXT ·matvecAVX512(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), R8
+	MOVQ w_base+48(FP), R9
+	MOVQ CX, R11
+	SHLQ $3, R11
+	XORQ AX, AX
+
+matvec_strip32:
+	LEAQ 32(AX), DX
+	CMPQ DX, CX
+	JGT  matvec_strip8
+	VMOVUPD (DI)(AX*8), Z0
+	VMOVUPD 64(DI)(AX*8), Z1
+	VMOVUPD 128(DI)(AX*8), Z2
+	VMOVUPD 192(DI)(AX*8), Z3
+	MATVEC_KSTART
+
+matvec_k32:
+	CMPQ BX, R8
+	JGE  matvec_store32
+	MATVEC_SKIPZERO(matvec_skip32)
+	VBROADCASTSD (SI)(BX*8), Z15
+	VMULPD (R10), Z15, Z8
+	VMULPD 64(R10), Z15, Z9
+	VMULPD 128(R10), Z15, Z10
+	VMULPD 192(R10), Z15, Z11
+	VADDPD Z8, Z0, Z0
+	VADDPD Z9, Z1, Z1
+	VADDPD Z10, Z2, Z2
+	VADDPD Z11, Z3, Z3
+
+matvec_skip32:
+	MATVEC_NEXTK
+	JMP matvec_k32
+
+matvec_store32:
+	VMOVUPD Z0, (DI)(AX*8)
+	VMOVUPD Z1, 64(DI)(AX*8)
+	VMOVUPD Z2, 128(DI)(AX*8)
+	VMOVUPD Z3, 192(DI)(AX*8)
+	MOVQ DX, AX
+	JMP  matvec_strip32
+
+matvec_strip8:
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JGT  matvec_tail1
+	VMOVUPD (DI)(AX*8), Z0
+	MATVEC_KSTART
+
+matvec_k8:
+	CMPQ BX, R8
+	JGE  matvec_store8
+	MATVEC_SKIPZERO(matvec_skip8)
+	VBROADCASTSD (SI)(BX*8), Z15
+	VMULPD (R10), Z15, Z8
+	VADDPD Z8, Z0, Z0
+
+matvec_skip8:
+	MATVEC_NEXTK
+	JMP matvec_k8
+
+matvec_store8:
+	VMOVUPD Z0, (DI)(AX*8)
+	MOVQ DX, AX
+	JMP  matvec_strip8
+
+	MATVEC_TAIL
 
 // func dotAxpyAVX2(d, w, wd []float64, a float64) float64
 // wd[j] += d[j]*a; returns (l0+l1)+(l2+l3), lane l summing d[j]*w[j] over

@@ -5,19 +5,94 @@ package nn
 import (
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// asmKernels returns the assembly body, and whether this CPU can run it.
-func asmKernels() (kernelSet, bool) { return asmBody() }
+// asmKernels returns the assembly bodies this CPU can run, by name: "avx2",
+// and "avx512" — the body asmBody selects — where matvec has its AVX-512
+// body. An AVX-512 host thus still runs the AVX2 matvec.
+func asmKernels() map[string]kernelSet {
+	ks, ok := asmBody()
+	if !ok {
+		return nil
+	}
+	avx2 := ks
+	avx2.matvec = matvecAVX2
+	bodies := map[string]kernelSet{"avx2": avx2}
+	if _, _, avx512 := cpuFeatures(); avx512 {
+		bodies["avx512"] = ks
+	}
+	return bodies
+}
+
+func sameFunc(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+
+// TestKernelSelection: matvec runs its AVX-512 body exactly where
+// cpuFeatures reports AVX512F with the ZMM state, and the AVX2 body on every
+// other AVX2 CPU; every other primitive keeps its AVX2 body. Where the kernel
+// lists the CPU's flags (Linux /proc/cpuinfo), cpuFeatures must agree with
+// them, so a broken feature check fails here rather than quietly selecting
+// the narrower body. Run with -v, the log names the bodies in use.
+func TestKernelSelection(t *testing.T) {
+	avx2, fma, avx512 := cpuFeatures()
+	t.Logf("cpuFeatures: avx2=%t fma=%t avx512=%t", avx2, fma, avx512)
+	if raw, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		flags := map[string]bool{}
+		for _, line := range strings.Split(string(raw), "\n") {
+			if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+				for _, f := range strings.Fields(list) {
+					flags[f] = true
+				}
+				break
+			}
+		}
+		if flags["avx2"] != avx2 || (flags["avx2"] && flags["avx512f"]) != avx512 {
+			t.Fatalf("cpuFeatures avx2=%t avx512=%t, but /proc/cpuinfo lists avx2=%t avx512f=%t",
+				avx2, avx512, flags["avx2"], flags["avx512f"])
+		}
+	}
+	if !avx2 {
+		if _, ok := asmBody(); ok {
+			t.Fatal("an assembly body was selected on a CPU without AVX2")
+		}
+		t.Log("kernels: go (no AVX2)")
+		return
+	}
+	want, name := any(matvecAVX2), "avx2"
+	if avx512 {
+		want, name = matvecAVX512, "avx512"
+	}
+	if !sameFunc(kernels.matvec, want) {
+		t.Fatalf("kernels.matvec is not the %s body", name)
+	}
+	for _, p := range []struct {
+		name      string
+		got, want any
+	}{
+		{"axpy", kernels.axpy, axpyAVX2},
+		{"dotAxpy", kernels.dotAxpy, dotAxpyAVX2},
+		{"dotAxpy2", kernels.dotAxpy2, dotAxpy2AVX2},
+		{"adam", kernels.adam, adamAsm},
+	} {
+		if !sameFunc(p.got, p.want) {
+			t.Fatalf("kernels.%s is not the AVX2 body", p.name)
+		}
+	}
+	act := "go"
+	if sameFunc(kernels.sigmoid, sigmoidAsm) {
+		act = "avx2+fma"
+	}
+	t.Logf("kernels: matvec=%s axpy/dotAxpy/dotAxpy2/adam=avx2 activations=%s; parity tests run %d bodies", name, act, len(kernelBodies()))
+}
 
 // TestActivationProbe: on a CPU with AVX2 and FMA the init-time probe accepts
 // the assembly activations, so they are what runs — unless GODEBUG has turned
 // math.Exp's FMA path off, and then it must refuse them. The test runs itself
 // again under GODEBUG=cpu.fma=off to see the refusal.
 func TestActivationProbe(t *testing.T) {
-	if avx2, fma := cpuFeatures(); !avx2 || !fma {
+	if avx2, fma, _ := cpuFeatures(); !avx2 || !fma {
 		t.Skip("CPU without AVX2 and FMA: the activations have no assembly body here")
 	}
 	act := goKernels

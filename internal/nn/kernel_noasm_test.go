@@ -3,4 +3,4 @@
 package nn
 
 // asmKernels reports that this build has no assembly body.
-func asmKernels() (kernelSet, bool) { return kernelSet{}, false }
+func asmKernels() map[string]kernelSet { return nil }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,12 +14,13 @@ func useKernels(t testing.TB, ks kernelSet) {
 	t.Cleanup(func() { kernels = old })
 }
 
-// kernelBodies lists the bodies this build and CPU can run: one tier-1 run on
-// amd64 covers both, a purego or non-amd64 run the reference alone.
+// kernelBodies lists every body this build and CPU can run: one tier-1 run on
+// amd64 covers the reference, the AVX2 body and, where present, the AVX-512
+// matvec; a purego or non-amd64 run the reference alone.
 func kernelBodies() map[string]kernelSet {
 	bodies := map[string]kernelSet{"go": goKernels}
-	if ks, ok := asmKernels(); ok {
-		bodies["avx2"] = ks
+	for name, ks := range asmKernels() {
+		bodies[name] = ks
 	}
 	return bodies
 }
@@ -147,14 +149,15 @@ func (c kernelCase) naiveBackRows() (wd, ad []float64) {
 
 // checkKernels runs the three matrix kernels on one drawn case under the
 // body in use and holds outputs, weight gradients and input gradients to the
-// naive references, bit for bit.
+// naive references, bit for bit. The forward product is matvec once per
+// active row.
 func checkKernels(t testing.TB, seed int64, rows, in, n, off int) {
 	t.Helper()
 	c := drawKernelCase(rand.New(rand.NewSource(seed)), rows, in, n, off)
 
 	dst := clone(c.dst)
 	matMulRows(c.a, rows, in, c.w, n, dst, c.active)
-	assertSameBits(t, "matMulRows out", dst, c.naiveMatMul())
+	assertSameBits(t, "matMulRows (matvec) out", dst, c.naiveMatMul())
 
 	wd, ad := clone(c.wd), clone(c.ad)
 	backMatMulRows(c.a, ad, rows, in, c.w, wd, n, c.dOut, c.active)
@@ -171,15 +174,25 @@ func checkKernels(t testing.TB, seed int64, rows, in, n, off int) {
 	assertSameBits(t, "backRowMatMul dA", ad, wantAd)
 }
 
-// TestKernelBitParity sweeps every width 0..70 (all residues mod 4 and 8, so
-// every vector/tail split), every depth 0..13, element offsets 0..3 and a few
-// batch heights, under each body.
+// kernelWidths are the output widths the parity sweep covers: every n in
+// 0..100 — each residue mod 4, 8 and 32, so every split of matvec's 32-wide
+// strips, 8-wide strips and scalar tail — and the model-sized 192, 400, 437.
+var kernelWidths = func() []int {
+	ws := make([]int, 0, 104)
+	for n := 0; n <= 100; n++ {
+		ws = append(ws, n)
+	}
+	return append(ws, 192, 400, 437)
+}()
+
+// TestKernelBitParity sweeps every width of kernelWidths, every depth 0..13,
+// element offsets 0..3 and a few batch heights, under each body.
 func TestKernelBitParity(t *testing.T) {
 	for name, ks := range kernelBodies() {
 		t.Run(name, func(t *testing.T) {
 			useKernels(t, ks)
 			seed := int64(0)
-			for n := 0; n <= 70; n++ {
+			for _, n := range kernelWidths {
 				for in := 0; in <= 13; in++ {
 					seed++
 					checkKernels(t, seed, 1+int(seed%5), in, n, int(seed%4))
@@ -472,6 +485,29 @@ func BenchmarkElementwise(b *testing.B) {
 	}
 }
 
+// BenchmarkMatvec times the forward product of one row at the shapes it has
+// in the Unit parser (E = 32, H = 48: the LSTM input and recurrent
+// projections k × 4H, attention H → 2H, combine 3H → H, and the output
+// projection onto the benchmark assistant's 230 target tokens), per body, in
+// multiply-adds per ns:
+//
+//	go test ./internal/nn -run '^$' -bench Matvec
+func BenchmarkMatvec(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range []struct{ k, n int }{{32, 192}, {48, 192}, {128, 192}, {48, 96}, {144, 48}, {48, 230}} {
+		x, w, dst := drawGates(rng, s.k), drawGates(rng, s.k*s.n), make([]float64, s.n)
+		for name, ks := range kernelBodies() {
+			b.Run(fmt.Sprintf("%dx%d/%s", s.k, s.n, name), func(b *testing.B) {
+				useKernels(b, ks)
+				for i := 0; i < b.N; i++ {
+					matMulRows(x, 1, s.k, w, s.n, dst, nil)
+				}
+				b.ReportMetric(float64(s.k*s.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
+			})
+		}
+	}
+}
+
 // drawGates draws n pre-activations of the spread an LSTM's gates have.
 func drawGates(rng *rand.Rand, n int) []float64 {
 	x := make([]float64, n)
@@ -482,12 +518,13 @@ func drawGates(rng *rand.Rand, n int) []float64 {
 }
 
 // TestKernelShapeChecks: a primitive refuses operands shorter than its first
-// one — before any body could index past them — and accepts an empty one.
+// one, and matvec fewer than len(x)·len(dst) weights — before any body could
+// index past them — and accepts an empty one.
 func TestKernelShapeChecks(t *testing.T) {
 	long, short := make([]float64, 8), make([]float64, 7)
 	for name, f := range map[string]func(){
 		"axpy":     func() { axpy(long, short, 1) },
-		"axpy4":    func() { axpy4(long, long, long, short, long, 1, 1, 1, 1) },
+		"matvec":   func() { matvec(long, short, make([]float64, 55)) },
 		"dotAxpy":  func() { dotAxpy(long, long, short, 1) },
 		"dotAxpy2": func() { dotAxpy2(long, short, long, long, 1, 1) },
 		"sigmoid":  func() { sigmoid(long, short) },
@@ -507,7 +544,8 @@ func TestKernelShapeChecks(t *testing.T) {
 	for name, ks := range kernelBodies() {
 		useKernels(t, ks)
 		axpy(nil, nil, 1)
-		axpy4(nil, nil, nil, nil, nil, 1, 1, 1, 1)
+		matvec(nil, long, nil)
+		matvec(short, nil, nil)
 		if s := dotAxpy(nil, nil, nil, 1); s != 0 {
 			t.Errorf("%s: empty dotAxpy = %g", name, s)
 		}
@@ -521,7 +559,8 @@ func TestKernelShapeChecks(t *testing.T) {
 	}
 }
 
-// FuzzKernels lets the fuzzer pick the shape, alignment and data seed of
+// FuzzKernels lets the fuzzer pick the shape — widths 0..255, so every
+// strip/tail split of matvec — alignment and data seed of
 // TestKernelBitParity's and TestElementwiseBitParity's checks, and a few
 // Adam steps, under each body:
 //
@@ -531,11 +570,12 @@ func FuzzKernels(f *testing.F) {
 	f.Add(int64(2), uint8(16), uint8(13), uint8(67), uint8(3))
 	f.Add(int64(3), uint8(3), uint8(0), uint8(5), uint8(1))
 	f.Add(int64(4), uint8(2), uint8(7), uint8(0), uint8(2))
+	f.Add(int64(5), uint8(4), uint8(9), uint8(199), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, rows, in, n, off uint8) {
 		for _, ks := range kernelBodies() {
 			useKernels(t, ks)
-			checkKernels(t, seed, 1+int(rows%16), int(in%14), int(n%71), int(off%4))
-			checkElementwise(t, seed, int(n%71), int(off%4))
+			checkKernels(t, seed, 1+int(rows%16), int(in%14), int(n), int(off%4))
+			checkElementwise(t, seed, int(n), int(off%4))
 			checkAdam(t, seed, 3, float64(rows%3))
 		}
 	})

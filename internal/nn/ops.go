@@ -132,7 +132,7 @@ func (g *Graph) WeightedSumRows(alpha, H *Tensor) *Tensor {
 		panic("nn: WeightedSumRows shape mismatch")
 	}
 	out := g.NewTensor(1, H.Cols)
-	rowMatMulInto(alpha.W, H.W, out.W)
+	matvec(out.W, alpha.W, H.W)
 	g.push(tapeOp{kind: opWeightedSumRows, a: alpha, b: H, out: out})
 	return out
 }
