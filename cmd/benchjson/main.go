@@ -12,8 +12,9 @@
 // BenchmarkRepo/<e2e|traced>/<workload>/<side>/seed=<n> record per run.
 // -compare then prints the parent and change sides side by side against the
 // metrics and bounds of BENCHMARK.json (read from the working directory, so
-// run it from the repository root), and exits 1 when an end-to-end metric is
-// worse than its bound:
+// run it from the repository root), with each side's failed share, and exits
+// 1 when an end-to-end metric is worse than its bound or a larger share of
+// operations failed:
 //
 //	benchjson -runs runs/ -note "..." -out BENCH_PR27.json
 //	benchjson -runs runs/ -compare
@@ -134,7 +135,7 @@ func main() {
 	out := flag.String("out", "", "JSON output file (default stdout)")
 	note := flag.String("note", "", "free-form note recorded in the document")
 	runsDir := flag.String("runs", "", "directory of 'go run ./bench' run files, <workload>.<side>.seed<n>[.traced].json, to record instead of -in")
-	cmp := flag.Bool("compare", false, "with -runs: print the parent and change sides per workload and metric against ./BENCHMARK.json instead of the JSON (still written to -out if set); exit 1 on a bound breach")
+	cmp := flag.Bool("compare", false, "with -runs: print the parent and change sides per workload and metric against ./BENCHMARK.json instead of the JSON (still written to -out if set); exit 1 on a bound breach or a rise in the failed share")
 	flag.Parse()
 
 	if *runsDir != "" {

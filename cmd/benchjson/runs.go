@@ -123,11 +123,14 @@ type benchMetric struct {
 const baseSide, changeSide = "parent", "change"
 
 // compare prints, per workload and metric that both sides report, each
-// side's median and quartiles, the ratio change/parent of the medians, the
-// pairs (runs of one seed on both sides) the change wins, whether the gap
-// between the medians exceeds the parent's interquartile range, and, for an
-// end-to-end metric, whether the change's median is worse than the parent's
-// by more than the bound. It returns how many bounds were breached.
+// side's median and quartiles, the ratio change/parent of the medians (n/a
+// where the parent's is 0), the pairs (runs of one seed on both sides) the
+// change wins, whether the gap between the medians exceeds the parent's
+// interquartile range, and, for an end-to-end metric, whether the change's
+// median is worse than the parent's by more than the bound. Per workload it
+// then prints each side's failed share, Σfailed/Σattempted over its runs; on
+// end-to-end runs a rise is a breach. It returns how many bounds were
+// breached.
 func compare(out io.Writer, runs []run, bf benchmarkFile) int {
 	type key struct{ kind, workload string }
 	bySide := map[key]map[string][]run{}
@@ -179,20 +182,60 @@ func compare(out io.Writer, runs []run, bf benchmarkFile) int {
 			bound := "-"
 			if k.kind == "e2e" {
 				bound = "ok"
-				worse := (cs.median - bs.median) / bs.median
+				worse := cs.median - bs.median
 				if m.Better == "higher" {
 					worse = -worse
 				}
-				if worse > m.Bound {
-					bound = fmt.Sprintf("WORSE by %.1f%% > %.1f%%", 100*worse, 100*m.Bound)
+				switch {
+				case worse <= 0:
+				case bs.median == 0:
+					bound = "WORSE than the parent's 0"
+					breaches++
+				case worse/bs.median > m.Bound:
+					bound = fmt.Sprintf("WORSE by %.1f%% > %.1f%%", 100*worse/bs.median, 100*m.Bound)
 					breaches++
 				}
 			}
-			fmt.Fprintf(out, "%-6s %-16s %-32s %-34s %-34s %7.3f %6s %5s  %s\n",
-				k.kind, k.workload, m.Name+" ("+m.Unit+")", bs, cs, cs.median/bs.median, fmt.Sprintf("%d/%d", wins, pairs), gap, bound)
+			fmt.Fprintf(out, "%-6s %-16s %-32s %-34s %-34s %7s %6s %5s  %s\n",
+				k.kind, k.workload, m.Name+" ("+m.Unit+")", bs, cs, ratio(cs.median, bs.median), fmt.Sprintf("%d/%d", wins, pairs), gap, bound)
 		}
+		bShare, bText := failedShare(base)
+		cShare, cText := failedShare(change)
+		bound := "-"
+		if k.kind == "e2e" {
+			bound = "ok"
+			if cShare > bShare {
+				bound = "WORSE: more operations failed"
+				breaches++
+			}
+		}
+		fmt.Fprintf(out, "%-6s %-16s %-32s %-34s %-34s %7s %6s %5s  %s\n",
+			k.kind, k.workload, "failed share", bText, cText, ratio(cShare, bShare), "-", "-", bound)
 	}
 	return breaches
+}
+
+// ratio formats c/b, or n/a where b is 0.
+func ratio(c, b float64) string {
+	if b == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.3f", c/b)
+}
+
+// failedShare returns Σfailed/Σattempted over runs (0 when nothing was
+// attempted), and it printed with the two sums.
+func failedShare(runs []run) (float64, string) {
+	var failed, attempted float64
+	for _, r := range runs {
+		failed += r.metrics["failed"]
+		attempted += r.metrics["attempted"]
+	}
+	share := 0.0
+	if attempted > 0 {
+		share = failed / attempted
+	}
+	return share, fmt.Sprintf("%.4g (%g/%g)", share, failed, attempted)
 }
 
 // values collects metric name over runs that report it.

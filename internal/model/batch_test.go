@@ -100,6 +100,43 @@ func TestStepBatchAtB1ReproducesRowStep(t *testing.T) {
 	}
 }
 
+// TestStepBatchDigest pins the batched backward — the input and weight
+// gradients of a product over two or more rows, which no B=1 golden reaches —
+// to the bits it had before its kernels were rebuilt: 30 StepBatch calls at
+// the unit preset's 48/64, with dropout, over windows of 16, 7 and 13
+// mixed-length pairs (odd and even active-row counts at every timestep, and
+// rows dropping out as their sequences end), land on the recorded weight
+// digest and summed loss bits, with the pointer-generator and without.
+func TestStepBatchDigest(t *testing.T) {
+	var pool []Pair
+	for len(pool) < 19 {
+		pool = append(pool, variedPairs()...)
+	}
+	for _, tc := range []struct {
+		pointer      bool
+		digest, loss string
+	}{
+		{true, "4d1ed1d7eaace9636660062b27fd669d341e6a75817de625add31741f6cac3de", "403859dbaf8b9e6c"},
+		{false, "546dfc84974811b18b09a9c55b9596722f9c001234a27a8fc6c169d5c300d201", "40343bd006df1254"},
+	} {
+		cfg := Config{EmbedDim: 48, HiddenDim: 64, LR: 1e-2, Dropout: 0.1, Epochs: 1,
+			EvalEvery: 1 << 30, PointerGen: tc.pointer, MaxDecodeLen: 16, MinVocabCount: 1, Seed: 3}
+		tr := NewTrainer(pool, nil, cfg)
+		var loss float64
+		for s := 0; s < 30; s++ {
+			size := [...]int{16, 7, 13}[s%3]
+			lo := s % (len(pool) - size + 1)
+			loss += tr.StepBatch(pool[lo : lo+size])
+		}
+		if got := weightDigest(tr.Parser()); got != tc.digest {
+			t.Errorf("pointer=%v: weight digest %s, recorded %s", tc.pointer, got, tc.digest)
+		}
+		if got := strconv.FormatUint(math.Float64bits(loss), 16); got != tc.loss {
+			t.Errorf("pointer=%v: summed loss bits %s, recorded %s", tc.pointer, got, tc.loss)
+		}
+	}
+}
+
 // TestStepBatchSteadyStateAllocs: the minibatch step keeps the arena
 // property — once buffers are warm it stays within a small fixed budget — on
 // a multi-core host and at the width and dimensions training runs at (B=16,

@@ -6,33 +6,32 @@ import "math"
 // and with that the definition of *the* summation order every matrix product,
 // attention sum and their gradients follow:
 //
-//   - a forward product accumulates each output element over k ascending, and
-//     skips a k whose left-operand element is zero (±0) — so a zero input
-//     never touches a NaN or infinite weight;
-//   - a weight gradient accumulates each element over batch rows ascending,
-//     without skipping zeros;
-//   - the input gradient of a batched product (dotAxpy) sums over j in four
+//   - a forward product (matvec) accumulates each output element over k
+//     ascending, and skips a k whose left-operand element is zero (±0) — so a
+//     zero input never touches a NaN or infinite weight;
+//   - a weight gradient (gradW) accumulates each element over batch rows
+//     ascending, without skipping zeros;
+//   - the input gradient of a batched product (gradX) sums over j in four
 //     lane accumulators, lane l taking j ≡ l (mod 4) ascending and lane 0 the
-//     n mod 4 tail, combined as (a0+a1)+(a2+a3);
+//     n mod 4 tail, combined as (l0+l1)+(l2+l3);
 //   - the input gradient of a single-row product — a one-row batch is one —
 //     and the attention score (dot4, dot), is one serial accumulator over j
 //     ascending.
 //
 // Every product is rounded before it is added: no fused multiply-add, in any
-// body. The primitives below (axpy, matvec, dotAxpy, dotAxpy2) have a pure-Go
-// reference body here and an AVX2 body in kernel_amd64.s that issues, per
-// output element, the identical sequence of IEEE multiplies and adds, so the
-// bodies agree bit for bit. matvec — dst[j] += Σ_k x[k]·w[k·len(dst)+j], k
-// ascending, ±0 x[k] skipped — is the whole forward product: the reference
-// body runs k outer and j inner; the assembly bodies hold a 32-wide strip of
-// dst in registers for the whole k loop and store it once, then take an
-// 8-wide strip and a scalar tail. matvec alone also has an AVX-512 body, which
-// runs where CPUID reports AVX512F and the OS saves the ZMM state; elsewhere on
-// amd64 the AVX2 bodies run, and the reference body under purego or on another
-// architecture. The float64() conversions in the reference bodies are what
-// forbids the compiler from fusing on platforms where it otherwise would. The
-// serial dot products have one Go body: their speed comes from running four
-// independent chains side by side, which scalar code already does.
+// body. The multiply-add primitives of the first three rules — matvec, gradW,
+// gradX — each called once per matrix, have a pure-Go reference body here,
+// and AVX2 and AVX-512 bodies in kernel_amd64.s that issue, per output
+// element, the identical sequence of IEEE multiplies and adds, so the bodies
+// agree bit for bit. matvec and gradW hold a 32-wide strip of their output in
+// registers for the whole k (row) loop; gradX holds the lanes of two rows ×
+// four k for the whole j loop. The AVX-512 bodies run where CPUID reports
+// AVX512F and the OS saves the ZMM state, the AVX2 ones elsewhere on amd64,
+// the reference body under purego or on another architecture. The float64()
+// conversions in the reference bodies are what forbids the compiler from
+// fusing on platforms where it otherwise would. The serial dot products have
+// one Go body: their speed comes from running four independent chains side
+// by side, which scalar code already does.
 //
 // Everything else in the file builds the package's matrix kernels out of
 // those primitives; the single-row and batched forms share one loop nest each
@@ -70,16 +69,15 @@ import "math"
 
 // kernelSet is one body of the primitive family.
 type kernelSet struct {
-	// axpy: dst[j] += a·x[j].
-	axpy func(dst, x []float64, a float64)
 	// matvec: dst[j] += Σ_k x[k]·w[k·len(dst)+j], k ascending, skipping ±0
 	// x[k]; dst must not overlap x or w.
 	matvec func(dst, x, w []float64)
-	// dotAxpy: wd[j] += d[j]·a, and returns the lane-accumulated d·w.
-	dotAxpy func(d, w, wd []float64, a float64) float64
-	// dotAxpy2 is dotAxpy for two rows d0, d1 sharing w and wd:
-	// wd[j] = (wd[j] + d0[j]·a0) + d1[j]·a1, each row with its own lanes.
-	dotAxpy2 func(d0, d1, w, wd []float64, a0, a1 float64) (s0, s1 float64)
+	// gradW: wd[k·n+j] += Σ_r a[r·in+k]·d[r·n+j], r ascending, no zero skipped.
+	gradW func(wd, a, d []float64, rows, in, n int)
+	// gradX: ad0[k] += laneDot(d0, w_k) and ad1[k] += laneDot(d1, w_k) for
+	// every k < len(ad0), w_k = w[k·n:(k+1)·n], n = len(d0). A nil ad1 drops
+	// row 1's sums: a lone row passes itself as d1.
+	gradX func(ad0, ad1, d0, d1, w []float64)
 
 	// sigmoid: dst[j] = 1/(1+exp(−x[j])).
 	sigmoid func(dst, x []float64)
@@ -105,25 +103,16 @@ type adamCoef struct {
 // at init where the CPU has an assembly body (kernel_amd64.go).
 var (
 	goKernels = kernelSet{
-		axpy: axpyGo, matvec: matvecGo, dotAxpy: dotAxpyGo, dotAxpy2: dotAxpy2Go,
+		matvec: matvecGo, gradW: gradWGo, gradX: gradXGo,
 		sigmoid: sigmoidGo, tanh: tanhGo, expShift: expShiftGo, adam: adamGo,
 	}
 	kernels = goKernels
 )
 
 // The wrappers own the shape checks, so a body — the assembly in particular —
-// may index every operand up to len(dst) (len(d)) without looking, and is
-// never entered with nothing to do.
-
-func axpy(dst, x []float64, a float64) {
-	if len(x) < len(dst) {
-		panic("nn: axpy shape mismatch")
-	}
-	if len(dst) == 0 {
-		return
-	}
-	kernels.axpy(dst, x, a)
-}
+// may index every operand within its shape without looking, and is never
+// entered with nothing to do (gradX over n = 0 still has work: its sums are
+// +0, which turns a −0 in ad0 or ad1 into +0).
 
 func matvec(dst, x, w []float64) {
 	if len(w) < len(x)*len(dst) {
@@ -135,25 +124,25 @@ func matvec(dst, x, w []float64) {
 	kernels.matvec(dst, x, w)
 }
 
-func dotAxpy(d, w, wd []float64, a float64) float64 {
-	if len(w) < len(d) || len(wd) < len(d) {
-		panic("nn: dotAxpy shape mismatch")
+func gradX(ad0, ad1, d0, d1, w []float64) {
+	in, n := len(ad0), len(d0)
+	if (ad1 != nil && len(ad1) < in) || len(d1) < n || len(w) < in*n {
+		panic("nn: gradX shape mismatch")
 	}
-	if len(d) == 0 {
-		return 0
+	if in == 0 {
+		return
 	}
-	return kernels.dotAxpy(d, w, wd, a)
+	kernels.gradX(ad0, ad1, d0, d1, w)
 }
 
-func dotAxpy2(d0, d1, w, wd []float64, a0, a1 float64) (s0, s1 float64) {
-	n := len(d0)
-	if len(d1) < n || len(w) < n || len(wd) < n {
-		panic("nn: dotAxpy2 shape mismatch")
+func gradW(wd, a, d []float64, rows, in, n int) {
+	if len(wd) < in*n || len(a) < rows*in || len(d) < rows*n {
+		panic("nn: gradW shape mismatch")
 	}
-	if n == 0 {
-		return 0, 0
+	if rows == 0 || in == 0 || n == 0 {
+		return
 	}
-	return kernels.dotAxpy2(d0, d1, w, wd, a0, a1)
+	kernels.gradW(wd, a, d, rows, in, n)
 }
 
 func sigmoid(dst, x []float64) {
@@ -284,31 +273,40 @@ func matvecGo(dst, x, w []float64) {
 	}
 }
 
-func dotAxpyGo(d, w, wd []float64, a float64) float64 {
-	n := len(d)
-	w, wd = w[:n], wd[:n]
+func gradXGo(ad0, ad1, d0, d1, w []float64) {
+	n := len(d0)
+	for k := range ad0 {
+		ad0[k] += laneDot(d0, w[k*n:(k+1)*n])
+		if ad1 != nil {
+			ad1[k] += laneDot(d1[:n], w[k*n:(k+1)*n])
+		}
+	}
+}
+
+// laneDot returns d·w summed in four lanes, lane l taking j ≡ l (mod 4)
+// ascending and lane 0 also the len(d) mod 4 tail, as (l0+l1)+(l2+l3).
+func laneDot(d, w []float64) float64 {
+	w = w[:len(d)]
 	var l0, l1, l2, l3 float64
 	j := 0
-	for ; j+4 <= n; j += 4 {
-		d0, d1, d2, d3 := d[j], d[j+1], d[j+2], d[j+3]
-		l0 += float64(d0 * w[j])
-		wd[j] += float64(d0 * a)
-		l1 += float64(d1 * w[j+1])
-		wd[j+1] += float64(d1 * a)
-		l2 += float64(d2 * w[j+2])
-		wd[j+2] += float64(d2 * a)
-		l3 += float64(d3 * w[j+3])
-		wd[j+3] += float64(d3 * a)
-	}
-	for ; j < n; j++ {
+	for ; j+4 <= len(d); j += 4 {
 		l0 += float64(d[j] * w[j])
-		wd[j] += float64(d[j] * a)
+		l1 += float64(d[j+1] * w[j+1])
+		l2 += float64(d[j+2] * w[j+2])
+		l3 += float64(d[j+3] * w[j+3])
+	}
+	for ; j < len(d); j++ {
+		l0 += float64(d[j] * w[j])
 	}
 	return (l0 + l1) + (l2 + l3)
 }
 
-func dotAxpy2Go(d0, d1, w, wd []float64, a0, a1 float64) (s0, s1 float64) {
-	return dotAxpyGo(d0, w, wd, a0), dotAxpyGo(d1, w, wd, a1)
+func gradWGo(wd, a, d []float64, rows, in, n int) {
+	for k := 0; k < in; k++ {
+		for r := 0; r < rows; r++ {
+			axpyGo(wd[k*n:(k+1)*n], d[r*n:(r+1)*n], a[r*in+k])
+		}
+	}
 }
 
 // dot returns x·r in one serial accumulator, j ascending.
@@ -356,11 +354,13 @@ func matMulRows(a []float64, rows, cols int, w []float64, p int, dst []float64, 
 }
 
 // backRowMatMul accumulates the gradients of out = x·w for one row x (len
-// in) and a flat in×len(dOut) matrix w: the input gradient of each k is one
-// serial chain over j, four k's side by side; the weight gradient of row k is
-// dOut scaled by x[k].
+// in) and a flat in×len(dOut) matrix w: the weight gradient is gradW over the
+// one row; the input gradient of each k is one serial chain over j, four k's
+// side by side. (gradW goes first so that little stays live across the chains
+// and they keep their operands in registers.)
 func backRowMatMul(x, xd, w, wd, dOut []float64) {
 	in, n := len(x), len(dOut)
+	gradW(wd, x, dOut, 1, in, n)
 	k := 0
 	for ; k+4 <= in; k += 4 {
 		s0, s1, s2, s3 := dot4(dOut, w[k*n:(k+1)*n], w[(k+1)*n:(k+2)*n], w[(k+2)*n:(k+3)*n], w[(k+3)*n:(k+4)*n])
@@ -372,18 +372,15 @@ func backRowMatMul(x, xd, w, wd, dOut []float64) {
 	for ; k < in; k++ {
 		xd[k] += dot(dOut, w[k*n:(k+1)*n])
 	}
-	for k, av := range x {
-		axpy(wd[k*n:(k+1)*n], dOut, av)
-	}
 }
 
 // backMatMulRows accumulates the gradients of out = a·w for a rows×in batch a
-// (gradient ad) and a flat in×n matrix w (gradient wd), given dOut (rows×n).
-// Each k owns weight-gradient row k and input-gradient column k; batch rows
-// are taken in ascending order, two at a time where two are active, so a
-// weight row and its gradient row are loaded once for both. Rows where
-// active is false are skipped: their dOut rows are zero, so they contribute
-// nothing. A one-row batch is a single-row product and takes backRowMatMul.
+// (gradient ad) and a flat in×n matrix w (gradient wd), given dOut (rows×n):
+// one gradX per pair of active rows, a lone last row alone, and one gradW per
+// run of consecutive active rows, so each weight-gradient element sums the
+// active rows in ascending order. Rows where active is false are skipped:
+// their dOut rows are zero, so they contribute nothing. A one-row batch is a
+// single-row product and takes backRowMatMul.
 func backMatMulRows(a, ad []float64, rows, in int, w, wd []float64, n int, dOut []float64, active []bool) {
 	if rows == 1 {
 		if active == nil || active[0] {
@@ -391,26 +388,21 @@ func backMatMulRows(a, ad []float64, rows, in int, w, wd []float64, n int, dOut 
 		}
 		return
 	}
-	for k := 0; k < in; k++ {
-		wrow := w[k*n : (k+1)*n]
-		wdrow := wd[k*n : (k+1)*n]
-		pending := -1 // an active row waiting for a partner
-		for i := 0; i < rows; i++ {
-			if active != nil && !active[i] {
-				continue
-			}
-			if pending < 0 {
-				pending = i
-				continue
-			}
-			s0, s1 := dotAxpy2(dOut[pending*n:(pending+1)*n], dOut[i*n:(i+1)*n], wrow, wdrow, a[pending*in+k], a[i*in+k])
-			ad[pending*in+k] += s0
-			ad[i*in+k] += s1
+	pending, run := -1, 0 // an active row waiting for a partner; the current run's first row
+	for i := 0; i <= rows; i++ {
+		if i == rows || (active != nil && !active[i]) {
+			gradW(wd, a[run*in:], dOut[run*n:], i-run, in, n)
+			run = i + 1
+		} else if pending < 0 {
+			pending = i
+		} else {
+			gradX(ad[pending*in:(pending+1)*in], ad[i*in:(i+1)*in], dOut[pending*n:(pending+1)*n], dOut[i*n:(i+1)*n], w)
 			pending = -1
 		}
-		if pending >= 0 {
-			ad[pending*in+k] += dotAxpy(dOut[pending*n:(pending+1)*n], wrow, wdrow, a[pending*in+k])
-		}
+	}
+	if pending >= 0 {
+		d := dOut[pending*n : (pending+1)*n]
+		gradX(ad[pending*in:(pending+1)*in], nil, d, d, w)
 	}
 }
 
@@ -427,14 +419,13 @@ func attendDotInto(q, h []float64, rows int, dst []float64) {
 }
 
 // backAttendDot accumulates the gradients of scores = q·hᵀ over a flat
-// len(dOut)×len(q) memory h; rows whose score gradient is zero are skipped.
+// len(dOut)×len(q) memory h; rows whose score gradient is zero are skipped,
+// as matvec skips a zero x[k]: qd is one product over the rows of h, and row i
+// of hd a product with the one-element dOut[i:i+1].
 func backAttendDot(q, qd, h, hd, dOut []float64) {
 	d := len(q)
-	for i, od := range dOut {
-		if od == 0 {
-			continue
-		}
-		axpy(qd, h[i*d:(i+1)*d], od)
-		axpy(hd[i*d:(i+1)*d], q, od)
+	matvec(qd, dOut, h)
+	for i := range dOut {
+		matvec(hd[i*d:(i+1)*d], dOut[i:i+1], q)
 	}
 }

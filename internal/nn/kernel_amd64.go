@@ -3,12 +3,8 @@
 package nn
 
 // The assembly body of the primitive family (kernel_amd64.s). Each routine
-// takes its operands as slices and indexes all of them up to the first one's
-// length; the wrappers in kernel.go have checked the lengths and never call
-// with an empty first operand.
-
-//go:noescape
-func axpyAVX2(dst, x []float64, a float64)
+// indexes its operands within the shape the wrappers in kernel.go have
+// checked, and is never called with nothing to do.
 
 //go:noescape
 func matvecAVX2(dst, x, w []float64)
@@ -17,10 +13,16 @@ func matvecAVX2(dst, x, w []float64)
 func matvecAVX512(dst, x, w []float64)
 
 //go:noescape
-func dotAxpyAVX2(d, w, wd []float64, a float64) float64
+func gradXAVX2(ad0, ad1, d0, d1, w []float64)
 
 //go:noescape
-func dotAxpy2AVX2(d0, d1, w, wd []float64, a0, a1 float64) (s0, s1 float64)
+func gradXAVX512(ad0, ad1, d0, d1, w []float64)
+
+//go:noescape
+func gradWAVX2(wd, a, d []float64, rows, in, n int)
+
+//go:noescape
+func gradWAVX512(wd, a, d []float64, rows, in, n int)
 
 // The elementwise routines take whole groups of four only; sigmoidAVX2 and
 // expShiftAVX2 also stop at a group holding a lane their exp does not take,
@@ -82,19 +84,19 @@ func init() {
 }
 
 // asmBody returns the assembly body this CPU can run, and false where it
-// runs none: the multiply-add primitives and Adam need AVX2, and matvec takes
-// its AVX-512 body where there is AVX-512 too; the activations also need FMA —
-// the path math.Exp takes on such a CPU — and must pass the probe against the
-// reference body.
+// runs none: the multiply-add primitives and Adam need AVX2, the former take
+// their AVX-512 bodies where there is AVX-512 too; the activations also need
+// FMA — the path math.Exp takes on such a CPU — and must pass the probe
+// against the reference body.
 func asmBody() (kernelSet, bool) {
 	avx2, fma, avx512 := cpuFeatures()
 	if !avx2 {
 		return kernelSet{}, false
 	}
 	ks := goKernels
-	ks.axpy, ks.matvec, ks.dotAxpy, ks.dotAxpy2 = axpyAVX2, matvecAVX2, dotAxpyAVX2, dotAxpy2AVX2
+	ks.matvec, ks.gradX, ks.gradW = matvecAVX2, gradXAVX2, gradWAVX2
 	if avx512 {
-		ks.matvec = matvecAVX512
+		ks.matvec, ks.gradX, ks.gradW = matvecAVX512, gradXAVX512, gradWAVX512
 	}
 	ks.adam = adamAsm
 	if fma {

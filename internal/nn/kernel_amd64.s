@@ -3,12 +3,15 @@
 #include "textflag.h"
 
 // The AVX2 body of the kernel family declared in kernel_amd64.go, and the
-// AVX-512 body of matvec. Rules that keep them bit-identical to the Go
-// reference body in kernel.go:
+// AVX-512 bodies of matvec, gradX and gradW. Rules that keep them
+// bit-identical to the Go reference body in kernel.go:
 //
-//   - a vector lane is one output element (axpy, matvec, the elementwise
-//     routines) or one of the four j mod 4 accumulators (dotAxpy), so each
-//     element sees the scalar sequence of operations, in the scalar order;
+//   - a vector lane is one output element (matvec, gradW, the elementwise
+//     routines) or one of the four j mod 4 accumulators of one row and one k
+//     (gradX), so each element sees the scalar sequence of operations, in
+//     the scalar order: matvec sums k ascending and skips a ±0 x[k], gradW
+//     sums batch rows ascending and skips nothing, gradX sums each lane j
+//     ascending;
 //   - an FMA only where the scalar code has one: never in the multiply-add
 //     routines, where every product is rounded before it is added, and
 //     exactly math.Exp's own in the exp of the activations;
@@ -17,52 +20,9 @@
 //
 // Every routine ends in VZEROUPPER. The Go wrappers guarantee a non-empty
 // first operand and that every other slice is at least as long (matvec: a
-// non-empty x, and len(x)*len(dst) weights).
-
-// func axpyAVX2(dst, x []float64, a float64)
-// dst[j] += a*x[j]
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ x_base+24(FP), SI
-	VBROADCASTSD a+48(FP), Y0
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $~7, DX
-
-axpy_loop8:
-	CMPQ AX, DX
-	JGE  axpy_tail4
-	VMULPD (SI)(AX*8), Y0, Y1
-	VMULPD 32(SI)(AX*8), Y0, Y2
-	VADDPD (DI)(AX*8), Y1, Y1
-	VADDPD 32(DI)(AX*8), Y2, Y2
-	VMOVUPD Y1, (DI)(AX*8)
-	VMOVUPD Y2, 32(DI)(AX*8)
-	ADDQ $8, AX
-	JMP  axpy_loop8
-
-axpy_tail4:
-	LEAQ 4(AX), DX
-	CMPQ DX, CX
-	JGT  axpy_tail1
-	VMULPD (SI)(AX*8), Y0, Y1
-	VADDPD (DI)(AX*8), Y1, Y1
-	VMOVUPD Y1, (DI)(AX*8)
-	MOVQ DX, AX
-
-axpy_tail1:
-	CMPQ AX, CX
-	JGE  axpy_done
-	VMULSD (SI)(AX*8), X0, X1
-	VADDSD (DI)(AX*8), X1, X1
-	VMOVSD X1, (DI)(AX*8)
-	INCQ AX
-	JMP  axpy_tail1
-
-axpy_done:
-	VZEROUPPER
-	RET
+// non-empty x, and len(x)*len(dst) weights; gradX: len(ad0)*len(d0) weights,
+// and len(d0) may be 0; gradW: rows, in and n all positive, and in*n, rows*in
+// and rows*n elements in wd, a and d).
 
 // The two matvec bodies: dst[j] += sum over k ascending of x[k]*w[k*n+j],
 // n = len(dst), skipping k where x[k] is ±0. A strip of dst stays in
@@ -115,8 +75,90 @@ matvec_done: \
 	VZEROUPPER; \
 	RET
 
+// The strips matvec and gradW share: load a strip of the output at AX, add
+// Y15 (Z15) times the strip's elements at R10 into it, store it back. 32 wide
+// the strip is Y0..Y7 (Z0..Z3), 8 wide Y0, Y1 (Z0); Y8..Y11 (Z8..Z11) hold
+// the products.
+#define LOAD32Y \
+	VMOVUPD (DI)(AX*8), Y0; \
+	VMOVUPD 32(DI)(AX*8), Y1; \
+	VMOVUPD 64(DI)(AX*8), Y2; \
+	VMOVUPD 96(DI)(AX*8), Y3; \
+	VMOVUPD 128(DI)(AX*8), Y4; \
+	VMOVUPD 160(DI)(AX*8), Y5; \
+	VMOVUPD 192(DI)(AX*8), Y6; \
+	VMOVUPD 224(DI)(AX*8), Y7
+
+#define MADD32Y \
+	VMULPD (R10), Y15, Y8; \
+	VMULPD 32(R10), Y15, Y9; \
+	VMULPD 64(R10), Y15, Y10; \
+	VMULPD 96(R10), Y15, Y11; \
+	VADDPD Y8, Y0, Y0; \
+	VADDPD Y9, Y1, Y1; \
+	VADDPD Y10, Y2, Y2; \
+	VADDPD Y11, Y3, Y3; \
+	VMULPD 128(R10), Y15, Y8; \
+	VMULPD 160(R10), Y15, Y9; \
+	VMULPD 192(R10), Y15, Y10; \
+	VMULPD 224(R10), Y15, Y11; \
+	VADDPD Y8, Y4, Y4; \
+	VADDPD Y9, Y5, Y5; \
+	VADDPD Y10, Y6, Y6; \
+	VADDPD Y11, Y7, Y7
+
+#define STORE32Y \
+	VMOVUPD Y0, (DI)(AX*8); \
+	VMOVUPD Y1, 32(DI)(AX*8); \
+	VMOVUPD Y2, 64(DI)(AX*8); \
+	VMOVUPD Y3, 96(DI)(AX*8); \
+	VMOVUPD Y4, 128(DI)(AX*8); \
+	VMOVUPD Y5, 160(DI)(AX*8); \
+	VMOVUPD Y6, 192(DI)(AX*8); \
+	VMOVUPD Y7, 224(DI)(AX*8)
+
+#define LOAD8Y \
+	VMOVUPD (DI)(AX*8), Y0; \
+	VMOVUPD 32(DI)(AX*8), Y1
+
+#define MADD8Y \
+	VMULPD (R10), Y15, Y8; \
+	VMULPD 32(R10), Y15, Y9; \
+	VADDPD Y8, Y0, Y0; \
+	VADDPD Y9, Y1, Y1
+
+#define STORE8Y \
+	VMOVUPD Y0, (DI)(AX*8); \
+	VMOVUPD Y1, 32(DI)(AX*8)
+
+#define LOAD32Z \
+	VMOVUPD (DI)(AX*8), Z0; \
+	VMOVUPD 64(DI)(AX*8), Z1; \
+	VMOVUPD 128(DI)(AX*8), Z2; \
+	VMOVUPD 192(DI)(AX*8), Z3
+
+#define MADD32Z \
+	VMULPD (R10), Z15, Z8; \
+	VMULPD 64(R10), Z15, Z9; \
+	VMULPD 128(R10), Z15, Z10; \
+	VMULPD 192(R10), Z15, Z11; \
+	VADDPD Z8, Z0, Z0; \
+	VADDPD Z9, Z1, Z1; \
+	VADDPD Z10, Z2, Z2; \
+	VADDPD Z11, Z3, Z3
+
+#define STORE32Z \
+	VMOVUPD Z0, (DI)(AX*8); \
+	VMOVUPD Z1, 64(DI)(AX*8); \
+	VMOVUPD Z2, 128(DI)(AX*8); \
+	VMOVUPD Z3, 192(DI)(AX*8)
+
+#define MADD8Z \
+	VMULPD (R10), Z15, Z8; \
+	VADDPD Z8, Z0, Z0
+
 // func matvecAVX2(dst, x, w []float64)
-// The 32-wide strip is Y0..Y7, the 8-wide one Y0, Y1; Y15 is x[k].
+// Y15 is x[k].
 TEXT ·matvecAVX2(SB), NOSPLIT, $0-72
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -131,14 +173,7 @@ matvec_strip32:
 	LEAQ 32(AX), DX
 	CMPQ DX, CX
 	JGT  matvec_strip8
-	VMOVUPD (DI)(AX*8), Y0
-	VMOVUPD 32(DI)(AX*8), Y1
-	VMOVUPD 64(DI)(AX*8), Y2
-	VMOVUPD 96(DI)(AX*8), Y3
-	VMOVUPD 128(DI)(AX*8), Y4
-	VMOVUPD 160(DI)(AX*8), Y5
-	VMOVUPD 192(DI)(AX*8), Y6
-	VMOVUPD 224(DI)(AX*8), Y7
+	LOAD32Y
 	MATVEC_KSTART
 
 matvec_k32:
@@ -146,36 +181,14 @@ matvec_k32:
 	JGE  matvec_store32
 	MATVEC_SKIPZERO(matvec_skip32)
 	VBROADCASTSD (SI)(BX*8), Y15
-	VMULPD (R10), Y15, Y8
-	VMULPD 32(R10), Y15, Y9
-	VMULPD 64(R10), Y15, Y10
-	VMULPD 96(R10), Y15, Y11
-	VADDPD Y8, Y0, Y0
-	VADDPD Y9, Y1, Y1
-	VADDPD Y10, Y2, Y2
-	VADDPD Y11, Y3, Y3
-	VMULPD 128(R10), Y15, Y8
-	VMULPD 160(R10), Y15, Y9
-	VMULPD 192(R10), Y15, Y10
-	VMULPD 224(R10), Y15, Y11
-	VADDPD Y8, Y4, Y4
-	VADDPD Y9, Y5, Y5
-	VADDPD Y10, Y6, Y6
-	VADDPD Y11, Y7, Y7
+	MADD32Y
 
 matvec_skip32:
 	MATVEC_NEXTK
 	JMP matvec_k32
 
 matvec_store32:
-	VMOVUPD Y0, (DI)(AX*8)
-	VMOVUPD Y1, 32(DI)(AX*8)
-	VMOVUPD Y2, 64(DI)(AX*8)
-	VMOVUPD Y3, 96(DI)(AX*8)
-	VMOVUPD Y4, 128(DI)(AX*8)
-	VMOVUPD Y5, 160(DI)(AX*8)
-	VMOVUPD Y6, 192(DI)(AX*8)
-	VMOVUPD Y7, 224(DI)(AX*8)
+	STORE32Y
 	MOVQ DX, AX
 	JMP  matvec_strip32
 
@@ -183,8 +196,7 @@ matvec_strip8:
 	LEAQ 8(AX), DX
 	CMPQ DX, CX
 	JGT  matvec_tail1
-	VMOVUPD (DI)(AX*8), Y0
-	VMOVUPD 32(DI)(AX*8), Y1
+	LOAD8Y
 	MATVEC_KSTART
 
 matvec_k8:
@@ -192,25 +204,21 @@ matvec_k8:
 	JGE  matvec_store8
 	MATVEC_SKIPZERO(matvec_skip8)
 	VBROADCASTSD (SI)(BX*8), Y15
-	VMULPD (R10), Y15, Y8
-	VMULPD 32(R10), Y15, Y9
-	VADDPD Y8, Y0, Y0
-	VADDPD Y9, Y1, Y1
+	MADD8Y
 
 matvec_skip8:
 	MATVEC_NEXTK
 	JMP matvec_k8
 
 matvec_store8:
-	VMOVUPD Y0, (DI)(AX*8)
-	VMOVUPD Y1, 32(DI)(AX*8)
+	STORE8Y
 	MOVQ DX, AX
 	JMP  matvec_strip8
 
 	MATVEC_TAIL
 
 // func matvecAVX512(dst, x, w []float64)
-// The 32-wide strip is Z0..Z3, the 8-wide one Z0; Z15 is x[k].
+// Z15 is x[k].
 TEXT ·matvecAVX512(SB), NOSPLIT, $0-72
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -225,10 +233,7 @@ matvec_strip32:
 	LEAQ 32(AX), DX
 	CMPQ DX, CX
 	JGT  matvec_strip8
-	VMOVUPD (DI)(AX*8), Z0
-	VMOVUPD 64(DI)(AX*8), Z1
-	VMOVUPD 128(DI)(AX*8), Z2
-	VMOVUPD 192(DI)(AX*8), Z3
+	LOAD32Z
 	MATVEC_KSTART
 
 matvec_k32:
@@ -236,24 +241,14 @@ matvec_k32:
 	JGE  matvec_store32
 	MATVEC_SKIPZERO(matvec_skip32)
 	VBROADCASTSD (SI)(BX*8), Z15
-	VMULPD (R10), Z15, Z8
-	VMULPD 64(R10), Z15, Z9
-	VMULPD 128(R10), Z15, Z10
-	VMULPD 192(R10), Z15, Z11
-	VADDPD Z8, Z0, Z0
-	VADDPD Z9, Z1, Z1
-	VADDPD Z10, Z2, Z2
-	VADDPD Z11, Z3, Z3
+	MADD32Z
 
 matvec_skip32:
 	MATVEC_NEXTK
 	JMP matvec_k32
 
 matvec_store32:
-	VMOVUPD Z0, (DI)(AX*8)
-	VMOVUPD Z1, 64(DI)(AX*8)
-	VMOVUPD Z2, 128(DI)(AX*8)
-	VMOVUPD Z3, 192(DI)(AX*8)
+	STORE32Z
 	MOVQ DX, AX
 	JMP  matvec_strip32
 
@@ -269,8 +264,7 @@ matvec_k8:
 	JGE  matvec_store8
 	MATVEC_SKIPZERO(matvec_skip8)
 	VBROADCASTSD (SI)(BX*8), Z15
-	VMULPD (R10), Z15, Z8
-	VADDPD Z8, Z0, Z0
+	MADD8Z
 
 matvec_skip8:
 	MATVEC_NEXTK
@@ -283,129 +277,426 @@ matvec_store8:
 
 	MATVEC_TAIL
 
-// func dotAxpyAVX2(d, w, wd []float64, a float64) float64
-// wd[j] += d[j]*a; returns (l0+l1)+(l2+l3), lane l summing d[j]*w[j] over
-// j = l mod 4 ascending, lane 0 also the tail.
-TEXT ·dotAxpyAVX2(SB), NOSPLIT, $0-88
-	MOVQ d_base+0(FP), SI
-	MOVQ d_len+8(FP), CX
-	MOVQ w_base+24(FP), R8
-	MOVQ wd_base+48(FP), DI
-	VBROADCASTSD a+72(FP), Y0
-	VXORPD Y1, Y1, Y1
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $~3, DX
+// The two gradW bodies: wd[k*n+j] += sum over batch rows r ascending of
+// a[r*in+k]*d[r*n+j], no zero skipped. Row k of wd is matvec's dst and
+// column k of a its x, read with a stride of in: a strip of the row stays in
+// registers for the whole row loop. Register use, both bodies: DI &wd[k*n],
+// CX n, SI &a[k], R8 rows, R9 d, R11 the byte stride n*8 of a d row, R13 the
+// byte stride in*8 of an a column, R14 the wd rows left, AX the strip's first
+// j, DX its end, BX the batch rows left, R10 &d[r*n+AX], R12 &a[r*in+k].
 
-dotaxpy_loop4:
-	CMPQ AX, DX
-	JGE  dotaxpy_lanes
-	VMOVUPD (SI)(AX*8), Y2
-	VMULPD (R8)(AX*8), Y2, Y3
-	VMULPD Y0, Y2, Y4
-	VADDPD Y3, Y1, Y1
-	VADDPD (DI)(AX*8), Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP  dotaxpy_loop4
+// GRADW_RSTART starts a strip's row loop.
+#define GRADW_RSTART \
+	LEAQ (R9)(AX*8), R10; \
+	MOVQ SI, R12; \
+	MOVQ R8, BX
 
-dotaxpy_lanes:
-	VEXTRACTF128 $1, Y1, X5
+// GRADW_NEXTR advances to the next batch row, and back to loop while one is
+// left.
+#define GRADW_NEXTR(loop) \
+	ADDQ R11, R10; \
+	ADDQ R13, R12; \
+	DECQ BX; \
+	JNZ  loop
 
-dotaxpy_tail1:
-	CMPQ AX, CX
-	JGE  dotaxpy_done
-	VMOVSD (SI)(AX*8), X2
-	VMULSD (R8)(AX*8), X2, X3
-	VMULSD X0, X2, X4
-	VADDSD X3, X1, X1
-	VADDSD (DI)(AX*8), X4, X4
-	VMOVSD X4, (DI)(AX*8)
-	INCQ AX
-	JMP  dotaxpy_tail1
-
-dotaxpy_done:
-	VUNPCKHPD X1, X1, X6
-	VADDSD X6, X1, X1
-	VUNPCKHPD X5, X5, X7
-	VADDSD X7, X5, X5
-	VADDSD X5, X1, X1
-	VMOVSD X1, ret+80(FP)
-	VZEROUPPER
+// GRADW_NEXTK advances to the next row of wd, and back to loop while one is
+// left; then returns.
+#define GRADW_NEXTK(loop) \
+	ADDQ R11, DI; \
+	ADDQ $8, SI; \
+	DECQ R14; \
+	JNZ  loop; \
+	VZEROUPPER; \
 	RET
 
-// func dotAxpy2AVX2(d0, d1, w, wd []float64, a0, a1 float64) (s0, s1 float64)
-// dotAxpy for two rows sharing w and wd:
-// wd[j] = (wd[j] + d0[j]*a0) + d1[j]*a1, one lane set per row.
-TEXT ·dotAxpy2AVX2(SB), NOSPLIT, $0-128
-	MOVQ d0_base+0(FP), SI
-	MOVQ d0_len+8(FP), CX
-	MOVQ d1_base+24(FP), R9
-	MOVQ w_base+48(FP), R8
-	MOVQ wd_base+72(FP), DI
-	VBROADCASTSD a0+96(FP), Y0
-	VBROADCASTSD a1+104(FP), Y8
-	VXORPD Y1, Y1, Y1
-	VXORPD Y9, Y9, Y9
+// func gradWAVX2(wd, a, d []float64, rows, in, n int)
+// Y15 (X15) is a[r*in+k]; the n mod 8 tail goes one element at a time.
+TEXT ·gradWAVX2(SB), NOSPLIT, $0-96
+	MOVQ wd_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ d_base+48(FP), R9
+	MOVQ rows+72(FP), R8
+	MOVQ in+80(FP), R14
+	MOVQ n+88(FP), CX
+	MOVQ CX, R11
+	SHLQ $3, R11
+	MOVQ R14, R13
+	SHLQ $3, R13
+
+gradw_k:
 	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $~3, DX
 
-dotaxpy2_loop4:
-	CMPQ AX, DX
-	JGE  dotaxpy2_lanes
-	VMOVUPD (SI)(AX*8), Y2
-	VMOVUPD (R9)(AX*8), Y10
-	VMOVUPD (R8)(AX*8), Y5
-	VMULPD Y5, Y2, Y3
-	VMULPD Y5, Y10, Y11
-	VMULPD Y0, Y2, Y4
-	VMULPD Y8, Y10, Y12
-	VADDPD Y3, Y1, Y1
-	VADDPD Y11, Y9, Y9
-	VADDPD (DI)(AX*8), Y4, Y4
-	VADDPD Y12, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP  dotaxpy2_loop4
+gradw_strip32:
+	LEAQ 32(AX), DX
+	CMPQ DX, CX
+	JGT  gradw_strip8
+	LOAD32Y
+	GRADW_RSTART
 
-dotaxpy2_lanes:
-	VEXTRACTF128 $1, Y1, X6
-	VEXTRACTF128 $1, Y9, X14
+gradw_r32:
+	VBROADCASTSD (R12), Y15
+	MADD32Y
+	GRADW_NEXTR(gradw_r32)
+	STORE32Y
+	MOVQ DX, AX
+	JMP  gradw_strip32
 
-dotaxpy2_tail1:
+gradw_strip8:
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JGT  gradw_tail1
+	LOAD8Y
+	GRADW_RSTART
+
+gradw_r8:
+	VBROADCASTSD (R12), Y15
+	MADD8Y
+	GRADW_NEXTR(gradw_r8)
+	STORE8Y
+	MOVQ DX, AX
+	JMP  gradw_strip8
+
+gradw_tail1:
 	CMPQ AX, CX
-	JGE  dotaxpy2_done
-	VMOVSD (SI)(AX*8), X2
-	VMOVSD (R9)(AX*8), X10
-	VMOVSD (R8)(AX*8), X5
-	VMULSD X5, X2, X3
-	VMULSD X5, X10, X11
-	VMULSD X0, X2, X4
-	VMULSD X8, X10, X12
-	VADDSD X3, X1, X1
-	VADDSD X11, X9, X9
-	VADDSD (DI)(AX*8), X4, X4
-	VADDSD X12, X4, X4
-	VMOVSD X4, (DI)(AX*8)
-	INCQ AX
-	JMP  dotaxpy2_tail1
+	JGE  gradw_nextk
+	VMOVSD (DI)(AX*8), X0
+	GRADW_RSTART
 
-dotaxpy2_done:
-	VUNPCKHPD X1, X1, X7
-	VADDSD X7, X1, X1
-	VUNPCKHPD X6, X6, X7
-	VADDSD X7, X6, X6
-	VADDSD X6, X1, X1
-	VMOVSD X1, s0+112(FP)
-	VUNPCKHPD X9, X9, X7
-	VADDSD X7, X9, X9
-	VUNPCKHPD X14, X14, X7
-	VADDSD X7, X14, X14
-	VADDSD X14, X9, X9
-	VMOVSD X9, s1+120(FP)
-	VZEROUPPER
+gradw_r1:
+	VMOVSD (R12), X15
+	VMULSD (R10), X15, X8
+	VADDSD X8, X0, X0
+	GRADW_NEXTR(gradw_r1)
+	VMOVSD X0, (DI)(AX*8)
+	INCQ AX
+	JMP  gradw_tail1
+
+gradw_nextk:
+	GRADW_NEXTK(gradw_k)
+
+// func gradWAVX512(wd, a, d []float64, rows, in, n int)
+// Z15 is a[r*in+k]; the n mod 8 tail is one strip under the opmask K1, whose
+// masked-off lanes are neither stored nor, past the operands' ends, loaded.
+TEXT ·gradWAVX512(SB), NOSPLIT, $0-96
+	MOVQ n+88(FP), CX
+	ANDL $7, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K1
+	MOVQ wd_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ d_base+48(FP), R9
+	MOVQ rows+72(FP), R8
+	MOVQ in+80(FP), R14
+	MOVQ n+88(FP), CX
+	MOVQ CX, R11
+	SHLQ $3, R11
+	MOVQ R14, R13
+	SHLQ $3, R13
+
+gradw_k:
+	XORQ AX, AX
+
+gradw_strip32:
+	LEAQ 32(AX), DX
+	CMPQ DX, CX
+	JGT  gradw_strip8
+	LOAD32Z
+	GRADW_RSTART
+
+gradw_r32:
+	VBROADCASTSD (R12), Z15
+	MADD32Z
+	GRADW_NEXTR(gradw_r32)
+	STORE32Z
+	MOVQ DX, AX
+	JMP  gradw_strip32
+
+gradw_strip8:
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JGT  gradw_tailmask
+	VMOVUPD (DI)(AX*8), Z0
+	GRADW_RSTART
+
+gradw_r8:
+	VBROADCASTSD (R12), Z15
+	MADD8Z
+	GRADW_NEXTR(gradw_r8)
+	VMOVUPD Z0, (DI)(AX*8)
+	MOVQ DX, AX
+	JMP  gradw_strip8
+
+gradw_tailmask:
+	CMPQ AX, CX
+	JGE  gradw_nextk
+	VMOVUPD.Z (DI)(AX*8), K1, Z0
+	GRADW_RSTART
+
+gradw_rmask:
+	VBROADCASTSD (R12), Z15
+	VMULPD.Z (R10), Z15, K1, Z8
+	VADDPD Z8, Z0, K1, Z0
+	GRADW_NEXTR(gradw_rmask)
+	VMOVUPD Z0, K1, (DI)(AX*8)
+
+gradw_nextk:
+	GRADW_NEXTK(gradw_k)
+
+// The two gradX bodies: for each k, ad0[k] and ad1[k] += (l0+l1)+(l2+l3),
+// lane l summing dr[j]*w[k*n+j] over j = l mod 4 ascending and lane 0 also
+// the n mod 4 tail. Four k are taken per pass while four remain, the lanes of
+// both rows in registers for the whole j loop, and the pass's sums are added
+// to ad0[k..k+3] and ad1[k..k+3] one vector per row; then one k at a time.
+// Register use, both bodies: DI ad0, R14 ad1 (nil: row 1's sums are dropped),
+// SI d0, R9 d1, CX n, DX n &^ 3, R12 len(ad0), BX k, R8 &w[k*n], R11 the byte
+// stride n*8 of a weight row, R13 3*n*8, R10 &w[k*n+j], AX j.
+
+// GRADX_SETUP derives DX, R11 and R13 from n in CX, and starts k at 0.
+#define GRADX_SETUP \
+	MOVQ CX, DX; \
+	ANDQ $~3, DX; \
+	MOVQ CX, R11; \
+	SHLQ $3, R11; \
+	LEAQ (R11)(R11*2), R13; \
+	XORQ BX, BX
+
+// GRADX_MADD2Y adds the products of the w lanes in Y10 with the d0 and d1
+// lanes in Y8, Y9 to the lane sets r0, r1.
+#define GRADX_MADD2Y(r0, r1) \
+	VMULPD Y10, Y8, Y11; \
+	VMULPD Y10, Y9, Y12; \
+	VADDPD Y11, r0, r0; \
+	VADDPD Y12, r1, r1
+
+// GRADX_SUM4 adds the sums (l0+l1)+(l2+l3) of the lane sets a, b, c, d — k
+// ascending — to the four elements at dst; clobbers all four.
+#define GRADX_SUM4(a, b, c, d, dst) \
+	VHADDPD b, a, a; \
+	VHADDPD d, c, c; \
+	VPERM2F128 $0x20, c, a, b; \
+	VPERM2F128 $0x31, c, a, d; \
+	VADDPD d, b, b; \
+	VADDPD dst, b, b; \
+	VMOVUPD b, dst
+
+// GRADX_SUM1 adds the sum (l0+l1)+(l2+l3) of the lane set ya (xa) to the
+// element at dst; clobbers xt.
+#define GRADX_SUM1(ya, xa, xt, dst) \
+	VEXTRACTF128 $1, ya, xt; \
+	VHADDPD xt, xa, xa; \
+	VUNPCKHPD xa, xa, xt; \
+	VADDSD xt, xa, xa; \
+	VADDSD dst, xa, xa; \
+	VMOVSD xa, dst
+
+// GRADX_END4 adds a pass's sums, row 0's lane sets in Y0..Y3 and row 1's in
+// Y4..Y7, and moves on four k.
+#define GRADX_END4 \
+	GRADX_SUM4(Y0, Y1, Y2, Y3, (DI)(BX*8)); \
+	TESTQ R14, R14; \
+	JZ   gradx_next4; \
+	GRADX_SUM4(Y4, Y5, Y6, Y7, (R14)(BX*8)); \
+gradx_next4: \
+	ADDQ $4, BX; \
+	LEAQ (R8)(R11*4), R8; \
+	JMP  gradx_k4
+
+// GRADX_K1 is both bodies' k tail, one k at a time with row 0's lanes in Y0
+// and row 1's in Y4, and their return. In the j tail, a VMOVSD-loaded d and w
+// are zero in lanes 1..3, so their product adds +0 there, which leaves a lane
+// as it was: a lane starts at +0 and so never holds −0.
+#define GRADX_K1 \
+gradx_k1: \
+	CMPQ BX, R12; \
+	JGE  gradx_done; \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y4, Y4, Y4; \
+	MOVQ R8, R10; \
+	XORQ AX, AX; \
+gradx_j1: \
+	CMPQ AX, DX; \
+	JGE  gradx_tail1; \
+	VMOVUPD (SI)(AX*8), Y8; \
+	VMOVUPD (R9)(AX*8), Y9; \
+	VMOVUPD (R10), Y10; \
+	GRADX_MADD2Y(Y0, Y4); \
+	ADDQ $32, R10; \
+	ADDQ $4, AX; \
+	JMP  gradx_j1; \
+gradx_tail1: \
+	CMPQ AX, CX; \
+	JGE  gradx_sum1; \
+	VMOVSD (SI)(AX*8), X8; \
+	VMOVSD (R9)(AX*8), X9; \
+	VMOVSD (R10), X10; \
+	GRADX_MADD2Y(Y0, Y4); \
+	ADDQ $8, R10; \
+	INCQ AX; \
+	JMP  gradx_tail1; \
+gradx_sum1: \
+	GRADX_SUM1(Y0, X0, X1, (DI)(BX*8)); \
+	TESTQ R14, R14; \
+	JZ   gradx_next1; \
+	GRADX_SUM1(Y4, X4, X5, (R14)(BX*8)); \
+gradx_next1: \
+	INCQ BX; \
+	ADDQ R11, R8; \
+	JMP  gradx_k1; \
+gradx_done: \
+	VZEROUPPER; \
 	RET
+
+// func gradXAVX2(ad0, ad1, d0, d1, w []float64)
+// Row 0's lanes for k..k+3 are Y0..Y3, row 1's Y4..Y7; Y8, Y9 hold the d0 and
+// d1 lanes, Y10 the w lanes. The j tail adds through VMOVSD-loaded lanes, as
+// in GRADX_K1.
+TEXT ·gradXAVX2(SB), NOSPLIT, $0-120
+	MOVQ ad0_base+0(FP), DI
+	MOVQ ad0_len+8(FP), R12
+	MOVQ ad1_base+24(FP), R14
+	MOVQ d0_base+48(FP), SI
+	MOVQ d0_len+56(FP), CX
+	MOVQ d1_base+72(FP), R9
+	MOVQ w_base+96(FP), R8
+	GRADX_SETUP
+
+gradx_k4:
+	LEAQ 4(BX), R10
+	CMPQ R10, R12
+	JGT  gradx_k1
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ R8, R10
+	XORQ AX, AX
+	TESTQ DX, DX
+	JZ   gradx_tail4
+
+gradx_j4:
+	VMOVUPD (SI)(AX*8), Y8
+	VMOVUPD (R9)(AX*8), Y9
+	VMOVUPD (R10), Y10
+	GRADX_MADD2Y(Y0, Y4)
+	VMOVUPD (R10)(R11*1), Y10
+	GRADX_MADD2Y(Y1, Y5)
+	VMOVUPD (R10)(R11*2), Y10
+	GRADX_MADD2Y(Y2, Y6)
+	VMOVUPD (R10)(R13*1), Y10
+	GRADX_MADD2Y(Y3, Y7)
+	ADDQ $32, R10
+	ADDQ $4, AX
+	CMPQ AX, DX
+	JLT  gradx_j4
+
+gradx_tail4:
+	CMPQ AX, CX
+	JGE  gradx_sum4
+	VMOVSD (SI)(AX*8), X8
+	VMOVSD (R9)(AX*8), X9
+	VMOVSD (R10), X10
+	GRADX_MADD2Y(Y0, Y4)
+	VMOVSD (R10)(R11*1), X10
+	GRADX_MADD2Y(Y1, Y5)
+	VMOVSD (R10)(R11*2), X10
+	GRADX_MADD2Y(Y2, Y6)
+	VMOVSD (R10)(R13*1), X10
+	GRADX_MADD2Y(Y3, Y7)
+	ADDQ $8, R10
+	INCQ AX
+	JMP  gradx_tail4
+
+gradx_sum4:
+	GRADX_END4
+
+	GRADX_K1
+
+// func gradXAVX512(ad0, ad1, d0, d1, w []float64)
+// Z0..Z3 hold the lanes for k..k+3, row 0's in the low half and row 1's in
+// the high half; Z8 holds the d0 and d1 lanes side by side, and Z9..Z12 the w
+// lanes of the four k, each copied to both halves. The j tail adds through
+// the opmask K1 = {lane 0, lane 4}.
+TEXT ·gradXAVX512(SB), NOSPLIT, $0-120
+	MOVQ ad0_base+0(FP), DI
+	MOVQ ad0_len+8(FP), R12
+	MOVQ ad1_base+24(FP), R14
+	MOVQ d0_base+48(FP), SI
+	MOVQ d0_len+56(FP), CX
+	MOVQ d1_base+72(FP), R9
+	MOVQ w_base+96(FP), R8
+	MOVL $0x11, AX
+	KMOVW AX, K1
+	GRADX_SETUP
+
+gradx_k4:
+	LEAQ 4(BX), R10
+	CMPQ R10, R12
+	JGT  gradx_k1
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ R8, R10
+	XORQ AX, AX
+	TESTQ DX, DX
+	JZ   gradx_tail4
+
+gradx_j4:
+	VMOVUPD (SI)(AX*8), Y8
+	VINSERTF64X4 $1, (R9)(AX*8), Z8, Z8
+	VBROADCASTF64X4 (R10), Z9
+	VBROADCASTF64X4 (R10)(R11*1), Z10
+	VBROADCASTF64X4 (R10)(R11*2), Z11
+	VBROADCASTF64X4 (R10)(R13*1), Z12
+	VMULPD Z9, Z8, Z9
+	VMULPD Z10, Z8, Z10
+	VMULPD Z11, Z8, Z11
+	VMULPD Z12, Z8, Z12
+	VADDPD Z9, Z0, Z0
+	VADDPD Z10, Z1, Z1
+	VADDPD Z11, Z2, Z2
+	VADDPD Z12, Z3, Z3
+	ADDQ $32, R10
+	ADDQ $4, AX
+	CMPQ AX, DX
+	JLT  gradx_j4
+
+gradx_tail4:
+	CMPQ AX, CX
+	JGE  gradx_sum4
+	VBROADCASTSD (SI)(AX*8), Z8
+	VBROADCASTSD (R9)(AX*8), Y9
+	VINSERTF64X4 $1, Y9, Z8, Z8
+	VBROADCASTSD (R10), Z9
+	VBROADCASTSD (R10)(R11*1), Z10
+	VBROADCASTSD (R10)(R11*2), Z11
+	VBROADCASTSD (R10)(R13*1), Z12
+	VMULPD Z9, Z8, Z9
+	VMULPD Z10, Z8, Z10
+	VMULPD Z11, Z8, Z11
+	VMULPD Z12, Z8, Z12
+	VADDPD Z9, Z0, K1, Z0
+	VADDPD Z10, Z1, K1, Z1
+	VADDPD Z11, Z2, K1, Z2
+	VADDPD Z12, Z3, K1, Z3
+	ADDQ $8, R10
+	INCQ AX
+	JMP  gradx_tail4
+
+gradx_sum4:
+	VEXTRACTF64X4 $1, Z0, Y4
+	VEXTRACTF64X4 $1, Z1, Y5
+	VEXTRACTF64X4 $1, Z2, Y6
+	VEXTRACTF64X4 $1, Z3, Y7
+	GRADX_END4
+
+	GRADX_K1
 
 // The elementwise bodies. Each takes whole groups of four from the start of
 // its first operand and leaves the len mod 4 tail to its Go driver in

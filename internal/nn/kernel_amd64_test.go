@@ -11,15 +11,16 @@ import (
 )
 
 // asmKernels returns the assembly bodies this CPU can run, by name: "avx2",
-// and "avx512" — the body asmBody selects — where matvec has its AVX-512
-// body. An AVX-512 host thus still runs the AVX2 matvec.
+// and "avx512" — the body asmBody selects — where matvec, gradX and gradW
+// have their AVX-512 bodies. An AVX-512 host thus still runs their AVX2
+// bodies.
 func asmKernels() map[string]kernelSet {
 	ks, ok := asmBody()
 	if !ok {
 		return nil
 	}
 	avx2 := ks
-	avx2.matvec = matvecAVX2
+	avx2.matvec, avx2.gradX, avx2.gradW = matvecAVX2, gradXAVX2, gradWAVX2
 	bodies := map[string]kernelSet{"avx2": avx2}
 	if _, _, avx512 := cpuFeatures(); avx512 {
 		bodies["avx512"] = ks
@@ -29,12 +30,12 @@ func asmKernels() map[string]kernelSet {
 
 func sameFunc(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
 
-// TestKernelSelection: matvec runs its AVX-512 body exactly where
-// cpuFeatures reports AVX512F with the ZMM state, and the AVX2 body on every
-// other AVX2 CPU; every other primitive keeps its AVX2 body. Where the kernel
-// lists the CPU's flags (Linux /proc/cpuinfo), cpuFeatures must agree with
-// them, so a broken feature check fails here rather than quietly selecting
-// the narrower body. Run with -v, the log names the bodies in use.
+// TestKernelSelection: matvec, gradX and gradW run their AVX-512 bodies
+// exactly where cpuFeatures reports AVX512F with the ZMM state, and their
+// AVX2 bodies on every other AVX2 CPU; Adam keeps its AVX2 body. Where the
+// kernel lists the CPU's flags (Linux /proc/cpuinfo), cpuFeatures must agree
+// with them, so a broken feature check fails here rather than quietly
+// selecting the narrower body. Run with -v, the log names the bodies in use.
 func TestKernelSelection(t *testing.T) {
 	avx2, fma, avx512 := cpuFeatures()
 	t.Logf("cpuFeatures: avx2=%t fma=%t avx512=%t", avx2, fma, avx512)
@@ -60,31 +61,32 @@ func TestKernelSelection(t *testing.T) {
 		t.Log("kernels: go (no AVX2)")
 		return
 	}
-	want, name := any(matvecAVX2), "avx2"
+	name := "avx2"
 	if avx512 {
-		want, name = matvecAVX512, "avx512"
-	}
-	if !sameFunc(kernels.matvec, want) {
-		t.Fatalf("kernels.matvec is not the %s body", name)
+		name = "avx512"
 	}
 	for _, p := range []struct {
-		name      string
-		got, want any
+		name               string
+		got, onAVX2, on512 any
 	}{
-		{"axpy", kernels.axpy, axpyAVX2},
-		{"dotAxpy", kernels.dotAxpy, dotAxpyAVX2},
-		{"dotAxpy2", kernels.dotAxpy2, dotAxpy2AVX2},
-		{"adam", kernels.adam, adamAsm},
+		{"matvec", kernels.matvec, matvecAVX2, matvecAVX512},
+		{"gradX", kernels.gradX, gradXAVX2, gradXAVX512},
+		{"gradW", kernels.gradW, gradWAVX2, gradWAVX512},
+		{"adam", kernels.adam, adamAsm, adamAsm},
 	} {
-		if !sameFunc(p.got, p.want) {
-			t.Fatalf("kernels.%s is not the AVX2 body", p.name)
+		want := p.onAVX2
+		if avx512 {
+			want = p.on512
+		}
+		if !sameFunc(p.got, want) {
+			t.Fatalf("kernels.%s is not the body an %s CPU gets", p.name, name)
 		}
 	}
 	act := "go"
 	if sameFunc(kernels.sigmoid, sigmoidAsm) {
 		act = "avx2+fma"
 	}
-	t.Logf("kernels: matvec=%s axpy/dotAxpy/dotAxpy2/adam=avx2 activations=%s; parity tests run %d bodies", name, act, len(kernelBodies()))
+	t.Logf("kernels: matvec/gradX/gradW=%s adam=avx2 activations=%s; parity tests run %d bodies", name, act, len(kernelBodies()))
 }
 
 // TestActivationProbe: on a CPU with AVX2 and FMA the init-time probe accepts

@@ -16,7 +16,7 @@ func useKernels(t testing.TB, ks kernelSet) {
 
 // kernelBodies lists every body this build and CPU can run: one tier-1 run on
 // amd64 covers the reference, the AVX2 body and, where present, the AVX-512
-// matvec; a purego or non-amd64 run the reference alone.
+// bodies; a purego or non-amd64 run the reference alone.
 func kernelBodies() map[string]kernelSet {
 	bodies := map[string]kernelSet{"go": goKernels}
 	for name, ks := range asmKernels() {
@@ -147,14 +147,31 @@ func (c kernelCase) naiveBackRows() (wd, ad []float64) {
 	return wd, ad
 }
 
-// checkKernels runs the three matrix kernels on one drawn case under the
-// body in use and holds outputs, weight gradients and input gradients to the
-// naive references, bit for bit. The forward product is matvec once per
-// active row.
+// naiveBackAttend is the attention-score backward as a per-row loop:
+// scores = q·hᵀ with q a width-n row (dOut's first), h the in×n weights and
+// the score gradient a's first in elements, zero ones skipped.
+func (c kernelCase) naiveBackAttend() (qd, hd []float64) {
+	qd, hd = clone(c.dst[:c.n]), clone(c.wd)
+	for i, od := range c.a[:c.in] {
+		for j := 0; od != 0 && j < c.n; j++ {
+			qd[j] += float64(od * c.w[i*c.n+j])
+			hd[i*c.n+j] += float64(od * c.dOut[j])
+		}
+	}
+	return qd, hd
+}
+
+// checkKernels runs the matrix kernels on one drawn case under the body in
+// use and holds outputs, weight gradients and input gradients to the naive
+// references, bit for bit. The forward product is matvec once per active row.
 func checkKernels(t testing.TB, seed int64, rows, in, n, off int) {
 	t.Helper()
-	c := drawKernelCase(rand.New(rand.NewSource(seed)), rows, in, n, off)
+	checkCase(t, drawKernelCase(rand.New(rand.NewSource(seed)), rows, in, n, off))
+}
 
+func checkCase(t testing.TB, c kernelCase) {
+	t.Helper()
+	rows, in, n := c.rows, c.in, c.n
 	dst := clone(c.dst)
 	matMulRows(c.a, rows, in, c.w, n, dst, c.active)
 	assertSameBits(t, "matMulRows (matvec) out", dst, c.naiveMatMul())
@@ -172,6 +189,12 @@ func checkKernels(t testing.TB, seed int64, rows, in, n, off int) {
 	wantWd, wantAd = c.naiveBackRows()
 	assertSameBits(t, "backRowMatMul dW", wd, wantWd)
 	assertSameBits(t, "backRowMatMul dA", ad, wantAd)
+
+	qd, hd := clone(c.dst[:n]), clone(c.wd)
+	backAttendDot(c.dOut[:n], qd, c.w, hd, c.a[:in])
+	wantQd, wantHd := c.naiveBackAttend()
+	assertSameBits(t, "backAttendDot dq", qd, wantQd)
+	assertSameBits(t, "backAttendDot dH", hd, wantHd)
 }
 
 // kernelWidths are the output widths the parity sweep covers: every n in
@@ -185,8 +208,40 @@ var kernelWidths = func() []int {
 	return append(ws, 192, 400, 437)
 }()
 
+// batchWidths are the widths of the batch sweep: each n mod 4 tail of gradX,
+// each n mod 8 tail and 8-wide strip count of gradW, a 32-wide strip with
+// and without either after it, and the output projection's 230.
+var batchWidths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 43, 48, 61, 230}
+
+// batchMasks are the row masks of the batch sweep: every row (nil), no row,
+// one row, an odd count with an inactive run at both ends, and every third
+// row off — runs and lone rows between gaps.
+func batchMasks(rows int) [][]bool {
+	mask := func(on func(i int) bool) []bool {
+		m := make([]bool, rows)
+		for i := range m {
+			m[i] = on(i)
+		}
+		return m
+	}
+	hi := rows - 1
+	if (hi-1)%2 == 0 {
+		hi--
+	}
+	return [][]bool{
+		nil,
+		mask(func(int) bool { return false }),
+		mask(func(i int) bool { return i == rows/2 }),
+		mask(func(i int) bool { return i >= 1 && i < hi }),
+		mask(func(i int) bool { return i%3 != 1 }),
+	}
+}
+
 // TestKernelBitParity sweeps every width of kernelWidths, every depth 0..13,
-// element offsets 0..3 and a few batch heights, under each body.
+// element offsets 0..3 and a few batch heights; then, for gradX's row pairs
+// and gradW's row runs, batches of 2, 3, 16 and 17 rows under every mask of
+// batchMasks at every depth 0..13 (gradX's k tails) and width of
+// batchWidths — each under each body.
 func TestKernelBitParity(t *testing.T) {
 	for name, ks := range kernelBodies() {
 		t.Run(name, func(t *testing.T) {
@@ -202,6 +257,18 @@ func TestKernelBitParity(t *testing.T) {
 				for off := 0; off < 4; off++ {
 					seed++
 					checkKernels(t, seed, rows, 13, 67, off)
+				}
+			}
+			for _, rows := range []int{2, 3, 16, 17} {
+				for in := 0; in <= 13; in++ {
+					for _, n := range batchWidths {
+						for _, active := range batchMasks(rows) {
+							seed++
+							c := drawKernelCase(rand.New(rand.NewSource(seed)), rows, in, n, int(seed%4))
+							c.active = active
+							checkCase(t, c)
+						}
+					}
 				}
 			}
 		})
@@ -508,6 +575,29 @@ func BenchmarkMatvec(b *testing.B) {
 	}
 }
 
+// BenchmarkBackMatMul times the backward of a B=16 product at the training
+// shapes of BenchmarkMatvec — input gradient and weight gradient, every row
+// active — per body, in multiply-adds per ns (two per weight per row):
+//
+//	go test ./internal/nn -run '^$' -bench BackMatMul
+func BenchmarkBackMatMul(b *testing.B) {
+	const rows = 16
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range []struct{ k, n int }{{32, 192}, {48, 192}, {128, 192}, {144, 48}, {48, 230}} {
+		a, w, dOut := drawGates(rng, rows*s.k), drawGates(rng, s.k*s.n), drawGates(rng, rows*s.n)
+		ad, wd := make([]float64, rows*s.k), make([]float64, s.k*s.n)
+		for name, ks := range kernelBodies() {
+			b.Run(fmt.Sprintf("%dx%d/%s", s.k, s.n, name), func(b *testing.B) {
+				useKernels(b, ks)
+				for i := 0; i < b.N; i++ {
+					backMatMulRows(a, ad, rows, s.k, w, wd, s.n, dOut, nil)
+				}
+				b.ReportMetric(2*rows*float64(s.k*s.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
+			})
+		}
+	}
+}
+
 // drawGates draws n pre-activations of the spread an LSTM's gates have.
 func drawGates(rng *rand.Rand, n int) []float64 {
 	x := make([]float64, n)
@@ -518,19 +608,24 @@ func drawGates(rng *rand.Rand, n int) []float64 {
 }
 
 // TestKernelShapeChecks: a primitive refuses operands shorter than its first
-// one, and matvec fewer than len(x)·len(dst) weights — before any body could
-// index past them — and accepts an empty one.
+// one, matvec fewer than len(x)·len(dst) weights, gradX fewer than
+// len(ad0)·len(d0) and gradW any operand short of its rows×in×n shape —
+// before any body could index past them — and accepts an empty one.
 func TestKernelShapeChecks(t *testing.T) {
 	long, short := make([]float64, 8), make([]float64, 7)
+	w := func(n int) []float64 { return make([]float64, n) }
 	for name, f := range map[string]func(){
-		"axpy":     func() { axpy(long, short, 1) },
-		"matvec":   func() { matvec(long, short, make([]float64, 55)) },
-		"dotAxpy":  func() { dotAxpy(long, long, short, 1) },
-		"dotAxpy2": func() { dotAxpy2(long, short, long, long, 1, 1) },
-		"sigmoid":  func() { sigmoid(long, short) },
-		"tanh":     func() { tanh(long, short) },
-		"expShift": func() { expShift(long, short, 0) },
-		"adam":     func() { adamUpdate(long, long, short, long, adamCoef{}) },
+		"matvec":    func() { matvec(long, short, w(55)) },
+		"gradX ad1": func() { gradX(long, short, long, long, w(64)) },
+		"gradX d1":  func() { gradX(long, long, long, short, w(64)) },
+		"gradX w":   func() { gradX(long, nil, long, long, w(63)) },
+		"gradW wd":  func() { gradW(w(55), long, long, 1, 8, 7) },
+		"gradW a":   func() { gradW(w(56), short, w(14), 2, 4, 7) },
+		"gradW d":   func() { gradW(w(56), long, w(13), 2, 4, 7) },
+		"sigmoid":   func() { sigmoid(long, short) },
+		"tanh":      func() { tanh(long, short) },
+		"expShift":  func() { expShift(long, short, 0) },
+		"adam":      func() { adamUpdate(long, long, short, long, adamCoef{}) },
 	} {
 		func() {
 			defer func() {
@@ -543,15 +638,20 @@ func TestKernelShapeChecks(t *testing.T) {
 	}
 	for name, ks := range kernelBodies() {
 		useKernels(t, ks)
-		axpy(nil, nil, 1)
 		matvec(nil, long, nil)
 		matvec(short, nil, nil)
-		if s := dotAxpy(nil, nil, nil, 1); s != 0 {
-			t.Errorf("%s: empty dotAxpy = %g", name, s)
-		}
-		if s0, s1 := dotAxpy2(nil, nil, nil, nil, 1, 1); s0 != 0 || s1 != 0 {
-			t.Errorf("%s: empty dotAxpy2 = %g, %g", name, s0, s1)
-		}
+		gradX(nil, nil, long, long, nil)
+		wd := w(28)
+		gradW(wd, nil, nil, 0, 4, 7)
+		gradW(nil, nil, w(14), 2, 0, 7)
+		gradW(nil, long, nil, 2, 4, 0)
+		assertSameBits(t, name+": gradW over no rows", wd, w(28))
+		// No j is still a sum: +0, which turns a −0 into +0.
+		negZero := math.Copysign(0, -1)
+		ad0, ad1 := []float64{negZero, 1}, []float64{negZero, 2}
+		gradX(ad0, ad1, nil, nil, nil)
+		assertSameBits(t, name+": gradX ad0 over n = 0", ad0, []float64{0, 1})
+		assertSameBits(t, name+": gradX ad1 over n = 0", ad1, []float64{0, 2})
 		sigmoid(nil, nil)
 		tanh(nil, nil)
 		expShift(nil, nil, 0)
@@ -560,7 +660,9 @@ func TestKernelShapeChecks(t *testing.T) {
 }
 
 // FuzzKernels lets the fuzzer pick the shape — widths 0..255, so every
-// strip/tail split of matvec — alignment and data seed of
+// strip/tail split of matvec and gradW and every lane tail of gradX; 1..17
+// rows, so gradX's pairs and lone row and gradW's runs under the drawn mask;
+// depths 0..13, so gradX's k tails — alignment and data seed of
 // TestKernelBitParity's and TestElementwiseBitParity's checks, and a few
 // Adam steps, under each body:
 //
@@ -574,7 +676,7 @@ func FuzzKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, rows, in, n, off uint8) {
 		for _, ks := range kernelBodies() {
 			useKernels(t, ks)
-			checkKernels(t, seed, 1+int(rows%16), int(in%14), int(n), int(off%4))
+			checkKernels(t, seed, 1+int(rows%17), int(in%14), int(n), int(off%4))
 			checkElementwise(t, seed, int(n), int(off%4))
 			checkAdam(t, seed, 3, float64(rows%3))
 		}
