@@ -267,21 +267,3 @@ func guardedBy(cg *ast.CommentGroup) string {
 func (d *Directives) allowed(pass, file string, line int) bool {
 	return d.allows[allowKey{file, line, pass}] || d.allows[allowKey{file, line - 1, pass}]
 }
-
-// CtxRoot reports whether fn (a declared function/method object) is an
-// annotated context root.
-func (d *Directives) CtxRoot(obj types.Object) bool { return d.ctxRoot[obj] }
-
-// ReturnsArena reports whether fn is annotated returns-arena.
-func (d *Directives) ReturnsArena(obj types.Object) bool { return d.returnsArena[obj] }
-
-// Pooled reports whether the named type's object is annotated pooled in this
-// package.
-func (d *Directives) Pooled(obj types.Object) bool { return d.pooled[obj] }
-
-// ArenaScoped reports whether the named type's object is annotated
-// arena-scoped in this package.
-func (d *Directives) ArenaScoped(obj types.Object) bool { return d.arenaScoped[obj] }
-
-// GuardedFields returns the field-object → mutex-name table.
-func (d *Directives) GuardedFields() map[types.Object]string { return d.guarded }

@@ -13,7 +13,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Package is one loaded, parsed, and typechecked package ready for analysis.
@@ -234,15 +233,3 @@ func (ld *loadState) parseFiles(m *listPkg) ([]*ast.File, []error) {
 type importerFunc func(string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// ModulePackages filters a loaded set down to packages whose import path has
-// the module prefix (used by the CLI to scope analysis to the repo).
-func ModulePackages(pkgs []*Package, module string) []*Package {
-	var out []*Package
-	for _, p := range pkgs {
-		if p.ImportPath == module || strings.HasPrefix(p.ImportPath, module+"/") {
-			out = append(out, p)
-		}
-	}
-	return out
-}

@@ -62,21 +62,6 @@ func pkgPathOf(obj types.Object) string {
 	return obj.Pkg().Path()
 }
 
-// isPkgFunc reports whether obj is the package-level function pkgPath.name
-// (methods never match: their receiver carries the state that makes per-value
-// use legitimate, e.g. a seeded *rand.Rand).
-func isPkgFunc(obj types.Object, pkgPath, name string) bool {
-	if obj == nil || obj.Name() != name || pkgPathOf(obj) != pkgPath {
-		return false
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
 // rootIdent unwraps selectors, index expressions, derefs, calls-through, and
 // parens down to the base identifier of an lvalue/chain (x in x.f[i].g), or
 // nil when the chain does not bottom out in an identifier.
@@ -97,16 +82,6 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// enclosingFuncs pairs each function body in the package — declarations and
-// the function literals nested inside them — with the declared function they
-// belong to, so per-function passes can honor declaration-level annotations
-// (ctx-root, returns-arena) inside closures too.
-func funcBodies(pkg *Package, fn func(decl *ast.FuncDecl, body *ast.BlockStmt)) {
-	funcDecls(pkg, func(fd *ast.FuncDecl) {
-		fn(fd, fd.Body)
-	})
 }
 
 // isMutexType reports whether a named type is sync.Mutex or sync.RWMutex.

@@ -20,9 +20,7 @@ func Pairs(sessions []Session) []model.Pair {
 
 // TurnSamples converts sessions into the eval package's multi-turn form:
 // one ordered TurnSample sequence per session, follow-ups carrying the gold
-// previous program as context (eval.EvaluateDialogue teacher-forces it;
-// eval.EvaluateFleetDialogue ignores it and lets the fleet's session store
-// supply the live one).
+// previous program as context, which eval.EvaluateDialogue teacher-forces.
 func TurnSamples(sessions []Session) [][]eval.TurnSample {
 	out := make([][]eval.TurnSample, len(sessions))
 	for i, s := range sessions {

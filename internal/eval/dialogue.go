@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -15,14 +14,6 @@ import (
 // with an empty context is exactly single-turn decoding.
 type ContextDecoder interface {
 	ParseContext(words, ctx []string) []string
-}
-
-// SessionDecoder routes one dialogue turn to a skill under a session id,
-// with the decoder — not the caller — supplying the previous-turn context
-// from its own session state; fleet.Registry implements it (ParseTurn over
-// the per-skill session store).
-type SessionDecoder interface {
-	ParseTurn(skill, session string, words []string) []string
 }
 
 // TurnSample is one dialogue turn under evaluation: the utterance, its gold
@@ -111,75 +102,4 @@ func EvaluateDialogue(dec ContextDecoder, sessions [][]TurnSample, schemas thing
 		}
 	}
 	return r
-}
-
-// DialogueSet is one skill's multi-turn evaluation slice: its sessions (each
-// an ordered turn sequence) and the schema source they canonicalize against.
-type DialogueSet struct {
-	Skill    string
-	Sessions [][]TurnSample
-	Schemas  thingtalk.SchemaSource
-}
-
-// SkillDialogueReport pairs a skill with its per-turn report.
-type SkillDialogueReport struct {
-	Skill string
-	DialogueReport
-}
-
-// FleetDialogueReport aggregates fleet-level multi-turn evaluation.
-type FleetDialogueReport struct {
-	Skills   []SkillDialogueReport
-	Combined DialogueReport
-}
-
-// EvaluateFleetDialogue scores a session-routed deployment end to end: each
-// session's turns decode in order under a unique session id, and the decoder
-// supplies each follow-up's context from its own session state (for
-// fleet.Registry, the per-skill session store fed by the previous accepted
-// parse). Unlike EvaluateDialogue's teacher forcing, a wrong turn here
-// poisons the stored context for the next one, so the follow-up bucket
-// measures the deployed multi-turn experience including error propagation.
-// Sessions fan across workers per skill; reports are deterministic for any
-// worker count.
-func EvaluateFleetDialogue(dec SessionDecoder, sets []DialogueSet, workers int) FleetDialogueReport {
-	var out FleetDialogueReport
-	for seti, set := range sets {
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		w := min(workers, len(set.Sessions))
-		preds := make([][][]string, len(set.Sessions))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					si := int(next.Add(1)) - 1
-					if si >= len(set.Sessions) {
-						return
-					}
-					session := fmt.Sprintf("eval-%d-%s-%d", seti, set.Skill, si)
-					outp := make([][]string, len(set.Sessions[si]))
-					for ti := range set.Sessions[si] {
-						outp[ti] = dec.ParseTurn(set.Skill, session, set.Sessions[si][ti].Words)
-					}
-					preds[si] = outp
-				}
-			}()
-		}
-		wg.Wait()
-		var r DialogueReport
-		for si := range set.Sessions {
-			for ti := range set.Sessions[si] {
-				r.score(ti == 0, preds[si][ti], &set.Sessions[si][ti], set.Schemas)
-			}
-		}
-		out.Skills = append(out.Skills, SkillDialogueReport{Skill: set.Skill, DialogueReport: r})
-		out.Combined.First.add(r.First)
-		out.Combined.Followups.add(r.Followups)
-	}
-	return out
 }

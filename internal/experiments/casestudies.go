@@ -124,17 +124,6 @@ func trainTACL(train, val []tacl.Example, mcfg model.Config) *model.Parser {
 	return model.Train(pairs, valPairs, lm, mcfg)
 }
 
-// TACLParaphraseAccuracy reports the §6.2 quote-free paraphrase-split number
-// (the paper reaches 96%).
-func TACLParaphraseAccuracy(scale genie.Scale, seed int64) float64 {
-	lib := thingpedia.Builtin()
-	d := tacl.Build(lib, scale.SynthTarget, 3, scale.ParaphraseMax, 3, seed)
-	mcfg := scale.Model
-	mcfg.Seed = seed
-	p := trainTACL(d.Train, d.ParaTest, mcfg)
-	return tacl.Evaluate(p, d.ParaTest, lib)
-}
-
 // Print renders Fig. 9.
 func (r Fig9Result) Print(w io.Writer) {
 	fmt.Fprintln(w, "Fig 9 — case studies on cheatsheet test data (program accuracy)")

@@ -8,7 +8,6 @@
 package faultinject
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -243,27 +242,4 @@ func (p *Proxy) ControlHandler() http.Handler {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
-}
-
-// WaitHealthy polls url+"/healthz" until it answers 200 or the context
-// expires; shared by the CLI harness and tests that boot real processes.
-func WaitHealthy(ctx context.Context, hc *http.Client, url string) error {
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/healthz", nil)
-		if err != nil {
-			return err
-		}
-		resp, err := hc.Do(req)
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
 }

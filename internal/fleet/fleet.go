@@ -684,19 +684,6 @@ func (r *Registry) ParseSkill(skillName string, words []string) []string {
 	return toks
 }
 
-// ParseTurn implements eval.SessionDecoder: one dialogue turn routed under a
-// session id, with the skill's session store supplying the follow-up
-// context. Errors decode to nil (scored as wrong).
-//
-//genielint:ctx-root interface adapter: the eval.SessionDecoder contract has no ctx parameter
-func (r *Registry) ParseTurn(skillName, session string, words []string) []string {
-	toks, _, err := r.ParseSession(context.Background(), skillName, session, words, nil)
-	if err != nil {
-		return nil
-	}
-	return toks
-}
-
 // Skills reports every skill's lifecycle state, sorted by name.
 func (r *Registry) Skills() []serve.SkillInfo {
 	var out []serve.SkillInfo

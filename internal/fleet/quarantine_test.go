@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/model"
+	"repro/internal/serve"
 	"repro/internal/thingpedia"
 )
 
@@ -135,6 +136,48 @@ func TestTransientBuildFailureRetriesWithBackoff(t *testing.T) {
 	waitStatus(t, r, "alpha", StatusReady)
 	if n := builds.Load(); n != 3 {
 		t.Fatalf("builds = %d, want 3 (two transient failures + one success)", n)
+	}
+}
+
+// TestTransientRetryThroughCache is TestTransientBuildFailureRetriesWithBackoff
+// through a snapshot cache: the fleet's backoff is the only retry clock, so a
+// retry that comes due trains again instead of meeting a memoised error, and
+// the skill is ready well under a second.
+func TestTransientRetryThroughCache(t *testing.T) {
+	dir := t.TempDir()
+	writeLib(t, dir, "alpha", libV1("test.alpha"))
+
+	var builds atomic.Int64
+	cfg := Config{
+		LibDir:    dir,
+		Watch:     10 * time.Millisecond,
+		RetryBase: 20 * time.Millisecond,
+		RetryMax:  100 * time.Millisecond,
+		Serve:     testConfig(dir, &sync.Map{}).Serve,
+		Cache:     serve.NewCache(""),
+		Train: func(name string, lib *thingpedia.Library) (*model.Parser, error) {
+			if builds.Add(1) < 3 {
+				return nil, durable.MarkTransient(errors.New("trainer disk full"))
+			}
+			return toyParser("alpha"), nil
+		},
+	}
+	start := time.Now()
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	waitReady(t, r)
+	waitStatus(t, r, "alpha", StatusReady)
+	if took := time.Since(start); took > 700*time.Millisecond {
+		t.Fatalf("ready after %v, want well under 1s (the cache must not run its own retry clock)", took)
+	}
+	if n := builds.Load(); n != 3 {
+		t.Fatalf("builds = %d, want 3 (two transient failures + one success)", n)
+	}
+	if st := cfg.Cache.Stats(); st.TransientRetries != 2 {
+		t.Fatalf("cache stats = %+v, want 2 transient retries", st)
 	}
 }
 

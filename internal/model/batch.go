@@ -10,7 +10,7 @@ import "repro/internal/nn"
 // masks), attention masks scores to each sequence's valid prefix, and loss
 // rows past a target's end get a zero gradient scale, so padding never
 // contributes probability mass or gradient. The loss steps the decoder with
-// decodeStepBatch, the step every decode loop takes.
+// decodeStepBatch, the step the search takes.
 
 // batchBufs holds the padded source-side buffers of one batched encoder
 // pass, reused across steps (training owns one inside batchScratch; every
@@ -132,8 +132,8 @@ func (p *Parser) encodeCtxBatch(g *nn.Graph, bb *batchBufs, B, M int) *nn.Tensor
 // encodedBatch is a window of B sentences after the encoder passes: the
 // packed padded source memory H (one block per sentence, lens valid rows
 // each), the packed previous-program memory C (nil without a context head)
-// and the stacked initial decoder state. The loss and the decode loops all
-// start from it, so an escalated decode encodes once.
+// and the stacked initial decoder state. The loss and the search both start
+// from it, so an escalated decode encodes once.
 //
 //genielint:arena-scoped
 type encodedBatch struct {

@@ -307,16 +307,3 @@ func TestParseBatchParallelMatchesSequential(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestParseBeamBatchWidthOneIsGreedy mirrors the sequential fallback.
-func TestParseBeamBatchWidthOneIsGreedy(t *testing.T) {
-	p := trainedToyParser()
-	sentences := batchTestSentences()[:4]
-	greedy := p.ParseBatch(sentences)
-	beam1 := p.Decode(toRows(sentences, nil), Policy{Beam: 1})
-	for i := range sentences {
-		if joinTokens(greedy[i]) != joinTokens(beam1[i].Tokens) {
-			t.Errorf("width-1 beam batch differs from greedy batch on %v", sentences[i])
-		}
-	}
-}

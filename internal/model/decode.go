@@ -2,7 +2,6 @@ package model
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/grammar"
@@ -79,29 +78,34 @@ func (p *Parser) escalates(pol Policy, score float64) bool {
 	return pol.Adaptive && pol.Beam > 1 && p.calib.Fitted && score < p.calib.Threshold
 }
 
-// decodeBatch decodes rows[idx...] in lockstep, writing out[idx[b]].
+// decodeBatch decodes rows[idx...] in lockstep, writing out[idx[b]]: one
+// search at width 1 (greedy) or pol.Beam, and under the adaptive policy a
+// second search at width pol.Beam over the escalated rows of the same
+// encoding.
 func (p *Parser) decodeBatch(rows []Row, idx []int, withCtx bool, pol Policy, out []Decoded) {
 	dc := acquireDecodeCtx()
 	defer dc.release()
 	e := p.encodeRows(dc, rows, idx, withCtx)
-	live := dc.live[:0] // the rows the beam runs over
-	if pol.Beam > 1 && !pol.Adaptive {
-		for b := range idx {
+	width := pol.Beam
+	if width < 1 || pol.Adaptive {
+		width = 1
+	}
+	live := dc.live[:0] // the window rows a search runs over
+	for b := range idx {
+		live = append(live, b)
+	}
+	p.search(dc, &e, live, width, idx, out)
+	live = live[:0]
+	for b, i := range idx {
+		if p.escalates(pol, out[i].Score) {
 			live = append(live, b)
-		}
-	} else {
-		p.greedyBatch(dc, &e, idx, out)
-		for b, i := range idx {
-			if p.escalates(pol, out[i].Score) {
-				live = append(live, b)
-			}
 		}
 	}
 	dc.live = live
 	if len(live) > 0 {
-		p.beamBatch(dc, &e, live, pol.Beam, idx, out)
+		p.search(dc, &e, live, pol.Beam, idx, out)
 		for _, b := range live {
-			out[idx[b]].Escalated = pol.Adaptive
+			out[idx[b]].Escalated = true
 		}
 	}
 }
@@ -153,12 +157,12 @@ func (p *Parser) Contextual() bool { return p.ctxCell != nil }
 var inferGraphs = nn.NewGraphPool()
 
 // decodeCtx is the per-call state of one decode: an inference graph drawn
-// from the shared pool plus every scratch buffer the decode loops need — the
+// from the shared pool plus every scratch buffer the search needs — the
 // window's sentences and contexts, their padded source and previous-program
-// memories, and the per-row step bookkeeping. A decode acquires one, runs,
-// and releases it, so a single trained Parser serves any number of
-// goroutines with near-zero steady-state allocation. Nothing decode-time
-// lives on the Parser itself.
+// memories, the per-row step bookkeeping, and the hypotheses with their
+// token history. A decode acquires one, runs, and releases it, so a single
+// trained Parser serves any number of goroutines with near-zero
+// steady-state allocation. Nothing decode-time lives on the Parser itself.
 //
 //genielint:arena-scoped
 type decodeCtx struct {
@@ -167,19 +171,22 @@ type decodeCtx struct {
 
 	words, ctxs [][]string
 	bufs, cbufs batchBufs
-	prev        []int            // per-row previous target token ids
-	blocks      []int            // per-row memory block (request) indices
-	srcIdx      []int            // per-row parent rows in the previous step's tensors
-	gss         []*grammar.State // per-row grammar states of the greedy loop
-	live        []int            // requests the beam runs over
+	prev        []int      // per-row previous target token ids
+	blocks      []int      // per-row memory block (request) indices
+	srcIdx      []int      // per-row parent rows in the previous step's tensors
+	live        []int      // the window rows a search runs over
+	hyps        []hyp      // the beams' backing, width per request
+	beams       [][]hyp    // per-request beams
+	cands       []hyp      // one request's children of a step
+	hist        []histNode // the token history the hypotheses link into
 }
 
-// scoreScratch holds the buffers of the mixture scorers.
+// scoreScratch holds the buffers of the candidate scan.
 type scoreScratch struct {
 	ms        mixScorer
 	ls        grammar.LegalSet
 	lc        grammar.LegalCache
-	scored    []scoredToken
+	top       []scoredToken
 	copyWords []string
 	copyAlpha []float64
 }
@@ -203,7 +210,10 @@ func (dc *decodeCtx) release() {
 	dc.cbufs.releaseTensors()
 	clear(dc.words[:cap(dc.words)]) // nor any caller's request memory
 	clear(dc.ctxs[:cap(dc.ctxs)])
-	clear(dc.gss[:cap(dc.gss)])
+	clear(dc.hyps[:cap(dc.hyps)]) // nor grammar states or copied words
+	clear(dc.cands[:cap(dc.cands)])
+	clear(dc.hist)
+	dc.hist = dc.hist[:0]
 	inferGraphs.Put(dc.g)
 	dc.g = nil
 	decodeCtxs.Put(dc)
@@ -218,12 +228,12 @@ type mixRow struct {
 	words     []string
 }
 
-// copyDist returns row r of a step's outputs as the mixture scorers consume
+// copyDist returns row r of a step's outputs as the candidate scan consumes
 // it. Without a context memory the copy distribution is the source attention
 // over words, returned as is (no copy, no allocation). With one, the context
 // tokens become extra copyable positions: the copy distribution over
-// words++ctx is [(1−cgate)·alpha, cgate·beta], so every mixture scorer —
-// fused argmax, top-k, and the grammar-masked variants — applies unchanged.
+// words++ctx is [(1−cgate)·alpha, cgate·beta], so the scan applies
+// unchanged, masked or not.
 func (sc *scoreScratch) copyDist(o *stepOut, r int, words, ctx []string) mixRow {
 	V, S := o.pv.Cols, o.alpha.Cols
 	m := mixRow{pv: o.pv.W[r*V : (r+1)*V], alpha: o.alpha.W[r*S : r*S+len(words)], gate: o.gate.W[r], words: words}
@@ -242,31 +252,6 @@ func (sc *scoreScratch) copyDist(o *stepOut, r int, words, ctx []string) mixRow 
 	sc.copyAlpha = ea
 	m.words, m.alpha = sc.copyWords, ea
 	return m
-}
-
-// best picks a hypothesis's greedy next token and its mixed probability:
-// the masked argmax while the hypothesis has a grammar state, the unmasked
-// one otherwise. masked is false when no mask applied — gs was nil, or the
-// mask admitted nothing (cannot happen for a well-formed automaton; kept as
-// a defensive fallback), in which case the caller decodes the rest unmasked.
-func (p *Parser) best(sc *scoreScratch, gs *grammar.State, rem int, m mixRow) (tok string, prob float64, masked bool) {
-	if gs != nil {
-		if tok, prob, ok := p.maskedBest(&sc.ms, &sc.ls, &sc.lc, gs, rem, m.pv, m.alpha, m.gate, m.words); ok {
-			return tok, prob, true
-		}
-	}
-	tok, prob = p.bestTokenScored(&sc.ms, m.pv, m.alpha, m.gate, m.words)
-	return tok, prob, false
-}
-
-// top is best's beam form: the k most probable next tokens, masked like best.
-func (p *Parser) top(sc *scoreScratch, gs *grammar.State, rem int, m mixRow, k int) (cands []scoredToken, masked bool) {
-	if gs != nil {
-		if cands, ok := p.maskedTop(&sc.ms, &sc.ls, &sc.lc, gs, rem, &sc.scored, m.pv, m.alpha, m.gate, m.words, k); ok {
-			return cands, true
-		}
-	}
-	return p.topTokens(&sc.ms, &sc.scored, m.pv, m.alpha, m.gate, m.words, k), false
 }
 
 // mixSlot is one distinct source word of the sentence being decoded: its
@@ -334,73 +319,157 @@ func (ms *mixScorer) release() {
 	}
 }
 
-// bestTokenScored mixes the generation and copy distributions and returns
-// the argmax token with its mixed probability. pv and alpha are one decoder
-// step's vocabulary-distribution and attention rows (raw slices, so the
-// batched decoder can pass rows of its stacked tensors); alpha covers at
-// least len(words) positions.
-func (p *Parser) bestTokenScored(ms *mixScorer, pv, alpha []float64, gate float64, words []string) (string, float64) {
-	g := gate
+// mix is vocabulary id's probability under the pointer-generator mixture
+// with gate g: its generation probability plus the copy mass of the source
+// words that spell it.
+func (ms *mixScorer) mix(pv []float64, g float64, id int) float64 {
+	prob := g * pv[id]
+	if s := ms.mark[id]; s != 0 {
+		if m := ms.slots[s-1].mass; m > 0 {
+			prob += (1 - g) * m
+		}
+	}
+	return prob
+}
+
+// scoredToken is one scan candidate: a next token and its mixed
+// probability.
+type scoredToken struct {
+	tok string
+	p   float64
+}
+
+// insertRanked inserts x into top, which holds at most k entries in
+// descending key order: x moves ahead of an entry only when its key is
+// strictly greater, and whatever falls past k is dropped. Fed a sequence one
+// by one, top ends as the sequence's stable descending sort truncated to k,
+// so ties keep arrival order; at k = 1 it is the first strict argmax.
+func insertRanked[T any](top []T, k int, x T, key func(T) float64) []T {
+	kx := key(x)
+	i := len(top)
+	for i > 0 && kx > key(top[i-1]) {
+		i--
+	}
+	if i >= k {
+		return top
+	}
+	if len(top) < k {
+		top = append(top, x)
+	}
+	copy(top[i+1:], top[i:])
+	top[i] = x
+	return top
+}
+
+// kBest is the scan's bounded candidate buffer: the k most probable
+// candidates so far, by insertRanked on their probability. floor is the
+// k-th probability once k are kept (-Inf before), so the scan tests a
+// candidate against it inline and inserts only the few that get in.
+type kBest struct {
+	k     int
+	top   []scoredToken
+	floor float64
+}
+
+// add inserts a candidate that beat the floor.
+func (b *kBest) add(tok string, p float64) {
+	b.top = insertRanked(b.top, b.k, scoredToken{tok, p}, func(c scoredToken) float64 { return c.p })
+	if len(b.top) == b.k {
+		b.floor = b.top[b.k-1].p
+	}
+}
+
+// addCopies offers the out-of-vocabulary copy words ls admits (every one
+// when ls is nil), in first-occurrence order.
+func (b *kBest) addCopies(ms *mixScorer, g float64, ls *grammar.LegalSet) {
+	for i := range ms.slots {
+		s := &ms.slots[i]
+		if s.id >= 0 || ls != nil && !ls.WordLegal(s.word) {
+			continue
+		}
+		if prob := (1 - g) * s.mass; prob > b.floor {
+			b.add(s.word, prob)
+		}
+	}
+}
+
+// scan is the one candidate scan of every decode: the k most probable next
+// tokens of a hypothesis under the pointer-generator mixture of its step row
+// m, fused over the sentence's distinct words (mixScorer) so it costs
+// O(V+S). Unmasked (ls nil) the candidates are the vocabulary from </s> up,
+// then the out-of-vocabulary copy words in first-occurrence order. Masked,
+// they are that order filtered to ls: </s> if legal, ls.IDs (ascending),
+// then the legal copy words — so whenever the unmasked argmax is itself
+// legal the two modes pick the same token with the same probability. When
+// the mask admits nothing (cannot happen for a well-formed automaton; kept
+// as a defensive fallback) the scan runs unmasked and reports masked false,
+// and the hypothesis decodes the rest unmasked. The result is backed by
+// sc.top and valid until the next scan.
+func (p *Parser) scan(sc *scoreScratch, ls *grammar.LegalSet, m mixRow, k int) (top []scoredToken, masked bool) {
+	g := m.gate
 	if !p.cfg.PointerGen {
 		g = 1
 	}
-	ms.prepare(p.tgt, words, alpha)
+	ms := &sc.ms
+	ms.prepare(p.tgt, m.words, m.alpha)
 	defer ms.release()
-	bestTok := EosToken
-	bestP := math.Inf(-1)
-	// Generation path over the vocabulary (skip <unk> and <s>), with the
-	// copy mass of in-vocabulary source words mixed in via the O(1) mark
-	// lookup.
-	for id := 2; id < p.tgt.Size(); id++ {
-		prob := g * pv[id]
-		if s := ms.mark[id]; s != 0 {
-			if m := ms.slots[s-1].mass; m > 0 {
-				prob += (1 - g) * m
+	b := kBest{k: k, top: sc.top[:0], floor: math.Inf(-1)}
+	if ls != nil {
+		if ls.EOS {
+			b.add(EosToken, ms.mix(m.pv, g, EosID))
+		}
+		for _, id := range ls.IDs {
+			if prob := ms.mix(m.pv, g, int(id)); prob > b.floor {
+				b.add(p.tgt.Token(int(id)), prob)
 			}
 		}
-		if prob > bestP {
-			bestP = prob
-			bestTok = p.tgt.Token(id)
+		if p.cfg.PointerGen {
+			b.addCopies(ms, g, ls)
+		}
+		masked = len(b.top) > 0
+	}
+	if !masked {
+		for id := EosID; id < p.tgt.Size(); id++ {
+			if prob := ms.mix(m.pv, g, id); prob > b.floor {
+				b.add(p.tgt.Token(id), prob)
+			}
+		}
+		if p.cfg.PointerGen {
+			b.addCopies(ms, g, nil)
 		}
 	}
-	if !p.cfg.PointerGen {
-		return bestTok, bestP
-	}
-	// Copy path for out-of-vocabulary source tokens (slots preserve first-
-	// occurrence order, matching the unfused scan).
-	for i := range ms.slots {
-		s := &ms.slots[i]
-		if s.id >= 0 {
-			continue
-		}
-		prob := (1 - g) * s.mass
-		if prob > bestP {
-			bestP = prob
-			bestTok = s.word
-		}
-	}
-	return bestTok, bestP
+	sc.top = b.top
+	return b.top, masked
 }
 
-// beamItem is one hypothesis during beam decoding. row locates its decoder
-// state: a row of the beam's stacked step tensors. gs is the hypothesis's
+// hyp is one hypothesis of the search. Its tokens live in the decode's
+// token history as a chain of parent links ending at last (-1 while it has
+// none), so forking a hypothesis copies no prefix; n counts them. row
+// locates its decoder state, a row of the step's stacked tensors. gs is its
 // grammar state (nil when decoding unmasked); grammar states are immutable
-// under Step, so forked hypotheses share their parent's state safely.
-type beamItem struct {
-	tokens  []string
+// under Step, so children share their parent's state safely.
+type hyp struct {
 	logProb float64
-	prev    int
-	done    bool
-	row     int
 	gs      *grammar.State
+	last, n int
+	prev    int
+	row     int
+	done    bool
+}
+
+// histNode is one emitted token of the decode's token history and the
+// history index of the token before it (-1 for a first token).
+type histNode struct {
+	tok    string
+	parent int
 }
 
 // lengthNormScore is the length-normalized log-probability used for both
-// pruning and final selection, by every decode loop. logProb accumulates one
-// factor per decoded token plus, for finished hypotheses, the </s> factor;
-// dividing by that count keeps long programs competitive with short ones.
-// Ranking by raw cumulative log-probability systematically favored truncated
-// programs — every extra token can only lower the sum.
+// pruning and final selection. logProb accumulates one factor per decoded
+// token plus, for finished hypotheses, the </s> factor; dividing by that
+// count keeps long programs competitive with short ones. Ranking by raw
+// cumulative log-probability systematically favored truncated programs —
+// every extra token can only lower the sum.
 func lengthNormScore(logProb float64, ntokens int, done bool) float64 {
 	if done {
 		ntokens++
@@ -411,102 +480,51 @@ func lengthNormScore(logProb float64, ntokens int, done bool) float64 {
 	return logProb / float64(ntokens)
 }
 
-func (it *beamItem) score() float64 { return lengthNormScore(it.logProb, len(it.tokens), it.done) }
+func (h hyp) score() float64 { return lengthNormScore(h.logProb, h.n, h.done) }
 
-// bestHypIndex returns the index of a beam's winner: complete hypotheses
-// beat incomplete ones, ties broken by length-normalized score.
-func bestHypIndex(n int, done func(int) bool, score func(int) float64) int {
-	best := 0
-	for i := 0; i < n; i++ {
-		if done(i) && !done(best) {
-			best = i
-			continue
-		}
-		if done(i) == done(best) && score(i) > score(best) {
-			best = i
-		}
-	}
-	return best
-}
-
-// bestHypothesis returns the beam's winner as a Decoded.
-func bestHypothesis(beam []beamItem) Decoded {
-	best := beam[bestHypIndex(len(beam),
-		func(i int) bool { return beam[i].done },
-		func(i int) float64 { return beam[i].score() })]
-	return Decoded{Tokens: best.tokens, Score: best.score()}
-}
-
-// expand appends to cands the children of hypothesis h under its top next
-// tokens; row is where the children's decoder state lives.
-func (p *Parser) expand(cands []beamItem, h *beamItem, top []scoredToken, masked bool, row int) []beamItem {
+// expand appends to cands the children of h under its top next tokens. A
+// child that emits </s> is complete; any other records its token in the
+// history and advances the grammar state while the scan was masked.
+func (p *Parser) expand(dc *decodeCtx, cands []hyp, h *hyp, top []scoredToken, masked bool) []hyp {
 	for _, c := range top {
-		n := beamItem{
-			tokens:  append(append([]string(nil), h.tokens...), c.tok),
-			logProb: h.logProb + math.Log(c.p+1e-12),
-			prev:    p.tgt.ID(c.tok),
-			row:     row,
-		}
+		n := hyp{logProb: h.logProb + math.Log(c.p+1e-12), last: h.last, n: h.n, prev: p.tgt.ID(c.tok), row: h.row}
 		if c.tok == EosToken {
 			n.done = true
-			n.tokens = n.tokens[:len(n.tokens)-1]
-		} else if masked {
-			n.gs = p.grammarStep(h.gs, c.tok)
+		} else {
+			dc.hist = append(dc.hist, histNode{tok: c.tok, parent: h.last})
+			n.last, n.n = len(dc.hist)-1, h.n+1
+			if masked {
+				n.gs = p.grammarStep(h.gs, c.tok)
+			}
 		}
 		cands = append(cands, n)
 	}
 	return cands
 }
 
-// prune keeps the width best candidates by length-normalized score.
-func prune(cands []beamItem, width int) []beamItem {
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].score() > cands[j].score() })
-	if len(cands) > width {
-		cands = cands[:width]
+// prune keeps in beam the width best candidates by length-normalized score,
+// through the scan's insertion.
+func prune(beam, cands []hyp, width int) []hyp {
+	for _, c := range cands {
+		beam = insertRanked(beam, width, c, hyp.score)
 	}
-	return cands
+	return beam
 }
 
-type scoredToken struct {
-	tok string
-	p   float64
-}
-
-// topTokens returns the k most probable next tokens under the mixed
-// pointer–generator distribution, through the same fused O(V+S) scan as
-// bestTokenScored. pv and alpha are one step's distribution rows as in
-// bestTokenScored; the backing comes from *scored (a reusable decode-context
-// buffer) and is valid until the next call over the same buffer.
-func (p *Parser) topTokens(ms *mixScorer, scored *[]scoredToken, pv, alpha []float64, gate float64, words []string, k int) []scoredToken {
-	g := gate
-	if !p.cfg.PointerGen {
-		g = 1
-	}
-	ms.prepare(p.tgt, words, alpha)
-	defer ms.release()
-	all := (*scored)[:0]
-	for id := 2; id < p.tgt.Size(); id++ {
-		prob := g * pv[id]
-		if s := ms.mark[id]; s != 0 {
-			if m := ms.slots[s-1].mass; m > 0 {
-				prob += (1 - g) * m
-			}
-		}
-		all = append(all, scoredToken{tok: p.tgt.Token(id), p: prob})
-	}
-	if p.cfg.PointerGen {
-		for i := range ms.slots {
-			s := &ms.slots[i]
-			if s.id >= 0 {
-				continue
-			}
-			all = append(all, scoredToken{tok: s.word, p: (1 - g) * s.mass})
+// finish returns a beam's winner as a Decoded — complete hypotheses beat
+// incomplete ones, ties broken by length-normalized score — with its tokens
+// read back from the history.
+func (dc *decodeCtx) finish(beam []hyp) Decoded {
+	best := &beam[0]
+	for i := range beam {
+		if h := &beam[i]; h.done && !best.done || h.done == best.done && h.score() > best.score() {
+			best = h
 		}
 	}
-	*scored = all
-	sort.SliceStable(all, func(i, j int) bool { return all[i].p > all[j].p })
-	if len(all) > k {
-		all = all[:k]
+	toks := make([]string, best.n)
+	for i, j := best.n-1, best.last; i >= 0; i-- {
+		toks[i] = dc.hist[j].tok
+		j = dc.hist[j].parent
 	}
-	return all
+	return Decoded{Tokens: toks, Score: best.score()}
 }

@@ -1,12 +1,8 @@
 package model
 
-import (
-	"math"
+import "repro/internal/nn"
 
-	"repro/internal/nn"
-)
-
-// This file holds the decode loops: a window of requests advances through
+// This file holds the decode loop: a window of requests advances through
 // one batched forward per decode step (every live hypothesis is one row of
 // the stacked tensors), so a backlog buys matmul width instead of just
 // queueing, and a lone request is a window of one. Per row the batched
@@ -14,8 +10,8 @@ import (
 // same tokens and scores whatever window it arrives in.
 
 // gatherRows copies the selected rows of t into a fresh graph tensor. It is
-// decode-only (no gradient link): the batched decoders use it to carry the
-// surviving hypotheses' states into the next lockstep decode step.
+// decode-only (no gradient link): the search uses it to carry the surviving
+// hypotheses' states into the next lockstep decode step.
 //
 //genielint:returns-arena
 func gatherRows(g *nn.Graph, t *nn.Tensor, idx []int) *nn.Tensor {
@@ -46,7 +42,7 @@ func (p *Parser) encodeRows(dc *decodeCtx, rows []Row, idx []int, withCtx bool) 
 	return p.encode(dc.g, &dc.bufs, &dc.cbufs, dc.words, dc.ctxs, withCtx)
 }
 
-// decodeStepBatch is the decoder step, for the loss and every decode loop:
+// decodeStepBatch is the decoder step, for the loss and the search:
 // one lockstep step over R rows — embedding lookup of the previous tokens
 // prev, input feeding, LSTM, attention over each row's memory block
 // (blocks[r] names it; nil = block r), h-tilde and its dropout (training
@@ -75,118 +71,79 @@ func (p *Parser) decodeStepBatch(g *nn.Graph, e *encodedBatch, prev, blocks []in
 	return o
 }
 
-// greedyBatch greedily decodes the window in lockstep, writing request b's
-// tokens and score to out[idx[b]]: one batched forward per decode step over
-// the rows still running; rows that emit </s> drop out of the following
-// steps' batch.
-func (p *Parser) greedyBatch(dc *decodeCtx, e *encodedBatch, idx []int, out []Decoded) {
-	g, B := dc.g, len(idx)
-	reqOf := grow(&dc.blocks, B) // per-row request: its memory block
-	prev := grow(&dc.prev, B)
-	keep := grow(&dc.srcIdx, B)
-	gss := grow(&dc.gss, B) // per-row grammar states (nil unmasked)
-	for b, i := range idx {
-		reqOf[b], prev[b], gss[b] = b, BosID, p.grammarStart()
-		out[i] = Decoded{Tokens: make([]string, 0, 16)} // Score accumulates the log-probability
-	}
-	st := e.init
-	R := B
-	maxLen := p.cfg.maxDecodeLen()
-	for t := 0; t < maxLen && R > 0; t++ {
-		o := p.decodeStepBatch(g, e, prev[:R], reqOf[:R], st, nil)
-		w := 0
-		for r := 0; r < R; r++ {
-			b := reqOf[r]
-			d := &out[idx[b]]
-			tok, prob, masked := p.best(&dc.scoreScratch, gss[r], maskedBudget(maxLen, t), dc.copyDist(&o, r, e.words[b], e.ctxs[b]))
-			d.Score += math.Log(prob + 1e-12)
-			if tok == EosToken {
-				d.Score = lengthNormScore(d.Score, len(d.Tokens), true)
-				continue
-			}
-			d.Tokens = append(d.Tokens, tok)
-			gs := gss[r]
-			if !masked {
-				gs = nil
-			}
-			reqOf[w], prev[w], keep[w], gss[w] = b, p.tgt.ID(tok), r, p.grammarStep(gs, tok)
-			w++
-		}
-		R, st = w, o.next
-		if 0 < R && R < o.pv.Rows { // some row finished: compact the survivors' states
-			st = st.gather(g, keep[:R])
-		}
-	}
-	for _, b := range reqOf[:R] { // still running at the length bound
-		d := &out[idx[b]]
-		d.Score = lengthNormScore(d.Score, len(d.Tokens), false)
-	}
-}
-
-// beamBatch beam-decodes the requests live (indices into the window) in
-// lockstep: at every decode step all live hypotheses across all requests
-// stack into one batched forward (a request's beams share its memory block
-// via the attention block mapping), then each request expands and prunes its
-// own beam.
-func (p *Parser) beamBatch(dc *decodeCtx, e *encodedBatch, live []int, width int, idx []int, out []Decoded) {
+// search decodes the requests live (indices into the window) in lockstep,
+// each with a beam of width hypotheses — greedy is width 1 — and writes
+// request b's winner to out[idx[b]]. At every decode step the running
+// hypotheses of all requests stack into one batched forward (a request's
+// hypotheses share its memory block through the attention block mapping),
+// then each request scans its running hypotheses for their width best next
+// tokens and keeps the width best children, complete ones included. A
+// request drops out of the batch once all its hypotheses are complete.
+func (p *Parser) search(dc *decodeCtx, e *encodedBatch, live []int, width int, idx []int, out []Decoded) {
 	g := dc.g
-	beams := make([][]beamItem, len(live))
-	finished := make([]bool, len(live))
+	hyps := grow(&dc.hyps, len(live)*width)
+	beams := grow(&dc.beams, len(live))
 	for k, b := range live {
-		beams[k] = []beamItem{{prev: BosID, row: b, gs: p.grammarStart()}}
+		beams[k] = append(hyps[k*width:k*width:(k+1)*width], hyp{last: -1, prev: BosID, row: b, gs: p.grammarStart()})
 	}
 	st := e.init
 	maxLen := p.cfg.maxDecodeLen()
 	for t := 0; t < maxLen; t++ {
-		// Assign a batch row to every live hypothesis; srcIdx records where
-		// its state lives in the previous step's tensors.
+		// Assign a batch row to every running hypothesis; srcIdx records
+		// where its state lives in the previous step's tensors.
 		prev, blocks, srcIdx := dc.prev[:0], dc.blocks[:0], dc.srcIdx[:0]
-		for k := range beams {
-			if finished[k] {
-				continue
-			}
-			for hi := range beams[k] {
-				hyp := &beams[k][hi]
-				if hyp.done {
-					continue
+		for k, beam := range beams {
+			for i := range beam {
+				if h := &beam[i]; !h.done {
+					srcIdx = append(srcIdx, h.row)
+					h.row = len(srcIdx) - 1
+					prev = append(prev, h.prev)
+					blocks = append(blocks, live[k])
 				}
-				srcIdx = append(srcIdx, hyp.row)
-				hyp.row = len(srcIdx) - 1
-				prev = append(prev, hyp.prev)
-				blocks = append(blocks, live[k])
 			}
 		}
 		dc.prev, dc.blocks, dc.srcIdx = prev, blocks, srcIdx
 		if len(srcIdx) == 0 {
 			break
 		}
-		o := p.decodeStepBatch(g, e, prev, blocks, st.gather(g, srcIdx), nil)
+		if !isIdentity(srcIdx, st.h.Rows) { // some row finished or forked
+			st = st.gather(g, srcIdx)
+		}
+		o := p.decodeStepBatch(g, e, prev, blocks, st, nil)
 		st = o.next
-
+		rem := maskedBudget(maxLen, t)
 		for k, b := range live {
-			if finished[k] {
-				continue
-			}
-			var cands []beamItem
-			allDone := true
-			for i := range beams[k] {
-				item := &beams[k][i]
-				if item.done {
-					cands = append(cands, *item)
+			beam, cands, running := beams[k], dc.cands[:0], false
+			for i := range beam {
+				h := &beam[i]
+				if h.done {
+					cands = append(cands, *h)
 					continue
 				}
-				allDone = false
-				top, masked := p.top(&dc.scoreScratch, item.gs, maskedBudget(maxLen, t), dc.copyDist(&o, item.row, e.words[b], e.ctxs[b]), width)
-				cands = p.expand(cands, item, top, masked, item.row)
+				running = true
+				top, masked := p.scan(&dc.scoreScratch, dc.mask(p, h.gs, rem), dc.copyDist(&o, h.row, e.words[b], e.ctxs[b]), width)
+				cands = p.expand(dc, cands, h, top, masked)
 			}
-			if allDone {
-				finished[k] = true
-				continue
+			dc.cands = cands
+			if running {
+				beams[k] = prune(beam[:0], cands, width)
 			}
-			beams[k] = prune(cands, width)
 		}
 	}
 	for k, b := range live {
-		out[idx[b]] = bestHypothesis(beams[k])
+		out[idx[b]] = dc.finish(beams[k])
 	}
+}
+
+// isIdentity reports whether rows selects every one of n rows in order.
+func isIdentity(rows []int, n int) bool {
+	if len(rows) != n {
+		return false
+	}
+	for i, r := range rows {
+		if r != i {
+			return false
+		}
+	}
+	return true
 }

@@ -6,13 +6,15 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/grammar"
 )
 
-// The fused pointer-mix scorer (mixScorer) must select exactly what the
-// original O(V·S) scan selected — including tie-breaks, which the argmax
-// resolves by first strict improvement in scan order. naiveBestToken and
-// naiveTopTokens below are the pre-fusion implementations, kept verbatim as
-// the reference.
+// The candidate scan, fused over the sentence's distinct words (mixScorer),
+// must select exactly what the original O(V·S) scan selected — including
+// tie-breaks, which the argmax resolves by first strict improvement in scan
+// order. naiveBestToken and naiveTopTokens below are the pre-fusion
+// implementations, kept verbatim as the reference.
 
 func naiveCopyMass(alpha []float64, words []string, tok string) float64 {
 	var m float64
@@ -118,7 +120,7 @@ func scorerParser(pointerGen bool) *Parser {
 // in-vocabulary words, out-of-vocabulary words, and duplicates of both, and
 // occasionally tie several pv entries to pin the tie-break behavior.
 func randomScorerCase(p *Parser, rng *rand.Rand) (pv, alpha []float64, gate float64, words []string) {
-	pool := []string{"alpha", "bravo", "charlie", "tweet", "zebra", "quux", "now", "zebra", "alpha"}
+	pool := []string{"alpha", "bravo", "charlie", "tweet", "zebra", "quux", "now", "zebra", "alpha", "42"}
 	n := 1 + rng.Intn(len(pool))
 	words = make([]string, n)
 	for i := range words {
@@ -155,39 +157,107 @@ func randomScorerCase(p *Parser, rng *rand.Rand) (pv, alpha []float64, gate floa
 	return pv, alpha, rng.Float64(), words
 }
 
-// TestFusedScorerMatchesNaive drives the fused argmax and top-k through
-// randomized distributions (ties, duplicates, OOV words, zero attention)
-// and requires byte-identical selections and bit-identical probabilities
-// against the pre-fusion reference scan.
-func TestFusedScorerMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, pointerGen := range []bool{true, false} {
-		p := scorerParser(pointerGen)
-		var ms mixScorer
-		for trial := 0; trial < 500; trial++ {
-			pv, alpha, gate, words := randomScorerCase(p, rng)
-
-			wantTok, wantP := naiveBestToken(p, pv, alpha, gate, words)
-			gotTok, gotP := p.bestTokenScored(&ms, pv, alpha, gate, words)
-			if gotTok != wantTok || gotP != wantP {
-				t.Fatalf("pointerGen=%t trial %d: bestToken fused = (%q, %v), naive = (%q, %v)\nwords=%v gate=%v",
-					pointerGen, trial, gotTok, gotP, wantTok, wantP, words, gate)
-			}
-
-			k := 1 + rng.Intn(6)
-			want := naiveTopTokens(p, pv, alpha, gate, words, k)
-			var scored []scoredToken
-			got := p.topTokens(&ms, &scored, pv, alpha, gate, words, k)
-			if len(got) != len(want) {
-				t.Fatalf("pointerGen=%t trial %d: topTokens lengths %d vs %d", pointerGen, trial, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].tok != want[i].tok || got[i].p != want[i].p {
-					t.Fatalf("pointerGen=%t trial %d: topTokens[%d] fused = (%q, %v), naive = (%q, %v)",
-						pointerGen, trial, i, got[i].tok, got[i].p, want[i].tok, want[i].p)
-				}
+// randomLegalSet draws a mask over p's vocabulary: </s> on or off, an
+// ascending subset of the other ids (often empty), and out-of-vocabulary
+// copies legal everywhere, as numerals, or nowhere — sometimes admitting
+// nothing at all.
+func randomLegalSet(p *Parser, rng *rand.Rand) *grammar.LegalSet {
+	ls := &grammar.LegalSet{EOS: rng.Intn(2) == 0}
+	if rng.Intn(3) > 0 {
+		for id := EosID + 1; id < p.tgt.Size(); id++ {
+			if rng.Intn(3) == 0 {
+				ls.IDs = append(ls.IDs, int32(id))
 			}
 		}
+	}
+	switch rng.Intn(4) {
+	case 0:
+		ls.AllTokens = true
+	case 1:
+		ls.NumberOK = true
+	}
+	return ls
+}
+
+// naiveMaskedTop is naiveTopTokens filtered to ls: the unmasked ranking
+// keeps scan order among ties, and the masked scan order is the unmasked one
+// filtered, so filtering the ranked list and truncating is the masked top-k.
+// ok is false when ls admits no candidate.
+func naiveMaskedTop(p *Parser, ls *grammar.LegalSet, pv, alpha []float64, gate float64, words []string, k int) (top []scoredToken, ok bool) {
+	legalID := map[int]bool{}
+	for _, id := range ls.IDs {
+		legalID[int(id)] = true
+	}
+	for _, c := range naiveTopTokens(p, pv, alpha, gate, words, math.MaxInt) {
+		id, inVocab := p.tgt.lookup(c.tok)
+		switch {
+		case c.tok == EosToken && !ls.EOS, inVocab && c.tok != EosToken && !legalID[id], !inVocab && !ls.WordLegal(c.tok):
+			continue
+		}
+		top = append(top, c)
+	}
+	if len(top) > k {
+		top = top[:k]
+	}
+	return top, len(top) > 0
+}
+
+// TestFusedScorerMatchesNaive drives the candidate scan, unmasked and
+// masked, at k = 1..6 through randomized distributions (ties, duplicates,
+// OOV words, zero attention) and random masks (EOS on and off, empty IDs,
+// legal and illegal copy words, masks that admit nothing), and requires
+// byte-identical selections and bit-identical probabilities against the
+// pre-fusion reference scan: the argmax at k = 1, the stable sort otherwise,
+// filtered to the mask when one is given and unmasked when it admits
+// nothing.
+func TestFusedScorerMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var sc scoreScratch
+	fallbacks := 0
+	for _, pointerGen := range []bool{true, false} {
+		p := scorerParser(pointerGen)
+		for trial := 0; trial < 500; trial++ {
+			pv, alpha, gate, words := randomScorerCase(p, rng)
+			m := mixRow{pv: pv, alpha: alpha, gate: gate, words: words}
+			check := func(mode string, got, want []scoredToken) {
+				t.Helper()
+				if len(got) != len(want) {
+					t.Fatalf("pointerGen=%t trial %d %s: %d candidates, naive %d", pointerGen, trial, mode, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("pointerGen=%t trial %d %s: [%d] scan = (%q, %v), naive = (%q, %v)\nwords=%v gate=%v",
+							pointerGen, trial, mode, i, got[i].tok, got[i].p, want[i].tok, want[i].p, words, gate)
+					}
+				}
+			}
+
+			wantTok, wantP := naiveBestToken(p, pv, alpha, gate, words)
+			got, _ := p.scan(&sc, nil, m, 1)
+			check("argmax", got, []scoredToken{{wantTok, wantP}})
+
+			k := 1 + rng.Intn(6)
+			got, masked := p.scan(&sc, nil, m, k)
+			if masked {
+				t.Fatalf("pointerGen=%t trial %d: unmasked scan reports masked", pointerGen, trial)
+			}
+			check(fmt.Sprintf("unmasked k=%d", k), got, naiveTopTokens(p, pv, alpha, gate, words, k))
+
+			ls := randomLegalSet(p, rng)
+			want, wantMasked := naiveMaskedTop(p, ls, pv, alpha, gate, words, k)
+			if !wantMasked {
+				want = naiveTopTokens(p, pv, alpha, gate, words, k)
+				fallbacks++
+			}
+			got, masked = p.scan(&sc, ls, m, k)
+			if masked != wantMasked {
+				t.Fatalf("pointerGen=%t trial %d: masked = %t, want %t", pointerGen, trial, masked, wantMasked)
+			}
+			check(fmt.Sprintf("masked k=%d", k), got, want)
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("no mask admitted nothing: the fallback went untested")
 	}
 }
 
@@ -233,9 +303,10 @@ func BenchmarkPointerMixArgmax(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("S=%d/fused", S), func(b *testing.B) {
-			var ms mixScorer
+			var sc scoreScratch
+			m := mixRow{pv: pv, alpha: alpha, gate: gate, words: words}
 			for i := 0; i < b.N; i++ {
-				p.bestTokenScored(&ms, pv, alpha, gate, words)
+				p.scan(&sc, nil, m, 1)
 			}
 		})
 	}

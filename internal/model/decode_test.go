@@ -97,8 +97,10 @@ func TestConcurrentDecodeMatchesSequential(t *testing.T) {
 }
 
 // TestParseSteadyStateAllocs checks the pooled decode path allocates (near)
-// nothing once warm — the returned token slice is the only per-call
-// allocation.
+// nothing once warm — the answer and its token slice are the only per-call
+// allocations — greedy and at beam width 3, where hypotheses fork without
+// copying their prefixes: a short output and one that runs to MaxDecodeLen
+// (an untrained parser decoding unmasked) meet the same bound.
 func TestParseSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -109,6 +111,24 @@ func TestParseSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { p.Parse(src) })
 	if allocs > 4 {
 		t.Errorf("steady-state Parse allocates %.1f objects/op; want near-zero (result slice only)", allocs)
+	}
+
+	long := newGrammarParser(t, 21)
+	long.auto = nil
+	words := []string{"show", "me", "the", "latest", "news"}
+	if n := len(long.ParseBeam(words, 3)); n != long.cfg.maxDecodeLen() {
+		t.Fatalf("long case decodes %d tokens, want MaxDecodeLen %d", n, long.cfg.maxDecodeLen())
+	}
+	for _, c := range []struct {
+		name  string
+		p     *Parser
+		words []string
+	}{{"short", p, src}, {"MaxDecodeLen", long, words}} {
+		c.p.ParseBeam(c.words, 3)
+		allocs := testing.AllocsPerRun(100, func() { c.p.ParseBeam(c.words, 3) })
+		if allocs > 4 {
+			t.Errorf("steady-state ParseBeam width 3 (%s output) allocates %.1f objects/op; want at most 4 whatever the output length", c.name, allocs)
+		}
 	}
 }
 
@@ -128,24 +148,19 @@ func TestBeamLengthNormalization(t *testing.T) {
 	// Truncated: 1 token + </s> = 2 factors totalling -0.5 (avg -0.25).
 	// Full: len(gold)+1 factors totalling -1.2 (avg better than -0.25, but
 	// the raw sum is lower simply because there are more factors).
-	truncated := beamItem{tokens: gold[:1], logProb: -0.5, done: true}
-	full := beamItem{tokens: gold, logProb: -1.2, done: true}
-	beam := []beamItem{truncated, full}
+	var dc decodeCtx
+	truncated := historyHyp(&dc, gold[:1], -0.5, true)
+	full := historyHyp(&dc, gold, -1.2, true)
+	beam := []hyp{truncated, full}
 
 	// The pre-fix ranking — raw cumulative log-probability — picks the
 	// truncated program because every extra token lowers the sum.
-	rawBest := beam[0]
-	for _, it := range beam {
-		if it.logProb > rawBest.logProb {
-			rawBest = it
-		}
-	}
-	if joinTokens(rawBest.tokens) != joinTokens(truncated.tokens) {
+	if truncated.logProb <= full.logProb {
 		t.Fatal("test setup wrong: raw log-prob ranking should favor the truncated hypothesis")
 	}
 
 	// The fixed ranking normalizes by length and picks the full program.
-	best := bestHypothesis(beam)
+	best := dc.finish(beam)
 	if joinTokens(best.Tokens) != joinTokens(gold) {
 		t.Errorf("length-normalized selection picked %v, want the full greedy program %v", best.Tokens, gold)
 	}
@@ -162,8 +177,19 @@ func TestBeamLengthNormalization(t *testing.T) {
 	}
 }
 
+// historyHyp records toks in dc's token history and returns the hypothesis
+// that ends with them.
+func historyHyp(dc *decodeCtx, toks []string, logProb float64, done bool) hyp {
+	h := hyp{logProb: logProb, last: -1, done: done}
+	for _, tok := range toks {
+		dc.hist = append(dc.hist, histNode{tok: tok, parent: h.last})
+		h.last, h.n = len(dc.hist)-1, h.n+1
+	}
+	return h
+}
+
 func TestBeamScoreNormalization(t *testing.T) {
-	it := beamItem{tokens: []string{"a", "b", "c"}, logProb: -3.0}
+	it := historyHyp(&decodeCtx{}, []string{"a", "b", "c"}, -3.0, false)
 	if got := it.score(); math.Abs(got-(-1.0)) > 1e-12 {
 		t.Errorf("in-flight score = %v, want -1.0 (3 factors)", got)
 	}
@@ -171,7 +197,7 @@ func TestBeamScoreNormalization(t *testing.T) {
 	if got := it.score(); math.Abs(got-(-0.75)) > 1e-12 {
 		t.Errorf("done score = %v, want -0.75 (4 factors)", got)
 	}
-	empty := beamItem{}
+	empty := hyp{}
 	if got := empty.score(); got != 0 {
 		t.Errorf("empty hypothesis score = %v, want 0", got)
 	}

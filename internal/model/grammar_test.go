@@ -172,11 +172,11 @@ func TestMaskedDecodeAlwaysValid(t *testing.T) {
 	}
 }
 
-// TestMaskedUnmaskedParityScorer pins the argmax parity rule at the scorer
-// level: whenever the unmasked argmax is itself legal, maskedBest must pick
-// the same token with the same mixed probability. States are real corpus
-// program prefixes; distributions are random but peaked at the true next
-// token so the legal-hit case dominates.
+// TestMaskedUnmaskedParityScorer pins the argmax parity rule between the two
+// modes of the candidate scan: whenever the unmasked argmax is itself legal,
+// the masked scan must pick the same token with the same mixed probability.
+// States are real corpus program prefixes; distributions are random but
+// peaked at the true next token so the legal-hit case dominates.
 func TestMaskedUnmaskedParityScorer(t *testing.T) {
 	_, _, progs, _ := grammarFixture(t)
 	p := newGrammarParser(t, 42)
@@ -185,9 +185,8 @@ func TestMaskedUnmaskedParityScorer(t *testing.T) {
 	V := p.tgt.Size()
 	pv := make([]float64, V)
 	alpha := make([]float64, len(words))
-	var ms mixScorer
+	var sc scoreScratch
 	var ls grammar.LegalSet
-	var lc grammar.LegalCache
 	maxLen := p.cfg.maxDecodeLen()
 
 	legalHits := 0
@@ -225,7 +224,9 @@ func TestMaskedUnmaskedParityScorer(t *testing.T) {
 			gate := 0.5 + rng.Float64()/2
 			rem := maskedBudget(maxLen, ti)
 
-			unTok, unP := p.bestTokenScored(&ms, pv, alpha, gate, words)
+			m := mixRow{pv: pv, alpha: alpha, gate: gate, words: words}
+			un, _ := p.scan(&sc, nil, m, 1)
+			unTok, unP := un[0].tok, un[0].p
 			p.auto.Legal(gs, rem, &ls)
 			legal := false
 			if id, ok := p.tgt.lookup(unTok); ok {
@@ -235,11 +236,11 @@ func TestMaskedUnmaskedParityScorer(t *testing.T) {
 			}
 			if legal {
 				legalHits++
-				mTok, mP, ok := p.maskedBest(&ms, &ls, &lc, gs, rem, pv, alpha, gate, words)
+				top, ok := p.scan(&sc, &ls, m, 1)
 				if !ok {
-					t.Fatalf("prog %d step %d: maskedBest empty while %q legal", pi, ti, unTok)
+					t.Fatalf("prog %d step %d: masked scan empty while %q legal", pi, ti, unTok)
 				}
-				if mTok != unTok || mP != unP {
+				if mTok, mP := top[0].tok, top[0].p; mTok != unTok || mP != unP {
 					t.Fatalf("prog %d step %d: parity broken: unmasked (%q, %v) masked (%q, %v)",
 						pi, ti, unTok, unP, mTok, mP)
 				}
@@ -454,44 +455,38 @@ func TestParseBatchScoredMatchesSequential(t *testing.T) {
 	}
 }
 
-// BenchmarkMaskedDecode / BenchmarkUnmaskedDecode feed the CI
-// bench-masked-decode artifact: the per-decode cost of mask maintenance on
-// top of the fused scorer (same parser, same utterance, grammar on vs off).
+// BenchmarkMaskedDecode / BenchmarkUnmaskedDecode / BenchmarkBeamDecode
+// feed the CI bench-masked-decode artifact: the per-decode cost of mask
+// maintenance on top of the candidate scan (same parser, same utterance,
+// grammar on vs off), greedy and at beam width 4.
 func BenchmarkMaskedDecode(b *testing.B) {
-	p := newGrammarParser(b, 21)
-	words := []string{"show", "me", "the", "latest", "news"}
-	var toks int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		toks += len(p.Parse(words))
-	}
-	b.ReportMetric(float64(toks)/float64(b.N), "tokens/op")
-}
-
-// BenchmarkMaskedDecodeNoMemo is BenchmarkMaskedDecode with the per-context
-// Legal memo disabled: the before/after pair in the bench-masked-decode
-// artifact that isolates what memoization buys.
-func BenchmarkMaskedDecodeNoMemo(b *testing.B) {
-	legalMemoEnabled = false
-	defer func() { legalMemoEnabled = true }()
-	p := newGrammarParser(b, 21)
-	words := []string{"show", "me", "the", "latest", "news"}
-	var toks int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		toks += len(p.Parse(words))
-	}
-	b.ReportMetric(float64(toks)/float64(b.N), "tokens/op")
+	benchDecode(b, true, 1)
 }
 
 func BenchmarkUnmaskedDecode(b *testing.B) {
+	benchDecode(b, false, 1)
+}
+
+func BenchmarkBeamDecode(b *testing.B) {
+	for _, masked := range []bool{true, false} {
+		name := "unmasked"
+		if masked {
+			name = "masked"
+		}
+		b.Run(name, func(b *testing.B) { benchDecode(b, masked, 4) })
+	}
+}
+
+func benchDecode(b *testing.B, masked bool, width int) {
 	p := newGrammarParser(b, 21)
-	p.auto = nil
+	if !masked {
+		p.auto = nil
+	}
 	words := []string{"show", "me", "the", "latest", "news"}
 	var toks int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		toks += len(p.Parse(words))
+		toks += len(p.ParseBeam(words, width))
 	}
 	b.ReportMetric(float64(toks)/float64(b.N), "tokens/op")
 }

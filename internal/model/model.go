@@ -141,7 +141,7 @@ type Parser struct {
 }
 
 // grow returns a length-n slice backed by *buf, growing it as needed; the
-// training and decode loops use it to position tape-retained slices out of
+// training loops and the search use it to position tape-retained slices out of
 // one reusable backing per step.
 func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {

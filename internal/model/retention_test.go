@@ -56,17 +56,21 @@ func TestReleasedDecodeCtxRetainsNoTensors(t *testing.T) {
 
 // TestReleasedBatchDecodeCtxRetainsNoTensors covers the previous-program
 // encoder's buffers, and the request memory a context holds: the window's
-// sentences and contexts, and its rows' grammar states.
+// sentences and contexts, its hypotheses' grammar states, and the token
+// history (copied words among them).
 func TestReleasedBatchDecodeCtxRetainsNoTensors(t *testing.T) {
 	dc := acquireDecodeCtx()
 	fillBufs(dc.g, &dc.cbufs, 6)
 	words := grow(&dc.words, 4)
 	ctxs := grow(&dc.ctxs, 4)
-	gss := grow(&dc.gss, 4)
+	hyps := grow(&dc.hyps, 4)
+	cands := grow(&dc.cands, 4)
 	for i := range words {
-		words[i], ctxs[i], gss[i] = []string{"a"}, []string{"b"}, new(grammar.State)
+		words[i], ctxs[i] = []string{"a"}, []string{"b"}
+		hyps[i].gs, cands[i].gs = new(grammar.State), new(grammar.State)
+		dc.hist = append(dc.hist, histNode{tok: "c", parent: i - 1})
 	}
-	dc.words, dc.ctxs, dc.gss = words[:1], ctxs[:1], gss[:1]
+	dc.words, dc.ctxs, dc.hyps, dc.cands = words[:1], ctxs[:1], hyps[:1], cands[:1]
 	dc.release()
 
 	assertBufsCleared(t, "cbufs", &dc.cbufs)
@@ -75,7 +79,9 @@ func TestReleasedBatchDecodeCtxRetainsNoTensors(t *testing.T) {
 			t.Errorf("words/ctxs[%d] still pins a request's tokens after release", i)
 		}
 	}
-	assertCleared(t, "gss", dc.gss)
+	assertCleared(t, "hyps", dc.hyps)
+	assertCleared(t, "cands", dc.cands)
+	assertCleared(t, "hist", dc.hist)
 	if dc.g != nil {
 		t.Error("released decodeCtx still holds its graph")
 	}

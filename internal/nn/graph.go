@@ -110,9 +110,6 @@ func (g *Graph) Reset() {
 	}
 }
 
-// Ops returns the current tape length (diagnostics).
-func (g *Graph) Ops() int { return len(g.tape) }
-
 // backstep runs one op's backward pass. Each case accumulates input
 // gradients exactly as the closure-based tape used to, in the same order, so
 // the typed tape is a drop-in numeric replacement.

@@ -9,7 +9,6 @@ import (
 	"io/fs"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/durable"
 	"repro/internal/model"
@@ -44,16 +43,15 @@ func Key(lib *thingpedia.Library, extra ...string) string {
 // store is configured. Re-serving an unchanged Thingpedia library therefore
 // never retrains.
 //
-// Training failures are classified through durable.IsTransient: transient
-// failures (I/O pressure, disk full, timeouts) are retried with capped
-// exponential backoff on later GetOrTrain calls; deterministic failures stay
-// cached forever — the input is the problem, and any input change produces a
-// new key, which is the re-admission path.
+// Training failures are classified through durable.IsTransient: a transient
+// failure (I/O pressure, disk full, timeouts) is not memoised — the next
+// GetOrTrain call for the key trains again, and when to make that call is the
+// caller's retry clock (the fleet's per-skill backoff); deterministic failures
+// stay cached forever — the input is the problem, and any input change
+// produces a new key, which is the re-admission path.
 type Cache struct {
-	store     *durable.Store // nil = memory-only
-	logf      func(format string, args ...any)
-	retryBase time.Duration
-	retryMax  time.Duration
+	store *durable.Store // nil = memory-only
+	logf  func(format string, args ...any)
 
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -71,24 +69,18 @@ type cacheEntry struct {
 	err   error
 	disk  bool // resolved from a disk snapshot rather than training
 
-	// Transient-failure retry state, written inside once.Do (backoff is also
-	// seeded at construction from the entry being replaced) and read under
-	// Cache.mu after ready.
+	// transient marks a transient training failure, written inside once.Do
+	// and read under Cache.mu after ready: the next call replaces the entry.
 	transient bool
-	backoff   time.Duration
-	retryAt   time.Time
 }
 
 // CacheOptions configure a Cache beyond the snapshot directory.
 type CacheOptions struct {
 	// Store persists snapshots (nil keeps the cache memory-only).
 	Store *durable.Store
-	// Logf receives snapshot-corruption and retry events (nil discards).
+	// Logf receives snapshot-corruption and training-failure events (nil
+	// discards).
 	Logf func(format string, args ...any)
-	// RetryBase/RetryMax bound the transient-failure backoff
-	// (defaults 1s / 1m).
-	RetryBase time.Duration
-	RetryMax  time.Duration
 }
 
 // NewCache returns a cache; dir is the snapshot directory ("" keeps the
@@ -106,18 +98,10 @@ func NewCacheWith(o CacheOptions) *Cache {
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = time.Second
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = time.Minute
-	}
 	return &Cache{
-		store:     o.Store,
-		logf:      o.Logf,
-		retryBase: o.RetryBase,
-		retryMax:  o.RetryMax,
-		entries:   map[string]*cacheEntry{},
+		store:   o.Store,
+		logf:    o.Logf,
+		entries: map[string]*cacheEntry{},
 	}
 }
 
@@ -131,7 +115,7 @@ type CacheStats struct {
 	Trainings        uint64 // training runs started (cold misses + retries)
 	TrainFailures    uint64 // training runs that returned an error
 	DiskLoadFailures uint64 // snapshot keys whose disk load failed outright
-	TransientRetries uint64 // failed entries replaced for a backoff retry
+	TransientRetries uint64 // trainings started after a transient failure
 	Store            durable.Stats
 }
 
@@ -154,8 +138,8 @@ func (c *Cache) Stats() CacheStats {
 // or waiting on an in-flight training run. On a miss it invokes train —
 // once per key, no matter how many goroutines ask; concurrent callers for a
 // cold key share the run and all report a miss. A deterministic training
-// error is cached (a new key is the retry path); a transient one is retried
-// here once its backoff expires.
+// error is cached (a new key is the retry path); a transient one is returned
+// to the callers that shared the failed run and retried by the next call.
 func (c *Cache) GetOrTrain(key string, train func() (*model.Parser, error)) (*model.Parser, bool, error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -163,12 +147,10 @@ func (c *Cache) GetOrTrain(key string, train func() (*model.Parser, error)) (*mo
 	case !ok:
 		e = &cacheEntry{}
 		c.entries[key] = e
-	case e.ready.Load() && e.transient && time.Now().After(e.retryAt):
-		// The previous attempt failed transiently and its backoff has
-		// expired: replace the entry so this call re-runs training. The new
-		// entry inherits the backoff so repeated transient failures keep
-		// widening the interval.
-		e = &cacheEntry{backoff: e.backoff}
+	case e.ready.Load() && e.transient:
+		// The previous attempt failed transiently: replace the entry so this
+		// call re-runs training.
+		e = &cacheEntry{}
 		c.entries[key] = e
 		c.transientRetries.Add(1)
 		ok = false
@@ -187,12 +169,7 @@ func (c *Cache) GetOrTrain(key string, train func() (*model.Parser, error)) (*mo
 			c.trainFailures.Add(1)
 			if durable.IsTransient(e.err) {
 				e.transient = true
-				e.backoff = max(c.retryBase, 2*e.backoff)
-				if e.backoff > c.retryMax {
-					e.backoff = c.retryMax
-				}
-				e.retryAt = time.Now().Add(e.backoff)
-				c.logf("serve: training %s failed transiently (retry in %v): %v", key, e.backoff, e.err)
+				c.logf("serve: training %s failed transiently (retried on the next call): %v", key, e.err)
 			}
 			return
 		}

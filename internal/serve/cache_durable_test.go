@@ -9,18 +9,17 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/durable"
 	"repro/internal/model"
 )
 
-// TestCacheTransientErrorRetriesWithBackoff: a transient training failure
-// (disk full, I/O pressure) must not be cached forever — the next call after
-// the backoff expires retries, while calls inside the window get the cached
-// error without a retry storm.
-func TestCacheTransientErrorRetriesWithBackoff(t *testing.T) {
-	c := NewCacheWith(CacheOptions{RetryBase: 30 * time.Millisecond, RetryMax: time.Second})
+// TestCacheTransientErrorRetriedOnNextCall: a transient training failure
+// (disk full, I/O pressure) is not memoised — the cache keeps no retry clock
+// of its own, so every later call trains again until one succeeds, and the
+// recovered parser is then cached.
+func TestCacheTransientErrorRetriedOnNextCall(t *testing.T) {
+	c := NewCache("")
 	var calls atomic.Int64
 	fail := true
 	train := func() (*model.Parser, error) {
@@ -31,43 +30,31 @@ func TestCacheTransientErrorRetriesWithBackoff(t *testing.T) {
 		return model.Train(toyTrainPairs(), nil, nil, toyConfig(2)), nil
 	}
 
-	if _, _, err := c.GetOrTrain("k", train); err == nil {
-		t.Fatal("first call should fail")
-	}
-	// Inside the backoff window: cached error, no retry.
-	if _, _, err := c.GetOrTrain("k", train); err == nil {
-		t.Fatal("call inside backoff should return the cached error")
-	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("train ran %d times inside the backoff window, want 1", n)
+	for i := 1; i <= 2; i++ {
+		if _, _, err := c.GetOrTrain("k", train); err == nil {
+			t.Fatalf("call %d should fail", i)
+		}
+		if n := calls.Load(); n != int64(i) {
+			t.Fatalf("train ran %d times after %d calls, want every call to train", n, i)
+		}
 	}
 
 	fail = false
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		p, _, err := c.GetOrTrain("k", train)
-		if err == nil {
-			if p == nil {
-				t.Fatal("nil parser after successful retry")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("retry never ran after backoff: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	p, hit, err := c.GetOrTrain("k", train)
+	if err != nil || p == nil || hit {
+		t.Fatalf("call after the failures: p=%v hit=%v err=%v, want a fresh training", p, hit, err)
 	}
 	st := c.Stats()
-	if st.TransientRetries == 0 {
-		t.Errorf("stats = %+v, want TransientRetries > 0", st)
-	}
-	if st.Trainings != 2 || st.TrainFailures != 1 {
-		t.Errorf("stats = %+v, want 2 trainings / 1 failure", st)
+	if st.TransientRetries != 2 || st.Trainings != 3 || st.TrainFailures != 2 {
+		t.Errorf("stats = %+v, want 2 transient retries / 3 trainings / 2 failures", st)
 	}
 
 	// The recovered parser is now cached: further calls are hits.
 	if _, hit, err := c.GetOrTrain("k", train); err != nil || !hit {
 		t.Fatalf("post-recovery: hit=%v err=%v, want hit", hit, err)
+	}
+	if n := calls.Load(); n != 3 {
+		t.Fatalf("train ran %d times, want 3", n)
 	}
 }
 
@@ -75,7 +62,7 @@ func TestCacheTransientErrorRetriesWithBackoff(t *testing.T) {
 // failure taxonomy: a deterministic failure stays cached (the key embeds the
 // input checksum, so changed input = new key = re-admission).
 func TestCacheDeterministicErrorNotRetried(t *testing.T) {
-	c := NewCacheWith(CacheOptions{RetryBase: time.Millisecond})
+	c := NewCache("")
 	var calls atomic.Int64
 	train := func() (*model.Parser, error) {
 		calls.Add(1)
@@ -85,7 +72,6 @@ func TestCacheDeterministicErrorNotRetried(t *testing.T) {
 		if _, _, err := c.GetOrTrain("k", train); err == nil {
 			t.Fatal("want cached deterministic error")
 		}
-		time.Sleep(3 * time.Millisecond)
 	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("deterministic failure retrained %d times, want 1", n)

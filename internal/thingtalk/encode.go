@@ -271,9 +271,6 @@ func (e *encoder) value(v Value) {
 	e.emit(v.Tokens()...)
 }
 
-// EncodeString renders the program as a single string with canonical options.
-func EncodeString(p *Program) string { return strings.Join(p.Tokens(), " ") }
-
 // Tokens renders a predicate alone (used for deduplication keys and
 // diagnostics).
 func (p *Predicate) Tokens() []string {

@@ -3,7 +3,6 @@ package thingtalk
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // The lexer turns program text into the same token stream the encoder
@@ -76,31 +75,3 @@ func isTokenBreak(c byte) bool {
 // alone (preceded by whitespace) is punctuation; attached to an identifier it
 // belongs to the identifier. The implementation above achieves this because
 // the punctuation case only triggers at token start.
-
-// "=>" is the clause separator; relational operators are ==, >=, <=, >, <.
-var symbolTokens = map[string]bool{
-	"=>": true, "==": true, ">=": true, "<=": true, ">": true, "<": true,
-	"=": true, "+": true,
-}
-
-// IsSymbolToken reports whether tok is punctuation or an operator.
-func IsSymbolToken(tok string) bool {
-	if symbolTokens[tok] {
-		return true
-	}
-	switch tok {
-	case "(", ")", "{", "}", ",", ";", `"`:
-		return true
-	}
-	return false
-}
-
-// isIdentLike reports whether the token starts like an identifier, keyword
-// or selector.
-func isIdentLike(tok string) bool {
-	if tok == "" {
-		return false
-	}
-	r := rune(tok[0])
-	return r == '@' || r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) || r == '-' || r == '.'
-}

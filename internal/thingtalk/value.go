@@ -277,63 +277,3 @@ func (v Value) Tokens() []string {
 func formatNumber(n float64) string {
 	return strconv.FormatFloat(n, 'g', -1, 64)
 }
-
-// CompareKey returns a deterministic sort key for the value; canonicalization
-// uses it to order filter atoms and join operands.
-func (v Value) CompareKey() string {
-	return fmt.Sprintf("%02d:%s", v.Kind, v.String())
-}
-
-// TypeOf returns the most specific type derivable from the value alone
-// (without the declared parameter type). String-like declared types accept
-// VString; the typechecker handles that widening.
-func (v Value) TypeOf() Type {
-	switch v.Kind {
-	case VString:
-		return StringType{}
-	case VNumber:
-		return NumberType{}
-	case VBool:
-		return BoolType{}
-	case VMeasure:
-		if len(v.Measures) > 0 {
-			return MeasureType{Unit: BaseUnit(v.Measures[0].Unit)}
-		}
-		return MeasureType{}
-	case VEnum:
-		return EnumType{Values: []string{v.Name}}
-	case VDate:
-		return DateType{}
-	case VTime:
-		return TimeType{}
-	case VLocation:
-		return LocationType{}
-	case VPlaceholder:
-		kind, ok := PlaceholderKind(v.Name)
-		if !ok {
-			return StringType{}
-		}
-		switch kind {
-		case VNumber:
-			if strings.HasPrefix(v.Name, "CURRENCY") {
-				return CurrencyType{}
-			}
-			return NumberType{}
-		case VDate:
-			return DateType{}
-		case VTime:
-			return TimeType{}
-		case VLocation:
-			return LocationType{}
-		case VMeasure:
-			return MeasureType{Unit: "ms"}
-		}
-		return StringType{}
-	case VSlot:
-		if v.SlotType == nil {
-			return StringType{}
-		}
-		return v.SlotType
-	}
-	return StringType{}
-}
