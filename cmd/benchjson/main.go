@@ -31,10 +31,12 @@ import (
 	"strings"
 )
 
-// Result is one benchmark line: name, iteration count, and every reported
-// metric (ns/op, B/op, allocs/op plus custom ones like ns/example).
+// Result is one benchmark line: name, the GOMAXPROCS it ran at (the name's
+// -N suffix; 0 when there is none, as at -cpu 1), iteration count, and every
+// reported metric (ns/op, B/op, allocs/op plus custom ones like ns/example).
 type Result struct {
 	Name       string             `json:"name"`
+	Procs      int                `json:"procs,omitempty"`
 	Iterations int                `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
@@ -42,6 +44,7 @@ type Result struct {
 // Speedup relates two legs of one benchmark family on a shared metric.
 type Speedup struct {
 	Benchmark string  `json:"benchmark"`
+	Procs     int     `json:"procs,omitempty"`
 	Metric    string  `json:"metric"`
 	Base      string  `json:"base"`
 	Against   string  `json:"against"`
@@ -55,7 +58,7 @@ type File struct {
 	Speedups   []Speedup `json:"speedups,omitempty"`
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*)$`)
 
 // parse extracts benchmark results from go test -bench output.
 func parse(lines []string) []Result {
@@ -65,9 +68,10 @@ func parse(lines []string) []Result {
 		if m == nil {
 			continue
 		}
-		iters, _ := strconv.Atoi(m[2])
-		r := Result{Name: m[1], Iterations: iters, Metrics: map[string]float64{}}
-		fields := strings.Fields(m[3])
+		procs, _ := strconv.Atoi(m[2])
+		iters, _ := strconv.Atoi(m[3])
+		r := Result{Name: m[1], Procs: procs, Iterations: iters, Metrics: map[string]float64{}}
+		fields := strings.Fields(m[4])
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -89,13 +93,17 @@ var legPairs = [][2]string{
 	{"/sequential", "/batched"},
 }
 
-// speedups pairs legs of the same benchmark family and reports base/fast
-// ratios on the most specific shared per-item metric (ns/example or
-// ns/sentence when present, ns/op otherwise).
+// speedups pairs legs of the same benchmark family at the same GOMAXPROCS
+// and reports base/fast ratios on the most specific shared per-item metric
+// (ns/example or ns/sentence when present, ns/op otherwise).
 func speedups(results []Result) []Speedup {
-	byName := map[string]Result{}
+	type key struct {
+		name  string
+		procs int
+	}
+	byName := map[key]Result{}
 	for _, r := range results {
-		byName[r.Name] = r
+		byName[key{r.Name, r.Procs}] = r
 	}
 	metricOf := func(r Result) string {
 		for _, m := range []string{"ns/example", "ns/sentence"} {
@@ -111,7 +119,7 @@ func speedups(results []Result) []Speedup {
 			if !strings.HasSuffix(r.Name, lp[0]) {
 				continue
 			}
-			fast, ok := byName[strings.TrimSuffix(r.Name, lp[0])+lp[1]]
+			fast, ok := byName[key{strings.TrimSuffix(r.Name, lp[0]) + lp[1], r.Procs}]
 			if !ok {
 				continue
 			}
@@ -121,8 +129,11 @@ func speedups(results []Result) []Speedup {
 			if ok1 && ok2 && against > 0 {
 				out = append(out, Speedup{
 					Benchmark: strings.TrimPrefix(r.Name, "Benchmark"),
-					Metric:    m, Base: r.Name, Against: fast.Name,
-					Speedup: base / against,
+					Procs:     r.Procs,
+					Metric:    m,
+					Base:      r.Name,
+					Against:   fast.Name,
+					Speedup:   base / against,
 				})
 			}
 		}

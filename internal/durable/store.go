@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -271,16 +272,28 @@ func (s *Store) Load(key string, read func(r io.Reader) error) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if err := s.ensure(); err != nil {
+	for {
+		s.mu.Lock()
+		if err := s.ensure(); err != nil {
+			s.mu.Unlock()
+			return err
+		}
+		gens := append([]uint64(nil), s.gens[key]...)
 		s.mu.Unlock()
-		return err
+		if len(gens) == 0 {
+			return fmt.Errorf("%w (key %s)", ErrNotFound, key)
+		}
+		if done, err := s.loadNewest(key, gens, read); done {
+			return err
+		}
 	}
-	gens := append([]uint64(nil), s.gens[key]...)
-	s.mu.Unlock()
-	if len(gens) == 0 {
-		return fmt.Errorf("%w (key %s)", ErrNotFound, key)
-	}
+}
+
+// loadNewest loads the newest of gens that verifies, quarantining the ones
+// above it that do not. It is not done when a generation it tried has been
+// pruned by a concurrent Save since gens was listed — newer ones exist, so
+// Load lists them again instead of counting a vanished file as a failure.
+func (s *Store) loadNewest(key string, gens []uint64, read func(r io.Reader) error) (done bool, err error) {
 	var firstErr error
 	for i := len(gens) - 1; i >= 0; i-- {
 		gen := gens[i]
@@ -295,14 +308,25 @@ func (s *Store) Load(key string, read func(r io.Reader) error) error {
 			if i < len(gens)-1 {
 				s.logf("durable: %s: rolled back to generation %d (newest failed verification)", key, gen)
 			}
-			return nil
+			return true, nil
+		}
+		if errors.Is(err, fs.ErrNotExist) && s.pruned(key, gen) {
+			return false, nil
 		}
 		if firstErr == nil {
 			firstErr = err
 		}
 		s.quarantine(key, gen, err)
 	}
-	return fmt.Errorf("durable: %s: every generation failed verification: %w", key, firstErr)
+	return true, fmt.Errorf("durable: %s: every generation failed verification: %w", key, firstErr)
+}
+
+// pruned reports whether a Save has moved the keep window of key past gen.
+func (s *Store) pruned(key string, gen uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	gens := s.gens[key]
+	return len(gens) > 0 && gens[0] > gen
 }
 
 // loadGeneration verifies and decodes one generation file.

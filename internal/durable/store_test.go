@@ -285,6 +285,41 @@ func TestStoreConcurrentSaveLoad(t *testing.T) {
 	wg.Wait()
 }
 
+// pruneOnOpen runs before, once, before the next file it opens.
+type pruneOnOpen struct {
+	OSFS
+	before func()
+}
+
+func (p *pruneOnOpen) Open(name string) (File, error) {
+	if f := p.before; f != nil {
+		p.before = nil
+		f()
+	}
+	return p.OSFS.Open(name)
+}
+
+// TestStoreLoadAfterConcurrentPrune: Saves that prune every generation a Load
+// has listed, between its listing and its open, send it back to the list —
+// it returns the newest value — and quarantine nothing.
+func TestStoreLoadAfterConcurrentPrune(t *testing.T) {
+	fsys := &pruneOnOpen{}
+	s := Open(t.TempDir(), Options{FS: fsys})
+	saveString(t, s, "k", "old")
+	fsys.before = func() {
+		for i := 0; i < keepGenerations; i++ {
+			saveString(t, s, "k", fmt.Sprint("new ", i))
+		}
+	}
+	got, err := loadString(s, "k")
+	if want := fmt.Sprint("new ", keepGenerations-1); err != nil || got != want {
+		t.Fatalf("Load = %q, %v; want %q", got, err, want)
+	}
+	if st := s.Stats(); st.Quarantined != 0 || st.LoadFailures != 0 {
+		t.Errorf("stats %+v: a pruned generation counted as a failure", st)
+	}
+}
+
 func TestKeyStore(t *testing.T) {
 	s := Open(t.TempDir(), Options{})
 	k := s.Key("ckpt")

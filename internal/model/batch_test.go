@@ -137,6 +137,45 @@ func TestStepBatchDigest(t *testing.T) {
 	}
 }
 
+// TestConcurrentTrainersStepBatch: two Trainers on different parsers
+// stepping B=16 batches at the same time — the fleet's TrainWorkers: 2, the
+// experiment workers — compete for the helper cores of their split ops; each
+// still lands on the weights it reaches alone.
+func TestConcurrentTrainersStepBatch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	var pool []Pair
+	for len(pool) < 19 {
+		pool = append(pool, variedPairs()...)
+	}
+	train := func(seed int64) string {
+		cfg := Config{EmbedDim: 32, HiddenDim: 48, LR: 1e-2, Dropout: 0.1, Epochs: 1,
+			EvalEvery: 1 << 30, PointerGen: true, MaxDecodeLen: 16, MinVocabCount: 1, Seed: seed}
+		tr := NewTrainer(pool, nil, cfg)
+		for s := 0; s < 12; s++ {
+			size := [...]int{16, 7, 13}[s%3]
+			lo := s % (len(pool) - size + 1)
+			tr.StepBatch(pool[lo : lo+size])
+		}
+		return weightDigest(tr.Parser())
+	}
+	alone := [2]string{train(21), train(22)}
+	var together [2]string
+	var wg sync.WaitGroup
+	for i := range together {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i] = train(int64(21 + i))
+		}()
+	}
+	wg.Wait()
+	for i := range alone {
+		if together[i] != alone[i] {
+			t.Errorf("trainer %d: weight digest %s beside another trainer, %s alone", i, together[i], alone[i])
+		}
+	}
+}
+
 // TestStepBatchSteadyStateAllocs: the minibatch step keeps the arena
 // property — once buffers are warm it stays within a small fixed budget — on
 // a multi-core host and at the width and dimensions training runs at (B=16,

@@ -23,9 +23,12 @@ package nn
 //     Reset; never retain them across steps.
 //   - Parameters (weights the optimizer updates) must stay heap-owned — an
 //     arena must never hand out a tensor that outlives a Reset.
-//   - An Arena is not safe for concurrent use; give each training goroutine
-//     its own (the parallel experiment harness trains one model per job, so
-//     each model.Train call owns one arena).
+//   - Only the goroutine that owns an Arena carves from it; give each
+//     training goroutine its own (the parallel experiment harness trains one
+//     model per job, so each model.Train call owns one arena). The helpers
+//     of a split op (team.go) write disjoint rows of tensors the owner has
+//     carved; the outputs of a split op are carved uncleared (Graph.newRows)
+//     and each part clears its own rows, on the core that then writes them.
 //
 //genielint:arena-source
 type Arena struct {
@@ -50,10 +53,14 @@ const (
 func NewArena() *Arena { return &Arena{} }
 
 // Get returns a zeroed rows×cols tensor.
-func (a *Arena) Get(rows, cols int) *Tensor {
+func (a *Arena) Get(rows, cols int) *Tensor { return a.get(rows, cols, true) }
+
+// get returns a rows×cols tensor, zeroed if zero is set: otherwise its W and
+// DW may hold an earlier step's values, and the caller must clear them.
+func (a *Arena) get(rows, cols int, zero bool) *Tensor {
 	n := rows * cols
 	w := (n + 7) &^ 7 // W and DW each start on a cache line
-	buf := a.carve(2 * w)
+	buf := a.carve(2*w, zero)
 	if a.si == arenaStructChunk {
 		a.ci, a.si = a.ci+1, 0
 	}
@@ -69,7 +76,7 @@ func (a *Arena) Get(rows, cols int) *Tensor {
 
 // carve bumps need zeroed floats off the current slab, moving on to the next
 // slab that holds them, and appending one when the retained slabs run out.
-func (a *Arena) carve(need int) []float64 {
+func (a *Arena) carve(need int, zero bool) []float64 {
 	for a.cur < len(a.slabs) && a.fi+need > len(a.slabs[a.cur]) {
 		a.dirty[a.cur] = max(a.dirty[a.cur], a.fi)
 		a.cur, a.fi = a.cur+1, 0
@@ -85,7 +92,7 @@ func (a *Arena) carve(need int) []float64 {
 	}
 	end := a.fi + need
 	buf := a.slabs[a.cur][a.fi:end:end]
-	if d := a.dirty[a.cur]; a.fi < d {
+	if d := a.dirty[a.cur]; zero && a.fi < d {
 		clear(buf[:min(need, d-a.fi)])
 	}
 	a.fi = end

@@ -13,9 +13,11 @@ import "math"
 // the single-row backward uses one; the kernel parity tests bound that within
 // ~1 ulp.
 //
-// Everything runs on the calling goroutine: a training step forks nothing
-// and, on a warm arena, allocates nothing. Parallelism lives above the step
-// (experiment workers, serving workers), where the units are independent.
+// On a gradient-recording graph the row-wise kernels over two or more rows
+// split their rows (and the backward product its weight-gradient rows) into
+// two parts, the upper one offered to a helper core (team.go); everywhere
+// else they run on the calling goroutine. Either way, on a warm arena,
+// nothing is allocated.
 
 // nllEps keeps the pointer-mixture log finite when p is 0.
 const nllEps = 1e-9
@@ -26,8 +28,8 @@ func (g *Graph) BatchedAffine(x, w, b *Tensor) *Tensor {
 	if x.Cols != w.Rows || b.Cols != w.Cols || b.Rows != 1 {
 		panic("nn: BatchedAffine shape mismatch")
 	}
-	out := g.NewTensor(x.Rows, w.Cols)
-	matMulRows(x.W, x.Rows, x.Cols, w.W, w.Cols, out.W, nil)
+	out := g.newRows(x.Rows, w.Cols)
+	g.matMul(x.W, x.Rows, x.Cols, w.W, w.Cols, out)
 	n := w.Cols
 	for i := 0; i < x.Rows; i++ {
 		orow := out.W[i*n : (i+1)*n]
@@ -42,7 +44,7 @@ func (g *Graph) BatchedAffine(x, w, b *Tensor) *Tensor {
 // AffineRow is BatchedAffine for one row x (1×in).
 func (g *Graph) AffineRow(x, w, b *Tensor) *Tensor { return g.BatchedAffine(x, w, b) }
 
-func backAffineBatch(x, w, b, out *Tensor) {
+func (g *Graph) backAffineBatch(x, w, b, out *Tensor) {
 	n := w.Cols
 	// Bias: broadcast backward, batch rows in ascending order.
 	for i := 0; i < x.Rows; i++ {
@@ -51,7 +53,95 @@ func backAffineBatch(x, w, b, out *Tensor) {
 			b.DW[j] += d
 		}
 	}
-	backMatMulRows(x.W, x.DW, x.Rows, x.Cols, w.W, w.DW, n, out.DW, nil)
+	g.backMatMul(x.W, x.DW, x.Rows, x.Cols, w.W, w.DW, n, out.DW, nil)
+}
+
+// matMul is matMulRows over every row of a into out (made by newRows),
+// split by rows.
+func (g *Graph) matMul(a []float64, rows, cols int, w []float64, p int, out *Tensor) {
+	if !g.splits(rows) {
+		matMulRows(a, 0, rows, cols, w, p, out.W, nil)
+		return
+	}
+	g.j = job{run: matMulJob, a: a, in: cols, w: w, n: p, out: out}
+	g.j.cutActive(rows, nil, (rows+1)/2)
+	g.fork(&g.j)
+}
+
+func matMulJob(j *job, from, to int) {
+	lo, hi := j.rcut[from], j.rcut[to]
+	zeroRows(j.out, lo, hi)
+	matMulRows(j.a, lo, hi, j.in, j.w, j.n, j.out.W, nil)
+}
+
+// backMatMul is backMatMulRows, split: the input gradient by active-row
+// pairs, the weight gradient by its rows, cut so the two parts hold about
+// the same number of multiply-adds (a lone row's gradX costs a pair's).
+func (g *Graph) backMatMul(a, ad []float64, rows, in int, w, wd []float64, n int, dOut []float64, active []bool) {
+	if !g.splits(rows) {
+		backMatMulRows(a, ad, rows, in, w, wd, n, dOut, active)
+		return
+	}
+	c := countActive(rows, active)
+	if c == 0 {
+		return
+	}
+	g.j = job{run: backMatMulJob, a: a, ad: ad, in: in, w: w, wd: wd, n: n, dOut: dOut, active: active}
+	lo := 2 * ((c + 1) / 4) // active rows of the lower part: whole pairs
+	g.j.cutActive(rows, active, lo)
+	xlo, xhi := lo, 2*((c-lo+1)/2)
+	g.j.kcut = [3]int{0, min(in, in*(c+xhi-xlo)/(2*c)), in}
+	g.fork(&g.j)
+}
+
+func backMatMulJob(j *job, from, to int) {
+	backMatMulPart(j.a, j.ad, j.rcut[2], j.in, j.w, j.wd, j.n, j.dOut, j.active,
+		j.rcut[from], j.rcut[to], j.kcut[from], j.kcut[to])
+}
+
+// countActive is the number of rows of a rows-long mask that are active (nil
+// = all).
+func countActive(rows int, active []bool) int {
+	if active == nil {
+		return rows
+	}
+	c := 0
+	for _, on := range active[:rows] {
+		if on {
+			c++
+		}
+	}
+	return c
+}
+
+// cutActive cuts rows [0, rows) after the lo-th active row (nil = all rows
+// active).
+func (j *job) cutActive(rows int, active []bool, lo int) {
+	mid := lo
+	if active != nil {
+		mid = 0
+		for seen := 0; seen < lo; mid++ {
+			if active[mid] {
+				seen++
+			}
+		}
+	}
+	j.rcut = [3]int{0, mid, rows}
+}
+
+// cutWeighted cuts rows [0, len(weight)) where the lower part's weight
+// first reaches half the total.
+func (j *job) cutWeighted(weight []int) {
+	total := 0
+	for _, w := range weight {
+		total += w
+	}
+	mid, acc := 0, 0
+	for mid < len(weight) && 2*acc < total {
+		acc += weight[mid]
+		mid++
+	}
+	j.rcut = [3]int{0, mid, len(weight)}
 }
 
 // lstmCellRow is the activation and state-update stage of one LSTM row, given
@@ -78,12 +168,13 @@ func lstmCellRow(cell *LSTMCell, pre, preH, c, acts, tc, hNext, cNext []float64)
 }
 
 // lstmBatchRows runs the activation and state-update stage of the batched
-// LSTM step, after pre has been filled with x·Wx (pre.W) and h·Wh (pre.DW):
-// lstmCellRow on every active row. Inactive rows copy their state through.
-func lstmBatchRows(cell *LSTMCell, h, c, pre, acts, tc, hNext, cNext *Tensor, active []bool) {
+// LSTM step over rows [lo, hi), after pre has been filled with x·Wx (pre.W)
+// and h·Wh (pre.DW): lstmCellRow on every active row. Inactive rows copy
+// their state through.
+func lstmBatchRows(cell *LSTMCell, h, c, pre, acts, tc, hNext, cNext *Tensor, active []bool, lo, hi int) {
 	H := cell.Hidden
 	n := 4 * H
-	for bi := 0; bi < h.Rows; bi++ {
+	for bi := lo; bi < hi; bi++ {
 		o, s := bi*n, bi*H
 		if active != nil && !active[bi] {
 			copy(hNext.W[s:s+H], h.W[s:s+H])
@@ -117,26 +208,49 @@ func (g *Graph) lstmStepBatch(cell *LSTMCell, x, h, c *Tensor, active []bool) (h
 	}
 	// pre.W accumulates x·Wx; pre.DW doubles as scratch for h·Wh during the
 	// forward pass (this op's backward never reads pre).
-	pre := g.NewTensor(B, n)
-	matMulRows(x.W, B, x.Cols, cell.Wx.W, n, pre.W, active)
-	matMulRows(h.W, B, H, cell.Wh.W, n, pre.DW, active)
+	pre := g.newRows(B, n)
 	// acts stashes the activated gates [i|f|o|cand] for backward; its DW is
 	// backward's pre-activation-gradient scratch.
-	acts := g.NewTensor(B, n)
-	tc := g.NewTensor(B, H)
-	hNext = g.NewTensor(B, H)
-	cNext = g.NewTensor(B, H)
-	lstmBatchRows(cell, h, c, pre, acts, tc, hNext, cNext, active)
-	g.push(tapeOp{kind: opLSTMStepBatch, cell: cell, a: x, b: h, c: c,
-		out: hNext, out2: cNext, aux: acts, aux2: tc, mask: active})
+	acts := g.newRows(B, n)
+	tc := g.newRows(B, H)
+	hNext = g.newRows(B, H)
+	cNext = g.newRows(B, H)
+	op := tapeOp{kind: opLSTMStepBatch, cell: cell, a: x, b: h, c: c,
+		out: hNext, out2: cNext, aux: acts, aux2: tc, mask: active}
+	if g.splits(B) {
+		g.j = job{run: lstmStepJob, o: g.record(op), pre: pre}
+		g.j.cutActive(B, active, (countActive(B, active)+1)/2)
+		g.fork(&g.j)
+		return hNext, cNext
+	}
+	lstmStepRows(&op, pre, 0, B)
+	g.push(op)
 	return hNext, cNext
 }
 
-// lstmBatchGateGrads computes the pre-activation gate gradients into
-// acts.DW; inactive rows pass their state gradients straight through and
-// leave a zero gradient row so the weight and bias passes see no contribution
-// from them.
-func lstmBatchGateGrads(o *tapeOp) {
+func lstmStepJob(j *job, from, to int) {
+	o, lo, hi := j.o, j.rcut[from], j.rcut[to]
+	for _, t := range [...]*Tensor{j.pre, o.aux, o.aux2, o.out, o.out2} {
+		zeroRows(t, lo, hi)
+	}
+	lstmStepRows(o, j.pre, lo, hi)
+}
+
+// lstmStepRows is the forward LSTM step over rows [lo, hi): both products of
+// each row, then its cell.
+func lstmStepRows(o *tapeOp, pre *Tensor, lo, hi int) {
+	cell, x, h := o.cell, o.a, o.b
+	n := 4 * cell.Hidden
+	matMulRows(x.W, lo, hi, x.Cols, cell.Wx.W, n, pre.W, o.mask)
+	matMulRows(h.W, lo, hi, h.Cols, cell.Wh.W, n, pre.DW, o.mask)
+	lstmBatchRows(cell, h, o.c, pre, o.aux, o.aux2, o.out, o.out2, o.mask, lo, hi)
+}
+
+// lstmBatchGateGrads computes the pre-activation gate gradients of rows
+// [lo, hi) into acts.DW; inactive rows pass their state gradients straight
+// through and leave a zero gradient row so the weight and bias passes see no
+// contribution from them.
+func lstmBatchGateGrads(o *tapeOp, lo, hi int) {
 	cell := o.cell
 	h, cPrev := o.b, o.c
 	hNext, cNext := o.out, o.out2
@@ -145,7 +259,7 @@ func lstmBatchGateGrads(o *tapeOp) {
 	H := cell.Hidden
 	n := 4 * H
 	dG := acts.DW
-	for bi := 0; bi < h.Rows; bi++ {
+	for bi := lo; bi < hi; bi++ {
 		o4 := bi * n
 		s := bi * H
 		if active != nil && !active[bi] {
@@ -181,21 +295,29 @@ func lstmBatchGateGrads(o *tapeOp) {
 	}
 }
 
-func backLSTMStepBatch(o *tapeOp) {
+func gateGradsJob(j *job, from, to int) { lstmBatchGateGrads(j.o, j.rcut[from], j.rcut[to]) }
+
+func (g *Graph) backLSTMStepBatch(o *tapeOp) {
 	cell := o.cell
 	x, h := o.a, o.b
 	B := x.Rows
 	n := 4 * cell.Hidden
 	dG := o.aux.DW
-	lstmBatchGateGrads(o)
+	if g.splits(B) {
+		g.j = job{run: gateGradsJob, o: o}
+		g.j.cutActive(B, o.mask, (countActive(B, o.mask)+1)/2)
+		g.fork(&g.j)
+	} else {
+		lstmBatchGateGrads(o, 0, B)
+	}
 	for bi := 0; bi < B; bi++ {
 		o4 := bi * n
 		for j := 0; j < n; j++ {
 			cell.B.DW[j] += dG[o4+j]
 		}
 	}
-	backMatMulRows(h.W, h.DW, B, h.Cols, cell.Wh.W, cell.Wh.DW, n, dG, o.mask)
-	backMatMulRows(x.W, x.DW, B, x.Cols, cell.Wx.W, cell.Wx.DW, n, dG, o.mask)
+	g.backMatMul(h.W, h.DW, B, h.Cols, cell.Wh.W, cell.Wh.DW, n, dG, o.mask)
+	g.backMatMul(x.W, x.DW, B, x.Cols, cell.Wx.W, cell.Wx.DW, n, dG, o.mask)
 }
 
 // AttendSoftmaxContextBatch is the batched attention kernel: it fuses
@@ -226,22 +348,44 @@ func (g *Graph) AttendSoftmaxContextBatch(q, H *Tensor, blocks, lens []int) (alp
 	}
 	S := H.Rows / M
 	// sc.W holds the raw scores; sc.DW is backward's score-gradient scratch.
-	sc := g.NewTensor(R, S)
-	alpha = g.NewTensor(R, S)
-	ctx = g.NewTensor(R, d)
-	for r := 0; r < R; r++ {
+	sc := g.newRows(R, S)
+	alpha = g.newRows(R, S)
+	ctx = g.newRows(R, d)
+	op := tapeOp{kind: opAttendBatch, a: q, b: H, out: ctx, aux: alpha, aux2: sc, ints: lens}
+	if g.splits(R) {
+		g.j = job{run: attendJob, o: g.record(op)}
+		g.j.cutWeighted(lens)
+		g.fork(&g.j)
+		return alpha, ctx
+	}
+	attendRows(&op, blocks, 0, R)
+	g.push(op)
+	return alpha, ctx
+}
+
+func attendJob(j *job, from, to int) {
+	o, lo, hi := j.o, j.rcut[from], j.rcut[to]
+	for _, t := range [...]*Tensor{o.aux2, o.aux, o.out} {
+		zeroRows(t, lo, hi)
+	}
+	attendRows(o, nil, lo, hi)
+}
+
+// attendRows is the attention forward over query rows [lo, hi).
+func attendRows(o *tapeOp, blocks []int, lo, hi int) {
+	q, H, ctx, alpha, sc := o.a, o.b, o.out, o.aux, o.aux2
+	d, S := q.Cols, alpha.Cols
+	for r := lo; r < hi; r++ {
 		m := r
 		if blocks != nil {
 			m = blocks[r]
 		}
-		L := lens[m]
+		L := o.ints[m]
 		mem := H.W[m*S*d : (m*S+L)*d]
 		attendDotInto(q.W[r*d:(r+1)*d], mem, L, sc.W[r*S:r*S+L])
 		softmaxInto(sc.W[r*S:r*S+L], alpha.W[r*S:r*S+L])
 		matvec(ctx.W[r*d:(r+1)*d], alpha.W[r*S:r*S+L], mem)
 	}
-	g.push(tapeOp{kind: opAttendBatch, a: q, b: H, out: ctx, aux: alpha, aux2: sc, ints: lens})
-	return alpha, ctx
 }
 
 // AttendSoftmaxContext is AttendSoftmaxContextBatch for one query row q (1×d)
@@ -250,14 +394,29 @@ func (g *Graph) AttendSoftmaxContext(q, H *Tensor) (alpha, ctx *Tensor) {
 	return g.AttendSoftmaxContextBatch(q, H, nil, []int{H.Rows})
 }
 
-// backAttendBatch runs the attention backward row by row. The record-time
-// identity block layout means row r owns memory rows [r*S, r*S+lens[r]).
-func backAttendBatch(o *tapeOp) {
+// backAttendBatch runs the attention backward row by row, split by rows. The
+// record-time identity block layout means row r owns memory rows
+// [r*S, r*S+lens[r]), so the parts write disjoint memory gradients.
+func (g *Graph) backAttendBatch(o *tapeOp) {
+	if !g.splits(len(o.ints)) {
+		backAttendRows(o, 0, len(o.ints))
+		return
+	}
+	g.j = job{run: backAttendJob, o: o}
+	g.j.cutWeighted(o.ints)
+	g.fork(&g.j)
+}
+
+func backAttendJob(j *job, from, to int) { backAttendRows(j.o, j.rcut[from], j.rcut[to]) }
+
+// backAttendRows is the attention backward over query rows [lo, hi).
+func backAttendRows(o *tapeOp, lo, hi int) {
 	q, H := o.a, o.b
 	ctx, alpha, sc := o.out, o.aux, o.aux2
 	d := q.Cols
 	S := alpha.Cols
-	for r, L := range o.ints {
+	for r := lo; r < hi; r++ {
+		L := o.ints[r]
 		aW := alpha.W[r*S : r*S+L]
 		aDW := alpha.DW[r*S : r*S+L]
 		scDW := sc.DW[r*S : r*S+L]
@@ -274,13 +433,31 @@ func backAttendBatch(o *tapeOp) {
 
 // SoftmaxRows applies SoftmaxRow to every row of a B×n tensor.
 func (g *Graph) SoftmaxRows(a *Tensor) *Tensor {
-	out := g.NewTensor(a.Rows, a.Cols)
+	out := g.newRows(a.Rows, a.Cols)
+	op := tapeOp{kind: opSoftmaxRows, a: a, out: out}
+	if g.splits(a.Rows) {
+		g.j = job{run: softmaxRowsJob, o: g.record(op)}
+		g.j.cutActive(a.Rows, nil, (a.Rows+1)/2)
+		g.fork(&g.j)
+		return out
+	}
+	softmaxRows(a, out, 0, a.Rows)
+	g.push(op)
+	return out
+}
+
+func softmaxRowsJob(j *job, from, to int) {
+	lo, hi := j.rcut[from], j.rcut[to]
+	zeroRows(j.o.out, lo, hi)
+	softmaxRows(j.o.a, j.o.out, lo, hi)
+}
+
+// softmaxRows writes the softmax of rows [lo, hi) of a into out.
+func softmaxRows(a, out *Tensor, lo, hi int) {
 	n := a.Cols
-	for r := 0; r < a.Rows; r++ {
+	for r := lo; r < hi; r++ {
 		softmaxInto(a.W[r*n:(r+1)*n], out.W[r*n:(r+1)*n])
 	}
-	g.push(tapeOp{kind: opSoftmaxRows, a: a, out: out})
-	return out
 }
 
 func backSoftmaxRows(a, out *Tensor) {

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -476,7 +477,12 @@ func TestBatchedKernelsAssemblyMatchesPureGo(t *testing.T) {
 }
 
 // TestBatchedKernelsArenaSteadyState asserts a warm batched
-// forward/backward/reset cycle allocates nothing, at B rows as at one.
+// forward/backward/reset cycle allocates nothing, at B rows as at one; and at
+// GOMAXPROCS 4, where its ops are split and the helpers run their upper
+// parts, that it allocates less than once per cycle (testing.AllocsPerRun
+// pins GOMAXPROCS to 1, so the mallocs are counted there, and they include
+// the scheduler's own: a thread or a wait record now and then as helpers
+// park and wake).
 func TestBatchedKernelsArenaSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -503,5 +509,24 @@ func TestBatchedKernelsArenaSteadyState(t *testing.T) {
 	step() // warm the arena and tape
 	if n := testing.AllocsPerRun(20, step); n > 0 {
 		t.Errorf("steady-state batched step allocates: %v allocs/run", n)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for i := 0; i < 50; i++ {
+		step() // the helpers start, the runtime's caches warm
+	}
+	const runs = 20
+	posted := helpers.posted.Load()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	if helpers.posted.Load() == posted {
+		t.Error("no op was split at GOMAXPROCS 4")
+	}
+	if n := after.Mallocs - before.Mallocs; n >= runs {
+		t.Errorf("steady-state batched step at GOMAXPROCS 4 allocates: %d allocs in %d runs", n, runs)
 	}
 }

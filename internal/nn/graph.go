@@ -1,5 +1,7 @@
 package nn
 
+import "runtime"
+
 // opKind identifies one autograd operation on the typed tape.
 type opKind uint8
 
@@ -63,17 +65,23 @@ type Graph struct {
 	NeedsGrad bool
 	arena     *Arena
 	tape      []tapeOp
+	j         job // the op being split (team.go)
+	procs     int // with NeedsGrad: GOMAXPROCS when the graph was made or last Reset
 }
 
 // NewGraph returns a tape that records gradients; intermediates are
 // heap-allocated (no arena).
-func NewGraph(needsGrad bool) *Graph { return &Graph{NeedsGrad: needsGrad} }
+func NewGraph(needsGrad bool) *Graph { return NewGraphArena(needsGrad, nil) }
 
 // NewGraphArena returns a tape whose intermediate tensors are drawn from
 // arena. Call Reset between steps to recycle them; tensors obtained from the
 // graph are invalid after Reset. Parameters stay heap-owned by the caller.
 func NewGraphArena(needsGrad bool, arena *Arena) *Graph {
-	return &Graph{NeedsGrad: needsGrad, arena: arena}
+	g := &Graph{NeedsGrad: needsGrad, arena: arena}
+	if needsGrad {
+		g.procs = runtime.GOMAXPROCS(0)
+	}
+	return g
 }
 
 // NewTensor allocates an intermediate tensor owned by this graph: from the
@@ -85,10 +93,33 @@ func (g *Graph) NewTensor(rows, cols int) *Tensor {
 	return NewTensor(rows, cols)
 }
 
+// newRows is NewTensor for the output of an op over rows rows that the
+// graph splits: its W and DW are not cleared here but by the op's parts,
+// each on its own rows (zeroRows), on the core that then writes them.
+func (g *Graph) newRows(rows, cols int) *Tensor {
+	if g.arena == nil || !g.splits(rows) {
+		return g.NewTensor(rows, cols)
+	}
+	return g.arena.get(rows, cols, false)
+}
+
+// zeroRows clears rows [lo, hi) of t's W and DW.
+func zeroRows(t *Tensor, lo, hi int) {
+	clear(t.W[lo*t.Cols : hi*t.Cols])
+	clear(t.DW[lo*t.Cols : hi*t.Cols])
+}
+
 func (g *Graph) push(o tapeOp) {
 	if g.NeedsGrad {
 		g.tape = append(g.tape, o)
 	}
+}
+
+// record pushes o on a graph that records gradients and returns the tape's
+// copy, valid until the next push.
+func (g *Graph) record(o tapeOp) *tapeOp {
+	g.tape = append(g.tape, o)
+	return &g.tape[len(g.tape)-1]
 }
 
 // Backward runs the tape in reverse order and truncates it (keeping
@@ -105,6 +136,9 @@ func (g *Graph) Backward() {
 // previously returned by graph ops or NewTensor must not be used afterwards.
 func (g *Graph) Reset() {
 	g.tape = g.tape[:0]
+	if g.NeedsGrad {
+		g.procs = runtime.GOMAXPROCS(0)
+	}
 	if g.arena != nil {
 		g.arena.Reset()
 	}
@@ -157,11 +191,11 @@ func (g *Graph) backstep(o *tapeOp) {
 			a.DW[o.idx+i] += out.DW[i]
 		}
 	case opAffineBatch:
-		backAffineBatch(o.a, o.b, o.c, o.out)
+		g.backAffineBatch(o.a, o.b, o.c, o.out)
 	case opLSTMStepBatch:
-		backLSTMStepBatch(o)
+		g.backLSTMStepBatch(o)
 	case opAttendBatch:
-		backAttendBatch(o)
+		g.backAttendBatch(o)
 	case opSoftmaxRows:
 		backSoftmaxRows(o.a, o.out)
 	case opNLLPointerMixBatch:

@@ -37,6 +37,26 @@ import "math"
 // those primitives; the single-row and batched forms share one loop nest each
 // way, so "batched equals row by row" holds by construction.
 //
+// On a gradient-recording graph, an op over two rows or more is split in two
+// parts, the upper one offered to a helper core (team.go). Every split point
+// keeps each output element's summation order above, because the parts
+// write disjoint elements and each element is computed whole by one part:
+//
+//   - the forward product (matMulRows), the LSTM step (both products of a
+//     row, then its cell), the attention forward and SoftmaxRows split by
+//     rows;
+//   - the backward product (backMatMulPart) splits gradX by active-row pairs
+//     — a part left with a lone row calls gradX with a nil ad1, in lane
+//     order, never backRowMatMul's serial chain — and gradW by k, the rows
+//     of wd: gradW's k-count is separate from a's stride, so a part sums
+//     all the batch rows of its weight rows, ascending;
+//   - the LSTM gate gradients and the attention backward split by rows: in
+//     the training layout row r owns memory block r.
+//
+// Bias reductions across rows, dropout's random draws and Adam run on the
+// caller. A split op's outputs come from the arena uncleared, and each part
+// clears its own rows first (Graph.newRows, zeroRows).
+//
 // The elementwise primitives (sigmoid, tanh, expShift for softmax, adam) are
 // the only place in the package that calls math.Exp or math.Tanh or does
 // Adam's arithmetic. Their contract is their reference body, the scalar loop
@@ -72,8 +92,10 @@ type kernelSet struct {
 	// matvec: dst[j] += Σ_k x[k]·w[k·len(dst)+j], k ascending, skipping ±0
 	// x[k]; dst must not overlap x or w.
 	matvec func(dst, x, w []float64)
-	// gradW: wd[k·n+j] += Σ_r a[r·in+k]·d[r·n+j], r ascending, no zero skipped.
-	gradW func(wd, a, d []float64, rows, in, n int)
+	// gradW: wd[k·n+j] += Σ_r a[r·in+k]·d[r·n+j] for k < kn, r ascending, no
+	// zero skipped. in is a's row stride: rows k0..k1 of a product are
+	// gradW(wd[k0·n:], a[k0:], d, rows, k1−k0, in, n).
+	gradW func(wd, a, d []float64, rows, kn, in, n int)
 	// gradX: ad0[k] += laneDot(d0, w_k) and ad1[k] += laneDot(d1, w_k) for
 	// every k < len(ad0), w_k = w[k·n:(k+1)·n], n = len(d0). A nil ad1 drops
 	// row 1's sums: a lone row passes itself as d1.
@@ -135,14 +157,14 @@ func gradX(ad0, ad1, d0, d1, w []float64) {
 	kernels.gradX(ad0, ad1, d0, d1, w)
 }
 
-func gradW(wd, a, d []float64, rows, in, n int) {
-	if len(wd) < in*n || len(a) < rows*in || len(d) < rows*n {
+func gradW(wd, a, d []float64, rows, kn, in, n int) {
+	if kn < 0 || kn > in || len(wd) < kn*n || rows > 0 && len(a) < (rows-1)*in+kn || len(d) < rows*n {
 		panic("nn: gradW shape mismatch")
 	}
-	if rows == 0 || in == 0 || n == 0 {
+	if rows == 0 || kn == 0 || n == 0 {
 		return
 	}
-	kernels.gradW(wd, a, d, rows, in, n)
+	kernels.gradW(wd, a, d, rows, kn, in, n)
 }
 
 func sigmoid(dst, x []float64) {
@@ -301,8 +323,8 @@ func laneDot(d, w []float64) float64 {
 	return (l0 + l1) + (l2 + l3)
 }
 
-func gradWGo(wd, a, d []float64, rows, in, n int) {
-	for k := 0; k < in; k++ {
+func gradWGo(wd, a, d []float64, rows, kn, in, n int) {
+	for k := 0; k < kn; k++ {
 		for r := 0; r < rows; r++ {
 			axpyGo(wd[k*n:(k+1)*n], d[r*n:(r+1)*n], a[r*in+k])
 		}
@@ -342,11 +364,11 @@ func dot4(x, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
 	return
 }
 
-// matMulRows accumulates a·w into dst for a row-major rows×cols batch a and a
-// cols×p matrix w: one matvec per row, skipping rows where active is false
-// (nil = all rows).
-func matMulRows(a []float64, rows, cols int, w []float64, p int, dst []float64, active []bool) {
-	for i := 0; i < rows; i++ {
+// matMulRows accumulates a·w into dst over rows [lo, hi) of a row-major
+// batch a of width cols and a cols×p matrix w: one matvec per row, skipping
+// rows where active is false (nil = all rows).
+func matMulRows(a []float64, lo, hi, cols int, w []float64, p int, dst []float64, active []bool) {
+	for i := lo; i < hi; i++ {
 		if active == nil || active[i] {
 			matvec(dst[i*p:(i+1)*p], a[i*cols:(i+1)*cols], w)
 		}
@@ -360,7 +382,7 @@ func matMulRows(a []float64, rows, cols int, w []float64, p int, dst []float64, 
 // and they keep their operands in registers.)
 func backRowMatMul(x, xd, w, wd, dOut []float64) {
 	in, n := len(x), len(dOut)
-	gradW(wd, x, dOut, 1, in, n)
+	gradW(wd, x, dOut, 1, in, in, n)
 	k := 0
 	for ; k+4 <= in; k += 4 {
 		s0, s1, s2, s3 := dot4(dOut, w[k*n:(k+1)*n], w[(k+1)*n:(k+2)*n], w[(k+2)*n:(k+3)*n], w[(k+3)*n:(k+4)*n])
@@ -375,12 +397,9 @@ func backRowMatMul(x, xd, w, wd, dOut []float64) {
 }
 
 // backMatMulRows accumulates the gradients of out = a·w for a rows×in batch a
-// (gradient ad) and a flat in×n matrix w (gradient wd), given dOut (rows×n):
-// one gradX per pair of active rows, a lone last row alone, and one gradW per
-// run of consecutive active rows, so each weight-gradient element sums the
-// active rows in ascending order. Rows where active is false are skipped:
-// their dOut rows are zero, so they contribute nothing. A one-row batch is a
-// single-row product and takes backRowMatMul.
+// (gradient ad) and a flat in×n matrix w (gradient wd), given dOut (rows×n).
+// A one-row batch is a single-row product and takes backRowMatMul; any other
+// is backMatMulPart over all of it.
 func backMatMulRows(a, ad []float64, rows, in int, w, wd []float64, n int, dOut []float64, active []bool) {
 	if rows == 1 {
 		if active == nil || active[0] {
@@ -388,21 +407,45 @@ func backMatMulRows(a, ad []float64, rows, in int, w, wd []float64, n int, dOut 
 		}
 		return
 	}
-	pending, run := -1, 0 // an active row waiting for a partner; the current run's first row
-	for i := 0; i <= rows; i++ {
-		if i == rows || (active != nil && !active[i]) {
-			gradW(wd, a[run*in:], dOut[run*n:], i-run, in, n)
-			run = i + 1
-		} else if pending < 0 {
-			pending = i
-		} else {
-			gradX(ad[pending*in:(pending+1)*in], ad[i*in:(i+1)*in], dOut[pending*n:(pending+1)*n], dOut[i*n:(i+1)*n], w)
-			pending = -1
+	backMatMulPart(a, ad, rows, in, w, wd, n, dOut, active, 0, rows, 0, in)
+}
+
+// backMatMulPart is the share of a batched product's backward that rows
+// [r0, r1) of ad and rows [k0, k1) of wd hold: one gradX per pair of active
+// rows of the range, a lone last row alone, and for each of those weight
+// rows one gradW per run of consecutive active rows of the whole batch, so
+// each weight-gradient element sums the active rows in ascending order. Rows
+// where active is false are skipped: their dOut rows are zero, so they
+// contribute nothing. Parts with disjoint ranges write disjoint elements.
+func backMatMulPart(a, ad []float64, rows, in int, w, wd []float64, n int, dOut []float64, active []bool, r0, r1, k0, k1 int) {
+	pending := -1 // an active row waiting for a partner
+	for i := r0; i < r1; i++ {
+		if active != nil && !active[i] {
+			continue
 		}
+		if pending < 0 {
+			pending = i
+			continue
+		}
+		gradX(ad[pending*in:(pending+1)*in], ad[i*in:(i+1)*in], dOut[pending*n:(pending+1)*n], dOut[i*n:(i+1)*n], w)
+		pending = -1
 	}
 	if pending >= 0 {
 		d := dOut[pending*n : (pending+1)*n]
 		gradX(ad[pending*in:(pending+1)*in], nil, d, d, w)
+	}
+	if k0 == k1 {
+		return
+	}
+	run := 0 // the current run's first row
+	for i := 0; i <= rows; i++ {
+		if i < rows && (active == nil || active[i]) {
+			continue
+		}
+		if i > run {
+			gradW(wd[k0*n:], a[run*in+k0:], dOut[run*n:], i-run, k1-k0, in, n)
+		}
+		run = i + 1
 	}
 }
 

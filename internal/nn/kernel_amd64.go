@@ -19,10 +19,10 @@ func gradXAVX2(ad0, ad1, d0, d1, w []float64)
 func gradXAVX512(ad0, ad1, d0, d1, w []float64)
 
 //go:noescape
-func gradWAVX2(wd, a, d []float64, rows, in, n int)
+func gradWAVX2(wd, a, d []float64, rows, kn, in, n int)
 
 //go:noescape
-func gradWAVX512(wd, a, d []float64, rows, in, n int)
+func gradWAVX512(wd, a, d []float64, rows, kn, in, n int)
 
 // The elementwise routines take whole groups of four only; sigmoidAVX2 and
 // expShiftAVX2 also stop at a group holding a lane their exp does not take,

@@ -108,6 +108,12 @@ func (c kernelCase) naiveBackBatch() (wd, ad []float64) {
 	if c.rows == 1 && c.on(0) { // a one-row batch is a single-row product
 		return c.naiveBackRows()
 	}
+	return c.naiveBackLanes()
+}
+
+// naiveBackLanes is the batched backward at any height: the input gradient
+// in gradX's four lanes, the weight gradient over active rows ascending.
+func (c kernelCase) naiveBackLanes() (wd, ad []float64) {
 	wd, ad = clone(c.wd), clone(c.ad)
 	for k := 0; k < c.in; k++ {
 		for i := 0; i < c.rows; i++ {
@@ -173,7 +179,7 @@ func checkCase(t testing.TB, c kernelCase) {
 	t.Helper()
 	rows, in, n := c.rows, c.in, c.n
 	dst := clone(c.dst)
-	matMulRows(c.a, rows, in, c.w, n, dst, c.active)
+	matMulRows(c.a, 0, rows, in, c.w, n, dst, c.active)
 	assertSameBits(t, "matMulRows (matvec) out", dst, c.naiveMatMul())
 
 	wd, ad := clone(c.wd), clone(c.ad)
@@ -195,6 +201,46 @@ func checkCase(t testing.TB, c kernelCase) {
 	wantQd, wantHd := c.naiveBackAttend()
 	assertSameBits(t, "backAttendDot dq", qd, wantQd)
 	assertSameBits(t, "backAttendDot dH", hd, wantHd)
+
+	checkParts(t, c)
+}
+
+// checkParts holds the pieces a split op runs to the whole: matMulRows over
+// two row ranges; backMatMulPart over two parts, upper part first, to the
+// batched backward at any height; and gradW over rows [k0, k1) of the weight
+// gradient — wd[k0·n:], a[k0:], k1−k0 of them — to those rows of the whole
+// product, leaving the others as they were. The cuts are the ends, the
+// middle and a draw from the case, so the sweeps cover every position.
+func checkParts(t testing.TB, c kernelCase) {
+	t.Helper()
+	rows, in, n := c.rows, c.in, c.n
+	rng := rand.New(rand.NewSource(int64(rows*1000 + in*100 + n)))
+	wantDst := c.naiveMatMul()
+	wantWd, wantAd := c.naiveBackLanes()
+	for _, rmid := range []int{0, rows / 2, rows, rng.Intn(rows + 1)} {
+		dst := clone(c.dst)
+		matMulRows(c.a, rmid, rows, in, c.w, n, dst, c.active)
+		matMulRows(c.a, 0, rmid, in, c.w, n, dst, c.active)
+		assertSameBits(t, "matMulRows in two parts", dst, wantDst)
+
+		kmid := rng.Intn(in + 1)
+		wd, ad := clone(c.wd), clone(c.ad)
+		backMatMulPart(c.a, ad, rows, in, c.w, wd, n, c.dOut, c.active, rmid, rows, kmid, in)
+		backMatMulPart(c.a, ad, rows, in, c.w, wd, n, c.dOut, c.active, 0, rmid, 0, kmid)
+		assertSameBits(t, "backMatMulPart dW in two parts", wd, wantWd)
+		assertSameBits(t, "backMatMulPart dA in two parts", ad, wantAd)
+	}
+
+	whole := clone(c.wd)
+	gradW(whole, c.a, c.dOut, rows, in, in, n)
+	for _, k0 := range []int{0, in / 2, in, rng.Intn(in + 1)} {
+		k1 := k0 + rng.Intn(in-k0+1)
+		part := clone(c.wd)
+		gradW(part[k0*n:], c.a[k0:], c.dOut, rows, k1-k0, in, n)
+		assertSameBits(t, fmt.Sprintf("gradW rows [%d, %d) of %d", k0, k1, in), part[k0*n:k1*n], whole[k0*n:k1*n])
+		assertSameBits(t, "gradW rows below k0", part[:k0*n], c.wd[:k0*n])
+		assertSameBits(t, "gradW rows from k1", part[k1*n:], c.wd[k1*n:])
+	}
 }
 
 // kernelWidths are the output widths the parity sweep covers: every n in
@@ -241,7 +287,8 @@ func batchMasks(rows int) [][]bool {
 // element offsets 0..3 and a few batch heights; then, for gradX's row pairs
 // and gradW's row runs, batches of 2, 3, 16 and 17 rows under every mask of
 // batchMasks at every depth 0..13 (gradX's k tails) and width of
-// batchWidths — each under each body.
+// batchWidths — each under each body, and each case also in the parts a
+// split op runs (checkParts), gradW's k ranges among them.
 func TestKernelBitParity(t *testing.T) {
 	for name, ks := range kernelBodies() {
 		t.Run(name, func(t *testing.T) {
@@ -567,7 +614,7 @@ func BenchmarkMatvec(b *testing.B) {
 			b.Run(fmt.Sprintf("%dx%d/%s", s.k, s.n, name), func(b *testing.B) {
 				useKernels(b, ks)
 				for i := 0; i < b.N; i++ {
-					matMulRows(x, 1, s.k, w, s.n, dst, nil)
+					matMulRows(x, 0, 1, s.k, w, s.n, dst, nil)
 				}
 				b.ReportMetric(float64(s.k*s.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
 			})
@@ -609,8 +656,10 @@ func drawGates(rng *rand.Rand, n int) []float64 {
 
 // TestKernelShapeChecks: a primitive refuses operands shorter than its first
 // one, matvec fewer than len(x)·len(dst) weights, gradX fewer than
-// len(ad0)·len(d0) and gradW any operand short of its rows×in×n shape —
-// before any body could index past them — and accepts an empty one.
+// len(ad0)·len(d0) and gradW any operand short of its rows × kn-of-in × n
+// shape, or more weight-gradient rows than a has columns — before any body
+// could index past them — and accepts an empty one, and an a that ends at
+// its last row's kn-th element.
 func TestKernelShapeChecks(t *testing.T) {
 	long, short := make([]float64, 8), make([]float64, 7)
 	w := func(n int) []float64 { return make([]float64, n) }
@@ -619,9 +668,10 @@ func TestKernelShapeChecks(t *testing.T) {
 		"gradX ad1": func() { gradX(long, short, long, long, w(64)) },
 		"gradX d1":  func() { gradX(long, long, long, short, w(64)) },
 		"gradX w":   func() { gradX(long, nil, long, long, w(63)) },
-		"gradW wd":  func() { gradW(w(55), long, long, 1, 8, 7) },
-		"gradW a":   func() { gradW(w(56), short, w(14), 2, 4, 7) },
-		"gradW d":   func() { gradW(w(56), long, w(13), 2, 4, 7) },
+		"gradW wd":  func() { gradW(w(55), long, long, 1, 8, 8, 7) },
+		"gradW a":   func() { gradW(w(56), short, w(14), 2, 4, 4, 7) },
+		"gradW d":   func() { gradW(w(56), long, w(13), 2, 4, 4, 7) },
+		"gradW kn":  func() { gradW(w(63), long, w(14), 2, 5, 4, 7) },
 		"sigmoid":   func() { sigmoid(long, short) },
 		"tanh":      func() { tanh(long, short) },
 		"expShift":  func() { expShift(long, short, 0) },
@@ -642,10 +692,12 @@ func TestKernelShapeChecks(t *testing.T) {
 		matvec(short, nil, nil)
 		gradX(nil, nil, long, long, nil)
 		wd := w(28)
-		gradW(wd, nil, nil, 0, 4, 7)
-		gradW(nil, nil, w(14), 2, 0, 7)
-		gradW(nil, long, nil, 2, 4, 0)
+		gradW(wd, nil, nil, 0, 4, 4, 7)
+		gradW(nil, nil, w(14), 2, 0, 0, 7)
+		gradW(nil, long, w(14), 2, 0, 4, 7)
+		gradW(nil, long, nil, 2, 4, 4, 0)
 		assertSameBits(t, name+": gradW over no rows", wd, w(28))
+		gradW(w(21), short, w(14), 2, 3, 4, 7)
 		// No j is still a sum: +0, which turns a −0 into +0.
 		negZero := math.Copysign(0, -1)
 		ad0, ad1 := []float64{negZero, 1}, []float64{negZero, 2}
@@ -662,9 +714,9 @@ func TestKernelShapeChecks(t *testing.T) {
 // FuzzKernels lets the fuzzer pick the shape — widths 0..255, so every
 // strip/tail split of matvec and gradW and every lane tail of gradX; 1..17
 // rows, so gradX's pairs and lone row and gradW's runs under the drawn mask;
-// depths 0..13, so gradX's k tails — alignment and data seed of
-// TestKernelBitParity's and TestElementwiseBitParity's checks, and a few
-// Adam steps, under each body:
+// depths 0..13, so gradX's k tails and gradW's k ranges — alignment and data
+// seed of TestKernelBitParity's and TestElementwiseBitParity's checks, and a
+// few Adam steps, under each body:
 //
 //	go test ./internal/nn -run '^$' -fuzz FuzzKernels -fuzztime 10s
 func FuzzKernels(f *testing.F) {

@@ -15,8 +15,8 @@ func (g *Graph) MatMul(a, b *Tensor) *Tensor {
 	if a.Cols != b.Rows {
 		panic("nn: matmul shape mismatch")
 	}
-	out := g.NewTensor(a.Rows, b.Cols)
-	matMulRows(a.W, a.Rows, a.Cols, b.W, b.Cols, out.W, nil)
+	out := g.newRows(a.Rows, b.Cols)
+	g.matMul(a.W, a.Rows, a.Cols, b.W, b.Cols, out)
 	g.push(tapeOp{kind: opMatMul, a: a, b: b, out: out})
 	return out
 }
