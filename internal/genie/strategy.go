@@ -197,17 +197,14 @@ func (d *Data) Train(opt TrainOptions) *TrainedParser {
 		mcfg.Contextual = true
 		pairs = append(pairs, d.dialoguePairs(trainSet, opt)...)
 	}
-	var parser *model.Parser
-	if opt.Checkpoint != nil {
-		//genielint:ctx-root training CLI entry point: interruption arrives as process death, which the checkpoint store absorbs
-		parser, _ = model.TrainResumable(context.Background(), pairs, valPairs, lm, mcfg, model.TrainOpts{
-			Checkpoint: opt.Checkpoint,
-			EverySteps: opt.CheckpointEverySteps,
-			Logf:       opt.Logf,
-		})
-	} else {
-		parser = model.Train(pairs, valPairs, lm, mcfg)
-	}
+	// A nil Checkpoint trains exactly like model.Train. The one error,
+	// ErrInterrupted, needs a canceled context.
+	//genielint:ctx-root training CLI entry point: interruption arrives as process death, which the checkpoint store absorbs
+	parser, _ := model.TrainResumable(context.Background(), pairs, valPairs, lm, mcfg, model.TrainOpts{
+		Checkpoint: opt.Checkpoint,
+		EverySteps: opt.CheckpointEverySteps,
+		Logf:       opt.Logf,
+	})
 	return &TrainedParser{Parser: parser, Topt: opt.Topt}
 }
 

@@ -1,6 +1,10 @@
 package model
 
-import "repro/internal/nn"
+import (
+	"math/rand"
+
+	"repro/internal/nn"
+)
 
 // This file is the training loss: B examples stacked into B×n tensors and
 // pushed through the fused kernels of internal/nn in one forward/backward per
@@ -13,7 +17,7 @@ import "repro/internal/nn"
 // decodeStepBatch, the step the search takes.
 
 // batchBufs holds the padded source-side buffers of one batched encoder
-// pass, reused across steps (training owns one inside batchScratch; every
+// pass, reused across steps (a Trainer owns one inside batchScratch; every
 // batched decode call has its own inside a pooled batchDecodeCtx).
 //
 //genielint:arena-scoped
@@ -71,17 +75,18 @@ func (bb *batchBufs) prepareSrc(v *Vocab, srcs [][]string) int {
 }
 
 // encodeBatch runs the bidirectional encoder over a prepared batch (see
-// prepareSrc), returning the packed padded memory ((B*S)×2h, one S-row block
-// per sequence) and the concatenated final states (B×2h). Rows past a
+// prepareSrc), with dropout masks from drop on training graphs, returning the
+// packed padded memory ((B*S)×2h, one S-row block per sequence) and the
+// concatenated final states (B×2h). Rows past a
 // sequence's end carry LSTM state through unchanged, so each row's final
 // state and memory rows are those of encoding its sentence alone.
 //
 //genielint:returns-arena
-func (p *Parser) encodeBatch(g *nn.Graph, bb *batchBufs, B, S int) (H, final *nn.Tensor) {
+func (p *Parser) encodeBatch(g *nn.Graph, bb *batchBufs, B, S int, drop *rand.Rand) (H, final *nn.Tensor) {
 	h := p.cfg.HiddenDim
 	embs := grow(&bb.embs, S)
 	for i := 0; i < S; i++ {
-		embs[i] = g.Dropout(g.LookupRows(p.encEmb.Table, bb.srcIds[i*B:(i+1)*B]), p.cfg.Dropout, p.rng)
+		embs[i] = g.Dropout(g.LookupRows(p.encEmb.Table, bb.srcIds[i*B:(i+1)*B]), p.cfg.Dropout, drop)
 	}
 	fh := g.NewTensor(B, h)
 	fc := g.NewTensor(B, h)
@@ -111,11 +116,11 @@ func (p *Parser) encodeBatch(g *nn.Graph, bb *batchBufs, B, S int) (H, final *nn
 // context memory ((B*M)×h, one M-row block per request).
 //
 //genielint:returns-arena
-func (p *Parser) encodeCtxBatch(g *nn.Graph, bb *batchBufs, B, M int) *nn.Tensor {
+func (p *Parser) encodeCtxBatch(g *nn.Graph, bb *batchBufs, B, M int, drop *rand.Rand) *nn.Tensor {
 	hid := p.cfg.HiddenDim
 	embs := grow(&bb.embs, M)
 	for i := 0; i < M; i++ {
-		embs[i] = g.Dropout(g.LookupRows(p.decEmb.Table, bb.srcIds[i*B:(i+1)*B]), p.cfg.Dropout, p.rng)
+		embs[i] = g.Dropout(g.LookupRows(p.decEmb.Table, bb.srcIds[i*B:(i+1)*B]), p.cfg.Dropout, drop)
 	}
 	h := g.NewTensor(B, hid)
 	c := g.NewTensor(B, hid)
@@ -133,7 +138,8 @@ func (p *Parser) encodeCtxBatch(g *nn.Graph, bb *batchBufs, B, M int) *nn.Tensor
 // packed padded source memory H (one block per sentence, lens valid rows
 // each), the packed previous-program memory C (nil without a context head)
 // and the stacked initial decoder state. The loss and the search both start
-// from it, so an escalated decode encodes once.
+// from it, so an escalated decode encodes once. drop is the dropout stream of
+// a training window (nil at decode, whose graphs draw no masks).
 //
 //genielint:arena-scoped
 type encodedBatch struct {
@@ -141,23 +147,24 @@ type encodedBatch struct {
 	H, C        *nn.Tensor
 	lens, clens []int
 	init        decodeState
+	drop        *rand.Rand
 }
 
 // encode runs the source encoder over a window of sentences and, withCtx,
 // the previous-program encoder over their contexts (whose ids, lengths and
 // masks go to src and ctx, retained by the tape), then sets up the decoder's
-// initial state.
+// initial state. drop draws the dropout masks of a training graph.
 //
 //genielint:returns-arena
-func (p *Parser) encode(g *nn.Graph, src, ctx *batchBufs, words, ctxs [][]string, withCtx bool) encodedBatch {
+func (p *Parser) encode(g *nn.Graph, src, ctx *batchBufs, words, ctxs [][]string, withCtx bool, drop *rand.Rand) encodedBatch {
 	B := len(words)
-	e := encodedBatch{words: words, ctxs: ctxs}
+	e := encodedBatch{words: words, ctxs: ctxs, drop: drop}
 	S := src.prepareSrc(p.src, words)
-	H, final := p.encodeBatch(g, src, B, S)
+	H, final := p.encodeBatch(g, src, B, S, drop)
 	e.H, e.lens = H, src.lens
 	if withCtx {
 		M := ctx.prepareSrc(p.tgt, ctxs)
-		e.C, e.clens = p.encodeCtxBatch(g, ctx, B, M), ctx.lens
+		e.C, e.clens = p.encodeCtxBatch(g, ctx, B, M, drop), ctx.lens
 	}
 	hid := p.cfg.HiddenDim
 	e.init = decodeState{
@@ -207,12 +214,12 @@ func onesGateBatch(g *nn.Graph, B int) *nn.Tensor {
 // gradients. On a contextual parser a pair with a context attends its
 // previous-turn program through the second head and copies from it; a batch
 // that mixes such pairs with context-free ones runs the head for all of them,
-// the context-free rows over an empty memory (fit therefore trains
+// the context-free rows over an empty memory (training therefore runs
 // contextual parsers one pair per batch, where a context-free pair takes the
 // single-turn step).
-func (p *Parser) lossBatch(g *nn.Graph, pairs []Pair) float64 {
+func (t *Trainer) lossBatch(g *nn.Graph, pairs []Pair) float64 {
+	p, sc := t.p, &t.scr
 	B := len(pairs)
-	sc := &p.bscr
 	sc.srcView, sc.ctxView = sc.srcView[:0], sc.ctxView[:0]
 	withCtx := false
 	for i := range pairs {
@@ -220,7 +227,7 @@ func (p *Parser) lossBatch(g *nn.Graph, pairs []Pair) float64 {
 		sc.ctxView = append(sc.ctxView, pairs[i].Ctx)
 		withCtx = withCtx || (p.ctxCell != nil && len(pairs[i].Ctx) > 0)
 	}
-	e := p.encode(g, &sc.batchBufs, &sc.cbufs, sc.srcView, sc.ctxView, withCtx)
+	e := p.encode(g, &sc.batchBufs, &sc.cbufs, sc.srcView, sc.ctxView, withCtx, t.drop)
 	st := e.init
 
 	T := 0
@@ -318,9 +325,9 @@ func targetTok(pair *Pair, t int) string {
 // lmLossBatch is the batched decoder-only language-model loss: next-token
 // prediction over B programs with a zero attention context, gradients
 // averaged over the minibatch like lossBatch.
-func (p *Parser) lmLossBatch(g *nn.Graph, programs [][]string) float64 {
+func (t *Trainer) lmLossBatch(g *nn.Graph, programs [][]string) float64 {
+	p, sc := t.p, &t.scr
 	B := len(programs)
-	sc := &p.bscr
 	hid := p.cfg.HiddenDim
 	h := g.NewTensor(B, hid)
 	c := g.NewTensor(B, hid)

@@ -38,16 +38,16 @@ func TestLossBatchMatchesMeanOfSingles(t *testing.T) {
 	for _, pointer := range []bool{true, false} {
 		cfg := testConfig(11)
 		cfg.PointerGen = pointer
-		p := buildParser(pairs, nil, cfg)
+		tr := NewTrainer(pairs, nil, cfg)
 		g := nn.NewGraphArena(false, nn.NewArena())
 		mean := 0.0
 		for i := range pairs {
 			g.Reset()
-			mean += p.lossBatch(g, pairs[i:i+1])
+			mean += tr.lossBatch(g, pairs[i:i+1])
 		}
 		mean /= float64(len(pairs))
 		g.Reset()
-		if got := p.lossBatch(g, pairs); math.Abs(got-mean) > 1e-9 {
+		if got := tr.lossBatch(g, pairs); math.Abs(got-mean) > 1e-9 {
 			t.Errorf("pointer=%v: lossBatch = %.15g, mean of one-pair losses = %.15g (diff %g)", pointer, got, mean, got-mean)
 		}
 	}
@@ -212,7 +212,7 @@ func TestStepBatchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestTrainBatchedLearnsToyTask reruns the copy-generalization check through
-// the minibatch fit path (BatchSize > 1).
+// the minibatch training path (BatchSize > 1).
 func TestTrainBatchedLearnsToyTask(t *testing.T) {
 	train, val := toyPairs()
 	cfg := testConfig(14)

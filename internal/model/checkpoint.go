@@ -15,8 +15,9 @@ import (
 
 // Training checkpoints make a mid-train kill cost at most EverySteps
 // optimizer steps instead of the whole run. A checkpoint records everything
-// the fit loop's trajectory depends on — weights, optimizer moments,
-// early-stopping state, this epoch's example order and batch offsets, and
+// the training loop's trajectory depends on — weights, optimizer moments,
+// the Trainer's loop state (position, early-stopping state, this epoch's
+// example order and batch offsets), and
 // the *positions of both RNG streams* — so a resumed run replays the exact
 // value sequence the uninterrupted run would have consumed and lands on
 // bit-identical weights.
@@ -74,79 +75,36 @@ func TrainResumable(ctx context.Context, train, val []Pair, lmPrograms [][]strin
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	p := buildParser(train, lmPrograms, cfg)
+	t := NewTrainer(train, lmPrograms, cfg)
 	ck := &checkpointer{
 		store: opts.Checkpoint,
 		every: opts.EverySteps,
-		fp:    trainFingerprint(p.cfg, train, val, lmPrograms),
+		fp:    trainFingerprint(t.p.cfg, train, val, lmPrograms),
 		logf:  logf,
 	}
-
-	var resume *trainCheckpoint
-	err := opts.Checkpoint.Load(func(r io.Reader) error {
-		c, err := readCheckpoint(r)
-		if err != nil {
-			return err
-		}
-		resume = c
-		return nil
-	})
-	switch {
-	case err == nil:
-		if resume.fingerprint != ck.fp {
-			logf("model: checkpoint is for a different training recipe or data; starting fresh")
-			resume = nil
-			_ = opts.Checkpoint.Clear()
-		}
-	case errors.Is(err, fs.ErrNotExist):
-		// No checkpoint: a fresh run.
-	default:
-		// The store already quarantined what it could; an unreadable
-		// checkpoint just means training starts over.
-		logf("model: checkpoint unreadable (%v); starting fresh", err)
-		resume = nil
-	}
-
-	if resume == nil {
-		if p.cfg.PretrainLM && len(lmPrograms) > 0 {
-			p.pretrainLM(lmPrograms)
-		}
-	} else {
-		// The checkpoint's weights subsume LM pre-training (it ran before the
-		// first checkpoint was written), so resume skips straight to fit.
-		logf("model: resuming from checkpoint (epoch %d, batch %d, step %d)", resume.epoch, resume.pos, resume.step)
-	}
-	if err := p.fitRun(ctx, train, val, ck, resume); err != nil {
-		return p, err
+	if err := t.run(ctx, train, val, lmPrograms, ck, ck.resume(t)); err != nil {
+		return t.p, err
 	}
 	if err := opts.Checkpoint.Clear(); err != nil {
 		logf("model: clearing completed checkpoint: %v", err)
 	}
-	return p, nil
+	return t.p, nil
 }
 
-// trainCheckpoint is the in-memory form of one checkpoint.
+// trainCheckpoint is the in-memory form of one checkpoint. Written, its
+// slices alias the live training state.
 type trainCheckpoint struct {
 	fingerprint [sha256.Size]byte
-	epoch       int  // resume epoch
-	pos         int  // resume batch offset into starts
-	midEpoch    bool // true: order/starts already drawn, skip the shuffle on resume
-	step        int  // optimizer steps taken
-	bestLoss    float64
-	badEvals    int
-	haveBest    bool
-	best        [][]float64 // early-stopping weight snapshot (haveBest)
+	loop        loopState
 	weights     [][]float64 // live weights, Params() order
 	adamT       int
 	adamM       [][]float64
 	adamV       [][]float64
-	order       []int
-	starts      []int
-	parserDraws uint64 // parser RNG (dropout) stream position
-	fitDraws    uint64 // fit RNG (shuffle/bucketing) stream position
+	parserDraws uint64 // dropout stream position
+	fitDraws    uint64 // shuffle stream position
 }
 
-// checkpointer carries the checkpoint policy through the fit loop.
+// checkpointer carries the checkpoint policy through the training loop.
 type checkpointer struct {
 	store CheckpointStore
 	every int
@@ -154,95 +112,118 @@ type checkpointer struct {
 	logf  func(format string, args ...any)
 }
 
-// save persists one checkpoint; failures are logged, not fatal — losing a
-// checkpoint must never kill the training run it protects.
-func (ck *checkpointer) save(c *trainCheckpoint) {
-	c.fingerprint = ck.fp
+// save persists t's training state (a nil checkpointer saves nothing);
+// failures are logged, not fatal — losing a checkpoint must never kill the
+// training run it protects.
+func (ck *checkpointer) save(t *Trainer) {
+	if ck == nil {
+		return
+	}
+	c := &trainCheckpoint{
+		fingerprint: ck.fp,
+		loop:        t.loop,
+		weights:     make([][]float64, len(t.params)),
+		parserDraws: t.dropSrc.n,
+		fitDraws:    t.shuffleSrc.n,
+	}
+	for i, p := range t.params {
+		c.weights[i] = p.W
+	}
+	c.adamT, c.adamM, c.adamV = t.opt.State(t.params)
 	err := ck.store.Save(func(w io.Writer) error { return writeCheckpoint(w, c) })
 	if err != nil {
 		ck.logf("model: checkpoint save failed (training continues): %v", err)
 	}
 }
 
-// capture assembles a checkpoint for "before batch pos of epoch". midEpoch
-// records whether this epoch's shuffle and batch offsets have already been
-// drawn (so resume must reuse them) or the checkpoint sits before the
-// shuffle (so resume replays it).
-func captureCheckpoint(p *Parser, opt *nn.Adam, params []*nn.Tensor, fitSrc *countingSource,
-	epoch, pos int, midEpoch bool, step int, bestLoss float64, badEvals int, best [][]float64, order, starts []int) *trainCheckpoint {
-	c := &trainCheckpoint{
-		epoch:       epoch,
-		pos:         pos,
-		midEpoch:    midEpoch,
-		step:        step,
-		bestLoss:    bestLoss,
-		badEvals:    badEvals,
-		haveBest:    best != nil,
-		order:       append([]int(nil), order...),
-		starts:      append([]int(nil), starts...),
-		parserDraws: p.rngSrc.n,
-		fitDraws:    fitSrc.n,
+// resume restores the store's checkpoint into t and reports whether it did.
+// A checkpoint that is unreadable, from another recipe or data, or shaped
+// for another parser is logged and training starts fresh; the last two are
+// cleared (the store already quarantined what it could not read).
+func (ck *checkpointer) resume(t *Trainer) bool {
+	var c *trainCheckpoint
+	err := ck.store.Load(func(r io.Reader) error {
+		var err error
+		c, err = readCheckpoint(r)
+		return err
+	})
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return false
+	case err != nil:
+		ck.logf("model: checkpoint unreadable (%v); starting fresh", err)
+		return false
+	case c.fingerprint != ck.fp:
+		ck.logf("model: checkpoint is for a different training recipe or data; starting fresh")
+	default:
+		if err := t.restore(c); err != nil {
+			ck.logf("model: checkpoint does not fit this run (%v); starting fresh", err)
+			break
+		}
+		// The checkpoint's weights subsume LM pre-training (it ran before the
+		// first checkpoint was written), so the run skips it.
+		ck.logf("model: resuming from checkpoint (epoch %d, batch %d, step %d)", c.loop.epoch, c.loop.pos, c.loop.step)
+		return true
 	}
-	if best != nil {
-		c.best = copySlices(best)
-	}
-	c.weights = make([][]float64, len(params))
-	for i, t := range params {
-		c.weights[i] = append([]float64(nil), t.W...)
-	}
-	c.adamT, c.adamM, c.adamV = opt.State(params)
-	return c
+	_ = ck.store.Clear()
+	return false
 }
 
-// apply restores a checkpoint into the live training state. It validates
-// every shape before mutating anything, so a failed apply leaves the parser
-// untrained and the caller can fall back to a fresh run.
-func (c *trainCheckpoint) apply(p *Parser, opt *nn.Adam, params []*nn.Tensor, fitSrc *countingSource, order []int) error {
+// restore installs a checkpoint as t's training state. It validates every
+// shape and index before mutating anything, so a failed restore leaves t
+// untrained and the caller can train fresh.
+func (t *Trainer) restore(c *trainCheckpoint) error {
+	params, l := t.params, &c.loop
 	if len(c.weights) != len(params) {
 		return fmt.Errorf("model: checkpoint holds %d tensors, parser has %d", len(c.weights), len(params))
 	}
-	for i, t := range params {
-		if len(c.weights[i]) != t.Size() {
-			return fmt.Errorf("model: checkpoint tensor %d has %d values, parser wants %d", i, len(c.weights[i]), t.Size())
-		}
+	if !fits(c.weights, params) || (l.best != nil && !fits(l.best, params)) {
+		return fmt.Errorf("model: checkpoint tensor shapes differ from the parser's")
 	}
-	if c.haveBest {
-		if len(c.best) != len(params) {
-			return fmt.Errorf("model: checkpoint best snapshot shape mismatch")
-		}
-		for i, t := range params {
-			if len(c.best[i]) != t.Size() {
-				return fmt.Errorf("model: checkpoint best snapshot shape mismatch")
+	n := len(t.loop.order)
+	if len(l.order) != n {
+		return fmt.Errorf("model: checkpoint order covers %d examples, run has %d", len(l.order), n)
+	}
+	for _, idx := range [][]int{l.order, l.starts} {
+		for _, i := range idx {
+			if uint(i) >= uint(n) {
+				return fmt.Errorf("model: checkpoint order or batch offset %d outside %d examples", i, n)
 			}
 		}
 	}
-	if len(c.order) != len(order) {
-		return fmt.Errorf("model: checkpoint order covers %d examples, run has %d", len(c.order), len(order))
+	if l.pos < 0 {
+		return fmt.Errorf("model: checkpoint batch position %d", l.pos)
 	}
-	if err := opt.Restore(params, c.adamT, c.adamM, c.adamV); err != nil {
+	if err := t.opt.Restore(params, c.adamT, c.adamM, c.adamV); err != nil {
 		return err
 	}
-	for i, t := range params {
-		copy(t.W, c.weights[i])
+	for i, p := range params {
+		copy(p.W, c.weights[i])
 	}
-	copy(order, c.order)
-	p.rngSrc.forwardTo(c.parserDraws)
-	fitSrc.forwardTo(c.fitDraws)
+	t.loop = c.loop
+	t.dropSrc.forwardTo(c.parserDraws)
+	t.shuffleSrc.forwardTo(c.fitDraws)
 	return nil
 }
 
-func copySlices(ss [][]float64) [][]float64 {
-	out := make([][]float64, len(ss))
-	for i, s := range ss {
-		out[i] = append([]float64(nil), s...)
+// fits reports whether ws holds one slice per parameter, each of its size.
+func fits(ws [][]float64, params []*nn.Tensor) bool {
+	if len(ws) != len(params) {
+		return false
 	}
-	return out
+	for i, p := range params {
+		if len(ws[i]) != p.Size() {
+			return false
+		}
+	}
+	return true
 }
 
 // trainFingerprint hashes everything that pins a training trajectory: the
 // merged config (batch size included — writeConfig predates it), and the
-// full token content of the train/val/LM sets. A resumed run with any of
-// these changed must start fresh, not splice trajectories.
+// full token content of the train/val/LM sets, contexts included on a
+// contextual parser (a non-contextual one ignores them). A resumed run with
+// any of these changed must start fresh, not splice trajectories.
 func trainFingerprint(cfg Config, train, val []Pair, lmPrograms [][]string) [sha256.Size]byte {
 	h := sha256.New()
 	bw := &binWriter{w: bufio.NewWriter(h)}
@@ -260,7 +241,11 @@ func trainFingerprint(cfg Config, train, val []Pair, lmPrograms [][]string) [sha
 	writePairs := func(pairs []Pair) {
 		bw.u64(uint64(len(pairs)))
 		for i := range pairs {
-			writeSeqs([][]string{pairs[i].Src, pairs[i].Tgt})
+			seqs := [][]string{pairs[i].Src, pairs[i].Tgt}
+			if cfg.Contextual {
+				seqs = append(seqs, pairs[i].Ctx)
+			}
+			writeSeqs(seqs)
 		}
 	}
 	writePairs(train)
@@ -277,13 +262,14 @@ func writeCheckpoint(w io.Writer, c *trainCheckpoint) error {
 	bw.bytes([]byte(checkpointMagic))
 	bw.u64(checkpointVersion)
 	bw.bytes(c.fingerprint[:])
-	bw.i64(int64(c.epoch))
-	bw.i64(int64(c.pos))
-	bw.bool(c.midEpoch)
-	bw.i64(int64(c.step))
-	bw.f64(c.bestLoss)
-	bw.i64(int64(c.badEvals))
-	bw.bool(c.haveBest)
+	l := &c.loop
+	bw.i64(int64(l.epoch))
+	bw.i64(int64(l.pos))
+	bw.bool(l.midEpoch)
+	bw.i64(int64(l.step))
+	bw.f64(l.bestLoss)
+	bw.i64(int64(l.badEvals))
+	bw.bool(l.best != nil)
 	writeF64Slices := func(ss [][]float64) {
 		bw.u64(uint64(len(ss)))
 		for _, s := range ss {
@@ -299,15 +285,15 @@ func writeCheckpoint(w io.Writer, c *trainCheckpoint) error {
 			bw.i64(int64(v))
 		}
 	}
-	if c.haveBest {
-		writeF64Slices(c.best)
+	if l.best != nil {
+		writeF64Slices(l.best)
 	}
 	writeF64Slices(c.weights)
 	bw.i64(int64(c.adamT))
 	writeF64Slices(c.adamM)
 	writeF64Slices(c.adamV)
-	writeIntSlice(c.order)
-	writeIntSlice(c.starts)
+	writeIntSlice(l.order)
+	writeIntSlice(l.starts)
 	bw.u64(c.parserDraws)
 	bw.u64(c.fitDraws)
 	if bw.err != nil {
@@ -330,14 +316,15 @@ func readCheckpoint(r io.Reader) (*trainCheckpoint, error) {
 		return nil, fmt.Errorf("model: unsupported checkpoint version %d", v)
 	}
 	c := &trainCheckpoint{}
+	l := &c.loop
 	br.bytes(c.fingerprint[:])
-	c.epoch = int(br.i64())
-	c.pos = int(br.i64())
-	c.midEpoch = br.bool()
-	c.step = int(br.i64())
-	c.bestLoss = br.f64()
-	c.badEvals = int(br.i64())
-	c.haveBest = br.bool()
+	l.epoch = int(br.i64())
+	l.pos = int(br.i64())
+	l.midEpoch = br.bool()
+	l.step = int(br.i64())
+	l.bestLoss = br.f64()
+	l.badEvals = int(br.i64())
+	haveBest := br.bool()
 	// Every slice grows as its elements arrive, never sized from a header
 	// count: a truncated or corrupt stream costs what it actually holds.
 	readF64Slices := func() [][]float64 {
@@ -354,15 +341,15 @@ func readCheckpoint(r io.Reader) (*trainCheckpoint, error) {
 		}
 		return out
 	}
-	if c.haveBest {
-		c.best = readF64Slices()
+	if haveBest {
+		l.best = readF64Slices()
 	}
 	c.weights = readF64Slices()
 	c.adamT = int(br.i64())
 	c.adamM = readF64Slices()
 	c.adamV = readF64Slices()
-	c.order = readIntSlice()
-	c.starts = readIntSlice()
+	l.order = readIntSlice()
+	l.starts = readIntSlice()
 	c.parserDraws = br.u64()
 	c.fitDraws = br.u64()
 	if br.err != nil {

@@ -300,3 +300,77 @@ func TestCheckpointTruncatedSlicesDoNotPreallocate(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeMisfitCheckpoint: a well-formed checkpoint with this run's
+// fingerprint that does not fit the run — 1 tensor instead of 21, or a batch
+// offset past the examples — is treated like an unreadable one: logged,
+// cleared, and training starts fresh, rather than an error beside an
+// untrained parser or a panic.
+func TestResumeMisfitCheckpoint(t *testing.T) {
+	train, val, lm := checkpointPairs()
+	cfg := checkpointConfig(1)
+	fp := trainFingerprint(cfg, train, val, lm)
+
+	interrupted := &memCheckpoints{}
+	ctx, cancel := context.WithCancel(context.Background())
+	interrupted.onSave = func(saves int) {
+		if saves == 2 {
+			cancel()
+		}
+	}
+	if _, err := TrainResumable(ctx, train, val, lm, cfg, TrainOpts{Checkpoint: interrupted, EverySteps: 5}); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("interrupted run: err = %v, want ErrInterrupted", err)
+	}
+	farOffset, err := readCheckpoint(bytes.NewReader(interrupted.data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	farOffset.loop.starts[len(farOffset.loop.starts)-1] = len(train)
+
+	reference := Train(train, val, lm, cfg)
+	for name, c := range map[string]*trainCheckpoint{
+		"one tensor": {fingerprint: fp, weights: [][]float64{{1}}},
+		"far offset": farOffset,
+	} {
+		var buf bytes.Buffer
+		if err := writeCheckpoint(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		var logbuf bytes.Buffer
+		got, err := TrainResumable(context.Background(), train, val, lm, cfg, TrainOpts{
+			Checkpoint: &memCheckpoints{data: buf.Bytes()},
+			Logf:       func(f string, a ...any) { fmt.Fprintf(&logbuf, f+"\n", a...) },
+		})
+		if err != nil {
+			t.Fatalf("%s: TrainResumable: %v", name, err)
+		}
+		if !strings.Contains(logbuf.String(), "does not fit") {
+			t.Errorf("%s: expected a misfit log, got %q", name, logbuf.String())
+		}
+		paramsEqual(t, reference, got)
+	}
+}
+
+// TestResumeFingerprintCoversContext: two contextual runs that differ only in
+// a context token must not resume each other's checkpoints, while a
+// non-contextual parser, which ignores contexts, fingerprints them alike.
+func TestResumeFingerprintCoversContext(t *testing.T) {
+	train, val := toyDialoguePairs()
+	other := append([]Pair(nil), train...)
+	for i := range other {
+		if len(other[i].Ctx) > 0 {
+			ctx := append([]string(nil), other[i].Ctx...)
+			ctx[len(ctx)-1] = "other"
+			other[i].Ctx = ctx
+			break
+		}
+	}
+	cfg := testConfig(1)
+	if trainFingerprint(cfg, train, val, nil) != trainFingerprint(cfg, other, val, nil) {
+		t.Error("non-contextual fingerprint depends on Ctx")
+	}
+	cfg.Contextual = true
+	if trainFingerprint(cfg, train, val, nil) == trainFingerprint(cfg, other, val, nil) {
+		t.Error("contextual fingerprint ignores Ctx")
+	}
+}

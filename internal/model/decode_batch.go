@@ -39,16 +39,16 @@ func (p *Parser) encodeRows(dc *decodeCtx, rows []Row, idx []int, withCtx bool) 
 		dc.words = append(dc.words, rows[i].Words)
 		dc.ctxs = append(dc.ctxs, rows[i].Context)
 	}
-	return p.encode(dc.g, &dc.bufs, &dc.cbufs, dc.words, dc.ctxs, withCtx)
+	return p.encode(dc.g, &dc.bufs, &dc.cbufs, dc.words, dc.ctxs, withCtx, nil)
 }
 
 // decodeStepBatch is the decoder step, for the loss and the search:
 // one lockstep step over R rows — embedding lookup of the previous tokens
 // prev, input feeding, LSTM, attention over each row's memory block
 // (blocks[r] names it; nil = block r), h-tilde and its dropout (training
-// graphs only), the second attention when the window carries a context
-// memory, and the output projections. Rows where active is false carry their
-// LSTM state through (nil = all rows step).
+// graphs only, from e.drop), the second attention when the window carries a
+// context memory, and the output projections. Rows where active is false
+// carry their LSTM state through (nil = all rows step).
 //
 //genielint:returns-arena
 func (p *Parser) decodeStepBatch(g *nn.Graph, e *encodedBatch, prev, blocks []int, st decodeState, active []bool) stepOut {
@@ -57,7 +57,7 @@ func (p *Parser) decodeStepBatch(g *nn.Graph, e *encodedBatch, prev, blocks []in
 	alpha, ctx := g.AttendSoftmaxContextBatch(g.BatchedAffine(h, p.attnLin.W, p.attnLin.B), e.H, blocks, e.lens)
 	o := stepOut{alpha: alpha, next: decodeState{h: h, c: c, ctx: ctx}}
 	htilde := g.Tanh(g.BatchedAffine(g.ConcatCols(h, ctx), p.combLin.W, p.combLin.B))
-	htilde = g.Dropout(htilde, p.cfg.Dropout, p.rng)
+	htilde = g.Dropout(htilde, p.cfg.Dropout, e.drop)
 	if e.C != nil {
 		var cctx *nn.Tensor
 		o.beta, cctx = g.AttendSoftmaxContextBatch(g.BatchedAffine(htilde, p.ctxAttnLin.W, p.ctxAttnLin.B), e.C, blocks, e.clens)

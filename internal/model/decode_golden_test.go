@@ -124,7 +124,7 @@ func goldenVariants(t *testing.T) []goldenVariant {
 	gram := newGrammarParser(t, 31)
 	cfg := gram.cfg
 	cfg.Contextual = true
-	gramCtx := newParser(cfg, gram.src, newVocabFromTokens(vocab))
+	gramCtx := newParser(cfg, gram.src, newVocabFromTokens(vocab), rand.New(rand.NewSource(cfg.Seed)))
 	rng := rand.New(rand.NewSource(23))
 	var gramRows, gramCtxRows []Row
 	for i := 0; i < 10; i++ {

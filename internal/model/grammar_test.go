@@ -107,7 +107,7 @@ func newGrammarParser(t testing.TB, seed int64) *Parser {
 	for _, w := range utteranceWords {
 		srcSeqs = append(srcSeqs, []string{w})
 	}
-	p := newParser(cfg, BuildVocab(srcSeqs, 1), newVocabFromTokens(vocab))
+	p := newParser(cfg, BuildVocab(srcSeqs, 1), newVocabFromTokens(vocab), rand.New(rand.NewSource(cfg.Seed)))
 	if err := p.SetGrammar(spec); err != nil {
 		t.Fatalf("SetGrammar: %v", err)
 	}

@@ -32,11 +32,11 @@ type Config struct {
 	// (Section 4.2).
 	PretrainLM bool
 	LMSteps    int
-	// BatchSize is the training minibatch width: fit and pretrainLM process
-	// shuffled minibatches of this many examples per optimizer step, padding
-	// each batch to its longest sequence. 0 or 1 steps one example at a time
-	// (pretrainLM then samples its programs with replacement). Contextual
-	// parsers train one example at a time whatever the setting.
+	// BatchSize is the training minibatch width: the epochs and pretrainLM
+	// process shuffled minibatches of this many examples per optimizer step,
+	// padding each batch to its longest sequence. 0 or 1 steps one example at
+	// a time (pretrainLM then samples its programs with replacement).
+	// Contextual parsers train one example at a time whatever the setting.
 	BatchSize int
 	// BucketByLength sorts each epoch's shuffled examples by length before
 	// cutting minibatches (batch order reshuffled afterwards), so a batch
@@ -98,7 +98,9 @@ type Pair struct {
 	Ctx []string
 }
 
-// Parser is the trained semantic parser.
+// Parser is the trained semantic parser: exactly what a snapshot holds
+// (Save). Training state — optimizers, graphs, scratch buffers and random
+// streams — belongs to the Trainer that produces it.
 type Parser struct {
 	cfg Config
 	src *Vocab
@@ -124,11 +126,7 @@ type Parser struct {
 	ctxCombLin *nn.Linear   // [h-tilde; cctx] -> h
 	ctxGateLin *nn.Linear   // h2 -> context-copy gate
 
-	rng    *rand.Rand
-	rngSrc *countingSource // rng's source; draw position checkpointed by TrainResumable
-	bscr   batchScratch    // loss buffers (batch.go); training goroutine only
-	valG   *nn.Graph       // lazily built inference graph reused across valLoss calls
-	meta   SnapshotMeta    // provenance stamped into snapshots (snapshot.go)
+	meta SnapshotMeta // provenance stamped into snapshots (snapshot.go)
 
 	// Constrained decoding and adaptive serving (grammar.go): the grammar
 	// spec the parser was trained against, its automaton compiled for this
@@ -189,9 +187,9 @@ func (c *countingSource) forwardTo(n uint64) {
 	}
 }
 
-func newParser(cfg Config, src, tgt *Vocab) *Parser {
-	csrc := newCountingSource(cfg.Seed)
-	rng := rand.New(csrc)
+// newParser allocates a parser whose base layers draw their initial weights
+// from rng; a Trainer keeps drawing its dropout masks from the same stream.
+func newParser(cfg Config, src, tgt *Vocab, rng *rand.Rand) *Parser {
 	e, h := cfg.EmbedDim, cfg.HiddenDim
 	p := &Parser{
 		cfg:     cfg,
@@ -207,8 +205,6 @@ func newParser(cfg Config, src, tgt *Vocab) *Parser {
 		combLin: nn.NewLinear(3*h, h, rng),
 		outLin:  nn.NewLinear(h, tgt.Size(), rng),
 		gateLin: nn.NewLinear(h, 1, rng),
-		rng:     rng,
-		rngSrc:  csrc,
 	}
 	if cfg.Contextual {
 		// A separate derived stream keeps the base init draws — and with

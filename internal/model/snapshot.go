@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 
@@ -159,7 +160,7 @@ func Load(r io.Reader) (*Parser, error) {
 	if br.err != nil {
 		return nil, fmt.Errorf("model: reading snapshot weights: %w", br.err)
 	}
-	p := newParser(cfg, src, tgt)
+	p := newParser(cfg, src, tgt, rand.New(rand.NewSource(cfg.Seed)))
 	for i, t := range p.Params() {
 		copy(t.W, weights[i])
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -244,7 +245,7 @@ func fuzzSnapshots(f *testing.F) [][]byte {
 	tgt := vocab("now", "=>", "@twitter.post", "@gmail.send", "param:text", "=", `"`)
 	var out [][]byte
 	for _, contextual := range []bool{false, true} {
-		p := newParser(Config{EmbedDim: 4, HiddenDim: 3, MaxDecodeLen: 8, PointerGen: true, Contextual: contextual, Seed: 1}, src, tgt)
+		p := newParser(Config{EmbedDim: 4, HiddenDim: 3, MaxDecodeLen: 8, PointerGen: true, Contextual: contextual, Seed: 1}, src, tgt, rand.New(rand.NewSource(1)))
 		if contextual {
 			_ = p.SetGrammar(toyGrammarSpec())
 		}

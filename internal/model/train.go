@@ -12,20 +12,69 @@ import (
 // Train builds vocabularies, optionally pre-trains the decoder language
 // model on lmPrograms (synthesized program token sequences), then trains the
 // parser with teacher forcing, Adam, and early stopping on validation loss.
-// With Config.BatchSize > 1, fit and the LM pre-training process shuffled
-// minibatches through the batched B×n kernels, one optimizer step per batch.
+// With Config.BatchSize > 1, training and the LM pre-training process
+// shuffled minibatches through the batched B×n kernels, one optimizer step
+// per batch.
 func Train(train, val []Pair, lmPrograms [][]string, cfg Config) *Parser {
-	p := buildParser(train, lmPrograms, cfg)
-	if p.cfg.PretrainLM && len(lmPrograms) > 0 {
-		p.pretrainLM(lmPrograms)
-	}
-	p.fit(train, val)
-	return p
+	t := NewTrainer(train, lmPrograms, cfg)
+	// Without a context or a checkpointer the run cannot fail.
+	_ = t.run(nil, train, val, lmPrograms, nil, false)
+	return t.p
 }
 
-// buildParser constructs the vocabularies and an untrained parser (shared by
-// Train and NewTrainer).
-func buildParser(train []Pair, lmPrograms [][]string, cfg Config) *Parser {
+func mergeDefaults(cfg Config) Config {
+	d := DefaultConfig
+	d.Seed = cfg.Seed
+	d.BatchSize = cfg.BatchSize
+	d.BucketByLength = cfg.BucketByLength
+	d.Contextual = cfg.Contextual
+	return d
+}
+
+// Trainer owns all training state, so the Parser it trains holds only what a
+// snapshot holds. Train and TrainResumable run whole trainings through it:
+// LM pre-training, shuffled epochs, periodic evaluation, early stopping and
+// checkpoints. Benchmarks and profiling drive Step or StepBatch directly to
+// measure the steady state (near-zero allocations once the arena and scratch
+// buffers are warm). Every optimizer step of either kind goes through step.
+type Trainer struct {
+	p    *Parser
+	g    *nn.Graph    // the training graph; its arena is recycled every step
+	valG *nn.Graph    // validation graph, built at the first evaluation
+	scr  batchScratch // loss buffers (batch.go)
+
+	// drop draws the dropout masks, continuing the stream the parser's base
+	// weights were initialised from; shuffle draws each epoch's example and
+	// batch order. A checkpoint records both positions.
+	drop, shuffle       *rand.Rand
+	dropSrc, shuffleSrc *countingSource
+
+	opt      *nn.Adam // over params, every weight of the parser
+	params   []*nn.Tensor
+	lmOpt    *nn.Adam // over lmParams, the decoder's weights, in LM pre-training
+	lmParams []*nn.Tensor
+
+	loop loopState
+}
+
+// loopState is where the training loop stands and its early-stopping state;
+// with the weights, the Adam moments and the two streams' positions, it is
+// what a checkpoint records.
+type loopState struct {
+	epoch    int  // current epoch
+	pos      int  // next batch, an offset into starts
+	midEpoch bool // this epoch's order and starts are drawn
+	step     int  // optimizer steps taken
+	bestLoss float64
+	badEvals int
+	best     [][]float64 // early-stopping weight snapshot, nil before the first
+	order    []int       // the example order, reshuffled every epoch
+	starts   []int       // this epoch's batch offsets into order
+}
+
+// NewTrainer builds the vocabularies and an untrained parser ready for
+// stepwise training.
+func NewTrainer(train []Pair, lmPrograms [][]string, cfg Config) *Trainer {
 	if cfg.EmbedDim == 0 {
 		cfg = mergeDefaults(cfg)
 	}
@@ -38,41 +87,18 @@ func buildParser(train []Pair, lmPrograms [][]string, cfg Config) *Parser {
 	// The decoder vocabulary also covers the LM corpus so pre-training and
 	// fine-tuning share token ids.
 	tgtSeqs = append(tgtSeqs, lmPrograms...)
-	src := BuildVocab(srcSeqs, 1)
-	tgt := BuildVocab(tgtSeqs, cfg.MinVocabCount)
-	return newParser(cfg, src, tgt)
-}
-
-func mergeDefaults(cfg Config) Config {
-	d := DefaultConfig
-	d.Seed = cfg.Seed
-	d.BatchSize = cfg.BatchSize
-	d.BucketByLength = cfg.BucketByLength
-	return d
-}
-
-// Trainer exposes single-step teacher-forced training over a persistent
-// arena graph: benchmarks and profiling drive Step or StepBatch directly to
-// measure the steady state (near-zero allocations once the arena and scratch
-// buffers are warm). It performs no shuffling, evaluation or early stopping
-// — that orchestration stays in Train.
-type Trainer struct {
-	p      *Parser
-	g      *nn.Graph
-	opt    *nn.Adam
-	params []*nn.Tensor
-}
-
-// NewTrainer builds the vocabularies and an untrained parser ready for
-// stepwise training.
-func NewTrainer(train []Pair, lmPrograms [][]string, cfg Config) *Trainer {
-	p := buildParser(train, lmPrograms, cfg)
-	return &Trainer{
-		p:      p,
-		g:      nn.NewGraphArena(true, nn.NewArena()),
-		opt:    nn.NewAdam(p.cfg.LR),
-		params: p.Params(),
+	t := &Trainer{
+		g:          nn.NewGraphArena(true, nn.NewArena()),
+		dropSrc:    newCountingSource(cfg.Seed),
+		shuffleSrc: newCountingSource(cfg.Seed + 202),
+		opt:        nn.NewAdam(cfg.LR),
+		lmOpt:      nn.NewAdam(cfg.LR),
 	}
+	t.drop, t.shuffle = rand.New(t.dropSrc), rand.New(t.shuffleSrc)
+	t.p = newParser(cfg, BuildVocab(srcSeqs, 1), BuildVocab(tgtSeqs, cfg.MinVocabCount), t.drop)
+	t.params, t.lmParams = t.p.Params(), t.p.decParams()
+	t.loop = loopState{bestLoss: 1e18, order: t.shuffle.Perm(len(train))}
+	return t
 }
 
 // Step is StepBatch over the one pair.
@@ -83,11 +109,25 @@ func (t *Trainer) Step(pair *Pair) float64 {
 // StepBatch runs one forward/backward/update over a padded minibatch and
 // returns the mean per-example loss; gradients average over the batch.
 func (t *Trainer) StepBatch(pairs []Pair) float64 {
+	return t.step(pairs, nil)
+}
+
+// step is every optimizer step: reset the graph, build the loss of pairs —
+// or, in LM pre-training, of programs — backpropagate, and update the
+// weights that loss trains.
+func (t *Trainer) step(pairs []Pair, programs [][]string) float64 {
 	t.g.Reset()
-	l := t.p.lossBatch(t.g, pairs)
+	opt, params := t.opt, t.params
+	var loss float64
+	if programs != nil {
+		opt, params = t.lmOpt, t.lmParams
+		loss = t.lmLossBatch(t.g, programs)
+	} else {
+		loss = t.lossBatch(t.g, pairs)
+	}
 	t.g.Backward()
-	t.opt.Step(t.params)
-	return l
+	opt.Step(params)
+	return loss
 }
 
 // Parser returns the underlying (partially trained) parser.
@@ -98,19 +138,17 @@ func (t *Trainer) Parser() *Parser { return t.p }
 // decoder embedding, LSTM and output projection carry over to parsing
 // (Section 4.2). Each of the LMSteps optimizer steps runs lmLossBatch over
 // one sampled program, or with BatchSize > 1 over one shuffled minibatch.
-func (p *Parser) pretrainLM(programs [][]string) {
-	opt := nn.NewAdam(p.cfg.LR)
-	params := p.decParams()
-	rng := rand.New(rand.NewSource(p.cfg.Seed + 101))
-	g := nn.NewGraphArena(true, nn.NewArena())
-	bs := max(1, p.cfg.BatchSize)
+func (t *Trainer) pretrainLM(programs [][]string) {
+	cfg := t.p.cfg
+	rng := rand.New(rand.NewSource(cfg.Seed + 101))
+	bs := max(1, cfg.BatchSize)
 	batch := make([][]string, 0, bs)
 	var order []int
 	if bs > 1 {
 		order = rng.Perm(len(programs))
 	}
 	pos := 0
-	for s := 0; s < p.cfg.LMSteps; s++ {
+	for s := 0; s < cfg.LMSteps; s++ {
 		batch = batch[:0]
 		if bs == 1 {
 			batch = append(batch, programs[rng.Intn(len(programs))])
@@ -123,131 +161,29 @@ func (p *Parser) pretrainLM(programs [][]string) {
 			batch = append(batch, programs[order[pos]])
 			pos++
 		}
-		g.Reset()
-		p.lmLossBatch(g, batch)
-		g.Backward()
-		opt.Step(params)
+		t.step(nil, batch)
 	}
 }
 
-// fit runs teacher-forced training with early stopping. All intermediate
-// tensors of a step live in one arena recycled by Reset, so the steady-state
-// step is allocation-free. Each optimizer step (and so each unit of
-// MaxSteps/EvalEvery) covers one shuffled minibatch of BatchSize pairs.
-func (p *Parser) fit(train, val []Pair) {
-	// Without a checkpointer or context fitRun cannot fail.
-	_ = p.fitRun(nil, train, val, nil, nil)
-}
-
-// fitRun is the fit loop with optional checkpointing (ck) and resume
-// (resume, a validated checkpoint or nil) threaded through. Both the plain
-// and the checkpointed run walk the identical trajectory: the RNG streams,
+// run is a whole training from t.loop: LM pre-training, unless resumed (a
+// checkpoint's weights already hold it), then epochs of shuffled minibatches
+// with periodic evaluation and early stopping on val. Each optimizer step
+// (and so each unit of MaxSteps/EvalEvery) covers one minibatch of BatchSize
+// pairs. A checkpointed run walks the identical trajectory: the streams,
 // shuffles and optimizer steps are the same whether or not state is being
 // recorded, which is what makes a resumed run bit-identical to an
-// uninterrupted one. ctx (nil = never canceled) stops training between
-// batches after saving a final checkpoint, reported as ErrInterrupted.
-func (p *Parser) fitRun(ctx context.Context, train, val []Pair, ck *checkpointer, resume *trainCheckpoint) error {
-	opt := nn.NewAdam(p.cfg.LR)
-	params := p.Params()
-	fitSrc := newCountingSource(p.cfg.Seed + 202)
-	rng := rand.New(fitSrc)
-	g := nn.NewGraphArena(true, nn.NewArena())
-
-	bestLoss := 1e18
-	// best is allocated once at the first snapshot and copied into on every
-	// later improvement (the parameter shapes never change mid-training).
-	var best [][]float64
-	evalEvery := p.cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 2000
+// uninterrupted one. ck (nil = none) checkpoints at every epoch boundary the
+// run crosses — the first pins the post-LM weights, so a resumed run never
+// repeats LM pre-training — and every ck.every steps. ctx (nil = never
+// canceled) stops training between batches after saving a final checkpoint,
+// reported as ErrInterrupted.
+func (t *Trainer) run(ctx context.Context, train, val []Pair, lmPrograms [][]string, ck *checkpointer, resumed bool) error {
+	cfg := t.p.cfg
+	if !resumed && cfg.PretrainLM && len(lmPrograms) > 0 {
+		t.pretrainLM(lmPrograms)
 	}
-	badEvals := 0
-	step := 0
-	order := rng.Perm(len(train))
-	var starts []int
-
-	firstEpoch := 0
-	startPos := 0
-	if resume != nil {
-		if err := resume.apply(p, opt, params, fitSrc, order); err != nil {
-			return err
-		}
-		if resume.haveBest {
-			best = copySlices(resume.best)
-		}
-		bestLoss = resume.bestLoss
-		badEvals = resume.badEvals
-		step = resume.step
-		starts = append([]int(nil), resume.starts...)
-		firstEpoch = resume.epoch
-		startPos = resume.pos
-	}
-	resumedMidEpoch := resume != nil && resume.midEpoch
-
-	snapshot := func() {
-		if best == nil {
-			best = make([][]float64, len(params))
-			for i, t := range params {
-				best[i] = make([]float64, len(t.W))
-			}
-		}
-		for i, t := range params {
-			copy(best[i], t.W)
-		}
-	}
-	restore := func() {
-		if best == nil {
-			return
-		}
-		for i, t := range params {
-			copy(t.W, best[i])
-		}
-	}
-	// restoreIfBetter rolls back to the snapshot when the final weights score
-	// no better on validation. Without a snapshot there is nothing to roll
-	// back to, so the validation pass is skipped (valLoss draws no randomness,
-	// so skipping it moves no weight).
-	restoreIfBetter := func() {
-		if best == nil || len(val) == 0 {
-			return
-		}
-		if p.valLoss(val) >= bestLoss {
-			restore()
-		}
-	}
-	// afterStep does the per-optimizer-step bookkeeping (step cap, periodic
-	// eval, early stopping) and reports whether training should stop.
-	afterStep := func() bool {
-		step++
-		if p.cfg.MaxSteps > 0 && step >= p.cfg.MaxSteps {
-			restoreIfBetter()
-			return true
-		}
-		if len(val) > 0 && step%evalEvery == 0 {
-			vl := p.valLoss(val)
-			if vl < bestLoss {
-				bestLoss = vl
-				badEvals = 0
-				snapshot()
-			} else {
-				badEvals++
-				if p.cfg.Patience > 0 && badEvals >= p.cfg.Patience {
-					restore()
-					return true
-				}
-			}
-		}
-		return false
-	}
-	save := func(epoch, pos int, midEpoch bool) {
-		if ck == nil {
-			return
-		}
-		ck.save(captureCheckpoint(p, opt, params, fitSrc, epoch, pos, midEpoch, step, bestLoss, badEvals, best, order, starts))
-	}
-
-	bs := max(1, p.cfg.BatchSize)
-	if p.ctxCell != nil {
+	bs := max(1, cfg.BatchSize)
+	if t.p.ctxCell != nil {
 		// Contextual training runs one pair per batch. A batch mixing first
 		// turns with follow-ups would run the context head for all of them,
 		// the first turns over an empty memory, where a lone first turn takes
@@ -256,56 +192,105 @@ func (p *Parser) fitRun(ctx context.Context, train, val []Pair, ck *checkpointer
 		bs = 1
 	}
 	// BucketByLength only applies to real minibatches; with bs 1 batchStarts
-	// degenerates to 0,1,2,... and draws nothing from rng.
-	bucket := p.cfg.BucketByLength && bs > 1
+	// degenerates to 0,1,2,... and draws nothing from the shuffle stream.
+	bucket := cfg.BucketByLength && bs > 1
 	batch := make([]Pair, 0, bs)
-	if ck != nil && resume == nil {
-		// The initial checkpoint pins the post-LM weights so a resumed run
-		// never repeats LM pre-training.
-		save(0, 0, false)
-	}
-	for epoch := firstEpoch; epoch < max(1, p.cfg.Epochs); epoch++ {
-		pos0 := 0
-		if resumedMidEpoch {
-			// order and starts came from the checkpoint; re-enter this epoch
-			// at the saved batch without re-drawing the shuffle.
-			pos0 = startPos
-			resumedMidEpoch = false
-		} else {
-			if epoch != firstEpoch {
-				// Finished the previous epoch in this process: boundary
-				// checkpoint, taken before the shuffle so a resume replays it.
-				save(epoch, 0, false)
+	l := &t.loop
+	// A resumed run does not save again the checkpoint it resumed from.
+	boundary := !resumed
+	for ; l.epoch < max(1, cfg.Epochs); l.epoch++ {
+		if !l.midEpoch {
+			if boundary {
+				// Taken before the shuffle, so a resume replays it.
+				ck.save(t)
 			}
-			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-			starts = batchStarts(starts[:0], train, order, bs, bucket, rng)
+			t.shuffle.Shuffle(len(l.order), func(i, j int) { l.order[i], l.order[j] = l.order[j], l.order[i] })
+			l.starts = batchStarts(l.starts[:0], train, l.order, bs, bucket, t.shuffle)
+			l.midEpoch = true
 		}
-		for bi := pos0; bi < len(starts); bi++ {
+		boundary = true
+		for l.pos < len(l.starts) {
 			if ctx != nil && ctx.Err() != nil {
 				// This epoch's shuffle has already been drawn, so the
-				// checkpoint is mid-epoch even at bi == 0.
-				save(epoch, bi, true)
-				return fmt.Errorf("%w before epoch %d batch %d: %v", ErrInterrupted, epoch, bi, ctx.Err())
+				// checkpoint is mid-epoch even at batch 0.
+				ck.save(t)
+				return fmt.Errorf("%w before epoch %d batch %d: %v", ErrInterrupted, l.epoch, l.pos, ctx.Err())
 			}
-			start := starts[bi]
+			start := l.starts[l.pos]
 			batch = batch[:0]
-			for _, idx := range order[start:min(start+bs, len(order))] {
+			for _, idx := range l.order[start:min(start+bs, len(l.order))] {
 				batch = append(batch, train[idx])
 			}
-			g.Reset()
-			p.lossBatch(g, batch)
-			g.Backward()
-			opt.Step(params)
-			if afterStep() {
+			t.StepBatch(batch)
+			l.pos++
+			if t.afterStep(val) {
 				return nil
 			}
-			if ck != nil && ck.every > 0 && step%ck.every == 0 {
-				save(epoch, bi+1, true)
+			if ck != nil && ck.every > 0 && l.step%ck.every == 0 {
+				ck.save(t)
 			}
 		}
+		l.pos, l.midEpoch = 0, false
 	}
-	restoreIfBetter()
+	t.restoreIfBetter(val)
 	return nil
+}
+
+// afterStep counts an optimizer step, does its bookkeeping (step cap,
+// periodic evaluation, early stopping) and reports whether training stops.
+func (t *Trainer) afterStep(val []Pair) bool {
+	cfg, l := t.p.cfg, &t.loop
+	l.step++
+	if cfg.MaxSteps > 0 && l.step >= cfg.MaxSteps {
+		t.restoreIfBetter(val)
+		return true
+	}
+	evalEvery := cfg.EvalEvery
+	if evalEvery <= 0 {
+		evalEvery = 2000
+	}
+	if len(val) == 0 || l.step%evalEvery != 0 {
+		return false
+	}
+	if vl := t.valLoss(val); vl < l.bestLoss {
+		l.bestLoss, l.badEvals = vl, 0
+		// The snapshot is allocated once and copied into on every later
+		// improvement (the parameter shapes never change mid-training).
+		if l.best == nil {
+			l.best = make([][]float64, len(t.params))
+			for i, p := range t.params {
+				l.best[i] = make([]float64, len(p.W))
+			}
+		}
+		for i, p := range t.params {
+			copy(l.best[i], p.W)
+		}
+		return false
+	}
+	l.badEvals++
+	if cfg.Patience > 0 && l.badEvals >= cfg.Patience {
+		t.restoreBest()
+		return true
+	}
+	return false
+}
+
+// restoreBest rolls the weights back to the early-stopping snapshot, if
+// there is one.
+func (t *Trainer) restoreBest() {
+	for i, w := range t.loop.best {
+		copy(t.params[i].W, w)
+	}
+}
+
+// restoreIfBetter rolls back to the snapshot when the final weights score no
+// better on validation. Without a snapshot there is nothing to roll back to,
+// so the validation pass is skipped (valLoss draws no randomness, so skipping
+// it moves no weight).
+func (t *Trainer) restoreIfBetter(val []Pair) {
+	if t.loop.best != nil && len(val) > 0 && t.valLoss(val) >= t.loop.bestLoss {
+		t.restoreBest()
+	}
 }
 
 // batchStarts returns this epoch's minibatch start offsets into order.
@@ -357,15 +342,15 @@ func PaddingFraction(train []Pair, order []int, bs int) float64 {
 }
 
 // valLoss measures teacher-forced loss on (a sample of) the validation set.
-func (p *Parser) valLoss(val []Pair) float64 {
+func (t *Trainer) valLoss(val []Pair) float64 {
 	n := min(len(val), 200)
 	total := 0.0
-	if p.valG == nil {
-		p.valG = nn.NewGraphArena(false, nn.NewArena())
+	if t.valG == nil {
+		t.valG = nn.NewGraphArena(false, nn.NewArena())
 	}
 	for i := 0; i < n; i++ {
-		p.valG.Reset()
-		total += p.lossBatch(p.valG, val[i:i+1])
+		t.valG.Reset()
+		total += t.lossBatch(t.valG, val[i:i+1])
 	}
 	return total / float64(n)
 }

@@ -71,14 +71,22 @@ func TestTrainerStepLossDecreases(t *testing.T) {
 	}
 }
 
-// TestTrainMatchesTrainerMechanics ensures Train (which drives fit's
-// internal arena graph) and manual Trainer stepping produce a parser that
-// fits the training pair.
+// TestTrainMatchesTrainerMechanics ensures Train (which steps through the
+// Trainer's arena graph) produces a parser that fits the training pair.
 func TestTrainMatchesTrainerMechanics(t *testing.T) {
 	train, _ := toyPairs()
 	p := Train(train, nil, nil, testConfig(7))
 	got := p.Parse(train[0].Src)
 	if len(got) == 0 {
 		t.Fatal("empty parse after training")
+	}
+}
+
+// TestDefaultConfigKeepsContextual: a Config that leaves the dimensions to
+// DefaultConfig still builds the contextual parser it asks for.
+func TestDefaultConfigKeepsContextual(t *testing.T) {
+	train, _ := toyDialoguePairs()
+	if p := NewTrainer(train, nil, Config{Contextual: true, Seed: 1}).Parser(); p.ctxCell == nil {
+		t.Error("Config{Contextual: true} built a non-contextual parser")
 	}
 }
