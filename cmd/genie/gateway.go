@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -12,20 +11,6 @@ import (
 	"repro/internal/gateway"
 )
 
-// gatewayConfig is the -static-config file shape: the backend list plus any
-// of the tuning knobs. Flags set explicitly on the command line override the
-// file.
-type gatewayConfig struct {
-	Backends      []string `json:"backends"`
-	Replication   int      `json:"replication,omitempty"`
-	ProbeMS       int      `json:"probe_ms,omitempty"`
-	FailThreshold int      `json:"fail_threshold,omitempty"`
-	Retries       int      `json:"retries,omitempty"`
-	Hedge         bool     `json:"hedge,omitempty"`
-	HedgeAfterMS  int      `json:"hedge_after_ms,omitempty"`
-	Fallback      bool     `json:"fallback,omitempty"`
-}
-
 // cmdGateway runs the fault-tolerant routing tier in front of N fleet
 // processes: consistent-hash routing by skill with R-way replication,
 // health-checked membership with circuit-breaker readmission, shed-aware
@@ -33,86 +18,59 @@ type gatewayConfig struct {
 func cmdGateway(args []string) {
 	fs := flag.NewFlagSet("gateway", flag.ExitOnError)
 	backends := fs.String("backends", "", "comma-separated fleet backend base URLs")
-	staticConfig := fs.String("static-config", "", "JSON config file (flags set explicitly override it)")
 	addr := fs.String("addr", ":8090", "listen address")
+	options := gatewayFlags(fs)
+	pprofAddr := pprofFlag(fs)
+	fs.Parse(args)
+
+	if *backends == "" {
+		fmt.Fprintln(os.Stderr, "genie: gateway needs -backends")
+		os.Exit(2)
+	}
+	addrs := strings.Split(*backends, ",")
+	startPprof(*pprofAddr)
+
+	opt := options()
+	g := gateway.New(addrs, opt)
+	defer g.Close()
+	fmt.Fprintf(os.Stderr, "genie: gateway on %s over %d backends (replication=%d probe=%s retries=%d hedge=%t fallback=%t)\n",
+		*addr, len(addrs), opt.Replication, opt.ProbeInterval, max(opt.RetryBudget, 0), opt.Hedge, opt.CrossSkillFallback)
+	if err := http.ListenAndServe(*addr, g.Handler()); err != nil {
+		fmt.Fprintf(os.Stderr, "genie: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// gatewayFlags registers the gateway's tuning flags on fs and returns the
+// function that builds gateway.Options from them once fs is parsed.
+// gateway.Options reads a zero RetryBudget as its default of 2, so an
+// explicit -retries 0 becomes a negative budget: no retries.
+func gatewayFlags(fs *flag.FlagSet) func() gateway.Options {
 	replication := fs.Int("replication", 2, "distinct backends per skill on the hash ring")
 	probe := fs.Duration("probe", 500*time.Millisecond, "health-probe interval")
 	failThreshold := fs.Int("fail-threshold", 3, "consecutive probe/request failures before ejection")
-	retries := fs.Int("retries", 2, "retry budget: extra attempts after a failed first one")
+	retries := fs.Int("retries", 2, "retry budget: extra attempts after a failed first one (0 disables retries)")
 	hedge := fs.Bool("hedge", false, "hedge slow requests to a second replica")
 	hedgeAfter := fs.Duration("hedge-after", 0, "fixed hedge delay (0 derives 2x probed p99)")
 	fallback := fs.Bool("fallback", false, "route degraded skills to any healthy backend's scored fallback")
 	seed := fs.Int64("seed", 1, "retry-jitter seed")
-	pprofAddr := pprofFlag(fs)
-	fs.Parse(args)
-
-	var addrs []string
-	if *backends != "" {
-		addrs = strings.Split(*backends, ",")
-	}
-	if *staticConfig != "" {
-		raw, err := os.ReadFile(*staticConfig)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "genie: %v\n", err)
-			os.Exit(1)
+	return func() gateway.Options {
+		budget := *retries
+		if budget <= 0 {
+			budget = -1
 		}
-		var cfg gatewayConfig
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "genie: %s: %v\n", *staticConfig, err)
-			os.Exit(1)
+		return gateway.Options{
+			Replication:        *replication,
+			ProbeInterval:      *probe,
+			FailThreshold:      *failThreshold,
+			RetryBudget:        budget,
+			Hedge:              *hedge,
+			HedgeAfter:         *hedgeAfter,
+			CrossSkillFallback: *fallback,
+			Seed:               *seed,
+			Logf: func(format string, a ...any) {
+				fmt.Fprintf(os.Stderr, "genie: "+format+"\n", a...)
+			},
 		}
-		// The file supplies defaults; explicitly-set flags win.
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if !set["backends"] && len(cfg.Backends) > 0 {
-			addrs = cfg.Backends
-		}
-		if !set["replication"] && cfg.Replication > 0 {
-			*replication = cfg.Replication
-		}
-		if !set["probe"] && cfg.ProbeMS > 0 {
-			*probe = time.Duration(cfg.ProbeMS) * time.Millisecond
-		}
-		if !set["fail-threshold"] && cfg.FailThreshold > 0 {
-			*failThreshold = cfg.FailThreshold
-		}
-		if !set["retries"] && cfg.Retries > 0 {
-			*retries = cfg.Retries
-		}
-		if !set["hedge"] {
-			*hedge = *hedge || cfg.Hedge
-		}
-		if !set["hedge-after"] && cfg.HedgeAfterMS > 0 {
-			*hedgeAfter = time.Duration(cfg.HedgeAfterMS) * time.Millisecond
-		}
-		if !set["fallback"] {
-			*fallback = *fallback || cfg.Fallback
-		}
-	}
-	if len(addrs) == 0 {
-		fmt.Fprintln(os.Stderr, "genie: gateway needs -backends or -static-config")
-		os.Exit(2)
-	}
-	startPprof(*pprofAddr)
-
-	g := gateway.New(addrs, gateway.Options{
-		Replication:        *replication,
-		ProbeInterval:      *probe,
-		FailThreshold:      *failThreshold,
-		RetryBudget:        *retries,
-		Hedge:              *hedge,
-		HedgeAfter:         *hedgeAfter,
-		CrossSkillFallback: *fallback,
-		Seed:               *seed,
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, "genie: "+format+"\n", a...)
-		},
-	})
-	defer g.Close()
-	fmt.Fprintf(os.Stderr, "genie: gateway on %s over %d backends (replication=%d probe=%s retries=%d hedge=%t fallback=%t)\n",
-		*addr, len(addrs), *replication, *probe, *retries, *hedge, *fallback)
-	if err := http.ListenAndServe(*addr, g.Handler()); err != nil {
-		fmt.Fprintf(os.Stderr, "genie: %v\n", err)
-		os.Exit(1)
 	}
 }

@@ -15,7 +15,7 @@
 //	genie fleet -libdir DIR [-watch 2s] [-maxqueue 64] [-cache DIR] [-addr :8080]
 //	    [-scale unit] [-maxsteps N] [-batch 8] [-beam 1] [-adaptive] [-train-workers 1]
 //	    [-pprof ADDR]
-//	genie gateway (-backends URL,URL,... | -static-config cfg.json) [-addr :8090]
+//	genie gateway -backends URL,URL,... [-addr :8090]
 //	    [-replication 2] [-probe 500ms] [-fail-threshold 3] [-retries 2]
 //	    [-hedge] [-hedge-after 0] [-fallback] [-seed 1] [-pprof ADDR]
 //	genie chaos -target URL [-addr :8091] [-ctl :8092]

@@ -34,14 +34,11 @@ type StreamConfig struct {
 	// Workers is the number of instantiation goroutines (0 = GOMAXPROCS).
 	// The emitted examples do not depend on the worker count.
 	Workers int
-	// Buffer is the capacity of the internal and output channels
-	// (0 = DefaultStreamBuffer).
-	Buffer int
 }
 
-// DefaultStreamBuffer is the bounded-channel capacity used when
-// StreamConfig.Buffer is zero.
-const DefaultStreamBuffer = 128
+// streamBuffer is the capacity of ExpandStream's internal and output
+// channels.
+const streamBuffer = 128
 
 // ExpandStream instantiates each incoming example Factor-many times with
 // independent parameter draws (plus PPDB variants for paraphrase examples),
@@ -52,11 +49,7 @@ func ExpandStream(ctx context.Context, in <-chan dataset.Example, sampler *param
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	buffer := cfg.Buffer
-	if buffer <= 0 {
-		buffer = DefaultStreamBuffer
-	}
-	out := make(chan dataset.Example, buffer)
+	out := make(chan dataset.Example, streamBuffer)
 
 	type job struct {
 		idx int
@@ -67,8 +60,8 @@ func ExpandStream(ctx context.Context, in <-chan dataset.Example, sampler *param
 		examples []dataset.Example
 	}
 
-	jobs := make(chan job, buffer)
-	batches := make(chan batch, buffer)
+	jobs := make(chan job, streamBuffer)
+	batches := make(chan batch, streamBuffer)
 
 	// Dispatcher: index the input stream. Both the receive and the send
 	// select on ctx so cancellation closes the output channel even when

@@ -7,7 +7,6 @@ package dataset
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -101,39 +100,6 @@ func Collect(ctx context.Context, ch <-chan Example, max int) []Example {
 			return out
 		}
 	}
-}
-
-// Set is an ordered collection of examples.
-type Set struct {
-	Name     string
-	Examples []Example
-}
-
-// Len returns the number of examples.
-func (s *Set) Len() int { return len(s.Examples) }
-
-// Add appends examples.
-func (s *Set) Add(examples ...Example) { s.Examples = append(s.Examples, examples...) }
-
-// Shuffle permutes the set deterministically.
-func (s *Set) Shuffle(rng *rand.Rand) {
-	rng.Shuffle(len(s.Examples), func(i, j int) {
-		s.Examples[i], s.Examples[j] = s.Examples[j], s.Examples[i]
-	})
-}
-
-// Split partitions the set into two at fraction f of its size (after the
-// caller has shuffled, typically).
-func (s *Set) Split(f float64) (Set, Set) {
-	n := int(f * float64(len(s.Examples)))
-	if n < 0 {
-		n = 0
-	}
-	if n > len(s.Examples) {
-		n = len(s.Examples)
-	}
-	return Set{Name: s.Name + "-a", Examples: s.Examples[:n]},
-		Set{Name: s.Name + "-b", Examples: s.Examples[n:]}
 }
 
 // ProgramKey returns the canonical program identity of an example (used for

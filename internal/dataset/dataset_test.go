@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -84,21 +83,6 @@ func TestNovelty(t *testing.T) {
 	}
 	if n.NewBigramRate <= n.NewWordRate {
 		t.Errorf("bigram novelty should exceed word novelty here: %+v", n)
-	}
-}
-
-func TestSetShuffleSplit(t *testing.T) {
-	s := Set{Name: "t"}
-	for i := 0; i < 10; i++ {
-		s.Add(ex(`now => @a.b.q => notify`, "w"))
-	}
-	a, b := s.Split(0.3)
-	if a.Len() != 3 || b.Len() != 7 {
-		t.Errorf("split wrong: %d/%d", a.Len(), b.Len())
-	}
-	s.Shuffle(rand.New(rand.NewSource(1)))
-	if s.Len() != 10 {
-		t.Error("shuffle lost examples")
 	}
 }
 

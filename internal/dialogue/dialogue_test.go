@@ -176,7 +176,7 @@ func TestSynthesizeMaxSessionsAndFamilies(t *testing.T) {
 	}
 }
 
-func TestPairsAndSplitTurns(t *testing.T) {
+func TestPairs(t *testing.T) {
 	sessions := Synthesize(seedExamples(), testCfg(1))
 	pairs := Pairs(sessions)
 	total := 0
@@ -186,20 +186,13 @@ func TestPairsAndSplitTurns(t *testing.T) {
 	if len(pairs) != total {
 		t.Fatalf("Pairs returned %d pairs for %d turns", len(pairs), total)
 	}
-	first, follow := SplitTurns(sessions)
-	if len(first) != len(sessions) {
-		t.Errorf("SplitTurns: %d first turns for %d sessions", len(first), len(sessions))
-	}
-	if len(first)+len(follow) != total {
-		t.Errorf("SplitTurns dropped turns: %d + %d != %d", len(first), len(follow), total)
-	}
 	ctxPairs := 0
 	for _, p := range pairs {
 		if len(p.Ctx) > 0 {
 			ctxPairs++
 		}
 	}
-	if ctxPairs != len(follow) {
-		t.Errorf("%d contextual pairs, want %d (one per follow-up)", ctxPairs, len(follow))
+	if follow := total - len(sessions); ctxPairs != follow {
+		t.Errorf("%d contextual pairs, want %d (one per follow-up)", ctxPairs, follow)
 	}
 }

@@ -32,18 +32,3 @@ func TurnSamples(sessions []Session) [][]eval.TurnSample {
 	}
 	return out
 }
-
-// SplitTurns partitions sessions' turns into first turns and follow-ups,
-// the two accuracy buckets of the multi-turn evaluation.
-func SplitTurns(sessions []Session) (first, followups []Turn) {
-	for _, s := range sessions {
-		for i, t := range s.Turns {
-			if i == 0 {
-				first = append(first, t)
-			} else {
-				followups = append(followups, t)
-			}
-		}
-	}
-	return first, followups
-}

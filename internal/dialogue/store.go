@@ -82,30 +82,6 @@ func (s *Store) Put(session, skill string, program []string) {
 	}
 }
 
-// Drop forgets one session (all skills use separate keys; this drops one
-// (session, skill) pair).
-func (s *Store) Drop(session, skill string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[storeKey{session, skill}]; ok {
-		s.ll.Remove(el)
-		delete(s.items, storeKey{session, skill})
-	}
-}
-
-// Len returns the number of stored sessions.
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len()
-}
-
 // StoreStats is a snapshot of the store's counters.
 type StoreStats struct {
 	Size      int

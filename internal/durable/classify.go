@@ -59,14 +59,3 @@ func IsTransient(err error) bool {
 	}
 	return false
 }
-
-// ClassifyString names err's recovery class for logs and status pages.
-func ClassifyString(err error) string {
-	if err == nil {
-		return "ok"
-	}
-	if IsTransient(err) {
-		return "transient"
-	}
-	return "deterministic"
-}

@@ -92,9 +92,6 @@ func Open(dir string, o Options) *Store {
 	return &Store{dir: dir, fsys: o.FS, logf: o.Logf, gens: map[string][]uint64{}}
 }
 
-// Dir reports the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

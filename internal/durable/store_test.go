@@ -365,7 +365,4 @@ func TestIsTransient(t *testing.T) {
 			t.Errorf("IsTransient(%v) = %v, want %v", c.err, got, c.want)
 		}
 	}
-	if ClassifyString(syscall.ENOSPC) != "transient" || ClassifyString(errors.New("x")) != "deterministic" {
-		t.Error("ClassifyString mismatch")
-	}
 }

@@ -45,13 +45,6 @@ func (r DialogueReport) FollowupAccuracy() float64 { return r.Followups.ProgramA
 // Gap is first-turn minus follow-up accuracy in percentage points.
 func (r DialogueReport) Gap() float64 { return r.FirstTurnAccuracy() - r.FollowupAccuracy() }
 
-// Combined merges both buckets into one flat report.
-func (r DialogueReport) Combined() Report {
-	c := r.First
-	c.add(r.Followups)
-	return c
-}
-
 func (r *DialogueReport) score(first bool, toks []string, t *TurnSample, schemas thingtalk.SchemaSource) {
 	e := dataset.Example{Words: t.Words, Program: t.Program, Alt: t.Alt}
 	if first {

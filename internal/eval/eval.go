@@ -76,9 +76,9 @@ func Evaluate(dec Decoder, examples []dataset.Example, schemas thingtalk.SchemaS
 // EvaluateParallel is Evaluate with the decode fan spread over workers
 // concurrent requests (0 = GOMAXPROCS). Predictions are collected by example
 // index and scored in order, so the Report is identical to Evaluate's for
-// any worker count. Pointing it at a serve.Batcher or serve.Client scores a
-// parser through the full batched serving path: the concurrent requests are
-// what lets the micro-batching loop form real batches.
+// any worker count. Pointing it at a serve.Batcher scores a parser through
+// the full batched serving path: the concurrent requests are what lets the
+// micro-batching loop form real batches.
 func EvaluateParallel(dec Decoder, examples []dataset.Example, schemas thingtalk.SchemaSource, workers int) Report {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -141,71 +141,6 @@ func EvaluateBatched(dec BatchDecoder, examples []dataset.Example, schemas thing
 		r.score(preds[i], &examples[i], schemas)
 	}
 	return r
-}
-
-// SkillDecoder routes a sentence to one skill's parser of a multi-skill
-// fleet; fleet.Registry and serve.Client both implement it.
-type SkillDecoder interface {
-	ParseSkill(skill string, words []string) []string
-}
-
-// SkillSet is one skill's evaluation slice: its examples and the schema
-// source (its own library) they canonicalize against.
-type SkillSet struct {
-	Skill    string
-	Examples []dataset.Example
-	Schemas  thingtalk.SchemaSource
-}
-
-// SkillReport pairs a skill with its report.
-type SkillReport struct {
-	Skill string
-	Report
-}
-
-// FleetReport aggregates fleet-level evaluation: one report per skill plus
-// the example-weighted combination.
-type FleetReport struct {
-	Skills   []SkillReport
-	Combined Report
-}
-
-// add accumulates o into r (fleet-level aggregation).
-func (r *Report) add(o Report) {
-	r.Total += o.Total
-	r.Correct += o.Correct
-	r.SyntaxOK += o.SyntaxOK
-	r.PrimCompoundOK += o.PrimCompoundOK
-	r.SkillsOK += o.SkillsOK
-	r.FunctionsOK += o.FunctionsOK
-	r.ParamValueError += o.ParamValueError
-}
-
-// EvaluateFleet scores a multi-skill deployment: each set's examples decode
-// through dec against that set's skill (concurrently, workers per skill;
-// 0 = GOMAXPROCS) and score against that skill's own schemas, so one call
-// measures the whole fleet the way production traffic would exercise it.
-// Skills are evaluated in the given order; reports are deterministic for
-// any worker count (EvaluateParallel's guarantee).
-func EvaluateFleet(dec SkillDecoder, sets []SkillSet, workers int) FleetReport {
-	var out FleetReport
-	for _, set := range sets {
-		r := EvaluateParallel(skillDecoderAdapter{dec: dec, skill: set.Skill}, set.Examples, set.Schemas, workers)
-		out.Skills = append(out.Skills, SkillReport{Skill: set.Skill, Report: r})
-		out.Combined.add(r)
-	}
-	return out
-}
-
-// skillDecoderAdapter pins a SkillDecoder to one skill, turning it into a
-// plain Decoder.
-type skillDecoderAdapter struct {
-	dec   SkillDecoder
-	skill string
-}
-
-func (a skillDecoderAdapter) Parse(words []string) []string {
-	return a.dec.ParseSkill(a.skill, words)
 }
 
 // score grades one prediction into the report.

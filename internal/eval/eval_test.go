@@ -15,13 +15,6 @@ type canned map[string][]string
 
 func (c canned) Parse(words []string) []string { return c[strings.Join(words, " ")] }
 
-// cannedFleet routes by skill name to per-skill canned decoders.
-type cannedFleet map[string]canned
-
-func (c cannedFleet) ParseSkill(skill string, words []string) []string {
-	return c[skill].Parse(words)
-}
-
 func schemas() thingtalk.SchemaMap {
 	m := thingtalk.SchemaMap{}
 	m.Add(&thingtalk.FunctionSchema{Class: "a.b", Name: "q", Kind: thingtalk.KindQuery, List: true,
@@ -184,42 +177,6 @@ func TestEvaluateBatchedMatchesSequential(t *testing.T) {
 		if len(cb.windows) == 0 || cb.windows[0] != wantWindow {
 			t.Errorf("EvaluateBatched(batch=%d) windows = %v, first should be %d", batch, cb.windows, wantWindow)
 		}
-	}
-}
-
-// TestEvaluateFleet scores a two-skill fleet: per-skill reports must match
-// evaluating each skill alone, and the combined report is their sum.
-func TestEvaluateFleet(t *testing.T) {
-	sch := schemas()
-	gold := `now => @a.b.q => notify`
-	alpha := canned{
-		"s1": strings.Fields(`now => @a.b.q => notify`), // correct
-		"s2": strings.Fields(`now => => notify`),        // syntax error
-	}
-	beta := canned{
-		"s1": strings.Fields(`now => @a.b.q2 => notify`), // wrong function
-	}
-	sets := []SkillSet{
-		{Skill: "alpha", Schemas: sch, Examples: []dataset.Example{example(gold, "s1"), example(gold, "s2")}},
-		{Skill: "beta", Schemas: sch, Examples: []dataset.Example{example(gold, "s1")}},
-	}
-	rep := EvaluateFleet(cannedFleet{"alpha": alpha, "beta": beta}, sets, 2)
-	if len(rep.Skills) != 2 || rep.Skills[0].Skill != "alpha" || rep.Skills[1].Skill != "beta" {
-		t.Fatalf("per-skill reports = %+v", rep.Skills)
-	}
-	if a := rep.Skills[0].Report; a.Total != 2 || a.Correct != 1 || a.SyntaxOK != 1 {
-		t.Errorf("alpha report = %+v", a)
-	}
-	if b := rep.Skills[1].Report; b.Total != 1 || b.Correct != 0 || b.SyntaxOK != 1 || b.FunctionsOK != 0 {
-		t.Errorf("beta report = %+v", b)
-	}
-	if c := rep.Combined; c.Total != 3 || c.Correct != 1 || c.SyntaxOK != 2 {
-		t.Errorf("combined report = %+v", c)
-	}
-	// Per-skill results must equal standalone evaluation.
-	want := Evaluate(alpha, sets[0].Examples, sch)
-	if rep.Skills[0].Report != want {
-		t.Errorf("fleet alpha report %+v != standalone %+v", rep.Skills[0].Report, want)
 	}
 }
 

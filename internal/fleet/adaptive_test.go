@@ -55,7 +55,7 @@ func TestFleetAdaptiveEscalationMetrics(t *testing.T) {
 			wg.Add(1)
 			go func(skill string) {
 				defer wg.Done()
-				if _, _, err := r.Parse(context.Background(), skill, []string{"tweet", "bravo", "now"}); err != nil {
+				if _, _, err := parseSkill(r, context.Background(), skill, []string{"tweet", "bravo", "now"}); err != nil {
 					t.Errorf("Parse %s: %v", skill, err)
 				}
 			}(skill)

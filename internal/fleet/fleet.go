@@ -52,11 +52,6 @@ type Config struct {
 	// Serve configures each skill's Batcher shard (batch window, workers,
 	// beam, admission queue bound).
 	Serve serve.Options
-	// ServeOverrides replaces Serve wholesale for the named skills, so one
-	// hot skill can run a wider batch window or its own beam width without
-	// retuning the fleet default. Overrides apply on the next (re)build of
-	// the skill's shard.
-	ServeOverrides map[string]serve.Options
 	// SessionCapacity bounds each skill's dialogue session store — the LRU
 	// map from X-Genie-Session ids to the last accepted program, which
 	// contextual parsers consume as follow-up decoding context (<= 0 uses
@@ -270,7 +265,7 @@ func (r *Registry) reload(sk *skill, e thingpedia.DirEntry) {
 	})
 	next := &shard{
 		parser:     parser,
-		batcher:    serve.NewBatcher(parser, r.serveOptions(sk.name)),
+		batcher:    serve.NewBatcher(parser, r.cfg.Serve),
 		checksum:   sum,
 		generation: gen,
 	}
@@ -351,16 +346,6 @@ func rawFileChecksum(path string) string {
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
-}
-
-// serveOptions resolves one skill's batcher configuration: its
-// Config.ServeOverrides entry when present, the fleet-wide default
-// otherwise.
-func (r *Registry) serveOptions(name string) serve.Options {
-	if o, ok := r.cfg.ServeOverrides[name]; ok {
-		return o
-	}
-	return r.cfg.Serve
 }
 
 // train invokes the configured TrainFunc through the snapshot cache (when
@@ -548,18 +533,13 @@ func (r *Registry) readyShards() []*skill {
 	return out
 }
 
-// Parse routes one request to the named skill's shard. The returned
-// generation identifies the snapshot that answered.
-func (r *Registry) Parse(ctx context.Context, name string, words []string) (toks []string, generation uint64, err error) {
-	return r.ParseSession(ctx, name, "", words, nil)
-}
-
-// ParseSession is Parse with multi-turn dialogue state. prior is the
-// previous turn's program tokens supplied explicitly by the caller; when it
-// is empty and session names an X-Genie-Session, the skill's session store
-// supplies it instead. An accepted parse is recorded back under the session
-// id, becoming the next follow-up's context. On a non-contextual shard the
-// whole session flow is a no-op and this is exactly Parse.
+// ParseSession routes one request to the named skill's shard; the returned
+// generation identifies the snapshot that answered. prior is the previous
+// turn's program tokens supplied explicitly by the caller; when it is empty
+// and session names an X-Genie-Session, the skill's session store supplies
+// it instead. An accepted parse is recorded back under the session id,
+// becoming the next follow-up's context. On a non-contextual shard, or with
+// no session and no prior, the session flow is a no-op.
 func (r *Registry) ParseSession(ctx context.Context, name, session string, words, prior []string) (toks []string, generation uint64, err error) {
 	sk := r.skill(name)
 	if sk == nil {
@@ -670,18 +650,6 @@ func (r *Registry) ParseAny(ctx context.Context, words []string) (skillName stri
 	}
 	a := answers[best]
 	return a.name, a.toks, a.score, a.gen, nil
-}
-
-// ParseSkill implements eval.SkillDecoder: errors decode to nil (scored as
-// wrong), keeping fleet-level evaluation total-preserving.
-//
-//genielint:ctx-root interface adapter: the eval.SkillDecoder contract has no ctx parameter
-func (r *Registry) ParseSkill(skillName string, words []string) []string {
-	toks, _, err := r.Parse(context.Background(), skillName, words)
-	if err != nil {
-		return nil
-	}
-	return toks
 }
 
 // Skills reports every skill's lifecycle state, sorted by name.

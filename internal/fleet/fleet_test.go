@@ -121,6 +121,11 @@ func waitReady(t *testing.T, r *Registry) {
 }
 
 // skillGeneration polls /skills state for the named skill.
+// parseSkill routes one request without session state to the named skill.
+func parseSkill(r *Registry, ctx context.Context, name string, words []string) ([]string, uint64, error) {
+	return r.ParseSession(ctx, name, "", words, nil)
+}
+
 func skillGeneration(r *Registry, name string) uint64 {
 	for _, s := range r.Skills() {
 		if s.Name == name {
@@ -144,7 +149,7 @@ func TestFleetRoutesBySkill(t *testing.T) {
 
 	ctx := context.Background()
 	words := []string{"tweet", "delta", "now"}
-	toks, gen, err := r.Parse(ctx, "alpha", words)
+	toks, gen, err := parseSkill(r, ctx, "alpha", words)
 	if err != nil {
 		t.Fatalf("Parse(alpha): %v", err)
 	}
@@ -155,7 +160,7 @@ func TestFleetRoutesBySkill(t *testing.T) {
 		t.Error("generation should be nonzero for a served request")
 	}
 	bwords := []string{"email", "delta", "now"}
-	btoks, _, err := r.Parse(ctx, "beta", bwords)
+	btoks, _, err := parseSkill(r, ctx, "beta", bwords)
 	if err != nil {
 		t.Fatalf("Parse(beta): %v", err)
 	}
@@ -163,7 +168,7 @@ func TestFleetRoutesBySkill(t *testing.T) {
 		t.Errorf("beta decode = %q, want %q", strings.Join(btoks, " "), want)
 	}
 
-	if _, _, err := r.Parse(ctx, "nosuch", words); !errors.Is(err, ErrUnknownSkill) {
+	if _, _, err := parseSkill(r, ctx, "nosuch", words); !errors.Is(err, ErrUnknownSkill) {
 		t.Errorf("unknown skill: err = %v, want ErrUnknownSkill", err)
 	}
 
@@ -265,7 +270,7 @@ func TestFleetHotReloadUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				toks, _, err := r.Parse(context.Background(), "alpha", words)
+				toks, _, err := parseSkill(r, context.Background(), "alpha", words)
 				if err != nil || strings.Join(toks, " ") != want {
 					failures.Add(1)
 					return
@@ -366,7 +371,7 @@ func TestFleetAddAndRemoveSkills(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if toks := r.ParseSkill("beta", []string{"email", "alpha", "now"}); len(toks) == 0 {
+	if toks, _, _ := parseSkill(r, context.Background(), "beta", []string{"email", "alpha", "now"}); len(toks) == 0 {
 		t.Error("added skill does not serve")
 	}
 
@@ -374,7 +379,7 @@ func TestFleetAddAndRemoveSkills(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		if _, _, err := r.Parse(context.Background(), "beta", []string{"email", "alpha", "now"}); errors.Is(err, ErrUnknownSkill) {
+		if _, _, err := parseSkill(r, context.Background(), "beta", []string{"email", "alpha", "now"}); errors.Is(err, ErrUnknownSkill) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -418,7 +423,7 @@ func TestFleetBuildFailureKeepsServing(t *testing.T) {
 	if gen := skillGeneration(r, "alpha"); gen != gen1 {
 		t.Errorf("failed build changed generation %d -> %d", gen1, gen)
 	}
-	if toks := r.ParseSkill("alpha", []string{"tweet", "alpha", "now"}); len(toks) == 0 {
+	if toks, _, _ := parseSkill(r, context.Background(), "alpha", []string{"tweet", "alpha", "now"}); len(toks) == 0 {
 		t.Error("old snapshot stopped serving after failed rebuild")
 	}
 }

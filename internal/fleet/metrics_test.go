@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -25,27 +26,24 @@ func TestFleetMetricsErrorsAndUptime(t *testing.T) {
 	waitReady(t, r)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := serve.NewClient(ts.URL)
 	ctx := context.Background()
 	words := []string{"tweet", "bravo", "now"}
 
 	// A healthy parse: no errors counted.
-	if _, err := c.ParseSkillCtx(ctx, "alpha", words); err != nil {
-		t.Fatalf("ParseSkillCtx: %v", err)
+	if status, _ := postParse(t, ts.URL, serve.ParseRequest{Skill: "alpha", Words: words}, ""); status != http.StatusOK {
+		t.Fatalf("POST /parse: status %d", status)
 	}
 
 	// An exhausted deadline budget is a non-shed error the skill answered
 	// with; it must move the counter.
 	expired, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, _, perr := r.Parse(expired, "alpha", words); perr == nil {
+	if _, _, perr := parseSkill(r, expired, "alpha", words); perr == nil {
 		t.Fatal("expired-context Parse should error")
 	}
 
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatalf("Metrics: %v", err)
-	}
+	var m serve.MetricsResponse
+	getJSON(t, ts.URL+"/metrics", &m)
 	if m.UptimeSeconds <= 0 {
 		t.Errorf("UptimeSeconds = %v, want > 0", m.UptimeSeconds)
 	}

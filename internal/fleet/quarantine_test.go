@@ -69,7 +69,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	waitReady(t, r)
 
 	waitStatus(t, r, "alpha", StatusQuarantined)
-	if _, _, err := r.Parse(context.Background(), "alpha", []string{"ping"}); !errors.Is(err, ErrNotReady) {
+	if _, _, err := parseSkill(r, context.Background(), "alpha", []string{"ping"}); !errors.Is(err, ErrNotReady) {
 		t.Fatalf("quarantined skill parse err = %v, want ErrNotReady", err)
 	}
 	if n := builds.Load(); n != 1 {
@@ -94,7 +94,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	poisoned.Store(false)
 	writeLib(t, dir, "alpha", libV2("test.alpha"))
 	waitStatus(t, r, "alpha", StatusReady)
-	if _, _, err := r.Parse(context.Background(), "alpha", []string{"ping", "alpha", "now"}); err != nil {
+	if _, _, err := parseSkill(r, context.Background(), "alpha", []string{"ping", "alpha", "now"}); err != nil {
 		t.Fatalf("re-admitted skill parse: %v", err)
 	}
 	if n := builds.Load(); n != 2 {
@@ -230,7 +230,7 @@ func TestQuarantineDoesNotEvictServingShard(t *testing.T) {
 	if got := skillGeneration(r, "alpha"); got != gen {
 		t.Fatalf("generation = %d, want last-good %d still serving", got, gen)
 	}
-	if _, g, err := r.Parse(context.Background(), "alpha", []string{"ping", "alpha", "now"}); err != nil || g != gen {
+	if _, g, err := parseSkill(r, context.Background(), "alpha", []string{"ping", "alpha", "now"}); err != nil || g != gen {
 		t.Fatalf("parse on last-good: gen=%d err=%v", g, err)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Server is the fleet's HTTP front end, speaking the serve package's wire
-// types so serve.Client works unchanged against a fleet:
+// types, so the gateway proxies to it unchanged:
 //
 //	POST /parse   {"skill": "...", "sentence"|"words": ...} -> serve.ParseResponse
 //	              (no skill: fallback-routed by best length-normalized score)
@@ -31,9 +31,6 @@ func NewServer(reg *Registry) *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	return s
 }
-
-// Registry returns the underlying control plane.
-func (s *Server) Registry() *Registry { return s.reg }
 
 // Handler returns the HTTP handler (for http.Server or httptest).
 func (s *Server) Handler() http.Handler { return s.mux }

@@ -1,7 +1,8 @@
 package fleet
 
 import (
-	"context"
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,8 +12,55 @@ import (
 	"repro/internal/serve"
 )
 
-// TestFleetHTTPEndToEnd drives the whole multi-skill API through
-// serve.Client: explicit-skill routing, fallback routing with a score,
+// postParse POSTs one parse request to a fleet server's /parse, with the
+// session header when session is set, and returns the reply's status and,
+// on 200, its decoded body.
+func postParse(t *testing.T, url string, req serve.ParseRequest, session string) (int, serve.ParseResponse) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq, err := http.NewRequest(http.MethodPost, url+"/parse", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	if session != "" {
+		hreq.Header.Set(serve.SessionHeader, session)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var pr serve.ParseResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, pr
+}
+
+// getJSON GETs url and decodes its 200 reply into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+}
+
+// TestFleetHTTPEndToEnd drives the whole multi-skill API over HTTP:
+// explicit-skill routing, fallback routing with a score,
 // /skills, /metrics and /healthz, plus 404 on unknown skills.
 func TestFleetHTTPEndToEnd(t *testing.T) {
 	dir := t.TempDir()
@@ -28,45 +76,36 @@ func TestFleetHTTPEndToEnd(t *testing.T) {
 	waitReady(t, r)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := serve.NewClient(ts.URL)
-	ctx := context.Background()
 
 	// Explicit skill.
 	words := []string{"tweet", "bravo", "now"}
-	resp, err := c.ParseSkillCtx(ctx, "alpha", words)
-	if err != nil {
-		t.Fatalf("ParseSkillCtx: %v", err)
+	status, resp := postParse(t, ts.URL, serve.ParseRequest{Skill: "alpha", Words: words}, "")
+	if status != http.StatusOK {
+		t.Fatalf("skill parse: status %d", status)
 	}
 	want := strings.Join(toyParser("alpha").Parse(words), " ")
 	if resp.Program != want || resp.Skill != "alpha" || resp.Generation == 0 {
 		t.Errorf("skill parse = %+v, want program %q", resp, want)
 	}
 
-	// eval.SkillDecoder adapter.
-	if got := strings.Join(c.ParseSkill("alpha", words), " "); got != want {
-		t.Errorf("Client.ParseSkill = %q, want %q", got, want)
-	}
-
 	// Fallback routing: no skill named; the reply must name the routed
 	// skill and carry its score.
-	fresp, err := c.ParseRequestCtx(ctx, serve.ParseRequest{Words: words})
-	if err != nil {
-		t.Fatalf("fallback parse: %v", err)
+	status, fresp := postParse(t, ts.URL, serve.ParseRequest{Words: words}, "")
+	if status != http.StatusOK {
+		t.Fatalf("fallback parse: status %d", status)
 	}
 	if fresp.Skill == "" || fresp.Score == 0 || fresp.Generation == 0 {
 		t.Errorf("fallback reply missing routing info: %+v", fresp)
 	}
 
 	// Unknown skill: 404.
-	if _, err := c.ParseSkillCtx(ctx, "nosuch", words); err == nil || !strings.Contains(err.Error(), "404") {
-		t.Errorf("unknown skill error = %v, want 404", err)
+	if status, _ := postParse(t, ts.URL, serve.ParseRequest{Skill: "nosuch", Words: words}, ""); status != http.StatusNotFound {
+		t.Errorf("unknown skill status = %d, want 404", status)
 	}
 
 	// /skills.
-	skills, err := c.Skills(ctx)
-	if err != nil {
-		t.Fatalf("Skills: %v", err)
-	}
+	var skills serve.SkillsResponse
+	getJSON(t, ts.URL+"/skills", &skills)
 	if len(skills.Skills) != 2 || skills.Skills[0].Name != "alpha" || skills.Skills[1].Name != "beta" {
 		t.Errorf("skills = %+v", skills)
 	}
@@ -77,10 +116,8 @@ func TestFleetHTTPEndToEnd(t *testing.T) {
 	}
 
 	// /metrics: alpha served traffic (explicit + fallback), latencies move.
-	metrics, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatalf("Metrics: %v", err)
-	}
+	var metrics serve.MetricsResponse
+	getJSON(t, ts.URL+"/metrics", &metrics)
 	var alpha *serve.SkillMetrics
 	for i := range metrics.Skills {
 		if metrics.Skills[i].Name == "alpha" {
@@ -103,10 +140,8 @@ func TestFleetHTTPEndToEnd(t *testing.T) {
 	}
 
 	// /healthz counts ready skills.
-	h, err := c.Health(ctx)
-	if err != nil {
-		t.Fatalf("Health: %v", err)
-	}
+	var h serve.HealthResponse
+	getJSON(t, ts.URL+"/healthz", &h)
 	if !h.OK || h.Skills != 2 {
 		t.Errorf("health = %+v", h)
 	}

@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -181,38 +179,6 @@ func TestFleetSessionFollowupsAcrossHotSwap(t *testing.T) {
 	}
 }
 
-// TestFleetServeOverrides: a per-skill serve.Options override configures
-// that skill's batcher only. The batch-size histogram length equals the
-// shard's MaxBatch, making the applied options observable from /metrics.
-func TestFleetServeOverrides(t *testing.T) {
-	dir := t.TempDir()
-	writeLib(t, dir, "alpha", libV1("test.alpha"))
-	writeLib(t, dir, "beta", libV1("test.beta"))
-	var counts sync.Map
-	cfg := testConfig(dir, &counts)
-	cfg.ServeOverrides = map[string]serve.Options{
-		"alpha": {MaxBatch: 2, Workers: 1, MaxQueue: -1},
-	}
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	waitReady(t, r)
-
-	for _, want := range []struct {
-		skill    string
-		maxBatch int
-	}{{"alpha", 2}, {"beta", 4}} {
-		if _, _, err := r.Parse(context.Background(), want.skill, []string{"tweet", "alpha", "now"}); err != nil {
-			t.Fatalf("Parse(%s): %v", want.skill, err)
-		}
-		if m := sessionMetrics(t, r, want.skill); len(m.BatchSizes) != want.maxBatch {
-			t.Errorf("%s batch histogram has %d buckets, want MaxBatch %d", want.skill, len(m.BatchSizes), want.maxBatch)
-		}
-	}
-}
-
 // TestFleetServerSessionHeader drives the session flow through the HTTP
 // layer: two POST /parse calls with the same X-Genie-Session resolve the
 // follow-up against the stored first-turn program, and /metrics reports the
@@ -241,23 +207,9 @@ func TestFleetServerSessionHeader(t *testing.T) {
 
 	post := func(words []string, session string) serve.ParseResponse {
 		t.Helper()
-		body, _ := json.Marshal(serve.ParseRequest{Skill: "alpha", Words: words})
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/parse", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		if session != "" {
-			req.Header.Set(serve.SessionHeader, session)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /parse: status %d", resp.StatusCode)
-		}
-		var pr serve.ParseResponse
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-			t.Fatal(err)
+		status, pr := postParse(t, ts.URL, serve.ParseRequest{Skill: "alpha", Words: words}, session)
+		if status != http.StatusOK {
+			t.Fatalf("POST /parse: status %d", status)
 		}
 		return pr
 	}
@@ -272,15 +224,8 @@ func TestFleetServerSessionHeader(t *testing.T) {
 		t.Errorf("headerless request used session context: %q", got.Program)
 	}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
 	var metrics serve.MetricsResponse
-	if err := json.NewDecoder(mresp.Body).Decode(&metrics); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, ts.URL+"/metrics", &metrics)
 	if len(metrics.Skills) != 1 || metrics.Skills[0].Sessions != 1 || metrics.Skills[0].SessionHits == 0 {
 		t.Errorf("session counters not surfaced on /metrics: %+v", metrics.Skills)
 	}

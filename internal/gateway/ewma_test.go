@@ -22,7 +22,7 @@ func TestLatencyEWMATracksTraffic(t *testing.T) {
 			t.Fatalf("parse %d = HTTP %d", i, resp.StatusCode)
 		}
 	}
-	b := g.backendList()[0]
+	b := g.backends[0]
 	ew := b.latencyEWMA()
 	if ew < 15 {
 		t.Fatalf("EWMA = %.2fms after 20ms parses, want >= 15ms", ew)
@@ -48,7 +48,7 @@ func TestLatencyEWMATracksTraffic(t *testing.T) {
 func TestHedgeDelayPrefersEWMA(t *testing.T) {
 	fb := newFakeBackend(t, "replica", "alpha")
 	g, _ := newTestGateway(t, testOptions(), fb)
-	b := g.backendList()[0]
+	b := g.backends[0]
 
 	if d := g.hedgeDelay(b, "alpha"); d != 50*time.Millisecond {
 		t.Fatalf("cold hedge delay = %v, want 50ms", d)

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,8 +47,6 @@ type Options struct {
 	// Replication is how many distinct backends serve each skill (default 2,
 	// capped by the membership size).
 	Replication int
-	// VirtualNodes is the ring points per backend (default 64).
-	VirtualNodes int
 	// ProbeInterval is the health-check period (default 500ms); ProbeTimeout
 	// bounds one probe's round trips (default ProbeInterval).
 	ProbeInterval time.Duration
@@ -56,7 +55,7 @@ type Options struct {
 	// (default 3).
 	FailThreshold int
 	// RetryBudget is how many additional attempts may follow a failed first
-	// one (default 2).
+	// one (0 means the default of 2; a negative value disables retries).
 	RetryBudget int
 	// BaseBackoff/MaxBackoff shape the capped exponential retry backoff
 	// (defaults 5ms/200ms) before jitter.
@@ -77,9 +76,6 @@ type Options struct {
 	// Seed seeds the retry-jitter RNG (0 uses 1), so tests can fix the
 	// backoff schedule.
 	Seed int64
-	// Transport overrides the backend HTTP transport (nil uses a
-	// serve.NewTransport of the gateway's own).
-	Transport http.RoundTripper
 	// Logf receives control-plane events (nil discards them).
 	Logf func(format string, args ...any)
 }
@@ -87,9 +83,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Replication <= 0 {
 		o.Replication = 2
-	}
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = 64
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 500 * time.Millisecond
@@ -117,27 +110,38 @@ func (o Options) withDefaults() Options {
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
-	if o.Transport == nil {
-		o.Transport = serve.NewTransport()
-	}
 	return o
+}
+
+// virtualNodes is the number of ring points each backend projects.
+const virtualNodes = 64
+
+// newTransport clones http.DefaultTransport with a per-host idle pool sized
+// for a hop that sends many concurrent requests to a few backends. The
+// default keeps 2 idle connections per host, so the third concurrent request
+// to one backend dials a new connection on every round.
+func newTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = 64
+	t.MaxIdleConns = 256
+	return t
 }
 
 // StatusDegraded is the gateway /skills status for a skill with no live
 // replica.
 const StatusDegraded = "degraded"
 
-// Gateway is the routing tier. Membership is dynamic (AddBackend /
-// RemoveBackend rebuild the ring; health changes do not), and the probe
+// Gateway is the routing tier. Membership is the backend list New was
+// given: the slice (sorted by address) and the ring over it are built once
+// and never change (health filters at candidate selection), and the probe
 // loop runs until Close.
 type Gateway struct {
 	opt   Options
 	hc    *http.Client
 	start time.Time
 
-	mu       sync.Mutex // guards membership (backends map + ring rebuild)
-	backends map[string]*backend
-	ring     atomic.Pointer[ring]
+	backends []*backend
+	ring     *ring
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -163,31 +167,34 @@ type Gateway struct {
 	lifeCancel context.CancelFunc
 }
 
-// New assembles a gateway over the initial backend list, probes every
-// backend once synchronously (so routing has a health and skill picture
-// before the first request), and starts the probe loop.
+// New assembles a gateway over a backend list (blank and repeated addresses
+// are dropped), probes every backend once synchronously (so routing has a
+// health and skill picture before the first request), and starts the probe
+// loop.
 //
 //genielint:ctx-root process-lifetime root: the probe loop outlives any request; Close cancels it
 func New(backendAddrs []string, opt Options) *Gateway {
 	opt = opt.withDefaults()
 	g := &Gateway{
-		opt:      opt,
-		hc:       &http.Client{Transport: opt.Transport},
-		start:    time.Now(),
-		backends: map[string]*backend{},
-		rng:      rand.New(rand.NewSource(opt.Seed)),
-		mux:      http.NewServeMux(),
-		stop:     make(chan struct{}),
+		opt:   opt,
+		hc:    &http.Client{Transport: newTransport()},
+		start: time.Now(),
+		rng:   rand.New(rand.NewSource(opt.Seed)),
+		mux:   http.NewServeMux(),
+		stop:  make(chan struct{}),
 	}
 	g.lifeCtx, g.lifeCancel = context.WithCancel(context.Background())
+	var addrs []string
 	for _, a := range backendAddrs {
-		addr := strings.TrimRight(strings.TrimSpace(a), "/")
-		if addr == "" {
-			continue
+		if addr := strings.TrimRight(strings.TrimSpace(a), "/"); addr != "" {
+			addrs = append(addrs, addr)
 		}
-		g.backends[addr] = newBackend(addr)
 	}
-	g.rebuildRing()
+	slices.Sort(addrs)
+	for _, addr := range slices.Compact(addrs) {
+		g.backends = append(g.backends, newBackend(addr))
+	}
+	g.ring = buildRing(g.backends, virtualNodes)
 	g.ProbeOnce()
 	g.mux.HandleFunc("/parse", g.handleParse)
 	g.mux.HandleFunc("/skills", g.handleSkills)
@@ -212,61 +219,6 @@ func (g *Gateway) Close() {
 	g.hc.CloseIdleConnections()
 }
 
-// AddBackend joins a backend to the membership and probes it synchronously,
-// so it can take traffic as soon as the call returns. Re-adding an existing
-// address is a no-op.
-func (g *Gateway) AddBackend(addr string) {
-	addr = strings.TrimRight(strings.TrimSpace(addr), "/")
-	if addr == "" {
-		return
-	}
-	g.mu.Lock()
-	if _, ok := g.backends[addr]; ok {
-		g.mu.Unlock()
-		return
-	}
-	b := newBackend(addr)
-	g.backends[addr] = b
-	g.rebuildRing()
-	g.mu.Unlock()
-	g.opt.Logf("gateway: %s: joined membership", addr)
-	g.probe(b)
-}
-
-// RemoveBackend leaves a backend from the membership; in-flight requests to
-// it complete, new requests hash around it.
-func (g *Gateway) RemoveBackend(addr string) {
-	addr = strings.TrimRight(strings.TrimSpace(addr), "/")
-	g.mu.Lock()
-	if _, ok := g.backends[addr]; ok {
-		delete(g.backends, addr)
-		g.rebuildRing()
-		g.opt.Logf("gateway: %s: left membership", addr)
-	}
-	g.mu.Unlock()
-}
-
-// rebuildRing recomputes the consistent-hash ring from the current
-// membership. Callers hold g.mu (New is single-threaded).
-func (g *Gateway) rebuildRing() {
-	list := make([]*backend, 0, len(g.backends))
-	for _, b := range g.backends {
-		list = append(list, b)
-	}
-	g.ring.Store(buildRing(list, g.opt.VirtualNodes))
-}
-
-// backendList snapshots the membership.
-func (g *Gateway) backendList() []*backend {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]*backend, 0, len(g.backends))
-	for _, b := range g.backends {
-		out = append(out, b)
-	}
-	return out
-}
-
 func (g *Gateway) probeLoop() {
 	defer g.wg.Done()
 	ticker := time.NewTicker(g.opt.ProbeInterval)
@@ -285,7 +237,7 @@ func (g *Gateway) probeLoop() {
 // state machine. Exported so tests can step health deterministically.
 func (g *Gateway) ProbeOnce() {
 	var wg sync.WaitGroup
-	for _, b := range g.backendList() {
+	for _, b := range g.backends {
 		wg.Add(1)
 		go func(b *backend) {
 			defer wg.Done()

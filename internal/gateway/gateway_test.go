@@ -26,6 +26,7 @@ type fakeBackend struct {
 	ok          atomic.Bool  // /healthz answers OK
 	parseStatus atomic.Int32 // non-zero: /parse answers this status
 	parseDelay  atomic.Int64 // ns to sleep before answering /parse
+	shedNext    atomic.Int64 // the next n /parse shed with 429 and Retry-After: 0.05
 
 	mu    sync.Mutex
 	depth map[string]int64
@@ -81,6 +82,11 @@ func newFakeBackend(t *testing.T, name string, skills ...string) *fakeBackend {
 			case <-r.Context().Done():
 				return
 			}
+		}
+		if n := b.shedNext.Load(); n > 0 && b.shedNext.CompareAndSwap(n, n-1) {
+			w.Header().Set("Retry-After", "0.05")
+			http.Error(w, "shed", http.StatusTooManyRequests)
+			return
 		}
 		if code := int(b.parseStatus.Load()); code != 0 {
 			if code == http.StatusTooManyRequests {
@@ -142,6 +148,16 @@ func newTestGateway(t *testing.T, opt Options, backends ...*fakeBackend) (*Gatew
 	return g, ts
 }
 
+// stateOf reports the health state of the member at addr.
+func stateOf(g *Gateway, addr string) State {
+	for _, b := range g.backends {
+		if b.addr == addr {
+			return b.healthState()
+		}
+	}
+	panic("gateway: no member " + addr)
+}
+
 func postParse(t *testing.T, url string, req serve.ParseRequest, hdr map[string]string) (*http.Response, serve.ParseResponse) {
 	t.Helper()
 	body, _ := json.Marshal(req)
@@ -174,7 +190,7 @@ func TestGatewayRoutesBySkillConsistently(t *testing.T) {
 	opt.Replication = 2
 	g, ts := newTestGateway(t, opt, b1, b2, b3)
 
-	rg := g.ring.Load()
+	rg := g.ring
 	reps := rg.replicas("alpha", 2)
 	if len(reps) != 2 || reps[0] == reps[1] {
 		t.Fatalf("replicas(alpha, 2) = %d distinct backends, want 2", len(reps))
@@ -277,8 +293,120 @@ func TestGatewayShedRetry(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200 via shed retry", resp.StatusCode)
 	}
-	if st, _ := g.BackendState(b1.ts.URL); st != Healthy {
+	if st := stateOf(g, b1.ts.URL); st != Healthy {
 		t.Errorf("shedding backend state = %v, want Healthy (429 must not feed the breaker)", st)
+	}
+}
+
+// TestGatewayHonorsRetryAfterWhenEveryReplicaShed: a lone replica that
+// sheds twice with Retry-After and then answers gets the request through,
+// and the gateway waits out each advertised Retry-After (50ms) rather than
+// its own millisecond backoff, because no untried replica is left.
+func TestGatewayHonorsRetryAfterWhenEveryReplicaShed(t *testing.T) {
+	b1 := newFakeBackend(t, "one", "alpha")
+	opt := testOptions()
+	opt.Replication = 1
+	_, ts := newTestGateway(t, opt, b1)
+
+	b1.shedNext.Store(2)
+	start := time.Now()
+	resp, pr := postParse(t, ts.URL, serve.ParseRequest{Skill: "alpha", Words: []string{"x"}}, nil)
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusOK || pr.Program != "now => one" {
+		t.Fatalf("status = %d (%q), want 200 after two sheds", resp.StatusCode, pr.Program)
+	}
+	if got := resp.Header.Get("X-Genie-Attempts"); got != "3" {
+		t.Errorf("X-Genie-Attempts = %q, want 3", got)
+	}
+	if elapsed < 100*time.Millisecond {
+		t.Errorf("answered after %v, want at least the two advertised 50ms waits", elapsed)
+	}
+}
+
+// TestGatewayDeadlineBoundsRetries: against an always-503 backend, retries
+// stop when the next backoff would overrun the caller's 80ms deadline
+// budget: the gateway answers 408 within the budget, after at most
+// RetryBudget+1 attempts.
+func TestGatewayDeadlineBoundsRetries(t *testing.T) {
+	b1 := newFakeBackend(t, "one", "alpha")
+	opt := testOptions()
+	opt.Replication = 1
+	opt.RetryBudget = 10
+	opt.BaseBackoff = 50 * time.Millisecond
+	opt.MaxBackoff = time.Second
+	_, ts := newTestGateway(t, opt, b1)
+
+	b1.parseStatus.Store(http.StatusServiceUnavailable)
+	start := time.Now()
+	resp, _ := postParse(t, ts.URL, serve.ParseRequest{Skill: "alpha", Words: []string{"x"}},
+		map[string]string{serve.DeadlineHeader: "80"})
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Errorf("status = %d, want 408", resp.StatusCode)
+	}
+	if elapsed > 80*time.Millisecond+200*time.Millisecond {
+		t.Errorf("408 took %v, want it within the 80ms budget (plus scheduling slack)", elapsed)
+	}
+	if n := b1.parses.Load(); n < 1 || n > int64(opt.RetryBudget)+1 {
+		t.Errorf("backend saw %d attempts, want 1..%d", n, opt.RetryBudget+1)
+	}
+}
+
+// TestGatewayPassesThroughBackend404: a definitive client error from a
+// backend is answered as is after one attempt; no other replica is tried.
+func TestGatewayPassesThroughBackend404(t *testing.T) {
+	b1 := newFakeBackend(t, "one", "alpha")
+	b2 := newFakeBackend(t, "two", "alpha")
+	opt := testOptions()
+	opt.Replication = 2
+	g, ts := newTestGateway(t, opt, b1, b2)
+
+	b1.parseStatus.Store(http.StatusNotFound)
+	b2.parseStatus.Store(http.StatusNotFound)
+	resp, _ := postParse(t, ts.URL, serve.ParseRequest{Skill: "alpha", Words: []string{"x"}}, nil)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("status = %d, want the backend's 404", resp.StatusCode)
+	}
+	if n := b1.parses.Load() + b2.parses.Load(); n != 1 {
+		t.Errorf("backends saw %d attempts, want 1", n)
+	}
+	if m := g.MetricsSnapshot(); m.Retries != 0 {
+		t.Errorf("Metrics.Retries = %d, want 0", m.Retries)
+	}
+}
+
+// TestParseRetryAfter: delay-seconds and HTTP-date values parse to a wait;
+// absent, unparsable, negative and non-finite values to 0; and a value past
+// serve.MaxDeadline clamps to it instead of overflowing to a negative wait.
+func TestParseRetryAfter(t *testing.T) {
+	cases := []struct {
+		in   string
+		want time.Duration
+	}{
+		{"", 0},
+		{"2", 2 * time.Second},
+		{"0.25", 250 * time.Millisecond},
+		{"garbage", 0},
+		{"-1", 0},
+		{"NaN", 0},
+		{"Inf", 0},
+		{"-Inf", 0},
+		{"86400", serve.MaxDeadline},
+		{"1e9", serve.MaxDeadline},
+		{"9.3e9", serve.MaxDeadline},
+		{"1e10", serve.MaxDeadline},
+		{"1e300", serve.MaxDeadline},
+		{"Mon, 01 Jan 9999 00:00:00 GMT", serve.MaxDeadline},
+	}
+	for _, c := range cases {
+		if got := parseRetryAfter(c.in); got != c.want {
+			t.Errorf("parseRetryAfter(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	// HTTP-date form: a date in the future parses to a positive wait.
+	future := time.Now().Add(3 * time.Second).UTC().Format(http.TimeFormat)
+	if got := parseRetryAfter(future); got <= 0 || got > 3*time.Second {
+		t.Errorf("parseRetryAfter(%q) = %v, want in (0, 3s]", future, got)
 	}
 }
 
@@ -302,7 +430,7 @@ func TestGatewayEjectionAndReadmission(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		g.ProbeOnce()
 	}
-	if st, _ := g.BackendState(b1.ts.URL); st != Ejected {
+	if st := stateOf(g, b1.ts.URL); st != Ejected {
 		t.Fatalf("state after %d failed probes = %v, want Ejected", 3, st)
 	}
 
@@ -316,11 +444,11 @@ func TestGatewayEjectionAndReadmission(t *testing.T) {
 	// Restore: readmitted within two probe intervals.
 	b1.ok.Store(true)
 	g.ProbeOnce()
-	if st, _ := g.BackendState(b1.ts.URL); st != HalfOpen {
+	if st := stateOf(g, b1.ts.URL); st != HalfOpen {
 		t.Fatalf("state after restore probe 1 = %v, want HalfOpen", st)
 	}
 	g.ProbeOnce()
-	if st, _ := g.BackendState(b1.ts.URL); st != Healthy {
+	if st := stateOf(g, b1.ts.URL); st != Healthy {
 		t.Fatalf("state after restore probe 2 = %v, want Healthy", st)
 	}
 	if m := g.MetricsSnapshot(); m.Backends[0].Ejections < 1 && m.Backends[1].Ejections < 1 {
@@ -342,7 +470,7 @@ func TestGatewayDegradedSkill(t *testing.T) {
 	b1.ok.Store(false)
 	g.ProbeOnce()
 	g.ProbeOnce()
-	if st, _ := g.BackendState(b1.ts.URL); st != Ejected {
+	if st := stateOf(g, b1.ts.URL); st != Ejected {
 		t.Fatalf("gamma's backend not ejected: %v", st)
 	}
 

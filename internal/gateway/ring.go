@@ -6,13 +6,13 @@ import (
 	"sort"
 )
 
-// ring is an immutable consistent-hash ring over the current membership.
-// Each backend projects VirtualNodes points onto the ring; a skill routes to
-// the first Replication distinct backends clockwise of its own hash. The
-// ring only changes on membership change (add/remove), never on health
-// change — health filters at candidate selection — so adding or losing one
-// backend remaps only the skills adjacent to that backend's points instead
-// of reshuffling every skill across the fleet.
+// ring is an immutable consistent-hash ring over the membership. Each
+// backend projects virtualNodes points onto the ring; a skill routes to the
+// first Replication distinct backends clockwise of its own hash. Health
+// never changes the ring — it filters at candidate selection — so an
+// ejected backend's skills fail over to the next replicas clockwise, and a
+// backend list that differs by one member remaps only the skills adjacent
+// to that member's points instead of reshuffling every skill.
 type ring struct {
 	points []ringPoint // sorted by hash
 }

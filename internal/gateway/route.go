@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/serve"
@@ -38,17 +40,13 @@ var errDegraded = errors.New("gateway: skill degraded, no live replica")
 func (g *Gateway) candidates(skill string) []*backend {
 	var cands []*backend
 	if skill == "" {
-		for _, b := range g.backendList() {
+		for _, b := range g.backends {
 			if b.routable() && len(b.skillNames()) > 0 {
 				cands = append(cands, b)
 			}
 		}
 	} else {
-		rg := g.ring.Load()
-		if rg == nil {
-			return nil
-		}
-		for _, b := range rg.replicas(skill, g.opt.Replication) {
+		for _, b := range g.ring.replicas(skill, g.opt.Replication) {
 			if b.routable() && b.servesSkill(skill) {
 				cands = append(cands, b)
 			}
@@ -112,8 +110,8 @@ func (g *Gateway) route(ctx context.Context, req serve.ParseRequest, session str
 }
 
 // routeReplicas is the retry loop over a skill's replica set. Each
-// iteration re-snapshots the candidates (membership and health move under
-// load), prefers untried replicas, backs off with jitter between attempts —
+// iteration re-snapshots the candidates (health and load move under
+// traffic), prefers untried replicas, backs off with jitter between attempts —
 // stretched to the server's Retry-After when every candidate has shed — and
 // gives up when the retry budget or the deadline budget runs out. The first
 // attempt may hedge.
@@ -206,6 +204,29 @@ func terminalStatus(status int) bool {
 	return status < 500 && status != http.StatusTooManyRequests
 }
 
+// parseRetryAfter parses a Retry-After header value (delay-seconds or
+// HTTP-date) into a wait clamped to serve.MaxDeadline; 0 means absent,
+// unparsable, negative or non-finite. Unclamped, delay-seconds past ~9.2e9
+// overflow time.Duration to a negative wait.
+func parseRetryAfter(v string) time.Duration {
+	if v == "" {
+		return 0
+	}
+	if secs, err := strconv.ParseFloat(v, 64); err == nil {
+		if secs < 0 || math.IsNaN(secs) || math.IsInf(secs, 0) {
+			return 0
+		}
+		if secs >= serve.MaxDeadline.Seconds() {
+			return serve.MaxDeadline
+		}
+		return time.Duration(secs * float64(time.Second))
+	}
+	if t, err := http.ParseTime(v); err == nil {
+		return min(max(0, time.Until(t)), serve.MaxDeadline)
+	}
+	return 0
+}
+
 func anyUntried(cands []*backend, tried map[*backend]bool) bool {
 	for _, c := range cands {
 		if !tried[c] {
@@ -251,7 +272,7 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, body []byte, session 
 		return routeResult{}, fmt.Errorf("gateway: %s: reading reply: %w", b.addr, err)
 	}
 	res := routeResult{status: resp.StatusCode, body: rb, backend: b.addr,
-		retryAfter: serve.ParseRetryAfter(resp.Header.Get("Retry-After"))}
+		retryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
 	switch {
 	case resp.StatusCode >= 500 && resp.StatusCode != http.StatusServiceUnavailable:
 		b.failures.Add(1)

@@ -91,7 +91,7 @@ func (g *Gateway) handleSkills(w http.ResponseWriter, r *http.Request) {
 // serves on /skills.
 func (g *Gateway) SkillsSnapshot() []serve.SkillInfo {
 	names := map[string]bool{}
-	for _, b := range g.backendList() {
+	for _, b := range g.backends {
 		for name := range b.skillNames() {
 			names[name] = true
 		}
@@ -101,15 +101,12 @@ func (g *Gateway) SkillsSnapshot() []serve.SkillInfo {
 		sorted = append(sorted, n)
 	}
 	sort.Strings(sorted)
-	rg := g.ring.Load()
 	out := make([]serve.SkillInfo, 0, len(sorted))
 	for _, name := range sorted {
 		info := serve.SkillInfo{Name: name, Status: StatusDegraded}
-		if rg != nil {
-			for _, b := range rg.replicas(name, g.opt.Replication) {
-				if b.routable() && b.servesSkill(name) {
-					info.Replicas++
-				}
+		for _, b := range g.ring.replicas(name, g.opt.Replication) {
+			if b.routable() && b.servesSkill(name) {
+				info.Replicas++
 			}
 		}
 		if info.Replicas > 0 {
@@ -118,17 +115,6 @@ func (g *Gateway) SkillsSnapshot() []serve.SkillInfo {
 		out = append(out, info)
 	}
 	return out
-}
-
-// BackendState reports one backend's health state (tests and operators).
-func (g *Gateway) BackendState(addr string) (State, bool) {
-	g.mu.Lock()
-	b, ok := g.backends[addr]
-	g.mu.Unlock()
-	if !ok {
-		return Ejected, false
-	}
-	return b.healthState(), true
 }
 
 // MetricsSnapshot assembles the gateway's live metrics.
@@ -144,9 +130,7 @@ func (g *Gateway) MetricsSnapshot() Metrics {
 		Sticky:        g.sticky.Load(),
 	}
 	m.P50MS, m.P99MS = g.lat.Quantiles()
-	backends := g.backendList()
-	sort.Slice(backends, func(i, j int) bool { return backends[i].addr < backends[j].addr })
-	for _, b := range backends {
+	for _, b := range g.backends {
 		m.Backends = append(m.Backends, BackendMetrics{
 			Addr:             b.addr,
 			State:            b.healthState().String(),

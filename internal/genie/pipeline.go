@@ -91,7 +91,6 @@ func PipelineStream(ctx context.Context, lib *thingpedia.Library, gopt nltemplat
 		PPDBVariants: scale.PPDBVariants,
 		Seed:         seed,
 		Workers:      workers,
-		Buffer:       pipelineBuffer,
 	})
 }
 
@@ -111,34 +110,4 @@ func paraphraseEligible(e *dataset.Example, lib *thingpedia.Library, seed int64)
 		}
 	}
 	return rand.New(rand.NewSource(seed)).Float64() < 0.1
-}
-
-// TrainingStream streams a strategy's training set through the concurrent
-// expansion pipeline: the strategy's slot-marked sources (synthesized
-// and/or paraphrase data, minus held-out combinations, exactly as
-// TrainingExamples selects them) flow through parameter instantiation and
-// PPDB augmentation on a worker pool. Unlike TrainingExamples it does not
-// shuffle or cap — collect with dataset.Collect and shuffle afterwards if
-// the consumer needs either, and cancel ctx when stopping before the
-// stream drains.
-func (d *Data) TrainingStream(ctx context.Context, s Strategy, seed int64, workers int) <-chan dataset.Example {
-	sources, factors, ppdb := d.strategySources(s)
-	in := make(chan dataset.Example, pipelineBuffer)
-	go func() {
-		defer close(in)
-		for i := range sources {
-			select {
-			case in <- sources[i]:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return augment.ExpandStream(ctx, in, d.sampler, augment.StreamConfig{
-		Factors:      factors,
-		PPDBVariants: ppdb,
-		Seed:         seed,
-		Workers:      workers,
-		Buffer:       pipelineBuffer,
-	})
 }

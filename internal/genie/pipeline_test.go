@@ -72,32 +72,3 @@ func TestPipelineStreamCancellation(t *testing.T) {
 		}
 	}
 }
-
-// TestTrainingStreamDeterministicAcrossWorkers asserts the streaming
-// training-set builder matches itself across worker counts and draws from
-// the same sources as the materializing path (no held-out combinations).
-func TestTrainingStreamDeterministicAcrossWorkers(t *testing.T) {
-	lib := thingpedia.Builtin()
-	d := BuildData(lib, nltemplate.DefaultOptions, Unit, 1)
-	ctx := context.Background()
-	seq := dataset.Collect(ctx, d.TrainingStream(ctx, StrategyGenie, 7, 1), 0)
-	par := dataset.Collect(ctx, d.TrainingStream(ctx, StrategyGenie, 7, 4), 0)
-	if len(seq) == 0 {
-		t.Fatal("training stream emitted nothing")
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("worker count changed output size: workers=1 %d vs workers=4 %d", len(seq), len(par))
-	}
-	for i := range seq {
-		a := seq[i].Sentence() + "|" + seq[i].Program.String()
-		b := par[i].Sentence() + "|" + par[i].Program.String()
-		if a != b {
-			t.Fatalf("output %d differs:\n workers=1: %s\n workers=4: %s", i, a, b)
-		}
-	}
-	for i := range seq {
-		if d.HeldOutCombos[dataset.FunctionComboKey(seq[i].Program)] {
-			t.Fatalf("held-out combination leaked into training stream: %s", seq[i].Program)
-		}
-	}
-}

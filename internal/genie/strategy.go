@@ -60,12 +60,9 @@ type TargetOptions struct {
 // CanonicalTargets is the default serialization.
 var CanonicalTargets = TargetOptions{TypeAnnotations: true}
 
-// strategySources returns a strategy's slot-marked source examples
-// (held-out combinations removed) together with its expansion factors and
-// PPDB variant count. Both the materializing TrainingExamples and the
-// streaming TrainingStream build on it, so the two paths always train on
-// the same data recipe.
-func (d *Data) strategySources(s Strategy) ([]dataset.Example, augment.ExpansionFactors, int) {
+// TrainingExamples instantiates the training set for a strategy. Held-out
+// combinations never enter training.
+func (d *Data) TrainingExamples(s Strategy, rng *rand.Rand) []dataset.Example {
 	factors := d.Scale.Factors
 	ppdb := d.Scale.PPDBVariants
 	var sources []dataset.Example
@@ -85,13 +82,6 @@ func (d *Data) strategySources(s Strategy) ([]dataset.Example, augment.Expansion
 	sources = filterExamples(sources, func(e *dataset.Example) bool {
 		return !d.HeldOutCombos[dataset.FunctionComboKey(e.Program)]
 	})
-	return sources, factors, ppdb
-}
-
-// TrainingExamples instantiates the training set for a strategy. Held-out
-// combinations never enter training.
-func (d *Data) TrainingExamples(s Strategy, rng *rand.Rand) []dataset.Example {
-	sources, factors, ppdb := d.strategySources(s)
 	train := augment.Expand(sources, factors, d.sampler, rng)
 	if ppdb > 0 {
 		train = augment.AugmentParaphrases(train, ppdb, rng)

@@ -135,7 +135,6 @@ type aggCand struct {
 
 // Automaton is a Spec compiled against one decoder vocabulary.
 type Automaton struct {
-	spec  *Spec
 	vocab []string
 	index map[string]int32
 
@@ -317,7 +316,6 @@ func (a *Automaton) classify(tok string) (tokClass, int32) {
 // included). It fails if the vocabulary cannot express any complete program.
 func Compile(spec *Spec, vocab []string) (*Automaton, error) {
 	a := &Automaton{
-		spec:       spec,
 		vocab:      vocab,
 		index:      make(map[string]int32, len(vocab)),
 		strIdx:     map[string]int32{},
@@ -745,9 +743,3 @@ func extendEnv(base, add []EnvEntry) []EnvEntry {
 	out = append(out, add...)
 	return out
 }
-
-// Vocab returns the vocabulary the automaton was compiled against.
-func (a *Automaton) Vocab() []string { return a.vocab }
-
-// Spec returns the spec the automaton was compiled from.
-func (a *Automaton) Spec() *Spec { return a.spec }

@@ -205,7 +205,4 @@ func TestSpecRoundTrip(t *testing.T) {
 	if spec.Checksum() == "" {
 		t.Fatalf("empty checksum")
 	}
-	if _, err := back.Schemas(); err != nil {
-		t.Fatalf("Schemas: %v", err)
-	}
 }

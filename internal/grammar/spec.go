@@ -106,28 +106,3 @@ func (s *Spec) Checksum() string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
 }
-
-// Schemas rebuilds a thingtalk.SchemaMap from the spec (used by tests and by
-// serving paths that need a SchemaSource but only have a snapshot).
-func (s *Spec) Schemas() (thingtalk.SchemaMap, error) {
-	m := thingtalk.SchemaMap{}
-	for i := range s.Functions {
-		f := &s.Functions[i]
-		fs := &thingtalk.FunctionSchema{
-			Class:   f.Class,
-			Name:    f.Name,
-			Kind:    thingtalk.FunctionKind(f.Kind),
-			Monitor: f.Monitor,
-			List:    f.List,
-		}
-		for _, p := range f.Params {
-			t, err := thingtalk.ParseType(p.Type)
-			if err != nil {
-				return nil, fmt.Errorf("grammar: spec %s param %s: %w", f.selector(), p.Name, err)
-			}
-			fs.Params = append(fs.Params, thingtalk.ParamSpec{Name: p.Name, Type: t, Dir: thingtalk.ParamDir(p.Dir)})
-		}
-		m.Add(fs)
-	}
-	return m, nil
-}

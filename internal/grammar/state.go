@@ -281,17 +281,6 @@ func (a *Automaton) advance(st *State) bool {
 	return true
 }
 
-// Accepting reports whether EOS is legal: every open construct can finish.
-func (a *Automaton) Accepting(st *State) bool {
-	w := st.clone()
-	for len(w.frames) > 0 {
-		if !a.advance(w) {
-			return false
-		}
-	}
-	return true
-}
-
 // tokDesc is a classified token being consumed.
 type tokDesc struct {
 	id      int32 // vocab id, -1 for OOV copies

@@ -42,10 +42,6 @@ func (p *Parser) SetGrammar(spec *grammar.Spec) error {
 	return nil
 }
 
-// Grammar returns the grammar spec the parser decodes under (nil when
-// unmasked).
-func (p *Parser) Grammar() *grammar.Spec { return p.gspec }
-
 // GrammarActive reports whether masked decoding is in effect (a spec is set
 // and compiled against this vocabulary).
 func (p *Parser) GrammarActive() bool { return p.auto != nil }

@@ -28,7 +28,6 @@ const (
 	CatAVPRef  = "avpref"  // action verb phrases with a parameter-passing hole
 	CatNPRef   = "npref"   // query noun phrases with a parameter-passing hole
 	CatPred    = "pred"    // boolean predicate phrases
-	CatAgg     = "agg"     // aggregation phrases (TT+A)
 )
 
 // ConstCategory returns the generator category for typed constants; the
@@ -57,7 +56,7 @@ type Derivation struct {
 	// markers replaced later by the parameter-replacement stage.
 	Words []string
 	// Value is the formal fragment: *thingtalk.Program, *thingtalk.Query,
-	// *thingtalk.Stream, *thingtalk.Action, *Pred, *AggSpec, or
+	// *thingtalk.Stream, *thingtalk.Action, *Pred, or
 	// thingtalk.Value for constants.
 	Value any
 	// Depth is 1 + the maximum child depth.
@@ -73,13 +72,6 @@ func (d *Derivation) Sentence() string { return strings.Join(d.Words, " ") }
 type Pred struct {
 	Selector  string
 	Predicate *thingtalk.Predicate
-}
-
-// AggSpec is the value of an aggregation-phrase derivation (TT+A).
-type AggSpec struct {
-	Selector string
-	Op       string
-	Param    string
 }
 
 // Symbol is one element of a rule's right-hand side: either literal words or
@@ -164,15 +156,6 @@ func (g *Grammar) Rules(cat string) []*Rule { return g.rules[cat] }
 // Categories returns the categories with at least one rule, in registration
 // order.
 func (g *Grammar) Categories() []string { return g.order }
-
-// RuleCount returns the total number of rules.
-func (g *Grammar) RuleCount() int {
-	n := 0
-	for _, rs := range g.rules {
-		n += len(rs)
-	}
-	return n
-}
 
 // Derive applies a rule to children (which must match the rule's
 // non-terminal count), returning nil if the semantic function rejects the

@@ -39,12 +39,6 @@ func NewRandom(rows, cols int, rng *rand.Rand) *Tensor {
 	return t
 }
 
-// At returns element (r, c).
-func (t *Tensor) At(r, c int) float64 { return t.W[r*t.Cols+c] }
-
-// Set assigns element (r, c).
-func (t *Tensor) Set(r, c int, v float64) { t.W[r*t.Cols+c] = v }
-
 // ZeroGrad clears the gradient buffer.
 func (t *Tensor) ZeroGrad() {
 	for i := range t.DW {

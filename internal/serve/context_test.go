@@ -44,6 +44,9 @@ func TestBatcherPartitionsContextWindows(t *testing.T) {
 	p := &ctxFakeParser{}
 	b := NewBatcher(p, Options{MaxBatch: 8, Workers: 2, MaxQueue: -1})
 	defer b.Close()
+	if !b.Contextual() {
+		t.Error("Contextual() = false for a contextual parser")
+	}
 
 	const n = 64
 	var wg sync.WaitGroup
@@ -114,23 +117,5 @@ func TestParseContextCtxWithoutSurface(t *testing.T) {
 	}
 	if b.Contextual() {
 		t.Error("Contextual() = true for a parser without the surface")
-	}
-}
-
-// TestParseContextScoredCtx: a scored contextual request decodes against its
-// context and reports the parser's score.
-func TestParseContextScoredCtx(t *testing.T) {
-	p := &ctxFakeParser{}
-	b := NewBatcher(p, Options{MaxBatch: 4, Workers: 1, MaxQueue: -1})
-	defer b.Close()
-	toks, score, err := b.ParseContextScoredCtx(context.Background(), []string{"w"}, []string{"prev"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(toks, " ") != "ctx prev w" || score != 0.5 {
-		t.Errorf("scored contextual decode = %v (%v)", toks, score)
-	}
-	if !b.Contextual() {
-		t.Error("Contextual() = false for a contextual parser")
 	}
 }

@@ -202,125 +202,3 @@ func TestServerPanicAnswers500(t *testing.T) {
 		t.Errorf("poisoned POST /parse status = %d, want 500", resp.StatusCode)
 	}
 }
-
-func TestParseRetryAfter(t *testing.T) {
-	cases := []struct {
-		in   string
-		want time.Duration
-	}{
-		{"", 0},
-		{"2", 2 * time.Second},
-		{"0.25", 250 * time.Millisecond},
-		{"garbage", 0},
-		{"-1", 0},
-	}
-	for _, c := range cases {
-		if got := ParseRetryAfter(c.in); got != c.want {
-			t.Errorf("ParseRetryAfter(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	// HTTP-date form: a date in the future parses to a positive wait.
-	future := time.Now().Add(3 * time.Second).UTC().Format(http.TimeFormat)
-	if got := ParseRetryAfter(future); got <= 0 || got > 3*time.Second {
-		t.Errorf("ParseRetryAfter(%q) = %v, want in (0, 3s]", future, got)
-	}
-}
-
-// TestClientStatusError checks that non-2xx replies surface as typed
-// *StatusError with the status and parsed Retry-After, and that 429 still
-// matches ErrOverloaded through errors.Is.
-func TestClientStatusError(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1.5")
-		http.Error(w, "queue full", http.StatusTooManyRequests)
-	}))
-	defer ts.Close()
-
-	_, err := NewClient(ts.URL).ParseWords(context.Background(), []string{"x"})
-	var se *StatusError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v (%T), want *StatusError", err, err)
-	}
-	if se.Status != http.StatusTooManyRequests {
-		t.Errorf("Status = %d, want 429", se.Status)
-	}
-	if se.RetryAfter != 1500*time.Millisecond {
-		t.Errorf("RetryAfter = %v, want 1.5s", se.RetryAfter)
-	}
-	if se.Msg != "queue full" {
-		t.Errorf("Msg = %q, want %q", se.Msg, "queue full")
-	}
-	if !errors.Is(err, ErrOverloaded) {
-		t.Errorf("errors.Is(err, ErrOverloaded) = false for a 429, want true")
-	}
-}
-
-// TestClientRetryRecovers sheds the first two attempts and answers the
-// third: an armed client must succeed transparently.
-func TestClientRetryRecovers(t *testing.T) {
-	var attempts atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if attempts.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0.01")
-			http.Error(w, "shed", http.StatusTooManyRequests)
-			return
-		}
-		WriteJSON(w, ParseResponse{Tokens: []string{"now", "=>", "notify"}, Program: "now => notify"})
-	}))
-	defer ts.Close()
-
-	c := NewClient(ts.URL).WithRetry(RetryPolicy{MaxRetries: 3, BaseBackoff: time.Millisecond, Seed: 42})
-	toks, err := c.ParseWords(context.Background(), []string{"tweet", "alpha", "now"})
-	if err != nil {
-		t.Fatalf("ParseWords with retry: %v", err)
-	}
-	if strings.Join(toks, " ") != "now => notify" {
-		t.Errorf("tokens = %v", toks)
-	}
-	if n := attempts.Load(); n != 3 {
-		t.Errorf("attempts = %d, want 3", n)
-	}
-}
-
-// TestClientRetryBudgetBounded: retries never sleep past the context
-// deadline, and non-temporary statuses are not retried at all.
-func TestClientRetryBudgetBounded(t *testing.T) {
-	var attempts atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		attempts.Add(1)
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
-
-	c := NewClient(ts.URL).WithRetry(RetryPolicy{MaxRetries: 10, BaseBackoff: 50 * time.Millisecond, Seed: 7})
-	ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := c.ParseWords(ctx, []string{"x"})
-	if err == nil {
-		t.Fatal("want error from an always-503 server")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("retry loop overran the deadline budget: %v", elapsed)
-	}
-	if n := attempts.Load(); n >= 10 {
-		t.Errorf("attempts = %d, want far fewer than MaxRetries+1 under an 80ms budget", n)
-	}
-
-	// A terminal status is not retried.
-	attempts.Store(0)
-	ts2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		attempts.Add(1)
-		http.Error(w, "no such skill", http.StatusNotFound)
-	}))
-	defer ts2.Close()
-	c2 := NewClient(ts2.URL).WithRetry(RetryPolicy{MaxRetries: 5, BaseBackoff: time.Millisecond})
-	_, err = c2.ParseWords(context.Background(), []string{"x"})
-	var se *StatusError
-	if !errors.As(err, &se) || se.Status != http.StatusNotFound {
-		t.Fatalf("err = %v, want *StatusError 404", err)
-	}
-	if n := attempts.Load(); n != 1 {
-		t.Errorf("attempts on 404 = %d, want 1 (not retryable)", n)
-	}
-}

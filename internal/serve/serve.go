@@ -4,10 +4,9 @@
 // bounded-queue admission control and graceful drain, where the requests
 // that queued behind a busy pool decode in one model.Parser.Decode call (two
 // or more rows advance in lockstep as rows of B×n tensors, one batched forward
-// per decode step), an HTTP JSON front end (Server) with
-// a matching Client, and a trained-snapshot cache keyed by the Thingpedia
-// skill-library checksum (Cache), so re-serving an unchanged library skips
-// training entirely. The multi-skill fleet control plane (internal/fleet)
+// per decode step), an HTTP JSON front end (Server), and a trained-snapshot
+// cache keyed by the Thingpedia skill-library checksum (Cache), so re-serving
+// an unchanged library skips training entirely. The multi-skill fleet control plane (internal/fleet)
 // composes one Batcher per skill behind a router and speaks this package's
 // wire types.
 //
@@ -354,13 +353,6 @@ func (b *Batcher) ParseContextCtx(ctx context.Context, words, prior []string) ([
 // beam width without the adaptive policy.
 func (b *Batcher) ParseScoredCtx(ctx context.Context, words []string) ([]string, float64, error) {
 	res, err := b.do(ctx, request{words: words, scored: true, reply: make(chan parseResult, 1)})
-	return res.toks, res.score, err
-}
-
-// ParseContextScoredCtx is ParseScoredCtx conditioned on the previous
-// turn's program tokens.
-func (b *Batcher) ParseContextScoredCtx(ctx context.Context, words, prior []string) ([]string, float64, error) {
-	res, err := b.do(ctx, request{words: words, context: prior, scored: true, reply: make(chan parseResult, 1)})
 	return res.toks, res.score, err
 }
 

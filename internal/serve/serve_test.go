@@ -3,9 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -476,31 +476,51 @@ func TestBatcherContextCancel(t *testing.T) {
 	}
 }
 
+// postParse POSTs one parse request to a server's /parse and returns the
+// reply's status and, on 200, its decoded body.
+func postParse(t *testing.T, url string, req ParseRequest) (int, ParseResponse) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/parse", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var pr ParseResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, pr
+}
+
 func TestServerAndClientEndToEnd(t *testing.T) {
 	p := toyParser()
 	srv := NewServer(p, Options{MaxBatch: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := NewClient(ts.URL)
 
-	ctx := context.Background()
 	words := []string{"tweet", "alpha", "now"}
 	want := strings.Join(p.Parse(words), " ")
 
 	// Pre-tokenized path.
-	got, err := c.ParseWords(ctx, words)
-	if err != nil {
-		t.Fatalf("ParseWords: %v", err)
+	status, resp := postParse(t, ts.URL, ParseRequest{Words: words})
+	if status != http.StatusOK {
+		t.Fatalf("words: status %d", status)
 	}
-	if strings.Join(got, " ") != want {
-		t.Errorf("served decode = %q, direct = %q", strings.Join(got, " "), want)
+	if strings.Join(resp.Tokens, " ") != want || resp.Program != want {
+		t.Errorf("served decode = %q (%q), direct = %q", strings.Join(resp.Tokens, " "), resp.Program, want)
 	}
 
 	// Raw-sentence path (server-side tokenization lowercases).
-	resp, err := c.ParseSentence(ctx, "Tweet alpha NOW")
-	if err != nil {
-		t.Fatalf("ParseSentence: %v", err)
+	status, resp = postParse(t, ts.URL, ParseRequest{Sentence: "Tweet alpha NOW"})
+	if status != http.StatusOK {
+		t.Fatalf("sentence: status %d", status)
 	}
 	if resp.Program != want {
 		t.Errorf("sentence decode = %q, want %q", resp.Program, want)
@@ -509,23 +529,22 @@ func TestServerAndClientEndToEnd(t *testing.T) {
 		t.Error("empty token list for a trained in-distribution sentence")
 	}
 
-	// eval.Decoder adapter.
-	if gotDec := strings.Join(c.Parse(words), " "); gotDec != want {
-		t.Errorf("Client.Parse = %q, want %q", gotDec, want)
-	}
-
-	h, err := c.Health(ctx)
+	hr, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
-		t.Fatalf("Health: %v", err)
+		t.Fatal(err)
 	}
-	if !h.OK || h.Requests < 3 {
+	defer hr.Body.Close()
+	var h HealthResponse
+	if err := json.NewDecoder(hr.Body).Decode(&h); err != nil {
+		t.Fatalf("healthz: %v", err)
+	}
+	if !h.OK || h.Requests < 2 {
 		t.Errorf("unexpected health: %+v", h)
 	}
 }
 
 // TestServerSheds429 drives the HTTP front end into admission-control
-// shedding and checks the 429 + Retry-After contract, plus the Client's
-// ErrOverloaded mapping.
+// shedding and checks the 429 + Retry-After contract.
 func TestServerSheds429(t *testing.T) {
 	sp := &slowParser{release: make(chan struct{}, 4)}
 	srv := NewServer(sp, Options{MaxBatch: 1, Workers: 1, MaxQueue: 1})
@@ -561,12 +580,6 @@ func TestServerSheds429(t *testing.T) {
 		t.Error("429 reply missing Retry-After")
 	}
 
-	// The Client surfaces the shed as ErrOverloaded.
-	c := NewClient(ts.URL)
-	if _, err := c.ParseSentence(context.Background(), "tweet alpha now"); !errors.Is(err, ErrOverloaded) {
-		t.Errorf("client error = %v, want ErrOverloaded", err)
-	}
-
 	sp.release <- struct{}{}
 	<-done
 }
@@ -576,10 +589,9 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := NewClient(ts.URL)
 
-	if _, err := c.ParseSentence(context.Background(), "   "); err == nil {
-		t.Error("empty sentence should be rejected")
+	if status, _ := postParse(t, ts.URL, ParseRequest{Sentence: "   "}); status != http.StatusBadRequest {
+		t.Errorf("empty sentence status = %d, want 400", status)
 	}
 	resp, err := ts.Client().Get(ts.URL + "/parse")
 	if err != nil {
@@ -671,45 +683,5 @@ func TestDeadlineContextBudgets(t *testing.T) {
 		if left := time.Until(deadline); !ok || left > tc.budget || left < tc.budget-time.Minute {
 			t.Errorf("header %q: deadline %s away (set=%v), want %s", tc.header, left, ok, tc.budget)
 		}
-	}
-}
-
-// TestClientReusesConnections drives 16 concurrent callers for 20 rounds
-// through one Client and bounds the connections the server accepted: the
-// Client's transport keeps an idle pool as wide as the concurrency, where
-// http.DefaultTransport's 2 idle connections per host re-dialed the other 14
-// every round.
-func TestClientReusesConnections(t *testing.T) {
-	srv := NewServer(&ctxFakeParser{}, Options{})
-	defer srv.Close()
-	var conns atomic.Int64
-	ts := httptest.NewUnstartedServer(srv.Handler())
-	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
-		if st == http.StateNew {
-			conns.Add(1)
-		}
-	}
-	ts.Start()
-	defer ts.Close()
-	c := NewClient(ts.URL)
-	const callers, rounds = 16, 20
-	for round := 0; round < rounds; round++ {
-		var wg sync.WaitGroup
-		for i := 0; i < callers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := c.ParseWords(context.Background(), []string{"tweet", "alpha", "now"}); err != nil {
-					t.Errorf("ParseWords: %v", err)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	// One connection per concurrent caller, plus slack for a connection still
-	// on its way back to the idle pool when the next round starts.
-	if got := conns.Load(); got > 3*callers {
-		t.Errorf("server accepted %d connections for %d requests at concurrency %d, want <= %d",
-			got, callers*rounds, callers, 3*callers)
 	}
 }

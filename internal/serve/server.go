@@ -173,26 +173,20 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Close shuts the batching layer down.
 func (s *Server) Close() { s.b.Close() }
 
-// Tokenize is the server's sentence tokenization: lowercase, whitespace
-// split. It matches the pipeline's pre-tokenized training data closely
-// enough for serving and is exported so Client can mirror it.
-func Tokenize(sentence string) []string {
-	return strings.Fields(strings.ToLower(sentence))
-}
-
-// RequestWords extracts the tokenized sentence of a parse request (words
-// when given, else the tokenized sentence); shared by the single-parser and
-// fleet servers.
+// RequestWords extracts the tokenized sentence of a parse request: words
+// when given, else the sentence lowercased and split on whitespace, which
+// matches the pipeline's pre-tokenized training data closely enough for
+// serving. Shared by the single-parser and fleet servers.
 func (r *ParseRequest) RequestWords() []string {
 	if len(r.Words) > 0 {
 		return r.Words
 	}
-	return Tokenize(r.Sentence)
+	return strings.Fields(strings.ToLower(r.Sentence))
 }
 
 // DeadlineHeader carries a request's remaining deadline budget in
-// milliseconds. The gateway and Client stamp it from their context deadline
-// on every outbound hop; servers honor it end to end (the Batcher answers a
+// milliseconds. The gateway stamps it from its context deadline on every
+// outbound hop; servers honor it end to end (the Batcher answers a
 // request whose budget ran out in the queue with 408 before spending a
 // decode on it), so a caller's latency contract survives proxying, queueing
 // and retries.
@@ -227,8 +221,8 @@ func DeadlineContext(r *http.Request) (context.Context, context.CancelFunc) {
 }
 
 // SetDeadlineHeader stamps ctx's remaining deadline budget onto an outbound
-// request's headers (no-op without a deadline). Shared by Client and the
-// gateway's proxy hop.
+// request's headers (no-op without a deadline); the gateway's proxy hop
+// calls it.
 func SetDeadlineHeader(h http.Header, ctx context.Context) {
 	d, ok := ctx.Deadline()
 	if !ok {

@@ -45,11 +45,6 @@ func (p *Policy) Tokens() []string {
 	return append(out, p.Program.Tokens()...)
 }
 
-// Clone deep-copies the policy.
-func (p *Policy) Clone() *Policy {
-	return &Policy{Source: p.Source, Program: p.Program.Clone()}
-}
-
 // ParsePolicy parses a canonical policy token sequence.
 func ParsePolicy(toks []string, schemas thingtalk.SchemaSource) (*Policy, error) {
 	// Find the ":" separator after the quoted source.

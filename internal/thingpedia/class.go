@@ -76,20 +76,6 @@ type Primitive struct {
 	Flags []string
 }
 
-// HasFlag reports whether the template carries the flag (or has no flags,
-// which means it applies to every purpose).
-func (p *Primitive) HasFlag(flag string) bool {
-	if len(p.Flags) == 0 {
-		return true
-	}
-	for _, f := range p.Flags {
-		if f == flag {
-			return true
-		}
-	}
-	return false
-}
-
 // Arg returns the declared placeholder named name.
 func (p *Primitive) Arg(name string) (Placeholder, bool) {
 	for _, a := range p.Args {

@@ -207,10 +207,10 @@ templates {
 		t.Fatal(err)
 	}
 	prims := lib.Primitives("")
-	if !prims[0].HasFlag("train") || prims[0].HasFlag("paraphrase") {
-		t.Error("flagged template should match only its flag")
+	if len(prims[0].Flags) != 1 || prims[0].Flags[0] != "train" {
+		t.Errorf("flagged template flags = %v, want [train]", prims[0].Flags)
 	}
-	if !prims[1].HasFlag("train") || !prims[1].HasFlag("paraphrase") {
-		t.Error("unflagged template should match every flag")
+	if len(prims[1].Flags) != 0 {
+		t.Errorf("unflagged template flags = %v, want none (every purpose)", prims[1].Flags)
 	}
 }

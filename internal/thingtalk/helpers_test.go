@@ -2,6 +2,7 @@ package thingtalk
 
 import (
 	"math/rand"
+	"sort"
 )
 
 // testSchemas is a small skill library used across the package tests; it
@@ -263,7 +264,7 @@ func genAtomFor(rng *rand.Rand, t Type) (string, Value) {
 		return ops[rng.Intn(len(ops))], DateValue(NamedDates[rng.Intn(len(NamedDates))])
 	case MeasureType:
 		ops := []string{OpGt, OpLt, OpGe, OpLe}
-		units := UnitsOf(t.Unit)
+		units := unitsOf(t.Unit)
 		return ops[rng.Intn(len(ops))], MeasureValue(float64(1+rng.Intn(50)), units[rng.Intn(len(units))])
 	case EnumType:
 		return OpEq, EnumValue(t.Values[rng.Intn(len(t.Values))])
@@ -297,7 +298,7 @@ func genValue(rng *rand.Rand, t Type) Value {
 	case CurrencyType:
 		return MeasureValue(float64(1+rng.Intn(100)), "usd")
 	case MeasureType:
-		units := UnitsOf(t.Unit)
+		units := unitsOf(t.Unit)
 		return MeasureValue(float64(1+rng.Intn(100)), units[rng.Intn(len(units))])
 	case EnumType:
 		return EnumValue(t.Values[rng.Intn(len(t.Values))])
@@ -311,3 +312,16 @@ var testWords = []string{
 }
 
 func genWord(rng *rand.Rand) string { return testWords[rng.Intn(len(testWords))] }
+
+// unitsOf returns all known units of the dimension identified by base, in a
+// deterministic order.
+func unitsOf(base string) []string {
+	var out []string
+	for u, spec := range unitTable {
+		if spec.base == base {
+			out = append(out, u)
+		}
+	}
+	sort.Strings(out)
+	return out
+}

@@ -160,13 +160,13 @@ func TestUnitConversions(t *testing.T) {
 }
 
 func TestUnitsOf(t *testing.T) {
-	units := UnitsOf("byte")
+	units := unitsOf("byte")
 	if len(units) != 5 {
-		t.Fatalf("UnitsOf(byte) = %v", units)
+		t.Fatalf("unitsOf(byte) = %v", units)
 	}
 	for i := 1; i < len(units); i++ {
 		if units[i-1] >= units[i] {
-			t.Errorf("UnitsOf not sorted: %v", units)
+			t.Errorf("unitsOf not sorted: %v", units)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package thingtalk
 
-import "sort"
-
 // Unit handling. ThingTalk measures can be written with any legal unit of a
 // dimension and composed additively ("6 feet 3 inches" = 6ft + 3in); the
 // runtime normalizes to the dimension's base unit. The neural parser never
@@ -97,17 +95,4 @@ func ConvertUnit(amount float64, u string) (float64, bool) {
 		return 0, false
 	}
 	return amount*spec.factor + spec.offset, true
-}
-
-// UnitsOf returns all known units of the dimension identified by base, in a
-// deterministic order. It is used by template expansion to offer unit variety.
-func UnitsOf(base string) []string {
-	var out []string
-	for u, spec := range unitTable {
-		if spec.base == base {
-			out = append(out, u)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
