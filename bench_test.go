@@ -622,7 +622,7 @@ func BenchmarkBatcherServe(b *testing.B) {
 			parseTime += time.Since(start)
 			b.StartTimer()
 			for i := base; i < end; i++ {
-				if _, err := bt.ParseCtx(ctx, sentences[i%len(sentences)]); err != nil {
+				if _, err := bt.ParseContextCtx(ctx, sentences[i%len(sentences)], nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -648,7 +648,7 @@ func BenchmarkBatcherServe(b *testing.B) {
 					if i >= b.N {
 						return
 					}
-					if _, err := bt.ParseCtx(ctx, sentences[i%len(sentences)]); err != nil {
+					if _, err := bt.ParseContextCtx(ctx, sentences[i%len(sentences)], nil); err != nil {
 						b.Error(err)
 						return
 					}

@@ -55,19 +55,13 @@ func cmdFleet(args []string) {
 		os.Exit(2)
 	}
 
-	logf := func(format string, a ...any) {
-		fmt.Fprintf(os.Stderr, "genie: "+format+"\n", a...)
-	}
 	var cache *serve.Cache
 	if *cacheDir != "" {
-		cache = serve.NewCacheWith(serve.CacheOptions{
-			Store: durable.Open(*cacheDir, durable.Options{Logf: logf}),
-			Logf:  logf,
-		})
+		cache = serve.NewCache(durable.Open(*cacheDir, durable.Options{}))
 	}
 	var ckpts *durable.Store
 	if *ckptDir != "" {
-		ckpts = durable.Open(*ckptDir, durable.Options{Logf: logf})
+		ckpts = durable.Open(*ckptDir, durable.Options{})
 	}
 	cfg := fleet.Config{
 		LibDir: *libdir,
@@ -101,7 +95,6 @@ func cmdFleet(args []string) {
 		},
 		SessionCapacity: *sessionCap,
 		TrainWorkers:    *trainWorkers,
-		Logf:            logf,
 	}
 	reg, err := fleet.New(cfg)
 	if err != nil {

@@ -68,9 +68,6 @@ func gatewayFlags(fs *flag.FlagSet) func() gateway.Options {
 			HedgeAfter:         *hedgeAfter,
 			CrossSkillFallback: *fallback,
 			Seed:               *seed,
-			Logf: func(format string, a ...any) {
-				fmt.Fprintf(os.Stderr, "genie: "+format+"\n", a...)
-			},
 		}
 	}
 }

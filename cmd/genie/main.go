@@ -50,6 +50,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	goruntime "runtime"
 	"runtime/pprof"
@@ -62,6 +63,7 @@ import (
 )
 
 func main() {
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	if len(os.Args) < 2 {
 		usage()
 	}

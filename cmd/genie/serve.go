@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/eval"
 	"repro/internal/genie"
 	"repro/internal/grammar"
@@ -65,9 +66,6 @@ func trainParserLib(lib *thingpedia.Library, scale genie.Scale, strategy genie.S
 		Strategy: strategy, Topt: genie.CanonicalTargets, Model: mcfg, Seed: seed,
 		Dialogue:   dialogue,
 		Checkpoint: ck, CheckpointEverySteps: ckSteps,
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, "genie: "+format+"\n", a...)
-		},
 	})
 	// Stamp the library's grammar spec so every decode path is constrained to
 	// well-formed programs; the spec also travels with the snapshot (v3). A
@@ -110,12 +108,7 @@ func cmdTrain(args []string) {
 	parser, d := trainParser(scale, strategy, *seed, *maxSteps, *lmSteps, *batchSize, *bucket)
 	fmt.Fprintf(os.Stderr, "genie: trained %s/%s seed=%d in %s\n", scale.Name, strategy, *seed, time.Since(start).Round(time.Millisecond))
 	if *doEval {
-		// Score through the full batched serving path: EvaluateParallel's
-		// concurrent requests keep every core busy while the Batcher decodes
-		// each pulled window as one lockstep batched forward.
-		bt := serve.NewBatcher(parser, serve.Options{MaxBatch: 16})
-		rep := eval.EvaluateParallel(bt, d.Validation, d.Lib, 0)
-		bt.Close()
+		rep := eval.EvaluateBatched(parser, d.Validation, d.Lib, 16)
 		fmt.Fprintf(os.Stderr, "genie: validation program accuracy %.1f%% (function %.1f%%, %d examples)\n",
 			rep.ProgramAccuracy(), rep.FunctionAccuracy(), rep.Total)
 	}
@@ -175,7 +168,11 @@ func cmdServe(args []string) {
 			fmt.Sprintf("lmsteps=%d", *lmSteps), fmt.Sprintf("batchsize=%d", *batchSize),
 			fmt.Sprintf("bucket=%t", *bucket),
 			fmt.Sprintf("calibrate=%t:%d", *adaptive, *beam))
-		cache := serve.NewCache(*cacheDir)
+		var store *durable.Store
+		if *cacheDir != "" {
+			store = durable.Open(*cacheDir, durable.Options{})
+		}
+		cache := serve.NewCache(store)
 		start := time.Now()
 		p, hit, err := cache.GetOrTrain(key, func() (*model.Parser, error) {
 			p, d := trainParser(scale, strategy, *seed, *maxSteps, *lmSteps, *batchSize, *bucket)

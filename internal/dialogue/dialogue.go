@@ -45,8 +45,6 @@ type Config struct {
 	// Turns is the number of turns per session (first turn included);
 	// values below 2 default to 3.
 	Turns int
-	// MaxSessions caps the number of produced sessions (0 = one per seed).
-	MaxSessions int
 	// Workers is the number of synthesis goroutines (0 = GOMAXPROCS,
 	// 1 = fully sequential). The produced sessions do not depend on it.
 	Workers int
@@ -87,9 +85,6 @@ func Synthesize(seeds []dataset.Example, cfg Config) []Session {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.MaxSessions > 0 && len(seeds) > cfg.MaxSessions {
-		seeds = seeds[:cfg.MaxSessions]
 	}
 	nChunks := (len(seeds) + chunkSize - 1) / chunkSize
 	results := make([][]Session, nChunks)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"log/slog"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,14 +44,11 @@ const keepGenerations = 2
 // errors.Is(err, fs.ErrNotExist).
 var ErrNotFound = fmt.Errorf("durable: not found: %w", fs.ErrNotExist)
 
-// Options configure a Store. The zero value is the real filesystem with
-// silent logging.
+// Options configure a Store. The zero value is the real filesystem.
 type Options struct {
 	// FS is the filesystem the store writes through (nil = OSFS). Fault
 	// injection (internal/faultinject.FaultFS) slots in here.
 	FS FS
-	// Logf receives quarantine and rollback events (nil discards them).
-	Logf func(format string, args ...any)
 }
 
 // Stats are the store's cumulative counters, surfaced on /metrics.
@@ -71,7 +69,6 @@ type Stats struct {
 type Store struct {
 	dir  string
 	fsys FS
-	logf func(format string, args ...any)
 
 	mu      sync.Mutex
 	scanned bool
@@ -86,10 +83,7 @@ func Open(dir string, o Options) *Store {
 	if o.FS == nil {
 		o.FS = OSFS{}
 	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
-	}
-	return &Store{dir: dir, fsys: o.FS, logf: o.Logf, gens: map[string][]uint64{}}
+	return &Store{dir: dir, fsys: o.FS, gens: map[string][]uint64{}}
 }
 
 // Stats returns a snapshot of the store's counters.
@@ -303,7 +297,7 @@ func (s *Store) loadNewest(key string, gens []uint64, read func(r io.Reader) err
 			}
 			s.mu.Unlock()
 			if i < len(gens)-1 {
-				s.logf("durable: %s: rolled back to generation %d (newest failed verification)", key, gen)
+				slog.Warn("durable: rolled back to generation (newest failed verification)", "key", key, "generation", gen)
 			}
 			return true, nil
 		}
@@ -385,7 +379,7 @@ func (s *Store) quarantine(key string, gen uint64, cause error) {
 		}
 	}
 	s.mu.Unlock()
-	s.logf("durable: %s: generation %d quarantined to %s.corrupt: %v", key, gen, path, cause)
+	slog.Warn("durable: generation quarantined to .corrupt", "key", key, "generation", gen, "path", path+".corrupt", "err", cause)
 }
 
 // Clear removes every generation (and sidecar) of key.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"log"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,6 +86,21 @@ func TestStoreKeepsTwoGenerationsAndPrunes(t *testing.T) {
 	}
 }
 
+// captureLog points the process logger at a text handler over the returned
+// buffer until the test ends.
+func captureLog(t *testing.T) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	prev, out, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&buf, nil)))
+	t.Cleanup(func() {
+		slog.SetDefault(prev)
+		log.SetOutput(out)
+		log.SetFlags(flags)
+	})
+	return &buf
+}
+
 func corruptNewest(t *testing.T, dir, key string, s *Store) string {
 	t.Helper()
 	gens := s.Generations(key)
@@ -103,6 +120,7 @@ func corruptNewest(t *testing.T, dir, key string, s *Store) string {
 }
 
 func TestStoreRollsBackFromCorruptGeneration(t *testing.T) {
+	logs := captureLog(t)
 	dir := t.TempDir()
 	s := Open(dir, Options{})
 	saveString(t, s, "k", "good old")
@@ -122,6 +140,19 @@ func TestStoreRollsBackFromCorruptGeneration(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Fatalf("corrupt generation not quarantined: %v", err)
+	}
+	// The quarantine record carries the key, generation and cause as
+	// attributes.
+	var quarantine string
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, "quarantined") {
+			quarantine = line
+		}
+	}
+	for _, attr := range []string{" key=k ", " generation=2 ", " err="} {
+		if !strings.Contains(quarantine, attr) {
+			t.Errorf("quarantine record %q lacks %q", quarantine, attr)
+		}
 	}
 	// The quarantined generation must not cost another verification failure.
 	if _, err := loadString(s, "k"); err != nil {

@@ -6,11 +6,8 @@
 package eval
 
 import (
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/thingpedia"
@@ -73,43 +70,6 @@ func Evaluate(dec Decoder, examples []dataset.Example, schemas thingtalk.SchemaS
 	return r
 }
 
-// EvaluateParallel is Evaluate with the decode fan spread over workers
-// concurrent requests (0 = GOMAXPROCS). Predictions are collected by example
-// index and scored in order, so the Report is identical to Evaluate's for
-// any worker count. Pointing it at a serve.Batcher scores a parser through
-// the full batched serving path: the concurrent requests are what lets the
-// micro-batching loop form real batches.
-func EvaluateParallel(dec Decoder, examples []dataset.Example, schemas thingtalk.SchemaSource, workers int) Report {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(examples) {
-		workers = len(examples)
-	}
-	preds := make([][]string, len(examples))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(examples) {
-					return
-				}
-				preds[i] = dec.Parse(examples[i].Words)
-			}
-		}()
-	}
-	wg.Wait()
-	var r Report
-	for i := range examples {
-		r.score(preds[i], &examples[i], schemas)
-	}
-	return r
-}
-
 // BatchDecoder decodes a window of sentences in one batched call;
 // *model.Parser implements it (one batched forward per decode step).
 type BatchDecoder interface {
@@ -117,11 +77,9 @@ type BatchDecoder interface {
 }
 
 // EvaluateBatched is Evaluate with decoding done in windows of batch
-// sentences through the decoder's lockstep batched path (0 = 16). Unlike
-// EvaluateParallel — which needs concurrent requests so a serving batcher
-// can form batches — this drives the batched kernels directly, so a single
-// evaluation thread still gets matmul width B. Predictions are scored in
-// example order; the Report is identical to Evaluate's.
+// sentences through the decoder's lockstep batched path (0 = 16), so a
+// single evaluation thread still gets matmul width B. Predictions are scored
+// in example order; the Report is identical to Evaluate's.
 func EvaluateBatched(dec BatchDecoder, examples []dataset.Example, schemas thingtalk.SchemaSource, batch int) Report {
 	if batch <= 0 {
 		batch = 16

@@ -1,10 +1,8 @@
 package eval
 
 import (
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/thingtalk"
@@ -85,47 +83,6 @@ func TestEvaluateParamValueError(t *testing.T) {
 	}
 }
 
-// slowCanned decodes like canned but yields and sleeps first, so
-// EvaluateParallel's workers genuinely overlap instead of draining the
-// counter before interleaving.
-type slowCanned struct{ c canned }
-
-func (s slowCanned) Parse(words []string) []string {
-	runtime.Gosched()
-	time.Sleep(200 * time.Microsecond)
-	return s.c.Parse(words)
-}
-
-func TestEvaluateParallelMatchesSequential(t *testing.T) {
-	sch := schemas()
-	var examples []dataset.Example
-	dec := canned{}
-	outs := []string{
-		`now => @a.b.q => notify`,     // exact
-		`now => => notify`,            // syntax error
-		`now => @a.b.q2 => notify`,    // wrong function
-		`now => @a.b.q => @c.d.act`,   // wrong compoundness
-		`now => @a.b.q => notify ;`,   // exact modulo trailing separator
-		`monitor @a.b.q =>`,           // garbage
-		`now => @a.b.q => notify`,     // exact again
-		`now => @a.b.q2 => @c.d.act`,  // doubly wrong
-		`now => @c.d.act`,             // different program entirely
-		`now => @a.b.q param:x = > 1`, // malformed filter
-	}
-	for i, out := range outs {
-		sentence := string(rune('a' + i))
-		examples = append(examples, example(`now => @a.b.q => notify`, sentence))
-		dec[sentence] = strings.Fields(out)
-	}
-	want := Evaluate(dec, examples, sch)
-	for _, workers := range []int{0, 1, 3, 16} {
-		got := EvaluateParallel(slowCanned{dec}, examples, sch, workers)
-		if got != want {
-			t.Errorf("EvaluateParallel(workers=%d) = %+v, Evaluate = %+v", workers, got, want)
-		}
-	}
-}
-
 // cannedBatch wraps canned with the batched-decoder surface, recording the
 // window widths it was handed.
 type cannedBatch struct {
@@ -147,13 +104,16 @@ func TestEvaluateBatchedMatchesSequential(t *testing.T) {
 	var examples []dataset.Example
 	dec := canned{}
 	outs := []string{
-		`now => @a.b.q => notify`,
-		`now => => notify`,
-		`now => @a.b.q2 => notify`,
-		`now => @a.b.q => @c.d.act`,
-		`now => @a.b.q => notify ;`,
-		`now => @a.b.q => notify`,
-		`now => @c.d.act`,
+		`now => @a.b.q => notify`,     // exact
+		`now => => notify`,            // syntax error
+		`now => @a.b.q2 => notify`,    // wrong function
+		`now => @a.b.q => @c.d.act`,   // wrong compoundness
+		`now => @a.b.q => notify ;`,   // exact modulo trailing separator
+		`monitor @a.b.q =>`,           // garbage
+		`now => @a.b.q => notify`,     // exact again
+		`now => @a.b.q2 => @c.d.act`,  // doubly wrong
+		`now => @c.d.act`,             // different program entirely
+		`now => @a.b.q param:x = > 1`, // malformed filter
 	}
 	for i, out := range outs {
 		sentence := string(rune('a' + i))

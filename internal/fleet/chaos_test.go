@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log"
 	"net"
@@ -77,7 +76,6 @@ func chaosTrainFunc(ckpts *durable.Store) TrainFunc {
 		return model.TrainResumable(context.Background(), train, val, nil, chaosConfig(), model.TrainOpts{
 			Checkpoint: ckpts.Key("skill-" + name),
 			EverySteps: 10,
-			Logf:       log.Printf,
 		})
 	}
 }
@@ -94,17 +92,12 @@ func TestChaosHelperProcess(t *testing.T) {
 	addr := os.Getenv("GENIE_CHAOS_ADDR")
 
 	log.SetOutput(os.Stderr)
-	ckpts := durable.Open(ckptDir, durable.Options{Logf: log.Printf})
-	cache := serve.NewCacheWith(serve.CacheOptions{
-		Store: durable.Open(cacheDir, durable.Options{Logf: log.Printf}),
-		Logf:  log.Printf,
-	})
+	ckpts := durable.Open(ckptDir, durable.Options{})
 	r, err := New(Config{
 		LibDir: libDir,
 		Serve:  serve.Options{MaxBatch: 4, Workers: 2, MaxQueue: -1},
 		Train:  chaosTrainFunc(ckpts),
-		Cache:  cache,
-		Logf:   log.Printf,
+		Cache:  serve.NewCache(durable.Open(cacheDir, durable.Options{})),
 	})
 	if err != nil {
 		log.Fatalf("chaos helper: %v", err)
@@ -386,7 +379,7 @@ func TestCorruptSnapshotServesLastGoodThroughGateway(t *testing.T) {
 	// First fleet lifetime: train once, snapshot lands as generation 1.
 	counts := &sync.Map{}
 	cfg1 := testConfig(libDir, counts)
-	cfg1.Cache = serve.NewCache(cacheDir)
+	cfg1.Cache = serve.NewCache(durable.Open(cacheDir, durable.Options{}))
 	r1, err := New(cfg1)
 	if err != nil {
 		t.Fatal(err)
@@ -411,16 +404,8 @@ func TestCorruptSnapshotServesLastGoodThroughGateway(t *testing.T) {
 	}
 
 	// Second lifetime: cold start onto the corrupt snapshot.
-	var trainLog bytes.Buffer
-	var logMu sync.Mutex
 	cfg2 := testConfig(libDir, counts)
-	cfg2.Cache = serve.NewCacheWith(serve.CacheOptions{
-		Store: durable.Open(cacheDir, durable.Options{Logf: func(f string, a ...any) {
-			logMu.Lock()
-			fmt.Fprintf(&trainLog, f+"\n", a...)
-			logMu.Unlock()
-		}}),
-	})
+	cfg2.Cache = serve.NewCache(durable.Open(cacheDir, durable.Options{}))
 	r2, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)

@@ -24,6 +24,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"sort"
 	"sync"
@@ -74,8 +75,6 @@ type Config struct {
 	// they quarantine the skill until its library bytes change.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// Logf receives control-plane events (nil discards them).
-	Logf func(format string, args ...any)
 }
 
 // Routing errors. The HTTP layer maps ErrUnknownSkill to 404 and
@@ -167,9 +166,6 @@ func New(cfg Config) (*Registry, error) {
 	if cfg.TrainWorkers <= 0 {
 		cfg.TrainWorkers = 1
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = time.Second
 	}
@@ -250,7 +246,7 @@ func (r *Registry) reload(sk *skill, e thingpedia.DirEntry) {
 		sk.mu.Unlock()
 		return
 	}
-	r.cfg.Logf("fleet: %s: building parser for checksum %.12s", sk.name, sum)
+	slog.Info("fleet: building parser", "skill", sk.name, "checksum", sum)
 	start := time.Now()
 	parser, err := r.train(sk.name, lib)
 	if err != nil {
@@ -277,15 +273,15 @@ func (r *Registry) reload(sk *skill, e thingpedia.DirEntry) {
 	if sk.removed {
 		sk.mu.Unlock()
 		next.batcher.Close()
-		r.cfg.Logf("fleet: %s: removed during build, discarding generation %d", sk.name, gen)
+		slog.Info("fleet: removed during build, discarding generation", "skill", sk.name, "generation", gen)
 		return
 	}
 	old := sk.shard.Swap(next)
 	sk.entry, sk.err = e, nil
 	sk.clearRecoveryLocked()
 	sk.mu.Unlock()
-	r.cfg.Logf("fleet: %s: generation %d live (checksum %.12s, built in %s)",
-		sk.name, gen, sum, time.Since(start).Round(time.Millisecond))
+	slog.Info("fleet: generation live", "skill", sk.name, "generation", gen,
+		"checksum", sum, "elapsed", time.Since(start).Round(time.Millisecond))
 	if old != nil {
 		// Drain in the background: requests admitted before the swap finish
 		// on the old snapshot; new requests already route to the new shard.
@@ -326,14 +322,14 @@ func (r *Registry) buildFailed(sk *skill, e thingpedia.DirEntry, err error) {
 		sk.retryAt = time.Now().Add(sk.backoff)
 		backoff := sk.backoff
 		sk.mu.Unlock()
-		r.cfg.Logf("fleet: %s: build failed transiently (retry in %v): %v", sk.name, backoff, err)
+		slog.Warn("fleet: build failed transiently", "skill", sk.name, "backoff", backoff, "err", err)
 		return
 	}
 	sk.quarantined = true
 	sk.quarantineSum = rawFileChecksum(sk.path)
 	sk.retryAt = time.Time{}
 	sk.mu.Unlock()
-	r.cfg.Logf("fleet: %s: build failed deterministically, quarantined until the library changes: %v", sk.name, err)
+	slog.Warn("fleet: build failed deterministically, quarantined until the library changes", "skill", sk.name, "err", err)
 }
 
 // rawFileChecksum hashes a library file's raw bytes. Quarantine pins this —
@@ -362,7 +358,7 @@ func (r *Registry) train(name string, lib *thingpedia.Library) (p *model.Parser,
 			return r.cfg.Train(name, lib)
 		})
 		if hit {
-			r.cfg.Logf("fleet: %s: snapshot cache hit (key %.12s), skipped training", name, key)
+			slog.Info("fleet: snapshot cache hit, skipped training", "skill", name, "key", key)
 		}
 		return p, err
 	}
@@ -386,7 +382,7 @@ func (r *Registry) watch() {
 		}
 		entries, err := thingpedia.ScanLibraryDir(r.cfg.LibDir)
 		if err != nil {
-			r.cfg.Logf("fleet: watch: %v", err)
+			slog.Warn("fleet: watch", "err", err)
 			continue
 		}
 		seen := map[string]bool{}
@@ -396,7 +392,7 @@ func (r *Registry) watch() {
 			sk := r.skills[e.Name]
 			r.mu.RUnlock()
 			if sk == nil {
-				r.cfg.Logf("fleet: %s: new skill library %s", e.Name, e.Path)
+				slog.Info("fleet: new skill library", "skill", e.Name, "path", e.Path)
 				r.addSkill(e)
 				continue
 			}
@@ -414,12 +410,12 @@ func (r *Registry) watch() {
 						sk.entry = e
 						break
 					}
-					r.cfg.Logf("fleet: %s: quarantined library changed, re-admitting", sk.name)
+					slog.Info("fleet: quarantined library changed, re-admitting", "skill", sk.name)
 				}
 				reload = true
 			case sk.err != nil && !sk.quarantined && !sk.retryAt.IsZero() && time.Now().After(sk.retryAt):
 				// Transient failure past its backoff: retry the same entry.
-				r.cfg.Logf("fleet: %s: retrying build after transient failure", sk.name)
+				slog.Info("fleet: retrying build after transient failure", "skill", sk.name)
 				reload, reentry = true, sk.entry
 			}
 			if reload {
@@ -441,7 +437,7 @@ func (r *Registry) watch() {
 		}
 		r.mu.Unlock()
 		for _, sk := range removed {
-			r.cfg.Logf("fleet: %s: library removed, draining", sk.name)
+			slog.Info("fleet: library removed, draining", "skill", sk.name)
 			sk.mu.Lock()
 			sk.removed = true
 			sh := sk.shard.Swap(nil)

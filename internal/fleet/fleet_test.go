@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,6 +123,53 @@ func waitReady(t *testing.T, r *Registry) {
 	}
 }
 
+// logBuffer collects the process logger's records; the fleet logs from its
+// build goroutines while a test reads.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *logBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *logBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// waitFor polls until the log holds want: an event is logged after the state
+// change a test observes.
+func (l *logBuffer) waitFor(t *testing.T, want string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(l.String(), want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no %q in the log:\n%s", want, l.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// captureLog points the process logger at a text handler over the returned
+// buffer until the test ends.
+func captureLog(t *testing.T) *logBuffer {
+	t.Helper()
+	l := &logBuffer{}
+	prev, out, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewTextHandler(l, nil)))
+	t.Cleanup(func() {
+		slog.SetDefault(prev)
+		log.SetOutput(out)
+		log.SetFlags(flags)
+	})
+	return l
+}
+
 // skillGeneration polls /skills state for the named skill.
 // parseSkill routes one request without session state to the named skill.
 func parseSkill(r *Registry, ctx context.Context, name string, words []string) ([]string, uint64, error) {
@@ -136,6 +186,7 @@ func skillGeneration(r *Registry, name string) uint64 {
 }
 
 func TestFleetRoutesBySkill(t *testing.T) {
+	logs := captureLog(t)
 	dir := t.TempDir()
 	writeLib(t, dir, "alpha", libV1("test.alpha"))
 	writeLib(t, dir, "beta", libV1("test.beta"))
@@ -186,6 +237,8 @@ func TestFleetRoutesBySkill(t *testing.T) {
 			t.Errorf("skill %s checksum = %q", s.Name, s.Checksum)
 		}
 		gens[s.Generation] = true
+		// The swap's record names the skill and generation as attributes.
+		logs.waitFor(t, fmt.Sprintf(`msg="fleet: generation live" skill=%s generation=%d `, s.Name, s.Generation))
 	}
 	if len(gens) != 2 {
 		t.Errorf("generations not distinct: %+v", infos)
@@ -437,7 +490,7 @@ func TestFleetCacheSkipsRetrainOnRevert(t *testing.T) {
 	var counts sync.Map
 	cfg := testConfig(dir, &counts)
 	cfg.Watch = 20 * time.Millisecond
-	cfg.Cache = serve.NewCache("") // memory-only
+	cfg.Cache = serve.NewCache(nil) // memory-only
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -154,7 +154,7 @@ func TestTransientRetryThroughCache(t *testing.T) {
 		RetryBase: 20 * time.Millisecond,
 		RetryMax:  100 * time.Millisecond,
 		Serve:     testConfig(dir, &sync.Map{}).Serve,
-		Cache:     serve.NewCache(""),
+		Cache:     serve.NewCache(nil),
 		Train: func(name string, lib *thingpedia.Library) (*model.Parser, error) {
 			if builds.Add(1) < 3 {
 				return nil, durable.MarkTransient(errors.New("trainer disk full"))

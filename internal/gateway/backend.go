@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"log/slog"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -153,34 +154,34 @@ func (b *backend) latencyEWMA() float64 {
 // recordFailure feeds the circuit breaker: FailThreshold consecutive
 // failures eject a healthy backend; any failure in half-open re-ejects
 // immediately.
-func (b *backend) recordFailure(threshold int32, logf func(string, ...any)) {
+func (b *backend) recordFailure(threshold int32) {
 	n := b.fails.Add(1)
 	switch b.healthState() {
 	case Healthy:
 		if n >= threshold {
 			b.state.Store(int32(Ejected))
 			b.ejections.Add(1)
-			logf("gateway: %s: ejected after %d consecutive failures", b.addr, n)
+			slog.Warn("gateway: ejected after consecutive failures", "backend", b.addr, "failures", n)
 		}
 	case HalfOpen:
 		b.state.Store(int32(Ejected))
 		b.ejections.Add(1)
-		logf("gateway: %s: half-open trial failed, re-ejected", b.addr)
+		slog.Warn("gateway: half-open trial failed, re-ejected", "backend", b.addr)
 	}
 }
 
 // recordSuccess resets the failure streak and walks the readmission path:
 // ejected goes half-open on its first success, half-open closes the circuit
 // on the next.
-func (b *backend) recordSuccess(logf func(string, ...any)) {
+func (b *backend) recordSuccess() {
 	b.fails.Store(0)
 	switch b.healthState() {
 	case Ejected:
 		b.state.Store(int32(HalfOpen))
-		logf("gateway: %s: probe succeeded, half-open", b.addr)
+		slog.Info("gateway: probe succeeded, half-open", "backend", b.addr)
 	case HalfOpen:
 		b.state.Store(int32(Healthy))
 		b.readmits.Add(1)
-		logf("gateway: %s: readmitted", b.addr)
+		slog.Info("gateway: readmitted", "backend", b.addr)
 	}
 }

@@ -76,8 +76,6 @@ type Options struct {
 	// Seed seeds the retry-jitter RNG (0 uses 1), so tests can fix the
 	// backoff schedule.
 	Seed int64
-	// Logf receives control-plane events (nil discards them).
-	Logf func(format string, args ...any)
 }
 
 func (o Options) withDefaults() Options {
@@ -106,9 +104,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
 	}
 	return o
 }
@@ -258,15 +253,15 @@ func (g *Gateway) probe(b *backend) {
 	var sk serve.SkillsResponse
 	var m serve.MetricsResponse
 	if err := g.getJSON(ctx, b, "/healthz", &h); err != nil || !h.OK {
-		b.recordFailure(int32(g.opt.FailThreshold), g.opt.Logf)
+		b.recordFailure(int32(g.opt.FailThreshold))
 		return
 	}
 	if err := g.getJSON(ctx, b, "/skills", &sk); err != nil {
-		b.recordFailure(int32(g.opt.FailThreshold), g.opt.Logf)
+		b.recordFailure(int32(g.opt.FailThreshold))
 		return
 	}
 	if err := g.getJSON(ctx, b, "/metrics", &m); err != nil {
-		b.recordFailure(int32(g.opt.FailThreshold), g.opt.Logf)
+		b.recordFailure(int32(g.opt.FailThreshold))
 		return
 	}
 	skills := make(map[string]string, len(sk.Skills))
@@ -280,7 +275,7 @@ func (g *Gateway) probe(b *backend) {
 		p99[s.Name] = s.P99MS
 	}
 	b.updateProbe(skills, depth, p99)
-	b.recordSuccess(g.opt.Logf)
+	b.recordSuccess()
 }
 
 func (g *Gateway) getJSON(ctx context.Context, b *backend, path string, v any) error {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"sort"
@@ -102,7 +103,7 @@ func (g *Gateway) route(ctx context.Context, req serve.ParseRequest, session str
 		fres, ferr := g.routeReplicas(ctx, fb, session)
 		if ferr == nil {
 			g.fallbacks.Add(1)
-			g.opt.Logf("gateway: skill %q degraded, answered by cross-skill fallback via %s", req.Skill, fres.backend)
+			slog.Warn("gateway: skill degraded, answered by cross-skill fallback", "skill", req.Skill, "backend", fres.backend)
 			return fres, nil
 		}
 	}
@@ -259,7 +260,7 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, body []byte, session 
 			// A hang that ate the deadline is a health signal; a hedge
 			// cancellation is not.
 			b.failures.Add(1)
-			b.recordFailure(int32(g.opt.FailThreshold), g.opt.Logf)
+			b.recordFailure(int32(g.opt.FailThreshold))
 		}
 		return routeResult{}, fmt.Errorf("gateway: %s: %w", b.addr, err)
 	}
@@ -268,7 +269,7 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, body []byte, session 
 	if err != nil {
 		// Truncated or reset mid-body.
 		b.failures.Add(1)
-		b.recordFailure(int32(g.opt.FailThreshold), g.opt.Logf)
+		b.recordFailure(int32(g.opt.FailThreshold))
 		return routeResult{}, fmt.Errorf("gateway: %s: reading reply: %w", b.addr, err)
 	}
 	res := routeResult{status: resp.StatusCode, body: rb, backend: b.addr,
@@ -276,9 +277,9 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, body []byte, session 
 	switch {
 	case resp.StatusCode >= 500 && resp.StatusCode != http.StatusServiceUnavailable:
 		b.failures.Add(1)
-		b.recordFailure(int32(g.opt.FailThreshold), g.opt.Logf)
+		b.recordFailure(int32(g.opt.FailThreshold))
 	default:
-		b.recordSuccess(g.opt.Logf)
+		b.recordSuccess()
 		if resp.StatusCode == http.StatusOK {
 			// Only clean parses feed the EWMA: sheds and not-ready replies
 			// return fast and would drag the hedge delay toward zero.

@@ -147,9 +147,6 @@ type TrainOptions struct {
 	// CheckpointEverySteps is the mid-epoch checkpoint cadence in optimizer
 	// steps (0 = epoch boundaries only). Only consulted with Checkpoint set.
 	CheckpointEverySteps int
-	// Logf receives resume/mismatch events from resumable training
-	// (nil discards).
-	Logf func(format string, args ...any)
 	// Dialogue augments the training pairs with synthesized multi-turn
 	// sessions (package dialogue) and turns on the model's context encoder:
 	// every follow-up turn becomes one contextual pair whose Ctx is the
@@ -157,9 +154,6 @@ type TrainOptions struct {
 	// Ctx, so the parser still decodes opening commands bit-identically to a
 	// non-contextual one.
 	Dialogue bool
-	// DialogueTurns is the session length for Dialogue synthesis
-	// (< 2 = the dialogue package's default of 3).
-	DialogueTurns int
 }
 
 // Train builds the training set for a strategy and trains a parser; the
@@ -193,19 +187,18 @@ func (d *Data) Train(opt TrainOptions) *TrainedParser {
 	parser, _ := model.TrainResumable(context.Background(), pairs, valPairs, lm, mcfg, model.TrainOpts{
 		Checkpoint: opt.Checkpoint,
 		EverySteps: opt.CheckpointEverySteps,
-		Logf:       opt.Logf,
 	})
 	return &TrainedParser{Parser: parser, Topt: opt.Topt}
 }
 
-// dialoguePairs synthesizes multi-turn sessions from the (already
-// instantiated) training set and flattens their follow-up turns into
-// contextual pairs. First turns are skipped: each seed example is already a
-// single-turn pair, and session synthesis copies its program verbatim.
+// dialoguePairs synthesizes multi-turn sessions of the dialogue package's
+// default length from the (already instantiated) training set and flattens
+// their follow-up turns into contextual pairs. First turns are skipped: each
+// seed example is already a single-turn pair, and session synthesis copies
+// its program verbatim.
 func (d *Data) dialoguePairs(trainSet []dataset.Example, opt TrainOptions) []model.Pair {
 	sessions := dialogue.Synthesize(trainSet, dialogue.Config{
 		Seed:    opt.Seed,
-		Turns:   opt.DialogueTurns,
 		Schemas: d.Lib,
 		Encode: thingtalk.EncodeOptions{
 			TypeAnnotations: opt.Topt.TypeAnnotations,

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"log/slog"
 	"math"
 
 	"repro/internal/nn"
@@ -57,36 +58,29 @@ type TrainOpts struct {
 	// EverySteps is the mid-epoch checkpoint cadence in optimizer steps
 	// (0 = checkpoint only at epoch boundaries).
 	EverySteps int
-	// Logf receives resume/mismatch/save-failure events (nil discards).
-	Logf func(format string, args ...any)
 }
 
 // TrainResumable is Train with crash recovery: it checkpoints through
 // opts.Checkpoint, resumes from a compatible checkpoint when one exists
-// (logging "resuming from checkpoint"), and stops early — checkpoint saved,
-// ErrInterrupted returned — when ctx is canceled. The resumed trajectory is
+// (logging "resuming from checkpoint" to the process logger), and stops
+// early — checkpoint saved, ErrInterrupted returned — when ctx is canceled. The resumed trajectory is
 // bit-identical to an uninterrupted Train with the same inputs, and the
 // checkpoint is cleared once training completes.
 func TrainResumable(ctx context.Context, train, val []Pair, lmPrograms [][]string, cfg Config, opts TrainOpts) (*Parser, error) {
 	if opts.Checkpoint == nil {
 		return Train(train, val, lmPrograms, cfg), nil
 	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	t := NewTrainer(train, lmPrograms, cfg)
 	ck := &checkpointer{
 		store: opts.Checkpoint,
 		every: opts.EverySteps,
 		fp:    trainFingerprint(t.p.cfg, train, val, lmPrograms),
-		logf:  logf,
 	}
 	if err := t.run(ctx, train, val, lmPrograms, ck, ck.resume(t)); err != nil {
 		return t.p, err
 	}
 	if err := opts.Checkpoint.Clear(); err != nil {
-		logf("model: clearing completed checkpoint: %v", err)
+		slog.Warn("model: clearing completed checkpoint", "err", err)
 	}
 	return t.p, nil
 }
@@ -109,7 +103,6 @@ type checkpointer struct {
 	store CheckpointStore
 	every int
 	fp    [sha256.Size]byte
-	logf  func(format string, args ...any)
 }
 
 // save persists t's training state (a nil checkpointer saves nothing);
@@ -132,7 +125,7 @@ func (ck *checkpointer) save(t *Trainer) {
 	c.adamT, c.adamM, c.adamV = t.opt.State(t.params)
 	err := ck.store.Save(func(w io.Writer) error { return writeCheckpoint(w, c) })
 	if err != nil {
-		ck.logf("model: checkpoint save failed (training continues): %v", err)
+		slog.Warn("model: checkpoint save failed (training continues)", "err", err)
 	}
 }
 
@@ -151,18 +144,18 @@ func (ck *checkpointer) resume(t *Trainer) bool {
 	case errors.Is(err, fs.ErrNotExist):
 		return false
 	case err != nil:
-		ck.logf("model: checkpoint unreadable (%v); starting fresh", err)
+		slog.Warn("model: checkpoint unreadable; starting fresh", "err", err)
 		return false
 	case c.fingerprint != ck.fp:
-		ck.logf("model: checkpoint is for a different training recipe or data; starting fresh")
+		slog.Warn("model: checkpoint is for a different training recipe or data; starting fresh")
 	default:
 		if err := t.restore(c); err != nil {
-			ck.logf("model: checkpoint does not fit this run (%v); starting fresh", err)
+			slog.Warn("model: checkpoint does not fit this run; starting fresh", "err", err)
 			break
 		}
 		// The checkpoint's weights subsume LM pre-training (it ran before the
 		// first checkpoint was written), so the run skips it.
-		ck.logf("model: resuming from checkpoint (epoch %d, batch %d, step %d)", c.loop.epoch, c.loop.pos, c.loop.step)
+		slog.Info("model: resuming from checkpoint", "epoch", c.loop.epoch, "batch", c.loop.pos, "step", c.loop.step)
 		return true
 	}
 	_ = ck.store.Clear()

@@ -8,11 +8,28 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"log"
+	"log/slog"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// captureLog points the process logger at a text handler over the returned
+// buffer until the test ends.
+func captureLog(t *testing.T) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	prev, out, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&buf, nil)))
+	t.Cleanup(func() {
+		slog.SetDefault(prev)
+		log.SetOutput(out)
+		log.SetFlags(flags)
+	})
+	return &buf
+}
 
 // memCheckpoints is an in-memory CheckpointStore with a save hook, so tests
 // can interrupt training at an exact checkpoint.
@@ -153,11 +170,10 @@ func TestResumeBitIdentity(t *testing.T) {
 			store.onSave = nil
 			store.mu.Unlock()
 
-			var logbuf bytes.Buffer
+			logbuf := captureLog(t)
 			resumed, err := TrainResumable(context.Background(), train, val, lm, cfg, TrainOpts{
 				Checkpoint: store,
 				EverySteps: 7,
-				Logf:       func(f string, a ...any) { fmt.Fprintf(&logbuf, f+"\n", a...) },
 			})
 			if err != nil {
 				t.Fatalf("resumed run: %v", err)
@@ -226,11 +242,8 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	// Same store, different seed: the checkpoint no longer applies.
 	cfg2 := cfg
 	cfg2.Seed = 99
-	var logbuf bytes.Buffer
-	got, err := TrainResumable(context.Background(), train, val, lm, cfg2, TrainOpts{
-		Checkpoint: store,
-		Logf:       func(f string, a ...any) { fmt.Fprintf(&logbuf, f+"\n", a...) },
-	})
+	logbuf := captureLog(t)
+	got, err := TrainResumable(context.Background(), train, val, lm, cfg2, TrainOpts{Checkpoint: store})
 	if err != nil {
 		t.Fatalf("mismatched resume: %v", err)
 	}
@@ -336,10 +349,9 @@ func TestResumeMisfitCheckpoint(t *testing.T) {
 		if err := writeCheckpoint(&buf, c); err != nil {
 			t.Fatal(err)
 		}
-		var logbuf bytes.Buffer
+		logbuf := captureLog(t)
 		got, err := TrainResumable(context.Background(), train, val, lm, cfg, TrainOpts{
 			Checkpoint: &memCheckpoints{data: buf.Bytes()},
-			Logf:       func(f string, a ...any) { fmt.Fprintf(&logbuf, f+"\n", a...) },
 		})
 		if err != nil {
 			t.Fatalf("%s: TrainResumable: %v", name, err)

@@ -151,22 +151,21 @@ func (p *Parser) ParseBatch(sentences [][]string) [][]string {
 // encoder (Config.Contextual at training time).
 func (p *Parser) Contextual() bool { return p.ctxCell != nil }
 
-// inferGraphs pools arena-backed inference graphs across all parsers: an
-// arena hands out tensors of any shape from its slabs, so graphs recycle
-// cleanly between models of different dimensions.
-var inferGraphs = nn.NewGraphPool()
-
-// decodeCtx is the per-call state of one decode: an inference graph drawn
-// from the shared pool plus every scratch buffer the search needs — the
-// window's sentences and contexts, their padded source and previous-program
-// memories, the per-row step bookkeeping, and the hypotheses with their
-// token history. A decode acquires one, runs, and releases it, so a single
+// decodeCtx is the per-call state of one decode: an arena-backed inference
+// graph plus every scratch buffer the search needs — the window's sentences
+// and contexts, their padded source and previous-program memories, the
+// per-row step bookkeeping, and the hypotheses with their token history. A decode acquires one, runs, and releases it, so a single
 // trained Parser serves any number of goroutines with near-zero
 // steady-state allocation. Nothing decode-time lives on the Parser itself.
+// Contexts are shared by all parsers: an arena hands out tensors of any shape
+// from its slabs, so a graph recycles cleanly between models of different
+// dimensions.
 //
 //genielint:arena-scoped
 type decodeCtx struct {
-	g *nn.Graph
+	// graph is the context's own inference graph, reset on release; g leases
+	// it to one call and is nil while the context is pooled.
+	graph, g *nn.Graph
 	scoreScratch
 
 	words, ctxs [][]string
@@ -191,16 +190,18 @@ type scoreScratch struct {
 	copyAlpha []float64
 }
 
-var decodeCtxs = sync.Pool{New: func() any { return new(decodeCtx) }}
+var decodeCtxs = sync.Pool{New: func() any {
+	return &decodeCtx{graph: nn.NewGraphArena(false, nn.NewArena())}
+}}
 
 func acquireDecodeCtx() *decodeCtx {
 	dc := decodeCtxs.Get().(*decodeCtx)
-	dc.g = inferGraphs.Get()
+	dc.g = dc.graph
 	return dc
 }
 
-// release returns the graph (resetting its arena) and the scratch buffers to
-// their pools. Tensors produced during the call are invalid afterwards, so
+// release resets the graph (recycling its arena) and returns the context to
+// the pool. Tensors produced during the call are invalid afterwards, so
 // callers must copy anything that outlives the decode before releasing. The
 // tensor-pointer buffers are zeroed first: the arena recycles those tensors
 // for the next lease, and a pooled context must not pin (or accidentally
@@ -214,7 +215,7 @@ func (dc *decodeCtx) release() {
 	clear(dc.cands[:cap(dc.cands)])
 	clear(dc.hist)
 	dc.hist = dc.hist[:0]
-	inferGraphs.Put(dc.g)
+	dc.graph.Reset()
 	dc.g = nil
 	decodeCtxs.Put(dc)
 }

@@ -13,22 +13,23 @@ import (
 	"repro/internal/thingpedia"
 )
 
+// The simulated batch follows the paper's design: each synthesized sentence
+// is shown to several workers, and each worker writes two paraphrases (one
+// yields minimal edits, three exhausts workers).
+const (
+	workersPerSentence = 3
+	perWorker          = 2
+)
+
 // Config controls the simulated crowdsourcing batch.
 type Config struct {
-	// WorkersPerSentence is how many workers see each synthesized sentence
-	// (the paper shows each sentence to multiple workers).
-	WorkersPerSentence int
-	// PerWorker is how many paraphrases each worker writes (the paper asks
-	// for two; one yields minimal edits, three exhausts workers).
-	PerWorker int
 	// ErrorRate is the probability a worker produces a wrong paraphrase.
+	// Production runs 0: every caller passes only Seed, so only tests
+	// exercise the error model.
 	ErrorRate float64
 	// Seed makes the batch deterministic.
 	Seed int64
 }
-
-// DefaultConfig mirrors the paper's batch design.
-var DefaultConfig = Config{WorkersPerSentence: 3, PerWorker: 2, ErrorRate: 0.08}
 
 // Result is the outcome of a batch.
 type Result struct {
@@ -41,19 +42,13 @@ type Result struct {
 
 // Simulate runs a crowdsourcing batch over the selected examples.
 func Simulate(examples []dataset.Example, cfg Config) Result {
-	if cfg.WorkersPerSentence <= 0 {
-		cfg.WorkersPerSentence = DefaultConfig.WorkersPerSentence
-	}
-	if cfg.PerWorker <= 0 {
-		cfg.PerWorker = DefaultConfig.PerWorker
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var res Result
 	for i := range examples {
 		src := &examples[i]
-		for w := 0; w < cfg.WorkersPerSentence; w++ {
+		for w := 0; w < workersPerSentence; w++ {
 			worker := newWorker(rng)
-			for k := 0; k < cfg.PerWorker; k++ {
+			for k := 0; k < perWorker; k++ {
 				words := worker.rewrite(src.Words, rng)
 				if rng.Float64() < cfg.ErrorRate {
 					words = injectError(words, rng)

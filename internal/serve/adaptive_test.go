@@ -67,9 +67,9 @@ func TestAdaptiveBatcherEscalationCounters(t *testing.T) {
 				words = []string{fmt.Sprintf("low%d", i), "x"}
 				lowCount.Add(1)
 			}
-			out, err := b.ParseCtx(context.Background(), words)
+			out, err := b.ParseContextCtx(context.Background(), words, nil)
 			if err != nil {
-				t.Errorf("ParseCtx: %v", err)
+				t.Errorf("ParseContextCtx: %v", err)
 				return
 			}
 			want := "greedy"
@@ -109,9 +109,9 @@ func TestAdaptiveBatcherUnfittedStaysGreedy(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out, err := b.ParseCtx(context.Background(), []string{fmt.Sprintf("low%d", i)})
+			out, err := b.ParseContextCtx(context.Background(), []string{fmt.Sprintf("low%d", i)}, nil)
 			if err != nil {
-				t.Errorf("ParseCtx: %v", err)
+				t.Errorf("ParseContextCtx: %v", err)
 				return
 			}
 			if len(out) == 0 || out[0] != "greedy" {
@@ -162,9 +162,9 @@ func TestAdaptiveBatcherRealParser(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				out, err := b.ParseCtx(context.Background(), sentences[i])
+				out, err := b.ParseContextCtx(context.Background(), sentences[i], nil)
 				if err != nil {
-					t.Errorf("%s: ParseCtx: %v", tc.name, err)
+					t.Errorf("%s: ParseContextCtx: %v", tc.name, err)
 					return
 				}
 				if got := strings.Join(out, " "); got != want[i] {

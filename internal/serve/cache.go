@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"io/fs"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 
@@ -51,7 +52,6 @@ func Key(lib *thingpedia.Library, extra ...string) string {
 // produces a new key, which is the re-admission path.
 type Cache struct {
 	store *durable.Store // nil = memory-only
-	logf  func(format string, args ...any)
 
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -74,35 +74,10 @@ type cacheEntry struct {
 	transient bool
 }
 
-// CacheOptions configure a Cache beyond the snapshot directory.
-type CacheOptions struct {
-	// Store persists snapshots (nil keeps the cache memory-only).
-	Store *durable.Store
-	// Logf receives snapshot-corruption and training-failure events (nil
-	// discards).
-	Logf func(format string, args ...any)
-}
-
-// NewCache returns a cache; dir is the snapshot directory ("" keeps the
-// cache memory-only). The directory is created on first write.
-func NewCache(dir string) *Cache {
-	var store *durable.Store
-	if dir != "" {
-		store = durable.Open(dir, durable.Options{})
-	}
-	return NewCacheWith(CacheOptions{Store: store})
-}
-
-// NewCacheWith returns a cache with explicit options.
-func NewCacheWith(o CacheOptions) *Cache {
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
-	}
-	return &Cache{
-		store:   o.Store,
-		logf:    o.Logf,
-		entries: map[string]*cacheEntry{},
-	}
+// NewCache returns a cache that persists snapshots in store (nil keeps the
+// cache memory-only).
+func NewCache(store *durable.Store) *Cache {
+	return &Cache{store: store, entries: map[string]*cacheEntry{}}
 }
 
 // Store exposes the backing durable store (nil when memory-only); the fleet
@@ -169,7 +144,7 @@ func (c *Cache) GetOrTrain(key string, train func() (*model.Parser, error)) (*mo
 			c.trainFailures.Add(1)
 			if durable.IsTransient(e.err) {
 				e.transient = true
-				c.logf("serve: training %s failed transiently (retried on the next call): %v", key, e.err)
+				slog.Warn("serve: training failed transiently (retried on the next call)", "key", key, "err", e.err)
 			}
 			return
 		}
@@ -177,7 +152,7 @@ func (c *Cache) GetOrTrain(key string, train func() (*model.Parser, error)) (*mo
 			// Persisting is best-effort: a full or read-only disk degrades
 			// the cache to memory-only rather than failing the request.
 			if err := c.store.Save(key, func(w io.Writer) error { return e.p.Save(w) }); err != nil {
-				c.logf("serve: persisting snapshot %s: %v", key, err)
+				slog.Warn("serve: persisting snapshot", "key", key, "err", err)
 			}
 		}
 	})
@@ -209,7 +184,7 @@ func (c *Cache) loadSnapshot(key string, e *cacheEntry) bool {
 	}
 	if !errors.Is(err, fs.ErrNotExist) {
 		c.diskLoadFailures.Add(1)
-		c.logf("serve: snapshot %s unreadable (quarantined, retraining): %v", key, err)
+		slog.Warn("serve: snapshot unreadable (quarantined, retraining)", "key", key, "err", err)
 	}
 	return false
 }

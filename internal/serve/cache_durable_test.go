@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"log"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,12 +17,27 @@ import (
 	"repro/internal/model"
 )
 
+// captureLog points the process logger at a text handler over the returned
+// buffer until the test ends.
+func captureLog(t *testing.T) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	prev, out, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&buf, nil)))
+	t.Cleanup(func() {
+		slog.SetDefault(prev)
+		log.SetOutput(out)
+		log.SetFlags(flags)
+	})
+	return &buf
+}
+
 // TestCacheTransientErrorRetriedOnNextCall: a transient training failure
 // (disk full, I/O pressure) is not memoised — the cache keeps no retry clock
 // of its own, so every later call trains again until one succeeds, and the
 // recovered parser is then cached.
 func TestCacheTransientErrorRetriedOnNextCall(t *testing.T) {
-	c := NewCache("")
+	c := NewCache(nil)
 	var calls atomic.Int64
 	fail := true
 	train := func() (*model.Parser, error) {
@@ -62,7 +80,7 @@ func TestCacheTransientErrorRetriedOnNextCall(t *testing.T) {
 // failure taxonomy: a deterministic failure stays cached (the key embeds the
 // input checksum, so changed input = new key = re-admission).
 func TestCacheDeterministicErrorNotRetried(t *testing.T) {
-	c := NewCache("")
+	c := NewCache(nil)
 	var calls atomic.Int64
 	train := func() (*model.Parser, error) {
 		calls.Add(1)
@@ -92,7 +110,7 @@ func TestCacheCorruptSnapshotRollsBack(t *testing.T) {
 		return model.Train(toyTrainPairs(), nil, nil, toyConfig(3)), nil
 	}
 	key := "skill"
-	c1 := NewCache(dir)
+	c1 := NewCache(durable.Open(dir, durable.Options{}))
 	p1, _, err := c1.GetOrTrain(key, train)
 	if err != nil {
 		t.Fatal(err)
@@ -113,11 +131,7 @@ func TestCacheCorruptSnapshotRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var logbuf strings.Builder
-	c2 := NewCacheWith(CacheOptions{
-		Store: durable.Open(dir, durable.Options{}),
-		Logf:  func(f string, a ...any) { fmt.Fprintf(&logbuf, f+"\n", a...) },
-	})
+	c2 := NewCache(durable.Open(dir, durable.Options{}))
 	p2, hit, err := c2.GetOrTrain(key, train)
 	if err != nil {
 		t.Fatalf("restart over corrupt newest generation: %v", err)
@@ -163,11 +177,8 @@ func TestCacheUnreadableSnapshotLoggedAndRetrained(t *testing.T) {
 		calls.Add(1)
 		return model.Train(toyTrainPairs(), nil, nil, toyConfig(4)), nil
 	}
-	var logbuf strings.Builder
-	c := NewCacheWith(CacheOptions{
-		Store: durable.Open(dir, durable.Options{}),
-		Logf:  func(f string, a ...any) { fmt.Fprintf(&logbuf, f+"\n", a...) },
-	})
+	logbuf := captureLog(t)
+	c := NewCache(durable.Open(dir, durable.Options{}))
 	_, hit, err := c.GetOrTrain(key, train)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +195,7 @@ func TestCacheUnreadableSnapshotLoggedAndRetrained(t *testing.T) {
 
 	// The bad generation was quarantined and the retrain wrote a good one: a
 	// fresh process now hits disk.
-	c2 := NewCacheWith(CacheOptions{Store: durable.Open(dir, durable.Options{})})
+	c2 := NewCache(durable.Open(dir, durable.Options{}))
 	if _, hit, err := c2.GetOrTrain(key, train); err != nil || !hit {
 		t.Fatalf("restart after repair: hit=%v err=%v, want disk hit", hit, err)
 	}

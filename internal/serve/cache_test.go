@@ -7,12 +7,13 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/model"
 	"repro/internal/thingpedia"
 )
 
 func TestCacheSharesOneTrainingRun(t *testing.T) {
-	c := NewCache("") // memory-only
+	c := NewCache(nil) // memory-only
 	var trainCalls atomic.Int64
 	train := func() (*model.Parser, error) {
 		trainCalls.Add(1)
@@ -68,7 +69,7 @@ func TestCacheDiskSnapshotsSurviveRestart(t *testing.T) {
 	}
 
 	key := "disk-key"
-	c1 := NewCache(dir)
+	c1 := NewCache(durable.Open(dir, durable.Options{}))
 	p1, hit, err := c1.GetOrTrain(key, train)
 	if err != nil || hit {
 		t.Fatalf("first GetOrTrain: hit=%v err=%v", hit, err)
@@ -76,7 +77,7 @@ func TestCacheDiskSnapshotsSurviveRestart(t *testing.T) {
 
 	// A fresh Cache over the same directory simulates a process restart: the
 	// snapshot must load from disk without retraining and decode identically.
-	c2 := NewCache(dir)
+	c2 := NewCache(durable.Open(dir, durable.Options{}))
 	p2, hit, err := c2.GetOrTrain(key, train)
 	if err != nil {
 		t.Fatalf("restart GetOrTrain: %v", err)
@@ -95,7 +96,7 @@ func TestCacheDiskSnapshotsSurviveRestart(t *testing.T) {
 }
 
 func TestCacheCachesErrors(t *testing.T) {
-	c := NewCache("")
+	c := NewCache(nil)
 	boom := errors.New("boom")
 	calls := 0
 	train := func() (*model.Parser, error) { calls++; return nil, boom }

@@ -104,7 +104,7 @@ func TestParseContextCtxWithoutSurface(t *testing.T) {
 	b := NewBatcher(plainOnlyParser{}, Options{MaxBatch: 4, Workers: 1, MaxQueue: -1})
 	defer b.Close()
 	words := []string{"hello", "world"}
-	plain, err := b.ParseCtx(context.Background(), words)
+	plain, err := b.ParseContextCtx(context.Background(), words, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

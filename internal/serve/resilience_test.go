@@ -38,16 +38,16 @@ func TestBatcherDeadlineExpiresInQueueNoDecode(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		b.ParseCtx(context.Background(), []string{"tweet", "alpha", "now"})
+		b.ParseContextCtx(context.Background(), []string{"tweet", "alpha", "now"}, nil)
 	}()
 	waitFor(t, "first decode to start", func() bool { return sp.calls.Load() == 1 })
 
 	// Queue a request whose budget expires while it waits.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := b.ParseCtx(ctx, []string{"tweet", "bravo", "now"})
+	_, err := b.ParseContextCtx(ctx, []string{"tweet", "bravo", "now"}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("queued-past-deadline ParseCtx: err = %v, want DeadlineExceeded", err)
+		t.Fatalf("queued-past-deadline ParseContextCtx: err = %v, want DeadlineExceeded", err)
 	}
 
 	// Free the worker; it must answer the expired request without decoding.
@@ -72,7 +72,7 @@ func TestServerDeadlineHeader408(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.Batcher().ParseCtx(context.Background(), []string{"tweet", "alpha", "now"})
+		srv.Batcher().ParseContextCtx(context.Background(), []string{"tweet", "alpha", "now"}, nil)
 	}()
 	waitFor(t, "first decode to start", func() bool { return sp.calls.Load() == 1 })
 
@@ -141,7 +141,7 @@ func TestBatcherPanicIsolation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		b.ParseCtx(context.Background(), []string{"hold"})
+		b.ParseContextCtx(context.Background(), []string{"hold"}, nil)
 	}()
 	waitFor(t, "the worker to be held", func() bool { return pp.decodes.Load() == 1 })
 
@@ -155,7 +155,7 @@ func TestBatcherPanicIsolation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = b.ParseCtx(context.Background(), words[i])
+			_, errs[i] = b.ParseContextCtx(context.Background(), words[i], nil)
 		}(i)
 	}
 	waitFor(t, "the window to queue", func() bool { return b.Stats().QueueDepth == int64(len(words))+1 })
@@ -179,7 +179,7 @@ func TestBatcherPanicIsolation(t *testing.T) {
 	}
 
 	// The worker survived the panic.
-	if _, err := b.ParseCtx(context.Background(), []string{"tweet", "delta", "now"}); err != nil {
+	if _, err := b.ParseContextCtx(context.Background(), []string{"tweet", "delta", "now"}, nil); err != nil {
 		t.Errorf("request after panic: %v", err)
 	}
 }

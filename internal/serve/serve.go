@@ -115,7 +115,7 @@ type request struct {
 // and distinct windows decode concurrently.
 //
 // Admission is bounded: at most Options.MaxQueue requests may be in flight
-// (queued or decoding); beyond that ParseCtx sheds immediately with
+// (queued or decoding); beyond that a request is shed immediately with
 // ErrOverloaded instead of queueing behind a slow consumer. Close drains:
 // requests admitted before Close are decoded and answered on the old parser
 // before the workers exit, which is what lets the fleet control plane
@@ -332,25 +332,20 @@ func (b *Batcher) submit(ctx context.Context, r request) error {
 	}
 }
 
-// ParseCtx submits one sentence through the batching path and waits for its
-// program tokens.
-func (b *Batcher) ParseCtx(ctx context.Context, words []string) ([]string, error) {
-	res, err := b.do(ctx, request{words: words, reply: make(chan parseResult, 1)})
-	return res.toks, err
-}
-
-// ParseContextCtx is ParseCtx conditioned on the previous turn's program
-// tokens (multi-turn dialogue). With an empty prior — or a parser trained
-// without a context encoder — it is exactly ParseCtx, so callers can thread
+// ParseContextCtx submits one sentence through the batching path and waits
+// for its program tokens, conditioned on the previous turn's program tokens
+// (multi-turn dialogue). An empty prior — or a parser trained without a
+// context encoder — decodes the sentence alone, so callers can thread
 // session context unconditionally.
 func (b *Batcher) ParseContextCtx(ctx context.Context, words, prior []string) ([]string, error) {
 	res, err := b.do(ctx, request{words: words, context: prior, reply: make(chan parseResult, 1)})
 	return res.toks, err
 }
 
-// ParseScoredCtx is ParseCtx plus the decoded hypothesis's
-// length-normalized score (model.Decoded.Score), decoded at the batcher's
-// beam width without the adaptive policy.
+// ParseScoredCtx decodes one sentence without a prior, like ParseContextCtx
+// with none, and also returns the decoded hypothesis's length-normalized
+// score (model.Decoded.Score), decoded at the batcher's beam width without
+// the adaptive policy.
 func (b *Batcher) ParseScoredCtx(ctx context.Context, words []string) ([]string, float64, error) {
 	res, err := b.do(ctx, request{words: words, scored: true, reply: make(chan parseResult, 1)})
 	return res.toks, res.score, err
@@ -383,19 +378,6 @@ func (b *Batcher) do(ctx context.Context, r request) (parseResult, error) {
 	case <-ctx.Done():
 		return parseResult{}, ctx.Err()
 	}
-}
-
-// Parse implements eval.Decoder over the batched path, so eval.Evaluate and
-// eval.EvaluateParallel can score a served parser exactly like a local one.
-// A closed or overloaded batcher decodes to nil (scored as wrong).
-//
-//genielint:ctx-root interface adapter: the eval.Decoder contract has no ctx parameter
-func (b *Batcher) Parse(words []string) []string {
-	out, err := b.ParseCtx(context.Background(), words)
-	if err != nil {
-		return nil
-	}
-	return out
 }
 
 // Stats reports served traffic; Requests/Batches is the realized mean batch

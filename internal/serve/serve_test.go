@@ -85,9 +85,9 @@ func TestBatcherMatchesDirectDecode(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got, err := b.ParseCtx(context.Background(), sentences[i])
+				got, err := b.ParseContextCtx(context.Background(), sentences[i], nil)
 				if err != nil {
-					t.Errorf("ParseCtx: %v", err)
+					t.Errorf("ParseContextCtx: %v", err)
 					return
 				}
 				if strings.Join(got, " ") != want[i] {
@@ -142,7 +142,7 @@ func parkWorkers(t *testing.T, b *Batcher, rec *recordingBatchParser, n int) *sy
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b.Parse([]string{"tweet", "alpha", "now"})
+			b.ParseContextCtx(context.Background(), []string{"tweet", "alpha", "now"}, nil)
 		}()
 		waitFor(t, "a worker to reach the gate", func() bool { return rec.entered.Load() == int64(i) })
 	}
@@ -170,7 +170,8 @@ func TestBatcherFormsBatches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = strings.Join(b.Parse(sentences[i]), " ")
+			toks, _ := b.ParseContextCtx(context.Background(), sentences[i], nil)
+			got[i] = strings.Join(toks, " ")
 		}(i)
 	}
 	waitFor(t, "the backlog to queue", func() bool { return b.Stats().QueueDepth == n+1 })
@@ -229,9 +230,9 @@ func TestBatcherBatchedDecodeParity(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					got, err := b.ParseCtx(context.Background(), sentences[i])
+					got, err := b.ParseContextCtx(context.Background(), sentences[i], nil)
 					if err != nil {
-						t.Errorf("beam=%d ParseCtx: %v", beam, err)
+						t.Errorf("beam=%d ParseContextCtx: %v", beam, err)
 						return
 					}
 					if strings.Join(got, " ") != want[i] {
@@ -279,8 +280,8 @@ func TestBatcherIdleDispatchesImmediately(t *testing.T) {
 	words := []string{"tweet", "alpha", "now"}
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		if _, err := b.ParseCtx(context.Background(), words); err != nil {
-			t.Fatalf("ParseCtx: %v", err)
+		if _, err := b.ParseContextCtx(context.Background(), words, nil); err != nil {
+			t.Fatalf("ParseContextCtx: %v", err)
 		}
 	}
 	elapsed := time.Since(start)
@@ -332,7 +333,7 @@ func TestBatcherBackpressureSheds(t *testing.T) {
 	replies := make(chan res, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			toks, err := b.ParseCtx(ctx, words)
+			toks, err := b.ParseContextCtx(ctx, words, nil)
 			replies <- res{toks, err}
 		}()
 	}
@@ -346,7 +347,7 @@ func TestBatcherBackpressureSheds(t *testing.T) {
 	}
 
 	start := time.Now()
-	if _, err := b.ParseCtx(ctx, words); !errors.Is(err, ErrOverloaded) {
+	if _, err := b.ParseContextCtx(ctx, words, nil); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overflow request: err = %v, want ErrOverloaded", err)
 	}
 	if waited := time.Since(start); waited > time.Second {
@@ -370,7 +371,7 @@ func TestBatcherBackpressureSheds(t *testing.T) {
 	}
 	// Queue drained: admission works again.
 	go func() { sp.release <- struct{}{} }()
-	if _, err := b.ParseCtx(ctx, words); err != nil {
+	if _, err := b.ParseContextCtx(ctx, words, nil); err != nil {
 		t.Fatalf("post-drain request: %v", err)
 	}
 }
@@ -388,7 +389,7 @@ func TestBatcherCloseDrainsAdmitted(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = b.ParseCtx(context.Background(), []string{"tweet", "alpha", "now"})
+			_, errs[i] = b.ParseContextCtx(context.Background(), []string{"tweet", "alpha", "now"}, nil)
 		}(i)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -408,7 +409,7 @@ func TestBatcherCloseDrainsAdmitted(t *testing.T) {
 			t.Errorf("admitted request %d dropped during Close: %v", i, err)
 		}
 	}
-	if _, err := b.ParseCtx(context.Background(), []string{"x"}); !errors.Is(err, ErrClosed) {
+	if _, err := b.ParseContextCtx(context.Background(), []string{"x"}, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("post-Close request: err = %v, want ErrClosed", err)
 	}
 }
@@ -441,7 +442,7 @@ func TestBatcherBatchSizeHistogram(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b.Parse([]string{"tweet", "alpha", "now"})
+			b.ParseContextCtx(context.Background(), []string{"tweet", "alpha", "now"}, nil)
 		}()
 	}
 	wg.Wait()
@@ -460,8 +461,8 @@ func TestBatcherBatchSizeHistogram(t *testing.T) {
 func TestBatcherClose(t *testing.T) {
 	b := NewBatcher(toyParser(), Options{})
 	b.Close()
-	if _, err := b.ParseCtx(context.Background(), []string{"tweet", "alpha", "now"}); !errors.Is(err, ErrClosed) {
-		t.Errorf("ParseCtx after Close: err = %v, want ErrClosed", err)
+	if _, err := b.ParseContextCtx(context.Background(), []string{"tweet", "alpha", "now"}, nil); !errors.Is(err, ErrClosed) {
+		t.Errorf("ParseContextCtx after Close: err = %v, want ErrClosed", err)
 	}
 	b.Close() // idempotent
 }
@@ -471,8 +472,8 @@ func TestBatcherContextCancel(t *testing.T) {
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.ParseCtx(ctx, []string{"tweet", "alpha", "now"}); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled ParseCtx: err = %v, want context.Canceled", err)
+	if _, err := b.ParseContextCtx(ctx, []string{"tweet", "alpha", "now"}, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled ParseContextCtx: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -557,7 +558,7 @@ func TestServerSheds429(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.Batcher().ParseCtx(context.Background(), []string{"tweet", "alpha", "now"})
+		srv.Batcher().ParseContextCtx(context.Background(), []string{"tweet", "alpha", "now"}, nil)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Batcher().Stats().QueueDepth < 1 {

@@ -164,7 +164,7 @@ func NewServer(p Parser, opt Options) *Server {
 	return s
 }
 
-// Batcher exposes the underlying batcher (stats, direct eval.Decoder use).
+// Batcher exposes the underlying batcher (stats, direct ParseContextCtx calls).
 func (s *Server) Batcher() *Batcher { return s.b }
 
 // Handler returns the HTTP handler (for http.Server or httptest).

@@ -80,7 +80,6 @@ func newSampler(g *nltemplate.Grammar, cfg Config) *sampler {
 // deterministic order. emit returning false, or ctx cancellation, stops the
 // run early. Either argument may be nil.
 func (s *sampler) run(ctx context.Context, emit func(Example) bool) {
-	produced := 0
 	for depth := 1; depth <= s.cfg.MaxDepth; depth++ {
 		if ctx != nil && ctx.Err() != nil {
 			return
@@ -94,14 +93,10 @@ func (s *sampler) run(ctx context.Context, emit func(Example) bool) {
 			}
 			s.pools[t.cat] = append(s.pools[t.cat], t.derivs...)
 			for i := range t.commands {
-				produced++
 				if emit != nil && !emit(t.commands[i]) {
 					return
 				}
 			}
-		}
-		if s.cfg.MaxCommands > 0 && produced >= s.cfg.MaxCommands {
-			return
 		}
 	}
 }

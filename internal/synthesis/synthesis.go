@@ -47,8 +47,6 @@ type Config struct {
 	Seed int64
 	// Schemas canonicalizes the produced programs.
 	Schemas thingtalk.SchemaSource
-	// MaxCommands caps the number of produced examples (0 = no cap).
-	MaxCommands int
 	// Workers is the number of sampling goroutines per depth wave
 	// (0 = GOMAXPROCS, 1 = fully sequential). The sampled examples do not
 	// depend on the worker count.
@@ -88,8 +86,7 @@ func Synthesize(g *nltemplate.Grammar, cfg Config) []Example {
 
 // SynthesizeStream runs the sampler concurrently and emits complete commands
 // on a bounded channel as each depth wave finishes. The channel is closed
-// when synthesis completes, the context is cancelled, or MaxCommands is
-// reached. For a fixed seed the stream carries exactly the examples
+// when synthesis completes or the context is cancelled. For a fixed seed the stream carries exactly the examples
 // Synthesize returns, in the same order, for any Workers setting.
 func SynthesizeStream(ctx context.Context, g *nltemplate.Grammar, cfg Config) <-chan Example {
 	out := make(chan Example, streamBuffer)
