@@ -324,14 +324,18 @@ func targetTok(pair *Pair, t int) string {
 
 // lmLossBatch is the batched decoder-only language-model loss: next-token
 // prediction over B programs with a zero attention context, gradients
-// averaged over the minibatch like lossBatch.
+// averaged over the minibatch like lossBatch. The context is left out rather
+// than fed as zeros: the decoder LSTM and the combine layer run on views of
+// their weights without the rows that read it (Trainer.lmDec, lmCombW). A
+// product skips a zero input element, and the weight-gradient rows of one
+// only ever receive ±0, so the weights, moments and losses are the bits a
+// zero context gives.
 func (t *Trainer) lmLossBatch(g *nn.Graph, programs [][]string) float64 {
-	p, sc := t.p, &t.scr
+	p, sc, lmDec, lmCombW := t.p, &t.scr, t.lmDec, t.lmCombW
 	B := len(programs)
 	hid := p.cfg.HiddenDim
 	h := g.NewTensor(B, hid)
 	c := g.NewTensor(B, hid)
-	ctx := g.NewTensor(B, 2*hid)
 
 	T := 0
 	sc.tgtLens = sc.tgtLens[:0]
@@ -374,9 +378,8 @@ func (t *Trainer) lmLossBatch(g *nn.Graph, programs [][]string) float64 {
 			}
 		}
 		emb := g.LookupRows(p.decEmb.Table, prev)
-		x := g.ConcatCols(emb, ctx)
-		h, c = p.dec.StepBatch(g, x, h, c, activeT)
-		htilde := g.Tanh(g.BatchedAffine(g.ConcatCols(h, ctx), p.combLin.W, p.combLin.B))
+		h, c = lmDec.StepBatch(g, emb, h, c, activeT)
+		htilde := g.Tanh(g.BatchedAffine(h, lmCombW, p.combLin.B))
 		pv := g.SoftmaxRows(g.BatchedAffine(htilde, p.outLin.W, p.outLin.B))
 		g.NLLPointerMixBatch(pv, nil, onesGateBatch(g, B), nil, nil, nil, nil, idxT, wT, nll)
 		for b := range perEx {

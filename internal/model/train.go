@@ -53,6 +53,11 @@ type Trainer struct {
 	params   []*nn.Tensor
 	lmOpt    *nn.Adam // over lmParams, the decoder's weights, in LM pre-training
 	lmParams []*nn.Tensor
+	// lmDec and lmCombW are the decoder LSTM with Wx's first EmbedDim rows
+	// and combLin.W's first HiddenDim rows: what LM pre-training steps
+	// through, without the rows that read the attention context.
+	lmDec   *nn.LSTMCell
+	lmCombW *nn.Tensor
 
 	loop loopState
 }
@@ -97,6 +102,9 @@ func NewTrainer(train []Pair, lmPrograms [][]string, cfg Config) *Trainer {
 	t.drop, t.shuffle = rand.New(t.dropSrc), rand.New(t.shuffleSrc)
 	t.p = newParser(cfg, BuildVocab(srcSeqs, 1), BuildVocab(tgtSeqs, cfg.MinVocabCount), t.drop)
 	t.params, t.lmParams = t.p.Params(), t.p.decParams()
+	lmDec := *t.p.dec
+	lmDec.Wx = t.p.dec.Wx.RowPrefix(cfg.EmbedDim)
+	t.lmDec, t.lmCombW = &lmDec, t.p.combLin.W.RowPrefix(cfg.HiddenDim)
 	t.loop = loopState{bestLoss: 1e18, order: t.shuffle.Perm(len(train))}
 	return t
 }

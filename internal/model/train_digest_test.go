@@ -53,6 +53,25 @@ func TestTrainDigest(t *testing.T) {
 			t.Errorf("weight digest %s, recorded %s", got, want)
 		}
 	})
+	// A long per-example run: past step 356 both optimizers' bias correction
+	// 1−0.9ᵗ rounds to 1, and every product's backward is the one-row path.
+	t.Run("contextual-long", func(t *testing.T) {
+		train, _ := toyDialoguePairs()
+		var lm [][]string
+		for i := range train {
+			lm = append(lm, train[i].Tgt)
+		}
+		cfg := testConfig(7)
+		cfg.Contextual = true
+		cfg.Dropout = 0.1
+		cfg.Epochs = 5
+		cfg.PretrainLM = true
+		cfg.LMSteps = 400
+		cfg.MinVocabCount = 1
+		if got, want := weightDigest(Train(train, nil, lm, cfg)), "f2f02ae5ff743cded314e2953fcf88c400447b7d691227f50f5f8a8a9015f019"; got != want {
+			t.Errorf("weight digest %s, recorded %s", got, want)
+		}
+	})
 	t.Run("resumed", func(t *testing.T) {
 		train, val, lm := checkpointPairs()
 		cfg := checkpointConfig(4)

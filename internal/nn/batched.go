@@ -74,12 +74,24 @@ func matMulJob(j *job, from, to int) {
 	matMulRows(j.a, lo, hi, j.in, j.w, j.n, j.out.W, nil)
 }
 
-// backMatMul is backMatMulRows, split: the input gradient by active-row
-// pairs, the weight gradient by its rows, cut so the two parts hold about
-// the same number of multiply-adds (a lone row's gradX costs a pair's).
+// backMatMul is the backward of a product out = a·w (backMatMulPart). A
+// one-row product runs its input gradient, gradXRow, now and defers its
+// weight gradient to the end of Backward (deferGradW). Any other product
+// first runs what its weight has pending, then is split: the input gradient
+// by active-row pairs, the weight gradient by its rows, cut so the two parts
+// hold about the same number of multiply-adds (a lone row's gradX costs a
+// pair's).
 func (g *Graph) backMatMul(a, ad []float64, rows, in int, w, wd []float64, n int, dOut []float64, active []bool) {
+	if rows == 1 {
+		if active == nil || active[0] {
+			g.deferGradW(a[:in], dOut[:n], wd)
+			gradXRow(ad[:in], dOut[:n], w)
+		}
+		return
+	}
+	g.flushGradW(wd)
 	if !g.splits(rows) {
-		backMatMulRows(a, ad, rows, in, w, wd, n, dOut, active)
+		backMatMulPart(a, ad, rows, in, w, wd, n, dOut, active, 0, rows, 0, in)
 		return
 	}
 	c := countActive(rows, active)

@@ -530,3 +530,52 @@ func TestBatchedKernelsArenaSteadyState(t *testing.T) {
 		t.Errorf("steady-state batched step at GOMAXPROCS 4 allocates: %d allocs in %d runs", n, runs)
 	}
 }
+
+// TestDeferredWeightGradientKeepsOrder: one weight used by one-row products,
+// by a two-row product between them, and through a row-prefix view gets, once
+// Backward returns, the weight and input gradients of running every product's
+// backward in place, tape order reversed, bit for bit — the deferred rows run
+// before the two-row product adds into the same gradient, and a view's rows
+// before rows of the whole weight.
+func TestDeferredWeightGradientKeepsOrder(t *testing.T) {
+	const in, n, p = 11, 9, 5
+	rng := rand.New(rand.NewSource(3))
+	fill := func(s []float64) {
+		for i := range s {
+			s[i] = rng.NormFloat64()
+		}
+	}
+	lin := NewLinear(in, n, rng)
+	fill(lin.W.DW)
+	lin.W.DW[7] = math.Copysign(0, -1)
+	view := lin.W.RowPrefix(p)
+	wantDW := clone(lin.W.DW)
+	xs := []*Tensor{NewRandom(1, in, rng), NewRandom(2, in, rng), NewRandom(1, p, rng), NewRandom(1, in, rng)}
+	weights := []*Tensor{lin.W, lin.W, view, lin.W}
+	wantXDW := make([][]float64, len(xs))
+
+	g := NewGraph(true)
+	outs := make([]*Tensor, len(xs))
+	for i, x := range xs {
+		outs[i] = g.BatchedAffine(x, weights[i], NewTensor(1, n))
+		fill(outs[i].DW)
+	}
+	for i := len(xs) - 1; i >= 0; i-- {
+		x, w, d := xs[i], weights[i], outs[i].DW
+		xd := clone(x.DW)
+		if x.Rows == 1 {
+			backRowMatMul(x.W, xd, w.W, wantDW[:len(w.W)], d)
+		} else {
+			backMatMulPart(x.W, xd, x.Rows, x.Cols, w.W, wantDW[:len(w.W)], n, d, nil, 0, x.Rows, 0, x.Cols)
+		}
+		wantXDW[i] = xd
+	}
+	g.Backward()
+	assertSameBits(t, "weight gradient", lin.W.DW, wantDW)
+	for i, x := range xs {
+		assertSameBits(t, "input gradient", x.DW, wantXDW[i])
+	}
+	if len(g.pending) != 0 {
+		t.Errorf("%d weight gradients still pending after Backward", len(g.pending))
+	}
+}

@@ -60,6 +60,21 @@ type tapeOp struct {
 // recycles them between training steps, so a steady-state step allocates
 // (near) nothing.
 //
+// The weight gradient of a one-row product (BatchedAffine or an LSTM step
+// over one row) is deferred: its backward records the row a and its output
+// gradient, and Backward runs, before it returns, one gradW per weight over
+// all the rows recorded for it, in record order. Each weight-gradient element
+// sees the adds it would have seen product by product, in the same order,
+// because gradW sums rows ascending and never skips; but it sees them all at
+// once, so the whole gradient is read and written once per step rather than
+// once per row. A weight's pending rows run first whenever another product
+// backward (over two rows or more, or an unfused MatMul or WeightedSumRows)
+// adds into the same gradient, which keeps that order when one weight is used
+// both ways. So no op may read a product weight's gradient during Backward:
+// it is a leaf — a parameter — whose gradient is complete once Backward
+// returns. Views of one weight (Tensor.RowPrefix) share its first element
+// and are told apart by shape.
+//
 //genielint:arena-source
 type Graph struct {
 	NeedsGrad bool
@@ -67,6 +82,20 @@ type Graph struct {
 	tape      []tapeOp
 	j         job // the op being split (team.go)
 	procs     int // with NeedsGrad: GOMAXPROCS when the graph was made or last Reset
+
+	// pending holds the deferred weight gradients of this Backward, one
+	// entry per weight; entries past its length keep their buffers for reuse.
+	pending []pendingGradW
+}
+
+// pendingGradW is one weight's deferred gradient: rows rows of the products'
+// left operands (a, rows×in) and output gradients (d, rows×n), to be added
+// into the in×n gradient wd.
+type pendingGradW struct {
+	wd    []float64
+	in, n int
+	rows  int
+	a, d  []float64
 }
 
 // NewGraph returns a tape that records gradients; intermediates are
@@ -122,20 +151,27 @@ func (g *Graph) record(o tapeOp) *tapeOp {
 	return &g.tape[len(g.tape)-1]
 }
 
-// Backward runs the tape in reverse order and truncates it (keeping
-// capacity). The caller seeds the gradient of the loss tensor (typically via
-// the loss ops, which do it themselves).
+// Backward runs the tape in reverse order, then the deferred weight
+// gradients, and truncates the tape (keeping capacity). The caller seeds the
+// gradient of the loss tensor (typically via the loss ops, which do it
+// themselves).
 func (g *Graph) Backward() {
 	for i := len(g.tape) - 1; i >= 0; i-- {
 		g.backstep(&g.tape[i])
 	}
 	g.tape = g.tape[:0]
+	for i := range g.pending {
+		g.pending[i].run()
+	}
+	g.pending = g.pending[:0]
 }
 
 // Reset truncates the tape and recycles all arena intermediates. Any tensor
 // previously returned by graph ops or NewTensor must not be used afterwards.
+// Weight gradients still pending (a tape never run backward) are dropped.
 func (g *Graph) Reset() {
 	g.tape = g.tape[:0]
+	g.pending = g.pending[:0]
 	if g.NeedsGrad {
 		g.procs = runtime.GOMAXPROCS(0)
 	}
@@ -144,12 +180,66 @@ func (g *Graph) Reset() {
 	}
 }
 
+// deferGradW records one row's weight gradient, wd += aᵀ·d, for the end of
+// Backward.
+func (g *Graph) deferGradW(a, d, wd []float64) {
+	in, n := len(a), len(d)
+	if in == 0 || n == 0 {
+		return
+	}
+	e := g.pendingFor(wd)
+	if e == nil {
+		i := len(g.pending)
+		if i == cap(g.pending) {
+			g.pending = append(g.pending, pendingGradW{})
+		} else {
+			g.pending = g.pending[:i+1]
+		}
+		e = &g.pending[i]
+		e.wd, e.in, e.n, e.rows, e.a, e.d = wd, in, n, 0, e.a[:0], e.d[:0]
+	} else if e.in != in || e.n != n {
+		e.run()
+		e.wd, e.in, e.n = wd, in, n
+	}
+	e.a = append(e.a, a...)
+	e.d = append(e.d, d...)
+	e.rows++
+}
+
+// flushGradW runs the rows pending for wd, before another op adds into it.
+func (g *Graph) flushGradW(wd []float64) {
+	if e := g.pendingFor(wd); e != nil {
+		e.run()
+	}
+}
+
+// pendingFor returns wd's entry, or nil.
+func (g *Graph) pendingFor(wd []float64) *pendingGradW {
+	if len(wd) == 0 {
+		return nil
+	}
+	for i := range g.pending {
+		if e := &g.pending[i]; &e.wd[0] == &wd[0] {
+			return e
+		}
+	}
+	return nil
+}
+
+// run adds the pending rows into the gradient, rows in record order, and
+// empties the entry.
+func (e *pendingGradW) run() {
+	gradW(e.wd, e.a, e.d, e.rows, e.in, e.in, e.n)
+	e.a, e.d, e.rows = e.a[:0], e.d[:0], 0
+}
+
 // backstep runs one op's backward pass. Each case accumulates input
 // gradients exactly as the closure-based tape used to, in the same order, so
 // the typed tape is a drop-in numeric replacement.
 func (g *Graph) backstep(o *tapeOp) {
 	switch o.kind {
 	case opMatMul:
+		g.flushGradW(o.b.DW)
 		backMatMul(o.a, o.b, o.out)
 	case opAdd:
 		a, b, out := o.a, o.b, o.out
@@ -184,6 +274,7 @@ func (g *Graph) backstep(o *tapeOp) {
 		backAttendDot(o.a.W, o.a.DW, o.b.W, o.b.DW, o.out.DW)
 	case opWeightedSumRows:
 		// ctx = alpha·H is a row product with alpha the left operand.
+		g.flushGradW(o.b.DW)
 		backRowMatMul(o.a.W, o.a.DW, o.b.W, o.b.DW, o.out.DW)
 	case opSliceRow:
 		a, out := o.a, o.out

@@ -10,28 +10,33 @@ import "math"
 //     ascending, and skips a k whose left-operand element is zero (±0) — so a
 //     zero input never touches a NaN or infinite weight;
 //   - a weight gradient (gradW) accumulates each element over batch rows
-//     ascending, without skipping zeros;
+//     ascending, without skipping zeros — the one-row products of a step
+//     are such rows too: the graph defers their weight gradients to one
+//     gradW per weight at the end of Backward (graph.go);
 //   - the input gradient of a batched product (gradX) sums over j in four
 //     lane accumulators, lane l taking j ≡ l (mod 4) ascending and lane 0 the
 //     n mod 4 tail, combined as (l0+l1)+(l2+l3);
 //   - the input gradient of a single-row product — a one-row batch is one —
-//     and the attention score (dot4, dot), is one serial accumulator over j
-//     ascending.
+//     (gradXRow) is one serial accumulator per k, starting at +0, over j
+//     ascending, nothing skipped, then added to xd[k]; the attention score
+//     (dot4, dot) is the same chain.
 //
 // Every product is rounded before it is added: no fused multiply-add, in any
-// body. The multiply-add primitives of the first three rules — matvec, gradW,
-// gradX — each called once per matrix, have a pure-Go reference body here,
-// and AVX2 and AVX-512 bodies in kernel_amd64.s that issue, per output
+// body. The multiply-add primitives of the first four rules — matvec, gradW,
+// gradX, gradXRow — each called once per matrix, have a pure-Go reference
+// body here, and assembly bodies in kernel_amd64.s that issue, per output
 // element, the identical sequence of IEEE multiplies and adds, so the bodies
 // agree bit for bit. matvec and gradW hold a 32-wide strip of their output in
 // registers for the whole k (row) loop; gradX holds the lanes of two rows ×
-// four k for the whole j loop. The AVX-512 bodies run where CPUID reports
-// AVX512F and the OS saves the ZMM state, the AVX2 ones elsewhere on amd64,
-// the reference body under purego or on another architecture. The float64()
-// conversions in the reference bodies are what forbids the compiler from
-// fusing on platforms where it otherwise would. The serial dot products have
-// one Go body: their speed comes from running four independent chains side
-// by side, which scalar code already does.
+// four k for the whole j loop; gradXRow's AVX-512 body multiplies eight
+// weight rows by eight d[j] at a time and transposes the products in
+// registers, so one lane carries one k's chain, j ascending, through the
+// whole row (it has no AVX2 body: there the reference runs, four chains side
+// by side). The AVX-512 bodies run where CPUID reports AVX512F and the OS
+// saves the ZMM state, the AVX2 ones elsewhere on amd64, the reference body
+// under purego or on another architecture. The float64() conversions in the
+// reference bodies are what forbids the compiler from fusing on platforms
+// where it otherwise would.
 //
 // Everything else in the file builds the package's matrix kernels out of
 // those primitives; the single-row and batched forms share one loop nest each
@@ -72,7 +77,8 @@ import "math"
 //   - tanh computes math.tanh's three branches for every lane and blends
 //     them, keeping ±0 as it came;
 //   - adam rounds every product and uses the correctly rounded divide and
-//     square root, in the reference's order.
+//     square root, in the reference's order; it skips the divide by bc1 once
+//     bc1 is exactly 1.0, which changes no bit: x/1 is x.
 //
 // That exp agrees with math.Exp only while math.Exp takes its FMA path — on a
 // CPU with AVX and FMA, unless GODEBUG=cpu.fma=off — and only for the
@@ -100,6 +106,9 @@ type kernelSet struct {
 	// every k < len(ad0), w_k = w[k·n:(k+1)·n], n = len(d0). A nil ad1 drops
 	// row 1's sums: a lone row passes itself as d1.
 	gradX func(ad0, ad1, d0, d1, w []float64)
+	// gradXRow: xd[k] += dot(d, w_k) for every k < len(xd), w_k =
+	// w[k·n:(k+1)·n], n = len(d).
+	gradXRow func(xd, d, w []float64)
 
 	// sigmoid: dst[j] = 1/(1+exp(−x[j])).
 	sigmoid func(dst, x []float64)
@@ -125,7 +134,7 @@ type adamCoef struct {
 // at init where the CPU has an assembly body (kernel_amd64.go).
 var (
 	goKernels = kernelSet{
-		matvec: matvecGo, gradW: gradWGo, gradX: gradXGo,
+		matvec: matvecGo, gradW: gradWGo, gradX: gradXGo, gradXRow: gradXRowGo,
 		sigmoid: sigmoidGo, tanh: tanhGo, expShift: expShiftGo, adam: adamGo,
 	}
 	kernels = goKernels
@@ -155,6 +164,16 @@ func gradX(ad0, ad1, d0, d1, w []float64) {
 		return
 	}
 	kernels.gradX(ad0, ad1, d0, d1, w)
+}
+
+func gradXRow(xd, d, w []float64) {
+	if len(w) < len(xd)*len(d) {
+		panic("nn: gradXRow shape mismatch")
+	}
+	if len(xd) == 0 {
+		return
+	}
+	kernels.gradXRow(xd, d, w)
 }
 
 func gradW(wd, a, d []float64, rows, kn, in, n int) {
@@ -375,48 +394,41 @@ func matMulRows(a []float64, lo, hi, cols int, w []float64, p int, dst []float64
 	}
 }
 
-// backRowMatMul accumulates the gradients of out = x·w for one row x (len
-// in) and a flat in×len(dOut) matrix w: the weight gradient is gradW over the
-// one row; the input gradient of each k is one serial chain over j, four k's
-// side by side. (gradW goes first so that little stays live across the chains
-// and they keep their operands in registers.)
-func backRowMatMul(x, xd, w, wd, dOut []float64) {
-	in, n := len(x), len(dOut)
-	gradW(wd, x, dOut, 1, in, in, n)
+// gradXRowGo runs the chains four k's side by side.
+func gradXRowGo(xd, d, w []float64) {
+	in, n := len(xd), len(d)
 	k := 0
 	for ; k+4 <= in; k += 4 {
-		s0, s1, s2, s3 := dot4(dOut, w[k*n:(k+1)*n], w[(k+1)*n:(k+2)*n], w[(k+2)*n:(k+3)*n], w[(k+3)*n:(k+4)*n])
+		s0, s1, s2, s3 := dot4(d, w[k*n:(k+1)*n], w[(k+1)*n:(k+2)*n], w[(k+2)*n:(k+3)*n], w[(k+3)*n:(k+4)*n])
 		xd[k] += s0
 		xd[k+1] += s1
 		xd[k+2] += s2
 		xd[k+3] += s3
 	}
 	for ; k < in; k++ {
-		xd[k] += dot(dOut, w[k*n:(k+1)*n])
+		xd[k] += dot(d, w[k*n:(k+1)*n])
 	}
 }
 
-// backMatMulRows accumulates the gradients of out = a·w for a rows×in batch a
-// (gradient ad) and a flat in×n matrix w (gradient wd), given dOut (rows×n).
-// A one-row batch is a single-row product and takes backRowMatMul; any other
-// is backMatMulPart over all of it.
-func backMatMulRows(a, ad []float64, rows, in int, w, wd []float64, n int, dOut []float64, active []bool) {
-	if rows == 1 {
-		if active == nil || active[0] {
-			backRowMatMul(a[:in], ad[:in], w, wd, dOut[:n])
-		}
-		return
-	}
-	backMatMulPart(a, ad, rows, in, w, wd, n, dOut, active, 0, rows, 0, in)
+// backRowMatMul accumulates the gradients of out = x·w for one row x (len
+// in) and a flat in×len(dOut) matrix w: the weight gradient is gradW over the
+// one row, the input gradient gradXRow.
+func backRowMatMul(x, xd, w, wd, dOut []float64) {
+	in, n := len(x), len(dOut)
+	gradW(wd, x, dOut, 1, in, in, n)
+	gradXRow(xd, dOut, w)
 }
 
-// backMatMulPart is the share of a batched product's backward that rows
-// [r0, r1) of ad and rows [k0, k1) of wd hold: one gradX per pair of active
-// rows of the range, a lone last row alone, and for each of those weight
-// rows one gradW per run of consecutive active rows of the whole batch, so
-// each weight-gradient element sums the active rows in ascending order. Rows
-// where active is false are skipped: their dOut rows are zero, so they
-// contribute nothing. Parts with disjoint ranges write disjoint elements.
+// backMatMulPart accumulates the gradients of out = a·w for a batch a of
+// rows×in (gradient ad) and a flat in×n matrix w (gradient wd), given dOut
+// (rows×n): the share of them that rows [r0, r1) of ad and rows [k0, k1) of
+// wd hold — (0, rows, 0, in) is the whole backward. That is one gradX per
+// pair of active rows of the range, a lone last row alone, and for each of
+// those weight rows one gradW per run of consecutive active rows of the
+// whole batch, so each weight-gradient element sums the active rows in
+// ascending order. Rows where active is false are skipped: their dOut rows
+// are zero, so they contribute nothing. Parts with disjoint ranges write
+// disjoint elements.
 func backMatMulPart(a, ad []float64, rows, in int, w, wd []float64, n int, dOut []float64, active []bool, r0, r1, k0, k1 int) {
 	pending := -1 // an active row waiting for a partner
 	for i := r0; i < r1; i++ {

@@ -19,6 +19,9 @@ func gradXAVX2(ad0, ad1, d0, d1, w []float64)
 func gradXAVX512(ad0, ad1, d0, d1, w []float64)
 
 //go:noescape
+func gradXRowAVX512(xd, d, w []float64)
+
+//go:noescape
 func gradWAVX2(wd, a, d []float64, rows, kn, in, n int)
 
 //go:noescape
@@ -71,6 +74,16 @@ func tanhAsm(dst, x []float64) {
 	tanhGo(dst[i:], x[i:len(dst)])
 }
 
+// gradXRowAsm runs whole blocks of eight k in assembly and the k tail in the
+// reference body.
+func gradXRowAsm(xd, d, w []float64) {
+	k := len(xd) &^ 7
+	if k > 0 {
+		gradXRowAVX512(xd[:k], d, w)
+	}
+	gradXRowGo(xd[k:], d, w[k*len(d):])
+}
+
 func adamAsm(w, dw, m, v []float64, c adamCoef) {
 	adamAVX2(w, dw, m, v, c)
 	i := len(w) &^ 3
@@ -85,7 +98,8 @@ func init() {
 
 // asmBody returns the assembly body this CPU can run, and false where it
 // runs none: the multiply-add primitives and Adam need AVX2, the former take
-// their AVX-512 bodies where there is AVX-512 too; the activations also need
+// their AVX-512 bodies where there is AVX-512 too (gradXRow has only that
+// one, the reference body elsewhere); the activations also need
 // FMA — the path math.Exp takes on such a CPU — and must pass the probe
 // against the reference body.
 func asmBody() (kernelSet, bool) {
@@ -97,6 +111,7 @@ func asmBody() (kernelSet, bool) {
 	ks.matvec, ks.gradX, ks.gradW = matvecAVX2, gradXAVX2, gradWAVX2
 	if avx512 {
 		ks.matvec, ks.gradX, ks.gradW = matvecAVX512, gradXAVX512, gradWAVX512
+		ks.gradXRow = gradXRowAsm
 	}
 	ks.adam = adamAsm
 	if fma {

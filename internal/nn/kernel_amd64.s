@@ -3,15 +3,15 @@
 #include "textflag.h"
 
 // The AVX2 body of the kernel family declared in kernel_amd64.go, and the
-// AVX-512 bodies of matvec, gradX and gradW. Rules that keep them
+// AVX-512 bodies of matvec, gradX, gradW and gradXRow. Rules that keep them
 // bit-identical to the Go reference body in kernel.go:
 //
-//   - a vector lane is one output element (matvec, gradW, the elementwise
-//     routines) or one of the four j mod 4 accumulators of one row and one k
-//     (gradX), so each element sees the scalar sequence of operations, in
-//     the scalar order: matvec sums k ascending and skips a ±0 x[k], gradW
-//     sums batch rows ascending and skips nothing, gradX sums each lane j
-//     ascending;
+//   - a vector lane is one output element (matvec, gradW, gradXRow, the
+//     elementwise routines) or one of the four j mod 4 accumulators of one
+//     row and one k (gradX), so each element sees the scalar sequence of
+//     operations, in the scalar order: matvec sums k ascending and skips a
+//     ±0 x[k], gradW sums batch rows ascending and skips nothing, gradX sums
+//     each lane j ascending, gradXRow each chain j ascending;
 //   - an FMA only where the scalar code has one: never in the multiply-add
 //     routines, where every product is rounded before it is added, and
 //     exactly math.Exp's own in the exp of the activations;
@@ -22,7 +22,8 @@
 // first operand and that every other slice is at least as long (matvec: a
 // non-empty x, and len(x)*len(dst) weights; gradX: len(ad0)*len(d0) weights,
 // and len(d0) may be 0; gradW: rows, kn and n all positive, kn <= in, and
-// kn*n, (rows-1)*in+kn and rows*n elements in wd, a and d).
+// kn*n, (rows-1)*in+kn and rows*n elements in wd, a and d; gradXRow:
+// len(xd)*len(d) weights, and len(d) may be 0).
 
 // The two matvec bodies: dst[j] += sum over k ascending of x[k]*w[k*n+j],
 // n = len(dst), skipping k where x[k] is ±0. A strip of dst stays in
@@ -699,6 +700,186 @@ gradx_sum4:
 
 	GRADX_K1
 
+// func gradXRowAVX512(xd, d, w []float64)
+// xd[k] += one chain over j ascending of d[j]*w[k*n+j], n = len(d), for
+// len(xd) a multiple of 8 (gradXRowAsm runs the k tail). A block of eight
+// k is one ZMM of chains, lane r carrying k+r's. Each pass over eight j
+// multiplies the eight weight rows' lanes j..j+7 by d's (Z0..Z7, lane = j),
+// transposes the products in registers (GXR_TRANSPOSE_ADD: VUNPCKLPD /
+// VUNPCKHPD, then two rounds of VSHUFF64X2) so that register j holds column
+// j (lane = k), and adds the columns to the chains in j order. The n mod 8
+// tail is one more pass under the opmask K1: its masked-off products are +0,
+// and adding +0 leaves a chain as it was, because a chain starts at +0 and so
+// never holds −0. Two blocks go side by side while sixteen k remain, so the
+// adds of one chain hide behind the latency of the other. Register use: DI
+// xd, DX len(xd), BX k, CX n, R9 &w[k*n], R11 the byte stride n*8 of a
+// weight row, R13 3*n*8, SI &d[j], R8 and R10 &w[k*n+j] and &w[(k+4)*n+j]
+// (R12 and R14 the same for the second block), AX the whole passes left,
+// Z16 and Z17 the chains, Z18 d's lanes.
+
+// GXR_MUL8 loads the products of eight weight rows' lanes with Z18 into
+// Z0..Z7: rows 0..3 at b0, 4..7 at b1.
+#define GXR_MUL8(b0, b1) \
+	VMULPD (b0), Z18, Z0; \
+	VMULPD (b0)(R11*1), Z18, Z1; \
+	VMULPD (b0)(R11*2), Z18, Z2; \
+	VMULPD (b0)(R13*1), Z18, Z3; \
+	VMULPD (b1), Z18, Z4; \
+	VMULPD (b1)(R11*1), Z18, Z5; \
+	VMULPD (b1)(R11*2), Z18, Z6; \
+	VMULPD (b1)(R13*1), Z18, Z7
+
+// GXR_MUL8MASK is GXR_MUL8 under K1, +0 in the masked-off lanes.
+#define GXR_MUL8MASK(b0, b1) \
+	VMULPD.Z (b0), Z18, K1, Z0; \
+	VMULPD.Z (b0)(R11*1), Z18, K1, Z1; \
+	VMULPD.Z (b0)(R11*2), Z18, K1, Z2; \
+	VMULPD.Z (b0)(R13*1), Z18, K1, Z3; \
+	VMULPD.Z (b1), Z18, K1, Z4; \
+	VMULPD.Z (b1)(R11*1), Z18, K1, Z5; \
+	VMULPD.Z (b1)(R11*2), Z18, K1, Z6; \
+	VMULPD.Z (b1)(R13*1), Z18, K1, Z7
+
+// GXR_TRANSPOSE_ADD transposes the 8×8 products in Z0..Z7 (row r, lane j)
+// into columns in Z8..Z15 (column j, lane r) and adds columns 0..7 to acc,
+// in that order. After the unpacks, 128-bit chunk i of Z8 holds rows 0, 1 of
+// column 2i and of Z9 of column 2i+1 (Z10, Z11 rows 2, 3, and so on); each
+// round of VSHUFF64X2 then gathers the chunks of one column.
+#define GXR_TRANSPOSE_ADD(acc) \
+	VUNPCKLPD Z1, Z0, Z8; \
+	VUNPCKHPD Z1, Z0, Z9; \
+	VUNPCKLPD Z3, Z2, Z10; \
+	VUNPCKHPD Z3, Z2, Z11; \
+	VUNPCKLPD Z5, Z4, Z12; \
+	VUNPCKHPD Z5, Z4, Z13; \
+	VUNPCKLPD Z7, Z6, Z14; \
+	VUNPCKHPD Z7, Z6, Z15; \
+	VSHUFF64X2 $0x88, Z10, Z8, Z0; \
+	VSHUFF64X2 $0xDD, Z10, Z8, Z1; \
+	VSHUFF64X2 $0x88, Z14, Z12, Z2; \
+	VSHUFF64X2 $0xDD, Z14, Z12, Z3; \
+	VSHUFF64X2 $0x88, Z11, Z9, Z4; \
+	VSHUFF64X2 $0xDD, Z11, Z9, Z5; \
+	VSHUFF64X2 $0x88, Z15, Z13, Z6; \
+	VSHUFF64X2 $0xDD, Z15, Z13, Z7; \
+	VSHUFF64X2 $0x88, Z2, Z0, Z8; \
+	VSHUFF64X2 $0x88, Z6, Z4, Z9; \
+	VSHUFF64X2 $0x88, Z3, Z1, Z10; \
+	VSHUFF64X2 $0x88, Z7, Z5, Z11; \
+	VSHUFF64X2 $0xDD, Z2, Z0, Z12; \
+	VSHUFF64X2 $0xDD, Z6, Z4, Z13; \
+	VSHUFF64X2 $0xDD, Z3, Z1, Z14; \
+	VSHUFF64X2 $0xDD, Z7, Z5, Z15; \
+	VADDPD Z8, acc, acc; \
+	VADDPD Z9, acc, acc; \
+	VADDPD Z10, acc, acc; \
+	VADDPD Z11, acc, acc; \
+	VADDPD Z12, acc, acc; \
+	VADDPD Z13, acc, acc; \
+	VADDPD Z14, acc, acc; \
+	VADDPD Z15, acc, acc
+
+// GXR_START starts a block's j loop: chains at +0, R8 at R9, R10 four rows
+// on, AX the whole passes (ZF set when there are none).
+#define GXR_START \
+	VXORPD Z16, Z16, Z16; \
+	VXORPD Z17, Z17, Z17; \
+	MOVQ R9, R8; \
+	LEAQ (R9)(R11*4), R10; \
+	MOVQ CX, AX; \
+	SHRQ $3, AX
+
+TEXT ·gradXRowAVX512(SB), NOSPLIT, $0-72
+	MOVQ d_len+32(FP), CX
+	ANDL $7, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K1
+	MOVQ xd_base+0(FP), DI
+	MOVQ xd_len+8(FP), DX
+	MOVQ d_len+32(FP), CX
+	MOVQ w_base+48(FP), R9
+	MOVQ CX, R11
+	SHLQ $3, R11
+	LEAQ (R11)(R11*2), R13
+	XORQ BX, BX
+
+gxr_k16:
+	LEAQ 16(BX), AX
+	CMPQ AX, DX
+	JGT  gxr_k8
+	LEAQ (R9)(R11*8), R12
+	LEAQ (R12)(R11*4), R14
+	MOVQ d_base+24(FP), SI
+	GXR_START
+	JZ   gxr_tail16
+
+gxr_j16:
+	VMOVUPD (SI), Z18
+	GXR_MUL8(R8, R10)
+	GXR_TRANSPOSE_ADD(Z16)
+	GXR_MUL8(R12, R14)
+	GXR_TRANSPOSE_ADD(Z17)
+	ADDQ $64, SI
+	ADDQ $64, R8
+	ADDQ $64, R10
+	ADDQ $64, R12
+	ADDQ $64, R14
+	DECQ AX
+	JNZ  gxr_j16
+
+gxr_tail16:
+	TESTQ $7, CX
+	JZ    gxr_store16
+	VMOVUPD.Z (SI), K1, Z18
+	GXR_MUL8MASK(R8, R10)
+	GXR_TRANSPOSE_ADD(Z16)
+	GXR_MUL8MASK(R12, R14)
+	GXR_TRANSPOSE_ADD(Z17)
+
+gxr_store16:
+	VADDPD  (DI)(BX*8), Z16, Z16
+	VMOVUPD Z16, (DI)(BX*8)
+	VADDPD  64(DI)(BX*8), Z17, Z17
+	VMOVUPD Z17, 64(DI)(BX*8)
+	LEAQ    (R9)(R11*8), R9
+	LEAQ    (R9)(R11*8), R9
+	ADDQ    $16, BX
+	JMP     gxr_k16
+
+gxr_k8:
+	CMPQ BX, DX
+	JGE  gxr_done
+	MOVQ d_base+24(FP), SI
+	GXR_START
+	JZ   gxr_tail8
+
+gxr_j8:
+	VMOVUPD (SI), Z18
+	GXR_MUL8(R8, R10)
+	GXR_TRANSPOSE_ADD(Z16)
+	ADDQ $64, SI
+	ADDQ $64, R8
+	ADDQ $64, R10
+	DECQ AX
+	JNZ  gxr_j8
+
+gxr_tail8:
+	TESTQ $7, CX
+	JZ    gxr_store8
+	VMOVUPD.Z (SI), K1, Z18
+	GXR_MUL8MASK(R8, R10)
+	GXR_TRANSPOSE_ADD(Z16)
+
+gxr_store8:
+	VADDPD  (DI)(BX*8), Z16, Z16
+	VMOVUPD Z16, (DI)(BX*8)
+
+gxr_done:
+	VZEROUPPER
+	RET
+
 // The elementwise bodies. Each takes whole groups of four from the start of
 // its first operand and leaves the len mod 4 tail to its Go driver in
 // kernel_amd64.go. Their constants are replicated four wide so that every
@@ -934,6 +1115,8 @@ tanh_done:
 // Adam's update over whole groups of four, in adamGo's operation order:
 //   d = dw*scale; m = b1*m + c1*d; v = b2*v + (c2*d)*d
 //   w -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps); dw = 0
+// Once bc1 = 1−b1ᵗ is exactly 1.0 (R10 holds its bits, R11 those of 1.0),
+// m/bc1 is m for every m, and the divide is skipped.
 TEXT ·adamAVX2(SB), NOSPLIT, $0-168
 	MOVQ w_base+0(FP), DI
 	MOVQ w_len+8(FP), CX
@@ -950,6 +1133,8 @@ TEXT ·adamAVX2(SB), NOSPLIT, $0-168
 	VBROADCASTSD c_lr+152(FP), Y14
 	VBROADCASTSD c_eps+160(FP), Y15
 	VXORPD Y6, Y6, Y6
+	MOVQ c_bc1+136(FP), R10
+	MOVQ $0x3ff0000000000000, R11
 	ANDQ $~3, CX
 	XORQ AX, AX
 
@@ -966,7 +1151,11 @@ adam_loop:
 	VADDPD Y3, Y4, Y4
 	VMOVUPD Y1, (R8)(AX*8)
 	VMOVUPD Y4, (R9)(AX*8)
+	CMPQ R10, R11
+	JEQ  adam_bc1
 	VDIVPD Y12, Y1, Y1
+
+adam_bc1:
 	VDIVPD Y13, Y4, Y4
 	VSQRTPD Y4, Y4
 	VADDPD Y15, Y4, Y4

@@ -104,13 +104,6 @@ func (c kernelCase) naiveMatMul() []float64 {
 	return out
 }
 
-func (c kernelCase) naiveBackBatch() (wd, ad []float64) {
-	if c.rows == 1 && c.on(0) { // a one-row batch is a single-row product
-		return c.naiveBackRows()
-	}
-	return c.naiveBackLanes()
-}
-
 // naiveBackLanes is the batched backward at any height: the input gradient
 // in gradX's four lanes, the weight gradient over active rows ascending.
 func (c kernelCase) naiveBackLanes() (wd, ad []float64) {
@@ -167,6 +160,43 @@ func (c kernelCase) naiveBackAttend() (qd, hd []float64) {
 	return qd, hd
 }
 
+// naiveGradXRow is the one-row input gradient as a plain loop: one chain per
+// k from +0, j ascending, nothing skipped, then added to xd[k].
+func naiveGradXRow(xd, d, w []float64) []float64 {
+	out, n := clone(xd), len(d)
+	for k := range out {
+		var acc float64
+		for j := 0; j < n; j++ {
+			acc += float64(d[j] * w[k*n+j])
+		}
+		out[k] += acc
+	}
+	return out
+}
+
+// checkGradXRow draws one row of a case of depth in and width n — ±0 and
+// denormals in the output gradient and the starting input gradient, NaN,
+// ±Inf and 1e300 among the weights — and holds gradXRow under the body in
+// use to the naive chain, bit for bit: over all of xd, and over rows
+// [k0, k1) of it, which moves where the assembly's blocks of eight k and its
+// k tail fall.
+func checkGradXRow(t testing.TB, seed int64, in, n, off int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	c := drawKernelCase(rng, 1, in, n, off)
+	want := naiveGradXRow(c.ad, c.dOut, c.w)
+	got := clone(c.ad)
+	gradXRow(got, c.dOut, c.w)
+	assertSameBits(t, fmt.Sprintf("gradXRow %d×%d", in, n), got, want)
+	for _, k0 := range []int{0, in / 2, rng.Intn(in + 1)} {
+		k1 := k0 + rng.Intn(in-k0+1)
+		part := clone(c.ad)
+		gradXRow(part[k0:k1], c.dOut, c.w[k0*n:])
+		assertSameBits(t, fmt.Sprintf("gradXRow %d×%d rows [%d, %d)", in, n, k0, k1), part[k0:k1], want[k0:k1])
+		assertSameBits(t, "gradXRow rows outside the part", append(part[:k0:k0], part[k1:]...), append(c.ad[:k0:k0], c.ad[k1:]...))
+	}
+}
+
 // checkKernels runs the matrix kernels on one drawn case under the body in
 // use and holds outputs, weight gradients and input gradients to the naive
 // references, bit for bit. The forward product is matvec once per active row.
@@ -183,10 +213,10 @@ func checkCase(t testing.TB, c kernelCase) {
 	assertSameBits(t, "matMulRows (matvec) out", dst, c.naiveMatMul())
 
 	wd, ad := clone(c.wd), clone(c.ad)
-	backMatMulRows(c.a, ad, rows, in, c.w, wd, n, c.dOut, c.active)
-	wantWd, wantAd := c.naiveBackBatch()
-	assertSameBits(t, "backMatMulRows dW", wd, wantWd)
-	assertSameBits(t, "backMatMulRows dA", ad, wantAd)
+	backMatMulPart(c.a, ad, rows, in, c.w, wd, n, c.dOut, c.active, 0, rows, 0, in)
+	wantWd, wantAd := c.naiveBackLanes()
+	assertSameBits(t, "backMatMulPart dW", wd, wantWd)
+	assertSameBits(t, "backMatMulPart dA", ad, wantAd)
 
 	wd, ad = clone(c.wd), clone(c.ad)
 	for i := 0; i < rows; i++ {
@@ -210,7 +240,10 @@ func checkCase(t testing.TB, c kernelCase) {
 // batched backward at any height; and gradW over rows [k0, k1) of the weight
 // gradient — wd[k0·n:], a[k0:], k1−k0 of them — to those rows of the whole
 // product, leaving the others as they were. The cuts are the ends, the
-// middle and a draw from the case, so the sweeps cover every position.
+// middle and a draw from the case, so the sweeps cover every position. It
+// also holds the pieces a deferred weight gradient is made of (Graph): gradW
+// over one row at a time, rows ascending, to gradW over all of them; and
+// gradXRow over the case's first row to the naive chain (checkGradXRow).
 func checkParts(t testing.TB, c kernelCase) {
 	t.Helper()
 	rows, in, n := c.rows, c.in, c.n
@@ -241,6 +274,12 @@ func checkParts(t testing.TB, c kernelCase) {
 		assertSameBits(t, "gradW rows below k0", part[:k0*n], c.wd[:k0*n])
 		assertSameBits(t, "gradW rows from k1", part[k1*n:], c.wd[k1*n:])
 	}
+	byRow := clone(c.wd)
+	for r := 0; r < rows; r++ {
+		gradW(byRow, c.a[r*in:], c.dOut[r*n:], 1, in, in, n)
+	}
+	assertSameBits(t, "gradW row by row", byRow, whole)
+	checkGradXRow(t, int64(rows*1000+in*100+n), in, n, 0)
 }
 
 // kernelWidths are the output widths the parity sweep covers: every n in
@@ -283,12 +322,24 @@ func batchMasks(rows int) [][]bool {
 	}
 }
 
+// gradXRowDepths are the depths of gradXRow's own sweep: every k tail after
+// no block, one and two blocks of eight, and after two blocks side by side
+// (sixteen), and the home parsers' 48, 128 and 144.
+var gradXRowDepths = func() []int {
+	ds := make([]int, 0, 48)
+	for in := 0; in <= 40; in++ {
+		ds = append(ds, in)
+	}
+	return append(ds, 47, 48, 49, 127, 128, 129, 144)
+}()
+
 // TestKernelBitParity sweeps every width of kernelWidths, every depth 0..13,
 // element offsets 0..3 and a few batch heights; then, for gradX's row pairs
 // and gradW's row runs, batches of 2, 3, 16 and 17 rows under every mask of
 // batchMasks at every depth 0..13 (gradX's k tails) and width of
 // batchWidths — each under each body, and each case also in the parts a
-// split op runs (checkParts), gradW's k ranges among them.
+// split op runs (checkParts), gradW's k ranges among them; then gradXRow at
+// every depth of gradXRowDepths and width of batchWidths.
 func TestKernelBitParity(t *testing.T) {
 	for name, ks := range kernelBodies() {
 		t.Run(name, func(t *testing.T) {
@@ -316,6 +367,12 @@ func TestKernelBitParity(t *testing.T) {
 							checkCase(t, c)
 						}
 					}
+				}
+			}
+			for _, in := range gradXRowDepths {
+				for _, n := range batchWidths {
+					seed++
+					checkGradXRow(t, seed, in, n, int(seed%4))
 				}
 			}
 		})
@@ -500,11 +557,12 @@ func naiveAdamStep(a *Adam, params []*Tensor) {
 }
 
 // checkAdam runs steps Adam steps on parameters of sizes 0..9 and 67 under
-// the body in use, beside the verbatim old Step on a copy, with gradients
+// the body in use, from step count from, beside the verbatim old Step on a
+// copy, with gradients
 // that are zero, tiny (denormal) or huge (1e150, so the norm overflows to
 // +Inf) in turn, and holds weights, moments and cleared gradients equal bit
 // for bit after every step.
-func checkAdam(t testing.TB, seed int64, steps int, clip float64) {
+func checkAdam(t testing.TB, seed int64, steps int, clip float64, from int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var got, want []*Tensor
@@ -515,6 +573,7 @@ func checkAdam(t testing.TB, seed int64, steps int, clip float64) {
 	}
 	opt, ref := NewAdam(1e-2), NewAdam(1e-2)
 	opt.Clip, ref.Clip = clip, clip
+	opt.t, ref.t = from, from
 	for s := 0; s < steps; s++ {
 		for i, p := range got {
 			for j := range p.DW {
@@ -546,13 +605,22 @@ func checkAdam(t testing.TB, seed int64, steps int, clip float64) {
 	}
 }
 
-// TestAdamBitParity: 200 steps, clipping on and off, under each body.
+// bc1One is a step count whose bias correction 1−0.9ᵗ is exactly 1.0 (from
+// about step 350 on), where the assembly skips its divide by it.
+const bc1One = 400
+
+// TestAdamBitParity: 200 steps, clipping on and off, under each body; and 50
+// steps from bc1One on.
 func TestAdamBitParity(t *testing.T) {
+	if bc1 := 1 - math.Pow(0.9, bc1One+1); bc1 != 1 {
+		t.Fatalf("1−0.9^%d = %v, not 1", bc1One+1, bc1)
+	}
 	for name, ks := range kernelBodies() {
 		t.Run(name, func(t *testing.T) {
 			useKernels(t, ks)
-			checkAdam(t, 1, 200, 5)
-			checkAdam(t, 2, 200, 0)
+			checkAdam(t, 1, 200, 5, 0)
+			checkAdam(t, 2, 200, 0, 0)
+			checkAdam(t, 3, 50, 5, bc1One)
 		})
 	}
 }
@@ -637,9 +705,31 @@ func BenchmarkBackMatMul(b *testing.B) {
 			b.Run(fmt.Sprintf("%dx%d/%s", s.k, s.n, name), func(b *testing.B) {
 				useKernels(b, ks)
 				for i := 0; i < b.N; i++ {
-					backMatMulRows(a, ad, rows, s.k, w, wd, s.n, dOut, nil)
+					backMatMulPart(a, ad, rows, s.k, w, wd, s.n, dOut, nil, 0, rows, 0, s.k)
 				}
 				b.ReportMetric(2*rows*float64(s.k*s.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
+			})
+		}
+	}
+}
+
+// BenchmarkGradXRow times the input gradient of a one-row product — every
+// product of a B=1 training step — at the home parsers' shapes (E = 32,
+// H = 48: the decoder LSTM's input 128 × 4H and recurrent 48 × 4H, and the
+// combine layer 3H → H), per body, in multiply-adds per ns:
+//
+//	go test ./internal/nn -run '^$' -bench GradXRow
+func BenchmarkGradXRow(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range []struct{ k, n int }{{128, 192}, {48, 192}, {144, 48}} {
+		d, w, xd := drawGates(rng, s.n), drawGates(rng, s.k*s.n), make([]float64, s.k)
+		for name, ks := range kernelBodies() {
+			b.Run(fmt.Sprintf("%dx%d/%s", s.k, s.n, name), func(b *testing.B) {
+				useKernels(b, ks)
+				for i := 0; i < b.N; i++ {
+					gradXRow(xd, d, w)
+				}
+				b.ReportMetric(float64(s.k*s.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
 			})
 		}
 	}
@@ -714,9 +804,10 @@ func TestKernelShapeChecks(t *testing.T) {
 // FuzzKernels lets the fuzzer pick the shape — widths 0..255, so every
 // strip/tail split of matvec and gradW and every lane tail of gradX; 1..17
 // rows, so gradX's pairs and lone row and gradW's runs under the drawn mask;
-// depths 0..13, so gradX's k tails and gradW's k ranges — alignment and data
-// seed of TestKernelBitParity's and TestElementwiseBitParity's checks, and a
-// few Adam steps, under each body:
+// depths 0..13, so gradX's k tails and gradW's k ranges, and 0..255 for
+// gradXRow's blocks and k tail — alignment and data seed of
+// TestKernelBitParity's and TestElementwiseBitParity's checks, and a few Adam
+// steps, from step 0 or from bc1One, under each body:
 //
 //	go test ./internal/nn -run '^$' -fuzz FuzzKernels -fuzztime 10s
 func FuzzKernels(f *testing.F) {
@@ -729,8 +820,9 @@ func FuzzKernels(f *testing.F) {
 		for _, ks := range kernelBodies() {
 			useKernels(t, ks)
 			checkKernels(t, seed, 1+int(rows%17), int(in%14), int(n), int(off%4))
+			checkGradXRow(t, seed, int(in), int(n), int(off%4))
 			checkElementwise(t, seed, int(n), int(off%4))
-			checkAdam(t, seed, 3, float64(rows%3))
+			checkAdam(t, seed, 3, float64(rows%3), int(off%2)*bc1One)
 		}
 	})
 }

@@ -106,25 +106,52 @@ func (g *Graph) fork(j *job) {
 		j.run(j, 0, 2)
 		return
 	}
+	lowerDone := false
+	defer func() {
+		if !lowerDone {
+			// The lower part panicked: the slot must still be freed, once
+			// no helper can be running the upper part, or every later split
+			// op would find one helper fewer.
+			if !sl.claimBack() {
+				sl.join()
+			}
+		}
+	}()
 	j.run(j, 0, 1)
-	if sl.state.CompareAndSwap(slotPosted, slotOwned) {
+	lowerDone = true
+	if sl.claimBack() {
 		helpers.reclaimed.Add(1)
-		sl.j = nil
-		sl.state.Store(slotFree)
 		j.run(j, 1, 2)
 		return
 	}
+	if failed := sl.join(); failed != nil {
+		panic(failed)
+	}
+}
+
+// claimBack takes back a posted job no helper has claimed and frees the
+// slot, or reports false.
+func (sl *slot) claimBack() bool {
+	if !sl.state.CompareAndSwap(slotPosted, slotOwned) {
+		return false
+	}
+	sl.j = nil
+	sl.state.Store(slotFree)
+	return true
+}
+
+// join waits for the helper running the slot's job, frees the slot, and
+// returns the upper part's panic, if any.
+func (sl *slot) join() (failed any) {
 	for i := 1; sl.state.Load() != slotDone; i++ {
 		if i%spinYield == 0 {
 			runtime.Gosched()
 		}
 	}
-	failed := sl.failed
+	failed = sl.failed
 	sl.j, sl.failed = nil, nil
 	sl.state.Store(slotFree)
-	if failed != nil {
-		panic(failed)
-	}
+	return failed
 }
 
 // post hands j's upper part to a free helper, starting helpers first until

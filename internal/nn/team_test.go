@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -168,5 +169,49 @@ func TestEncoderDecoderDigest(t *testing.T) {
 				t.Errorf("GOMAXPROCS %d, claim back: %d of %d jobs claimed back", procs, reclaimed, posted)
 			}
 		}
+	}
+}
+
+// TestForkFreesTheSlotOfAPanickingLowerPart: a split op whose lower part
+// panics — recovered by the caller, as the fleet recovers a failed retrain —
+// leaves every helper slot free, so the next split op still reaches a helper,
+// even after as many such panics as there are slots.
+func TestForkFreesTheSlotOfAPanickingLowerPart(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := NewGraph(true)
+	panicky := &job{rcut: [3]int{0, 1, 2}, run: func(j *job, from, to int) {
+		if from == 0 {
+			panic("lower part")
+		}
+	}}
+	helpers.grow(1)
+	for i := 0; i <= len(*helpers.slots.Load()); i++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("the lower part's panic did not reach the caller")
+				}
+			}()
+			g.fork(panicky)
+		}()
+	}
+	for i, sl := range *helpers.slots.Load() {
+		if s := sl.state.Load(); s != slotFree {
+			t.Errorf("slot %d left in state %d", i, s)
+		}
+	}
+	var upper atomic.Int32
+	next := &job{rcut: [3]int{0, 1, 2}, run: func(j *job, from, to int) {
+		if from == 1 {
+			upper.Add(1)
+		}
+	}}
+	posted := helpers.posted.Load()
+	g.fork(next)
+	if helpers.posted.Load() == posted {
+		t.Error("the next split op found no free helper")
+	}
+	if upper.Load() != 1 {
+		t.Errorf("the next split op's upper part ran %d times", upper.Load())
 	}
 }

@@ -46,6 +46,13 @@ func (t *Tensor) ZeroGrad() {
 	}
 }
 
+// RowPrefix returns a view of t's first rows rows: a rows×Cols tensor
+// sharing t's W and DW, so what it is trained with lands in t.
+func (t *Tensor) RowPrefix(rows int) *Tensor {
+	n := rows * t.Cols
+	return &Tensor{W: t.W[:n:n], DW: t.DW[:n:n], Rows: rows, Cols: t.Cols}
+}
+
 // Size returns the number of elements.
 func (t *Tensor) Size() int { return len(t.W) }
 
