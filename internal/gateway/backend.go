@@ -172,8 +172,14 @@ func (b *backend) recordFailure(threshold int32) {
 
 // recordSuccess resets the failure streak and walks the readmission path:
 // ejected goes half-open on its first success, half-open closes the circuit
-// on the next.
-func (b *backend) recordSuccess() {
+// on the next. ejections is the backend's ejection count when the probe or
+// request that succeeded was sent: a reply to one sent before the latest
+// ejection (a request in flight when the backend died) is no evidence the
+// backend is back, so it changes nothing.
+func (b *backend) recordSuccess(ejections int64) {
+	if b.ejections.Load() != ejections {
+		return
+	}
 	b.fails.Store(0)
 	switch b.healthState() {
 	case Ejected:

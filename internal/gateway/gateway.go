@@ -249,6 +249,7 @@ func (g *Gateway) ProbeOnce() {
 func (g *Gateway) probe(b *backend) {
 	ctx, cancel := context.WithTimeout(g.lifeCtx, g.opt.ProbeTimeout)
 	defer cancel()
+	ejections := b.ejections.Load()
 	var h serve.HealthResponse
 	var sk serve.SkillsResponse
 	var m serve.MetricsResponse
@@ -275,7 +276,7 @@ func (g *Gateway) probe(b *backend) {
 		p99[s.Name] = s.P99MS
 	}
 	b.updateProbe(skills, depth, p99)
-	b.recordSuccess()
+	b.recordSuccess(ejections)
 }
 
 func (g *Gateway) getJSON(ctx context.Context, b *backend, path string, v any) error {

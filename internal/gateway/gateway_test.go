@@ -456,6 +456,28 @@ func TestGatewayEjectionAndReadmission(t *testing.T) {
 	}
 }
 
+// TestStaleSuccessDoesNotReadmit: the reply to a request sent before the
+// backend was ejected (in flight when it died) leaves it ejected; a success
+// sent after the ejection starts readmission.
+func TestStaleSuccessDoesNotReadmit(t *testing.T) {
+	b := newBackend("http://replica")
+	sent := b.ejections.Load()
+	for i := 0; i < 3; i++ {
+		b.recordFailure(3)
+	}
+	if st := b.healthState(); st != Ejected {
+		t.Fatalf("state after 3 failures = %v, want Ejected", st)
+	}
+	b.recordSuccess(sent)
+	if st := b.healthState(); st != Ejected {
+		t.Fatalf("state after a success sent before the ejection = %v, want Ejected", st)
+	}
+	b.recordSuccess(b.ejections.Load())
+	if st := b.healthState(); st != HalfOpen {
+		t.Fatalf("state after a success sent after the ejection = %v, want HalfOpen", st)
+	}
+}
+
 // TestGatewayDegradedSkill: a skill whose only replica is gone answers 503
 // and shows degraded on /skills; with CrossSkillFallback armed the request
 // is answered by a healthy backend's scored fallback instead.

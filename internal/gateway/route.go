@@ -244,6 +244,7 @@ func anyUntried(cands []*backend, tried map[*backend]bool) bool {
 // lost its race) records nothing.
 func (g *Gateway) attempt(ctx context.Context, b *backend, body []byte, session string) (routeResult, error) {
 	b.requests.Add(1)
+	ejections := b.ejections.Load()
 	start := time.Now()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, b.addr+"/parse", bytes.NewReader(body))
 	if err != nil {
@@ -279,7 +280,7 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, body []byte, session 
 		b.failures.Add(1)
 		b.recordFailure(int32(g.opt.FailThreshold))
 	default:
-		b.recordSuccess()
+		b.recordSuccess(ejections)
 		if resp.StatusCode == http.StatusOK {
 			// Only clean parses feed the EWMA: sheds and not-ready replies
 			// return fast and would drag the hedge delay toward zero.
