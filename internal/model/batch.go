@@ -243,11 +243,7 @@ func (t *Trainer) lossBatch(g *nn.Graph, pairs []Pair) float64 {
 	gradW := grow(&sc.gradW, T*B)
 	srcMasks := grow(&sc.srcMasks, T*B)
 	ctxMasks := grow(&sc.ctxMasks, T*B)
-	nll := grow(&sc.nll, B)
-	perEx := grow(&sc.perEx, B)
-	for b := range perEx {
-		perEx[b] = 0
-	}
+	nll := grow(&sc.nll, T*B)
 	mb := sc.maskBuf[:0]
 	inv := 1 / float64(B)
 
@@ -294,18 +290,30 @@ func (t *Trainer) lossBatch(g *nn.Graph, pairs []Pair) float64 {
 			}
 			idxT[b], wT[b] = vi, inv
 		}
+		nllT := nll[t*B : (t+1)*B : (t+1)*B]
 		if p.cfg.PointerGen {
-			g.NLLPointerMixBatch(o.pv, o.alpha, o.gate, srcT, o.beta, o.cgate, ctxT, idxT, wT, nll)
+			g.NLLPointerMixBatch(o.pv, o.alpha, o.gate, srcT, o.beta, o.cgate, ctxT, idxT, wT, nllT)
 		} else {
-			g.NLLPointerMixBatch(o.pv, o.alpha, onesGateBatch(g, B), nil, nil, nil, nil, idxT, wT, nll)
-		}
-		for b := range perEx {
-			perEx[b] += nll[b]
+			g.NLLPointerMixBatch(o.pv, o.alpha, onesGateBatch(g, B), nil, nil, nil, nil, idxT, wT, nllT)
 		}
 		st = o.next
 	}
 	sc.maskBuf = mb
+	return sc.meanLoss(g, nll, B, T)
+}
 
+// meanLoss runs the recorded forward of a step (Graph.Forward: a split step
+// records its ops) and returns the mean over its B examples of their
+// mean-per-token losses, given the per-step row losses nll (T×B).
+func (sc *batchScratch) meanLoss(g *nn.Graph, nll []float64, B, T int) float64 {
+	g.Forward()
+	perEx := grow(&sc.perEx, B)
+	for b := range perEx {
+		perEx[b] = 0
+		for t := 0; t < T; t++ {
+			perEx[b] += nll[t*B+b]
+		}
+	}
 	total := 0.0
 	for b := range perEx {
 		total += perEx[b] / float64(sc.tgtLens[b])
@@ -348,11 +356,7 @@ func (t *Trainer) lmLossBatch(g *nn.Graph, programs [][]string) float64 {
 	decActive := grow(&sc.decActive, T*B)
 	vocabIdx := grow(&sc.vocabIdx, T*B)
 	gradW := grow(&sc.gradW, T*B)
-	nll := grow(&sc.nll, B)
-	perEx := grow(&sc.perEx, B)
-	for b := range perEx {
-		perEx[b] = 0
-	}
+	nll := grow(&sc.nll, T*B)
 	inv := 1 / float64(B)
 
 	for t := 0; t < T; t++ {
@@ -381,17 +385,9 @@ func (t *Trainer) lmLossBatch(g *nn.Graph, programs [][]string) float64 {
 		h, c = lmDec.StepBatch(g, emb, h, c, activeT)
 		htilde := g.Tanh(g.BatchedAffine(h, lmCombW, p.combLin.B))
 		pv := g.SoftmaxRows(g.BatchedAffine(htilde, p.outLin.W, p.outLin.B))
-		g.NLLPointerMixBatch(pv, nil, onesGateBatch(g, B), nil, nil, nil, nil, idxT, wT, nll)
-		for b := range perEx {
-			perEx[b] += nll[b]
-		}
+		g.NLLPointerMixBatch(pv, nil, onesGateBatch(g, B), nil, nil, nil, nil, idxT, wT, nll[t*B:(t+1)*B:(t+1)*B])
 	}
-
-	total := 0.0
-	for b := range perEx {
-		total += perEx[b] / float64(sc.tgtLens[b])
-	}
-	return total / float64(B)
+	return sc.meanLoss(g, nll, B, T)
 }
 
 func lmTok(prog []string, t int) string {

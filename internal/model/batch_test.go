@@ -139,7 +139,7 @@ func TestStepBatchDigest(t *testing.T) {
 
 // TestConcurrentTrainersStepBatch: two Trainers on different parsers
 // stepping B=16 batches at the same time — the fleet's TrainWorkers: 2, the
-// experiment workers — compete for the helper cores of their split ops; each
+// experiment workers — compete for the helper cores of their split steps; each
 // still lands on the weights it reaches alone.
 func TestConcurrentTrainersStepBatch(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))

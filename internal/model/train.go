@@ -124,17 +124,17 @@ func (t *Trainer) StepBatch(pairs []Pair) float64 {
 // or, in LM pre-training, of programs — backpropagate, and update the
 // weights that loss trains.
 func (t *Trainer) step(pairs []Pair, programs [][]string) float64 {
-	t.g.Reset()
 	opt, params := t.opt, t.params
 	var loss float64
 	if programs != nil {
 		opt, params = t.lmOpt, t.lmParams
+		t.g.ResetStep(len(programs))
 		loss = t.lmLossBatch(t.g, programs)
 	} else {
+		t.g.ResetStep(len(pairs))
 		loss = t.lossBatch(t.g, pairs)
 	}
-	t.g.Backward()
-	opt.Step(params)
+	t.g.BackwardStep(opt, params)
 	return loss
 }
 

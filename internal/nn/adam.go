@@ -67,30 +67,81 @@ func (a *Adam) Restore(params []*Tensor, t int, m, v [][]float64) error {
 
 // Step applies one update to the parameters and clears their gradients.
 func (a *Adam) Step(params []*Tensor) {
+	c := a.begin()
+	if a.Clip > 0 {
+		var sum float64
+		adds := 1
+		for _, p := range params {
+			sum += sumSquaresLanes(p.DW)
+			adds += len(p.DW) + sumSquaresLaneAdds
+		}
+		c.scale = a.clipScale(params, sum, adds)
+	}
+	for _, p := range params {
+		mo := a.momentOf(p)
+		adamUpdate(p.W, p.DW, mo.m, mo.v, c)
+	}
+}
+
+// begin counts a step and returns its coefficients, with a clip scale of 1.
+func (a *Adam) begin() adamCoef {
 	a.t++
-	c := adamCoef{
+	return adamCoef{
 		scale: 1, lr: a.LR, eps: a.Eps,
 		b1: a.Beta1, c1: 1 - a.Beta1, bc1: 1 - math.Pow(a.Beta1, float64(a.t)),
 		b2: a.Beta2, c2: 1 - a.Beta2, bc2: 1 - math.Pow(a.Beta2, float64(a.t)),
 	}
-	// Global-norm clipping: the update scales every gradient by the clip
-	// ratio as it reads it (a scale of 1 leaves it as it is).
-	if a.Clip > 0 {
-		var norm float64
-		for _, p := range params {
-			norm = sumSquares(norm, p.DW)
-		}
-		norm = math.Sqrt(norm)
-		if norm > a.Clip {
-			c.scale = a.Clip / norm
-		}
+}
+
+// momentOf returns p's moments, allocating them the first time.
+func (a *Adam) momentOf(p *Tensor) *moment {
+	mo := a.moments[p]
+	if mo == nil {
+		mo = &moment{m: make([]float64, p.Size()), v: make([]float64, p.Size())}
+		a.moments[p] = mo
 	}
+	return mo
+}
+
+// clipScale is the global-norm clipping of the gradients of params: the
+// update scales every gradient by Clip/‖g‖ as it reads it when the norm —
+// the square root of one serial sum of squares over every element, params in
+// order (sumSquares) — exceeds the clip, and by 1 otherwise. sum is the same
+// squares summed in any order in at most adds additions; when it proves the
+// norm within the clip (withinClip), the serial sum is not run. The scale is
+// the serial sum's either way.
+func (a *Adam) clipScale(params []*Tensor, sum float64, adds int) float64 {
+	if withinClip(sum, adds, a.Clip) {
+		return 1
+	}
+	var norm float64
 	for _, p := range params {
-		mo := a.moments[p]
-		if mo == nil {
-			mo = &moment{m: make([]float64, p.Size()), v: make([]float64, p.Size())}
-			a.moments[p] = mo
-		}
-		adamUpdate(p.W, p.DW, mo.m, mo.v, c)
+		norm = sumSquares(norm, p.DW)
 	}
+	norm = math.Sqrt(norm)
+	if norm > a.Clip {
+		return a.Clip / norm
+	}
+	return 1
+}
+
+// withinClip reports whether every sum of the same non-negative terms as sum,
+// in any order of at most adds additions, is below clip², so that its
+// rounded square root is at most clip. Each addition of non-negative numbers
+// is exact or off by at most a relative u = 2⁻⁵³ (a subnormal result is
+// exact), so any two such sums S, T of the terms p are within
+// Σp·(1±u)^adds, and S ≤ T·((1+u)/(1−u))^adds ≤ T·(1+3·adds·u) while
+// adds·u ≤ 0.01. The test takes 1+4·adds·u, which with the roundings of its
+// own two operations still bounds that, against clip² less a margin that
+// covers its rounding — so clip² must be a normal number, whose rounding is
+// relative too (a subnormal sum is exact: every partial sum is subnormal);
+// an Inf or NaN sum, or a bound that overflows, proves nothing.
+func withinClip(sum float64, adds int, clip float64) bool {
+	const u = 0x1p-53
+	cc := clip * clip
+	if float64(adds)*u > 0.01 || !(cc >= 0x1p-1022) {
+		return false
+	}
+	bound := sum * (1 + 4*float64(adds)*u)
+	return bound < math.Inf(1) && bound <= cc*0.999999
 }

@@ -26,9 +26,10 @@ package nn
 //   - Only the goroutine that owns an Arena carves from it; give each
 //     training goroutine its own (the parallel experiment harness trains one
 //     model per job, so each model.Train call owns one arena). The helpers
-//     of a split op (team.go) write disjoint rows of tensors the owner has
-//     carved; the outputs of a split op are carved uncleared (Graph.newRows)
-//     and each part clears its own rows, on the core that then writes them.
+//     of a split step (team.go) write disjoint rows of tensors the owner has
+//     carved; the outputs of a split step's ops are carved uncleared
+//     (Graph.newOut) and each part clears its own rows, on the core that
+//     then writes them.
 //
 //genielint:arena-source
 type Arena struct {

@@ -13,11 +13,11 @@ import "math"
 // the single-row backward uses one; the kernel parity tests bound that within
 // ~1 ulp.
 //
-// On a gradient-recording graph the row-wise kernels over two or more rows
-// split their rows (and the backward product its weight-gradient rows) into
-// two parts, the upper one offered to a helper core (team.go); everywhere
-// else they run on the calling goroutine. Either way, on a warm arena,
-// nothing is allocated.
+// Every kernel is row-local: its forward and the input gradients of its
+// backward over rows [lo, hi) read and write only those rows, so a split step
+// (Graph.ResetStep) runs them in two parts at one row cut; what a backward
+// adds into a parameter is reduced separately (reduce.go). Either way, on a
+// warm arena, nothing is allocated.
 
 // nllEps keeps the pointer-mixture log finite when p is 0.
 const nllEps = 1e-9
@@ -28,87 +28,41 @@ func (g *Graph) BatchedAffine(x, w, b *Tensor) *Tensor {
 	if x.Cols != w.Rows || b.Cols != w.Cols || b.Rows != 1 {
 		panic("nn: BatchedAffine shape mismatch")
 	}
-	out := g.newRows(x.Rows, w.Cols)
-	g.matMul(x.W, x.Rows, x.Cols, w.W, w.Cols, out)
-	n := w.Cols
-	for i := 0; i < x.Rows; i++ {
-		orow := out.W[i*n : (i+1)*n]
-		for j, bv := range b.W {
-			orow[j] += bv
-		}
-	}
-	g.push(tapeOp{kind: opAffineBatch, a: x, b: w, c: b, out: out})
+	out := g.newOut(x.Rows, w.Cols)
+	g.exec(&tapeOp{kind: opAffineBatch, a: x, b: w, c: b, out: out})
 	return out
 }
 
 // AffineRow is BatchedAffine for one row x (1×in).
 func (g *Graph) AffineRow(x, w, b *Tensor) *Tensor { return g.BatchedAffine(x, w, b) }
 
-func (g *Graph) backAffineBatch(x, w, b, out *Tensor) {
+// forwardAffine is x·W + b over rows [lo, hi); without a bias, MatMul.
+func forwardAffine(o *tapeOp, lo, hi int) {
+	x, w, out := o.a, o.b, o.out
 	n := w.Cols
-	// Bias: broadcast backward, batch rows in ascending order.
-	for i := 0; i < x.Rows; i++ {
-		odrow := out.DW[i*n : (i+1)*n]
-		for j, d := range odrow {
-			b.DW[j] += d
-		}
-	}
-	g.backMatMul(x.W, x.DW, x.Rows, x.Cols, w.W, w.DW, n, out.DW, nil)
-}
-
-// matMul is matMulRows over every row of a into out (made by newRows),
-// split by rows.
-func (g *Graph) matMul(a []float64, rows, cols int, w []float64, p int, out *Tensor) {
-	if !g.splits(rows) {
-		matMulRows(a, 0, rows, cols, w, p, out.W, nil)
+	matMulRows(x.W, lo, hi, x.Cols, w.W, n, out.W, nil)
+	if o.c == nil {
 		return
 	}
-	g.j = job{run: matMulJob, a: a, in: cols, w: w, n: p, out: out}
-	g.j.cutActive(rows, nil, (rows+1)/2)
-	g.fork(&g.j)
+	for i := lo; i < hi; i++ {
+		orow := out.W[i*n : (i+1)*n]
+		for j, bv := range o.c.W {
+			orow[j] += bv
+		}
+	}
 }
 
-func matMulJob(j *job, from, to int) {
-	lo, hi := j.rcut[from], j.rcut[to]
-	zeroRows(j.out, lo, hi)
-	matMulRows(j.a, lo, hi, j.in, j.w, j.n, j.out.W, nil)
-}
-
-// backMatMul is the backward of a product out = a·w (backMatMulPart). A
-// one-row product runs its input gradient, gradXRow, now and defers its
-// weight gradient to the end of Backward (deferGradW). Any other product
-// first runs what its weight has pending, then is split: the input gradient
-// by active-row pairs, the weight gradient by its rows, cut so the two parts
-// hold about the same number of multiply-adds (a lone row's gradX costs a
-// pair's).
-func (g *Graph) backMatMul(a, ad []float64, rows, in int, w, wd []float64, n int, dOut []float64, active []bool) {
+// backProductRows accumulates the input gradient of out = a·w over rows
+// [lo, hi): a one-row product's is gradXRow, any other's gradX by row pairs
+// (backMatMulPart); rows where active is false (nil = all active) get none.
+func backProductRows(a, ad []float64, rows, in int, w []float64, n int, dOut []float64, active []bool, lo, hi int) {
 	if rows == 1 {
 		if active == nil || active[0] {
-			g.deferGradW(a[:in], dOut[:n], wd)
 			gradXRow(ad[:in], dOut[:n], w)
 		}
 		return
 	}
-	g.flushGradW(wd)
-	if !g.splits(rows) {
-		backMatMulPart(a, ad, rows, in, w, wd, n, dOut, active, 0, rows, 0, in)
-		return
-	}
-	c := countActive(rows, active)
-	if c == 0 {
-		return
-	}
-	g.j = job{run: backMatMulJob, a: a, ad: ad, in: in, w: w, wd: wd, n: n, dOut: dOut, active: active}
-	lo := 2 * ((c + 1) / 4) // active rows of the lower part: whole pairs
-	g.j.cutActive(rows, active, lo)
-	xlo, xhi := lo, 2*((c-lo+1)/2)
-	g.j.kcut = [3]int{0, min(in, in*(c+xhi-xlo)/(2*c)), in}
-	g.fork(&g.j)
-}
-
-func backMatMulJob(j *job, from, to int) {
-	backMatMulPart(j.a, j.ad, j.rcut[2], j.in, j.w, j.wd, j.n, j.dOut, j.active,
-		j.rcut[from], j.rcut[to], j.kcut[from], j.kcut[to])
+	backMatMulPart(a, ad, rows, in, w, nil, n, dOut, active, lo, hi, 0, 0)
 }
 
 // countActive is the number of rows of a rows-long mask that are active (nil
@@ -124,36 +78,6 @@ func countActive(rows int, active []bool) int {
 		}
 	}
 	return c
-}
-
-// cutActive cuts rows [0, rows) after the lo-th active row (nil = all rows
-// active).
-func (j *job) cutActive(rows int, active []bool, lo int) {
-	mid := lo
-	if active != nil {
-		mid = 0
-		for seen := 0; seen < lo; mid++ {
-			if active[mid] {
-				seen++
-			}
-		}
-	}
-	j.rcut = [3]int{0, mid, rows}
-}
-
-// cutWeighted cuts rows [0, len(weight)) where the lower part's weight
-// first reaches half the total.
-func (j *job) cutWeighted(weight []int) {
-	total := 0
-	for _, w := range weight {
-		total += w
-	}
-	mid, acc := 0, 0
-	for mid < len(weight) && 2*acc < total {
-		acc += weight[mid]
-		mid++
-	}
-	j.rcut = [3]int{0, mid, len(weight)}
 }
 
 // lstmCellRow is the activation and state-update stage of one LSTM row, given
@@ -220,38 +144,22 @@ func (g *Graph) lstmStepBatch(cell *LSTMCell, x, h, c *Tensor, active []bool) (h
 	}
 	// pre.W accumulates x·Wx; pre.DW doubles as scratch for h·Wh during the
 	// forward pass (this op's backward never reads pre).
-	pre := g.newRows(B, n)
+	pre := g.newOut(B, n)
 	// acts stashes the activated gates [i|f|o|cand] for backward; its DW is
 	// backward's pre-activation-gradient scratch.
-	acts := g.newRows(B, n)
-	tc := g.newRows(B, H)
-	hNext = g.newRows(B, H)
-	cNext = g.newRows(B, H)
-	op := tapeOp{kind: opLSTMStepBatch, cell: cell, a: x, b: h, c: c,
-		out: hNext, out2: cNext, aux: acts, aux2: tc, mask: active}
-	if g.splits(B) {
-		g.j = job{run: lstmStepJob, o: g.record(op), pre: pre}
-		g.j.cutActive(B, active, (countActive(B, active)+1)/2)
-		g.fork(&g.j)
-		return hNext, cNext
-	}
-	lstmStepRows(&op, pre, 0, B)
-	g.push(op)
+	acts := g.newOut(B, n)
+	tc := g.newOut(B, H)
+	hNext = g.newOut(B, H)
+	cNext = g.newOut(B, H)
+	g.exec(&tapeOp{kind: opLSTMStepBatch, cell: cell, a: x, b: h, c: c,
+		out: hNext, out2: cNext, aux: acts, aux2: tc, pre: pre, mask: active})
 	return hNext, cNext
-}
-
-func lstmStepJob(j *job, from, to int) {
-	o, lo, hi := j.o, j.rcut[from], j.rcut[to]
-	for _, t := range [...]*Tensor{j.pre, o.aux, o.aux2, o.out, o.out2} {
-		zeroRows(t, lo, hi)
-	}
-	lstmStepRows(o, j.pre, lo, hi)
 }
 
 // lstmStepRows is the forward LSTM step over rows [lo, hi): both products of
 // each row, then its cell.
-func lstmStepRows(o *tapeOp, pre *Tensor, lo, hi int) {
-	cell, x, h := o.cell, o.a, o.b
+func lstmStepRows(o *tapeOp, lo, hi int) {
+	cell, x, h, pre := o.cell, o.a, o.b, o.pre
 	n := 4 * cell.Hidden
 	matMulRows(x.W, lo, hi, x.Cols, cell.Wx.W, n, pre.W, o.mask)
 	matMulRows(h.W, lo, hi, h.Cols, cell.Wh.W, n, pre.DW, o.mask)
@@ -307,29 +215,15 @@ func lstmBatchGateGrads(o *tapeOp, lo, hi int) {
 	}
 }
 
-func gateGradsJob(j *job, from, to int) { lstmBatchGateGrads(j.o, j.rcut[from], j.rcut[to]) }
-
-func (g *Graph) backLSTMStepBatch(o *tapeOp) {
-	cell := o.cell
-	x, h := o.a, o.b
-	B := x.Rows
-	n := 4 * cell.Hidden
+// backLSTMRows is the row-local backward of the LSTM step over rows
+// [lo, hi): the gate gradients, then the input gradients of h and x.
+func backLSTMRows(o *tapeOp, lo, hi int) {
+	cell, x, h := o.cell, o.a, o.b
+	B, n := x.Rows, 4*cell.Hidden
 	dG := o.aux.DW
-	if g.splits(B) {
-		g.j = job{run: gateGradsJob, o: o}
-		g.j.cutActive(B, o.mask, (countActive(B, o.mask)+1)/2)
-		g.fork(&g.j)
-	} else {
-		lstmBatchGateGrads(o, 0, B)
-	}
-	for bi := 0; bi < B; bi++ {
-		o4 := bi * n
-		for j := 0; j < n; j++ {
-			cell.B.DW[j] += dG[o4+j]
-		}
-	}
-	g.backMatMul(h.W, h.DW, B, h.Cols, cell.Wh.W, cell.Wh.DW, n, dG, o.mask)
-	g.backMatMul(x.W, x.DW, B, x.Cols, cell.Wx.W, cell.Wx.DW, n, dG, o.mask)
+	lstmBatchGateGrads(o, lo, hi)
+	backProductRows(h.W, h.DW, B, h.Cols, cell.Wh.W, n, dG, o.mask, lo, hi)
+	backProductRows(x.W, x.DW, B, x.Cols, cell.Wx.W, n, dG, o.mask, lo, hi)
 }
 
 // AttendSoftmaxContextBatch is the batched attention kernel: it fuses
@@ -360,32 +254,16 @@ func (g *Graph) AttendSoftmaxContextBatch(q, H *Tensor, blocks, lens []int) (alp
 	}
 	S := H.Rows / M
 	// sc.W holds the raw scores; sc.DW is backward's score-gradient scratch.
-	sc := g.newRows(R, S)
-	alpha = g.newRows(R, S)
-	ctx = g.newRows(R, d)
-	op := tapeOp{kind: opAttendBatch, a: q, b: H, out: ctx, aux: alpha, aux2: sc, ints: lens}
-	if g.splits(R) {
-		g.j = job{run: attendJob, o: g.record(op)}
-		g.j.cutWeighted(lens)
-		g.fork(&g.j)
-		return alpha, ctx
-	}
-	attendRows(&op, blocks, 0, R)
-	g.push(op)
+	sc := g.newOut(R, S)
+	alpha = g.newOut(R, S)
+	ctx = g.newOut(R, d)
+	g.exec(&tapeOp{kind: opAttendBatch, a: q, b: H, out: ctx, aux: alpha, aux2: sc, ints: lens, blocks: blocks})
 	return alpha, ctx
 }
 
-func attendJob(j *job, from, to int) {
-	o, lo, hi := j.o, j.rcut[from], j.rcut[to]
-	for _, t := range [...]*Tensor{o.aux2, o.aux, o.out} {
-		zeroRows(t, lo, hi)
-	}
-	attendRows(o, nil, lo, hi)
-}
-
 // attendRows is the attention forward over query rows [lo, hi).
-func attendRows(o *tapeOp, blocks []int, lo, hi int) {
-	q, H, ctx, alpha, sc := o.a, o.b, o.out, o.aux, o.aux2
+func attendRows(o *tapeOp, lo, hi int) {
+	q, H, ctx, alpha, sc, blocks := o.a, o.b, o.out, o.aux, o.aux2, o.blocks
 	d, S := q.Cols, alpha.Cols
 	for r := lo; r < hi; r++ {
 		m := r
@@ -406,22 +284,9 @@ func (g *Graph) AttendSoftmaxContext(q, H *Tensor) (alpha, ctx *Tensor) {
 	return g.AttendSoftmaxContextBatch(q, H, nil, []int{H.Rows})
 }
 
-// backAttendBatch runs the attention backward row by row, split by rows. The
+// backAttendRows is the attention backward over query rows [lo, hi). The
 // record-time identity block layout means row r owns memory rows
-// [r*S, r*S+lens[r]), so the parts write disjoint memory gradients.
-func (g *Graph) backAttendBatch(o *tapeOp) {
-	if !g.splits(len(o.ints)) {
-		backAttendRows(o, 0, len(o.ints))
-		return
-	}
-	g.j = job{run: backAttendJob, o: o}
-	g.j.cutWeighted(o.ints)
-	g.fork(&g.j)
-}
-
-func backAttendJob(j *job, from, to int) { backAttendRows(j.o, j.rcut[from], j.rcut[to]) }
-
-// backAttendRows is the attention backward over query rows [lo, hi).
+// [r*S, r*S+lens[r]), so the rows' memory gradients are theirs too.
 func backAttendRows(o *tapeOp, lo, hi int) {
 	q, H := o.a, o.b
 	ctx, alpha, sc := o.out, o.aux, o.aux2
@@ -445,23 +310,9 @@ func backAttendRows(o *tapeOp, lo, hi int) {
 
 // SoftmaxRows applies SoftmaxRow to every row of a B×n tensor.
 func (g *Graph) SoftmaxRows(a *Tensor) *Tensor {
-	out := g.newRows(a.Rows, a.Cols)
-	op := tapeOp{kind: opSoftmaxRows, a: a, out: out}
-	if g.splits(a.Rows) {
-		g.j = job{run: softmaxRowsJob, o: g.record(op)}
-		g.j.cutActive(a.Rows, nil, (a.Rows+1)/2)
-		g.fork(&g.j)
-		return out
-	}
-	softmaxRows(a, out, 0, a.Rows)
-	g.push(op)
+	out := g.newOut(a.Rows, a.Cols)
+	g.exec(&tapeOp{kind: opSoftmaxRows, a: a, out: out})
 	return out
-}
-
-func softmaxRowsJob(j *job, from, to int) {
-	lo, hi := j.rcut[from], j.rcut[to]
-	zeroRows(j.o.out, lo, hi)
-	softmaxRows(j.o.a, j.o.out, lo, hi)
 }
 
 // softmaxRows writes the softmax of rows [lo, hi) of a into out.
@@ -472,23 +323,32 @@ func softmaxRows(a, out *Tensor, lo, hi int) {
 	}
 }
 
-func backSoftmaxRows(a, out *Tensor) {
+func backSoftmaxRows(a, out *Tensor, lo, hi int) {
 	n := a.Cols
-	for r := 0; r < a.Rows; r++ {
+	for r := lo; r < hi; r++ {
 		backSoftmaxInto(out.W[r*n:(r+1)*n], out.DW[r*n:(r+1)*n], a.DW[r*n:(r+1)*n])
 	}
 }
 
 // LookupRows stacks the embedding rows of ids into a len(ids)×dim batch. The
-// ids slice is retained until Backward/Reset.
+// ids slice is retained until Backward/Reset. The rows are copied when
+// LookupRows is called, also on a split step: they depend on nothing the
+// step computes.
 func (g *Graph) LookupRows(emb *Tensor, ids []int) *Tensor {
-	d := emb.Cols
-	out := g.NewTensor(len(ids), d)
-	for i, id := range ids {
-		copy(out.W[i*d:(i+1)*d], emb.W[id*d:(id+1)*d])
+	o := &tapeOp{kind: opLookupRows, a: emb, ints: ids, out: g.NewTensor(len(ids), emb.Cols)}
+	if g.rows > 0 {
+		lookupRows(o, 0, len(ids))
 	}
-	g.push(tapeOp{kind: opLookupRows, a: emb, ints: ids, out: out})
-	return out
+	g.exec(o)
+	return o.out
+}
+
+func lookupRows(o *tapeOp, lo, hi int) {
+	d := o.a.Cols
+	for i := lo; i < hi; i++ {
+		id := o.ints[i]
+		copy(o.out.W[i*d:(i+1)*d], o.a.W[id*d:(id+1)*d])
+	}
 }
 
 // ConcatCols concatenates two equal-height matrices along columns.
@@ -496,19 +356,22 @@ func (g *Graph) ConcatCols(a, b *Tensor) *Tensor {
 	if a.Rows != b.Rows {
 		panic("nn: ConcatCols row mismatch")
 	}
-	an, bn := a.Cols, b.Cols
-	out := g.NewTensor(a.Rows, an+bn)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.W[i*(an+bn):], a.W[i*an:(i+1)*an])
-		copy(out.W[i*(an+bn)+an:], b.W[i*bn:(i+1)*bn])
-	}
-	g.push(tapeOp{kind: opConcatCols2, a: a, b: b, out: out})
+	out := g.newOut(a.Rows, a.Cols+b.Cols)
+	g.exec(&tapeOp{kind: opConcatCols2, a: a, b: b, out: out})
 	return out
 }
 
-func backConcatCols2(a, b, out *Tensor) {
+func concatCols(a, b, out *Tensor, lo, hi int) {
 	an, bn := a.Cols, b.Cols
-	for i := 0; i < a.Rows; i++ {
+	for i := lo; i < hi; i++ {
+		copy(out.W[i*(an+bn):], a.W[i*an:(i+1)*an])
+		copy(out.W[i*(an+bn)+an:], b.W[i*bn:(i+1)*bn])
+	}
+}
+
+func backConcatCols2(a, b, out *Tensor, lo, hi int) {
+	an, bn := a.Cols, b.Cols
+	for i := lo; i < hi; i++ {
 		orow := out.DW[i*(an+bn) : (i+1)*(an+bn)]
 		arow := a.DW[i*an : (i+1)*an]
 		brow := b.DW[i*bn : (i+1)*bn]
@@ -525,36 +388,34 @@ func backConcatCols2(a, b, out *Tensor) {
 // batch rows: rows[i] is the B×d encoder output at source position i, and
 // the result is a (B*S)×d tensor (S = len(rows)) whose block b holds
 // sequence b's memory — row b*S+i copies rows[i]'s row b for i < lens[b],
-// and padding rows beyond a sequence's length stay zero. The rows and lens
-// slices are retained until Backward/Reset, so a caller reusing a scratch
-// slice must not overwrite it before then.
+// and padding rows beyond a sequence's length stay zero. Block b is batch
+// row b's. The rows and lens slices are retained until Backward/Reset, so a
+// caller reusing a scratch slice must not overwrite it before then.
 func (g *Graph) PackMemoryBatch(rows []*Tensor, lens []int) *Tensor {
 	S := len(rows)
 	if S == 0 {
 		panic("nn: empty memory pack")
 	}
 	B, d := rows[0].Rows, rows[0].Cols
-	out := g.NewTensor(B*S, d)
-	for i, r := range rows {
-		for b := 0; b < B; b++ {
-			if i < lens[b] {
-				copy(out.W[(b*S+i)*d:(b*S+i+1)*d], r.W[b*d:(b+1)*d])
-			}
-		}
-	}
-	g.push(tapeOp{kind: opPackMemory, list: rows, ints: lens, out: out})
+	out := g.newOut(B*S, d)
+	g.exec(&tapeOp{kind: opPackMemory, list: rows, ints: lens, out: out})
 	return out
 }
 
-func backPackMemory(o *tapeOp) {
-	S := len(o.list)
-	lens := o.ints
-	B, d := o.list[0].Rows, o.list[0].Cols
-	for i, r := range o.list {
-		for b := 0; b < B; b++ {
-			if i >= lens[b] {
-				continue
-			}
+// packMemory fills blocks [lo, hi) of the packed memory.
+func packMemory(o *tapeOp, lo, hi int) {
+	S, d := len(o.list), o.out.Cols
+	for b := lo; b < hi; b++ {
+		for i, r := range o.list[:min(o.ints[b], S)] {
+			copy(o.out.W[(b*S+i)*d:(b*S+i+1)*d], r.W[b*d:(b+1)*d])
+		}
+	}
+}
+
+func backPackMemory(o *tapeOp, lo, hi int) {
+	S, d := len(o.list), o.out.Cols
+	for b := lo; b < hi; b++ {
+		for i, r := range o.list[:min(o.ints[b], S)] {
 			orow := o.out.DW[(b*S+i)*d : (b*S+i+1)*d]
 			rrow := r.DW[b*d : (b+1)*d]
 			for j, dv := range orow {
@@ -581,20 +442,28 @@ func backPackMemory(o *tapeOp) {
 // forcing a pure copy). ctxMasks is read only with beta. gradScale[b] scales row b's gradient — pass 1/B to
 // average the minibatch gradient over examples, and 0 to mark a padded row
 // (sequences shorter than the batch maximum), which is skipped entirely.
-// nll[b] receives row b's raw −log p (0 for skipped rows); the caller weights
-// those into the per-example means it reports. alpha and copyMasks may be nil
+// nll[b] receives row b's raw −log p (0 for skipped rows) — on a split step
+// when Forward runs; the caller weights those into the per-example means it
+// reports. alpha and copyMasks may be nil
 // for pure generation. All slice arguments are retained until
 // Backward/Reset, so per-step calls need distinct backings.
 func (g *Graph) NLLPointerMixBatch(pvocab, alpha, pgen *Tensor, copyMasks [][]bool, beta, cgate *Tensor, ctxMasks [][]bool, vocabIdx []int, gradScale []float64, nll []float64) {
-	B := pvocab.Rows
 	// pt stashes the mixed probability of each row for backward.
-	pt := g.NewTensor(B, 1)
-	for b := 0; b < B; b++ {
-		nll[b] = 0
-		if gradScale[b] == 0 {
+	pt := g.newOut(pvocab.Rows, 1)
+	g.exec(&tapeOp{kind: opNLLPointerMixBatch, a: pvocab, b: alpha, c: pgen, out: pt,
+		aux: beta, aux2: cgate, masks: copyMasks, ctxMasks: ctxMasks, ints: vocabIdx, fvals: gradScale, nll: nll})
+}
+
+// nllRows is the pointer loss's forward over rows [lo, hi).
+func nllRows(o *tapeOp, lo, hi int) {
+	pvocab, alpha, pgen, pt := o.a, o.b, o.c, o.out
+	beta, cgate := o.aux, o.aux2
+	for b := lo; b < hi; b++ {
+		o.nll[b] = 0
+		if o.fvals[b] == 0 {
 			continue
 		}
-		pv, ps, pc := mixTerms(pvocab, alpha, beta, copyMasks, ctxMasks, vocabIdx[b], b)
+		pv, ps, pc := mixTerms(pvocab, alpha, beta, o.masks, o.ctxMasks, o.ints[b], b)
 		gate := pgen.W[b]
 		var p float64
 		if beta == nil {
@@ -604,10 +473,8 @@ func (g *Graph) NLLPointerMixBatch(pvocab, alpha, pgen *Tensor, copyMasks [][]bo
 			p = gate*pv + (1-gate)*((1-cg)*ps+cg*pc)
 		}
 		pt.W[b] = p
-		nll[b] = -math.Log(p + nllEps)
+		o.nll[b] = -math.Log(p + nllEps)
 	}
-	g.push(tapeOp{kind: opNLLPointerMixBatch, a: pvocab, b: alpha, c: pgen, out: pt,
-		aux: beta, aux2: cgate, masks: copyMasks, ctxMasks: ctxMasks, ints: vocabIdx, fvals: gradScale})
 }
 
 // mixTerms returns row b's three terms of the pointer mixture: the target's
@@ -644,10 +511,11 @@ func addMasked(dw []float64, mask []bool, v float64) {
 	}
 }
 
-func backNLLPointerMixBatch(o *tapeOp) {
+func backNLLPointerMixBatch(o *tapeOp, lo, hi int) {
 	pvocab, alpha, pgen, pt := o.a, o.b, o.c, o.out
 	beta, cgate := o.aux, o.aux2
-	for b, w := range o.fvals {
+	for b := lo; b < hi; b++ {
+		w := o.fvals[b]
 		if w == 0 {
 			continue
 		}

@@ -478,7 +478,7 @@ func TestBatchedKernelsAssemblyMatchesPureGo(t *testing.T) {
 
 // TestBatchedKernelsArenaSteadyState asserts a warm batched
 // forward/backward/reset cycle allocates nothing, at B rows as at one; and at
-// GOMAXPROCS 4, where its ops are split and the helpers run their upper
+// GOMAXPROCS 4, where it is a split step and the helpers run its upper
 // parts, that it allocates less than once per cycle (testing.AllocsPerRun
 // pins GOMAXPROCS to 1, so the mallocs are counted there, and they include
 // the scheduler's own: a thread or a wait record now and then as helpers
@@ -494,13 +494,14 @@ func TestBatchedKernelsArenaSteadyState(t *testing.T) {
 	x := NewRandom(B, in, rng)
 	g := NewGraphArena(true, NewArena())
 	step := func() {
-		g.Reset()
+		g.ResetStep(B)
 		h := g.NewTensor(B, H)
 		c := g.NewTensor(B, H)
 		for i := 0; i < 3; i++ {
 			h, c = cell.StepBatch(g, x, h, c, nil)
 		}
 		out := g.SoftmaxRows(g.BatchedAffine(h, lin.W, lin.B))
+		g.Forward()
 		for i := range out.DW {
 			out.DW[i] = 1
 		}

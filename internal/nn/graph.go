@@ -27,9 +27,9 @@ const (
 )
 
 // tapeOp is one record of the typed tape: the operands, outputs and stashed
-// forward values an op needs to run its backward pass. A single record type
-// (rather than a closure per op) keeps the tape a flat, reusable slice with
-// no per-op heap allocation.
+// forward values an op needs to run its forward and backward passes. A single
+// record type (rather than a closure per op) keeps the tape a flat, reusable
+// slice with no per-op heap allocation.
 type tapeOp struct {
 	kind opKind
 
@@ -38,6 +38,7 @@ type tapeOp struct {
 	out2    *Tensor // secondary output (LSTM cell state)
 	aux     *Tensor // stashed activations (LSTM gates, attention weights, dropout mask) / context attention
 	aux2    *Tensor // scratch (LSTM tanh(c), attention score gradients) / context gate
+	pre     *Tensor // the LSTM step's gate pre-activations (forward scratch)
 
 	cell *LSTMCell // opLSTMStepBatch
 	list []*Tensor // opPackMemory rows
@@ -48,9 +49,20 @@ type tapeOp struct {
 	// callers must give every record a distinct backing (the model's batch
 	// scratch slices positions out of one growing buffer per step).
 	ints     []int     // opLookupRows ids / opAttendBatch+opPackMemory lens / opNLLPointerMixBatch vocab indices
+	blocks   []int     // opAttendBatch memory block of each query row (inference; nil = row r attends block r)
 	fvals    []float64 // opNLLPointerMixBatch per-row gradient scales
+	nll      []float64 // opNLLPointerMixBatch per-row −log p (the caller's)
 	masks    [][]bool  // opNLLPointerMixBatch per-row source copy masks
 	ctxMasks [][]bool  // opNLLPointerMixBatch per-row context copy masks
+}
+
+// rows is the number of batch rows op o runs over: its output's rows, or for
+// the packed memory its blocks.
+func (o *tapeOp) rows() int {
+	if o.kind == opPackMemory {
+		return o.list[0].Rows
+	}
+	return o.out.Rows
 }
 
 // Graph is the autograd tape. Operations append typed records; Backward
@@ -60,18 +72,30 @@ type tapeOp struct {
 // recycles them between training steps, so a steady-state step allocates
 // (near) nothing.
 //
+// An op runs when it is called, except on a split step (ResetStep over two
+// rows or more): there every op is recorded, and Forward runs the whole
+// forward at once, split at one row cut — the rows below it on the calling
+// goroutine, the rest on a helper core (team.go) — and Backward runs the
+// whole backward at the same cut. Every op of a split step is row-local: a
+// row's outputs and input gradients depend only on that row. What crosses
+// rows — the gradients of the weights, biases and embedding tables, the
+// parameters — is reduced at the end of Backward, each parameter's
+// contributions in record order on one core, the parameters shared out
+// between the cores; BackwardStep then has each core run Adam on the
+// parameters it reduced.
+//
 // The weight gradient of a one-row product (BatchedAffine or an LSTM step
-// over one row) is deferred: its backward records the row a and its output
-// gradient, and Backward runs, before it returns, one gradW per weight over
-// all the rows recorded for it, in record order. Each weight-gradient element
-// sees the adds it would have seen product by product, in the same order,
-// because gradW sums rows ascending and never skips; but it sees them all at
-// once, so the whole gradient is read and written once per step rather than
-// once per row. A weight's pending rows run first whenever another product
-// backward (over two rows or more, or an unfused MatMul or WeightedSumRows)
-// adds into the same gradient, which keeps that order when one weight is used
-// both ways. So no op may read a product weight's gradient during Backward:
-// it is a leaf — a parameter — whose gradient is complete once Backward
+// over one row) is deferred too: its backward records the row a and its
+// output gradient, and Backward runs, before it returns, one gradW per weight
+// over all the rows recorded for it, in record order. Each weight-gradient
+// element sees the adds it would have seen product by product, in the same
+// order, because gradW sums rows ascending and never skips; but it sees them
+// all at once, so the whole gradient is read and written once per step rather
+// than once per row. A weight's pending rows run first whenever another
+// product backward (over two rows or more, or an unfused MatMul or
+// WeightedSumRows) adds into the same gradient, which keeps that order when
+// one weight is used both ways. So no op may read a parameter's gradient
+// during Backward: it is a leaf whose gradient is complete once Backward
 // returns. Views of one weight (Tensor.RowPrefix) share its first element
 // and are told apart by shape.
 //
@@ -80,12 +104,27 @@ type Graph struct {
 	NeedsGrad bool
 	arena     *Arena
 	tape      []tapeOp
-	j         job // the op being split (team.go)
+	j         job // the split job being run (team.go)
 	procs     int // with NeedsGrad: GOMAXPROCS when the graph was made or last Reset
 
-	// pending holds the deferred weight gradients of this Backward, one
-	// entry per weight; entries past its length keep their buffers for reuse.
+	// A split step: its batch rows (0: not a split step), the ops whose
+	// forward has run, and the row cut, fixed by the first Forward.
+	rows int
+	ran  int
+	cut  int
+
+	// pending holds the deferred one-row weight gradients of this Backward,
+	// one entry per weight; entries past its length keep their buffers for
+	// reuse.
 	pending []pendingGradW
+
+	// A split step's parameter gradients (reduce.go), one entry per
+	// gradient, found by its first element.
+	grads        []paramGrad
+	gradIdx      map[*float64]int
+	costs, parts []int      // scratch of share
+	up           stepUpdate // BackwardStep's
+	moms         []*moment  // BackwardStep: each parameter's moments
 }
 
 // pendingGradW is one weight's deferred gradient: rows rows of the products'
@@ -122,11 +161,11 @@ func (g *Graph) NewTensor(rows, cols int) *Tensor {
 	return NewTensor(rows, cols)
 }
 
-// newRows is NewTensor for the output of an op over rows rows that the
-// graph splits: its W and DW are not cleared here but by the op's parts,
-// each on its own rows (zeroRows), on the core that then writes them.
-func (g *Graph) newRows(rows, cols int) *Tensor {
-	if g.arena == nil || !g.splits(rows) {
+// newOut is NewTensor for an op's output. On a split step its W and DW are
+// not cleared here but by the op's forward, each part on its own rows
+// (zeroRows), on the core that then writes them.
+func (g *Graph) newOut(rows, cols int) *Tensor {
+	if g.arena == nil || g.rows == 0 {
 		return g.NewTensor(rows, cols)
 	}
 	return g.arena.get(rows, cols, false)
@@ -138,26 +177,79 @@ func zeroRows(t *Tensor, lo, hi int) {
 	clear(t.DW[lo*t.Cols : hi*t.Cols])
 }
 
-func (g *Graph) push(o tapeOp) {
-	if g.NeedsGrad {
-		g.tape = append(g.tape, o)
+// zeroGrads clears rows [lo, hi) of t's DW.
+func zeroGrads(t *Tensor, lo, hi int) { clear(t.DW[lo*t.Cols : hi*t.Cols]) }
+
+// exec runs op o, or on a split step records it for Forward; a graph that
+// records gradients puts it on the tape.
+func (g *Graph) exec(o *tapeOp) {
+	if g.rows == 0 {
+		g.forward(o, 0, o.rows())
+		if g.NeedsGrad {
+			g.tape = append(g.tape, *o)
+		}
+		return
+	}
+	switch o.kind {
+	case opSoftmaxRow, opAttendDot, opWeightedSumRows, opSliceRow:
+		panic("nn: a one-row op in a split step")
+	}
+	if o.rows() != g.rows {
+		panic("nn: an op over other rows than its split step's")
+	}
+	g.tape = append(g.tape, *o)
+}
+
+// ResetStep is Reset for a training step over rows stacked rows. With two
+// rows or more, on a graph that records gradients, the step is split: its
+// ops are recorded, not run, and their outputs hold values only once Forward
+// has run them (BackwardStep and Backward run it first if it has not). A
+// caller reads nothing an op returns before that — the loss included, which
+// NLLPointerMixBatch writes then.
+func (g *Graph) ResetStep(rows int) {
+	g.Reset()
+	if g.NeedsGrad && rows >= 2 {
+		g.rows = rows
 	}
 }
 
-// record pushes o on a graph that records gradients and returns the tape's
-// copy, valid until the next push.
-func (g *Graph) record(o tapeOp) *tapeOp {
-	g.tape = append(g.tape, o)
-	return &g.tape[len(g.tape)-1]
+// Forward runs the forward of the ops recorded on a split step since the
+// last Forward, split at the step's row cut; elsewhere ops have run already
+// and it does nothing.
+func (g *Graph) Forward() {
+	if g.rows == 0 || g.ran == len(g.tape) {
+		return
+	}
+	if g.ran == 0 {
+		g.cut = g.rowCut()
+	}
+	g.j = job{run: forwardJob, g: g, first: g.ran, rcut: [3]int{0, g.cut, g.rows}}
+	g.fork(&g.j)
+	g.ran = len(g.tape)
 }
 
-// Backward runs the tape in reverse order, then the deferred weight
+func forwardJob(j *job, from, to int) {
+	lo, hi := j.rcut[from], j.rcut[to]
+	for i := j.first; i < len(j.g.tape); i++ {
+		j.g.forward(&j.g.tape[i], lo, hi)
+	}
+}
+
+// Backward runs the tape in reverse order, then the deferred parameter
 // gradients, and truncates the tape (keeping capacity). The caller seeds the
 // gradient of the loss tensor (typically via the loss ops, which do it
-// themselves).
+// themselves); on a split step, after Forward.
 func (g *Graph) Backward() {
+	if g.rows > 0 {
+		g.backwardSplit()
+		g.reduce(nil)
+		g.tape, g.ran = g.tape[:0], 0
+		return
+	}
 	for i := len(g.tape) - 1; i >= 0; i-- {
-		g.backstep(&g.tape[i])
+		o := &g.tape[i]
+		g.backRows(o, 0, o.rows())
+		g.reduceNow(o)
 	}
 	g.tape = g.tape[:0]
 	for i := range g.pending {
@@ -166,18 +258,92 @@ func (g *Graph) Backward() {
 	g.pending = g.pending[:0]
 }
 
+// BackwardStep is Backward followed by opt.Step(params). On a split step
+// each parameter's gradient is reduced and updated on one core, the
+// parameters shared out between the calling goroutine and a helper.
+func (g *Graph) BackwardStep(opt *Adam, params []*Tensor) {
+	if g.rows == 0 {
+		g.Backward()
+		opt.Step(params)
+		return
+	}
+	g.backwardSplit()
+	g.up.opt, g.up.params = opt, params
+	g.reduce(&g.up)
+	g.up.opt, g.up.params = nil, nil
+	g.tape, g.ran = g.tape[:0], 0
+}
+
+// backwardSplit runs the row-local backward of every op of a split step, in
+// reverse, at the row cut; the parameter gradients are left to reduce.
+func (g *Graph) backwardSplit() {
+	g.Forward()
+	g.j = job{run: backwardJob, g: g, rcut: [3]int{0, g.cut, g.rows}}
+	g.fork(&g.j)
+}
+
+func backwardJob(j *job, from, to int) {
+	lo, hi := j.rcut[from], j.rcut[to]
+	for i := len(j.g.tape) - 1; i >= 0; i-- {
+		j.g.backRows(&j.g.tape[i], lo, hi)
+	}
+}
+
 // Reset truncates the tape and recycles all arena intermediates. Any tensor
 // previously returned by graph ops or NewTensor must not be used afterwards.
 // Weight gradients still pending (a tape never run backward) are dropped.
 func (g *Graph) Reset() {
 	g.tape = g.tape[:0]
 	g.pending = g.pending[:0]
+	g.rows, g.ran, g.cut = 0, 0, 0
 	if g.NeedsGrad {
 		g.procs = runtime.GOMAXPROCS(0)
 	}
 	if g.arena != nil {
 		g.arena.Reset()
 	}
+}
+
+// rowCut is the split step's row cut: where the lower part's share of the
+// step's multiply-adds first reaches half. A row's share is the products it
+// runs through; an LSTM step's only while the row is active, an attention's
+// over its memory length.
+func (g *Graph) rowCut() int {
+	var weight [64]int
+	if g.rows > len(weight) {
+		return g.rows / 2
+	}
+	w := weight[:g.rows]
+	for i := range g.tape {
+		o := &g.tape[i]
+		switch o.kind {
+		case opLSTMStepBatch:
+			cost := (o.a.Cols + o.b.Cols) * o.cell.Wx.Cols
+			for r := range w {
+				if o.mask == nil || o.mask[r] {
+					w[r] += cost
+				}
+			}
+		case opAttendBatch:
+			for r := range w {
+				w[r] += 2 * o.ints[r] * o.a.Cols
+			}
+		case opAffineBatch, opMatMul:
+			for r := range w {
+				w[r] += o.b.Rows * o.b.Cols
+			}
+		}
+	}
+	total := 0
+	for _, v := range w {
+		total += v
+	}
+	cut, acc := 0, 0
+	for cut < len(w) && 2*acc < total {
+		acc += w[cut]
+		cut++
+	}
+	return cut
 }
 
 // deferGradW records one row's weight gradient, wd += aᵀ·d, for the end of
@@ -233,41 +399,77 @@ func (e *pendingGradW) run() {
 	e.a, e.d, e.rows = e.a[:0], e.d[:0], 0
 }
 
-// backstep runs one op's backward pass. Each case accumulates input
-// gradients exactly as the closure-based tape used to, in the same order, so
-// the typed tape is a drop-in numeric replacement.
-func (g *Graph) backstep(o *tapeOp) {
+// forward runs op o's forward over batch rows [lo, hi). On a split step it
+// first clears what of those rows of the op's outputs the forward does not
+// overwrite and the backward accumulates into, which newOut carved uncleared:
+// the LSTM step's gates and tanh(c) are written before they are read, and so
+// are the values of the elementwise ops, the softmax and the concatenation.
+func (g *Graph) forward(o *tapeOp, lo, hi int) {
+	if g.rows > 0 {
+		switch o.kind {
+		case opLookupRows:
+			return // copied when recorded
+		case opPackMemory:
+			S := len(o.list)
+			zeroRows(o.out, lo*S, hi*S)
+		case opLSTMStepBatch:
+			zeroRows(o.pre, lo, hi)
+			zeroGrads(o.out, lo, hi)
+			zeroGrads(o.out2, lo, hi)
+		case opAttendBatch:
+			for _, t := range [...]*Tensor{o.aux2, o.aux, o.out} {
+				zeroRows(t, lo, hi)
+			}
+		case opAdd, opMul, opTanh, opSigmoid, opDropout, opSoftmaxRows, opConcatCols2:
+			zeroGrads(o.out, lo, hi)
+		default:
+			zeroRows(o.out, lo, hi)
+		}
+	}
+	switch o.kind {
+	case opMatMul, opAffineBatch:
+		forwardAffine(o, lo, hi)
+	case opAdd, opMul, opTanh, opSigmoid, opDropout:
+		forwardElementwise(o, lo, hi)
+	case opSoftmaxRow:
+		softmaxInto(o.a.W, o.out.W)
+	case opAttendDot:
+		attendDotInto(o.a.W, o.b.W, o.b.Rows, o.out.W)
+	case opWeightedSumRows:
+		matvec(o.out.W, o.a.W, o.b.W)
+	case opSliceRow:
+		copy(o.out.W, o.a.W[o.idx:])
+	case opLSTMStepBatch:
+		lstmStepRows(o, lo, hi)
+	case opAttendBatch:
+		attendRows(o, lo, hi)
+	case opSoftmaxRows:
+		softmaxRows(o.a, o.out, lo, hi)
+	case opNLLPointerMixBatch:
+		nllRows(o, lo, hi)
+	case opLookupRows:
+		lookupRows(o, lo, hi)
+	case opConcatCols2:
+		concatCols(o.a, o.b, o.out, lo, hi)
+	case opPackMemory:
+		packMemory(o, lo, hi)
+	}
+}
+
+// backRows runs the row-local part of op o's backward over batch rows
+// [lo, hi): the gradients of its inputs' rows. What it adds into a parameter
+// across rows is its reductions' (reduce.go). Each case accumulates exactly
+// as the closure-based tape used to, in the same order.
+func (g *Graph) backRows(o *tapeOp, lo, hi int) {
 	switch o.kind {
 	case opMatMul:
-		g.flushGradW(o.b.DW)
-		backMatMul(o.a, o.b, o.out)
-	case opAdd:
-		a, b, out := o.a, o.b, o.out
-		for i := range out.DW {
-			a.DW[i] += out.DW[i]
-			b.DW[i] += out.DW[i]
+		// The unfused product: each row's backward is the one-row chain.
+		m, p := o.a.Cols, o.b.Cols
+		for i := lo; i < hi; i++ {
+			gradXRow(o.a.DW[i*m:(i+1)*m], o.out.DW[i*p:(i+1)*p], o.b.W)
 		}
-	case opMul:
-		a, b, out := o.a, o.b, o.out
-		for i := range out.DW {
-			a.DW[i] += out.DW[i] * b.W[i]
-			b.DW[i] += out.DW[i] * a.W[i]
-		}
-	case opTanh:
-		a, out := o.a, o.out
-		for i := range out.DW {
-			a.DW[i] += out.DW[i] * (1 - out.W[i]*out.W[i])
-		}
-	case opSigmoid:
-		a, out := o.a, o.out
-		for i := range out.DW {
-			a.DW[i] += out.DW[i] * out.W[i] * (1 - out.W[i])
-		}
-	case opDropout:
-		mask := o.aux.W
-		for i := range o.out.DW {
-			o.a.DW[i] += o.out.DW[i] * mask[i]
-		}
+	case opAdd, opMul, opTanh, opSigmoid, opDropout:
+		backElementwise(o, lo, hi)
 	case opSoftmaxRow:
 		backSoftmaxInto(o.out.W, o.out.DW, o.a.DW)
 	case opAttendDot:
@@ -277,39 +479,23 @@ func (g *Graph) backstep(o *tapeOp) {
 		g.flushGradW(o.b.DW)
 		backRowMatMul(o.a.W, o.a.DW, o.b.W, o.b.DW, o.out.DW)
 	case opSliceRow:
-		a, out := o.a, o.out
-		for i := range out.DW {
-			a.DW[o.idx+i] += out.DW[i]
+		for i, d := range o.out.DW {
+			o.a.DW[o.idx+i] += d
 		}
 	case opAffineBatch:
-		g.backAffineBatch(o.a, o.b, o.c, o.out)
+		x, w := o.a, o.b
+		backProductRows(x.W, x.DW, x.Rows, x.Cols, w.W, w.Cols, o.out.DW, nil, lo, hi)
 	case opLSTMStepBatch:
-		g.backLSTMStepBatch(o)
+		backLSTMRows(o, lo, hi)
 	case opAttendBatch:
-		g.backAttendBatch(o)
+		backAttendRows(o, lo, hi)
 	case opSoftmaxRows:
-		backSoftmaxRows(o.a, o.out)
+		backSoftmaxRows(o.a, o.out, lo, hi)
 	case opNLLPointerMixBatch:
-		backNLLPointerMixBatch(o)
-	case opLookupRows:
-		for i, id := range o.ints {
-			base := id * o.a.Cols
-			orow := o.out.DW[i*o.out.Cols : (i+1)*o.out.Cols]
-			for j, d := range orow {
-				o.a.DW[base+j] += d
-			}
-		}
+		backNLLPointerMixBatch(o, lo, hi)
 	case opConcatCols2:
-		backConcatCols2(o.a, o.b, o.out)
+		backConcatCols2(o.a, o.b, o.out, lo, hi)
 	case opPackMemory:
-		backPackMemory(o)
-	}
-}
-
-// backMatMul is the single-row backward once per row of a, rows ascending.
-func backMatMul(a, b, out *Tensor) {
-	m, p := a.Cols, b.Cols
-	for i := 0; i < a.Rows; i++ {
-		backRowMatMul(a.W[i*m:(i+1)*m], a.DW[i*m:(i+1)*m], b.W, b.DW, out.DW[i*p:(i+1)*p])
+		backPackMemory(o, lo, hi)
 	}
 }

@@ -22,14 +22,18 @@ import "math"
 //     (dot4, dot) is the same chain.
 //
 // Every product is rounded before it is added: no fused multiply-add, in any
-// body. The multiply-add primitives of the first four rules — matvec, gradW,
-// gradX, gradXRow — each called once per matrix, have a pure-Go reference
-// body here, and assembly bodies in kernel_amd64.s that issue, per output
-// element, the identical sequence of IEEE multiplies and adds, so the bodies
-// agree bit for bit. matvec and gradW hold a 32-wide strip of their output in
-// registers for the whole k (row) loop; gradX holds the lanes of two rows ×
-// four k for the whole j loop; gradXRow's AVX-512 body multiplies eight
-// weight rows by eight d[j] at a time and transposes the products in
+// body. The multiply-add primitives of the first four rules — matvec and
+// matvecRows (matvec over a block of rows), gradW, gradX, gradXRow — each
+// called once per matrix, have a pure-Go reference body here, and assembly
+// bodies in kernel_amd64.s that issue, per output element, the identical
+// sequence of IEEE multiplies and adds, so the bodies agree bit for bit.
+// matvec and gradW hold a 32-wide strip of their output in registers for the
+// whole k (row) loop; matvecRows' AVX-512 body holds that strip for four rows
+// at once and loads each weight strip once for the four, a row's ±0 x[k]
+// masking its add off (it has no AVX2 body: there, and for the rows after
+// the last block of four, matvec runs row by row); gradX holds the lanes of
+// two rows × four k for the whole j loop; gradXRow's AVX-512 body multiplies
+// eight weight rows by eight d[j] at a time and transposes the products in
 // registers, so one lane carries one k's chain, j ascending, through the
 // whole row (it has no AVX2 body: there the reference runs, four chains side
 // by side). The AVX-512 bodies run where CPUID reports AVX512F and the OS
@@ -42,25 +46,37 @@ import "math"
 // those primitives; the single-row and batched forms share one loop nest each
 // way, so "batched equals row by row" holds by construction.
 //
-// On a gradient-recording graph, an op over two rows or more is split in two
-// parts, the upper one offered to a helper core (team.go). Every split point
-// keeps each output element's summation order above, because the parts
-// write disjoint elements and each element is computed whole by one part:
+// A split step (Graph.ResetStep) cuts its batch once, into the rows below
+// the cut and the rest, and every phase of the step runs in those two parts,
+// the upper one offered to a helper core (team.go). Every split keeps each
+// element's summation order above, because the parts write disjoint
+// elements and each element is computed whole by one part:
 //
-//   - the forward product (matMulRows), the LSTM step (both products of a
-//     row, then its cell), the attention forward and SoftmaxRows split by
-//     rows;
-//   - the backward product (backMatMulPart) splits gradX by active-row pairs
-//     — a part left with a lone row calls gradX with a nil ad1, in lane
-//     order, never backRowMatMul's serial chain — and gradW by k, the rows
-//     of wd: gradW's k-count is separate from a's stride, so a part sums
-//     all the batch rows of its weight rows, ascending;
-//   - the LSTM gate gradients and the attention backward split by rows: in
-//     the training layout row r owns memory block r.
+//   - the forward of every op runs over the part's rows: the products
+//     (matMulRows, with the affine's bias add), the LSTM step (both products
+//     of a row, then its cell), the attention, the softmax, the elementwise
+//     ops, dropout's mask applied (the mask is drawn when Dropout is called,
+//     serially, in order), the concatenation, the packed memory (block b is
+//     row b's) and the pointer loss — the embedding lookups are copied when
+//     they are called;
+//   - the backward of every op runs over the part's rows, ops in reverse:
+//     the products' input gradients (backMatMulPart's gradX by the part's
+//     active-row pairs — a part left with a lone row calls gradX with a nil
+//     ad1, in lane order, never backRowMatMul's serial chain), the LSTM gate
+//     gradients, the attention (row r owns memory block r), the softmax, the
+//     pointer loss and the rest, each writing only the gradients of its
+//     input rows;
+//   - what sums over rows — the weights' gradients (gradW, over each
+//     product's active rows ascending), the biases' (gradW with a column of
+//     ones) and the embedding tables' scatter-adds — runs after the
+//     backward, each parameter's in the order the backward met its ops, on
+//     one part, the parameters shared out by cost (reduce.go); the clip's
+//     sum of squares (sumSquaresLanes) and Adam then run per parameter on
+//     the part that reduced it.
 //
-// Bias reductions across rows, dropout's random draws and Adam run on the
-// caller. A split op's outputs come from the arena uncleared, and each part
-// clears its own rows first (Graph.newRows, zeroRows).
+// A split step's outputs come from the arena uncleared, and each part
+// clears what of its own rows the forward accumulates into first
+// (Graph.newOut, zeroRows).
 //
 // The elementwise primitives (sigmoid, tanh, expShift for softmax, adam) are
 // the only place in the package that calls math.Exp or math.Tanh or does
@@ -98,6 +114,11 @@ type kernelSet struct {
 	// matvec: dst[j] += Σ_k x[k]·w[k·len(dst)+j], k ascending, skipping ±0
 	// x[k]; dst must not overlap x or w.
 	matvec func(dst, x, w []float64)
+	// matvecRows: matvec of each of rows rows, dst[r·n+j] += Σ_k
+	// x[r·in+k]·w[k·n+j], k ascending, skipping ±0 x[r·in+k] row by row;
+	// dst must not overlap x or w. A body loads each weight strip once for a
+	// block of rows; nil runs matvec row by row.
+	matvecRows func(dst, x, w []float64, rows, in, n int)
 	// gradW: wd[k·n+j] += Σ_r a[r·in+k]·d[r·n+j] for k < kn, r ascending, no
 	// zero skipped. in is a's row stride: rows k0..k1 of a product are
 	// gradW(wd[k0·n:], a[k0:], d, rows, k1−k0, in, n).
@@ -119,6 +140,10 @@ type kernelSet struct {
 	// adam: one Adam update of the weights w from their gradient dw, which it
 	// clears, and their moments m, v.
 	adam func(w, dw, m, v []float64, c adamCoef)
+	// sumSquares: Σ x[j]² in some order of at most len(x) +
+	// sumSquaresLaneAdds − 1 additions along any element's path — the
+	// clip's bound (withinClip), which takes any order, not a chain to match.
+	sumSquares func(x []float64) float64
 }
 
 // adamCoef holds the scalars of one Adam step: the clip scale every gradient
@@ -136,6 +161,7 @@ var (
 	goKernels = kernelSet{
 		matvec: matvecGo, gradW: gradWGo, gradX: gradXGo, gradXRow: gradXRowGo,
 		sigmoid: sigmoidGo, tanh: tanhGo, expShift: expShiftGo, adam: adamGo,
+		sumSquares: sumSquaresLanesGo,
 	}
 	kernels = goKernels
 )
@@ -153,6 +179,22 @@ func matvec(dst, x, w []float64) {
 		return
 	}
 	kernels.matvec(dst, x, w)
+}
+
+func matvecRows(dst, x, w []float64, rows, in, n int) {
+	if rows < 0 || in < 0 || n < 0 || len(dst) < rows*n || len(x) < rows*in || len(w) < in*n {
+		panic("nn: matvecRows shape mismatch")
+	}
+	if rows == 0 || in == 0 || n == 0 {
+		return
+	}
+	if kernels.matvecRows == nil || rows == 1 {
+		for r := 0; r < rows; r++ {
+			kernels.matvec(dst[r*n:(r+1)*n], x[r*in:(r+1)*in], w)
+		}
+		return
+	}
+	kernels.matvecRows(dst, x, w, rows, in, n)
 }
 
 func gradX(ad0, ad1, d0, d1, w []float64) {
@@ -369,6 +411,45 @@ func sumSquares(acc float64, x []float64) float64 {
 	return acc
 }
 
+// sumSquaresLanes returns Σ x[j]² in the body in use's order, for
+// withinClip's bound: the squares sumSquares chains one by one, in another
+// order (each square is rounded the same way in both). An element's path
+// through it is at most len(x) + sumSquaresLaneAdds − 1 additions.
+func sumSquaresLanes(x []float64) float64 {
+	if len(x) == 0 {
+		return 0
+	}
+	return kernels.sumSquares(x)
+}
+
+// sumSquaresLanesGo sums in eight accumulators, lane l taking j ≡ l (mod 8)
+// ascending and lane 0 the len(x) mod 8 tail, then the lanes pairwise.
+func sumSquaresLanesGo(x []float64) float64 {
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	j := 0
+	for ; j+8 <= len(x); j += 8 {
+		v := x[j : j+8 : j+8]
+		s0 += float64(v[0] * v[0])
+		s1 += float64(v[1] * v[1])
+		s2 += float64(v[2] * v[2])
+		s3 += float64(v[3] * v[3])
+		s4 += float64(v[4] * v[4])
+		s5 += float64(v[5] * v[5])
+		s6 += float64(v[6] * v[6])
+		s7 += float64(v[7] * v[7])
+	}
+	for ; j < len(x); j++ {
+		s0 += float64(x[j] * x[j])
+	}
+	return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
+}
+
+// sumSquaresLaneAdds bounds the additions a body of sumSquares adds to an
+// element's path beyond one per element — three or four to combine the
+// lanes, one to add the assembly's tail — with one more for the caller's
+// add of the result.
+const sumSquaresLaneAdds = 8
+
 // dot4 is dot against four rows at once: four independent serial chains, so
 // the adds of one hide behind the latency of the others.
 func dot4(x, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
@@ -384,13 +465,18 @@ func dot4(x, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
 }
 
 // matMulRows accumulates a·w into dst over rows [lo, hi) of a row-major
-// batch a of width cols and a cols×p matrix w: one matvec per row, skipping
-// rows where active is false (nil = all rows).
+// batch a of width cols and a cols×p matrix w: one matvecRows per run of
+// consecutive rows where active is true (nil = all rows).
 func matMulRows(a []float64, lo, hi, cols int, w []float64, p int, dst []float64, active []bool) {
-	for i := lo; i < hi; i++ {
-		if active == nil || active[i] {
-			matvec(dst[i*p:(i+1)*p], a[i*cols:(i+1)*cols], w)
+	for i := lo; i < hi; {
+		if active != nil && !active[i] {
+			i++
+			continue
 		}
+		run := i
+		for i++; i < hi && (active == nil || active[i]); i++ {
+		}
+		matvecRows(dst[run*p:i*p], a[run*cols:i*cols], w, i-run, cols, p)
 	}
 }
 

@@ -13,6 +13,9 @@ func matvecAVX2(dst, x, w []float64)
 func matvecAVX512(dst, x, w []float64)
 
 //go:noescape
+func matvecRowsAVX512(dst, x, w []float64, rows, in, n int)
+
+//go:noescape
 func gradXAVX2(ad0, ad1, d0, d1, w []float64)
 
 //go:noescape
@@ -42,6 +45,9 @@ func expShiftAVX2(dst, x []float64, m float64) int
 
 //go:noescape
 func adamAVX2(w, dw, m, v []float64, c adamCoef)
+
+//go:noescape
+func sumSquaresAVX2(x []float64) float64
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -74,6 +80,18 @@ func tanhAsm(dst, x []float64) {
 	tanhGo(dst[i:], x[i:len(dst)])
 }
 
+// matvecRowsAsm runs whole blocks of four rows in assembly and the rest row
+// by row.
+func matvecRowsAsm(dst, x, w []float64, rows, in, n int) {
+	r := rows &^ 3
+	if r > 0 {
+		matvecRowsAVX512(dst, x, w, r, in, n)
+	}
+	for ; r < rows; r++ {
+		matvecAVX512(dst[r*n:(r+1)*n], x[r*in:(r+1)*in], w)
+	}
+}
+
 // gradXRowAsm runs whole blocks of eight k in assembly and the k tail in the
 // reference body.
 func gradXRowAsm(xd, d, w []float64) {
@@ -82,6 +100,16 @@ func gradXRowAsm(xd, d, w []float64) {
 		gradXRowAVX512(xd[:k], d, w)
 	}
 	gradXRowGo(xd[k:], d, w[k*len(d):])
+}
+
+// sumSquaresAsm sums whole groups of sixteen squares in assembly and the
+// rest in the reference body.
+func sumSquaresAsm(x []float64) float64 {
+	n := len(x) &^ 15
+	if n == 0 {
+		return sumSquaresLanesGo(x)
+	}
+	return sumSquaresAVX2(x[:n]) + sumSquaresLanesGo(x[n:])
 }
 
 func adamAsm(w, dw, m, v []float64, c adamCoef) {
@@ -97,11 +125,11 @@ func init() {
 }
 
 // asmBody returns the assembly body this CPU can run, and false where it
-// runs none: the multiply-add primitives and Adam need AVX2, the former take
-// their AVX-512 bodies where there is AVX-512 too (gradXRow has only that
-// one, the reference body elsewhere); the activations also need
-// FMA — the path math.Exp takes on such a CPU — and must pass the probe
-// against the reference body.
+// runs none: the multiply-add primitives, Adam and the clip's sum of squares
+// need AVX2, the multiply-adds take their AVX-512 bodies where there is
+// AVX-512 too (gradXRow and matvecRows have only that one, the reference
+// body elsewhere); the activations also need FMA — the path math.Exp takes on
+// such a CPU — and must pass the probe against the reference body.
 func asmBody() (kernelSet, bool) {
 	avx2, fma, avx512 := cpuFeatures()
 	if !avx2 {
@@ -111,9 +139,9 @@ func asmBody() (kernelSet, bool) {
 	ks.matvec, ks.gradX, ks.gradW = matvecAVX2, gradXAVX2, gradWAVX2
 	if avx512 {
 		ks.matvec, ks.gradX, ks.gradW = matvecAVX512, gradXAVX512, gradWAVX512
-		ks.gradXRow = gradXRowAsm
+		ks.gradXRow, ks.matvecRows = gradXRowAsm, matvecRowsAsm
 	}
-	ks.adam = adamAsm
+	ks.adam, ks.sumSquares = adamAsm, sumSquaresAsm
 	if fma {
 		act := ks
 		act.sigmoid, act.tanh, act.expShift = sigmoidAsm, tanhAsm, expShiftAsm

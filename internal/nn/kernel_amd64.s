@@ -1190,3 +1190,254 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// The macros of matvecRowsAVX512 (below).
+// MVR_LOAD32 and MVR_STORE32 move one row's 32-wide dst strip at R12.
+#define MVR_LOAD32(a0, a1, a2, a3) \
+	VMOVUPD (R12), a0; \
+	VMOVUPD 64(R12), a1; \
+	VMOVUPD 128(R12), a2; \
+	VMOVUPD 192(R12), a3
+
+#define MVR_STORE32(a0, a1, a2, a3) \
+	VMOVUPD a0, (R12); \
+	VMOVUPD a1, 64(R12); \
+	VMOVUPD a2, 128(R12); \
+	VMOVUPD a3, 192(R12)
+
+// MVR_KSTART starts a strip's k loop: R10 = &w[AX], R12 and DX the x
+// elements k = 0 of rows 0 and 2, BX = 0.
+#define MVR_KSTART \
+	LEAQ (R9)(AX*8), R10; \
+	MOVQ SI, R12; \
+	LEAQ (SI)(R13*2), DX; \
+	XORQ BX, BX
+
+// MVR_NEXTK advances to the next weight row and x element.
+#define MVR_NEXTK \
+	ADDQ R11, R10; \
+	ADDQ $8, R12; \
+	ADDQ $8, DX; \
+	INCQ BX
+
+// MVR_ROW32 adds x[k] at xk times the weight strip Z16..Z19 into one row's
+// strip a0..a3, unless x[k] is ±0.
+#define MVR_ROW32(xk, a0, a1, a2, a3) \
+	VBROADCASTSD xk, Z20; \
+	VPTESTMQ     Z29, Z20, K1; \
+	VMULPD       Z16, Z20, Z24; \
+	VMULPD       Z17, Z20, Z25; \
+	VMULPD       Z18, Z20, Z26; \
+	VMULPD       Z19, Z20, Z27; \
+	VADDPD       Z24, a0, K1, a0; \
+	VADDPD       Z25, a1, K1, a1; \
+	VADDPD       Z26, a2, K1, a2; \
+	VADDPD       Z27, a3, K1, a3
+
+// MVR_ROW8 is MVR_ROW32 for one 8-wide strip, the weights in Z16.
+#define MVR_ROW8(xk, a0) \
+	VBROADCASTSD xk, Z20; \
+	VPTESTMQ     Z29, Z20, K1; \
+	VMULPD       Z16, Z20, Z24; \
+	VADDPD       Z24, a0, K1, a0
+
+// func matvecRowsAVX512(dst, x, w []float64, rows, in, n int)
+// matvec over blocks of four rows (rows is a multiple of four): dst[r*n+j] +=
+// sum over k ascending of x[r*in+k]*w[k*n+j], skipping k where x[r*in+k] is
+// ±0, row by row. A strip of the four rows' dst stays in registers for the
+// whole k loop — 32 wide while 32 remain (Z0..Z15, four per row), then 8
+// wide (Z0, Z4, Z8, Z12), then the n mod 8 tail under the opmask K7 — and
+// each weight strip (Z16..Z19) is loaded once per k for the four rows. A
+// row's skip is the opmask K1 of its add: VPTESTMQ against Z29 (every bit
+// but the sign) is MATVEC_SKIPZERO's test, and a masked-off lane keeps its
+// sum, so each element sees matvec's sequence. Register use: DI &dst[r*n]
+// and SI &x[r*in] of the block's first row, R9 w, CX n, R8 in, R11 the byte
+// stride n*8 of a dst or weight row, R13 the byte stride in*8 of an x row,
+// R14 the rows left, AX the strip's first j, BX k, R10 &w[k*n+AX], R12 and
+// DX &x[r*in+k] of rows 0 and 2 (rows 1 and 3 one stride on).
+TEXT ·matvecRowsAVX512(SB), NOSPLIT, $0-96
+	MOVQ n+88(FP), CX
+	ANDL $7, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K7
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ w_base+48(FP), R9
+	MOVQ rows+72(FP), R14
+	MOVQ in+80(FP), R8
+	MOVQ n+88(FP), CX
+	MOVQ CX, R11
+	SHLQ $3, R11
+	MOVQ R8, R13
+	SHLQ $3, R13
+	MOVQ $0x7fffffffffffffff, AX
+	VPBROADCASTQ AX, Z29
+
+mvr_block:
+	CMPQ R14, $4
+	JLT  mvr_done
+	XORQ AX, AX
+
+mvr_strip32:
+	LEAQ 32(AX), BX
+	CMPQ BX, CX
+	JGT  mvr_strip8
+	LEAQ (DI)(AX*8), R12
+	MVR_LOAD32(Z0, Z1, Z2, Z3)
+	ADDQ R11, R12
+	MVR_LOAD32(Z4, Z5, Z6, Z7)
+	ADDQ R11, R12
+	MVR_LOAD32(Z8, Z9, Z10, Z11)
+	ADDQ R11, R12
+	MVR_LOAD32(Z12, Z13, Z14, Z15)
+	MVR_KSTART
+
+mvr_k32:
+	CMPQ BX, R8
+	JGE  mvr_store32
+	VMOVUPD (R10), Z16
+	VMOVUPD 64(R10), Z17
+	VMOVUPD 128(R10), Z18
+	VMOVUPD 192(R10), Z19
+	MVR_ROW32((R12), Z0, Z1, Z2, Z3)
+	MVR_ROW32((R12)(R13*1), Z4, Z5, Z6, Z7)
+	MVR_ROW32((DX), Z8, Z9, Z10, Z11)
+	MVR_ROW32((DX)(R13*1), Z12, Z13, Z14, Z15)
+	MVR_NEXTK
+	JMP  mvr_k32
+
+mvr_store32:
+	LEAQ (DI)(AX*8), R12
+	MVR_STORE32(Z0, Z1, Z2, Z3)
+	ADDQ R11, R12
+	MVR_STORE32(Z4, Z5, Z6, Z7)
+	ADDQ R11, R12
+	MVR_STORE32(Z8, Z9, Z10, Z11)
+	ADDQ R11, R12
+	MVR_STORE32(Z12, Z13, Z14, Z15)
+	ADDQ $32, AX
+	JMP  mvr_strip32
+
+mvr_strip8:
+	LEAQ 8(AX), BX
+	CMPQ BX, CX
+	JGT  mvr_tail
+	LEAQ (DI)(AX*8), R12
+	VMOVUPD (R12), Z0
+	ADDQ    R11, R12
+	VMOVUPD (R12), Z4
+	ADDQ    R11, R12
+	VMOVUPD (R12), Z8
+	ADDQ    R11, R12
+	VMOVUPD (R12), Z12
+	MVR_KSTART
+
+mvr_k8:
+	CMPQ BX, R8
+	JGE  mvr_store8
+	VMOVUPD (R10), Z16
+	MVR_ROW8((R12), Z0)
+	MVR_ROW8((R12)(R13*1), Z4)
+	MVR_ROW8((DX), Z8)
+	MVR_ROW8((DX)(R13*1), Z12)
+	MVR_NEXTK
+	JMP  mvr_k8
+
+mvr_store8:
+	LEAQ    (DI)(AX*8), R12
+	VMOVUPD Z0, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Z4, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Z8, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Z12, (R12)
+	ADDQ    $8, AX
+	JMP     mvr_strip8
+
+mvr_tail:
+	CMPQ      AX, CX
+	JGE       mvr_nextblock
+	LEAQ      (DI)(AX*8), R12
+	VMOVUPD.Z (R12), K7, Z0
+	ADDQ      R11, R12
+	VMOVUPD.Z (R12), K7, Z4
+	ADDQ      R11, R12
+	VMOVUPD.Z (R12), K7, Z8
+	ADDQ      R11, R12
+	VMOVUPD.Z (R12), K7, Z12
+	MVR_KSTART
+
+mvr_ktail:
+	CMPQ      BX, R8
+	JGE       mvr_storetail
+	VMOVUPD.Z (R10), K7, Z16
+	MVR_ROW8((R12), Z0)
+	MVR_ROW8((R12)(R13*1), Z4)
+	MVR_ROW8((DX), Z8)
+	MVR_ROW8((DX)(R13*1), Z12)
+	MVR_NEXTK
+	JMP       mvr_ktail
+
+mvr_storetail:
+	LEAQ    (DI)(AX*8), R12
+	VMOVUPD Z0, K7, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Z4, K7, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Z8, K7, (R12)
+	ADDQ    R11, R12
+	VMOVUPD Z12, K7, (R12)
+
+mvr_nextblock:
+	LEAQ (DI)(R11*4), DI
+	LEAQ (SI)(R13*4), SI
+	SUBQ $4, R14
+	JMP  mvr_block
+
+mvr_done:
+	VZEROUPPER
+	RET
+
+// func sumSquaresAVX2(x []float64) float64
+// The sum of x[j]² in sixteen lanes (Y0..Y3), lane l taking j ≡ l (mod 16)
+// ascending, then the lanes summed pairwise; len(x) is a positive multiple
+// of 16. Only withinClip's bound reads it, so any order would do; an
+// element's path is len(x)/16 adds in its lane and four to combine.
+TEXT ·sumSquaresAVX2(SB), NOSPLIT, $0-32
+	MOVQ   x_base+0(FP), SI
+	MOVQ   x_len+8(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ   AX, AX
+
+sumsq_loop:
+	VMOVUPD (SI)(AX*8), Y4
+	VMOVUPD 32(SI)(AX*8), Y5
+	VMOVUPD 64(SI)(AX*8), Y6
+	VMOVUPD 96(SI)(AX*8), Y7
+	VMULPD  Y4, Y4, Y4
+	VMULPD  Y5, Y5, Y5
+	VMULPD  Y6, Y6, Y6
+	VMULPD  Y7, Y7, Y7
+	VADDPD  Y4, Y0, Y0
+	VADDPD  Y5, Y1, Y1
+	VADDPD  Y6, Y2, Y2
+	VADDPD  Y7, Y3, Y3
+	ADDQ    $16, AX
+	CMPQ    AX, CX
+	JLT     sumsq_loop
+
+	VADDPD       Y1, Y0, Y0
+	VADDPD       Y3, Y2, Y2
+	VADDPD       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD       X1, X0, X0
+	VHADDPD      X0, X0, X0
+	VMOVSD       X0, ret+24(FP)
+	VZEROUPPER
+	RET

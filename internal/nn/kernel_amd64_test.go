@@ -11,9 +11,10 @@ import (
 )
 
 // asmKernels returns the assembly bodies this CPU can run, by name: "avx2",
-// and "avx512" — the body asmBody selects — where matvec, gradX, gradW and
-// gradXRow have their AVX-512 bodies. An AVX-512 host thus still runs the
-// AVX2 bodies (and gradXRow's reference, which an AVX2 host runs).
+// and "avx512" — the body asmBody selects — where matvec, gradX, gradW,
+// gradXRow and matvecRows have their AVX-512 bodies. An AVX-512 host thus
+// still runs the AVX2 bodies (and gradXRow's reference and matvecRows row by
+// row, as an AVX2 host does).
 func asmKernels() map[string]kernelSet {
 	ks, ok := asmBody()
 	if !ok {
@@ -21,7 +22,7 @@ func asmKernels() map[string]kernelSet {
 	}
 	avx2 := ks
 	avx2.matvec, avx2.gradX, avx2.gradW = matvecAVX2, gradXAVX2, gradWAVX2
-	avx2.gradXRow = gradXRowGo
+	avx2.gradXRow, avx2.matvecRows = gradXRowGo, nil
 	bodies := map[string]kernelSet{"avx2": avx2}
 	if _, _, avx512 := cpuFeatures(); avx512 {
 		bodies["avx512"] = ks
@@ -34,7 +35,9 @@ func sameFunc(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.Va
 // TestKernelSelection: matvec, gradX and gradW run their AVX-512 bodies
 // exactly where cpuFeatures reports AVX512F with the ZMM state, and their
 // AVX2 bodies on every other AVX2 CPU; gradXRow runs its AVX-512 body there
-// and the reference elsewhere; Adam keeps its AVX2 body. Where the
+// and the reference elsewhere, matvecRows its AVX-512 body there and matvec
+// row by row elsewhere; Adam and the clip's sum of squares keep their AVX2
+// bodies. Where the
 // kernel lists the CPU's flags (Linux /proc/cpuinfo), cpuFeatures must agree
 // with them, so a broken feature check fails here rather than quietly
 // selecting the narrower body. Run with -v, the log names the bodies in use.
@@ -75,7 +78,9 @@ func TestKernelSelection(t *testing.T) {
 		{"gradX", kernels.gradX, gradXAVX2, gradXAVX512},
 		{"gradW", kernels.gradW, gradWAVX2, gradWAVX512},
 		{"gradXRow", kernels.gradXRow, gradXRowGo, gradXRowAsm},
+		{"matvecRows", kernels.matvecRows, (func(dst, x, w []float64, rows, in, n int))(nil), matvecRowsAsm},
 		{"adam", kernels.adam, adamAsm, adamAsm},
+		{"sumSquares", kernels.sumSquares, sumSquaresAsm, sumSquaresAsm},
 	} {
 		want := p.onAVX2
 		if avx512 {
@@ -93,7 +98,7 @@ func TestKernelSelection(t *testing.T) {
 	if avx512 {
 		row = "avx512"
 	}
-	t.Logf("kernels: matvec/gradX/gradW=%s gradXRow=%s adam=avx2 activations=%s; parity tests run %d bodies", name, row, act, len(kernelBodies()))
+	t.Logf("kernels: matvec/gradX/gradW=%s gradXRow/matvecRows=%s adam/sumSquares=avx2 activations=%s; parity tests run %d bodies", name, row, act, len(kernelBodies()))
 }
 
 // TestActivationProbe: on a CPU with AVX2 and FMA the init-time probe accepts

@@ -197,9 +197,43 @@ func checkGradXRow(t testing.TB, seed int64, in, n, off int) {
 	}
 }
 
+// checkMatvecRows draws a rows×in batch of depth in and width n — ±0 and
+// denormals among the rows, NaN, ±Inf and 1e300 among the weights — with
+// one weight row all NaN and ±Inf that one row, drawn, skips with a ±0 where
+// the others multiply it, and holds matvecRows under the body in use to the
+// naive product bit for bit; then a part of it, over rows [r0, r1), to those
+// rows of the whole, leaving the others as they were.
+func checkMatvecRows(t testing.TB, seed int64, rows, in, n, off int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	c := drawKernelCase(rng, rows, in, n, off)
+	c.active = nil
+	if in > 0 && rows > 0 {
+		k := rng.Intn(in)
+		for j := 0; j < n; j++ {
+			c.w[k*n+j] = [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[j%3]
+		}
+		for r := 0; r < rows; r++ {
+			c.a[r*in+k] = rng.NormFloat64()
+		}
+		c.a[rng.Intn(rows)*in+k] = [...]float64{0, math.Copysign(0, -1)}[rng.Intn(2)]
+	}
+	want := c.naiveMatMul()
+	got := clone(c.dst)
+	matvecRows(got, c.a, c.w, rows, in, n)
+	assertSameBits(t, fmt.Sprintf("matvecRows %d rows %d×%d", rows, in, n), got, want)
+	r0 := rng.Intn(rows + 1)
+	r1 := r0 + rng.Intn(rows-r0+1)
+	part := clone(c.dst)
+	matvecRows(part[r0*n:], c.a[r0*in:], c.w, r1-r0, in, n)
+	assertSameBits(t, fmt.Sprintf("matvecRows rows [%d, %d) of %d", r0, r1, rows), part[r0*n:r1*n], want[r0*n:r1*n])
+	assertSameBits(t, "matvecRows rows outside the part", append(part[:r0*n:r0*n], part[r1*n:]...), append(c.dst[:r0*n:r0*n], c.dst[r1*n:]...))
+}
+
 // checkKernels runs the matrix kernels on one drawn case under the body in
 // use and holds outputs, weight gradients and input gradients to the naive
-// references, bit for bit. The forward product is matvec once per active row.
+// references, bit for bit. The forward product is matvecRows over each run of
+// active rows.
 func checkKernels(t testing.TB, seed int64, rows, in, n, off int) {
 	t.Helper()
 	checkCase(t, drawKernelCase(rand.New(rand.NewSource(seed)), rows, in, n, off))
@@ -210,7 +244,7 @@ func checkCase(t testing.TB, c kernelCase) {
 	rows, in, n := c.rows, c.in, c.n
 	dst := clone(c.dst)
 	matMulRows(c.a, 0, rows, in, c.w, n, dst, c.active)
-	assertSameBits(t, "matMulRows (matvec) out", dst, c.naiveMatMul())
+	assertSameBits(t, "matMulRows (matvecRows) out", dst, c.naiveMatMul())
 
 	wd, ad := clone(c.wd), clone(c.ad)
 	backMatMulPart(c.a, ad, rows, in, c.w, wd, n, c.dOut, c.active, 0, rows, 0, in)
@@ -235,15 +269,17 @@ func checkCase(t testing.TB, c kernelCase) {
 	checkParts(t, c)
 }
 
-// checkParts holds the pieces a split op runs to the whole: matMulRows over
+// checkParts holds the pieces a split step runs to the whole: matMulRows over
 // two row ranges; backMatMulPart over two parts, upper part first, to the
 // batched backward at any height; and gradW over rows [k0, k1) of the weight
 // gradient — wd[k0·n:], a[k0:], k1−k0 of them — to those rows of the whole
 // product, leaving the others as they were. The cuts are the ends, the
 // middle and a draw from the case, so the sweeps cover every position. It
-// also holds the pieces a deferred weight gradient is made of (Graph): gradW
-// over one row at a time, rows ascending, to gradW over all of them; and
-// gradXRow over the case's first row to the naive chain (checkGradXRow).
+// also holds matvecRows over two row ranges of the case, every row active,
+// to the whole product; the pieces a deferred weight gradient is made of
+// (Graph): gradW over one row at a time, rows ascending, to gradW over all of
+// them; and gradXRow over the case's first row to the naive chain
+// (checkGradXRow).
 func checkParts(t testing.TB, c kernelCase) {
 	t.Helper()
 	rows, in, n := c.rows, c.in, c.n
@@ -262,6 +298,15 @@ func checkParts(t testing.TB, c kernelCase) {
 		backMatMulPart(c.a, ad, rows, in, c.w, wd, n, c.dOut, c.active, 0, rmid, 0, kmid)
 		assertSameBits(t, "backMatMulPart dW in two parts", wd, wantWd)
 		assertSameBits(t, "backMatMulPart dA in two parts", ad, wantAd)
+	}
+
+	all := clone(c.dst)
+	matvecRows(all, c.a, c.w, rows, in, n)
+	for _, rmid := range []int{0, rows / 2, rows, rng.Intn(rows + 1)} {
+		dst := clone(c.dst)
+		matvecRows(dst[rmid*n:], c.a[rmid*in:], c.w, rows-rmid, in, n)
+		matvecRows(dst, c.a, c.w, rmid, in, n)
+		assertSameBits(t, "matvecRows in two parts", dst, all)
 	}
 
 	whole := clone(c.wd)
@@ -338,8 +383,10 @@ var gradXRowDepths = func() []int {
 // and gradW's row runs, batches of 2, 3, 16 and 17 rows under every mask of
 // batchMasks at every depth 0..13 (gradX's k tails) and width of
 // batchWidths — each under each body, and each case also in the parts a
-// split op runs (checkParts), gradW's k ranges among them; then gradXRow at
-// every depth of gradXRowDepths and width of batchWidths.
+// split step runs (checkParts), gradW's k ranges among them; then gradXRow at
+// every depth of gradXRowDepths and width of batchWidths; then matvecRows at
+// every height of matvecRowsHeights, a few depths and every width of
+// batchWidths, with 96 and 192 (checkMatvecRows).
 func TestKernelBitParity(t *testing.T) {
 	for name, ks := range kernelBodies() {
 		t.Run(name, func(t *testing.T) {
@@ -375,9 +422,22 @@ func TestKernelBitParity(t *testing.T) {
 					checkGradXRow(t, seed, in, n, int(seed%4))
 				}
 			}
+			for _, rows := range matvecRowsHeights {
+				for _, in := range []int{0, 1, 2, 5, 13, 32} {
+					for _, n := range append(batchWidths, 96, 192) {
+						seed++
+						checkMatvecRows(t, seed, rows, in, n, int(seed%4))
+					}
+				}
+			}
 		})
 	}
 }
+
+// matvecRowsHeights are the heights of matvecRows' own sweep: each count of
+// rows left after whole blocks of four, with no block, one, two and four, and
+// the 17 of a split batch's upper part.
+var matvecRowsHeights = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 16, 17}
 
 // elementwiseSpecials are the inputs at which math.Exp and math.tanh change
 // branch, or that no body may get wrong: signed zeros, infinities, NaN,
@@ -690,6 +750,30 @@ func BenchmarkMatvec(b *testing.B) {
 	}
 }
 
+// BenchmarkMatvecRows times the forward product of a B=16 batch, every row
+// active (matMulRows, one matvecRows), at the LSTM input and recurrent
+// projections of the Unit parser — k × 4H for k = E = 32, H = 48 and the
+// decoder's E + 2H = 128 — per body, in multiply-adds per ns; BenchmarkMatvec
+// is the same product one row at a time:
+//
+//	go test ./internal/nn -run '^$' -bench 'Matvec'
+func BenchmarkMatvecRows(b *testing.B) {
+	const rows = 16
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range []struct{ k, n int }{{32, 192}, {48, 192}, {128, 192}} {
+		x, w, dst := drawGates(rng, rows*s.k), drawGates(rng, s.k*s.n), make([]float64, rows*s.n)
+		for name, ks := range kernelBodies() {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", rows, s.k, s.n, name), func(b *testing.B) {
+				useKernels(b, ks)
+				for i := 0; i < b.N; i++ {
+					matMulRows(x, 0, rows, s.k, w, s.n, dst, nil)
+				}
+				b.ReportMetric(rows*float64(s.k*s.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
+			})
+		}
+	}
+}
+
 // BenchmarkBackMatMul times the backward of a B=16 product at the training
 // shapes of BenchmarkMatvec — input gradient and weight gradient, every row
 // active — per body, in multiply-adds per ns (two per weight per row):
@@ -745,7 +829,8 @@ func drawGates(rng *rand.Rand, n int) []float64 {
 }
 
 // TestKernelShapeChecks: a primitive refuses operands shorter than its first
-// one, matvec fewer than len(x)·len(dst) weights, gradX fewer than
+// one, matvec fewer than len(x)·len(dst) weights, matvecRows operands short
+// of its rows × in × n shape, gradX fewer than
 // len(ad0)·len(d0) and gradW any operand short of its rows × kn-of-in × n
 // shape, or more weight-gradient rows than a has columns — before any body
 // could index past them — and accepts an empty one, and an a that ends at
@@ -754,18 +839,21 @@ func TestKernelShapeChecks(t *testing.T) {
 	long, short := make([]float64, 8), make([]float64, 7)
 	w := func(n int) []float64 { return make([]float64, n) }
 	for name, f := range map[string]func(){
-		"matvec":    func() { matvec(long, short, w(55)) },
-		"gradX ad1": func() { gradX(long, short, long, long, w(64)) },
-		"gradX d1":  func() { gradX(long, long, long, short, w(64)) },
-		"gradX w":   func() { gradX(long, nil, long, long, w(63)) },
-		"gradW wd":  func() { gradW(w(55), long, long, 1, 8, 8, 7) },
-		"gradW a":   func() { gradW(w(56), short, w(14), 2, 4, 4, 7) },
-		"gradW d":   func() { gradW(w(56), long, w(13), 2, 4, 4, 7) },
-		"gradW kn":  func() { gradW(w(63), long, w(14), 2, 5, 4, 7) },
-		"sigmoid":   func() { sigmoid(long, short) },
-		"tanh":      func() { tanh(long, short) },
-		"expShift":  func() { expShift(long, short, 0) },
-		"adam":      func() { adamUpdate(long, long, short, long, adamCoef{}) },
+		"matvec":         func() { matvec(long, short, w(55)) },
+		"gradX ad1":      func() { gradX(long, short, long, long, w(64)) },
+		"gradX d1":       func() { gradX(long, long, long, short, w(64)) },
+		"gradX w":        func() { gradX(long, nil, long, long, w(63)) },
+		"matvecRows dst": func() { matvecRows(w(13), w(8), w(28), 2, 4, 7) },
+		"matvecRows x":   func() { matvecRows(w(14), short, w(28), 2, 4, 7) },
+		"matvecRows w":   func() { matvecRows(w(14), w(8), w(27), 2, 4, 7) },
+		"gradW wd":       func() { gradW(w(55), long, long, 1, 8, 8, 7) },
+		"gradW a":        func() { gradW(w(56), short, w(14), 2, 4, 4, 7) },
+		"gradW d":        func() { gradW(w(56), long, w(13), 2, 4, 4, 7) },
+		"gradW kn":       func() { gradW(w(63), long, w(14), 2, 5, 4, 7) },
+		"sigmoid":        func() { sigmoid(long, short) },
+		"tanh":           func() { tanh(long, short) },
+		"expShift":       func() { expShift(long, short, 0) },
+		"adam":           func() { adamUpdate(long, long, short, long, adamCoef{}) },
 	} {
 		func() {
 			defer func() {
@@ -780,6 +868,8 @@ func TestKernelShapeChecks(t *testing.T) {
 		useKernels(t, ks)
 		matvec(nil, long, nil)
 		matvec(short, nil, nil)
+		matvecRows(nil, nil, w(28), 0, 4, 7)
+		matvecRows(long, nil, nil, 2, 0, 4)
 		gradX(nil, nil, long, long, nil)
 		wd := w(28)
 		gradW(wd, nil, nil, 0, 4, 4, 7)
@@ -805,7 +895,8 @@ func TestKernelShapeChecks(t *testing.T) {
 // strip/tail split of matvec and gradW and every lane tail of gradX; 1..17
 // rows, so gradX's pairs and lone row and gradW's runs under the drawn mask;
 // depths 0..13, so gradX's k tails and gradW's k ranges, and 0..255 for
-// gradXRow's blocks and k tail — alignment and data seed of
+// gradXRow's blocks and k tail and for matvecRows (checkMatvecRows, its
+// blocks of four rows and their remainder) — alignment and data seed of
 // TestKernelBitParity's and TestElementwiseBitParity's checks, and a few Adam
 // steps, from step 0 or from bc1One, under each body:
 //
@@ -821,6 +912,7 @@ func FuzzKernels(f *testing.F) {
 			useKernels(t, ks)
 			checkKernels(t, seed, 1+int(rows%17), int(in%14), int(n), int(off%4))
 			checkGradXRow(t, seed, int(in), int(n), int(off%4))
+			checkMatvecRows(t, seed, 1+int(rows%17), int(in), int(n), int(off%4))
 			checkElementwise(t, seed, int(n), int(off%4))
 			checkAdam(t, seed, 3, float64(rows%3), int(off%2)*bc1One)
 		}

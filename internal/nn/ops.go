@@ -15,75 +15,66 @@ func (g *Graph) MatMul(a, b *Tensor) *Tensor {
 	if a.Cols != b.Rows {
 		panic("nn: matmul shape mismatch")
 	}
-	out := g.newRows(a.Rows, b.Cols)
-	g.matMul(a.W, a.Rows, a.Cols, b.W, b.Cols, out)
-	g.push(tapeOp{kind: opMatMul, a: a, b: b, out: out})
+	out := g.newOut(a.Rows, b.Cols)
+	g.exec(&tapeOp{kind: opMatMul, a: a, b: b, out: out})
 	return out
 }
 
 // Add returns a+b (same shape).
 func (g *Graph) Add(a, b *Tensor) *Tensor {
 	sameShape(a, b)
-	out := g.NewTensor(a.Rows, a.Cols)
-	for i := range out.W {
-		out.W[i] = a.W[i] + b.W[i]
-	}
-	g.push(tapeOp{kind: opAdd, a: a, b: b, out: out})
+	out := g.newOut(a.Rows, a.Cols)
+	g.exec(&tapeOp{kind: opAdd, a: a, b: b, out: out})
 	return out
 }
 
 // Mul returns the elementwise product.
 func (g *Graph) Mul(a, b *Tensor) *Tensor {
 	sameShape(a, b)
-	out := g.NewTensor(a.Rows, a.Cols)
-	for i := range out.W {
-		out.W[i] = a.W[i] * b.W[i]
-	}
-	g.push(tapeOp{kind: opMul, a: a, b: b, out: out})
+	out := g.newOut(a.Rows, a.Cols)
+	g.exec(&tapeOp{kind: opMul, a: a, b: b, out: out})
 	return out
 }
 
 // Tanh applies tanh elementwise.
 func (g *Graph) Tanh(a *Tensor) *Tensor {
-	out := g.NewTensor(a.Rows, a.Cols)
-	tanh(out.W, a.W)
-	g.push(tapeOp{kind: opTanh, a: a, out: out})
+	out := g.newOut(a.Rows, a.Cols)
+	g.exec(&tapeOp{kind: opTanh, a: a, out: out})
 	return out
 }
 
 // Sigmoid applies the logistic function elementwise.
 func (g *Graph) Sigmoid(a *Tensor) *Tensor {
-	out := g.NewTensor(a.Rows, a.Cols)
-	sigmoid(out.W, a.W)
-	g.push(tapeOp{kind: opSigmoid, a: a, out: out})
+	out := g.newOut(a.Rows, a.Cols)
+	g.exec(&tapeOp{kind: opSigmoid, a: a, out: out})
 	return out
 }
 
 // Dropout zeroes elements with probability rate (training only), scaling
-// the survivors by 1/(1-rate).
+// the survivors by 1/(1-rate). The mask is drawn when Dropout is called, one
+// draw per element in order, also on a split step, whose Forward applies it.
 func (g *Graph) Dropout(a *Tensor, rate float64, rng *rand.Rand) *Tensor {
 	if rate <= 0 || !g.NeedsGrad {
 		return a
 	}
-	out := g.NewTensor(a.Rows, a.Cols)
-	maskT := g.NewTensor(a.Rows, a.Cols)
+	out := g.newOut(a.Rows, a.Cols)
+	maskT := g.newOut(a.Rows, a.Cols)
 	mask := maskT.W
 	scale := 1 / (1 - rate)
-	for i := range a.W {
+	for i := range mask {
+		mask[i] = 0
 		if rng.Float64() >= rate {
 			mask[i] = scale
 		}
-		out.W[i] = a.W[i] * mask[i]
 	}
-	g.push(tapeOp{kind: opDropout, a: a, aux: maskT, out: out})
+	g.exec(&tapeOp{kind: opDropout, a: a, aux: maskT, out: out})
 	return out
 }
 
 // SoftmaxRow computes softmax over a 1×n tensor.
 func (g *Graph) SoftmaxRow(a *Tensor) *Tensor {
-	out := g.NewTensor(1, a.Cols)
-	softmaxInto(a.W, out.W)
-	g.push(tapeOp{kind: opSoftmaxRow, a: a, out: out})
+	out := g.newOut(1, a.Cols)
+	g.exec(&tapeOp{kind: opSoftmaxRow, a: a, out: out})
 	return out
 }
 
@@ -119,9 +110,8 @@ func (g *Graph) AttendDot(q, H *Tensor) *Tensor {
 	if q.Cols != H.Cols || q.Rows != 1 {
 		panic("nn: AttendDot shape mismatch")
 	}
-	out := g.NewTensor(1, H.Rows)
-	attendDotInto(q.W, H.W, H.Rows, out.W)
-	g.push(tapeOp{kind: opAttendDot, a: q, b: H, out: out})
+	out := g.newOut(1, H.Rows)
+	g.exec(&tapeOp{kind: opAttendDot, a: q, b: H, out: out})
 	return out
 }
 
@@ -131,23 +121,83 @@ func (g *Graph) WeightedSumRows(alpha, H *Tensor) *Tensor {
 	if alpha.Cols != H.Rows {
 		panic("nn: WeightedSumRows shape mismatch")
 	}
-	out := g.NewTensor(1, H.Cols)
-	matvec(out.W, alpha.W, H.W)
-	g.push(tapeOp{kind: opWeightedSumRows, a: alpha, b: H, out: out})
+	out := g.newOut(1, H.Cols)
+	g.exec(&tapeOp{kind: opWeightedSumRows, a: alpha, b: H, out: out})
 	return out
 }
 
 // sliceRow views columns [from, to) of a row vector as a new tensor sharing
 // gradients.
 func (g *Graph) sliceRow(a *Tensor, from, to int) *Tensor {
-	out := g.NewTensor(1, to-from)
-	copy(out.W, a.W[from:to])
-	g.push(tapeOp{kind: opSliceRow, a: a, idx: from, out: out})
+	out := g.newOut(1, to-from)
+	g.exec(&tapeOp{kind: opSliceRow, a: a, idx: from, out: out})
 	return out
 }
 
 func sameShape(a, b *Tensor) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic("nn: shape mismatch")
+	}
+}
+
+// forwardElementwise is the forward of the elementwise ops over rows
+// [lo, hi).
+func forwardElementwise(o *tapeOp, lo, hi int) {
+	c := o.out.Cols
+	out, a := o.out.W[lo*c:hi*c], o.a.W[lo*c:hi*c]
+	switch o.kind {
+	case opAdd:
+		b := o.b.W[lo*c : hi*c]
+		for i := range out {
+			out[i] = a[i] + b[i]
+		}
+	case opMul:
+		b := o.b.W[lo*c : hi*c]
+		for i := range out {
+			out[i] = a[i] * b[i]
+		}
+	case opTanh:
+		tanh(out, a)
+	case opSigmoid:
+		sigmoid(out, a)
+	case opDropout:
+		mask := o.aux.W[lo*c : hi*c]
+		for i := range out {
+			out[i] = a[i] * mask[i]
+		}
+	}
+}
+
+// backElementwise is the backward of the elementwise ops over rows [lo, hi).
+func backElementwise(o *tapeOp, lo, hi int) {
+	c := o.out.Cols
+	od, ow := o.out.DW[lo*c:hi*c], o.out.W[lo*c:hi*c]
+	ad := o.a.DW[lo*c : hi*c]
+	switch o.kind {
+	case opAdd:
+		bd := o.b.DW[lo*c : hi*c]
+		for i, d := range od {
+			ad[i] += d
+			bd[i] += d
+		}
+	case opMul:
+		aw, bw, bd := o.a.W[lo*c:hi*c], o.b.W[lo*c:hi*c], o.b.DW[lo*c:hi*c]
+		for i, d := range od {
+			ad[i] += d * bw[i]
+			bd[i] += d * aw[i]
+		}
+	case opTanh:
+		for i, d := range od {
+			ad[i] += d * (1 - ow[i]*ow[i])
+		}
+	case opSigmoid:
+		for i, d := range od {
+			ad[i] += d * ow[i] * (1 - ow[i])
+		}
+	case opDropout:
+		mask := o.aux.W[lo*c : hi*c]
+		for i, d := range od {
+			ad[i] += d * mask[i]
+		}
 	}
 }

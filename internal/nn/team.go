@@ -7,44 +7,39 @@ import (
 	"time"
 )
 
-// This file is the package's one fork–join: a gradient-recording graph hands
-// the upper part of a row-split op to a helper goroutine and runs the lower
-// part itself. The split points are in kernel.go's header; each part writes
-// rows of tensors no other part touches and reads only what neither writes,
-// so every output element sees the operations it sees on one goroutine, in
+// This file is the package's one fork–join: a split step (Graph.ResetStep)
+// hands the upper part of each of its phases — the forward, the backward,
+// the reductions, the update — to a helper goroutine and runs the lower part
+// itself. The splits are in kernel.go's header; each part writes rows of
+// tensors, or parameters, no other part touches and reads only what neither
+// writes, so every element sees the operations it sees on one goroutine, in
 // the same order, and the bits do not depend on who ran which part.
 //
 // The team is process-wide: GOMAXPROCS−1 helpers, started the first time a
-// graph splits an op with that many processors, one slot each. Hand-off is
-// the slot's state word; nothing is allocated or spawned per op:
+// graph splits a phase with that many processors, one slot each. Hand-off is
+// the slot's state word; nothing is allocated or spawned per phase:
 //
 //	free ──post──▶ owned ──▶ posted ──helper──▶ running ──▶ done ──join──▶ free
 //	                            └──────────claim back──▶ owned ──▶ free
 //
-// A caller that finds no free slot runs the whole op itself, so two trainers
-// competing for one helper degrade to the serial path. A caller that finishes
-// its part before a helper has claimed the rest claims it back and runs it,
-// so it never waits for a helper the scheduler has not run. Between jobs a
-// helper spins for helperSpin, yielding, then parks until the next post.
+// A caller that finds no free slot runs the whole phase itself, so two
+// trainers competing for one helper degrade to the serial path. A caller
+// that finishes its part before a helper has claimed the rest claims it back
+// and runs it, so it never waits for a helper the scheduler has not run.
+// Between jobs a helper spins for helperSpin, yielding, then parks until the
+// next post.
 
-// A job is one split op: run(j, from, to) does the op's share between cut
-// points from and to — (0, 1) is the lower part, (1, 2) the upper, (0, 2) the
-// whole op. A graph owns one and refills it for every op it splits.
+// A job is one split phase of a step: run(j, from, to) does its share
+// between cut points from and to — (0, 1) is the lower part, (1, 2) the
+// upper, (0, 2) the whole. A graph owns one and refills it for every phase
+// it splits.
 type job struct {
 	run  func(j *job, from, to int)
-	rcut [3]int // rows: the lower part is [rcut[0], rcut[1]), the upper [rcut[1], rcut[2])
-	kcut [3]int // the backward product's weight-gradient rows, cut the same way
+	rcut [3]int // the lower part is [rcut[0], rcut[1]), the upper [rcut[1], rcut[2])
 
-	o   *tapeOp // the op's record on the tape (LSTM step, attention, softmax)
-	pre *Tensor // the LSTM step's gate pre-activations
-
-	// A product out = a·w of a batch of rows×in with an in×n matrix, and
-	// its gradients.
-	out          *Tensor
-	a, w         []float64
-	ad, wd, dOut []float64
-	in, n        int
-	active       []bool
+	g     *Graph
+	first int         // Forward: the first op to run
+	up    *stepUpdate // the reductions' and update's Adam step
 }
 
 const (
@@ -56,10 +51,11 @@ const (
 )
 
 // helperSpin is how long a helper keeps looking for work after a job before
-// it parks: longer than the gap between two ops of a training step, shorter
-// than anything a person would notice a spare core spinning for. A spinning
-// helper, and a caller waiting for one, yields its processor every spinYield
-// looks, so whatever else is runnable there still runs.
+// it parks: longer than the gap between two phases of a training step,
+// recording the next step's ops included, shorter than anything a person
+// would notice a spare core spinning for. A spinning helper, and a caller
+// waiting for one, yields its processor every spinYield looks, so whatever
+// else is runnable there still runs.
 const (
 	helperSpin = 200 * time.Microsecond
 	spinYield  = 4096
@@ -88,16 +84,12 @@ var helpers team
 // claims its upper part back (a test hook).
 var forceClaimBack atomic.Bool
 
-// splits reports whether an op over rows rows is split: on a graph that
-// records gradients, over two rows or more, with a second processor.
-func (g *Graph) splits(rows int) bool { return g.NeedsGrad && rows >= 2 && g.procs >= 2 }
-
 // fork runs j: the upper part on a helper where one is free and takes it in
-// time, the lower part on the calling goroutine; or the whole op here when
-// either part is empty, or when there is no free helper.
+// time, the lower part on the calling goroutine; or the whole job here when
+// either part is empty, when there is no second processor, or when there is
+// no free helper.
 func (g *Graph) fork(j *job) {
-	if j.rcut[1] == j.rcut[0] && j.kcut[1] == j.kcut[0] ||
-		j.rcut[2] == j.rcut[1] && j.kcut[2] == j.kcut[1] {
+	if g.procs < 2 || j.rcut[1] == j.rcut[0] || j.rcut[2] == j.rcut[1] {
 		j.run(j, 0, 2)
 		return
 	}
@@ -111,7 +103,7 @@ func (g *Graph) fork(j *job) {
 		if !lowerDone {
 			// The lower part panicked: the slot must still be freed, once
 			// no helper can be running the upper part, or every later split
-			// op would find one helper fewer.
+			// phase would find one helper fewer.
 			if !sl.claimBack() {
 				sl.join()
 			}

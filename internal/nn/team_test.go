@@ -53,11 +53,11 @@ func newEncDec(seed int64) *encDec {
 }
 
 // step trains on one batch of B pairs drawn from data: sources of 1..7 tokens
-// and targets of 1..6, each padded to the batch's longest; it returns the
-// summed per-token loss.
+// and targets of 1..6, each padded to the batch's longest, as one split step;
+// it returns the summed per-token loss.
 func (m *encDec) step(data *rand.Rand, B int) float64 {
 	g := m.g
-	g.Reset()
+	g.ResetStep(B)
 	const H = 48
 	lens, tlens := make([]int, B), make([]int, B)
 	S, T := 0, 0
@@ -82,7 +82,7 @@ func (m *encDec) step(data *rand.Rand, B int) float64 {
 	}
 	mem := g.PackMemoryBatch(rows, lens)
 	ctx := g.NewTensor(B, H)
-	var loss float64
+	nlls := make([][]float64, T)
 	prev := make([]int, B)
 	for t := 0; t < T; t++ {
 		active := make([]bool, B)
@@ -107,17 +107,20 @@ func (m *encDec) step(data *rand.Rand, B int) float64 {
 		ht = g.Dropout(ht, 0.1, m.rng)
 		pv := g.SoftmaxRows(g.BatchedAffine(ht, m.out.W, m.out.B))
 		gate := g.Sigmoid(g.BatchedAffine(ht, m.gate.W, m.gate.B))
-		nll := make([]float64, B)
-		g.NLLPointerMixBatch(pv, alpha, gate, masks, nil, nil, nil, idx, scale, nll)
-		for _, v := range nll {
-			loss += v
-		}
+		nlls[t] = make([]float64, B)
+		g.NLLPointerMixBatch(pv, alpha, gate, masks, nil, nil, nil, idx, scale, nlls[t])
 		for b := range prev {
 			prev[b] = max(idx[b], 0)
 		}
 	}
-	g.Backward()
-	m.opt.Step(m.params)
+	g.Forward()
+	var loss float64
+	for _, nll := range nlls {
+		for _, v := range nll {
+			loss += v
+		}
+	}
+	g.BackwardStep(m.opt, m.params)
 	return loss
 }
 
@@ -172,9 +175,9 @@ func TestEncoderDecoderDigest(t *testing.T) {
 	}
 }
 
-// TestForkFreesTheSlotOfAPanickingLowerPart: a split op whose lower part
+// TestForkFreesTheSlotOfAPanickingLowerPart: a split phase whose lower part
 // panics — recovered by the caller, as the fleet recovers a failed retrain —
-// leaves every helper slot free, so the next split op still reaches a helper,
+// leaves every helper slot free, so the next split phase still reaches a helper,
 // even after as many such panics as there are slots.
 func TestForkFreesTheSlotOfAPanickingLowerPart(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -209,9 +212,9 @@ func TestForkFreesTheSlotOfAPanickingLowerPart(t *testing.T) {
 	posted := helpers.posted.Load()
 	g.fork(next)
 	if helpers.posted.Load() == posted {
-		t.Error("the next split op found no free helper")
+		t.Error("the next split phase found no free helper")
 	}
 	if upper.Load() != 1 {
-		t.Errorf("the next split op's upper part ran %d times", upper.Load())
+		t.Errorf("the next split phase's upper part ran %d times", upper.Load())
 	}
 }
