@@ -239,15 +239,18 @@ func benchBatchPairs() []model.Pair {
 // BenchmarkTrainStepBatched measures per-example training throughput of the
 // padded-minibatch path at B=1 vs B=16: each iteration is one full
 // forward/backward/Adam step over a minibatch, and the ns/example metric
-// divides by the batch width. The B=16 leg amortizes weight streaming
-// (matvecRows loads each weight strip once per block of four rows; gradX
-// reads each weight once per pair of rows; gradW loads and stores each
-// weight-gradient element once per run of active rows, not once per row),
-// the Adam update and per-op tape overhead over 16 examples; the ratio of
-// the two legs' ns/example is the minibatching speedup. The B=1 leg runs on
-// the calling goroutine; the B=16 leg is a split step, whose phases run in
-// two parts with a helper core where GOMAXPROCS allows, so -cpu 1,2 gives
-// its one- and two-core times.
+// divides by the batch width. Both legs sum their parameter gradients the
+// same way, after the row-local backward: gradW loads and stores each
+// weight-gradient element once per run of rows — a B=16 product's active
+// rows, or a B=1 step's consecutive one-row products through one weight —
+// not once per row. The B=16 leg also amortizes weight streaming (matvecRows
+// loads each weight strip once per block of four rows; gradX reads each
+// weight once per pair of rows), the Adam update and per-op tape overhead
+// over 16 examples; the ratio of the two legs' ns/example is the
+// minibatching speedup. The B=1 leg runs every phase on the calling
+// goroutine; the B=16 leg is a split step, whose phases run in two parts with
+// a helper core where GOMAXPROCS allows, so -cpu 1,2 gives its one- and
+// two-core times.
 func BenchmarkTrainStepBatched(b *testing.B) {
 	pairs := benchBatchPairs()
 	// B=1 steps one pair at a time (Step, a batch of one); B=16 pushes

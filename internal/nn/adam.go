@@ -8,7 +8,8 @@ import (
 var errMomentShape = errors.New("nn: optimizer state does not match parameter shapes")
 
 // Adam implements the Adam optimizer (Kingma & Ba, the optimizer used in
-// Section 4.3) with global-norm gradient clipping.
+// Section 4.3) with global-norm gradient clipping. Graph.BackwardStep runs
+// its steps.
 type Adam struct {
 	LR      float64
 	Beta1   float64
@@ -28,7 +29,7 @@ func NewAdam(lr float64) *Adam {
 
 // State exports the optimizer state for checkpointing: the step count and
 // the first/second moment vectors in params order. Parameters the optimizer
-// has not yet seen export zero moments, matching what Step would lazily
+// has not yet seen export zero moments, matching what a step would lazily
 // allocate.
 func (a *Adam) State(params []*Tensor) (t int, m, v [][]float64) {
 	m = make([][]float64, len(params))
@@ -63,24 +64,6 @@ func (a *Adam) Restore(params []*Tensor, t int, m, v [][]float64) error {
 	a.t = t
 	a.moments = moments
 	return nil
-}
-
-// Step applies one update to the parameters and clears their gradients.
-func (a *Adam) Step(params []*Tensor) {
-	c := a.begin()
-	if a.Clip > 0 {
-		var sum float64
-		adds := 1
-		for _, p := range params {
-			sum += sumSquaresLanes(p.DW)
-			adds += len(p.DW) + sumSquaresLaneAdds
-		}
-		c.scale = a.clipScale(params, sum, adds)
-	}
-	for _, p := range params {
-		mo := a.momentOf(p)
-		adamUpdate(p.W, p.DW, mo.m, mo.v, c)
-	}
 }
 
 // begin counts a step and returns its coefficients, with a clip scale of 1.

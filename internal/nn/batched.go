@@ -52,17 +52,17 @@ func forwardAffine(o *tapeOp, lo, hi int) {
 	}
 }
 
-// backProductRows accumulates the input gradient of out = a·w over rows
+// backProductRows accumulates the input gradient ad of out = a·w over rows
 // [lo, hi): a one-row product's is gradXRow, any other's gradX by row pairs
-// (backMatMulPart); rows where active is false (nil = all active) get none.
-func backProductRows(a, ad []float64, rows, in int, w []float64, n int, dOut []float64, active []bool, lo, hi int) {
+// (gradXRows); rows where active is false (nil = all active) get none.
+func backProductRows(ad []float64, rows, in int, w []float64, n int, dOut []float64, active []bool, lo, hi int) {
 	if rows == 1 {
 		if active == nil || active[0] {
 			gradXRow(ad[:in], dOut[:n], w)
 		}
 		return
 	}
-	backMatMulPart(a, ad, rows, in, w, nil, n, dOut, active, lo, hi, 0, 0)
+	gradXRows(ad, in, w, n, dOut, active, lo, hi)
 }
 
 // countActive is the number of rows of a rows-long mask that are active (nil
@@ -222,8 +222,8 @@ func backLSTMRows(o *tapeOp, lo, hi int) {
 	B, n := x.Rows, 4*cell.Hidden
 	dG := o.aux.DW
 	lstmBatchGateGrads(o, lo, hi)
-	backProductRows(h.W, h.DW, B, h.Cols, cell.Wh.W, n, dG, o.mask, lo, hi)
-	backProductRows(x.W, x.DW, B, x.Cols, cell.Wx.W, n, dG, o.mask, lo, hi)
+	backProductRows(h.DW, B, h.Cols, cell.Wh.W, n, dG, o.mask, lo, hi)
+	backProductRows(x.DW, B, x.Cols, cell.Wx.W, n, dG, o.mask, lo, hi)
 }
 
 // AttendSoftmaxContextBatch is the batched attention kernel: it fuses

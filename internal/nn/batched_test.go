@@ -533,13 +533,15 @@ func TestBatchedKernelsArenaSteadyState(t *testing.T) {
 }
 
 // TestDeferredWeightGradientKeepsOrder: one weight used by one-row products,
-// by a two-row product between them, and through a row-prefix view gets, once
-// Backward returns, the weight and input gradients of running every product's
-// backward in place, tape order reversed, bit for bit — the deferred rows run
-// before the two-row product adds into the same gradient, and a view's rows
-// before rows of the whole weight.
+// by a two-row product between them and through a row-prefix view, with a
+// lookup into an embedding table and the products' biases — other gradients
+// — recorded between its one-row products, gets, once Backward returns, the
+// weight, bias, table and input gradients of running every op's backward in
+// place, tape order reversed, bit for bit: a gathered run of one-row products
+// goes on across the other gradients' contributions, and ends at the two-row
+// product and at the view.
 func TestDeferredWeightGradientKeepsOrder(t *testing.T) {
-	const in, n, p = 11, 9, 5
+	const in, n, p, V = 11, 9, 5, 6
 	rng := rand.New(rand.NewSource(3))
 	fill := func(s []float64) {
 		for i := range s {
@@ -550,33 +552,73 @@ func TestDeferredWeightGradientKeepsOrder(t *testing.T) {
 	fill(lin.W.DW)
 	lin.W.DW[7] = math.Copysign(0, -1)
 	view := lin.W.RowPrefix(p)
-	wantDW := clone(lin.W.DW)
-	xs := []*Tensor{NewRandom(1, in, rng), NewRandom(2, in, rng), NewRandom(1, p, rng), NewRandom(1, in, rng)}
-	weights := []*Tensor{lin.W, lin.W, view, lin.W}
-	wantXDW := make([][]float64, len(xs))
+	b1, b2 := withGrad(lin.B, rng), withGrad(NewRandom(1, n, rng), rng)
+	emb := withGrad(NewRandom(V, n, rng), rng)
+	wantDW, wantB1, wantB2, wantEmb := clone(lin.W.DW), clone(b1.DW), clone(b2.DW), clone(emb.DW)
+	// A use is a product x·w + b, or with no x a lookup of ids.
+	type use struct {
+		x, w, b *Tensor
+		ids     []int
+	}
+	uses := []use{
+		{x: NewRandom(1, in, rng), w: lin.W, b: b1},
+		{ids: []int{2}},
+		{x: NewRandom(1, in, rng), w: lin.W, b: b1},
+		{x: NewRandom(1, p, rng), w: view, b: b2},
+		{x: NewRandom(2, in, rng), w: lin.W, b: b2},
+		{x: NewRandom(1, in, rng), w: lin.W, b: b1},
+		{ids: []int{4}},
+		{x: NewRandom(1, in, rng), w: lin.W, b: b2},
+		{x: NewRandom(1, in, rng), w: lin.W, b: b1},
+	}
 
 	g := NewGraph(true)
-	outs := make([]*Tensor, len(xs))
-	for i, x := range xs {
-		outs[i] = g.BatchedAffine(x, weights[i], NewTensor(1, n))
+	outs := make([]*Tensor, len(uses))
+	for i, u := range uses {
+		if u.x == nil {
+			outs[i] = g.LookupRows(emb, u.ids)
+		} else {
+			outs[i] = g.BatchedAffine(u.x, u.w, u.b)
+		}
 		fill(outs[i].DW)
 	}
-	for i := len(xs) - 1; i >= 0; i-- {
-		x, w, d := xs[i], weights[i], outs[i].DW
-		xd := clone(x.DW)
+	wantXDW := make([][]float64, len(uses))
+	for i := len(uses) - 1; i >= 0; i-- {
+		u, d := uses[i], outs[i].DW
+		if u.x == nil {
+			for r, id := range u.ids {
+				for j := 0; j < n; j++ {
+					wantEmb[id*n+j] += d[r*n+j]
+				}
+			}
+			continue
+		}
+		wantB := wantB1
+		if u.b == b2 {
+			wantB = wantB2
+		}
+		for r := 0; r < u.x.Rows; r++ {
+			for j := range wantB {
+				wantB[j] += d[r*n+j]
+			}
+		}
+		x, wd, xd := u.x, wantDW[:len(u.w.W)], clone(u.x.DW)
 		if x.Rows == 1 {
-			backRowMatMul(x.W, xd, w.W, wantDW[:len(w.W)], d)
+			backRowMatMul(x.W, xd, u.w.W, wd, d)
 		} else {
-			backMatMulPart(x.W, xd, x.Rows, x.Cols, w.W, wantDW[:len(w.W)], n, d, nil, 0, x.Rows, 0, x.Cols)
+			gradWRuns(wd, x.W, x.Rows, x.Cols, n, d, nil)
+			gradXRows(xd, x.Cols, u.w.W, n, d, nil, 0, x.Rows)
 		}
 		wantXDW[i] = xd
 	}
 	g.Backward()
 	assertSameBits(t, "weight gradient", lin.W.DW, wantDW)
-	for i, x := range xs {
-		assertSameBits(t, "input gradient", x.DW, wantXDW[i])
-	}
-	if len(g.pending) != 0 {
-		t.Errorf("%d weight gradients still pending after Backward", len(g.pending))
+	assertSameBits(t, "bias gradient", b1.DW, wantB1)
+	assertSameBits(t, "other bias gradient", b2.DW, wantB2)
+	assertSameBits(t, "table gradient", emb.DW, wantEmb)
+	for i, u := range uses {
+		if u.x != nil {
+			assertSameBits(t, "input gradient", u.x.DW, wantXDW[i])
+		}
 	}
 }

@@ -23,10 +23,9 @@ func serialClipScale(params []*Tensor, clip float64) float64 {
 	return 1
 }
 
-// lanesClipScale is the clip scale the way Adam.Step and a split step's
-// BackwardStep reach it: the lane sums of squares per parameter, their sum,
-// and clipScale, which runs the serial chain only when withinClip cannot
-// decide.
+// lanesClipScale is the clip scale the way BackwardStep reaches it: the lane
+// sums of squares per parameter, their sum, and clipScale, which runs the
+// serial chain only when withinClip cannot decide.
 func lanesClipScale(a *Adam, params []*Tensor) (scale float64, proved bool) {
 	var sum float64
 	adds := 1

@@ -75,36 +75,28 @@ func (o *tapeOp) rows() int {
 // An op runs when it is called, except on a split step (ResetStep over two
 // rows or more): there every op is recorded, and Forward runs the whole
 // forward at once, split at one row cut — the rows below it on the calling
-// goroutine, the rest on a helper core (team.go) — and Backward runs the
-// whole backward at the same cut. Every op of a split step is row-local: a
-// row's outputs and input gradients depend only on that row. What crosses
-// rows — the gradients of the weights, biases and embedding tables, the
-// parameters — is reduced at the end of Backward, each parameter's
-// contributions in record order on one core, the parameters shared out
-// between the cores; BackwardStep then has each core run Adam on the
-// parameters it reduced.
+// goroutine, the rest on a helper core (team.go). Every op is row-local: a
+// row's outputs and input gradients depend only on that row.
 //
-// The weight gradient of a one-row product (BatchedAffine or an LSTM step
-// over one row) is deferred too: its backward records the row a and its
-// output gradient, and Backward runs, before it returns, one gradW per weight
-// over all the rows recorded for it, in record order. Each weight-gradient
-// element sees the adds it would have seen product by product, in the same
-// order, because gradW sums rows ascending and never skips; but it sees them
-// all at once, so the whole gradient is read and written once per step rather
-// than once per row. A weight's pending rows run first whenever another
-// product backward (over two rows or more, or an unfused MatMul or
-// WeightedSumRows) adds into the same gradient, which keeps that order when
-// one weight is used both ways. So no op may read a parameter's gradient
-// during Backward: it is a leaf whose gradient is complete once Backward
-// returns. Views of one weight (Tensor.RowPrefix) share its first element
-// and are told apart by shape.
+// Backward has two phases. The first runs every op's row-local backward, the
+// tape in reverse: on a split step at the row cut, elsewhere on the caller.
+// The second sums what crosses rows — the gradients of the weights, biases
+// and embedding tables, the parameters — each parameter's contributions in
+// the order the first phase met their ops, on one core (reduce.go); on a
+// split step the parameters are shared out between the two cores, elsewhere
+// all run on the caller. BackwardStep then runs Adam on each parameter on
+// the core that reduced it. As its sums run last, a parameter must be a leaf:
+// no op reads its gradient during Backward, and it is complete once Backward
+// returns.
+// Views of one weight (Tensor.RowPrefix) share its first element and are
+// told apart by shape.
 //
 //genielint:arena-source
 type Graph struct {
 	NeedsGrad bool
 	arena     *Arena
 	tape      []tapeOp
-	j         job // the split job being run (team.go)
+	j         job // the phase being run (team.go)
 	procs     int // with NeedsGrad: GOMAXPROCS when the graph was made or last Reset
 
 	// A split step: its batch rows (0: not a split step), the ops whose
@@ -113,28 +105,14 @@ type Graph struct {
 	ran  int
 	cut  int
 
-	// pending holds the deferred one-row weight gradients of this Backward,
-	// one entry per weight; entries past its length keep their buffers for
-	// reuse.
-	pending []pendingGradW
-
-	// A split step's parameter gradients (reduce.go), one entry per
+	// The parameter gradients of this Backward (reduce.go), one entry per
 	// gradient, found by its first element.
 	grads        []paramGrad
 	gradIdx      map[*float64]int
+	runs         [2]rowRun  // each part's gathered one-row products
 	costs, parts []int      // scratch of share
 	up           stepUpdate // BackwardStep's
 	moms         []*moment  // BackwardStep: each parameter's moments
-}
-
-// pendingGradW is one weight's deferred gradient: rows rows of the products'
-// left operands (a, rows×in) and output gradients (d, rows×n), to be added
-// into the in×n gradient wd.
-type pendingGradW struct {
-	wd    []float64
-	in, n int
-	rows  int
-	a, d  []float64
 }
 
 // NewGraph returns a tape that records gradients; intermediates are
@@ -235,66 +213,48 @@ func forwardJob(j *job, from, to int) {
 	}
 }
 
-// Backward runs the tape in reverse order, then the deferred parameter
-// gradients, and truncates the tape (keeping capacity). The caller seeds the
-// gradient of the loss tensor (typically via the loss ops, which do it
-// themselves); on a split step, after Forward.
-func (g *Graph) Backward() {
-	if g.rows > 0 {
-		g.backwardSplit()
-		g.reduce(nil)
-		g.tape, g.ran = g.tape[:0], 0
-		return
-	}
-	for i := len(g.tape) - 1; i >= 0; i-- {
-		o := &g.tape[i]
-		g.backRows(o, 0, o.rows())
-		g.reduceNow(o)
-	}
-	g.tape = g.tape[:0]
-	for i := range g.pending {
-		g.pending[i].run()
-	}
-	g.pending = g.pending[:0]
-}
+// Backward runs the tape's row-local backward in reverse order, then the
+// parameter gradients, and truncates the tape (keeping capacity). The caller
+// seeds the gradient of the loss tensor (typically via the loss ops, which do
+// it themselves); on a split step, after Forward.
+func (g *Graph) Backward() { g.backward(nil) }
 
-// BackwardStep is Backward followed by opt.Step(params). On a split step
-// each parameter's gradient is reduced and updated on one core, the
-// parameters shared out between the calling goroutine and a helper.
+// BackwardStep is Backward followed by one Adam step on params: each
+// parameter's gradient is reduced and updated on one core, on a split step
+// the parameters shared out between the calling goroutine and a helper.
 func (g *Graph) BackwardStep(opt *Adam, params []*Tensor) {
-	if g.rows == 0 {
-		g.Backward()
-		opt.Step(params)
-		return
-	}
-	g.backwardSplit()
 	g.up.opt, g.up.params = opt, params
-	g.reduce(&g.up)
+	g.backward(&g.up)
 	g.up.opt, g.up.params = nil, nil
-	g.tape, g.ran = g.tape[:0], 0
 }
 
-// backwardSplit runs the row-local backward of every op of a split step, in
-// reverse, at the row cut; the parameter gradients are left to reduce.
-func (g *Graph) backwardSplit() {
+func (g *Graph) backward(up *stepUpdate) {
 	g.Forward()
 	g.j = job{run: backwardJob, g: g, rcut: [3]int{0, g.cut, g.rows}}
 	g.fork(&g.j)
+	g.reduce(up)
+	g.tape, g.ran = g.tape[:0], 0
 }
 
+// backwardJob runs the row-local backward of every op, in reverse, over the
+// rows between cut points from and to; outside a split step over each op's
+// rows.
 func backwardJob(j *job, from, to int) {
+	g := j.g
 	lo, hi := j.rcut[from], j.rcut[to]
-	for i := len(j.g.tape) - 1; i >= 0; i-- {
-		j.g.backRows(&j.g.tape[i], lo, hi)
+	for i := len(g.tape) - 1; i >= 0; i-- {
+		o := &g.tape[i]
+		if g.rows == 0 {
+			lo, hi = 0, o.rows()
+		}
+		g.backRows(o, lo, hi)
 	}
 }
 
 // Reset truncates the tape and recycles all arena intermediates. Any tensor
 // previously returned by graph ops or NewTensor must not be used afterwards.
-// Weight gradients still pending (a tape never run backward) are dropped.
 func (g *Graph) Reset() {
 	g.tape = g.tape[:0]
-	g.pending = g.pending[:0]
 	g.rows, g.ran, g.cut = 0, 0, 0
 	if g.NeedsGrad {
 		g.procs = runtime.GOMAXPROCS(0)
@@ -344,59 +304,6 @@ func (g *Graph) rowCut() int {
 		cut++
 	}
 	return cut
-}
-
-// deferGradW records one row's weight gradient, wd += aᵀ·d, for the end of
-// Backward.
-func (g *Graph) deferGradW(a, d, wd []float64) {
-	in, n := len(a), len(d)
-	if in == 0 || n == 0 {
-		return
-	}
-	e := g.pendingFor(wd)
-	if e == nil {
-		i := len(g.pending)
-		if i == cap(g.pending) {
-			g.pending = append(g.pending, pendingGradW{})
-		} else {
-			g.pending = g.pending[:i+1]
-		}
-		e = &g.pending[i]
-		e.wd, e.in, e.n, e.rows, e.a, e.d = wd, in, n, 0, e.a[:0], e.d[:0]
-	} else if e.in != in || e.n != n {
-		e.run()
-		e.wd, e.in, e.n = wd, in, n
-	}
-	e.a = append(e.a, a...)
-	e.d = append(e.d, d...)
-	e.rows++
-}
-
-// flushGradW runs the rows pending for wd, before another op adds into it.
-func (g *Graph) flushGradW(wd []float64) {
-	if e := g.pendingFor(wd); e != nil {
-		e.run()
-	}
-}
-
-// pendingFor returns wd's entry, or nil.
-func (g *Graph) pendingFor(wd []float64) *pendingGradW {
-	if len(wd) == 0 {
-		return nil
-	}
-	for i := range g.pending {
-		if e := &g.pending[i]; &e.wd[0] == &wd[0] {
-			return e
-		}
-	}
-	return nil
-}
-
-// run adds the pending rows into the gradient, rows in record order, and
-// empties the entry.
-func (e *pendingGradW) run() {
-	gradW(e.wd, e.a, e.d, e.rows, e.in, e.in, e.n)
-	e.a, e.d, e.rows = e.a[:0], e.d[:0], 0
 }
 
 // forward runs op o's forward over batch rows [lo, hi). On a split step it
@@ -476,7 +383,6 @@ func (g *Graph) backRows(o *tapeOp, lo, hi int) {
 		backAttendDot(o.a.W, o.a.DW, o.b.W, o.b.DW, o.out.DW)
 	case opWeightedSumRows:
 		// ctx = alpha·H is a row product with alpha the left operand.
-		g.flushGradW(o.b.DW)
 		backRowMatMul(o.a.W, o.a.DW, o.b.W, o.b.DW, o.out.DW)
 	case opSliceRow:
 		for i, d := range o.out.DW {
@@ -484,7 +390,7 @@ func (g *Graph) backRows(o *tapeOp, lo, hi int) {
 		}
 	case opAffineBatch:
 		x, w := o.a, o.b
-		backProductRows(x.W, x.DW, x.Rows, x.Cols, w.W, w.Cols, o.out.DW, nil, lo, hi)
+		backProductRows(x.DW, x.Rows, x.Cols, w.W, w.Cols, o.out.DW, nil, lo, hi)
 	case opLSTMStepBatch:
 		backLSTMRows(o, lo, hi)
 	case opAttendBatch:

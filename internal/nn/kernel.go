@@ -10,9 +10,8 @@ import "math"
 //     ascending, and skips a k whose left-operand element is zero (±0) — so a
 //     zero input never touches a NaN or infinite weight;
 //   - a weight gradient (gradW) accumulates each element over batch rows
-//     ascending, without skipping zeros — the one-row products of a step
-//     are such rows too: the graph defers their weight gradients to one
-//     gradW per weight at the end of Backward (graph.go);
+//     ascending, without skipping zeros — a run of one-row products through
+//     one weight is such rows too, summed by one gradW (reduce.go);
 //   - the input gradient of a batched product (gradX) sums over j in four
 //     lane accumulators, lane l taking j ≡ l (mod 4) ascending and lane 0 the
 //     n mod 4 tail, combined as (l0+l1)+(l2+l3);
@@ -60,7 +59,7 @@ import "math"
 //     row b's) and the pointer loss — the embedding lookups are copied when
 //     they are called;
 //   - the backward of every op runs over the part's rows, ops in reverse:
-//     the products' input gradients (backMatMulPart's gradX by the part's
+//     the products' input gradients (gradXRows, gradX by the part's
 //     active-row pairs — a part left with a lone row calls gradX with a nil
 //     ad1, in lane order, never backRowMatMul's serial chain), the LSTM gate
 //     gradients, the attention (row r owns memory block r), the softmax, the
@@ -82,7 +81,7 @@ import "math"
 // the only place in the package that calls math.Exp or math.Tanh or does
 // Adam's arithmetic. Their contract is their reference body, the scalar loop
 // each replaced: 1/(1+math.Exp(−x)), math.Tanh(x), math.Exp(x−m), and Adam's
-// update in the order Adam.Step has always used. The assembly bodies meet it
+// update in the order it has always used. The assembly bodies meet it
 // lane by lane:
 //
 //   - exp is math.Exp's FMA code path (math/exp_amd64.s) four lanes wide,
@@ -119,10 +118,9 @@ type kernelSet struct {
 	// dst must not overlap x or w. A body loads each weight strip once for a
 	// block of rows; nil runs matvec row by row.
 	matvecRows func(dst, x, w []float64, rows, in, n int)
-	// gradW: wd[k·n+j] += Σ_r a[r·in+k]·d[r·n+j] for k < kn, r ascending, no
-	// zero skipped. in is a's row stride: rows k0..k1 of a product are
-	// gradW(wd[k0·n:], a[k0:], d, rows, k1−k0, in, n).
-	gradW func(wd, a, d []float64, rows, kn, in, n int)
+	// gradW: wd[k·n+j] += Σ_r a[r·in+k]·d[r·n+j] for k < in, r ascending,
+	// no zero skipped.
+	gradW func(wd, a, d []float64, rows, in, n int)
 	// gradX: ad0[k] += laneDot(d0, w_k) and ad1[k] += laneDot(d1, w_k) for
 	// every k < len(ad0), w_k = w[k·n:(k+1)·n], n = len(d0). A nil ad1 drops
 	// row 1's sums: a lone row passes itself as d1.
@@ -218,14 +216,14 @@ func gradXRow(xd, d, w []float64) {
 	kernels.gradXRow(xd, d, w)
 }
 
-func gradW(wd, a, d []float64, rows, kn, in, n int) {
-	if kn < 0 || kn > in || len(wd) < kn*n || rows > 0 && len(a) < (rows-1)*in+kn || len(d) < rows*n {
+func gradW(wd, a, d []float64, rows, in, n int) {
+	if rows < 0 || in < 0 || n < 0 || len(wd) < in*n || len(a) < rows*in || len(d) < rows*n {
 		panic("nn: gradW shape mismatch")
 	}
-	if rows == 0 || kn == 0 || n == 0 {
+	if rows == 0 || in == 0 || n == 0 {
 		return
 	}
-	kernels.gradW(wd, a, d, rows, kn, in, n)
+	kernels.gradW(wd, a, d, rows, in, n)
 }
 
 func sigmoid(dst, x []float64) {
@@ -290,7 +288,7 @@ func expShiftGo(dst, x []float64, m float64) {
 	}
 }
 
-// adamGo is Adam.Step's loop: the clip scale, the two moment updates, and
+// adamGo is Adam's update loop: the clip scale, the two moment updates, and
 // w −= lr·m̂/(√v̂+ε) with m̂ = m/bc1, v̂ = v/bc2.
 func adamGo(w, dw, m, v []float64, c adamCoef) {
 	n := len(w)
@@ -384,8 +382,8 @@ func laneDot(d, w []float64) float64 {
 	return (l0 + l1) + (l2 + l3)
 }
 
-func gradWGo(wd, a, d []float64, rows, kn, in, n int) {
-	for k := 0; k < kn; k++ {
+func gradWGo(wd, a, d []float64, rows, in, n int) {
+	for k := 0; k < in; k++ {
 		for r := 0; r < rows; r++ {
 			axpyGo(wd[k*n:(k+1)*n], d[r*n:(r+1)*n], a[r*in+k])
 		}
@@ -501,23 +499,17 @@ func gradXRowGo(xd, d, w []float64) {
 // one row, the input gradient gradXRow.
 func backRowMatMul(x, xd, w, wd, dOut []float64) {
 	in, n := len(x), len(dOut)
-	gradW(wd, x, dOut, 1, in, in, n)
+	gradW(wd, x, dOut, 1, in, n)
 	gradXRow(xd, dOut, w)
 }
 
-// backMatMulPart accumulates the gradients of out = a·w for a batch a of
-// rows×in (gradient ad) and a flat in×n matrix w (gradient wd), given dOut
-// (rows×n): the share of them that rows [r0, r1) of ad and rows [k0, k1) of
-// wd hold — (0, rows, 0, in) is the whole backward. That is one gradX per
-// pair of active rows of the range, a lone last row alone, and for each of
-// those weight rows one gradW per run of consecutive active rows of the
-// whole batch, so each weight-gradient element sums the active rows in
-// ascending order. Rows where active is false are skipped: their dOut rows
-// are zero, so they contribute nothing. Parts with disjoint ranges write
-// disjoint elements.
-func backMatMulPart(a, ad []float64, rows, in int, w, wd []float64, n int, dOut []float64, active []bool, r0, r1, k0, k1 int) {
+// gradXRows accumulates the input gradient of out = a·w, a batch of rows×in
+// (gradient ad) times a flat in×n matrix w, given dOut (rows×n), over rows
+// [lo, hi): one gradX per pair of active rows of the range, a lone last row
+// alone. Rows where active is false (nil = all active) get none.
+func gradXRows(ad []float64, in int, w []float64, n int, dOut []float64, active []bool, lo, hi int) {
 	pending := -1 // an active row waiting for a partner
-	for i := r0; i < r1; i++ {
+	for i := lo; i < hi; i++ {
 		if active != nil && !active[i] {
 			continue
 		}
@@ -532,16 +524,21 @@ func backMatMulPart(a, ad []float64, rows, in int, w, wd []float64, n int, dOut 
 		d := dOut[pending*n : (pending+1)*n]
 		gradX(ad[pending*in:(pending+1)*in], nil, d, d, w)
 	}
-	if k0 == k1 {
-		return
-	}
+}
+
+// gradWRuns accumulates the weight gradient wd (in×n) of out = a·w, a batch
+// of rows×in, given dOut (rows×n): one gradW per run of consecutive active
+// rows, so each element sums the active rows in ascending order. Rows where
+// active is false are skipped: their dOut rows are zero, so they contribute
+// nothing.
+func gradWRuns(wd, a []float64, rows, in, n int, dOut []float64, active []bool) {
 	run := 0 // the current run's first row
 	for i := 0; i <= rows; i++ {
 		if i < rows && (active == nil || active[i]) {
 			continue
 		}
 		if i > run {
-			gradW(wd[k0*n:], a[run*in+k0:], dOut[run*n:], i-run, k1-k0, in, n)
+			gradW(wd, a[run*in:], dOut[run*n:], i-run, in, n)
 		}
 		run = i + 1
 	}

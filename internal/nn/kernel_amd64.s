@@ -21,8 +21,8 @@
 // Every routine ends in VZEROUPPER. The Go wrappers guarantee a non-empty
 // first operand and that every other slice is at least as long (matvec: a
 // non-empty x, and len(x)*len(dst) weights; gradX: len(ad0)*len(d0) weights,
-// and len(d0) may be 0; gradW: rows, kn and n all positive, kn <= in, and
-// kn*n, (rows-1)*in+kn and rows*n elements in wd, a and d; gradXRow:
+// and len(d0) may be 0; gradW: rows, in and n all positive, and in*n,
+// rows*in and rows*n elements in wd, a and d; gradXRow:
 // len(xd)*len(d) weights, and len(d) may be 0).
 
 // The two matvec bodies: dst[j] += sum over k ascending of x[k]*w[k*n+j],
@@ -279,11 +279,11 @@ matvec_store8:
 	MATVEC_TAIL
 
 // The two gradW bodies: wd[k*n+j] += sum over batch rows r ascending of
-// a[r*in+k]*d[r*n+j] for k < kn, no zero skipped. Row k of wd is matvec's
+// a[r*in+k]*d[r*n+j] for k < in, no zero skipped. Row k of wd is matvec's
 // dst and column k of a its x, read with a stride of in: a strip of the row
 // stays in registers for the whole row loop. Register use, both bodies: DI
 // &wd[k*n], CX n, SI &a[k], R8 rows, R9 d, R11 the byte stride n*8 of a d
-// row, R13 the byte stride in*8 of an a column, R14 the wd rows left (kn at
+// row, R13 the byte stride in*8 of an a column, R14 the wd rows left (in at
 // the start), AX the strip's first j, DX its end, BX the batch rows left, R10
 // &d[r*n+AX], R12 &a[r*in+k].
 
@@ -311,17 +311,17 @@ matvec_store8:
 	VZEROUPPER; \
 	RET
 
-// func gradWAVX2(wd, a, d []float64, rows, kn, in, n int)
+// func gradWAVX2(wd, a, d []float64, rows, in, n int)
 // Y15 (X15) is a[r*in+k]; the n mod 8 tail goes one element at a time.
-TEXT ·gradWAVX2(SB), NOSPLIT, $0-104
+TEXT ·gradWAVX2(SB), NOSPLIT, $0-96
 	MOVQ wd_base+0(FP), DI
 	MOVQ a_base+24(FP), SI
 	MOVQ d_base+48(FP), R9
 	MOVQ rows+72(FP), R8
-	MOVQ kn+80(FP), R14
-	MOVQ in+88(FP), R13
+	MOVQ in+80(FP), R14
+	MOVQ R14, R13
 	SHLQ $3, R13
-	MOVQ n+96(FP), CX
+	MOVQ n+88(FP), CX
 	MOVQ CX, R11
 	SHLQ $3, R11
 
@@ -376,11 +376,11 @@ gradw_r1:
 gradw_nextk:
 	GRADW_NEXTK(gradw_k)
 
-// func gradWAVX512(wd, a, d []float64, rows, kn, in, n int)
+// func gradWAVX512(wd, a, d []float64, rows, in, n int)
 // Z15 is a[r*in+k]; the n mod 8 tail is one strip under the opmask K1, whose
 // masked-off lanes are neither stored nor, past the operands' ends, loaded.
-TEXT ·gradWAVX512(SB), NOSPLIT, $0-104
-	MOVQ n+96(FP), CX
+TEXT ·gradWAVX512(SB), NOSPLIT, $0-96
+	MOVQ n+88(FP), CX
 	ANDL $7, CX
 	MOVL $1, AX
 	SHLL CX, AX
@@ -390,10 +390,10 @@ TEXT ·gradWAVX512(SB), NOSPLIT, $0-104
 	MOVQ a_base+24(FP), SI
 	MOVQ d_base+48(FP), R9
 	MOVQ rows+72(FP), R8
-	MOVQ kn+80(FP), R14
-	MOVQ in+88(FP), R13
+	MOVQ in+80(FP), R14
+	MOVQ R14, R13
 	SHLQ $3, R13
-	MOVQ n+96(FP), CX
+	MOVQ n+88(FP), CX
 	MOVQ CX, R11
 	SHLQ $3, R11
 

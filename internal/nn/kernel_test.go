@@ -247,10 +247,11 @@ func checkCase(t testing.TB, c kernelCase) {
 	assertSameBits(t, "matMulRows (matvecRows) out", dst, c.naiveMatMul())
 
 	wd, ad := clone(c.wd), clone(c.ad)
-	backMatMulPart(c.a, ad, rows, in, c.w, wd, n, c.dOut, c.active, 0, rows, 0, in)
+	gradWRuns(wd, c.a, rows, in, n, c.dOut, c.active)
+	gradXRows(ad, in, c.w, n, c.dOut, c.active, 0, rows)
 	wantWd, wantAd := c.naiveBackLanes()
-	assertSameBits(t, "backMatMulPart dW", wd, wantWd)
-	assertSameBits(t, "backMatMulPart dA", ad, wantAd)
+	assertSameBits(t, "gradWRuns dW", wd, wantWd)
+	assertSameBits(t, "gradXRows dA", ad, wantAd)
 
 	wd, ad = clone(c.wd), clone(c.ad)
 	for i := 0; i < rows; i++ {
@@ -269,35 +270,30 @@ func checkCase(t testing.TB, c kernelCase) {
 	checkParts(t, c)
 }
 
-// checkParts holds the pieces a split step runs to the whole: matMulRows over
-// two row ranges; backMatMulPart over two parts, upper part first, to the
-// batched backward at any height; and gradW over rows [k0, k1) of the weight
-// gradient — wd[k0·n:], a[k0:], k1−k0 of them — to those rows of the whole
-// product, leaving the others as they were. The cuts are the ends, the
-// middle and a draw from the case, so the sweeps cover every position. It
-// also holds matvecRows over two row ranges of the case, every row active,
-// to the whole product; the pieces a deferred weight gradient is made of
-// (Graph): gradW over one row at a time, rows ascending, to gradW over all of
-// them; and gradXRow over the case's first row to the naive chain
-// (checkGradXRow).
+// checkParts holds the pieces a split step runs to the whole: matMulRows and
+// gradXRows over two row ranges, upper part first, to the batched forward and
+// input gradient at any height. The cuts are the ends, the middle and a draw
+// from the case, so the sweeps cover every position. It also holds
+// matvecRows over two row ranges of the case, every row active, to the whole
+// product; what a gathered run of one-row products relies on (reduce.go):
+// gradW over one row at a time, rows ascending, to gradW over all of them;
+// and gradXRow over the case's first row to the naive chain (checkGradXRow).
 func checkParts(t testing.TB, c kernelCase) {
 	t.Helper()
 	rows, in, n := c.rows, c.in, c.n
 	rng := rand.New(rand.NewSource(int64(rows*1000 + in*100 + n)))
 	wantDst := c.naiveMatMul()
-	wantWd, wantAd := c.naiveBackLanes()
+	_, wantAd := c.naiveBackLanes()
 	for _, rmid := range []int{0, rows / 2, rows, rng.Intn(rows + 1)} {
 		dst := clone(c.dst)
 		matMulRows(c.a, rmid, rows, in, c.w, n, dst, c.active)
 		matMulRows(c.a, 0, rmid, in, c.w, n, dst, c.active)
 		assertSameBits(t, "matMulRows in two parts", dst, wantDst)
 
-		kmid := rng.Intn(in + 1)
-		wd, ad := clone(c.wd), clone(c.ad)
-		backMatMulPart(c.a, ad, rows, in, c.w, wd, n, c.dOut, c.active, rmid, rows, kmid, in)
-		backMatMulPart(c.a, ad, rows, in, c.w, wd, n, c.dOut, c.active, 0, rmid, 0, kmid)
-		assertSameBits(t, "backMatMulPart dW in two parts", wd, wantWd)
-		assertSameBits(t, "backMatMulPart dA in two parts", ad, wantAd)
+		ad := clone(c.ad)
+		gradXRows(ad, in, c.w, n, c.dOut, c.active, rmid, rows)
+		gradXRows(ad, in, c.w, n, c.dOut, c.active, 0, rmid)
+		assertSameBits(t, "gradXRows dA in two parts", ad, wantAd)
 	}
 
 	all := clone(c.dst)
@@ -310,18 +306,10 @@ func checkParts(t testing.TB, c kernelCase) {
 	}
 
 	whole := clone(c.wd)
-	gradW(whole, c.a, c.dOut, rows, in, in, n)
-	for _, k0 := range []int{0, in / 2, in, rng.Intn(in + 1)} {
-		k1 := k0 + rng.Intn(in-k0+1)
-		part := clone(c.wd)
-		gradW(part[k0*n:], c.a[k0:], c.dOut, rows, k1-k0, in, n)
-		assertSameBits(t, fmt.Sprintf("gradW rows [%d, %d) of %d", k0, k1, in), part[k0*n:k1*n], whole[k0*n:k1*n])
-		assertSameBits(t, "gradW rows below k0", part[:k0*n], c.wd[:k0*n])
-		assertSameBits(t, "gradW rows from k1", part[k1*n:], c.wd[k1*n:])
-	}
+	gradW(whole, c.a, c.dOut, rows, in, n)
 	byRow := clone(c.wd)
 	for r := 0; r < rows; r++ {
-		gradW(byRow, c.a[r*in:], c.dOut[r*n:], 1, in, in, n)
+		gradW(byRow, c.a[r*in:], c.dOut[r*n:], 1, in, n)
 	}
 	assertSameBits(t, "gradW row by row", byRow, whole)
 	checkGradXRow(t, int64(rows*1000+in*100+n), in, n, 0)
@@ -383,7 +371,7 @@ var gradXRowDepths = func() []int {
 // and gradW's row runs, batches of 2, 3, 16 and 17 rows under every mask of
 // batchMasks at every depth 0..13 (gradX's k tails) and width of
 // batchWidths — each under each body, and each case also in the parts a
-// split step runs (checkParts), gradW's k ranges among them; then gradXRow at
+// split step runs (checkParts); then gradXRow at
 // every depth of gradXRowDepths and width of batchWidths; then matvecRows at
 // every height of matvecRowsHeights, a few depths and every width of
 // batchWidths, with 96 and 192 (checkMatvecRows).
@@ -575,7 +563,7 @@ func applied(f func(dst, x []float64), x []float64) []float64 {
 	return dst
 }
 
-// naiveAdamStep is Adam.Step before the kernel family, verbatim: the clip
+// naiveAdamStep is Adam's step before the kernel family, verbatim: the clip
 // pass over every gradient, then the per-element update.
 func naiveAdamStep(a *Adam, params []*Tensor) {
 	a.t++
@@ -617,11 +605,11 @@ func naiveAdamStep(a *Adam, params []*Tensor) {
 }
 
 // checkAdam runs steps Adam steps on parameters of sizes 0..9 and 67 under
-// the body in use, from step count from, beside the verbatim old Step on a
-// copy, with gradients
-// that are zero, tiny (denormal) or huge (1e150, so the norm overflows to
-// +Inf) in turn, and holds weights, moments and cleared gradients equal bit
-// for bit after every step.
+// the body in use — BackwardStep of an empty tape, which clips and updates —
+// from step count from, beside the verbatim old step on a copy, with
+// gradients that are zero, tiny (denormal) or huge (1e150, so the norm
+// overflows to +Inf) in turn, and holds weights, moments and cleared
+// gradients equal bit for bit after every step.
 func checkAdam(t testing.TB, seed int64, steps int, clip float64, from int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -634,6 +622,7 @@ func checkAdam(t testing.TB, seed int64, steps int, clip float64, from int) {
 	opt, ref := NewAdam(1e-2), NewAdam(1e-2)
 	opt.Clip, ref.Clip = clip, clip
 	opt.t, ref.t = from, from
+	g := NewGraph(true)
 	for s := 0; s < steps; s++ {
 		for i, p := range got {
 			for j := range p.DW {
@@ -654,7 +643,7 @@ func checkAdam(t testing.TB, seed int64, steps int, clip float64, from int) {
 				p.DW[j], want[i].DW[j] = d, d
 			}
 		}
-		opt.Step(got)
+		g.BackwardStep(opt, got)
 		naiveAdamStep(ref, want)
 		for i := range got {
 			assertSameBits(t, "adam W", got[i].W, want[i].W)
@@ -789,7 +778,8 @@ func BenchmarkBackMatMul(b *testing.B) {
 			b.Run(fmt.Sprintf("%dx%d/%s", s.k, s.n, name), func(b *testing.B) {
 				useKernels(b, ks)
 				for i := 0; i < b.N; i++ {
-					backMatMulPart(a, ad, rows, s.k, w, wd, s.n, dOut, nil, 0, rows, 0, s.k)
+					gradXRows(ad, s.k, w, s.n, dOut, nil, 0, rows)
+					gradWRuns(wd, a, rows, s.k, s.n, dOut, nil)
 				}
 				b.ReportMetric(2*rows*float64(s.k*s.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
 			})
@@ -831,10 +821,8 @@ func drawGates(rng *rand.Rand, n int) []float64 {
 // TestKernelShapeChecks: a primitive refuses operands shorter than its first
 // one, matvec fewer than len(x)·len(dst) weights, matvecRows operands short
 // of its rows × in × n shape, gradX fewer than
-// len(ad0)·len(d0) and gradW any operand short of its rows × kn-of-in × n
-// shape, or more weight-gradient rows than a has columns — before any body
-// could index past them — and accepts an empty one, and an a that ends at
-// its last row's kn-th element.
+// len(ad0)·len(d0) and gradW any operand short of its rows × in × n shape —
+// before any body could index past them — and accepts an empty one.
 func TestKernelShapeChecks(t *testing.T) {
 	long, short := make([]float64, 8), make([]float64, 7)
 	w := func(n int) []float64 { return make([]float64, n) }
@@ -846,10 +834,9 @@ func TestKernelShapeChecks(t *testing.T) {
 		"matvecRows dst": func() { matvecRows(w(13), w(8), w(28), 2, 4, 7) },
 		"matvecRows x":   func() { matvecRows(w(14), short, w(28), 2, 4, 7) },
 		"matvecRows w":   func() { matvecRows(w(14), w(8), w(27), 2, 4, 7) },
-		"gradW wd":       func() { gradW(w(55), long, long, 1, 8, 8, 7) },
-		"gradW a":        func() { gradW(w(56), short, w(14), 2, 4, 4, 7) },
-		"gradW d":        func() { gradW(w(56), long, w(13), 2, 4, 4, 7) },
-		"gradW kn":       func() { gradW(w(63), long, w(14), 2, 5, 4, 7) },
+		"gradW wd":       func() { gradW(w(55), long, long, 1, 8, 7) },
+		"gradW a":        func() { gradW(w(28), short, w(14), 2, 4, 7) },
+		"gradW d":        func() { gradW(w(28), long, w(13), 2, 4, 7) },
 		"sigmoid":        func() { sigmoid(long, short) },
 		"tanh":           func() { tanh(long, short) },
 		"expShift":       func() { expShift(long, short, 0) },
@@ -872,12 +859,10 @@ func TestKernelShapeChecks(t *testing.T) {
 		matvecRows(long, nil, nil, 2, 0, 4)
 		gradX(nil, nil, long, long, nil)
 		wd := w(28)
-		gradW(wd, nil, nil, 0, 4, 4, 7)
-		gradW(nil, nil, w(14), 2, 0, 0, 7)
-		gradW(nil, long, w(14), 2, 0, 4, 7)
-		gradW(nil, long, nil, 2, 4, 4, 0)
+		gradW(wd, nil, nil, 0, 4, 7)
+		gradW(nil, nil, w(14), 2, 0, 7)
+		gradW(nil, long, nil, 2, 4, 0)
 		assertSameBits(t, name+": gradW over no rows", wd, w(28))
-		gradW(w(21), short, w(14), 2, 3, 4, 7)
 		// No j is still a sum: +0, which turns a −0 into +0.
 		negZero := math.Copysign(0, -1)
 		ad0, ad1 := []float64{negZero, 1}, []float64{negZero, 2}
@@ -894,7 +879,7 @@ func TestKernelShapeChecks(t *testing.T) {
 // FuzzKernels lets the fuzzer pick the shape — widths 0..255, so every
 // strip/tail split of matvec and gradW and every lane tail of gradX; 1..17
 // rows, so gradX's pairs and lone row and gradW's runs under the drawn mask;
-// depths 0..13, so gradX's k tails and gradW's k ranges, and 0..255 for
+// depths 0..13, so gradX's k tails, and 0..255 for
 // gradXRow's blocks and k tail and for matvecRows (checkMatvecRows, its
 // blocks of four rows and their remainder) — alignment and data seed of
 // TestKernelBitParity's and TestElementwiseBitParity's checks, and a few Adam

@@ -201,8 +201,7 @@ func TestAdamConvergesOnToyProblem(t *testing.T) {
 		diff := out.W[0] - target
 		lastLoss = diff * diff
 		out.DW[0] = 2 * diff
-		g.Backward()
-		opt.Step(lin.Params())
+		g.BackwardStep(opt, lin.Params())
 	}
 	if lastLoss > 1e-2 {
 		t.Errorf("Adam failed to fit a line: final loss %g, W=%g b=%g", lastLoss, lin.W.W[0], lin.B.W[0])
@@ -215,7 +214,7 @@ func TestGradientClipping(t *testing.T) {
 	opt := NewAdam(0.1)
 	opt.Clip = 5
 	before := [2]float64{p.DW[0], p.DW[1]}
-	opt.Step([]*Tensor{p})
+	NewGraph(true).BackwardStep(opt, []*Tensor{p})
 	_ = before
 	// After the step gradients are cleared; verify the update magnitude is
 	// bounded (clipped direction preserved).

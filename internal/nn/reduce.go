@@ -1,31 +1,31 @@
 package nn
 
-// This file holds the reductions of a split step (Graph.ResetStep): the
-// parameter gradients, the one part of a training step that sums over the
-// batch rows. An op's backward over rows [lo, hi) writes only those rows'
-// input gradients (Graph.backRows); what it adds into a weight, a bias or an
-// embedding table it leaves to the end of Backward, where each parameter's
-// gradient runs its ops' contributions in the order Backward met them — the
-// tape reversed, and within an op the order its backward has always used — on
-// one core. Each element therefore sees the adds it sees on one goroutine, in
-// the same order, whoever runs it. The parameters are shared out between the
-// two cores by their cost; BackwardStep then has each core also bound its
-// parameters' sum of squares for the clip, and update them.
+// This file holds the reductions of every backward: the parameter gradients,
+// the one part of a training step that sums over batch rows. An op's
+// row-local backward (Graph.backRows) writes only its input rows' gradients;
+// what it adds into a weight, a bias or an embedding table waits for the end
+// of Backward, where each parameter's gradient runs its ops' contributions in
+// the order the row-local pass met them — the tape reversed, and within an
+// op the order its backward has always used — on one core. Each element
+// therefore sees the same adds in the same order whoever runs it. On a split
+// step the parameters are shared out between the two cores by their cost,
+// and BackwardStep has each core also bound its parameters' sum of squares
+// for the clip, and update them; any other graph runs all of it on the
+// caller.
+//
+// A parameter's consecutive one-row products of one shape — a one-row step's
+// tokens through the same weight — run as one gradW over all their rows
+// (rowRun): gradW sums rows ascending and skips nothing, so each element sees
+// the adds it would see product by product, but the gradient is read and
+// written once rather than once per row.
 
-// A paramGrad is one gradient's reductions in a split step: the tape ops that
-// add into it, in order, what they cost, and which part runs them.
+// A paramGrad is one gradient's reductions in a backward: the ops'
+// contributions to it, in order, what they cost, and which part runs them.
 type paramGrad struct {
-	ops   []reduction
+	ops   []paramReduction
 	cost  int
 	param int // BackwardStep: its index in params, or −1
 	part  int
-}
-
-// A reduction is one op's contribution to one gradient: the op's index on
-// the tape and which of its reductions (opReductions).
-type reduction struct {
-	op    int32
-	which uint8
 }
 
 // stepUpdate is BackwardStep's Adam step: its parameters and coefficients,
@@ -40,57 +40,56 @@ type stepUpdate struct {
 }
 
 // A paramReduction is one of an op's reductions: the gradient it adds into
-// over the op's rows, and what that costs in multiply-adds. A weight's is the
-// gradient of a product — w of out = a·w, given out's gradient d over the
-// rows where active is true (nil = all) — a bias's the sum of d's rows, an
-// embedding table's the rows of d added at ids.
+// over the op's rows rows, and what that costs in multiply-adds. A weight's
+// is the gradient of a product — w of out = a·w, given out's gradient d over
+// the rows where active is true (nil = all) — a bias's the sum of d's rows,
+// an embedding table's the rows of d added at ids.
 type paramReduction struct {
-	dst    []float64
-	cost   int
-	a, w   *Tensor
-	d      []float64
-	active []bool
-	ids    []int
+	dst        []float64
+	rows, cost int
+	a, w       *Tensor
+	d          []float64
+	active     []bool
+	ids        []int
 }
 
-// opReductions returns op o's reductions, in the order its backward has
-// always added them.
-func opReductions(o *tapeOp) (rs [3]paramReduction, n int) {
+// opReductions sets rs[:n] to op o's reductions, in the order its backward
+// has always added them, and returns n.
+func opReductions(o *tapeOp, rs *[3]paramReduction) (n int) {
 	rows := o.rows()
 	product := func(a, w *Tensor, d []float64, active []bool) paramReduction {
-		return paramReduction{dst: w.DW, cost: countActive(rows, active) * len(w.W), a: a, w: w, d: d, active: active}
+		return paramReduction{dst: w.DW, rows: rows, cost: countActive(rows, active) * len(w.W), a: a, w: w, d: d, active: active}
 	}
 	switch o.kind {
 	case opMatMul:
 		rs[0] = product(o.a, o.b, o.out.DW, nil)
-		return rs, 1
+		return 1
 	case opAffineBatch:
-		rs[0] = paramReduction{dst: o.c.DW, cost: rows * o.c.Cols, d: o.out.DW}
+		rs[0] = paramReduction{dst: o.c.DW, rows: rows, cost: rows * o.c.Cols, d: o.out.DW}
 		rs[1] = product(o.a, o.b, o.out.DW, nil)
-		return rs, 2
+		return 2
 	case opLSTMStepBatch:
 		cell, dG := o.cell, o.aux.DW
-		rs[0] = paramReduction{dst: cell.B.DW, cost: rows * cell.B.Cols, d: dG}
+		rs[0] = paramReduction{dst: cell.B.DW, rows: rows, cost: rows * cell.B.Cols, d: dG}
 		rs[1] = product(o.b, cell.Wh, dG, o.mask)
 		rs[2] = product(o.a, cell.Wx, dG, o.mask)
-		return rs, 3
+		return 3
 	case opLookupRows:
-		rs[0] = paramReduction{dst: o.a.DW, cost: rows * o.a.Cols, d: o.out.DW, ids: o.ints}
-		return rs, 1
+		rs[0] = paramReduction{dst: o.a.DW, rows: rows, cost: rows * o.a.Cols, d: o.out.DW, ids: o.ints}
+		return 1
 	}
-	return rs, 0
+	return 0
 }
 
-// run adds the reduction over all rows rows into its gradient.
-func (r *paramReduction) run(rows int) {
+// run adds the reduction into its gradient.
+func (r *paramReduction) run() {
 	switch {
 	case r.w != nil:
 		// The unfused MatMul's too: row by row ascending, as gradW sums
 		// rows, is its per-row backward's order.
-		a := r.a
-		backMatMulPart(a.W, nil, rows, a.Cols, r.w.W, r.dst, r.w.Cols, r.d, r.active, 0, 0, 0, a.Cols)
+		gradWRuns(r.dst, r.a.W, r.rows, r.a.Cols, r.w.Cols, r.d, r.active)
 	case r.ids != nil:
-		n := len(r.d) / rows
+		n := len(r.d) / r.rows
 		for i, id := range r.ids {
 			dst := r.dst[id*n : (id+1)*n]
 			for j, v := range r.d[i*n : (i+1)*n] {
@@ -98,7 +97,7 @@ func (r *paramReduction) run(rows int) {
 			}
 		}
 	default:
-		addRows(r.dst, r.d, rows)
+		addRows(r.dst, r.d, r.rows)
 	}
 }
 
@@ -109,7 +108,7 @@ func addRows(dst, d []float64, rows int) {
 	n := len(dst)
 	for r := 0; r < rows; r += len(onesCol) {
 		k := min(rows-r, len(onesCol))
-		gradW(dst, onesCol[:k], d[r*n:], k, 1, 1, n)
+		gradW(dst, onesCol[:k], d[r*n:], k, 1, n)
 	}
 }
 
@@ -120,38 +119,40 @@ var onesCol = func() (ones [64]float64) {
 	return ones
 }()
 
-// reduceNow runs op o's reductions as its backward meets them, outside a
-// split step: a one-row BatchedAffine or LSTM step defers its weight
-// gradient (deferGradW), any other product first runs the rows its weight
-// has pending.
-func (g *Graph) reduceNow(o *tapeOp) {
-	switch o.kind {
-	case opMatMul, opAffineBatch, opLSTMStepBatch, opLookupRows:
-	default:
-		return
-	}
-	rs, n := opReductions(o)
-	rows := o.rows()
-	for i := range rs[:n] {
-		r := &rs[i]
-		if r.w != nil && rows == 1 && o.kind != opMatMul {
-			if r.active == nil || r.active[0] {
-				g.deferGradW(r.a.W[:r.a.Cols], r.d[:r.w.Cols], r.dst)
-			}
-			continue
-		}
-		if r.w != nil {
-			g.flushGradW(r.dst)
-		}
-		r.run(rows)
-	}
+// A rowRun gathers a gradient's consecutive one-row products of one shape:
+// rows rows of their left operands (a, rows×in) and output gradients (d,
+// rows×n), added into the in×n gradient dst by one gradW when the run ends.
+type rowRun struct {
+	dst         []float64
+	in, n, rows int
+	a, d        []float64
 }
 
-// reduce runs a split step's reductions, after its row-local backward: it
-// lists each gradient's reductions, tape reversed, shares the gradients out
-// between the two parts, and runs them split. With up it then updates the
-// parameters: each part bounds its parameters' sum of squares, the caller
-// works out the clip scale, and each part updates the parameters it reduced.
+// add appends the one row of product r, first ending a run of another shape.
+func (run *rowRun) add(r *paramReduction) {
+	in, n := r.w.Rows, r.w.Cols
+	if in != run.in || n != run.n {
+		run.flush()
+		run.in, run.n = in, n
+	}
+	run.dst = r.dst
+	run.a = append(run.a, r.a.W[:in]...)
+	run.d = append(run.d, r.d[:n]...)
+	run.rows++
+}
+
+// flush adds the run's rows into its gradient, ascending, and empties it.
+func (run *rowRun) flush() {
+	gradW(run.dst, run.a, run.d, run.rows, run.in, run.n)
+	run.a, run.d, run.rows = run.a[:0], run.d[:0], 0
+}
+
+// reduce runs the reductions, after the row-local backward: it lists each
+// gradient's reductions, tape reversed, shares the gradients out between the
+// two parts, and runs them, split on a split step. With up it then updates
+// the parameters: each part bounds its parameters' sum of squares, the
+// caller works out the clip scale, and each part updates the parameters it
+// reduced.
 func (g *Graph) reduce(up *stepUpdate) {
 	if g.gradIdx == nil {
 		g.gradIdx = map[*float64]int{}
@@ -161,14 +162,16 @@ func (g *Graph) reduce(up *stepUpdate) {
 		g.grads[i].ops = g.grads[i].ops[:0]
 	}
 	g.grads = g.grads[:0]
+	var rs [3]paramReduction
 	for i := len(g.tape) - 1; i >= 0; i-- {
-		rs, n := opReductions(&g.tape[i])
-		for which, r := range rs[:n] {
+		n := opReductions(&g.tape[i], &rs)
+		for k := range rs[:n] {
+			r := &rs[k]
 			if len(r.dst) == 0 {
 				continue
 			}
 			e := g.gradOf(r.dst)
-			e.ops = append(e.ops, reduction{op: int32(i), which: uint8(which)})
+			e.ops = append(e.ops, *r)
 			e.cost += r.cost
 		}
 	}
@@ -260,8 +263,9 @@ func share(costs, parts []int) []int {
 	return parts
 }
 
-// reduceJob runs the reductions of the gradients in parts [from, to), and
-// with an update bounds those parts' parameters' sums of squares.
+// reduceJob runs the reductions of the gradients in parts [from, to), each
+// one-row product through its part's rowRun, and with an update bounds those
+// parts' parameters' sums of squares.
 func reduceJob(j *job, from, to int) {
 	g := j.g
 	for i := range g.grads {
@@ -269,11 +273,17 @@ func reduceJob(j *job, from, to int) {
 		if e.part < from || e.part >= to {
 			continue
 		}
-		for _, r := range e.ops {
-			o := &g.tape[r.op]
-			rs, _ := opReductions(o)
-			rs[r.which].run(o.rows())
+		run := &g.runs[e.part]
+		for k := range e.ops {
+			switch r := &e.ops[k]; {
+			case r.w == nil || r.rows > 1:
+				run.flush()
+				r.run()
+			case r.active == nil || r.active[0]:
+				run.add(r)
+			}
 		}
+		run.flush()
 	}
 	up := j.up
 	if up == nil || up.opt.Clip <= 0 {

@@ -10,7 +10,9 @@ import (
 // This file is the package's one fork–join: a split step (Graph.ResetStep)
 // hands the upper part of each of its phases — the forward, the backward,
 // the reductions, the update — to a helper goroutine and runs the lower part
-// itself. The splits are in kernel.go's header; each part writes rows of
+// itself. Only a split step posts: every other graph, inference and a
+// one-row training step alike, runs each phase whole on its caller, so two
+// trainers side by side each keep to their own core. The splits are in kernel.go's header; each part writes rows of
 // tensors, or parameters, no other part touches and reads only what neither
 // writes, so every element sees the operations it sees on one goroutine, in
 // the same order, and the bits do not depend on who ran which part.
@@ -29,10 +31,9 @@ import (
 // Between jobs a helper spins for helperSpin, yielding, then parks until the
 // next post.
 
-// A job is one split phase of a step: run(j, from, to) does its share
-// between cut points from and to — (0, 1) is the lower part, (1, 2) the
-// upper, (0, 2) the whole. A graph owns one and refills it for every phase
-// it splits.
+// A job is one phase of a step: run(j, from, to) does its share between cut
+// points from and to — (0, 1) is the lower part, (1, 2) the upper, (0, 2)
+// the whole. A graph owns one and refills it for every phase.
 type job struct {
 	run  func(j *job, from, to int)
 	rcut [3]int // the lower part is [rcut[0], rcut[1]), the upper [rcut[1], rcut[2])
@@ -86,10 +87,10 @@ var forceClaimBack atomic.Bool
 
 // fork runs j: the upper part on a helper where one is free and takes it in
 // time, the lower part on the calling goroutine; or the whole job here when
-// either part is empty, when there is no second processor, or when there is
-// no free helper.
+// the graph is not a split step, when either part is empty, when there is no
+// second processor, or when there is no free helper.
 func (g *Graph) fork(j *job) {
-	if g.procs < 2 || j.rcut[1] == j.rcut[0] || j.rcut[2] == j.rcut[1] {
+	if g.rows == 0 || g.procs < 2 || j.rcut[1] == j.rcut[0] || j.rcut[2] == j.rcut[1] {
 		j.run(j, 0, 2)
 		return
 	}

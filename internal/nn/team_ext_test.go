@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"testing"
@@ -87,7 +88,11 @@ func TestStepBatchDigestClaimedBack(t *testing.T) {
 
 // TestInferencePostsNothing: decoding — Parse, ParseBeam at width 3, a
 // Decode of 8 rows, EvaluateBatched — posts no job to the helpers, on a
-// multi-core host, right after training has kept them busy.
+// multi-core host, right after training has kept them busy; and no other
+// graph that is not a split step does either: a B=1 Trainer.Step, and a
+// four-row product with its bias run backward as it was called, through
+// Backward and BackwardStep — each with two parameter gradients or more to
+// share out, were its reductions split.
 func TestInferencePostsNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	pool := digestPairs()
@@ -119,5 +124,34 @@ func TestInferencePostsNothing(t *testing.T) {
 	eval.EvaluateBatched(p, examples, thingtalk.SchemaMap{}, 4)
 	if posted, _ := nn.TeamCounts(); posted != before {
 		t.Errorf("decoding posted %d jobs", posted-before)
+	}
+
+	before, _ = nn.TeamCounts()
+	for s := 0; s < 3; s++ {
+		tr.Step(&pool[s])
+	}
+	if posted, _ := nn.TeamCounts(); posted != before {
+		t.Errorf("B=1 training posted %d jobs", posted-before)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	lin := nn.NewLinear(8, 6, rng)
+	x := nn.NewRandom(4, 8, rng)
+	opt := nn.NewAdam(1e-2)
+	before, _ = nn.TeamCounts()
+	for _, stepped := range []bool{false, true} {
+		g := nn.NewGraph(true)
+		out := g.BatchedAffine(x, lin.W, lin.B)
+		for i := range out.DW {
+			out.DW[i] = 1
+		}
+		if stepped {
+			g.BackwardStep(opt, lin.Params())
+		} else {
+			g.Backward()
+		}
+	}
+	if posted, _ := nn.TeamCounts(); posted != before {
+		t.Errorf("a backward outside a split step posted %d jobs", posted-before)
 	}
 }
