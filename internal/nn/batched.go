@@ -23,7 +23,8 @@ import "math"
 const nllEps = 1e-9
 
 // BatchedAffine computes x·W + b for a B×in batch in one pass: it fuses
-// Add(MatMul(x, w), b), the bias row broadcast over the batch.
+// Add(MatMul(x, w), b), the bias row broadcast over the batch. As for
+// MatMul's b, w and b must be leaves when the graph records gradients.
 func (g *Graph) BatchedAffine(x, w, b *Tensor) *Tensor {
 	if x.Cols != w.Rows || b.Cols != w.Cols || b.Rows != 1 {
 		panic("nn: BatchedAffine shape mismatch")
@@ -333,7 +334,8 @@ func backSoftmaxRows(a, out *Tensor, lo, hi int) {
 // LookupRows stacks the embedding rows of ids into a len(ids)×dim batch. The
 // ids slice is retained until Backward/Reset. The rows are copied when
 // LookupRows is called, also on a split step: they depend on nothing the
-// step computes.
+// step computes. emb must be a leaf when the graph records gradients: its
+// gradient is scattered after every op's row-local backward (reduce.go).
 func (g *Graph) LookupRows(emb *Tensor, ids []int) *Tensor {
 	o := &tapeOp{kind: opLookupRows, a: emb, ints: ids, out: g.NewTensor(len(ids), emb.Cols)}
 	if g.rows > 0 {

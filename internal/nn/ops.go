@@ -10,7 +10,10 @@ import (
 // sliceRow are the unfused chains the fused kernels of batched.go are
 // verified against.
 
-// MatMul returns a·b.
+// MatMul returns a·b. When the graph records gradients, b must be a leaf —
+// a parameter or a tensor no op on this graph produced: its gradient is
+// summed after every op's row-local backward has run (reduce.go), too late
+// for an op that produced it.
 func (g *Graph) MatMul(a, b *Tensor) *Tensor {
 	if a.Cols != b.Rows {
 		panic("nn: matmul shape mismatch")

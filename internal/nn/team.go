@@ -12,10 +12,11 @@ import (
 // the reductions, the update — to a helper goroutine and runs the lower part
 // itself. Only a split step posts: every other graph, inference and a
 // one-row training step alike, runs each phase whole on its caller, so two
-// trainers side by side each keep to their own core. The splits are in kernel.go's header; each part writes rows of
-// tensors, or parameters, no other part touches and reads only what neither
-// writes, so every element sees the operations it sees on one goroutine, in
-// the same order, and the bits do not depend on who ran which part.
+// trainers side by side each keep to their own core. The splits are in
+// kernel.go's header; each part writes rows of tensors, or parameters, no
+// other part touches and reads only what neither writes, so every element
+// sees the operations it sees on one goroutine, in the same order, and the
+// bits do not depend on who ran which part.
 //
 // The team is process-wide: GOMAXPROCS−1 helpers, started the first time a
 // graph splits a phase with that many processors, one slot each. Hand-off is
