@@ -6,8 +6,8 @@
 // numbers are qualitative reproductions rather than full-scale regenerations
 // (use `cmd/genie experiment <name> -scale small|full` for the larger runs).
 // The substrate micro-benchmarks below them measure the hot paths of the
-// pipeline, including the concurrent synthesis→augmentation pipeline at
-// several worker counts (BenchmarkSynthesizePipeline).
+// pipeline, including the parallel experiment harness at several worker
+// counts (BenchmarkFig8Workers).
 package repro_test
 
 import (
@@ -21,7 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/genie"
 	"repro/internal/model"
@@ -441,46 +440,6 @@ func BenchmarkRuntimeExecution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := exec.Run(prog, 1); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSynthesizePipeline measures the concurrent streaming data
-// pipeline end to end (synthesis waves → parameter instantiation → PPDB
-// augmentation over bounded channels) at two scales and at Workers=1 vs
-// Workers=NumCPU. The emitted example set is identical across worker counts;
-// only the wall-clock time changes, so the ratio of the two sub-benchmarks
-// is the pipeline's parallel speedup on this machine.
-func BenchmarkSynthesizePipeline(b *testing.B) {
-	lib := thingpedia.Builtin()
-	scales := []struct {
-		name  string
-		scale genie.Scale
-	}{
-		{"small", genie.Unit},
-		{"medium", genie.Small},
-	}
-	workersList := []int{1}
-	if n := goruntime.NumCPU(); n > 1 {
-		workersList = append(workersList, n)
-	} else {
-		fmt.Println("single-CPU runner: skipping the workers=NumCPU leg (no speedup measurable)")
-	}
-	for _, sc := range scales {
-		for _, workers := range workersList {
-			b.Run(fmt.Sprintf("%s/workers=%d", sc.name, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					ctx := context.Background()
-					stream := genie.PipelineStream(ctx, lib, nltemplate.DefaultOptions, sc.scale, 1, workers)
-					out := dataset.Collect(ctx, stream, 0)
-					if len(out) == 0 {
-						b.Fatal("pipeline emitted nothing")
-					}
-					if i == 0 {
-						b.ReportMetric(float64(len(out)), "examples")
-					}
-				}
-			})
 		}
 	}
 }

@@ -4,7 +4,6 @@
 // Usage:
 //
 //	genie synthesize [-scale unit|small|full] [-n 10]
-//	genie pipeline [-scale unit|small|full] [-n 20] [-workers N]
 //	genie experiment fig7|fig8|table3|fig9|stats|errors|limitation|ifttt [-scale ...] [-seed N]
 //	    [-workers N] [-cpuprofile cpu.out] [-memprofile mem.out]
 //	genie experiment all [-scale ...]
@@ -20,10 +19,7 @@
 //	    [-hedge] [-hedge-after 0] [-fallback] [-seed 1] [-pprof ADDR]
 //	genie chaos -target URL [-addr :8091] [-ctl :8092]
 //
-// synthesize materializes the synthesized set and prints samples; pipeline
-// streams the concurrent synthesis→augmentation→parameter-replacement
-// pipeline and prints training-ready examples as they are produced,
-// cancelling the upstream stages once -n examples have been emitted. train
+// synthesize materializes the synthesized set and prints samples. train
 // runs the full data pipeline plus parser training, stamps the library's
 // grammar spec (constrained decoding) and a fitted confidence threshold
 // (-calibrate), and writes a versioned binary snapshot; serve loads a
@@ -47,7 +43,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -55,7 +50,6 @@ import (
 	goruntime "runtime"
 	"runtime/pprof"
 
-	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/genie"
 	"repro/internal/nltemplate"
@@ -70,8 +64,6 @@ func main() {
 	switch os.Args[1] {
 	case "synthesize":
 		cmdSynthesize(os.Args[2:])
-	case "pipeline":
-		cmdPipeline(os.Args[2:])
 	case "experiment":
 		cmdExperiment(os.Args[2:])
 	case "train":
@@ -90,9 +82,8 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: genie synthesize|pipeline|experiment|train|serve|fleet|gateway|chaos [args]")
+	fmt.Fprintln(os.Stderr, "usage: genie synthesize|experiment|train|serve|fleet|gateway|chaos [args]")
 	fmt.Fprintln(os.Stderr, "  genie synthesize -scale unit -n 10")
-	fmt.Fprintln(os.Stderr, "  genie pipeline -scale unit -n 20 -workers 0   (0 = all CPUs)")
 	fmt.Fprintln(os.Stderr, "  genie experiment fig7|fig8|table3|fig9|stats|errors|limitation|ifttt|all -scale unit -seed 1 \\")
 	fmt.Fprintln(os.Stderr, "       [-workers 0] [-cpuprofile cpu.out] [-memprofile mem.out]")
 	fmt.Fprintln(os.Stderr, "  genie train -scale unit -seed 1 -out parser.snap [-strategy genie] [-maxsteps N] [-lmsteps N] [-batchsize B] [-calibrate 4]")
@@ -131,31 +122,6 @@ func cmdSynthesize(args []string) {
 	for i := 0; i < *n && i < len(d.Synth); i++ {
 		fmt.Printf("  NL: %s\n  TT: %s\n", d.Synth[i].Sentence(), d.Synth[i].Program)
 	}
-}
-
-// cmdPipeline streams the concurrent data pipeline: synthesis waves,
-// parameter instantiation and PPDB augmentation overlap through bounded
-// channels, and cancelling the context (after -n examples) stops the
-// upstream stages early instead of materializing the full set.
-func cmdPipeline(args []string) {
-	fs := flag.NewFlagSet("pipeline", flag.ExitOnError)
-	scaleName := scaleFlag(fs)
-	n := fs.Int("n", 20, "examples to emit (0 = the whole set)")
-	seed := fs.Int64("seed", 1, "random seed")
-	workers := fs.Int("workers", 0, "pipeline workers per stage (0 = all CPUs)")
-	fs.Parse(args)
-	scale := resolveScale(*scaleName)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	lib := thingpedia.Builtin()
-	stream := genie.PipelineStream(ctx, lib, nltemplate.DefaultOptions, scale, *seed, *workers)
-	out := dataset.Collect(ctx, stream, *n)
-	cancel() // stop upstream stages once enough examples arrived
-	for i := range out {
-		fmt.Printf("%s\t%s\n", out[i].Sentence(), out[i].Program)
-	}
-	fmt.Fprintf(os.Stderr, "pipeline emitted %d examples\n", len(out))
 }
 
 func cmdExperiment(args []string) {

@@ -5,13 +5,9 @@
 // (NUMBER_0, DATE_1, ...) exactly as the rule-based argument identifier
 // would produce, and paraphrases receive PPDB-style lexical augmentation.
 //
-// Two APIs expose the expansion: Expand and AugmentParaphrases materialize
-// slices with a caller-supplied RNG, while ExpandStream (see stream.go) is
-// their concurrent bounded-channel counterpart — a StreamConfig.Workers
-// worker pool (0 = GOMAXPROCS) instantiates examples as they arrive from an
-// upstream stage such as synthesis.SynthesizeStream, with per-example RNGs
-// derived from StreamConfig.Seed so the output is identical for any worker
-// count.
+// Expand and AugmentParaphrases materialize slices with a caller-supplied
+// RNG; genie's Data.TrainingExamples runs them over the synthesized and
+// paraphrased sets to build the training set.
 //
 //genielint:deterministic
 package augment

@@ -76,14 +76,12 @@ func (e *Example) Clone() Example {
 	}
 }
 
-// Collect drains a streaming pipeline stage into a slice, stopping after
-// max examples (0 = no cap) or when ctx is cancelled. It is the bridge from
-// the bounded-channel pipeline (synthesis.SynthesizeStream,
-// augment.ExpandStream) back to the slice-based APIs. Returning early —
-// because max was reached or ctx fired — leaves the producer goroutines
-// parked on their bounded channels until ctx is cancelled, so callers that
-// may stop before the stream drains must own a cancelable context and
-// cancel it afterwards (as cmd/genie pipeline does).
+// Collect drains a channel of examples into a slice, stopping after max
+// examples (0 = no cap) or when ctx is cancelled. The benchmark drains
+// genie.PipelineStream with it. Returning early — because max was reached or
+// ctx fired — leaves the producer parked on its channel until ctx is
+// cancelled, so a caller that may stop before the channel closes must own a
+// cancelable context and cancel it afterwards.
 func Collect(ctx context.Context, ch <-chan Example, max int) []Example {
 	var out []Example
 	for {

@@ -12,11 +12,11 @@
 // rewritten program, so a parser must combine the short utterance with the
 // previous program (its decoding context) to recover it.
 //
-// Synthesis is deterministic with the same contract as
-// synthesis.SynthesizeStream: seeds are processed in fixed-size chunks, each
-// chunk draws from an RNG derived from (Config.Seed, chunk index), and chunk
-// results merge in chunk order — the output is bit-identical for every
-// Workers setting, including Workers=1.
+// Synthesis is deterministic with the same contract as synthesis.Synthesize:
+// seeds are processed in fixed-size chunks, each chunk draws from an RNG
+// derived from (Config.Seed, chunk index), and chunk results merge in chunk
+// order — the output is bit-identical for every Workers setting, including
+// Workers=1.
 //
 //genielint:deterministic
 package dialogue

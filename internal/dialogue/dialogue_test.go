@@ -124,7 +124,7 @@ func TestSynthesizeSessions(t *testing.T) {
 }
 
 // TestSynthesizeWorkerCountDeterminism: the session stream is bit-identical
-// for every worker count, the same contract as synthesis.SynthesizeStream.
+// for every worker count, the same contract as synthesis.Synthesize.
 func TestSynthesizeWorkerCountDeterminism(t *testing.T) {
 	seeds := manySeeds(100)
 	want := Synthesize(seeds, testCfg(1))

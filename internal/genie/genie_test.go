@@ -1,7 +1,9 @@
 package genie
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -69,6 +71,51 @@ func TestTrainingExamplesRespectHoldout(t *testing.T) {
 	para := d.TrainingExamples(StrategyParaphraseOnly, rand.New(rand.NewSource(1)))
 	if len(base) >= len(para) {
 		t.Errorf("baseline (%d) should be smaller than paraphrase-only (%d)", len(base), len(para))
+	}
+}
+
+// TestBuildDataDeterministicAcrossProcs: the data a parser trains and
+// validates on — BuildData, then TrainingExamples seeded as Data.Train seeds
+// it, plus the validation set — is the same sentences and programs at
+// GOMAXPROCS 1 and 4, although synthesis runs one sampling goroutine per
+// core.
+func TestBuildDataDeterministicAcrossProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	build := func(procs int) []string {
+		runtime.GOMAXPROCS(procs)
+		d := buildUnitData(t)
+		examples := append(d.TrainingExamples(StrategyGenie, rand.New(rand.NewSource(1))), d.Validation...)
+		out := make([]string, len(examples))
+		for i := range examples {
+			out[i] = examples[i].Sentence() + "|" + examples[i].Program.String()
+		}
+		return out
+	}
+	one, four := build(1), build(4)
+	if len(one) != len(four) {
+		t.Fatalf("GOMAXPROCS changed the set: %d examples at 1, %d at 4", len(one), len(four))
+	}
+	for i := range one {
+		if one[i] != four[i] {
+			t.Fatalf("example %d differs:\n GOMAXPROCS 1: %s\n GOMAXPROCS 4: %s", i, one[i], four[i])
+		}
+	}
+	t.Logf("%d examples, identical", len(one))
+}
+
+// TestPipelineStreamIsTheTrainingSet: the benchmark's adapter sends exactly
+// the examples Data.Train would train a Genie-strategy parser on.
+func TestPipelineStreamIsTheTrainingSet(t *testing.T) {
+	ctx := context.Background()
+	got := dataset.Collect(ctx, PipelineStream(ctx, thingpedia.Builtin(), nltemplate.DefaultOptions, Unit, 1, 0), 0)
+	want := buildUnitData(t).TrainingExamples(StrategyGenie, rand.New(rand.NewSource(1)))
+	if len(got) != len(want) {
+		t.Fatalf("%d examples sent, %d in the training set", len(got), len(want))
+	}
+	for i := range want {
+		if a, b := got[i].Sentence()+"|"+got[i].Program.String(), want[i].Sentence()+"|"+want[i].Program.String(); a != b {
+			t.Fatalf("example %d: sent %s, training set %s", i, a, b)
+		}
 	}
 }
 

@@ -1,13 +1,13 @@
 package params
 
-// Seed derivation for the concurrent data pipeline. Every parallel stage
-// (synthesis tasks, per-example parameter expansion) draws its randomness
-// from an independent RNG whose seed is derived deterministically from the
-// run seed, a stage label, and the task index. Scheduling therefore never
-// influences which values are drawn: the same seed produces the same
-// dataset whether the pipeline runs on one worker or many.
+// Seed derivation for concurrent work. Every parallel task (a synthesis
+// wave's category tasks, dialogue synthesis chunks) draws its randomness from
+// an independent RNG whose seed is derived deterministically from the run
+// seed, a stage label, and the task index. Scheduling therefore never
+// influences which values are drawn: the same seed produces the same dataset
+// whether the work runs on one worker or many.
 
-// DeriveSeed deterministically derives an independent RNG seed for pipeline
+// DeriveSeed deterministically derives an independent RNG seed for
 // sub-stream index of the named stage.
 func DeriveSeed(base int64, stage string, index int) int64 {
 	h := uint64(base) ^ 0x9e3779b97f4a7c15

@@ -1,7 +1,6 @@
 package synthesis
 
 import (
-	"context"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -11,10 +10,6 @@ import (
 	"repro/internal/params"
 	"repro/internal/thingtalk"
 )
-
-// streamBuffer bounds the SynthesizeStream output channel so a slow consumer
-// applies backpressure instead of forcing full materialization.
-const streamBuffer = 256
 
 // slotIDShift partitions the slot-ID space per task: task t mints IDs
 // t<<slotIDShift+1, t<<slotIDShift+2, ... so concurrently sampled
@@ -76,25 +71,18 @@ func newSampler(g *nltemplate.Grammar, cfg Config) *sampler {
 	return s
 }
 
-// run executes the depth waves, calling emit for every complete command in
-// deterministic order. emit returning false, or ctx cancellation, stops the
-// run early. Either argument may be nil.
-func (s *sampler) run(ctx context.Context, emit func(Example) bool) {
+// run executes the depth waves, calling emit (which may be nil) for every
+// complete command in deterministic order.
+func (s *sampler) run(emit func(Example)) {
 	for depth := 1; depth <= s.cfg.MaxDepth; depth++ {
-		if ctx != nil && ctx.Err() != nil {
-			return
-		}
-		results := s.runWave(ctx, depth)
+		results := s.runWave(depth)
 		// Deterministic merge: category registration order, generation
 		// order within a category.
 		for _, t := range results {
-			if t == nil {
-				continue
-			}
 			s.pools[t.cat] = append(s.pools[t.cat], t.derivs...)
-			for i := range t.commands {
-				if emit != nil && !emit(t.commands[i]) {
-					return
+			if emit != nil {
+				for i := range t.commands {
+					emit(t.commands[i])
 				}
 			}
 		}
@@ -104,13 +92,10 @@ func (s *sampler) run(ctx context.Context, emit func(Example) bool) {
 // runWave samples every category at one depth. Tasks only read pools (frozen
 // at depths < depth) and write task-local buffers plus their own category's
 // dedup set, so they are data-race free by ownership.
-func (s *sampler) runWave(ctx context.Context, depth int) []*task {
+func (s *sampler) runWave(depth int) []*task {
 	results := make([]*task, len(s.cats))
 	if s.cfg.Workers == 1 {
 		for i := range s.cats {
-			if ctx != nil && ctx.Err() != nil {
-				break
-			}
 			results[i] = s.runTask(depth, i)
 		}
 		return results
@@ -122,9 +107,6 @@ func (s *sampler) runWave(ctx context.Context, depth int) []*task {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				if ctx != nil && ctx.Err() != nil {
-					continue
-				}
 				results[i] = s.runTask(depth, i)
 			}
 		}()

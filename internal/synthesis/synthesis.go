@@ -14,17 +14,14 @@
 // the output is identical — same examples, same order — for every worker
 // count, including Workers=1.
 //
-// Two APIs expose the result: Synthesize materializes the full example
-// slice, while SynthesizeStream emits examples on a bounded channel as each
-// wave completes, letting downstream stages (paraphrase augmentation,
-// parameter replacement) overlap with synthesis instead of waiting for the
-// whole set.
+// Synthesize returns the complete commands as one slice, which
+// genie.BuildData hands on to paraphrasing and parameter replacement;
+// SynthesizeCategory returns the derivations of any other category.
 //
 //genielint:deterministic
 package synthesis
 
 import (
-	"context"
 	"strings"
 
 	"repro/internal/nltemplate"
@@ -77,31 +74,7 @@ func (e *Example) Sentence() string { return strings.Join(e.Words, " ") }
 func Synthesize(g *nltemplate.Grammar, cfg Config) []Example {
 	s := newSampler(g, cfg)
 	var out []Example
-	s.run(nil, func(e Example) bool {
-		out = append(out, e)
-		return true
-	})
-	return out
-}
-
-// SynthesizeStream runs the sampler concurrently and emits complete commands
-// on a bounded channel as each depth wave finishes. The channel is closed
-// when synthesis completes or the context is cancelled. For a fixed seed the stream carries exactly the examples
-// Synthesize returns, in the same order, for any Workers setting.
-func SynthesizeStream(ctx context.Context, g *nltemplate.Grammar, cfg Config) <-chan Example {
-	out := make(chan Example, streamBuffer)
-	go func() {
-		defer close(out)
-		s := newSampler(g, cfg)
-		s.run(ctx, func(e Example) bool {
-			select {
-			case out <- e:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		})
-	}()
+	s.run(func(e Example) { out = append(out, e) })
 	return out
 }
 
@@ -110,7 +83,7 @@ func SynthesizeStream(ctx context.Context, g *nltemplate.Grammar, cfg Config) <-
 // use it to collect values that are not ThingTalk programs.
 func SynthesizeCategory(g *nltemplate.Grammar, cfg Config, category string) []*nltemplate.Derivation {
 	s := newSampler(g, cfg)
-	s.run(nil, nil)
+	s.run(nil)
 	return s.pools[category]
 }
 

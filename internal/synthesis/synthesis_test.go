@@ -1,11 +1,9 @@
 package synthesis
 
 import (
-	"context"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/nltemplate"
 	"repro/internal/thingpedia"
@@ -200,60 +198,6 @@ func TestSynthesizeWorkersDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("order mismatch at %d:\n workers=1: %s\n workers=4: %s", i, a[i], b[i])
 			break
-		}
-	}
-}
-
-// TestSynthesizeStreamMatchesSlice asserts the streaming API carries exactly
-// the examples the slice API returns, in order.
-func TestSynthesizeStreamMatchesSlice(t *testing.T) {
-	g, lib := buildGrammar(t, nltemplate.DefaultOptions)
-	cfg := Config{TargetPerRule: 20, MaxDepth: 4, Seed: 4, Schemas: lib, Workers: 3}
-	want := Synthesize(g, cfg)
-	var got []Example
-	for e := range SynthesizeStream(context.Background(), g, cfg) {
-		got = append(got, e)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("stream size %d != slice size %d", len(got), len(want))
-	}
-	a, b := exampleKeys(want), exampleKeys(got)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("stream example %d differs:\n slice:  %s\n stream: %s", i, a[i], b[i])
-		}
-	}
-}
-
-// TestSynthesizeStreamCancellation asserts that cancelling the context stops
-// the stream: the channel closes without delivering the full set.
-func TestSynthesizeStreamCancellation(t *testing.T) {
-	g, lib := buildGrammar(t, nltemplate.DefaultOptions)
-	cfg := Config{TargetPerRule: 64, MaxDepth: 5, Seed: 1, Schemas: lib}
-	full := Synthesize(g, cfg)
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := SynthesizeStream(ctx, g, cfg)
-	got := 0
-	for range 5 {
-		if _, ok := <-ch; !ok {
-			t.Fatal("stream closed before cancellation")
-		}
-		got++
-	}
-	cancel()
-	timeout := time.After(10 * time.Second)
-	for {
-		select {
-		case _, ok := <-ch:
-			if !ok {
-				if got >= len(full) {
-					t.Fatalf("cancellation delivered the full set (%d examples)", got)
-				}
-				return
-			}
-			got++
-		case <-timeout:
-			t.Fatal("stream did not close after cancellation")
 		}
 	}
 }
