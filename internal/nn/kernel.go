@@ -78,31 +78,29 @@ import "math"
 // (Graph.newOut, zeroRows).
 //
 // The elementwise primitives (sigmoid, tanh, expShift for softmax, adam) are
-// the only place in the package that calls math.Exp or math.Tanh or does
-// Adam's arithmetic. Their contract is their reference body, the scalar loop
-// each replaced: 1/(1+math.Exp(−x)), math.Tanh(x), math.Exp(x−m), and Adam's
-// update in the order it has always used. The assembly bodies meet it
-// lane by lane:
+// the only place in the package that takes an exponential or a tanh or does
+// Adam's arithmetic. Their contract is their reference body: 1/(1+exp(−x)),
+// tanhOf(x), exp(x−m), and Adam's update in the order it has always used.
+// exp is the package's own: math.Exp's FMA code path (math/exp_amd64.s) in
+// Go, so it gives the same bits on every host, with or without FMA hardware
+// (math.FMA is exact in software too), and equals math.Exp wherever math.Exp
+// takes that path; tanhOf is math.tanh's three branches over it. The
+// assembly bodies meet the contract lane by lane:
 //
-//   - exp is math.Exp's FMA code path (math/exp_amd64.s) four lanes wide,
-//     with its constants, fusing exactly where it fuses. Lanes outside
-//     [−708, 709], where the scalar code takes its overflow, underflow and
-//     denormal branches, and NaN lanes are math.Exp's own: the body stops at
-//     their group of four and the reference body takes it;
-//   - tanh computes math.tanh's three branches for every lane and blends
-//     them, keeping ±0 as it came;
+//   - exp four lanes wide, with its constants, fusing exactly where it
+//     fuses. Lanes outside [−708, 709], where the scalar code takes its
+//     overflow, underflow and denormal branches, and NaN lanes are left to
+//     it: the body stops at their group of four and the reference body takes
+//     it;
+//   - tanh computes tanhOf's three branches for every lane and blends them,
+//     keeping ±0 as it came;
 //   - adam rounds every product and uses the correctly rounded divide and
 //     square root, in the reference's order; it skips the divide by bc1 once
 //     bc1 is exactly 1.0, which changes no bit: x/1 is x.
 //
-// That exp agrees with math.Exp only while math.Exp takes its FMA path — on a
-// CPU with AVX and FMA, unless GODEBUG=cpu.fma=off — and only for the
-// math.Exp and math.tanh this copies. So the activation bodies run only
-// where CPUID reports AVX2 and FMA and an init-time probe (activationsAgree)
-// finds them equal to the reference bit for bit; everywhere else the
-// reference body runs. Trained weights are therefore bit-identical run to run
-// on a host, with or without the assembly; an FMA and a non-FMA host already
-// differed before, because math.Exp does.
+// So the activation bodies equal the reference by construction, and run
+// wherever CPUID reports AVX2 and FMA. Trained weights are bit-identical run
+// to run and from one amd64 host to another, whichever body runs.
 //
 // NaN payloads are outside the contract: which payload survives an operation
 // on two NaNs depends on operand order, which neither body fixes, so "bit for
@@ -270,22 +268,85 @@ func adamUpdate(w, dw, m, v []float64, c adamCoef) {
 func sigmoidGo(dst, x []float64) {
 	x = x[:len(dst)]
 	for j, v := range x {
-		dst[j] = 1 / (1 + math.Exp(-v))
+		dst[j] = 1 / (1 + exp(-v))
 	}
 }
 
 func tanhGo(dst, x []float64) {
 	x = x[:len(dst)]
 	for j, v := range x {
-		dst[j] = math.Tanh(v)
+		dst[j] = tanhOf(v)
 	}
 }
 
 func expShiftGo(dst, x []float64, m float64) {
 	x = x[:len(dst)]
 	for j, v := range x {
-		dst[j] = math.Exp(v - m)
+		dst[j] = exp(v - m)
 	}
+}
+
+// exp is math.Exp as math/exp_amd64.s computes it on a CPU with FMA: math.FMA
+// where the assembly fuses, every other product and sum rounded, its
+// CVTSD2SL (round to even, MinInt32 outside int32) and its ldexp, which
+// splices a denormal result through 2^−1022.
+func exp(x float64) float64 {
+	const (
+		log2e = 1.4426950408889634073599246810018920
+		ln2U  = 0.69314718055966295651160180568695068359375           // ln 2's upper half
+		ln2L  = 0.28235290563031577122588448175013436025525412068e-12 // and lower half
+	)
+	switch {
+	case x != x || x == math.Inf(1):
+		return x
+	case x == math.Inf(-1):
+		return 0
+	case x > 7.09782712893384e+02:
+		return math.Inf(1)
+	}
+	k := int32(math.MinInt32)
+	if t := math.RoundToEven(float64(log2e * x)); t >= math.MinInt32 && t <= math.MaxInt32 {
+		k = int32(t)
+	}
+	r := math.FMA(-float64(k), ln2U, x)
+	r = float64(math.FMA(-float64(k), ln2L, r) * 0.0625)
+	p := 2.4801587301587301587e-5 // the Taylor coefficients 1/8! … 1/3!, 1/2, 1
+	for _, c := range [...]float64{1.9841269841269841270e-4, 1.3888888888888888889e-3, 8.3333333333333333333e-3, 4.1666666666666666667e-2, 1.6666666666666666667e-1, 0.5, 1} {
+		p = math.FMA(p, r, c)
+	}
+	r = float64(r * p)
+	for range 3 {
+		r = float64(r * float64(r+2))
+	}
+	r = math.FMA(float64(r+2), r, 1)
+	switch e := k + 0x3FF; {
+	case e >= 0x7FF:
+		return math.Inf(1)
+	case e < -52:
+		return 0
+	case e <= 0:
+		return float64(float64(r*math.Float64frombits(uint64(e+0x3FE)<<52)) * 0x1p-1022)
+	default:
+		return float64(r * math.Float64frombits(uint64(e)<<52))
+	}
+}
+
+// tanhOf is math.tanh's three branches over exp.
+func tanhOf(x float64) float64 {
+	const p0, p1, p2 = -9.64399179425052238628e-1, -9.92877231001918586564e1, -1.61468768441708447952e3
+	const q0, q1, q2 = 1.12811678491632931402e2, 2.23548839060100448583e3, 4.84406305325125486048e3
+	switch z := math.Abs(x); {
+	case z > 0.5*8.8029691931113054295988e+01: // log(2**127)/2
+		return math.Copysign(1, x)
+	case z >= 0.625:
+		return math.Copysign(1-2/(exp(2*z)+1), x)
+	case x == 0:
+		return x
+	}
+	s := float64(x * x)
+	p := float64(float64(float64(p0*s)+p1)*s) + p2
+	q := float64(float64(float64(float64(s+q0)*s)+q1)*s) + q2
+	return x + float64(float64(x*s)*p)/q
 }
 
 // adamGo is Adam's update loop: the clip scale, the two moment updates, and
@@ -301,41 +362,6 @@ func adamGo(w, dw, m, v []float64, c adamCoef) {
 		w[i] -= float64(c.lr*(mi/c.bc1)) / (math.Sqrt(vi/c.bc2) + c.eps)
 		dw[i] = 0
 	}
-}
-
-// activationsAgree reports whether ks's activations give the reference
-// body's bits on a spread of arguments across every branch of math.Exp and
-// math.tanh. It is the init-time guard on the assembly activations: under
-// GODEBUG=cpu.fma=off, or against a math.Exp that is no longer the code the
-// assembly copies, a few hundred arguments find a difference.
-func activationsAgree(ks kernelSet) bool {
-	x := make([]float64, 600, 605)
-	for i := range x {
-		u := 2*math.Mod(float64(i)*0.6180339887498949, 1) - 1 // low-discrepancy in [−1, 1)
-		x[i] = u * [...]float64{2, 30, 720}[i%3]
-	}
-	x = append(x, 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN())
-	got, want := make([]float64, len(x)), make([]float64, len(x))
-	for _, run := range []func(k kernelSet, dst []float64){
-		func(k kernelSet, dst []float64) { k.sigmoid(dst, x) },
-		func(k kernelSet, dst []float64) { k.tanh(dst, x) },
-		func(k kernelSet, dst []float64) { k.expShift(dst, x, 0) },
-	} {
-		run(ks, got)
-		run(goKernels, want)
-		for i := range got {
-			if !sameBits(got[i], want[i]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// sameBits is equality of math.Float64bits, with every NaN equal to every
-// other (see the NaN note above).
-func sameBits(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
 func axpyGo(dst, x []float64, a float64) {

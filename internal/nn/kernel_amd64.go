@@ -128,8 +128,7 @@ func init() {
 // runs none: the multiply-add primitives, Adam and the clip's sum of squares
 // need AVX2, the multiply-adds take their AVX-512 bodies where there is
 // AVX-512 too (gradXRow and matvecRows have only that one, the reference
-// body elsewhere); the activations also need FMA — the path math.Exp takes on
-// such a CPU — and must pass the probe against the reference body.
+// body elsewhere); the activations also need FMA, their exp's fused steps.
 func asmBody() (kernelSet, bool) {
 	avx2, fma, avx512 := cpuFeatures()
 	if !avx2 {
@@ -143,11 +142,7 @@ func asmBody() (kernelSet, bool) {
 	}
 	ks.adam, ks.sumSquares = adamAsm, sumSquaresAsm
 	if fma {
-		act := ks
-		act.sigmoid, act.tanh, act.expShift = sigmoidAsm, tanhAsm, expShiftAsm
-		if activationsAgree(act) {
-			ks = act
-		}
+		ks.sigmoid, ks.tanh, ks.expShift = sigmoidAsm, tanhAsm, expShiftAsm
 	}
 	return ks, true
 }

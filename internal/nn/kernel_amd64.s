@@ -14,7 +14,7 @@
 //     each lane j ascending, gradXRow each chain j ascending;
 //   - an FMA only where the scalar code has one: never in the multiply-add
 //     routines, where every product is rounded before it is added, and
-//     exactly math.Exp's own in the exp of the activations;
+//     exactly the reference exp's (kernel.go) in the exp of the activations;
 //   - unaligned loads and stores throughout: operands are arbitrary
 //     sub-slices of float64 buffers.
 //
@@ -951,8 +951,9 @@ GLOBL elemconst<>(SB), RODATA|NOPTR, $832
 // lane is outside); clobbers t and u.
 #define INRANGE(x, t, u) VCMPPD $0x1D, EXPLO, x, t; VCMPPD $0x12, EXPHI, x, u; VANDPD u, t, t; VMOVMSKPD t, BX
 
-// EXP replaces each lane of x, which must lie in [-708, 709], by math.Exp of
-// it, step for step the avxfma path of math/exp_amd64.s:
+// EXP replaces each lane of x, which must lie in [-708, 709], by the
+// reference exp of it (kernel.go), step for step the avxfma path of
+// math/exp_amd64.s:
 //   k = round(x*LOG2E); x = fma(-k, LN2U, x); x = fma(-k, LN2L, x); x /= 16
 //   p = Taylor polynomial in x by fmas; x *= p
 //   three times: x *= x+2; then x = fma(x+2, x, 1)

@@ -4,7 +4,6 @@ package nn
 
 import (
 	"os"
-	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,7 +36,8 @@ func sameFunc(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.Va
 // AVX2 bodies on every other AVX2 CPU; gradXRow runs its AVX-512 body there
 // and the reference elsewhere, matvecRows its AVX-512 body there and matvec
 // row by row elsewhere; Adam and the clip's sum of squares keep their AVX2
-// bodies. Where the
+// bodies; the activations run their assembly bodies exactly where
+// cpuFeatures reports AVX2 and FMA, and the reference elsewhere. Where the
 // kernel lists the CPU's flags (Linux /proc/cpuinfo), cpuFeatures must agree
 // with them, so a broken feature check fails here rather than quietly
 // selecting the narrower body. Run with -v, the log names the bodies in use.
@@ -54,9 +54,9 @@ func TestKernelSelection(t *testing.T) {
 				break
 			}
 		}
-		if flags["avx2"] != avx2 || (flags["avx2"] && flags["avx512f"]) != avx512 {
-			t.Fatalf("cpuFeatures avx2=%t avx512=%t, but /proc/cpuinfo lists avx2=%t avx512f=%t",
-				avx2, avx512, flags["avx2"], flags["avx512f"])
+		if flags["avx2"] != avx2 || (flags["avx2"] && flags["fma"]) != fma || (flags["avx2"] && flags["avx512f"]) != avx512 {
+			t.Fatalf("cpuFeatures avx2=%t fma=%t avx512=%t, but /proc/cpuinfo lists avx2=%t fma=%t avx512f=%t",
+				avx2, fma, avx512, flags["avx2"], flags["fma"], flags["avx512f"])
 		}
 	}
 	if !avx2 {
@@ -70,6 +70,10 @@ func TestKernelSelection(t *testing.T) {
 	if avx512 {
 		name = "avx512"
 	}
+	act, sig, th, es := "go", any(sigmoidGo), any(tanhGo), any(expShiftGo)
+	if fma {
+		act, sig, th, es = "avx2+fma", sigmoidAsm, tanhAsm, expShiftAsm
+	}
 	for _, p := range []struct {
 		name               string
 		got, onAVX2, on512 any
@@ -81,46 +85,21 @@ func TestKernelSelection(t *testing.T) {
 		{"matvecRows", kernels.matvecRows, (func(dst, x, w []float64, rows, in, n int))(nil), matvecRowsAsm},
 		{"adam", kernels.adam, adamAsm, adamAsm},
 		{"sumSquares", kernels.sumSquares, sumSquaresAsm, sumSquaresAsm},
+		{"sigmoid", kernels.sigmoid, sig, sig},
+		{"tanh", kernels.tanh, th, th},
+		{"expShift", kernels.expShift, es, es},
 	} {
 		want := p.onAVX2
 		if avx512 {
 			want = p.on512
 		}
 		if !sameFunc(p.got, want) {
-			t.Fatalf("kernels.%s is not the body an %s CPU gets", p.name, name)
+			t.Fatalf("kernels.%s is not the body an %s CPU (fma=%t) gets", p.name, name, fma)
 		}
-	}
-	act := "go"
-	if sameFunc(kernels.sigmoid, sigmoidAsm) {
-		act = "avx2+fma"
 	}
 	row := "go"
 	if avx512 {
 		row = "avx512"
 	}
 	t.Logf("kernels: matvec/gradX/gradW=%s gradXRow/matvecRows=%s adam/sumSquares=avx2 activations=%s; parity tests run %d bodies", name, row, act, len(kernelBodies()))
-}
-
-// TestActivationProbe: on a CPU with AVX2 and FMA the init-time probe accepts
-// the assembly activations, so they are what runs — unless GODEBUG has turned
-// math.Exp's FMA path off, and then it must refuse them. The test runs itself
-// again under GODEBUG=cpu.fma=off to see the refusal.
-func TestActivationProbe(t *testing.T) {
-	if avx2, fma, _ := cpuFeatures(); !avx2 || !fma {
-		t.Skip("CPU without AVX2 and FMA: the activations have no assembly body here")
-	}
-	act := goKernels
-	act.sigmoid, act.tanh, act.expShift = sigmoidAsm, tanhAsm, expShiftAsm
-	fmaOff := strings.Contains(os.Getenv("GODEBUG"), "cpu.fma=off")
-	if agree := activationsAgree(act); agree == fmaOff {
-		t.Fatalf("probe agreement = %v under GODEBUG=%q", agree, os.Getenv("GODEBUG"))
-	}
-	if fmaOff {
-		return
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestActivationProbe$")
-	cmd.Env = append(os.Environ(), "GODEBUG=cpu.fma=off")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("under GODEBUG=cpu.fma=off: %v\n%s", err, out)
-	}
 }

@@ -25,6 +25,12 @@ func kernelBodies() map[string]kernelSet {
 	return bodies
 }
 
+// sameBits is equality of math.Float64bits, with every NaN equal to every
+// other (see the NaN note in kernel.go).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
 func assertSameBits(t testing.TB, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -427,10 +433,10 @@ func TestKernelBitParity(t *testing.T) {
 // the 17 of a split batch's upper part.
 var matvecRowsHeights = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 16, 17}
 
-// elementwiseSpecials are the inputs at which math.Exp and math.tanh change
+// elementwiseSpecials are the inputs at which exp and tanhOf change
 // branch, or that no body may get wrong: signed zeros, infinities, NaN,
 // denormals; the [−708, 709] edges of the vector exp (and the −x and x−m
-// they become); the band [709.44, 709.78] where math.Exp already returns
+// they become); the band [709.44, 709.78] where exp already returns
 // +Inf from its exponent check rather than its overflow test; the
 // denormal-result range below −708; and tanh's 0.625 and MAXLOG/2 branch
 // points, with their neighbours.
@@ -479,28 +485,23 @@ func drawElementwise(rng *rand.Rand, n, off int) []float64 {
 }
 
 // The references of the elementwise primitives: the scalar loops they
-// replaced, verbatim.
+// replaced, over the package's exp and tanhOf (TestExpPin holds those to
+// math.Exp and math.Tanh).
 
 func naiveSigmoid(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = 1 / (1 + math.Exp(-v))
-	}
-	return out
+	return mapped(x, func(v float64) float64 { return 1 / (1 + exp(-v)) })
 }
 
-func naiveTanh(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = math.Tanh(v)
-	}
-	return out
-}
+func naiveTanh(x []float64) []float64 { return mapped(x, tanhOf) }
 
 func naiveExpShift(x []float64, m float64) []float64 {
+	return mapped(x, func(v float64) float64 { return exp(v - m) })
+}
+
+func mapped(x []float64, f func(float64) float64) []float64 {
 	out := make([]float64, len(x))
 	for i, v := range x {
-		out[i] = math.Exp(v - m)
+		out[i] = f(v)
 	}
 	return out
 }
@@ -554,6 +555,46 @@ func TestElementwiseBitParity(t *testing.T) {
 				assertSameBits(t, "expShift specials", got, naiveExpShift(x, m))
 			}
 		})
+	}
+}
+
+// TestExpPin pins the package's exp and tanhOf. Their bits over
+// elementwiseSpecials, exp's edge cases and a fixed draw — random bit
+// patterns, the denormal band, the overflow band, |x| < 800 and |x| < 8, drawn
+// without math.Exp, unlike drawElementwise — have one digest on every host:
+// with FMA, under GODEBUG=cpu.fma=off, purego and GOAMD64=v3 (NaNs count as
+// one value). Where math.Exp takes the FMA path they copy, they equal
+// math.Exp and math.Tanh there bit for bit. A Go release that changes
+// math.Exp or math.tanh fails that half only; the digest, and so every
+// trained weight, stays.
+func TestExpPin(t *testing.T) {
+	x := append(clone(elementwiseSpecials), -746, -1e4, -1.5e9, -3e9, 710, 1e4)
+	rng := rand.New(rand.NewSource(1))
+	for range 20000 {
+		x = append(x, math.Float64frombits(rng.Uint64()), -745.2+rng.Float64()*(745.2-708.4),
+			709+rng.Float64()*0.79, (2*rng.Float64()-1)*800, (2*rng.Float64()-1)*8)
+	}
+	var bits []*Tensor
+	for _, f := range []func(float64) float64{exp, tanhOf} {
+		bits = append(bits, &Tensor{W: mapped(x, func(v float64) float64 {
+			if y := f(v); y == y {
+				return y
+			}
+			return math.NaN()
+		})})
+	}
+	if got, want := orderDigest(bits), "985cf0fc368be42871728c813a90b117806c82f1983c2893ff4633a61e563f86"; got != want {
+		t.Errorf("exp/tanhOf digest %s, want %s", got, want)
+	}
+
+	if math.Float64bits(math.Exp(-46)) != 0x3bc8dd5e1bb09d7f {
+		t.Skip("math.Exp does not take its FMA path here (it rounds exp(-46) one ulp lower)")
+	}
+	for _, v := range x {
+		if !sameBits(exp(v), math.Exp(v)) || !sameBits(tanhOf(v), math.Tanh(v)) {
+			t.Fatalf("at %v (%x): exp %x, math.Exp %x; tanhOf %x, math.Tanh %x", v, math.Float64bits(v),
+				math.Float64bits(exp(v)), math.Float64bits(math.Exp(v)), math.Float64bits(tanhOf(v)), math.Float64bits(math.Tanh(v)))
+		}
 	}
 }
 
